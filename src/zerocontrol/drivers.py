@@ -9,8 +9,9 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal
 
-from .graph import build_graph, find_cycle, reachable_from, scc_decompose, state_name, vertex_index
+from .graph import build_graph, scc_decompose, state_name, vertex_index
 from .patterns import PatternMatrix
+from .structural import is_generically_zero_controllable
 
 #: Above this many candidate components the exact search hands over to the
 #: greedy heuristic.
@@ -77,26 +78,20 @@ def _state_indices(pattern_a: PatternMatrix, drivers: Iterable[str]) -> list[int
 
 def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> DriverSet:
     """Check a driver set: form the subgraph of states unreachable from the
-    drivers and require it to be acyclic."""
+    drivers and require it to be acyclic.  One input column wired to every
+    driver reaches exactly what the drivers reach, so this is the
+    zero-controllability test of that pair."""
     if not pattern_a.is_square:
         raise ValueError("driver validation needs a square state pattern")
-    driver_idx = _state_indices(pattern_a, drivers)
-    graph = build_graph(pattern_a)
-    reached = reachable_from(graph, [state_name(i) for i in driver_idx])
-    unreached = frozenset(set(graph.state_vertices) - reached)
-    scc = scc_decompose(graph)
-    blocking = tuple(
-        comp
-        for comp, nt in zip(scc.components, scc.nontrivial)
-        if nt and comp <= unreached
-    )
-    witness = find_cycle(graph, within=unreached) if blocking else None
+    names = [state_name(i) for i in _state_indices(pattern_a, drivers)]
+    shared = build_b_pattern(pattern_a.n_rows, names, "shared").pattern
+    report = is_generically_zero_controllable(pattern_a, shared)
     return DriverSet(
-        drivers=frozenset(state_name(i) for i in driver_idx),
-        valid=not blocking,
+        drivers=frozenset(names),
+        valid=report.verdict,
         minimal=False,
-        uncovered_witness=witness,
-        nontrivial_unreachable_components=blocking,
+        uncovered_witness=report.cycle_witness,
+        nontrivial_unreachable_components=report.nontrivial_unreachable_components,
     )
 
 
@@ -119,31 +114,23 @@ class _CoverProblem:
 
 
 def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
-    graph = build_graph(pattern_a)
-    scc = scc_decompose(graph)
-    p = len(scc.components)
-    targets = [k for k in range(p) if scc.nontrivial[k]]
-    target_bit = {k: 1 << t for t, k in enumerate(targets)}
+    scc = scc_decompose(build_graph(pattern_a))
+    targets = [k for k, nt in enumerate(scc.nontrivial) if nt]
+    mask_of = [0] * len(scc.components)
+    for t, k in enumerate(targets):
+        mask_of[k] = 1 << t
+    for a in scc._sinks_first:  # successors' masks are final before a's
+        for b in scc._successors[a]:
+            mask_of[a] |= mask_of[b]
 
-    mask_of = [target_bit.get(k, 0) for k in range(p)]
-    for a, b in scc.order:
-        if b in target_bit:
-            mask_of[a] |= target_bit[b]
-
-    cover = []
-    reps = []
-    members = []
-    for k in range(p):
-        if mask_of[k]:
-            member_idx = tuple(sorted(vertex_index(v) for v in scc.components[k]))
-            reps.append(member_idx[0])
-            members.append(member_idx)
-            cover.append(mask_of[k])
-    order = sorted(range(len(reps)), key=lambda c: reps[c])
+    # components are numbered by smallest member, so candidates come out
+    # sorted by representative
+    candidates = [k for k, mask in enumerate(mask_of) if mask]
+    members = tuple(tuple(sorted(vertex_index(v) for v in scc.components[k])) for k in candidates)
     return _CoverProblem(
-        reps=tuple(reps[c] for c in order),
-        coverage=tuple(cover[c] for c in order),
-        members=tuple(members[c] for c in order),
+        reps=tuple(m[0] for m in members),
+        coverage=tuple(mask_of[k] for k in candidates),
+        members=members,
         full_mask=(1 << len(targets)) - 1,
         n_targets=len(targets),
     )
@@ -261,6 +248,7 @@ def _enumerate_min_covers(problem: _CoverProblem, size: int) -> list[frozenset[i
 
 
 def _greedy_cover(problem: _CoverProblem) -> list[int]:
+    """Representatives picked by the greedy heuristic."""
     chosen = []
     uncovered = problem.full_mask
     while uncovered:
@@ -270,7 +258,7 @@ def _greedy_cover(problem: _CoverProblem) -> list[int]:
         )
         if problem.coverage[best] & uncovered == 0:  # pragma: no cover
             raise AssertionError("greedy stalled; targets are always self-coverable")
-        chosen.append(best)
+        chosen.append(problem.reps[best])
         uncovered &= ~problem.coverage[best]
     return chosen
 
@@ -284,9 +272,7 @@ def greedy_driver_set(pattern_a: PatternMatrix) -> DriverSet:
     """Valid driver set from the classic greedy cover heuristic: repeatedly
     take the component covering the most still-uncovered cycles.  Size may
     exceed the true minimum; the minimal flag stays unset."""
-    problem = _cover_problem(pattern_a)
-    chosen = _greedy_cover(problem)
-    return _as_driver_set(pattern_a, (problem.reps[c] for c in chosen), minimal=False)
+    return _as_driver_set(pattern_a, _greedy_cover(_cover_problem(pattern_a)), minimal=False)
 
 
 def minimal_driver_set(
@@ -309,7 +295,7 @@ def minimal_driver_set(
             f"of {exact_cap}; returning a greedy (possibly non-minimal) driver set",
             ExactSearchSkipped,
         )
-        return greedy_driver_set(pattern_a)
+        return _as_driver_set(pattern_a, _greedy_cover(problem), minimal=False)
     everything = frozenset(range(len(problem.reps)))
     optimum = _min_cover(problem, everything, problem.full_mask, problem.n_targets)
     assert optimum is not None  # every target covers itself
@@ -339,7 +325,7 @@ def enumerate_minimal_driver_sets(
             "greedy driver set only",
             ExactSearchSkipped,
         )
-        return [greedy_driver_set(pattern_a)]
+        return [_as_driver_set(pattern_a, _greedy_cover(problem), minimal=False)]
     everything = frozenset(range(len(problem.reps)))
     optimum = _min_cover(problem, everything, problem.full_mask, problem.n_targets)
     assert optimum is not None

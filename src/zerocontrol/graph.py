@@ -147,13 +147,15 @@ class SccDecomposition:
     Components are numbered by their smallest member, so labels are stable.
     ``order`` is the full (transitively closed) relation: (a, b) present means
     some vertex of component a has a walk to component b.  ``covering_order``
-    is its transitive reduction, handy for drawing.
+    is its transitive reduction, handy for drawing.  Both are built on first
+    use from the condensation's direct successors, taken in Tarjan's
+    emission order (each component after every component it reaches).
     """
 
     components: tuple[frozenset[str], ...]
     nontrivial: tuple[bool, ...]
-    order: frozenset[tuple[int, int]]
-    covering_order: frozenset[tuple[int, int]]
+    _successors: tuple[tuple[int, ...], ...]
+    _sinks_first: tuple[int, ...]
 
     @cached_property
     def _component_of(self) -> dict[str, int]:
@@ -163,6 +165,29 @@ class SccDecomposition:
                 lookup[v] = k
         return lookup
 
+    @cached_property
+    def _reach(self) -> tuple[int, ...]:
+        """Bitmask of the components each component strictly reaches."""
+        reach = [0] * len(self.components)
+        for a in self._sinks_first:
+            for b in self._successors[a]:
+                reach[a] |= (1 << b) | reach[b]
+        return tuple(reach)
+
+    @cached_property
+    def order(self) -> frozenset[tuple[int, int]]:
+        return frozenset(
+            (a, b) for a, mask in enumerate(self._reach)
+            for b in range(mask.bit_length()) if mask >> b & 1
+        )
+
+    @cached_property
+    def covering_order(self) -> frozenset[tuple[int, int]]:
+        return frozenset(
+            (a, b) for a, succ in enumerate(self._successors) for b in succ
+            if not any(self._reach[c] >> b & 1 for c in succ)
+        )
+
     def component_of(self, name: str) -> int:
         return self._component_of[name]
 
@@ -170,7 +195,7 @@ class SccDecomposition:
         """True when component a can reach component b (strictly: a != b)."""
         ka = a if isinstance(a, int) else self.components.index(frozenset(a))
         kb = b if isinstance(b, int) else self.components.index(frozenset(b))
-        return (ka, kb) in self.order
+        return bool(self._reach[ka] >> kb & 1)
 
     def label(self, k: int) -> str:
         return f"C{k + 1}"
@@ -181,7 +206,7 @@ class SccDecomposition:
 
 def scc_decompose(graph: SystemGraph) -> SccDecomposition:
     """Tarjan's algorithm on the state subgraph (input vertices are ignored),
-    followed by condensation ordering."""
+    followed by the condensation's direct edges."""
     n = graph.n_states
     succ = graph.state_successors
     index = [0] * (n + 1)  # 0 = unvisited; discovery indices start at 1
@@ -228,6 +253,7 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
 
+    emitted = [comp[0] for comp in raw_components]  # sinks first
     raw_components.sort(key=min)
     comp_of = [0] * (n + 1)
     for k, comp in enumerate(raw_components):
@@ -244,32 +270,14 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
         else:
             direct[a].add(b)
 
-    # transitive closure over the condensation (p is small)
-    closure: list[set[int]] = [set() for _ in range(p)]
-    for a in range(p):
-        todo = sorted(direct[a])
-        seen = set(todo)
-        while todo:
-            b = todo.pop()
-            closure[a].add(b)
-            for c in direct[b]:
-                if c not in seen:
-                    seen.add(c)
-                    todo.append(c)
-    order = frozenset((a, b) for a in range(p) for b in closure[a])
-    covering = frozenset(
-        (a, b)
-        for a, b in order
-        if not any((a, c) in order and (c, b) in order for c in range(p))
-    )
-
     components = tuple(
         frozenset(state_name(v) for v in comp) for comp in raw_components
     )
     nontrivial = tuple(
         len(comp) > 1 or has_inner_edge[k] for k, comp in enumerate(raw_components)
     )
-    return SccDecomposition(components, nontrivial, order, covering)
+    successors = tuple(tuple(d) for d in direct)
+    return SccDecomposition(components, nontrivial, successors, tuple(comp_of[v] for v in emitted))
 
 
 def has_cycle(graph: SystemGraph) -> bool:
@@ -300,32 +308,34 @@ def find_cycle(
         if (v, v) in graph.state_edges:
             return ((state_name(v), state_name(v)),)
 
-    # shortest cycle through the smallest vertex on any cycle: BFS back to start
-    for start in sorted(allowed):
-        parent: dict[int, int] = {start: 0}
-        queue = [start]
-        while queue:
-            next_queue = []
-            for v in queue:
-                for w in graph.state_successors[v]:
-                    if w not in allowed:
-                        continue
-                    if w == start:
-                        rev = [v]  # v .. start, walking parents
-                        x = v
-                        while parent[x] != 0:
-                            x = parent[x]
-                            rev.append(x)
-                        cycle = rev[::-1] + [start]
-                        return tuple(
-                            (state_name(a), state_name(b))
-                            for a, b in zip(cycle, cycle[1:])
-                        )
-                    if w not in parent:
-                        parent[w] = v
-                        next_queue.append(w)
-            queue = next_queue
-    return None
+    # the smallest vertex on any cycle of the induced subgraph is the smallest
+    # member of its first nontrivial component
+    induced = frozenset((s, d) for s, d in graph.state_edges if s in allowed and d in allowed)
+    scc = scc_decompose(SystemGraph(graph.n_states, 0, induced, frozenset()))
+    first = next((c for c, nt in zip(scc.components, scc.nontrivial) if nt), None)
+    if first is None:
+        return None
+    # shortest cycle through it: BFS back to start, successors ascending
+    start = min(vertex_index(v) for v in first)
+    parent: dict[int, int] = {start: 0}
+    queue = [start]
+    while True:
+        next_queue = []
+        for v in queue:
+            for w in graph.state_successors[v]:
+                if w not in allowed:
+                    continue
+                if w == start:
+                    cycle = [start]  # start, v, parents of v .. start
+                    while v:
+                        cycle.append(v)
+                        v = parent[v]
+                    names = [state_name(x) for x in reversed(cycle)]
+                    return tuple(zip(names, names[1:]))
+                if w not in parent:
+                    parent[w] = v
+                    next_queue.append(w)
+        queue = next_queue
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,12 @@ def _edge_list(edges) -> list[list[str]] | None:
     return [[src, dst] for src, dst in edges]
 
 
+def _obstruction_lines(components, witness) -> list[str]:
+    comps = ", ".join("{" + " ".join(c) + "}" for c in _component_lists(components))
+    walk = " -> ".join([witness[0][0]] + [d for _, d in witness])
+    return [f"unreached cycles in components: {comps}", f"cycle witness: {walk}"]
+
+
 # --- zero-controllability reports ------------------------------------------
 
 def zc_report_to_dict(report: ZcReport) -> dict:
@@ -60,12 +66,7 @@ def render_zc_report(report: ZcReport) -> str:
     if report.verdict:
         lines.append("unreachable part is acyclic")
     else:
-        comps = ", ".join(
-            "{" + " ".join(c) + "}" for c in _component_lists(report.nontrivial_unreachable_components)
-        )
-        lines.append(f"unreached cycles in components: {comps}")
-        witness = " -> ".join([report.cycle_witness[0][0]] + [d for _, d in report.cycle_witness])
-        lines.append(f"cycle witness: {witness}")
+        lines += _obstruction_lines(report.nontrivial_unreachable_components, report.cycle_witness)
     return "\n".join(lines)
 
 
@@ -104,12 +105,7 @@ def render_driver_set(ds: DriverSet) -> str:
     if ds.minimal:
         lines.append("cardinality: minimum (exact search)")
     if not ds.valid:
-        comps = ", ".join(
-            "{" + " ".join(c) + "}" for c in _component_lists(ds.nontrivial_unreachable_components)
-        )
-        lines.append(f"unreached cycles in components: {comps}")
-        witness = " -> ".join([ds.uncovered_witness[0][0]] + [d for _, d in ds.uncovered_witness])
-        lines.append(f"cycle witness: {witness}")
+        lines += _obstruction_lines(ds.nontrivial_unreachable_components, ds.uncovered_witness)
     return "\n".join(lines)
 
 

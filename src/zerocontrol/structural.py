@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graph import (
     SystemGraph,
@@ -56,6 +55,8 @@ def compute_nu(pattern_a: PatternMatrix) -> int:
     any full assignment then decomposes into real-entry cycles plus idle
     diagonal positions, so the optimum counts the covered vertices.
     """
+    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
+
     if not pattern_a.is_square:
         raise ValueError("nu is only defined for square patterns")
     n = pattern_a.n_rows
@@ -77,28 +78,33 @@ def generic_rank(pattern: PatternMatrix) -> int:
     """Term rank: the maximum number of nonzeros, no two in the same row or
     column, which equals the rank of almost every realization.
 
-    Deterministic augmenting-path bipartite matching (rows against columns).
+    Deterministic augmenting-path bipartite matching (rows against columns),
+    depth first with an explicit stack so long augmenting paths cannot
+    exhaust the interpreter's recursion limit.
     """
     adj: dict[int, list[int]] = {}
     for i, j in sorted(pattern.nonzeros):
         adj.setdefault(i, []).append(j)
     match_col: dict[int, int] = {}
 
-    def augment(r: int, banned: set[int]) -> bool:
-        for c in adj.get(r, ()):
-            if c in banned:
-                continue
-            banned.add(c)
-            if c not in match_col or augment(match_col[c], banned):
-                match_col[c] = r
+    def augment(root: int) -> bool:
+        banned: set[int] = set()
+        path = [[root, iter(adj[root]), 0]]  # row, untried columns, column in use
+        while path:
+            frame = path[-1]
+            c = frame[2] = next((c for c in frame[1] if c not in banned), 0)
+            if not c:
+                path.pop()
+            elif c in match_col:
+                banned.add(c)
+                path.append([match_col[c], iter(adj[match_col[c]]), 0])
+            else:
+                for r, _, col in path:
+                    match_col[col] = r
                 return True
         return False
 
-    rank = 0
-    for r in sorted(adj):
-        if augment(r, set()):
-            rank += 1
-    return rank
+    return sum(augment(r) for r in sorted(adj))
 
 
 def _split_by_input_reachability(

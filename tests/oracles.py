@@ -11,6 +11,7 @@ import itertools
 from functools import lru_cache
 
 from zerocontrol import PatternMatrix
+from zerocontrol.graph import state_name
 
 
 def max_matching_size(n_rows: int, cols_of_row, n_cols: int) -> int:
@@ -158,3 +159,39 @@ def oracle_minimum_driver_sets(pattern: PatternMatrix) -> tuple[int, list[frozen
         if found:
             return size, found
     raise AssertionError("the full vertex set is always valid")
+
+
+def oracle_find_cycle(graph, within=None):
+    """Cycle witness by brute force: the smallest self-loop in ``within``,
+    else a BFS from every allowed vertex in ascending order until one leads
+    back to its start (successors visited in ascending order)."""
+    allowed = set(range(1, graph.n_states + 1))
+    if within is not None:
+        allowed = {int(name[1:]) for name in within}
+    for v in sorted(allowed):
+        if (v, v) in graph.state_edges:
+            return ((state_name(v), state_name(v)),)
+    for start in sorted(allowed):
+        parent = {start: 0}
+        queue = [start]
+        while queue:
+            next_queue = []
+            for v in queue:
+                for w in graph.state_successors[v]:
+                    if w not in allowed:
+                        continue
+                    if w == start:
+                        rev = [v]
+                        x = v
+                        while parent[x] != 0:
+                            x = parent[x]
+                            rev.append(x)
+                        cycle = rev[::-1] + [start]
+                        return tuple(
+                            (state_name(a), state_name(b)) for a, b in zip(cycle, cycle[1:])
+                        )
+                    if w not in parent:
+                        parent[w] = v
+                        next_queue.append(w)
+            queue = next_queue
+    return None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +219,33 @@ def test_usage_error_exits_2():
 
 def test_help_exits_0():
     assert run_cli(["--help"]) == 0
+
+
+# --- imports -----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "example1.pat"],
+        ["select", "example2.pat", "--enumerate"],
+        ["verify", "example1.pat", "--trials", "3", "--check-controllability"],
+        ["simulate", "example2.pat", "--drivers", "x4,x8"],
+        ["export-dot", "example2.pat", "--drivers", "x4,x8"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommands_do_not_import_scipy(argv, fixture_dir):
+    """scipy is only needed by compute_nu, which no subcommand calls."""
+    argv = [argv[0], str(fixture_dir / argv[1]), *argv[2:]]
+    script = (
+        "import contextlib, io, sys\n"
+        "from zerocontrol.cli import run_cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = run_cli({argv!r})\n"
+        "assert code in (0, 1), code\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

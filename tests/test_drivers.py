@@ -160,6 +160,20 @@ def test_exact_cap_falls_back_to_greedy():
     assert len(sets) == 1 and not sets[0].minimal
 
 
+def test_exact_cap_fallback_builds_the_cover_problem_once(monkeypatch):
+    from zerocontrol import drivers
+
+    calls = []
+    build = drivers._cover_problem
+    monkeypatch.setattr(drivers, "_cover_problem", lambda a: calls.append(a) or build(a))
+    p = _many_self_loops(30)
+    for search in (minimal_driver_set, enumerate_minimal_driver_sets):
+        calls.clear()
+        with pytest.warns(ExactSearchSkipped):
+            search(p)
+        assert len(calls) == 1
+
+
 def test_exact_cap_can_be_raised():
     p = _many_self_loops(30)
     ds = minimal_driver_set(p, exact_cap=40)

@@ -17,6 +17,7 @@ from zerocontrol import (
     scc_decompose,
 )
 from conftest import random_pattern
+from oracles import oracle_find_cycle
 
 
 # --- construction -----------------------------------------------------------
@@ -258,6 +259,19 @@ def test_find_cycle_reports_two_cycle():
 def test_find_cycle_none_on_acyclic():
     p = PatternMatrix.from_rows([[0, 0], [1, 0]])
     assert find_cycle(build_graph(p)) is None
+
+
+def test_find_cycle_matches_multi_start_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        p = random_pattern(rng, n, n, float(rng.uniform(0.02, 0.2)))
+        g = build_graph(p)
+        assert find_cycle(g) == oracle_find_cycle(g)
+        for _ in range(3):
+            keep = float(rng.uniform(0.2, 1.0))
+            within = {f"x{v}" for v in range(1, n + 1) if rng.random() < keep}
+            assert find_cycle(g, within=within) == oracle_find_cycle(g, within)
 
 
 # --- walk monomials -----------------------------------------------------------

@@ -76,6 +76,13 @@ def test_generic_rank_golden(example1_a, example1_b):
     assert generic_rank(PatternMatrix.identity(6)) == 6
 
 
+def test_generic_rank_survives_long_augmenting_path():
+    # bidiagonal plus a corner entry: the last row augments through every row
+    n = 3000
+    entries = {(i, i) for i in range(1, n + 1)} | {(i, i + 1) for i in range(1, n)}
+    assert generic_rank(PatternMatrix(n, n, frozenset(entries | {(n, 1)}))) == n
+
+
 def test_generic_rank_matches_oracle_and_numeric_rank():
     rng = np.random.default_rng(55)
     numeric_hits = 0
