@@ -3,7 +3,8 @@
 Subcommands: analyze, select, verify, simulate, export-dot.  Exit codes:
 0 success, 1 negative verdict (analyze: not zero controllable; verify:
 agreement below the threshold), 2 usage or input errors.  The primary stream
-only ever receives complete documents; diagnostics go to stderr.
+only ever receives complete documents; diagnostics go to stderr, one line
+each: warnings first, then at most one error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,11 +290,14 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    try:
-        return args.handler(args)
-    except (OSError, PatternFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code, error = args.handler(args), []
+        except (OSError, PatternFormatError, ValueError) as exc:
+            code, error = 2, [f"error: {exc}"]
+    for line in [f"warning: {w.message}" for w in caught] + error:
+        print(line, file=sys.stderr)
+    return code
 
 
 def main() -> None:

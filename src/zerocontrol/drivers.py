@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, replace
-from typing import Iterable, Literal
+from dataclasses import dataclass
+from typing import Iterable, Literal, Sequence
 
-from .graph import build_graph, scc_decompose, state_name, vertex_index
+from .graph import SccDecomposition, SystemGraph, build_graph, scc_decompose, state_name, vertex_index
 from .patterns import PatternMatrix
-from .structural import is_generically_zero_controllable
+from .structural import _obstruction
 
 #: Above this many candidate components the exact search hands over to the
 #: greedy heuristic.
@@ -63,36 +63,45 @@ class BPattern:
     pattern: PatternMatrix
 
 
-def _state_indices(pattern_a: PatternMatrix, drivers: Iterable[str]) -> list[int]:
-    n = pattern_a.n_rows
-    out = []
+def _state_indices(n: int, drivers: Iterable[str], too_large: str) -> list[int]:
+    """Sorted distinct indices of the driver states; ``too_large`` is the error
+    for an index above n, formatted with ``name``, ``idx`` and ``n``."""
+    out = set()
     for name in drivers:
         if not isinstance(name, str) or not name.startswith("x"):
             raise ValueError(f"driver vertices must be states, got {name!r}")
         idx = vertex_index(name)
         if idx > n:
-            raise ValueError(f"unknown vertex {name!r} (pattern has {n} states)")
-        out.append(idx)
-    return sorted(set(out))
+            raise ValueError(too_large.format(name=name, idx=idx, n=n))
+        out.add(idx)
+    return sorted(out)
+
+
+def _driver_set(
+    graph: SystemGraph, scc: SccDecomposition, indices: Sequence[int], minimal: bool
+) -> DriverSet:
+    """The drivers with their certificate; every search result is re-checked here."""
+    report = _obstruction(graph, scc, indices)
+    return DriverSet(
+        drivers=frozenset(state_name(i) for i in indices),
+        valid=report.verdict,
+        minimal=minimal,
+        uncovered_witness=report.cycle_witness,
+        nontrivial_unreachable_components=report.nontrivial_unreachable_components,
+    )
 
 
 def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> DriverSet:
     """Check a driver set: form the subgraph of states unreachable from the
-    drivers and require it to be acyclic.  One input column wired to every
-    driver reaches exactly what the drivers reach, so this is the
-    zero-controllability test of that pair."""
+    drivers and require it to be acyclic, the same obstruction test as
+    generic zero controllability with the drivers as the reached seeds."""
     if not pattern_a.is_square:
         raise ValueError("driver validation needs a square state pattern")
-    names = [state_name(i) for i in _state_indices(pattern_a, drivers)]
-    shared = build_b_pattern(pattern_a.n_rows, names, "shared").pattern
-    report = is_generically_zero_controllable(pattern_a, shared)
-    return DriverSet(
-        drivers=frozenset(names),
-        valid=report.verdict,
-        minimal=False,
-        uncovered_witness=report.cycle_witness,
-        nontrivial_unreachable_components=report.nontrivial_unreachable_components,
+    indices = _state_indices(
+        pattern_a.n_rows, drivers, "unknown vertex {name!r} (pattern has {n} states)"
     )
+    graph = build_graph(pattern_a)
+    return _driver_set(graph, scc_decompose(graph), indices, minimal=False)
 
 
 # --- condensation-level cover problem -------------------------------------
@@ -106,6 +115,8 @@ def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> Dri
 
 @dataclass(frozen=True)
 class _CoverProblem:
+    graph: SystemGraph
+    scc: SccDecomposition
     reps: tuple[int, ...]        # candidate component -> smallest state index
     coverage: tuple[int, ...]    # candidate component -> bitmask over targets
     members: tuple[tuple[int, ...], ...]  # candidate -> sorted member states
@@ -114,7 +125,8 @@ class _CoverProblem:
 
 
 def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
-    scc = scc_decompose(build_graph(pattern_a))
+    graph = build_graph(pattern_a)
+    scc = scc_decompose(graph)
     targets = [k for k, nt in enumerate(scc.nontrivial) if nt]
     mask_of = [0] * len(scc.components)
     for t, k in enumerate(targets):
@@ -126,8 +138,13 @@ def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
     # components are numbered by smallest member, so candidates come out
     # sorted by representative
     candidates = [k for k, mask in enumerate(mask_of) if mask]
-    members = tuple(tuple(sorted(vertex_index(v) for v in scc.components[k])) for k in candidates)
+    members_of: list[list[int]] = [[] for _ in scc.components]
+    for v in range(1, graph.n_states + 1):
+        members_of[scc._comp_of[v]].append(v)
+    members = tuple(tuple(members_of[k]) for k in candidates)
     return _CoverProblem(
+        graph=graph,
+        scc=scc,
         reps=tuple(m[0] for m in members),
         coverage=tuple(mask_of[k] for k in candidates),
         members=members,
@@ -138,12 +155,11 @@ def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
 
 def _coverers(problem: _CoverProblem, allowed: frozenset[int], uncovered: int) -> dict[int, list[int]]:
     """For each uncovered target bit, the allowed candidates covering it."""
-    by_target: dict[int, list[int]] = {}
-    for t in range(problem.n_targets):
-        bit = 1 << t
-        if uncovered & bit:
-            by_target[t] = [c for c in sorted(allowed) if problem.coverage[c] & bit]
-    return by_target
+    ordered = sorted(allowed)
+    return {
+        t: [c for c in ordered if problem.coverage[c] >> t & 1]
+        for t in range(problem.n_targets) if uncovered >> t & 1
+    }
 
 
 def _lower_bound(problem: _CoverProblem, allowed: frozenset[int], uncovered: int) -> int:
@@ -263,16 +279,36 @@ def _greedy_cover(problem: _CoverProblem) -> list[int]:
     return chosen
 
 
-def _as_driver_set(pattern_a: PatternMatrix, indices: Iterable[int], minimal: bool) -> DriverSet:
-    checked = validate_driver_set(pattern_a, [state_name(i) for i in indices])
-    return replace(checked, minimal=minimal)
-
-
 def greedy_driver_set(pattern_a: PatternMatrix) -> DriverSet:
     """Valid driver set from the classic greedy cover heuristic: repeatedly
     take the component covering the most still-uncovered cycles.  Size may
     exceed the true minimum; the minimal flag stays unset."""
-    return _as_driver_set(pattern_a, _greedy_cover(_cover_problem(pattern_a)), minimal=False)
+    problem = _cover_problem(pattern_a)
+    return _driver_set(problem.graph, problem.scc, _greedy_cover(problem), minimal=False)
+
+
+def _exact_search(
+    pattern_a: PatternMatrix, exact_cap: int, fallback: str
+) -> tuple[_CoverProblem, int | DriverSet]:
+    """The cover problem with its optimum cover size, or with the set to
+    return instead: the empty set when there is no cycle, and the greedy set
+    (with a warning ending in ``fallback``) above the exact-search cap."""
+    if exact_cap < 0:
+        raise ValueError(f"exact_cap must be >= 0, got {exact_cap}")
+    problem = _cover_problem(pattern_a)
+    if problem.n_targets == 0:
+        return problem, _driver_set(problem.graph, problem.scc, (), minimal=True)
+    if len(problem.reps) > exact_cap:
+        warnings.warn(
+            f"{len(problem.reps)} candidate components exceed the exact-search cap "
+            f"of {exact_cap}; {fallback}",
+            ExactSearchSkipped,
+        )
+        return problem, _driver_set(problem.graph, problem.scc, _greedy_cover(problem), minimal=False)
+    everything = frozenset(range(len(problem.reps)))
+    optimum = _min_cover(problem, everything, problem.full_mask, problem.n_targets)
+    assert optimum is not None  # every target covers itself
+    return problem, len(optimum)
 
 
 def minimal_driver_set(
@@ -286,21 +322,13 @@ def minimal_driver_set(
     ``exact_cap`` candidate components fall back to the greedy heuristic with
     a warning and the minimal flag unset.
     """
-    problem = _cover_problem(pattern_a)
-    if problem.n_targets == 0:
-        return _as_driver_set(pattern_a, (), minimal=True)
-    if len(problem.reps) > exact_cap:
-        warnings.warn(
-            f"{len(problem.reps)} candidate components exceed the exact-search cap "
-            f"of {exact_cap}; returning a greedy (possibly non-minimal) driver set",
-            ExactSearchSkipped,
-        )
-        return _as_driver_set(pattern_a, _greedy_cover(problem), minimal=False)
-    everything = frozenset(range(len(problem.reps)))
-    optimum = _min_cover(problem, everything, problem.full_mask, problem.n_targets)
-    assert optimum is not None  # every target covers itself
-    chosen = _lex_smallest_cover(problem, len(optimum))
-    return _as_driver_set(pattern_a, (problem.reps[c] for c in chosen), minimal=True)
+    problem, size = _exact_search(
+        pattern_a, exact_cap, "returning a greedy (possibly non-minimal) driver set"
+    )
+    if isinstance(size, DriverSet):
+        return size
+    chosen = _lex_smallest_cover(problem, size)
+    return _driver_set(problem.graph, problem.scc, [problem.reps[c] for c in chosen], minimal=True)
 
 
 def enumerate_minimal_driver_sets(
@@ -315,27 +343,18 @@ def enumerate_minimal_driver_sets(
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    problem = _cover_problem(pattern_a)
-    if problem.n_targets == 0:
-        return [_as_driver_set(pattern_a, (), minimal=True)]
-    if len(problem.reps) > exact_cap:
-        warnings.warn(
-            f"{len(problem.reps)} candidate components exceed the exact-search cap "
-            f"of {exact_cap}; enumeration would not be exhaustive, returning the "
-            "greedy driver set only",
-            ExactSearchSkipped,
-        )
-        return [_as_driver_set(pattern_a, _greedy_cover(problem), minimal=False)]
-    everything = frozenset(range(len(problem.reps)))
-    optimum = _min_cover(problem, everything, problem.full_mask, problem.n_targets)
-    assert optimum is not None
-    covers = _enumerate_min_covers(problem, len(optimum))
+    problem, size = _exact_search(
+        pattern_a, exact_cap,
+        "enumeration would not be exhaustive, returning the greedy driver set only",
+    )
+    if isinstance(size, DriverSet):
+        return [size]
     expanded: set[tuple[int, ...]] = set()
-    for cover in covers:
+    for cover in _enumerate_min_covers(problem, size):
         for pick in itertools.product(*(problem.members[c] for c in sorted(cover))):
             expanded.add(tuple(sorted(pick)))
     return [
-        _as_driver_set(pattern_a, indices, minimal=True)
+        _driver_set(problem.graph, problem.scc, indices, minimal=True)
         for indices in sorted(expanded)[:limit]
     ]
 
@@ -348,15 +367,7 @@ def build_b_pattern(
     pattern."""
     if mode not in ("shared", "per_driver"):
         raise ValueError(f"mode must be 'shared' or 'per_driver', got {mode!r}")
-    rows = []
-    for name in drivers:
-        if not isinstance(name, str) or not name.startswith("x"):
-            raise ValueError(f"driver vertices must be states, got {name!r}")
-        idx = vertex_index(name)
-        if not 1 <= idx <= n:
-            raise ValueError(f"driver row {idx} out of range 1..{n}")
-        rows.append(idx)
-    rows = sorted(set(rows))
+    rows = _state_indices(n, drivers, "driver row {idx} out of range 1..{n}")
     if not rows:
         return BPattern(mode, PatternMatrix.zeros(n, 0))
     if mode == "shared":

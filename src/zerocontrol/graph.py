@@ -111,6 +111,19 @@ def build_graph(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None
     return SystemGraph(pattern_a.n_rows, pattern_b.n_cols, state_edges, input_edges)
 
 
+def _reach_states(graph: SystemGraph, seeds: Iterable[int]) -> bytearray:
+    """reached[v] is 1 for every state v on a walk from a seed state (the
+    seeds included); index 0 is padding."""
+    reached = bytearray(graph.n_states + 1)
+    frontier = list(seeds)
+    while frontier:
+        v = frontier.pop()
+        if not reached[v]:
+            reached[v] = 1
+            frontier.extend(graph.state_successors[v])
+    return reached
+
+
 def reachable_from(graph: SystemGraph, sources: Iterable[str]) -> frozenset[str]:
     """State vertices reachable from the given source vertices.
 
@@ -118,25 +131,11 @@ def reachable_from(graph: SystemGraph, sources: Iterable[str]) -> frozenset[str]
     source only contributes the states its edges lead to, and is never itself
     part of the result.
     """
-    frontier: list[int] = []
-    reached: set[int] = set()
-    for kind, idx in sorted({graph.resolve(name) for name in sources}):
-        if kind == "x":
-            if idx not in reached:
-                reached.add(idx)
-                frontier.append(idx)
-        else:
-            for dst in graph.input_successors[idx]:
-                if dst not in reached:
-                    reached.add(dst)
-                    frontier.append(dst)
-    while frontier:
-        v = frontier.pop()
-        for w in graph.state_successors[v]:
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    return frozenset(state_name(i) for i in reached)
+    seeds: list[int] = []
+    for kind, idx in {graph.resolve(name) for name in sources}:
+        seeds.extend((idx,) if kind == "x" else graph.input_successors[idx])
+    reached = _reach_states(graph, seeds)
+    return frozenset(state_name(v) for v in range(1, graph.n_states + 1) if reached[v])
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,8 @@ class SccDecomposition:
     """Partition of the state vertices into maximal strongly connected
     components, with the component order induced by reachability.
 
-    Components are numbered by their smallest member, so labels are stable.
+    Components are numbered by their smallest member, so labels are stable;
+    ``_comp_of[v]`` is the component of state v (index 0 is padding).
     ``order`` is the full (transitively closed) relation: (a, b) present means
     some vertex of component a has a walk to component b.  ``covering_order``
     is its transitive reduction, handy for drawing.  Both are built on first
@@ -156,14 +156,7 @@ class SccDecomposition:
     nontrivial: tuple[bool, ...]
     _successors: tuple[tuple[int, ...], ...]
     _sinks_first: tuple[int, ...]
-
-    @cached_property
-    def _component_of(self) -> dict[str, int]:
-        lookup: dict[str, int] = {}
-        for k, comp in enumerate(self.components):
-            for v in comp:
-                lookup[v] = k
-        return lookup
+    _comp_of: tuple[int, ...]
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:
@@ -189,7 +182,10 @@ class SccDecomposition:
         )
 
     def component_of(self, name: str) -> int:
-        return self._component_of[name]
+        m = _VERTEX_RE.match(name)
+        if m is None or m.group(1) != "x" or int(m.group(2)) >= len(self._comp_of):
+            raise KeyError(name)
+        return self._comp_of[int(m.group(2))]
 
     def precedes(self, a: frozenset[str] | int, b: frozenset[str] | int) -> bool:
         """True when component a can reach component b (strictly: a != b)."""
@@ -211,7 +207,7 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
     succ = graph.state_successors
     index = [0] * (n + 1)  # 0 = unvisited; discovery indices start at 1
     lowlink = [0] * (n + 1)
-    on_stack = [False] * (n + 1)
+    on_stack = [0] * (n + 1)  # 1 + position on the stack, 0 when off it
     stack: list[int] = []
     counter = 1
     raw_components: list[list[int]] = []
@@ -227,7 +223,7 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
                 index[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
+                on_stack[v] = len(stack)
             advanced = False
             for k in range(pos, len(succ[v])):
                 w = succ[v][k]
@@ -241,13 +237,10 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
             if advanced:
                 continue
             if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
+                comp = stack[on_stack[v] - 1:]
+                del stack[on_stack[v] - 1:]
+                for w in comp:
+                    on_stack[w] = 0
                 raw_components.append(comp)
             if work:
                 parent = work[-1][0]
@@ -260,24 +253,15 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
         for v in comp:
             comp_of[v] = k
 
-    p = len(raw_components)
-    direct: list[set[int]] = [set() for _ in range(p)]
-    has_inner_edge = [False] * p
+    direct: list[set[int]] = [set() for _ in raw_components]  # own id on an inner edge
     for s, d in graph.state_edges:
-        a, b = comp_of[s], comp_of[d]
-        if a == b:
-            has_inner_edge[a] = True
-        else:
-            direct[a].add(b)
+        direct[comp_of[s]].add(comp_of[d])
 
-    components = tuple(
-        frozenset(state_name(v) for v in comp) for comp in raw_components
-    )
-    nontrivial = tuple(
-        len(comp) > 1 or has_inner_edge[k] for k, comp in enumerate(raw_components)
-    )
-    successors = tuple(tuple(d) for d in direct)
-    return SccDecomposition(components, nontrivial, successors, tuple(comp_of[v] for v in emitted))
+    components = tuple(frozenset(state_name(v) for v in comp) for comp in raw_components)
+    nontrivial = tuple(len(comp) > 1 or k in direct[k] for k, comp in enumerate(raw_components))
+    successors = tuple(tuple(d - {k}) for k, d in enumerate(direct))
+    sinks_first = tuple(comp_of[v] for v in emitted)
+    return SccDecomposition(components, nontrivial, successors, sinks_first, tuple(comp_of))
 
 
 def has_cycle(graph: SystemGraph) -> bool:
@@ -294,37 +278,35 @@ def find_cycle(
     Deterministic: prefers the smallest self-loop, then the shortest cycle
     through the smallest vertex of the first nontrivial component.
     """
-    if within is None:
-        allowed = set(range(1, graph.n_states + 1))
-    else:
-        allowed = set()
-        for name in within:
-            kind, idx = graph.resolve(name)
-            if kind != "x":
-                raise ValueError(f"cycle search is over states, got {name!r}")
-            allowed.add(idx)
+    allowed = set(range(1, graph.n_states + 1)) if within is None else set()
+    for name in within or ():
+        kind, idx = graph.resolve(name)
+        if kind != "x":
+            raise ValueError(f"cycle search is over states, got {name!r}")
+        allowed.add(idx)
 
-    for v in sorted(allowed):
-        if (v, v) in graph.state_edges:
-            return ((state_name(v), state_name(v)),)
-
-    # the smallest vertex on any cycle of the induced subgraph is the smallest
-    # member of its first nontrivial component
     induced = frozenset((s, d) for s, d in graph.state_edges if s in allowed and d in allowed)
     scc = scc_decompose(SystemGraph(graph.n_states, 0, induced, frozenset()))
-    first = next((c for c, nt in zip(scc.components, scc.nontrivial) if nt), None)
-    if first is None:
-        return None
-    # shortest cycle through it: BFS back to start, successors ascending
-    start = min(vertex_index(v) for v in first)
+    first = next((k for k, nt in enumerate(scc.nontrivial) if nt), None)
+    return None if first is None else _cycle_witness(graph, scc, sorted(allowed), first)
+
+
+def _cycle_witness(
+    graph: SystemGraph, scc: SccDecomposition, candidates: list[int], first: int
+) -> tuple[tuple[str, str], ...]:
+    """The smallest self-loop among the ascending ``candidates``, otherwise the
+    shortest cycle through the smallest member of component ``first`` (whose
+    members are all candidates): BFS back to it inside the component,
+    visiting successors in ascending order."""
+    loop = next((v for v in candidates if (v, v) in graph.state_edges), 0)
+    allowed = {loop} if loop else {v for v in candidates if scc._comp_of[v] == first}
+    start = min(allowed)
     parent: dict[int, int] = {start: 0}
     queue = [start]
     while True:
         next_queue = []
         for v in queue:
             for w in graph.state_successors[v]:
-                if w not in allowed:
-                    continue
                 if w == start:
                     cycle = [start]  # start, v, parents of v .. start
                     while v:
@@ -332,7 +314,7 @@ def find_cycle(
                         v = parent[v]
                     names = [state_name(x) for x in reversed(cycle)]
                     return tuple(zip(names, names[1:]))
-                if w not in parent:
+                if w in allowed and w not in parent:
                     parent[w] = v
                     next_queue.append(w)
         queue = next_queue

@@ -10,12 +10,8 @@ from .patterns import PatternMatrix
 from .structural import ZcReport
 
 
-def _vertex_list(names) -> list[str]:
-    return sort_vertices(names)
-
-
 def _component_lists(components) -> list[list[str]]:
-    return [_vertex_list(c) for c in components]
+    return [sort_vertices(c) for c in components]
 
 
 def _edge_list(edges) -> list[list[str]] | None:
@@ -35,8 +31,8 @@ def _obstruction_lines(components, witness) -> list[str]:
 def zc_report_to_dict(report: ZcReport) -> dict:
     return {
         "verdict": report.verdict,
-        "reachable_states": _vertex_list(report.reachable_states),
-        "unreachable_states": _vertex_list(report.unreachable_states),
+        "reachable_states": sort_vertices(report.reachable_states),
+        "unreachable_states": sort_vertices(report.unreachable_states),
         "cycle_witness": _edge_list(report.cycle_witness),
         "nontrivial_unreachable_components": _component_lists(
             report.nontrivial_unreachable_components
@@ -59,8 +55,8 @@ def zc_report_from_dict(data: dict) -> ZcReport:
 
 def render_zc_report(report: ZcReport) -> str:
     lines = [f"generically zero controllable: {'yes' if report.verdict else 'no'}"]
-    reach = _vertex_list(report.reachable_states)
-    unreach = _vertex_list(report.unreachable_states)
+    reach = sort_vertices(report.reachable_states)
+    unreach = sort_vertices(report.unreachable_states)
     lines.append(f"reachable from inputs ({len(reach)}): {' '.join(reach) or '-'}")
     lines.append(f"unreachable ({len(unreach)}): {' '.join(unreach) or '-'}")
     if report.verdict:

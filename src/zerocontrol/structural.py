@@ -4,15 +4,18 @@ generic controllability and generic zero controllability."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .graph import (
+    SccDecomposition,
     SystemGraph,
+    _cycle_witness,
+    _reach_states,
     build_graph,
-    find_cycle,
-    reachable_from,
     scc_decompose,
+    state_name,
 )
 from .patterns import PatternMatrix
 
@@ -107,13 +110,9 @@ def generic_rank(pattern: PatternMatrix) -> int:
     return sum(augment(r) for r in sorted(adj))
 
 
-def _split_by_input_reachability(
-    pattern_a: PatternMatrix, pattern_b: PatternMatrix | None
-) -> tuple[SystemGraph, frozenset[str], frozenset[str]]:
+def _input_reach(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None) -> bytearray:
     graph = build_graph(pattern_a, pattern_b)
-    reachable = reachable_from(graph, graph.input_vertices)
-    unreachable = frozenset(set(graph.state_vertices) - reachable)
-    return graph, reachable, unreachable
+    return _reach_states(graph, (d for _, d in graph.input_edges))
 
 
 def is_irreducible(pattern_a: PatternMatrix, pattern_b: PatternMatrix) -> bool:
@@ -121,8 +120,7 @@ def is_irreducible(pattern_a: PatternMatrix, pattern_b: PatternMatrix) -> bool:
     every state vertex is reachable from some input vertex."""
     if pattern_b.n_cols < 1:
         raise ValueError("irreducibility needs at least one input column")
-    _, _, unreachable = _split_by_input_reachability(pattern_a, pattern_b)
-    return not unreachable
+    return all(_input_reach(pattern_a, pattern_b)[1:])
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,9 @@ def is_generically_controllable(
 ) -> ControllabilityReport:
     """Generic controllability of the pair: irreducible and the stacked
     pattern [A B] has full term rank."""
-    _, _, unreachable = _split_by_input_reachability(pattern_a, pattern_b)
+    reached = _input_reach(pattern_a, pattern_b)
     n = pattern_a.n_rows
+    unreachable = frozenset(state_name(v) for v in range(1, n + 1) if not reached[v])
     stacked = pattern_a.hstack(pattern_b) if pattern_b is not None else pattern_a
     grank = generic_rank(stacked)
     if unreachable:
@@ -178,27 +177,32 @@ class ZcReport:
         return self.verdict
 
 
+def _obstruction(graph: SystemGraph, scc: SccDecomposition, seeds: Iterable[int]) -> ZcReport:
+    """States unreachable from the seed states, and the cycles they hold.
+
+    The unreachable set is closed under predecessors, so it is a union of
+    whole components of the graph, and those are its own components too.
+    """
+    reached = _reach_states(graph, seeds)
+    unreached = [v for v in range(1, graph.n_states + 1) if not reached[v]]
+    blocking = sorted(k for k in {scc._comp_of[v] for v in unreached} if scc.nontrivial[k])
+    return ZcReport(
+        verdict=not blocking,
+        reachable_states=frozenset(state_name(v) for v in range(1, len(reached)) if reached[v]),
+        unreachable_states=frozenset(map(state_name, unreached)),
+        cycle_witness=_cycle_witness(graph, scc, unreached, blocking[0]) if blocking else None,
+        nontrivial_unreachable_components=tuple(scc.components[k] for k in blocking),
+    )
+
+
 def is_generically_zero_controllable(
     pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None
 ) -> ZcReport:
     """Generic zero controllability: the input-unreachable part of the state
     graph must contain no cycle.  A missing input pattern means nothing is
     reachable and the test reduces to structural nilpotency."""
-    graph, reachable, unreachable = _split_by_input_reachability(pattern_a, pattern_b)
-    scc = scc_decompose(graph)
-    blocking = tuple(
-        comp
-        for comp, nt in zip(scc.components, scc.nontrivial)
-        if nt and comp <= unreachable
-    )
-    witness = find_cycle(graph, within=unreachable) if blocking else None
-    return ZcReport(
-        verdict=not blocking,
-        reachable_states=reachable,
-        unreachable_states=unreachable,
-        cycle_witness=witness,
-        nontrivial_unreachable_components=blocking,
-    )
+    graph = build_graph(pattern_a, pattern_b)
+    return _obstruction(graph, scc_decompose(graph), (d for _, d in graph.input_edges))
 
 
 @dataclass(frozen=True)
@@ -241,9 +245,9 @@ def reducible_decomposition(
 ) -> Decomposition:
     """Reorder the states so the input-reachable ones come first, and cut the
     patterns into the corresponding blocks."""
-    graph, reachable, unreachable = _split_by_input_reachability(pattern_a, pattern_b)
-    reach_idx = sorted(int(v[1:]) for v in reachable)
-    unreach_idx = sorted(int(v[1:]) for v in unreachable)
+    reached = _input_reach(pattern_a, pattern_b)
+    reach_idx = [v for v in range(1, pattern_a.n_rows + 1) if reached[v]]
+    unreach_idx = [v for v in range(1, pattern_a.n_rows + 1) if not reached[v]]
     perm = tuple(reach_idx + unreach_idx)
     n1, n2 = len(reach_idx), len(unreach_idx)
     m = pattern_b.n_cols if pattern_b is not None else 0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -249,3 +250,91 @@ def test_subcommands_do_not_import_scipy(argv, fixture_dir):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- one-line diagnostics ------------------------------------------------------------
+
+def test_exact_cap_warning_is_one_line(example2_path, capsys):
+    assert run_cli(["select", example2_path, "--greedy"]) == 0
+    greedy = capsys.readouterr().out
+    assert run_cli(["select", example2_path, "--exact-cap", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == greedy
+    assert captured.err == (
+        "warning: 8 candidate components exceed the exact-search cap of 1; "
+        "returning a greedy (possibly non-minimal) driver set\n"
+    )
+
+
+def test_duplicate_entry_warning_is_one_line(tmp_path, capsys):
+    clean, dup, bad = tmp_path / "clean.pat", tmp_path / "dup.pat", tmp_path / "bad.pat"
+    clean.write_text("n 2\na 1 1\na 2 1\n")
+    dup.write_text("n 2\na 1 1\na 1 1\na 2 1\n")
+    bad.write_text("n 2\na 1 1\na 1 1\na 3 3\n")
+    assert run_cli(["analyze", str(clean)]) == 1
+    expected = capsys.readouterr().out
+    assert run_cli(["analyze", str(dup)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == "warning: line 3: duplicate entry 'a 1 1' collapsed\n"
+    assert run_cli(["analyze", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: line 3: duplicate entry 'a 1 1' collapsed",
+        "error: line 4: row 3 exceeds n=2 in entry 'a 3 3'",
+    ]
+
+
+def test_negative_exact_cap_exits_2(example2_path, capsys):
+    assert run_cli(["select", example2_path, "--exact-cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exact_cap must be >= 0, got -1\n"
+
+
+# --- one graph and one condensation per structural command ---------------------------
+
+def _count_graph_builds(monkeypatch):
+    """Wrap build_graph and scc_decompose wherever zerocontrol modules bound
+    them; the originals are taken once, so nested calls are not counted twice."""
+    from zerocontrol import graph
+
+    calls = Counter()
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "zerocontrol"]
+    for name in ("build_graph", "scc_decompose"):
+        original = getattr(graph, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "example1.pat"],
+        ["analyze", "example2.pat"],
+        ["select", "example2.pat"],
+        ["select", "example2.pat", "--greedy"],
+        ["select", "example2.pat", "--enumerate", "--limit", "7"],
+    ],
+    ids=" ".join,
+)
+def test_structural_commands_build_one_graph_and_one_condensation(argv, fixture_dir, monkeypatch, capsys):
+    calls = _count_graph_builds(monkeypatch)
+    assert run_cli([argv[0], str(fixture_dir / argv[1]), *argv[2:]]) in (0, 1)
+    assert capsys.readouterr().out
+    assert calls == {"build_graph": 1, "scc_decompose": 1}
+
+
+def test_cycle_witness_needs_no_second_condensation(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "two_cycle.pat"
+    path.write_text("n 3\na 1 2\na 2 1\na 3 2\n")
+    calls = _count_graph_builds(monkeypatch)
+    assert run_cli(["analyze", str(path)]) == 1
+    assert "cycle witness: x1 -> x2 -> x1" in capsys.readouterr().out
+    assert calls == {"build_graph": 1, "scc_decompose": 1}

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from zerocontrol import (
@@ -5,9 +6,11 @@ from zerocontrol import (
     build_b_pattern,
     build_graph,
     enumerate_minimal_driver_sets,
+    find_cycle,
     greedy_driver_set,
     is_generically_zero_controllable,
     minimal_driver_set,
+    reachable_from,
     scc_decompose,
     validate_driver_set,
 )
@@ -267,3 +270,38 @@ def test_b_pattern_rejects_bad_input():
         build_b_pattern(3, {"u1"}, "shared")
     with pytest.raises(ValueError, match="mode must be"):
         build_b_pattern(3, {"x1"}, "weird")
+
+
+def test_negative_exact_cap_is_rejected(example2_a):
+    with pytest.raises(ValueError, match="exact_cap must be >= 0, got -1"):
+        minimal_driver_set(example2_a, exact_cap=-1)
+    with pytest.raises(ValueError, match="exact_cap must be >= 0, got -1"):
+        enumerate_minimal_driver_sets(example2_a, exact_cap=-1)
+    assert minimal_driver_set(PatternMatrix.zeros(3, 3), exact_cap=0).drivers == frozenset()
+
+
+# --- witnesses against the induced-subgraph reference ---------------------------------
+
+def test_witnesses_match_find_cycle_on_the_unreached_states():
+    """The ZC and driver witnesses come from the full graph's components;
+    find_cycle over the unreached states runs its own decomposition of the
+    induced subgraph and must pick the same cycle."""
+    rng = np.random.default_rng(4242)
+    negatives = bfs_witnesses = 0
+    for _ in range(1000):
+        n = int(rng.integers(1, 41))
+        a = PatternMatrix.from_rows(rng.random((n, n)) < rng.uniform(0.3, 3.0) / n)
+        m = int(rng.integers(0, 3))
+        b = PatternMatrix.from_rows(rng.random((n, m)) < 1.5 / n) if m else None
+        report = is_generically_zero_controllable(a, b)
+        assert report.cycle_witness == find_cycle(build_graph(a, b), within=report.unreachable_states)
+
+        graph = build_graph(a)
+        drivers = {f"x{int(v)}" for v in rng.integers(1, n + 1, size=int(rng.integers(0, 3)))}
+        ds = validate_driver_set(a, drivers)
+        unreached = set(graph.state_vertices) - reachable_from(graph, drivers)
+        assert ds.uncovered_witness == find_cycle(graph, within=unreached)
+        for witness in (report.cycle_witness, ds.uncovered_witness):
+            negatives += witness is not None
+            bfs_witnesses += witness is not None and len(witness) > 1
+    assert negatives > 500 and bfs_witnesses > 100
