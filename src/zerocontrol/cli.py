@@ -20,11 +20,11 @@ import numpy as np
 from .dotexport import export_dot
 from .drivers import (
     DEFAULT_EXACT_CAP,
+    _validate_on,
     build_b_pattern,
     enumerate_minimal_driver_sets,
     greedy_driver_set,
     minimal_driver_set,
-    validate_driver_set,
 )
 from .fileio import PatternFormatError, parse_pattern_file
 from .graph import build_graph, scc_decompose
@@ -42,7 +42,7 @@ from .reports import (
     steering_to_dict,
     zc_report_to_dict,
 )
-from .structural import is_generically_zero_controllable
+from .structural import _obstruction, is_generically_zero_controllable
 
 DEFAULT_MIN_AGREEMENT = 0.95
 
@@ -93,6 +93,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    # every mode checks both options, with the library's messages
+    for name, value, least in (("exact_cap", args.exact_cap, 0), ("limit", args.limit, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     pattern_a, pattern_b = _load_patterns(args.file)
     if pattern_b is not None:
         print("note: driver selection works on the state pattern; input entries ignored",
@@ -175,16 +179,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     pattern_a, pattern_b = _load_patterns(args.file)
-    report = None
-    if getattr(args, "drivers", None):
-        names = _parse_drivers(args.drivers)
-        report = validate_driver_set(pattern_a, names)
-        graph = build_graph(pattern_a)
-    else:
-        graph = build_graph(pattern_a, pattern_b)
-        if pattern_b is not None:
-            report = is_generically_zero_controllable(pattern_a, pattern_b)
+    graph = build_graph(pattern_a, None if args.drivers else pattern_b)
     scc = scc_decompose(graph)
+    report = None
+    if args.drivers:
+        report = _validate_on(graph, scc, _parse_drivers(args.drivers))
+    elif pattern_b is not None:
+        report = _obstruction(graph, scc, (d for _, d in graph.input_edges))
     print(export_dot(graph, scc, report), end="")
     return 0
 

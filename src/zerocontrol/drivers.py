@@ -4,10 +4,13 @@ steerable to zero."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .graph import SccDecomposition, SystemGraph, build_graph, scc_decompose, state_name, vertex_index
 from .patterns import PatternMatrix
@@ -16,6 +19,8 @@ from .structural import _obstruction
 #: Above this many candidate components the exact search hands over to the
 #: greedy heuristic.
 DEFAULT_EXACT_CAP = 25
+
+_EVERY_CANDIDATE = -1  # candidate sets are int bitmasks; this one admits all of them
 
 
 class ExactSearchSkipped(UserWarning):
@@ -97,11 +102,15 @@ def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> Dri
     generic zero controllability with the drivers as the reached seeds."""
     if not pattern_a.is_square:
         raise ValueError("driver validation needs a square state pattern")
-    indices = _state_indices(
-        pattern_a.n_rows, drivers, "unknown vertex {name!r} (pattern has {n} states)"
-    )
     graph = build_graph(pattern_a)
-    return _driver_set(graph, scc_decompose(graph), indices, minimal=False)
+    return _validate_on(graph, scc_decompose(graph), drivers)
+
+
+def _validate_on(graph: SystemGraph, scc: SccDecomposition, drivers: Iterable[str]) -> DriverSet:
+    """validate_driver_set on a graph and condensation already built."""
+    n = graph.n_states
+    indices = _state_indices(n, drivers, "unknown vertex {name!r} (pattern has {n} states)")
+    return _driver_set(graph, scc, indices, minimal=False)
 
 
 # --- condensation-level cover problem -------------------------------------
@@ -117,11 +126,28 @@ def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> Dri
 class _CoverProblem:
     graph: SystemGraph
     scc: SccDecomposition
-    reps: tuple[int, ...]        # candidate component -> smallest state index
     coverage: tuple[int, ...]    # candidate component -> bitmask over targets
-    members: tuple[tuple[int, ...], ...]  # candidate -> sorted member states
+    members: tuple[tuple[int, ...], ...]  # candidate -> sorted member states, representative first
     full_mask: int
-    n_targets: int
+
+    @cached_property
+    def coverers(self) -> tuple[int, ...]:
+        """Target -> bitmask over the candidates covering it.  Its size is the
+        sum of all coverages, quadratic on a long chain of self-loops, so it
+        is built only when an exact search first asks for it."""
+        out = [0] * self.full_mask.bit_length()
+        for c, mask in enumerate(self.coverage):
+            for t in _bits(mask):
+                out[t] |= 1 << c
+        return tuple(out)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
@@ -141,73 +167,42 @@ def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
     members_of: list[list[int]] = [[] for _ in scc.components]
     for v in range(1, graph.n_states + 1):
         members_of[scc._comp_of[v]].append(v)
-    members = tuple(tuple(members_of[k]) for k in candidates)
     return _CoverProblem(
         graph=graph,
         scc=scc,
-        reps=tuple(m[0] for m in members),
         coverage=tuple(mask_of[k] for k in candidates),
-        members=members,
+        members=tuple(tuple(members_of[k]) for k in candidates),
         full_mask=(1 << len(targets)) - 1,
-        n_targets=len(targets),
     )
 
 
-def _coverers(problem: _CoverProblem, allowed: frozenset[int], uncovered: int) -> dict[int, list[int]]:
-    """For each uncovered target bit, the allowed candidates covering it."""
-    ordered = sorted(allowed)
-    return {
-        t: [c for c in ordered if problem.coverage[c] >> t & 1]
-        for t in range(problem.n_targets) if uncovered >> t & 1
-    }
-
-
-def _lower_bound(problem: _CoverProblem, allowed: frozenset[int], uncovered: int) -> int:
+def _lower_bound(by_target: list[int]) -> int:
     """Greedy family of targets no two of which share an allowed coverer;
-    each family member forces one distinct pick."""
-    used: set[int] = set()
-    bound = 0
-    by_target = _coverers(problem, allowed, uncovered)
-    for t in sorted(by_target, key=lambda t: len(by_target[t])):
-        coverers = by_target[t]
-        if not coverers:
-            continue  # infeasible target; caller notices separately
-        if not used.intersection(coverers):
-            used.update(coverers)
+    each family member forces one distinct pick.  ``by_target`` holds each
+    uncovered target's allowed coverers, in ascending target order."""
+    used = bound = 0
+    for coverers in sorted(by_target, key=int.bit_count):
+        if not coverers & used:
+            used |= coverers
             bound += 1
     return bound
 
 
-def _min_cover(
-    problem: _CoverProblem,
-    allowed: frozenset[int],
-    uncovered: int,
-    budget: int,
-) -> list[int] | None:
+def _min_cover(problem: _CoverProblem, allowed: int, uncovered: int, budget: int) -> list[int] | None:
     """Smallest cover of `uncovered` using `allowed` candidates, or None when
     no cover of size <= budget exists.  Deterministic branch and bound."""
     if uncovered == 0:
         return []
-    if budget <= 0:
+    by_target = [problem.coverers[t] & allowed for t in _bits(uncovered)]
+    if not all(by_target) or _lower_bound(by_target) > budget:
         return None
-    by_target = _coverers(problem, allowed, uncovered)
-    if any(not cs for cs in by_target.values()):
-        return None
-    if _lower_bound(problem, allowed, uncovered) > budget:
-        return None
-    # branch on the scarcest target
-    t = min(by_target, key=lambda t: (len(by_target[t]), t))
     best: list[int] | None = None
-    branch_allowed = set(allowed)
-    for c in sorted(by_target[t], key=lambda c: (-bin(problem.coverage[c]).count("1"), problem.reps[c])):
-        branch_allowed.discard(c)  # later branches must not reuse c
+    # branch on the scarcest target, the lowest one on ties
+    scarcest = min(by_target, key=int.bit_count)
+    for c in sorted(_bits(scarcest), key=lambda c: -problem.coverage[c].bit_count()):
+        allowed &= ~(1 << c)  # later branches must not reuse c
         cap = budget - 1 if best is None else len(best) - 2
-        sub = _min_cover(
-            problem,
-            frozenset(branch_allowed),
-            uncovered & ~problem.coverage[c],
-            cap,
-        )
+        sub = _min_cover(problem, allowed, uncovered & ~problem.coverage[c], cap)
         if sub is not None:
             best = [c] + sub
             if len(best) == 1:
@@ -223,12 +218,10 @@ def _lex_smallest_cover(problem: _CoverProblem, size: int) -> list[int]:
     uncovered = problem.full_mask
     start = 0
     while uncovered:
-        for c in range(start, len(problem.reps)):
-            rest = frozenset(range(c + 1, len(problem.reps)))
-            sub = _min_cover(
-                problem, rest, uncovered & ~problem.coverage[c], size - len(chosen) - 1
-            )
-            if sub is not None:
+        budget = size - len(chosen) - 1
+        for c in range(start, len(problem.coverage)):
+            rest = _EVERY_CANDIDATE << (c + 1)  # the candidates after c
+            if _min_cover(problem, rest, uncovered & ~problem.coverage[c], budget) is not None:
                 chosen.append(c)
                 uncovered &= ~problem.coverage[c]
                 start = c + 1
@@ -238,29 +231,36 @@ def _lex_smallest_cover(problem: _CoverProblem, size: int) -> list[int]:
     return chosen
 
 
-def _enumerate_min_covers(problem: _CoverProblem, size: int) -> list[frozenset[int]]:
-    """All covers of exactly the optimum size, each found once."""
-    out: list[frozenset[int]] = []
+def _min_covers(
+    problem: _CoverProblem, allowed: int, uncovered: int, budget: int
+) -> Iterator[tuple[int, ...]]:
+    """All covers of `uncovered` by at most `budget` allowed candidates, each
+    found once; at the optimum budget, every minimum cover."""
+    if uncovered == 0:
+        yield ()
+        return
+    by_target = [problem.coverers[t] & allowed for t in _bits(uncovered)]
+    if not all(by_target) or _lower_bound(by_target) > budget:
+        return
+    for c in _bits(min(by_target, key=int.bit_count)):
+        allowed &= ~(1 << c)
+        for rest in _min_covers(problem, allowed, uncovered & ~problem.coverage[c], budget - 1):
+            yield (c,) + rest
 
-    def recurse(allowed: frozenset[int], uncovered: int, budget: int, prefix: tuple[int, ...]):
-        if uncovered == 0:
-            out.append(frozenset(prefix))
-            return
-        if budget == 0:
-            return
-        by_target = _coverers(problem, allowed, uncovered)
-        if any(not cs for cs in by_target.values()):
-            return
-        t = min(by_target, key=lambda t: (len(by_target[t]), t))
-        remaining = set(allowed)
-        for c in sorted(by_target[t], key=lambda c: problem.reps[c]):
-            remaining.discard(c)
-            recurse(
-                frozenset(remaining), uncovered & ~problem.coverage[c], budget - 1, prefix + (c,)
-            )
 
-    recurse(frozenset(range(len(problem.reps))), problem.full_mask, size, ())
-    return out
+def _picks(groups: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Every choice of one state from each of the disjoint sorted groups, as
+    ascending tuples in lex order.  Each step moves the largest picked state
+    that is not last in its group to its successor there, and resets every
+    group whose pick lay above it to its first state past it."""
+    picked = [g[0] for g in groups]
+    while True:
+        yield tuple(sorted(picked))
+        movable = [v for g, v in zip(groups, picked) if v < g[-1]]
+        if not movable:
+            return
+        top = max(movable)
+        picked = [v if v < top else g[bisect_right(g, top)] for g, v in zip(groups, picked)]
 
 
 def _greedy_cover(problem: _CoverProblem) -> list[int]:
@@ -268,13 +268,14 @@ def _greedy_cover(problem: _CoverProblem) -> list[int]:
     chosen = []
     uncovered = problem.full_mask
     while uncovered:
+        # candidates ascend by representative, so -c breaks ties towards the smallest
         best = max(
-            range(len(problem.reps)),
-            key=lambda c: (bin(problem.coverage[c] & uncovered).count("1"), -problem.reps[c]),
+            range(len(problem.coverage)),
+            key=lambda c: ((problem.coverage[c] & uncovered).bit_count(), -c),
         )
         if problem.coverage[best] & uncovered == 0:  # pragma: no cover
             raise AssertionError("greedy stalled; targets are always self-coverable")
-        chosen.append(problem.reps[best])
+        chosen.append(problem.members[best][0])
         uncovered &= ~problem.coverage[best]
     return chosen
 
@@ -296,17 +297,16 @@ def _exact_search(
     if exact_cap < 0:
         raise ValueError(f"exact_cap must be >= 0, got {exact_cap}")
     problem = _cover_problem(pattern_a)
-    if problem.n_targets == 0:
+    if not problem.full_mask:
         return problem, _driver_set(problem.graph, problem.scc, (), minimal=True)
-    if len(problem.reps) > exact_cap:
+    if len(problem.coverage) > exact_cap:
         warnings.warn(
-            f"{len(problem.reps)} candidate components exceed the exact-search cap "
+            f"{len(problem.coverage)} candidate components exceed the exact-search cap "
             f"of {exact_cap}; {fallback}",
             ExactSearchSkipped,
         )
         return problem, _driver_set(problem.graph, problem.scc, _greedy_cover(problem), minimal=False)
-    everything = frozenset(range(len(problem.reps)))
-    optimum = _min_cover(problem, everything, problem.full_mask, problem.n_targets)
+    optimum = _min_cover(problem, _EVERY_CANDIDATE, problem.full_mask, problem.full_mask.bit_length())
     assert optimum is not None  # every target covers itself
     return problem, len(optimum)
 
@@ -328,7 +328,7 @@ def minimal_driver_set(
     if isinstance(size, DriverSet):
         return size
     chosen = _lex_smallest_cover(problem, size)
-    return _driver_set(problem.graph, problem.scc, [problem.reps[c] for c in chosen], minimal=True)
+    return _driver_set(problem.graph, problem.scc, [problem.members[c][0] for c in chosen], minimal=True)
 
 
 def enumerate_minimal_driver_sets(
@@ -338,8 +338,9 @@ def enumerate_minimal_driver_sets(
     truncated to ``limit``.
 
     Every vertex of a strongly connected component is interchangeable as a
-    driver, so each minimum component cover expands into the product of its
-    components' member lists.
+    driver, so each minimum component cover expands into one state from each
+    of its components.  The expansions are produced lazily in lex order and
+    merged, so the cost follows ``limit``, not the number of sets.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -349,13 +350,11 @@ def enumerate_minimal_driver_sets(
     )
     if isinstance(size, DriverSet):
         return [size]
-    expanded: set[tuple[int, ...]] = set()
-    for cover in _enumerate_min_covers(problem, size):
-        for pick in itertools.product(*(problem.members[c] for c in sorted(cover))):
-            expanded.add(tuple(sorted(pick)))
+    covers = _min_covers(problem, _EVERY_CANDIDATE, problem.full_mask, size)
+    expansions = heapq.merge(*(_picks([problem.members[c] for c in cover]) for cover in covers))
     return [
         _driver_set(problem.graph, problem.scc, indices, minimal=True)
-        for indices in sorted(expanded)[:limit]
+        for indices in itertools.islice(expansions, limit)
     ]
 
 

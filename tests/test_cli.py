@@ -291,6 +291,22 @@ def test_negative_exact_cap_exits_2(example2_path, capsys):
     assert captured.err == "error: exact_cap must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--greedy", "--exact-cap", "-1"], "exact_cap must be >= 0, got -1"),
+        (["--limit", "0"], "limit must be >= 1, got 0"),
+        (["--greedy", "--limit", "0"], "limit must be >= 1, got 0"),
+    ],
+    ids=["greedy negative cap", "limit 0", "greedy limit 0"],
+)
+def test_select_checks_its_options_in_every_mode(args, error, example2_path, capsys):
+    assert run_cli(["select", example2_path, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 # --- one graph and one condensation per structural command ---------------------------
 
 def _count_graph_builds(monkeypatch):
@@ -321,6 +337,9 @@ def _count_graph_builds(monkeypatch):
         ["select", "example2.pat"],
         ["select", "example2.pat", "--greedy"],
         ["select", "example2.pat", "--enumerate", "--limit", "7"],
+        ["export-dot", "example2.pat"],
+        ["export-dot", "example1.pat"],
+        ["export-dot", "example2.pat", "--drivers", "x4,x8"],
     ],
     ids=" ".join,
 )

@@ -129,6 +129,52 @@ def test_enumerate_expands_components():
     assert [ds.drivers for ds in sets] == [frozenset({"x1"}), frozenset({"x2"})]
 
 
+
+def _tied_patterns(seed: int, count: int):
+    """Disjoint 2- and 3-cycles fed by shared feeder states, n <= 9, with the
+    states shuffled so that the expansions of different component covers
+    interleave in lex order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        lengths = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)][int(rng.integers(0, 5))]
+        cycles, entries, n = [], set(), 0
+        for length in lengths:
+            nodes = list(range(n + 1, n + length + 1))
+            n += length
+            entries |= {(dst, src) for src, dst in zip(nodes, nodes[1:] + nodes[:1])}
+            cycles.append(nodes)
+        for _ in range(int(rng.integers(1, 10 - n))):
+            n += 1
+            fed = rng.choice(len(cycles), size=int(rng.integers(1, 3)), replace=False)
+            entries |= {(int(rng.choice(cycles[t])), n) for t in fed}
+        perm = [0] + [int(v) + 1 for v in rng.permutation(n)]
+        out.append(PatternMatrix(n, n, frozenset((perm[i], perm[j]) for i, j in entries)))
+    return out
+
+
+def test_enumeration_lists_the_oracle_sets_in_lex_order():
+    patterns = random_square_patterns(seed=909, count=60, max_n=9) + _tied_patterns(seed=5, count=40)
+    for p in patterns:
+        _, all_sets = oracle_minimum_driver_sets(p)  # itertools.combinations order: lex
+        listed = enumerate_minimal_driver_sets(p, limit=10**6)
+        assert [sorted(drivers_as_indices(ds)) for ds in listed] == [sorted(s) for s in all_sets]
+        assert listed[0] == minimal_driver_set(p)
+
+
+def test_enumeration_cost_follows_the_limit():
+    """Three disjoint 1000-cycles have 10**9 minimum driver sets; the first
+    five in lex order come out without expanding the others."""
+    n = 3000
+    a = PatternMatrix(n, n, frozenset(
+        (c * 1000 + v % 1000 + 1, c * 1000 + v) for c in range(3) for v in range(1, 1001)
+    ))
+    listed = enumerate_minimal_driver_sets(a, limit=5)
+    assert [ds.sorted_drivers() for ds in listed] == [
+        ["x1", "x1001", f"x{2000 + v}"] for v in range(1, 6)
+    ]
+
+
 # --- greedy ----------------------------------------------------------------------
 
 def test_greedy_example2(example2_a):
@@ -175,6 +221,25 @@ def test_exact_cap_fallback_builds_the_cover_problem_once(monkeypatch):
         with pytest.warns(ExactSearchSkipped):
             search(p)
         assert len(calls) == 1
+
+
+def test_over_cap_search_builds_no_coverer_masks(monkeypatch):
+    """The per-target coverer masks hold every coverage bit: quadratic on a
+    long chain of self-loops, where the greedy fallback needs none of them."""
+    from zerocontrol import drivers
+
+    problems = []
+    build = drivers._cover_problem
+    monkeypatch.setattr(drivers, "_cover_problem", lambda a: problems.append(build(a)) or problems[-1])
+    n = 5000
+    chain = PatternMatrix(n, n, frozenset({(i, i) for i in range(1, n + 1)} | {(i + 1, i) for i in range(1, n)}))
+    with pytest.warns(ExactSearchSkipped):
+        assert minimal_driver_set(chain).drivers == frozenset({"x1"})
+    with pytest.warns(ExactSearchSkipped):
+        assert [ds.drivers for ds in enumerate_minimal_driver_sets(chain)] == [frozenset({"x1"})]
+    assert len(problems) == 2 and not any("coverers" in vars(p) for p in problems)
+    minimal_driver_set(_many_self_loops(3))
+    assert "coverers" in vars(problems[-1])
 
 
 def test_exact_cap_can_be_raised():
