@@ -58,8 +58,7 @@ def _parse_drivers(raw: str) -> list[str]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        name = chunk if chunk.startswith("x") else f"x{chunk}"
-        names.append(name)
+        names.append(f"x{chunk}" if chunk.isdigit() else chunk)
     if not names:
         raise ValueError("empty driver list")
     return names
@@ -136,6 +135,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 <= args.min_agreement <= 1:  # NaN fails both comparisons
+        raise ValueError(f"min_agreement must be in [0, 1], got {args.min_agreement}")
     pattern_a, pattern_b = _load_patterns(args.file)
     pattern_b = _resolve_input_pattern(args, pattern_a, pattern_b)
     stats = monte_carlo_verify(
@@ -166,6 +167,8 @@ def _cmd_simulate(args) -> int:
         values = [float(v) for v in args.x0.split(",")]
         if len(values) != n:
             raise ValueError(f"--x0 needs {n} comma-separated values, got {len(values)}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"--x0 values must be finite, got {args.x0}")
         x0 = np.array(values)
     result = deadbeat_steer(realization, x0, horizon)
     doc = {

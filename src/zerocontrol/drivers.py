@@ -188,26 +188,25 @@ def _lower_bound(by_target: list[int]) -> int:
     return bound
 
 
-def _min_cover(problem: _CoverProblem, allowed: int, uncovered: int, budget: int) -> list[int] | None:
-    """Smallest cover of `uncovered` using `allowed` candidates, or None when
-    no cover of size <= budget exists.  Deterministic branch and bound."""
+def _min_covers(
+    problem: _CoverProblem, allowed: int, uncovered: int, budget: int
+) -> Iterator[tuple[int, ...]]:
+    """All covers of `uncovered` by at most `budget` allowed candidates, each
+    found once; at the optimum budget, every minimum cover.  Drawing only the
+    first answers whether any cover fits the budget."""
     if uncovered == 0:
-        return []
+        yield ()
+        return
     by_target = [problem.coverers[t] & allowed for t in _bits(uncovered)]
     if not all(by_target) or _lower_bound(by_target) > budget:
-        return None
-    best: list[int] | None = None
-    # branch on the scarcest target, the lowest one on ties
+        return
+    # branch on the scarcest target, the lowest one on ties, trying its
+    # widest coverers first so that a feasibility probe stops early
     scarcest = min(by_target, key=int.bit_count)
     for c in sorted(_bits(scarcest), key=lambda c: -problem.coverage[c].bit_count()):
         allowed &= ~(1 << c)  # later branches must not reuse c
-        cap = budget - 1 if best is None else len(best) - 2
-        sub = _min_cover(problem, allowed, uncovered & ~problem.coverage[c], cap)
-        if sub is not None:
-            best = [c] + sub
-            if len(best) == 1:
-                break
-    return best
+        for rest in _min_covers(problem, allowed, uncovered & ~problem.coverage[c], budget - 1):
+            yield (c,) + rest
 
 
 def _lex_smallest_cover(problem: _CoverProblem, size: int) -> list[int]:
@@ -221,7 +220,7 @@ def _lex_smallest_cover(problem: _CoverProblem, size: int) -> list[int]:
         budget = size - len(chosen) - 1
         for c in range(start, len(problem.coverage)):
             rest = _EVERY_CANDIDATE << (c + 1)  # the candidates after c
-            if _min_cover(problem, rest, uncovered & ~problem.coverage[c], budget) is not None:
+            if next(_min_covers(problem, rest, uncovered & ~problem.coverage[c], budget), None) is not None:
                 chosen.append(c)
                 uncovered &= ~problem.coverage[c]
                 start = c + 1
@@ -229,23 +228,6 @@ def _lex_smallest_cover(problem: _CoverProblem, size: int) -> list[int]:
         else:  # pragma: no cover - guarded by caller computing `size` exactly
             raise AssertionError("no cover at the announced optimum size")
     return chosen
-
-
-def _min_covers(
-    problem: _CoverProblem, allowed: int, uncovered: int, budget: int
-) -> Iterator[tuple[int, ...]]:
-    """All covers of `uncovered` by at most `budget` allowed candidates, each
-    found once; at the optimum budget, every minimum cover."""
-    if uncovered == 0:
-        yield ()
-        return
-    by_target = [problem.coverers[t] & allowed for t in _bits(uncovered)]
-    if not all(by_target) or _lower_bound(by_target) > budget:
-        return
-    for c in _bits(min(by_target, key=int.bit_count)):
-        allowed &= ~(1 << c)
-        for rest in _min_covers(problem, allowed, uncovered & ~problem.coverage[c], budget - 1):
-            yield (c,) + rest
 
 
 def _picks(groups: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
@@ -306,9 +288,11 @@ def _exact_search(
             ExactSearchSkipped,
         )
         return problem, _driver_set(problem.graph, problem.scc, _greedy_cover(problem), minimal=False)
-    optimum = _min_cover(problem, _EVERY_CANDIDATE, problem.full_mask, problem.full_mask.bit_length())
-    assert optimum is not None  # every target covers itself
-    return problem, len(optimum)
+    # iterative deepening: the first budget that admits a cover is the optimum
+    size = _lower_bound(list(problem.coverers))
+    while next(_min_covers(problem, _EVERY_CANDIDATE, problem.full_mask, size), None) is None:
+        size += 1
+    return problem, size
 
 
 def minimal_driver_set(

@@ -129,15 +129,22 @@ def _hautus_ok(a: np.ndarray, b: np.ndarray, eigenvalues: Iterable[complex]) -> 
     return True
 
 
+def _eigenvalues(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the square matrix ``a``, and those of them counted as
+    nonzero: modulus above tol * (1 + spectral radius)."""
+    if not 0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    eigenvalues = np.linalg.eigvals(a) if a.size else np.zeros(0)
+    radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
+    return eigenvalues, eigenvalues[np.abs(eigenvalues) > tol * (1.0 + radius)]
+
+
 def is_controllable_numeric(realization: Realization, tol: float = 1e-8) -> NumericCheck:
     """Controllability of a concrete pair: full-rank controllability matrix,
     cross-checked by the Hautus rank test at every eigenvalue."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a, b = realization.a, realization.b
-    n = realization.n
-    image_ok = numeric_rank(controllability_matrix(realization)) == n
-    hautus_ok = _hautus_ok(a, b, np.linalg.eigvals(a) if n else [])
+    image_ok = numeric_rank(controllability_matrix(realization)) == realization.n
+    hautus_ok = _hautus_ok(a, b, _eigenvalues(a, tol)[0])
     return NumericCheck(
         verdict=image_ok and hautus_ok,
         image_test=image_ok,
@@ -150,18 +157,12 @@ def is_zero_controllable_numeric(realization: Realization, tol: float = 1e-8) ->
     """Zero controllability of a concrete pair: the image of A^n must lie in
     the image of the controllability matrix, cross-checked by the Hautus test
     at every eigenvalue of modulus above tol * (1 + spectral radius)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a, b = realization.a, realization.b
     n = realization.n
     ctrb = controllability_matrix(realization)
     a_pow_n = np.linalg.matrix_power(a, n) if n else np.zeros((0, 0))
     image_ok = numeric_rank(np.hstack([ctrb, a_pow_n])) == numeric_rank(ctrb)
-    eigenvalues = np.linalg.eigvals(a) if n else np.array([])
-    radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    threshold = tol * (1.0 + radius)
-    nonzero_eigs = [lam for lam in eigenvalues if abs(lam) > threshold]
-    hautus_ok = _hautus_ok(a, b, nonzero_eigs)
+    hautus_ok = _hautus_ok(a, b, _eigenvalues(a, tol)[1])
     return NumericCheck(
         verdict=image_ok and hautus_ok,
         image_test=image_ok,
@@ -174,13 +175,7 @@ def count_nonzero_eigenvalues(realization: Realization, tol: float = 1e-8) -> in
     """Number of eigenvalues with modulus above tol * (1 + spectral radius);
     for almost every realization this equals the structural cycle count
     nu(A)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if realization.n == 0:
-        return 0
-    eigenvalues = np.linalg.eigvals(realization.a)
-    radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    return int(np.sum(np.abs(eigenvalues) > tol * (1.0 + radius)))
+    return len(_eigenvalues(realization.a, tol)[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -307,6 +307,40 @@ def test_select_checks_its_options_in_every_mode(args, error, example2_path, cap
     assert captured.err == f"error: {error}\n"
 
 
+BAD_INPUTS = [
+    (["verify", "example1.pat", "--min-agreement", "2"], "min_agreement must be in [0, 1], got 2.0"),
+    (["verify", "example1.pat", "--min-agreement", "-1"], "min_agreement must be in [0, 1], got -1.0"),
+    (["verify", "example1.pat", "--min-agreement", "nan"], "min_agreement must be in [0, 1], got nan"),
+    (["verify", "example1.pat", "--tol", "nan"], "tol must be positive and finite, got nan"),
+    (["verify", "example1.pat", "--tol", "inf"], "tol must be positive and finite, got inf"),
+    (["verify", "example1.pat", "--tol", "inf", "--check-controllability"],
+     "tol must be positive and finite, got inf"),
+    (["simulate", "example1.pat", "--x0", "1,2,nan,0,0", "--format", "json"],
+     "--x0 values must be finite, got 1,2,nan,0,0"),
+    (["simulate", "example1.pat", "--x0", "0,0,0,0,-inf"], "--x0 values must be finite, got 0,0,0,0,-inf"),
+    (["verify", "example2.pat", "--drivers", "u1"], "driver vertices must be states, got 'u1'"),
+    (["simulate", "example2.pat", "--drivers", "x4,u1"], "driver vertices must be states, got 'u1'"),
+    (["export-dot", "example2.pat", "--drivers", "u1"], "driver vertices must be states, got 'u1'"),
+]
+
+
+@pytest.mark.parametrize("argv, error", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
+def test_bad_numeric_and_driver_inputs_exit_2(argv, error, fixture_dir, capsys):
+    assert run_cli([argv[0], str(fixture_dir / argv[1]), *argv[2:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "export-dot"])
+def test_bare_driver_indices_name_states(command, example2_path, capsys):
+    outputs = []
+    for drivers in ("x4,x8", "4,8"):
+        assert run_cli([command, example2_path, "--drivers", drivers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
 # --- one graph and one condensation per structural command ---------------------------
 
 def _count_graph_builds(monkeypatch):

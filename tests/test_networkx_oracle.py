@@ -12,6 +12,7 @@ from zerocontrol import (
     PatternMatrix,
     build_graph,
     is_generically_zero_controllable,
+    minimal_driver_set,
     scc_decompose,
     validate_driver_set,
 )
@@ -144,3 +145,59 @@ def test_analyze_and_select_at_20000_states(make, tmp_path, capsys):
     chosen = doc["driver_set"]
     assert code == 0 and chosen["valid"]
     assert nx.is_directed_acyclic_graph(g.subgraph(unreached_by(g, chosen["drivers"])))
+
+
+def _cover_instance(rng):
+    """T <= 40 disjoint cycles of length 1-3 fed by up to 80 - T acyclic
+    feeder states; a feeder enters k random cycles and may also feed an
+    earlier feeder, so coverages nest.  States are shuffled."""
+    targets = int(rng.integers(1, 41))
+    feeders = int(rng.integers(0, min(40, 80 - targets) + 1))
+    k = int(rng.integers(1, min(6, targets) + 1))
+    edges, cycles, n = set(), [], 0
+    for _ in range(targets):
+        nodes = list(range(n + 1, n + int(rng.integers(1, 4)) + 1))
+        n = nodes[-1]
+        edges |= set(zip(nodes, nodes[1:] + nodes[:1]))
+        cycles.append(nodes)
+    first_feeder = n + 1
+    for _ in range(feeders):
+        n += 1
+        edges |= {(n, int(rng.choice(cycles[t]))) for t in rng.choice(targets, size=k, replace=False)}
+        if n > first_feeder and rng.random() < 0.3:
+            edges.add((n, int(rng.integers(first_feeder, n))))
+    perm = rng.permutation(n) + 1
+    return PatternMatrix(n, n, frozenset((int(perm[d - 1]), int(perm[s - 1])) for s, d in edges))
+
+
+def _milp_optimum(a):
+    """Fewest condensation components whose descendants, themselves included,
+    meet every cyclic component: a 0/1 set-cover ILP solved by HiGHS."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    g = to_networkx(a)
+    cond = nx.condensation(g)
+    cyclic = cyclic_components(g)
+    targets = [k for k in cond if frozenset(cond.nodes[k]["members"]) in cyclic]
+    incidence = np.zeros((len(targets), len(cond)))
+    for c in cond:
+        reach = nx.descendants(cond, c) | {c}
+        for row, t in enumerate(targets):
+            incidence[row, c] = t in reach
+    res = milp(
+        np.ones(len(cond)),
+        constraints=LinearConstraint(incidence, lb=1),
+        integrality=np.ones(len(cond)),
+        bounds=Bounds(0, 1),
+    )
+    assert res.success
+    return round(res.fun)
+
+
+def test_minimum_driver_set_size_matches_milp():
+    rng = np.random.default_rng(401)
+    for _ in range(120):
+        a = _cover_instance(rng)
+        ds = minimal_driver_set(a, exact_cap=80)
+        assert ds.valid and ds.minimal
+        assert ds.size == _milp_optimum(a)

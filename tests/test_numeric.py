@@ -120,12 +120,10 @@ def test_controllable_after_adding_b51(example1_a, example1_b):
 
 def test_tol_must_be_positive(example1_a, example1_b):
     r = sample_realization(example1_a, example1_b, seed=1)
-    with pytest.raises(ValueError):
-        is_controllable_numeric(r, tol=0.0)
-    with pytest.raises(ValueError):
-        is_zero_controllable_numeric(r, tol=-1.0)
-    with pytest.raises(ValueError):
-        count_nonzero_eigenvalues(r, tol=0.0)
+    for check in (is_controllable_numeric, is_zero_controllable_numeric, count_nonzero_eigenvalues):
+        for tol in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                check(r, tol)
 
 
 # --- zero-controllability tests -----------------------------------------------------
