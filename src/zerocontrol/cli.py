@@ -66,7 +66,7 @@ def _parse_drivers(raw: str) -> list[str]:
 
 def _resolve_input_pattern(args, pattern_a, pattern_b):
     """File-provided input pattern, or one synthesized from --drivers."""
-    if getattr(args, "drivers", None):
+    if args.drivers is not None:
         if pattern_b is not None:
             raise ValueError(
                 "the file already declares an input pattern; drop --drivers or the b-entries"
@@ -182,10 +182,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     pattern_a, pattern_b = _load_patterns(args.file)
-    graph = build_graph(pattern_a, None if args.drivers else pattern_b)
+    graph = build_graph(pattern_a, pattern_b if args.drivers is None else None)
     scc = scc_decompose(graph)
     report = None
-    if args.drivers:
+    if args.drivers is not None:
         report = _validate_on(graph, scc, _parse_drivers(args.drivers))
     elif pattern_b is not None:
         report = _obstruction(graph, scc, (d for _, d in graph.input_edges))

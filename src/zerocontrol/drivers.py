@@ -113,26 +113,27 @@ def _validate_on(graph: SystemGraph, scc: SccDecomposition, drivers: Iterable[st
     return _driver_set(graph, scc, indices, minimal=False)
 
 
-# --- condensation-level cover problem -------------------------------------
+# --- coverage classes ------------------------------------------------------
 #
-# Any two vertices of a strongly connected component reach exactly the same
-# set of vertices, so driver search runs over components, not states.  Each
-# candidate component covers the nontrivial ("target") components reachable
-# from it; a valid driver set is a cover of all targets, and every component
-# is represented by its smallest member when reporting concrete drivers.
+# A state covers the nontrivial ("target") components it reaches, and a valid
+# driver set is a cover of all targets.  States with equal coverage, such as
+# the states of one component, are interchangeable drivers, so the search runs
+# over coverage classes and a minimum cover holds at most one state of each.
+# Classes are expanded into concrete states only at the output.
 
 
 @dataclass(frozen=True)
 class _CoverProblem:
     graph: SystemGraph
     scc: SccDecomposition
-    coverage: tuple[int, ...]    # candidate component -> bitmask over targets
-    members: tuple[tuple[int, ...], ...]  # candidate -> sorted member states, representative first
+    coverage: tuple[int, ...]    # class -> bitmask over targets; classes ascend by smallest state
+    members: tuple[tuple[int, ...], ...]  # class -> its states, ascending
     full_mask: int
+    components: int              # candidate components, the unit of the exact-search cap
 
     @cached_property
     def coverers(self) -> tuple[int, ...]:
-        """Target -> bitmask over the candidates covering it.  Its size is the
+        """Target -> bitmask over the classes covering it.  Its size is the
         sum of all coverages, quadratic on a long chain of self-loops, so it
         is built only when an exact search first asks for it."""
         out = [0] * self.full_mask.bit_length()
@@ -161,18 +162,18 @@ def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
         for b in scc._successors[a]:
             mask_of[a] |= mask_of[b]
 
-    # components are numbered by smallest member, so candidates come out
-    # sorted by representative
-    candidates = [k for k, mask in enumerate(mask_of) if mask]
-    members_of: list[list[int]] = [[] for _ in scc.components]
+    classes: dict[int, list[int]] = {}  # keys in order of first state
     for v in range(1, graph.n_states + 1):
-        members_of[scc._comp_of[v]].append(v)
+        mask = mask_of[scc._comp_of[v]]
+        if mask:
+            classes.setdefault(mask, []).append(v)
     return _CoverProblem(
         graph=graph,
         scc=scc,
-        coverage=tuple(mask_of[k] for k in candidates),
-        members=tuple(tuple(members_of[k]) for k in candidates),
+        coverage=tuple(classes),
+        members=tuple(map(tuple, classes.values())),
         full_mask=(1 << len(targets)) - 1,
+        components=sum(map(bool, mask_of)),
     )
 
 
@@ -264,8 +265,8 @@ def _greedy_cover(problem: _CoverProblem) -> list[int]:
 
 def greedy_driver_set(pattern_a: PatternMatrix) -> DriverSet:
     """Valid driver set from the classic greedy cover heuristic: repeatedly
-    take the component covering the most still-uncovered cycles.  Size may
-    exceed the true minimum; the minimal flag stays unset."""
+    take the class of states covering the most still-uncovered cycles.  Its
+    size may exceed the true minimum; the minimal flag stays unset."""
     problem = _cover_problem(pattern_a)
     return _driver_set(problem.graph, problem.scc, _greedy_cover(problem), minimal=False)
 
@@ -273,17 +274,14 @@ def greedy_driver_set(pattern_a: PatternMatrix) -> DriverSet:
 def _exact_search(
     pattern_a: PatternMatrix, exact_cap: int, fallback: str
 ) -> tuple[_CoverProblem, int | DriverSet]:
-    """The cover problem with its optimum cover size, or with the set to
-    return instead: the empty set when there is no cycle, and the greedy set
-    (with a warning ending in ``fallback``) above the exact-search cap."""
+    """The cover problem with its optimum cover size, or with the greedy set
+    (and a warning ending in ``fallback``) above the exact-search cap."""
     if exact_cap < 0:
         raise ValueError(f"exact_cap must be >= 0, got {exact_cap}")
     problem = _cover_problem(pattern_a)
-    if not problem.full_mask:
-        return problem, _driver_set(problem.graph, problem.scc, (), minimal=True)
-    if len(problem.coverage) > exact_cap:
+    if problem.components > exact_cap:
         warnings.warn(
-            f"{len(problem.coverage)} candidate components exceed the exact-search cap "
+            f"{problem.components} candidate components exceed the exact-search cap "
             f"of {exact_cap}; {fallback}",
             ExactSearchSkipped,
         )
@@ -300,7 +298,7 @@ def minimal_driver_set(
 ) -> DriverSet:
     """A minimum-cardinality valid driver set.
 
-    Exact branch-and-bound over condensation components; among all optima the
+    Exact branch-and-bound over coverage classes; among all optima the
     lexicographically smallest vertex set (by ascending state index) is
     returned, with the minimal flag set.  Instances with more than
     ``exact_cap`` candidate components fall back to the greedy heuristic with
@@ -321,10 +319,11 @@ def enumerate_minimal_driver_sets(
     """All minimum-cardinality valid driver sets, lexicographically sorted,
     truncated to ``limit``.
 
-    Every vertex of a strongly connected component is interchangeable as a
-    driver, so each minimum component cover expands into one state from each
-    of its components.  The expansions are produced lazily in lex order and
-    merged, so the cost follows ``limit``, not the number of sets.
+    States that reach the same cycles are interchangeable as drivers, so
+    each minimum cover of coverage classes expands into one state from each
+    of its classes.  The expansions are produced lazily in lex order and
+    merged, so the cost follows ``limit`` and the number of class covers,
+    not the number of sets.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")

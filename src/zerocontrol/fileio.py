@@ -37,12 +37,12 @@ def parse_pattern_file(text: str) -> tuple[PatternMatrix, PatternMatrix | None]:
     seen: set[tuple[str, int, int]] = set()
 
     def parse_int(token: str, line_no: int, what: str) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise PatternFormatError(line_no, f"{what} must be an integer, got {token!r}") from None
+        digits = token[1:] if token[0] in "+-" else token
+        if not (digits.isascii() and digits.isdigit()):  # int() also takes '1_0' and '\u0663'
+            raise PatternFormatError(line_no, f"{what} must be an integer, got {token!r}")
+        return int(token)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -321,6 +321,9 @@ BAD_INPUTS = [
     (["verify", "example2.pat", "--drivers", "u1"], "driver vertices must be states, got 'u1'"),
     (["simulate", "example2.pat", "--drivers", "x4,u1"], "driver vertices must be states, got 'u1'"),
     (["export-dot", "example2.pat", "--drivers", "u1"], "driver vertices must be states, got 'u1'"),
+    (["verify", "example2.pat", "--drivers="], "empty driver list"),
+    (["simulate", "example2.pat", "--drivers="], "empty driver list"),
+    (["export-dot", "example2.pat", "--drivers="], "empty driver list"),
 ]
 
 
@@ -339,6 +342,16 @@ def test_bare_driver_indices_name_states(command, example2_path, capsys):
         assert run_cli([command, example2_path, "--drivers", drivers]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_analyze_reads_a_byte_order_mark_as_absent(example1_path, tmp_path, capsys):
+    bom = tmp_path / "bom.pat"
+    bom.write_text("\ufeff" + Path(example1_path).read_text(encoding="utf-8"), encoding="utf-8")
+    outputs = []
+    for path in (example1_path, str(bom)):
+        code = run_cli(["analyze", path])
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[0][1]
 
 
 # --- one graph and one condensation per structural command ---------------------------

@@ -175,6 +175,31 @@ def test_enumeration_cost_follows_the_limit():
     ]
 
 
+def test_states_with_equal_coverage_form_one_candidate():
+    """Twelve self-loops x1, x4, ..., x34, each with two private feeders: a
+    loop and its feeders reach the same cycle, so the 36 states that reach a
+    cycle form 12 candidates and the 3**12 minimum driver sets come from a
+    single cover."""
+    from zerocontrol import drivers
+
+    t = 12
+    a = PatternMatrix(3 * t, 3 * t, frozenset(
+        (3 * c + 1, 3 * c + d) for c in range(t) for d in (1, 2, 3)
+    ))
+    problem = drivers._cover_problem(a)
+    assert problem.members == tuple((3 * c + 1, 3 * c + 2, 3 * c + 3) for c in range(t))
+    covers = drivers._min_covers(problem, drivers._EVERY_CANDIDATE, problem.full_mask, t)
+    assert len(list(covers)) == 1
+    listed = enumerate_minimal_driver_sets(a, 5, exact_cap=100)
+    loops = [f"x{3 * c + 1}" for c in range(t - 2)]
+    assert [ds.sorted_drivers() for ds in listed] == [
+        loops + last for last in (
+            ["x31", "x34"], ["x31", "x35"], ["x31", "x36"], ["x32", "x34"], ["x32", "x35"]
+        )
+    ]
+    assert all(ds.valid and ds.minimal for ds in listed)
+
+
 # --- greedy ----------------------------------------------------------------------
 
 def test_greedy_example2(example2_a):

@@ -73,6 +73,18 @@ def test_parse_rejects_malformed_directives():
         parse_pattern_file("# nothing here\n")
     with pytest.raises(PatternFormatError, match="unknown directive"):
         parse_pattern_file("n 2\nq 1 1\n")
+    # an integer token is an optional sign and ASCII digits, nothing else
+    for text, error in (
+        ("n 1_0\n", "line 1: n must be an integer, got '1_0'"),
+        ("n \u0663\n", "line 1: n must be an integer, got '\u0663'"),
+        ("n 12\na 1_0 1\n", "line 2: row must be an integer, got '1_0'"),
+        ("n 12\na 1 \uff12\n", "line 2: column must be an integer, got '\uff12'"),
+        ("n -+5\n", "line 1: n must be an integer, got '-\\+5'"),
+        ("n 2\nm +-1\n", "line 2: m must be an integer, got '\\+-1'"),
+    ):
+        with pytest.raises(PatternFormatError, match=error):
+            parse_pattern_file(text)
+    assert parse_pattern_file("n +2\na +1 2\n")[0].nonzeros == frozenset({(1, 2)})
 
 
 def test_parse_collapses_duplicates_with_warning():

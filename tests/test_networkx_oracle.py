@@ -194,6 +194,36 @@ def _milp_optimum(a):
     return round(res.fun)
 
 
+def _coverage_classes(a):
+    """States grouped by the set of cyclic condensation nodes among their
+    descendants, themselves included, in order of smallest state; states that
+    reach no cycle are left out."""
+    g = to_networkx(a)
+    cond = nx.condensation(g)
+    cyclic = cyclic_components(g)
+    targets = {k for k in cond if frozenset(cond.nodes[k]["members"]) in cyclic}
+    reached = {k: frozenset((nx.descendants(cond, k) | {k}) & targets) for k in cond}
+    classes = {}
+    for v in range(1, a.n_rows + 1):
+        key = reached[cond.graph["mapping"][f"x{v}"]]
+        if key:
+            classes.setdefault(key, []).append(v)
+    return tuple(tuple(states) for states in classes.values())
+
+
+def test_driver_candidates_are_the_coverage_classes():
+    from zerocontrol.drivers import _cover_problem
+
+    rng = np.random.default_rng(402)
+    patterns = [a for _, a, _ in random_instances(403, 70)] + [_cover_instance(rng) for _ in range(30)]
+    merged = 0
+    for a in patterns:
+        problem = _cover_problem(a)
+        assert problem.members == _coverage_classes(a)
+        merged += len(problem.members) < problem.components
+    assert merged >= 50  # most instances merge components with equal coverage
+
+
 def test_minimum_driver_set_size_matches_milp():
     rng = np.random.default_rng(401)
     for _ in range(120):
