@@ -27,7 +27,7 @@ from .drivers import (
     minimal_driver_set,
 )
 from .fileio import PatternFormatError, parse_pattern_file
-from .graph import build_graph, scc_decompose
+from .graph import build_graph
 from .numeric import DEFAULT_BASE_SEED, deadbeat_steer, monte_carlo_verify, sample_realization
 from .patterns import PatternMatrix
 from .reports import (
@@ -77,17 +77,19 @@ def _resolve_input_pattern(args, pattern_a, pattern_b):
     return pattern_b
 
 
-def _emit(args, text_doc: str, json_doc: dict) -> None:
+def _emit(args, text_doc, json_doc) -> None:
+    """Print the document --format asks for; each is a callable, built only if printed."""
     if args.format == "json":
-        print(json.dumps(json_doc, indent=2, sort_keys=True))
+        print(json.dumps(json_doc(), indent=2, sort_keys=True))
     else:
-        print(text_doc)
+        print(text_doc())
 
 
 def _cmd_analyze(args) -> int:
     pattern_a, pattern_b = _load_patterns(args.file)
     report = is_generically_zero_controllable(pattern_a, pattern_b)
-    _emit(args, render_zc_report(report), {"command": "analyze", "report": zc_report_to_dict(report)})
+    _emit(args, lambda: render_zc_report(report),
+          lambda: {"command": "analyze", "report": zc_report_to_dict(report)})
     return 0 if report.verdict else 1
 
 
@@ -115,22 +117,29 @@ def _cmd_select(args) -> int:
         enumeration = None
 
     bp = build_b_pattern(pattern_a.n_rows, chosen.drivers, mode)
-    sections = [render_driver_set(chosen)]
-    if enumeration is not None:
-        listing = ["all minimum driver sets" + (f" (limit {args.limit})" if len(enumeration) >= args.limit else "") + ":"]
-        for ds in enumeration:
-            listing.append("  {" + " ".join(ds.sorted_drivers()) + "}")
-        sections.append("\n".join(listing))
-    if chosen.drivers:
-        sections.append(render_b_pattern(bp))
-    doc = {
-        "command": "select",
-        "driver_set": driver_set_to_dict(chosen),
-        "b_pattern": b_pattern_to_dict(bp),
-    }
-    if enumeration is not None:
-        doc["enumeration"] = [driver_set_to_dict(ds) for ds in enumeration]
-    _emit(args, "\n\n".join(sections), doc)
+
+    def text_doc() -> str:
+        sections = [render_driver_set(chosen)]
+        if enumeration is not None:
+            listing = ["all minimum driver sets" + (f" (limit {args.limit})" if len(enumeration) >= args.limit else "") + ":"]
+            for ds in enumeration:
+                listing.append("  {" + " ".join(ds.sorted_drivers()) + "}")
+            sections.append("\n".join(listing))
+        if chosen.drivers:
+            sections.append(render_b_pattern(bp))
+        return "\n\n".join(sections)
+
+    def json_doc() -> dict:
+        doc = {
+            "command": "select",
+            "driver_set": driver_set_to_dict(chosen),
+            "b_pattern": b_pattern_to_dict(bp),
+        }
+        if enumeration is not None:
+            doc["enumeration"] = [driver_set_to_dict(ds) for ds in enumeration]
+        return doc
+
+    _emit(args, text_doc, json_doc)
     return 0
 
 
@@ -147,7 +156,7 @@ def _cmd_verify(args) -> int:
         tol=args.tol,
         check_controllability=args.check_controllability,
     )
-    _emit(args, render_stats(stats), {"command": "verify", "stats": stats_to_dict(stats)})
+    _emit(args, lambda: render_stats(stats), lambda: {"command": "verify", "stats": stats_to_dict(stats)})
     return 0 if stats.agreement_fraction >= args.min_agreement else 1
 
 
@@ -155,7 +164,7 @@ def _cmd_simulate(args) -> int:
     pattern_a, pattern_b = _load_patterns(args.file)
     pattern_b = _resolve_input_pattern(args, pattern_a, pattern_b)
     n = pattern_a.n_rows
-    horizon = args.horizon if args.horizon is not None else n
+    horizon = args.horizon if args.horizon is not None else max(n, 1)
     realization = sample_realization(pattern_a, pattern_b, args.seed)
     if args.x0 == "random":
         rng = np.random.default_rng(args.seed + 1)
@@ -171,31 +180,32 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"--x0 values must be finite, got {args.x0}")
         x0 = np.array(values)
     result = deadbeat_steer(realization, x0, horizon)
-    doc = {
-        "command": "simulate",
-        "seed": args.seed,
-        "steering": steering_to_dict(result),
-    }
-    _emit(args, render_steering(result), doc)
+    _emit(args, lambda: render_steering(result),
+          lambda: {"command": "simulate", "seed": args.seed, "steering": steering_to_dict(result)})
     return 0
 
 
 def _cmd_export_dot(args) -> int:
     pattern_a, pattern_b = _load_patterns(args.file)
     graph = build_graph(pattern_a, pattern_b if args.drivers is None else None)
-    scc = scc_decompose(graph)
     report = None
     if args.drivers is not None:
-        report = _validate_on(graph, scc, _parse_drivers(args.drivers))
+        report = _validate_on(graph, _parse_drivers(args.drivers))
     elif pattern_b is not None:
-        report = _obstruction(graph, scc, (d for _, d in graph.input_edges))
-    print(export_dot(graph, scc, report), end="")
+        report = _obstruction(graph, (d for _, d in graph.input_edges))
+    print(export_dot(graph, graph.condensation, report), end="")
     return 0
 
 
 def _add_format(parser) -> None:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
+    )
+
+
+def _add_b_mode(parser, help: str) -> None:
+    parser.add_argument(
+        "--b-mode", choices=("shared", "per-driver"), default="per-driver", help=help
     )
 
 
@@ -221,12 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true", help="list all minimum driver sets")
     p.add_argument("--limit", type=int, default=100, help="cap on enumerated sets")
     p.add_argument("--greedy", action="store_true", help="use the greedy heuristic only")
-    p.add_argument(
-        "--b-mode",
-        choices=("shared", "per-driver"),
-        default="per-driver",
-        help="shape of the induced input pattern",
-    )
+    _add_b_mode(p, "shape of the induced input pattern")
     p.add_argument(
         "--exact-cap",
         type=int,
@@ -244,10 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--drivers", help="comma-separated driver states (e.g. x4,x8) to synthesize inputs"
     )
-    p.add_argument(
-        "--b-mode", choices=("shared", "per-driver"), default="per-driver",
-        help="input shape used with --drivers",
-    )
+    _add_b_mode(p, "input shape used with --drivers")
     p.add_argument(
         "--min-agreement",
         type=float,
@@ -265,15 +267,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="deadbeat steering on a sampled realization")
     p.add_argument("file", help="pattern file")
     p.add_argument("--x0", default="random", help="'random' or comma-separated start state")
-    p.add_argument("--horizon", type=int, default=None, help="steering horizon (default n)")
+    p.add_argument("--horizon", type=int, default=None, help="steering horizon (default max(n, 1))")
     p.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED)
     p.add_argument(
         "--drivers", help="comma-separated driver states to synthesize inputs"
     )
-    p.add_argument(
-        "--b-mode", choices=("shared", "per-driver"), default="per-driver",
-        help="input shape used with --drivers",
-    )
+    _add_b_mode(p, "input shape used with --drivers")
     _add_format(p)
     p.set_defaults(handler=_cmd_simulate)
 

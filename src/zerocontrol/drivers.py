@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .graph import SccDecomposition, SystemGraph, build_graph, scc_decompose, state_name, vertex_index
+from .graph import SystemGraph, build_graph, state_name, vertex_index
 from .patterns import PatternMatrix
 from .structural import _obstruction
 
@@ -82,11 +82,9 @@ def _state_indices(n: int, drivers: Iterable[str], too_large: str) -> list[int]:
     return sorted(out)
 
 
-def _driver_set(
-    graph: SystemGraph, scc: SccDecomposition, indices: Sequence[int], minimal: bool
-) -> DriverSet:
+def _driver_set(graph: SystemGraph, indices: Sequence[int], minimal: bool) -> DriverSet:
     """The drivers with their certificate; every search result is re-checked here."""
-    report = _obstruction(graph, scc, indices)
+    report = _obstruction(graph, indices)
     return DriverSet(
         drivers=frozenset(state_name(i) for i in indices),
         valid=report.verdict,
@@ -102,15 +100,14 @@ def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> Dri
     generic zero controllability with the drivers as the reached seeds."""
     if not pattern_a.is_square:
         raise ValueError("driver validation needs a square state pattern")
-    graph = build_graph(pattern_a)
-    return _validate_on(graph, scc_decompose(graph), drivers)
+    return _validate_on(build_graph(pattern_a), drivers)
 
 
-def _validate_on(graph: SystemGraph, scc: SccDecomposition, drivers: Iterable[str]) -> DriverSet:
-    """validate_driver_set on a graph and condensation already built."""
+def _validate_on(graph: SystemGraph, drivers: Iterable[str]) -> DriverSet:
+    """validate_driver_set on a graph already built."""
     n = graph.n_states
     indices = _state_indices(n, drivers, "unknown vertex {name!r} (pattern has {n} states)")
-    return _driver_set(graph, scc, indices, minimal=False)
+    return _driver_set(graph, indices, minimal=False)
 
 
 # --- coverage classes ------------------------------------------------------
@@ -125,7 +122,6 @@ def _validate_on(graph: SystemGraph, scc: SccDecomposition, drivers: Iterable[st
 @dataclass(frozen=True)
 class _CoverProblem:
     graph: SystemGraph
-    scc: SccDecomposition
     coverage: tuple[int, ...]    # class -> bitmask over targets; classes ascend by smallest state
     members: tuple[tuple[int, ...], ...]  # class -> its states, ascending
     full_mask: int
@@ -153,7 +149,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
     graph = build_graph(pattern_a)
-    scc = scc_decompose(graph)
+    scc = graph.condensation
     targets = [k for k, nt in enumerate(scc.nontrivial) if nt]
     mask_of = [0] * len(scc.components)
     for t, k in enumerate(targets):
@@ -169,7 +165,6 @@ def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
             classes.setdefault(mask, []).append(v)
     return _CoverProblem(
         graph=graph,
-        scc=scc,
         coverage=tuple(classes),
         members=tuple(map(tuple, classes.values())),
         full_mask=(1 << len(targets)) - 1,
@@ -268,7 +263,7 @@ def greedy_driver_set(pattern_a: PatternMatrix) -> DriverSet:
     take the class of states covering the most still-uncovered cycles.  Its
     size may exceed the true minimum; the minimal flag stays unset."""
     problem = _cover_problem(pattern_a)
-    return _driver_set(problem.graph, problem.scc, _greedy_cover(problem), minimal=False)
+    return _driver_set(problem.graph, _greedy_cover(problem), minimal=False)
 
 
 def _exact_search(
@@ -285,7 +280,7 @@ def _exact_search(
             f"of {exact_cap}; {fallback}",
             ExactSearchSkipped,
         )
-        return problem, _driver_set(problem.graph, problem.scc, _greedy_cover(problem), minimal=False)
+        return problem, _driver_set(problem.graph, _greedy_cover(problem), minimal=False)
     # iterative deepening: the first budget that admits a cover is the optimum
     size = _lower_bound(list(problem.coverers))
     while next(_min_covers(problem, _EVERY_CANDIDATE, problem.full_mask, size), None) is None:
@@ -310,7 +305,7 @@ def minimal_driver_set(
     if isinstance(size, DriverSet):
         return size
     chosen = _lex_smallest_cover(problem, size)
-    return _driver_set(problem.graph, problem.scc, [problem.members[c][0] for c in chosen], minimal=True)
+    return _driver_set(problem.graph, [problem.members[c][0] for c in chosen], minimal=True)
 
 
 def enumerate_minimal_driver_sets(
@@ -336,7 +331,7 @@ def enumerate_minimal_driver_sets(
     covers = _min_covers(problem, _EVERY_CANDIDATE, problem.full_mask, size)
     expansions = heapq.merge(*(_picks([problem.members[c] for c in cover]) for cover in covers))
     return [
-        _driver_set(problem.graph, problem.scc, indices, minimal=True)
+        _driver_set(problem.graph, indices, minimal=True)
         for indices in itertools.islice(expansions, limit)
     ]
 

@@ -16,6 +16,8 @@ import warnings
 
 from .patterns import DuplicateEntryWarning, PatternMatrix
 
+_SIZE_NAMES = {"n": "size 'n'", "m": "input count 'm'"}
+
 
 class PatternFormatError(ValueError):
     """Malformed pattern file; carries the offending line number."""
@@ -29,12 +31,8 @@ class PatternFormatError(ValueError):
 def parse_pattern_file(text: str) -> tuple[PatternMatrix, PatternMatrix | None]:
     """Parse a pattern file into the state pattern and, when inputs are
     declared, the input pattern (None when m = 0)."""
-    n: int | None = None
-    m = 0
-    m_declared = False
-    a_entries: list[tuple[int, int]] = []
-    b_entries: list[tuple[int, int]] = []
-    seen: set[tuple[str, int, int]] = set()
+    sizes: dict[str, int] = {}  # 'n' and 'm', once declared
+    entries: dict[str, set[tuple[int, int]]] = {"a": set(), "b": set()}
 
     def parse_int(token: str, line_no: int, what: str) -> int:
         digits = token[1:] if token[0] in "+-" else token
@@ -42,73 +40,57 @@ def parse_pattern_file(text: str) -> tuple[PatternMatrix, PatternMatrix | None]:
             raise PatternFormatError(line_no, f"{what} must be an integer, got {token!r}")
         return int(token)
 
-    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    # lines end at '\n', '\r\n' or '\r' only; str.splitlines also breaks at
+    # '\x0b', '\x0c', '\x1c'-'\x1e', '\x85', '\u2028' and '\u2029'
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         keyword = tokens[0]
 
-        if keyword == "n":
-            if n is not None:
-                raise PatternFormatError(line_no, "size 'n' declared twice")
-            if len(tokens) != 2:
-                raise PatternFormatError(line_no, f"expected 'n <int>', got {line!r}")
-            n = parse_int(tokens[1], line_no, "n")
-            if n < 0:
-                raise PatternFormatError(line_no, f"n must be >= 0, got {n}")
-        elif keyword == "m":
-            if n is None:
+        if keyword in _SIZE_NAMES:
+            if keyword == "m" and "n" not in sizes:
                 raise PatternFormatError(line_no, "'m' before the size declaration 'n'")
-            if m_declared:
-                raise PatternFormatError(line_no, "input count 'm' declared twice")
+            if keyword in sizes:
+                raise PatternFormatError(line_no, f"{_SIZE_NAMES[keyword]} declared twice")
             if len(tokens) != 2:
-                raise PatternFormatError(line_no, f"expected 'm <int>', got {line!r}")
-            m = parse_int(tokens[1], line_no, "m")
-            if m < 0:
-                raise PatternFormatError(line_no, f"m must be >= 0, got {m}")
-            m_declared = True
-        elif keyword in ("a", "b"):
-            if n is None:
+                raise PatternFormatError(line_no, f"expected '{keyword} <int>', got {line!r}")
+            size = sizes[keyword] = parse_int(tokens[1], line_no, keyword)
+            if size < 0:
+                raise PatternFormatError(line_no, f"{keyword} must be >= 0, got {size}")
+        elif keyword in entries:
+            if "n" not in sizes:
                 raise PatternFormatError(line_no, "entry before the size declaration 'n'")
             if len(tokens) != 3:
                 raise PatternFormatError(line_no, f"expected '{keyword} <row> <col>', got {line!r}")
             i = parse_int(tokens[1], line_no, "row")
             j = parse_int(tokens[2], line_no, "column")
-            if keyword == "a":
-                if not 1 <= i <= n:
-                    raise PatternFormatError(line_no, f"row {i} exceeds n={n} in entry 'a {i} {j}'")
-                if not 1 <= j <= n:
-                    raise PatternFormatError(
-                        line_no, f"column {j} exceeds n={n} in entry 'a {i} {j}'"
-                    )
-            else:
-                if not m_declared or m == 0:
-                    raise PatternFormatError(
-                        line_no, f"entry 'b {i} {j}' needs a prior 'm' declaration with m >= 1"
-                    )
-                if not 1 <= i <= n:
-                    raise PatternFormatError(line_no, f"row {i} exceeds n={n} in entry 'b {i} {j}'")
-                if not 1 <= j <= m:
-                    raise PatternFormatError(
-                        line_no, f"column {j} exceeds m={m} in entry 'b {i} {j}'"
-                    )
-            key = (keyword, i, j)
-            if key in seen:
-                warnings.warn(
-                    f"line {line_no}: duplicate entry '{keyword} {i} {j}' collapsed",
-                    DuplicateEntryWarning,
+            entry = f"'{keyword} {i} {j}'"
+            columns = "n" if keyword == "a" else "m"
+            if keyword == "b" and not sizes.get("m"):
+                raise PatternFormatError(
+                    line_no, f"entry {entry} needs a prior 'm' declaration with m >= 1"
                 )
-                continue
-            seen.add(key)
-            (a_entries if keyword == "a" else b_entries).append((i, j))
+            for what, value, bound in (("row", i, "n"), ("column", j, columns)):
+                if not 1 <= value <= sizes[bound]:
+                    raise PatternFormatError(
+                        line_no, f"{what} {value} exceeds {bound}={sizes[bound]} in entry {entry}"
+                    )
+            if (i, j) in entries[keyword]:
+                warnings.warn(
+                    f"line {line_no}: duplicate entry {entry} collapsed", DuplicateEntryWarning
+                )
+            entries[keyword].add((i, j))
         else:
             raise PatternFormatError(line_no, f"unknown directive {keyword!r}")
 
-    if n is None:
+    if "n" not in sizes:
         raise PatternFormatError(None, "missing size declaration 'n'")
-    pattern_a = PatternMatrix(n, n, frozenset(a_entries))
-    pattern_b = PatternMatrix(n, m, frozenset(b_entries)) if m > 0 else None
+    n, m = sizes["n"], sizes.get("m", 0)
+    pattern_a = PatternMatrix(n, n, frozenset(entries["a"]))
+    pattern_b = PatternMatrix(n, m, frozenset(entries["b"])) if m > 0 else None
     return pattern_a, pattern_b
 
 

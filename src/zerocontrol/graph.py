@@ -68,17 +68,16 @@ class SystemGraph:
     @cached_property
     def state_successors(self) -> tuple[tuple[int, ...], ...]:
         """Sorted successor lists; index 0 is padding so states index 1..n."""
-        succ: list[list[int]] = [[] for _ in range(self.n_states + 1)]
-        for s, d in sorted(self.state_edges):
-            succ[s].append(d)
-        return tuple(tuple(lst) for lst in succ)
+        return _successors(self.state_edges, self.n_states)
 
     @cached_property
     def input_successors(self) -> tuple[tuple[int, ...], ...]:
-        succ: list[list[int]] = [[] for _ in range(self.n_inputs + 1)]
-        for s, d in sorted(self.input_edges):
-            succ[s].append(d)
-        return tuple(tuple(lst) for lst in succ)
+        return _successors(self.input_edges, self.n_inputs)
+
+    @cached_property
+    def condensation(self) -> SccDecomposition:
+        """The state subgraph's components, computed once per graph."""
+        return scc_decompose(self)
 
     def resolve(self, name: str) -> tuple[str, int]:
         """Split a vertex name into (kind, index), rejecting unknown vertices."""
@@ -90,6 +89,14 @@ class SystemGraph:
         if idx > bound:
             raise ValueError(f"unknown vertex {name!r} (graph has {bound} {kind}-vertices)")
         return kind, idx
+
+
+def _successors(edges: frozenset[tuple[int, int]], count: int) -> tuple[tuple[int, ...], ...]:
+    """Each source's destinations, ascending; index 0 is padding."""
+    succ: list[list[int]] = [[] for _ in range(count + 1)]
+    for s, d in edges:
+        succ[s].append(d)
+    return tuple(tuple(sorted(lst)) for lst in succ)
 
 
 def build_graph(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None) -> SystemGraph:
@@ -267,7 +274,7 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
 def has_cycle(graph: SystemGraph) -> bool:
     """True when the state subgraph contains a cycle, i.e. some maximal
     strongly connected component is nontrivial."""
-    return any(scc_decompose(graph).nontrivial)
+    return any(graph.condensation.nontrivial)
 
 
 def find_cycle(
@@ -286,20 +293,20 @@ def find_cycle(
         allowed.add(idx)
 
     induced = frozenset((s, d) for s, d in graph.state_edges if s in allowed and d in allowed)
-    scc = scc_decompose(SystemGraph(graph.n_states, 0, induced, frozenset()))
-    first = next((k for k, nt in enumerate(scc.nontrivial) if nt), None)
-    return None if first is None else _cycle_witness(graph, scc, sorted(allowed), first)
+    subgraph = SystemGraph(graph.n_states, 0, induced, frozenset())
+    first = next((k for k, nt in enumerate(subgraph.condensation.nontrivial) if nt), None)
+    return None if first is None else _cycle_witness(subgraph, sorted(allowed), first)
 
 
 def _cycle_witness(
-    graph: SystemGraph, scc: SccDecomposition, candidates: list[int], first: int
+    graph: SystemGraph, candidates: list[int], first: int
 ) -> tuple[tuple[str, str], ...]:
     """The smallest self-loop among the ascending ``candidates``, otherwise the
-    shortest cycle through the smallest member of component ``first`` (whose
-    members are all candidates): BFS back to it inside the component,
-    visiting successors in ascending order."""
+    shortest cycle through the smallest member of the graph's component
+    ``first`` (whose members are all candidates): BFS back to it inside the
+    component, visiting successors in ascending order."""
     loop = next((v for v in candidates if (v, v) in graph.state_edges), 0)
-    allowed = {loop} if loop else {v for v in candidates if scc._comp_of[v] == first}
+    allowed = {loop} if loop else {v for v in candidates if graph.condensation._comp_of[v] == first}
     start = min(allowed)
     parent: dict[int, int] = {start: 0}
     queue = [start]

@@ -67,17 +67,12 @@ def sample_realization(
     rng = np.random.default_rng(seed)
     n = pattern_a.n_rows
     m = pattern_b.n_cols if pattern_b is not None else 0
-    a = np.zeros((n, n))
-    for i, j in pattern_a.sorted_entries():
-        magnitude = rng.uniform(value_spec.low, value_spec.high)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        a[i - 1, j - 1] = sign * magnitude
-    b = np.zeros((n, m))
-    if pattern_b is not None:
-        for i, j in pattern_b.sorted_entries():
+    a, b = np.zeros((n, n)), np.zeros((n, m))
+    for values, pattern in ((a, pattern_a), (b, pattern_b)):
+        for i, j in pattern.sorted_entries() if pattern is not None else ():
             magnitude = rng.uniform(value_spec.low, value_spec.high)
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            b[i - 1, j - 1] = sign * magnitude
+            values[i - 1, j - 1] = sign * magnitude
     return Realization(a, b, seed, value_spec)
 
 
@@ -139,18 +134,16 @@ def _eigenvalues(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvalues[np.abs(eigenvalues) > tol * (1.0 + radius)]
 
 
+def _check(image_ok: bool, hautus_ok: bool) -> NumericCheck:
+    return NumericCheck(image_ok and hautus_ok, image_ok, hautus_ok, image_ok == hautus_ok)
+
+
 def is_controllable_numeric(realization: Realization, tol: float = 1e-8) -> NumericCheck:
     """Controllability of a concrete pair: full-rank controllability matrix,
     cross-checked by the Hautus rank test at every eigenvalue."""
     a, b = realization.a, realization.b
     image_ok = numeric_rank(controllability_matrix(realization)) == realization.n
-    hautus_ok = _hautus_ok(a, b, _eigenvalues(a, tol)[0])
-    return NumericCheck(
-        verdict=image_ok and hautus_ok,
-        image_test=image_ok,
-        hautus_test=hautus_ok,
-        consistent=image_ok == hautus_ok,
-    )
+    return _check(image_ok, _hautus_ok(a, b, _eigenvalues(a, tol)[0]))
 
 
 def is_zero_controllable_numeric(realization: Realization, tol: float = 1e-8) -> NumericCheck:
@@ -162,13 +155,7 @@ def is_zero_controllable_numeric(realization: Realization, tol: float = 1e-8) ->
     ctrb = controllability_matrix(realization)
     a_pow_n = np.linalg.matrix_power(a, n) if n else np.zeros((0, 0))
     image_ok = numeric_rank(np.hstack([ctrb, a_pow_n])) == numeric_rank(ctrb)
-    hautus_ok = _hautus_ok(a, b, _eigenvalues(a, tol)[1])
-    return NumericCheck(
-        verdict=image_ok and hautus_ok,
-        image_test=image_ok,
-        hautus_test=hautus_ok,
-        consistent=image_ok == hautus_ok,
-    )
+    return _check(image_ok, _hautus_ok(a, b, _eigenvalues(a, tol)[1]))
 
 
 def count_nonzero_eigenvalues(realization: Realization, tol: float = 1e-8) -> int:

@@ -9,12 +9,10 @@ from typing import Iterable
 import numpy as np
 
 from .graph import (
-    SccDecomposition,
     SystemGraph,
     _cycle_witness,
     _reach_states,
     build_graph,
-    scc_decompose,
     state_name,
 )
 from .patterns import PatternMatrix
@@ -177,12 +175,13 @@ class ZcReport:
         return self.verdict
 
 
-def _obstruction(graph: SystemGraph, scc: SccDecomposition, seeds: Iterable[int]) -> ZcReport:
+def _obstruction(graph: SystemGraph, seeds: Iterable[int]) -> ZcReport:
     """States unreachable from the seed states, and the cycles they hold.
 
     The unreachable set is closed under predecessors, so it is a union of
     whole components of the graph, and those are its own components too.
     """
+    scc = graph.condensation
     reached = _reach_states(graph, seeds)
     unreached = [v for v in range(1, graph.n_states + 1) if not reached[v]]
     blocking = sorted(k for k in {scc._comp_of[v] for v in unreached} if scc.nontrivial[k])
@@ -190,7 +189,7 @@ def _obstruction(graph: SystemGraph, scc: SccDecomposition, seeds: Iterable[int]
         verdict=not blocking,
         reachable_states=frozenset(state_name(v) for v in range(1, len(reached)) if reached[v]),
         unreachable_states=frozenset(map(state_name, unreached)),
-        cycle_witness=_cycle_witness(graph, scc, unreached, blocking[0]) if blocking else None,
+        cycle_witness=_cycle_witness(graph, unreached, blocking[0]) if blocking else None,
         nontrivial_unreachable_components=tuple(scc.components[k] for k in blocking),
     )
 
@@ -202,7 +201,7 @@ def is_generically_zero_controllable(
     graph must contain no cycle.  A missing input pattern means nothing is
     reachable and the test reduces to structural nilpotency."""
     graph = build_graph(pattern_a, pattern_b)
-    return _obstruction(graph, scc_decompose(graph), (d for _, d in graph.input_edges))
+    return _obstruction(graph, (d for _, d in graph.input_edges))
 
 
 @dataclass(frozen=True)

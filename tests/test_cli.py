@@ -170,6 +170,16 @@ def test_simulate_rejects_wrong_x0_length(example1_path, capsys):
     assert "needs 5 comma-separated values" in captured.err
 
 
+def test_simulate_default_horizon_is_at_least_one(tmp_path, capsys):
+    path = tmp_path / "empty.pat"
+    path.write_text("n 0\n")
+    assert run_cli(["simulate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("horizon: 1\n") and captured.err == ""
+    assert run_cli(["simulate", str(path), "--horizon", "0"]) == 2
+    assert capsys.readouterr().err == "error: horizon must be >= 1, got 0\n"
+
+
 # --- export-dot ----------------------------------------------------------------
 
 def test_export_dot_example1(example1_path, capsys):
@@ -352,6 +362,35 @@ def test_analyze_reads_a_byte_order_mark_as_absent(example1_path, tmp_path, caps
         code = run_cli(["analyze", path])
         outputs.append((code, *capsys.readouterr()))
     assert outputs[0] == outputs[1] and outputs[0][1]
+
+
+# --- only the printed document is built ----------------------------------------------
+
+RENDERERS = {
+    "analyze": (["render_zc_report"], ["zc_report_to_dict"]),
+    "select": (["render_driver_set", "render_b_pattern"], ["driver_set_to_dict", "b_pattern_to_dict"]),
+    "verify": (["render_stats"], ["stats_to_dict"]),
+    "simulate": (["render_steering"], ["steering_to_dict"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", sorted(RENDERERS))
+def test_only_the_printed_document_is_built(command, fmt, example2_path, monkeypatch, capsys):
+    from zerocontrol import cli
+
+    argv = [command, example2_path, "--format", fmt]
+    argv += {"select": ["--enumerate"], "verify": ["--trials", "3", "--drivers", "x4,x8"],
+             "simulate": ["--drivers", "x4,x8"]}.get(command, [])
+    expected = (run_cli(argv), capsys.readouterr())
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the document that is not printed was built")
+
+    text_renderers, json_renderers = RENDERERS[command]
+    for name in json_renderers if fmt == "text" else text_renderers:
+        monkeypatch.setattr(cli, name, unused)
+    assert (run_cli(argv), capsys.readouterr()) == expected
 
 
 # --- one graph and one condensation per structural command ---------------------------

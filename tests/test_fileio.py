@@ -93,6 +93,80 @@ def test_parse_collapses_duplicates_with_warning():
     assert a.nonzeros == frozenset({(1, 1)})
 
 
+@pytest.mark.parametrize(
+    "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_lines_break_only_at_newline_and_carriage_return(separator):
+    # str.splitlines would end the comment at the separator and read 'more'
+    text = f"n 2\n# note{separator}more\na 1 2\n"
+    assert parse_pattern_file(text)[0].nonzeros == frozenset({(1, 2)})
+    with pytest.raises(PatternFormatError) as info:
+        parse_pattern_file(f"n 2\r\n# note{separator}more\ra 1 2\nq\n")
+    assert str(info.value) == "line 4: unknown directive 'q'"
+    for newline in ("\n", "\r\n", "\r"):
+        a, _ = parse_pattern_file(newline.join(["n 2", "a 1 2", "# x", "a 2 1", ""]))
+        assert a.nonzeros == frozenset({(1, 2), (2, 1)})
+
+
+# Every PatternFormatError path, with its exact message.
+PARSE_ERRORS = [
+    ("n x\n", "line 1: n must be an integer, got 'x'"),
+    ("n 2\nm x\n", "line 2: m must be an integer, got 'x'"),
+    ("n 2\na x 1\n", "line 2: row must be an integer, got 'x'"),
+    ("n 2\na 1 x\n", "line 2: column must be an integer, got 'x'"),
+    ("n 2\nm 1\nb 1 x\n", "line 3: column must be an integer, got 'x'"),
+    ("n 2\nn 3\n", "line 2: size 'n' declared twice"),
+    ("n 2\nn\n", "line 2: size 'n' declared twice"),
+    ("n\n", "line 1: expected 'n <int>', got 'n'"),
+    ("n 2 3\n", "line 1: expected 'n <int>', got 'n 2 3'"),
+    ("n -1\n", "line 1: n must be >= 0, got -1"),
+    ("m 1\nn 2\n", "line 1: 'm' before the size declaration 'n'"),
+    ("m\n", "line 1: 'm' before the size declaration 'n'"),
+    ("n 2\nm 1\nm 1\n", "line 3: input count 'm' declared twice"),
+    ("n 2\nm 0\nm\n", "line 3: input count 'm' declared twice"),
+    ("n 2\nm\n", "line 2: expected 'm <int>', got 'm'"),
+    ("n 2\nm 1  2 # note\n", "line 2: expected 'm <int>', got 'm 1  2'"),
+    ("n 2\nm -1\n", "line 2: m must be >= 0, got -1"),
+    ("a 1 1\n", "line 1: entry before the size declaration 'n'"),
+    ("b 1 1\nn 2\n", "line 1: entry before the size declaration 'n'"),
+    ("n 2\na 1\n", "line 2: expected 'a <row> <col>', got 'a 1'"),
+    ("n 2\nm 1\nb 1 1 1\n", "line 3: expected 'b <row> <col>', got 'b 1 1 1'"),
+    ("n 2\na 3 1\n", "line 2: row 3 exceeds n=2 in entry 'a 3 1'"),
+    ("n 2\na 0 1\n", "line 2: row 0 exceeds n=2 in entry 'a 0 1'"),
+    ("n 2\na 1 3\n", "line 2: column 3 exceeds n=2 in entry 'a 1 3'"),
+    ("n 2\na -1 -1\n", "line 2: row -1 exceeds n=2 in entry 'a -1 -1'"),
+    ("n 2\nb 1 1\n", "line 2: entry 'b 1 1' needs a prior 'm' declaration with m >= 1"),
+    ("n 2\nm 0\nb 9 9\n", "line 3: entry 'b 9 9' needs a prior 'm' declaration with m >= 1"),
+    ("n 2\nm 1\nb 3 1\n", "line 3: row 3 exceeds n=2 in entry 'b 3 1'"),
+    ("n 2\nm 1\nb 1 2\n", "line 3: column 2 exceeds m=1 in entry 'b 1 2'"),
+    ("n 2\nm 1\nb 1 0\n", "line 3: column 0 exceeds m=1 in entry 'b 1 0'"),
+    ("n 2\nq 1 1\n", "line 2: unknown directive 'q'"),
+    ("N 2\n", "line 1: unknown directive 'N'"),
+    ("", "missing size declaration 'n'"),
+    ("# a 1 1\n\n  # n 1\n", "missing size declaration 'n'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_messages_are_pinned(text, message):
+    with pytest.raises(PatternFormatError) as info:
+        parse_pattern_file(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 2\na 1 2\na 1 2\n", "line 3: duplicate entry 'a 1 2' collapsed"),
+        ("n 2\nm 1\nb 2 1\n\nb 2 1\n", "line 5: duplicate entry 'b 2 1' collapsed"),
+    ],
+)
+def test_duplicate_entry_warning_is_pinned(text, message):
+    with pytest.warns(DuplicateEntryWarning) as caught:
+        parse_pattern_file(text)
+    assert [str(w.message) for w in caught] == [message]
+
+
 def test_round_trip_on_fixtures():
     for a, b in ((EXAMPLE1_A, EXAMPLE1_B), (EXAMPLE2_A, None)):
         text = serialize_pattern_file(a, b)
