@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
 """Measure how often seeded numeric trials agree with structural verdicts on
 random patterns, split by verdict.  A sanity experiment for the Monte Carlo
-layer: agreement should sit at or near 100% on both sides."""
+layer: agreement should sit at or near 100% on both sides.  The elapsed time
+of the sweep is printed last, so a run doubles as a timing of the numeric
+layer; for example
+
+    PYTHONPATH=src python scripts/random_agreement_experiment.py --max-n 40 --check-controllability
+"""
 
 import argparse
+import time
 
 import numpy as np
 
@@ -30,8 +36,11 @@ def main():
     parser.add_argument("--max-n", type=int, default=8)
     parser.add_argument("--trials", type=int, default=50, help="realizations per instance")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--check-controllability", action="store_true",
+                        help="also compare plain controllability in every trial")
     args = parser.parse_args()
 
+    start = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     rows = []
     for k in range(args.instances):
@@ -50,7 +59,8 @@ def main():
             else None
         )
         stats = monte_carlo_verify(
-            pattern_a, pattern_b, trials=args.trials, base_seed=args.seed * 1000 + k
+            pattern_a, pattern_b, trials=args.trials, base_seed=args.seed * 1000 + k,
+            check_controllability=args.check_controllability,
         )
         rows.append(stats)
 
@@ -67,8 +77,13 @@ def main():
             f"{label:>8}: {agree}/{total} trials agree "
             f"({100.0 * agree / total:.2f}%), {flagged} flagged"
         )
+    if args.check_controllability:
+        total = sum(s.trials for s in rows)
+        agree = sum(s.ctrl_agreements for s in rows)
+        print(f"controllability: {agree}/{total} trials agree ({100.0 * agree / total:.2f}%)")
     worst = min(rows, key=lambda s: s.agreement_fraction)
     print(f"worst instance agreement: {100.0 * worst.agreement_fraction:.1f}%")
+    print(f"elapsed: {time.perf_counter() - start:.2f} s")
 
 
 if __name__ == "__main__":

@@ -74,7 +74,9 @@ def parse_pattern_file(text: str) -> tuple[PatternMatrix, PatternMatrix | None]:
                     line_no, f"entry {entry} needs a prior 'm' declaration with m >= 1"
                 )
             for what, value, bound in (("row", i, "n"), ("column", j, columns)):
-                if not 1 <= value <= sizes[bound]:
+                if value < 1:
+                    raise PatternFormatError(line_no, f"{what} {value} must be >= 1 in entry {entry}")
+                if value > sizes[bound]:
                     raise PatternFormatError(
                         line_no, f"{what} {value} exceeds {bound}={sizes[bound]} in entry {entry}"
                     )

@@ -5,12 +5,19 @@ Structural claims are generic: they hold for all parameter values outside a
 measure-zero set.  No finite computation certifies that, so this module
 samples concrete realizations, runs the classical numeric tests, and reports
 agreement statistics instead of pretending at certainty.
+
+One trial computes the eigenvalues, the controllability matrix and its rank
+once for both checks, and decides each Hautus pencil [A - lam I, B] once per
+conjugate class: a real lam takes a real SVD, and a conjugate reuses the
+singular values of its partner's complex SVD.  Such a decision stands only
+outside a guard band around the rank cutoff; inside it, the complex SVD of
+that very pencil decides, so the verdicts are those of one complex SVD per
+eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -69,10 +76,14 @@ def sample_realization(
     m = pattern_b.n_cols if pattern_b is not None else 0
     a, b = np.zeros((n, n)), np.zeros((n, m))
     for values, pattern in ((a, pattern_a), (b, pattern_b)):
-        for i, j in pattern.sorted_entries() if pattern is not None else ():
-            magnitude = rng.uniform(value_spec.low, value_spec.high)
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            values[i - 1, j - 1] = sign * magnitude
+        entries = pattern.sorted_entries() if pattern is not None else []
+        if not entries:
+            continue
+        # two draws per entry, in entry order: uniform magnitude, then sign
+        draws = rng.random(2 * len(entries))
+        magnitude = value_spec.low + (value_spec.high - value_spec.low) * draws[0::2]
+        rows, cols = (np.array(entries) - 1).T
+        values[rows, cols] = np.where(draws[1::2] < 0.5, magnitude, -magnitude)
     return Realization(a, b, seed, value_spec)
 
 
@@ -81,10 +92,14 @@ def numeric_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     treated as zero."""
     if matrix.size == 0:
         return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
+    return _rank(np.linalg.svd(matrix, compute_uv=False), matrix.shape, rel_tol)
+
+
+def _rank(s: np.ndarray, shape: tuple[int, int], rel_tol: float = RANK_REL_TOL) -> int:
+    """``numeric_rank`` of a matrix of this shape with singular values s."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > max(matrix.shape) * s[0] * rel_tol))
+    return int(np.sum(s > max(shape) * s[0] * rel_tol))
 
 
 def controllability_matrix(realization: Realization) -> np.ndarray:
@@ -114,16 +129,6 @@ class NumericCheck:
         return self.verdict
 
 
-def _hautus_ok(a: np.ndarray, b: np.ndarray, eigenvalues: Iterable[complex]) -> bool:
-    n = a.shape[0]
-    eye = np.eye(n)
-    for lam in eigenvalues:
-        pencil = np.hstack([a - lam * eye, b]).astype(complex)
-        if numeric_rank(pencil) < n:
-            return False
-    return True
-
-
 def _eigenvalues(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of the square matrix ``a``, and those of them counted as
     nonzero: modulus above tol * (1 + spectral radius)."""
@@ -138,24 +143,73 @@ def _check(image_ok: bool, hautus_ok: bool) -> NumericCheck:
     return NumericCheck(image_ok and hautus_ok, image_ok, hautus_ok, image_ok == hautus_ok)
 
 
+#: A pencil decision read off other singular values than the exact ones (the
+#: complex SVD of that very pencil) stands only when the smallest of them lies
+#: farther than this fraction of the rank cutoff from the cutoff, about 10^5
+#: times the SVD rounding error; otherwise the exact SVD decides.
+_GUARD_BAND = 1e-3
+
+
+class _Trial:
+    """The numeric work on one realization that both checks share: the
+    eigenvalues, the controllability matrix and its rank, and one rank
+    decision per distinct Hautus pencil [A - lam I, B]."""
+
+    def __init__(self, realization: Realization, tol: float):
+        self.a, self.b, self.n = realization.a, realization.b, realization.n
+        self.eigenvalues, self.nonzero = _eigenvalues(self.a, tol)
+        self.ctrb = controllability_matrix(realization)
+        self.ctrb_rank = numeric_rank(self.ctrb)
+        self._eye = np.eye(self.n)
+        self._full_rank: dict[complex, bool] = {}  # eigenvalue -> pencil has rank n
+        self._exact: dict[complex, np.ndarray] = {}  # eigenvalue -> complex-SVD spectrum
+
+    def zero_controllable(self) -> NumericCheck:
+        a_pow_n = np.linalg.matrix_power(self.a, self.n) if self.n else np.zeros((0, 0))
+        image_ok = numeric_rank(np.hstack([self.ctrb, a_pow_n])) == self.ctrb_rank
+        return _check(image_ok, self._hautus_ok(self.nonzero))
+
+    def controllable(self) -> NumericCheck:
+        return _check(self.ctrb_rank == self.n, self._hautus_ok(self.eigenvalues))
+
+    def _hautus_ok(self, eigenvalues: np.ndarray) -> bool:
+        # in eigenvalue order, stopping at the first rank-deficient pencil
+        return all(self._pencil_full_rank(lam) for lam in eigenvalues)
+
+    def _pencil_full_rank(self, lam: complex) -> bool:
+        """Whether [A - lam I, B] has rank n, decided as the complex SVD of
+        that pencil decides it.  A real lam takes the real SVD and a
+        conjugate reuses its partner's spectrum, each unless the guard band
+        sends it back to the complex SVD."""
+        if lam in self._full_rank:
+            return self._full_rank[lam]
+        shape = (self.n, self.n + self.b.shape[1])
+        if lam.imag == 0:
+            s = np.linalg.svd(np.hstack([self.a - lam.real * self._eye, self.b]), compute_uv=False)
+        else:
+            s = self._exact.get(lam.conjugate())
+        if s is not None:
+            cut = max(shape) * s[0] * RANK_REL_TOL
+            if not abs(s[-1] - cut) > _GUARD_BAND * cut:
+                s = None
+        if s is None:
+            pencil = np.hstack([self.a - lam * self._eye, self.b]).astype(complex)
+            s = self._exact[lam] = np.linalg.svd(pencil, compute_uv=False)
+        full = self._full_rank[lam] = _rank(s, shape) == self.n
+        return full
+
+
 def is_controllable_numeric(realization: Realization, tol: float = 1e-8) -> NumericCheck:
     """Controllability of a concrete pair: full-rank controllability matrix,
     cross-checked by the Hautus rank test at every eigenvalue."""
-    a, b = realization.a, realization.b
-    image_ok = numeric_rank(controllability_matrix(realization)) == realization.n
-    return _check(image_ok, _hautus_ok(a, b, _eigenvalues(a, tol)[0]))
+    return _Trial(realization, tol).controllable()
 
 
 def is_zero_controllable_numeric(realization: Realization, tol: float = 1e-8) -> NumericCheck:
     """Zero controllability of a concrete pair: the image of A^n must lie in
     the image of the controllability matrix, cross-checked by the Hautus test
     at every eigenvalue of modulus above tol * (1 + spectral radius)."""
-    a, b = realization.a, realization.b
-    n = realization.n
-    ctrb = controllability_matrix(realization)
-    a_pow_n = np.linalg.matrix_power(a, n) if n else np.zeros((0, 0))
-    image_ok = numeric_rank(np.hstack([ctrb, a_pow_n])) == numeric_rank(ctrb)
-    return _check(image_ok, _hautus_ok(a, b, _eigenvalues(a, tol)[1]))
+    return _Trial(realization, tol).zero_controllable()
 
 
 def count_nonzero_eigenvalues(realization: Realization, tol: float = 1e-8) -> int:
@@ -276,8 +330,8 @@ def monte_carlo_verify(
     disagreeing = []
     for i in range(trials):
         seed = base_seed + i
-        realization = sample_realization(pattern_a, pattern_b, seed)
-        zc = is_zero_controllable_numeric(realization, tol)
+        trial = _Trial(sample_realization(pattern_a, pattern_b, seed), tol)
+        zc = trial.zero_controllable()
         if zc.verdict == zc_structural:
             zc_agree += 1
         else:
@@ -285,7 +339,7 @@ def monte_carlo_verify(
         if not zc.consistent:
             inconsistent += 1
         if check_controllability:
-            ctrl = is_controllable_numeric(realization, tol)
+            ctrl = trial.controllable()
             if ctrl.verdict == ctrl_structural:
                 ctrl_agree += 1
             if not ctrl.consistent:

@@ -188,8 +188,8 @@ def steering_to_dict(result: SteeringResult) -> dict:
     return {
         "horizon": result.horizon,
         "final_norm": result.final_norm,
-        "controls": [[float(v) for v in row] for row in result.controls],
-        "trajectory": [[float(v) for v in row] for row in result.trajectory],
+        "controls": result.controls.tolist(),
+        "trajectory": result.trajectory.tolist(),
     }
 
 

@@ -10,7 +10,16 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from zerocontrol import PatternMatrix
+import numpy as np
+
+from zerocontrol import (
+    NumericCheck,
+    PatternMatrix,
+    Realization,
+    ValueSpec,
+    controllability_matrix,
+    numeric_rank,
+)
 from zerocontrol.graph import state_name
 
 
@@ -195,3 +204,72 @@ def oracle_find_cycle(graph, within=None):
                         next_queue.append(w)
             queue = next_queue
     return None
+
+
+# --- numeric reference: one draw at a time, one complex SVD per eigenvalue ----
+
+def oracle_sample_realization(pattern_a, pattern_b=None, seed=20240001, value_spec=None):
+    """The scalar draw loop: per entry in sorted position order, A then B, a
+    uniform magnitude and then a sign draw."""
+    value_spec = ValueSpec() if value_spec is None else value_spec
+    rng = np.random.default_rng(seed)
+    n = pattern_a.n_rows
+    m = pattern_b.n_cols if pattern_b is not None else 0
+    a, b = np.zeros((n, n)), np.zeros((n, m))
+    for values, pattern in ((a, pattern_a), (b, pattern_b)):
+        for i, j in pattern.sorted_entries() if pattern is not None else ():
+            magnitude = rng.uniform(value_spec.low, value_spec.high)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            values[i - 1, j - 1] = sign * magnitude
+    return Realization(a, b, seed, value_spec)
+
+
+def _oracle_hautus_ok(a, b, eigenvalues) -> bool:
+    n = a.shape[0]
+    eye = np.eye(n)
+    for lam in eigenvalues:
+        pencil = np.hstack([a - lam * eye, b]).astype(complex)
+        if numeric_rank(pencil) < n:
+            return False
+    return True
+
+
+def _oracle_eigenvalues(a, tol):
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    eigenvalues = np.linalg.eigvals(a) if a.size else np.zeros(0)
+    radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
+    return eigenvalues, eigenvalues[np.abs(eigenvalues) > tol * (1.0 + radius)]
+
+
+def _oracle_check(image_ok, hautus_ok):
+    return NumericCheck(image_ok and hautus_ok, image_ok, hautus_ok, image_ok == hautus_ok)
+
+
+def oracle_is_controllable_numeric(realization, tol=1e-8):
+    """Full-rank controllability matrix, and a complex SVD of the Hautus
+    pencil at every eigenvalue."""
+    a, b = realization.a, realization.b
+    image_ok = numeric_rank(controllability_matrix(realization)) == realization.n
+    return _oracle_check(image_ok, _oracle_hautus_ok(a, b, _oracle_eigenvalues(a, tol)[0]))
+
+
+def oracle_is_zero_controllable_numeric(realization, tol=1e-8):
+    """rank [C, A^n] == rank C, and a complex SVD of the Hautus pencil at
+    every nonzero eigenvalue."""
+    a, b = realization.a, realization.b
+    n = realization.n
+    ctrb = controllability_matrix(realization)
+    a_pow_n = np.linalg.matrix_power(a, n) if n else np.zeros((0, 0))
+    image_ok = numeric_rank(np.hstack([ctrb, a_pow_n])) == numeric_rank(ctrb)
+    return _oracle_check(image_ok, _oracle_hautus_ok(a, b, _oracle_eigenvalues(a, tol)[1]))
+
+
+def oracle_steering_to_dict(result) -> dict:
+    """The steering document built one float at a time."""
+    return {
+        "horizon": result.horizon,
+        "final_norm": result.final_norm,
+        "controls": [[float(v) for v in row] for row in result.controls],
+        "trajectory": [[float(v) for v in row] for row in result.trajectory],
+    }

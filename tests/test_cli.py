@@ -7,9 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from zerocontrol.cli import run_cli
 from zerocontrol.fileio import serialize_pattern_file
+from zerocontrol.patterns import PatternMatrix
 from conftest import EXAMPLE1_A, EXAMPLE1_B
+from oracles import oracle_steering_to_dict
 
 
 @pytest.fixture
@@ -168,6 +172,25 @@ def test_simulate_rejects_wrong_x0_length(example1_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "needs 5 comma-separated values" in captured.err
+
+
+def test_simulate_json_matches_the_per_float_document(tmp_path, monkeypatch, capsys):
+    from zerocontrol import cli
+
+    rng = np.random.default_rng(150)
+    n = 150
+    a = {(int(i), int(j)) for i, j in rng.integers(1, n + 1, size=(round(1.5 * n), 2))}
+    b = {(int(rng.integers(1, n + 1)), j) for j in range(1, 4)}
+    path = tmp_path / "sim.pat"
+    path.write_text(serialize_pattern_file(PatternMatrix(n, n, frozenset(a)),
+                                           PatternMatrix(n, 3, frozenset(b))))
+    argv = ["simulate", str(path), "--format", "json"]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "steering_to_dict", oracle_steering_to_dict)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == out
+    assert len(json.loads(out)["steering"]["trajectory"]) == n + 1
 
 
 def test_simulate_default_horizon_is_at_least_one(tmp_path, capsys):

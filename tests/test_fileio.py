@@ -132,14 +132,14 @@ PARSE_ERRORS = [
     ("n 2\na 1\n", "line 2: expected 'a <row> <col>', got 'a 1'"),
     ("n 2\nm 1\nb 1 1 1\n", "line 3: expected 'b <row> <col>', got 'b 1 1 1'"),
     ("n 2\na 3 1\n", "line 2: row 3 exceeds n=2 in entry 'a 3 1'"),
-    ("n 2\na 0 1\n", "line 2: row 0 exceeds n=2 in entry 'a 0 1'"),
+    ("n 2\na 0 1\n", "line 2: row 0 must be >= 1 in entry 'a 0 1'"),
     ("n 2\na 1 3\n", "line 2: column 3 exceeds n=2 in entry 'a 1 3'"),
-    ("n 2\na -1 -1\n", "line 2: row -1 exceeds n=2 in entry 'a -1 -1'"),
+    ("n 2\na -1 -1\n", "line 2: row -1 must be >= 1 in entry 'a -1 -1'"),
     ("n 2\nb 1 1\n", "line 2: entry 'b 1 1' needs a prior 'm' declaration with m >= 1"),
     ("n 2\nm 0\nb 9 9\n", "line 3: entry 'b 9 9' needs a prior 'm' declaration with m >= 1"),
     ("n 2\nm 1\nb 3 1\n", "line 3: row 3 exceeds n=2 in entry 'b 3 1'"),
     ("n 2\nm 1\nb 1 2\n", "line 3: column 2 exceeds m=1 in entry 'b 1 2'"),
-    ("n 2\nm 1\nb 1 0\n", "line 3: column 0 exceeds m=1 in entry 'b 1 0'"),
+    ("n 2\nm 1\nb 1 0\n", "line 3: column 0 must be >= 1 in entry 'b 1 0'"),
     ("n 2\nq 1 1\n", "line 2: unknown directive 'q'"),
     ("N 2\n", "line 1: unknown directive 'N'"),
     ("", "missing size declaration 'n'"),

@@ -16,6 +16,11 @@ from zerocontrol import (
     steering_residual,
 )
 from conftest import EXAMPLE2_B_PER_DRIVER, random_pattern
+from oracles import (
+    oracle_is_controllable_numeric,
+    oracle_is_zero_controllable_numeric,
+    oracle_sample_realization,
+)
 
 
 def make_realization(a_rows, b_rows):
@@ -55,6 +60,23 @@ def test_value_spec_is_configurable(example1_a):
     r = sample_realization(example1_a, None, seed=1, value_spec=ValueSpec(low=1.0, high=1.5))
     values = np.abs(r.a[r.a != 0])
     assert values.min() >= 1.0 and values.max() <= 1.5
+
+
+def test_sampling_matches_the_scalar_draw_loop():
+    rng = np.random.default_rng(8)
+    specs = (ValueSpec(), ValueSpec(low=1.0, high=1.5), ValueSpec(low=0.5, high=0.5))
+    cases = [(PatternMatrix.zeros(4, 4), PatternMatrix.zeros(4, 2)), (PatternMatrix.zeros(3, 3), None)]
+    for k in range(60):
+        n = int(rng.integers(1, 13))
+        m = int(rng.integers(0, 3))
+        a = random_pattern(rng, n, n, float(rng.uniform(0.0, 0.6)))
+        cases.append((a, random_pattern(rng, n, m, 0.4) if k % 3 else None))
+    for k, (a, b) in enumerate(cases):
+        for seed in (0, 1, 20240001, 10**9 + k):
+            for spec in specs:
+                r = sample_realization(a, b, seed, spec)
+                expected = oracle_sample_realization(a, b, seed, spec)
+                assert np.array_equal(r.a, expected.a) and np.array_equal(r.b, expected.b)
 
 
 # --- controllability matrix ----------------------------------------------------
@@ -156,6 +178,123 @@ def test_zero_controllability_matches_structure_on_example1(example1_a, example1
             true_hits += 1
     assert false_hits >= 95
     assert true_hits >= 95
+
+
+# --- one decision per Hautus pencil ---------------------------------------------------
+
+def test_checks_match_one_complex_svd_per_eigenvalue():
+    """Every field of both checks equals the reference that runs the complex
+    SVD of every pencil, on 600 seeded realizations."""
+    rng = np.random.default_rng(31)
+    seen = set()
+    count = 0
+    for n in (12, 24, 40):
+        for k in range(200):
+            m = k % 3
+            a = random_pattern(rng, n, n, float(rng.uniform(1.0, 3.0)) / n)
+            b = random_pattern(rng, n, m, 1.5 / n) if m else None
+            r = sample_realization(a, b, seed=5000 + k)
+            for check, oracle in ((is_zero_controllable_numeric, oracle_is_zero_controllable_numeric),
+                                  (is_controllable_numeric, oracle_is_controllable_numeric)):
+                got, expected = check(r), oracle(r)
+                assert got == expected, (n, k, check.__name__)
+                seen.add((check.__name__, got.verdict))
+            count += 1
+    assert count >= 600
+    assert len(seen) == 4  # both verdicts of both checks occur
+
+
+def test_monte_carlo_shares_one_trial_between_the_checks():
+    rng = np.random.default_rng(32)
+    for n, m in ((12, 0), (12, 2), (24, 1), (40, 1)):
+        a = random_pattern(rng, n, n, 2.0 / n)
+        b = random_pattern(rng, n, m, 1.5 / n) if m else None
+        stats = monte_carlo_verify(a, b, trials=15, base_seed=70, check_controllability=True)
+        checks = [
+            (oracle_is_zero_controllable_numeric(r), oracle_is_controllable_numeric(r))
+            for r in (oracle_sample_realization(a, b, seed=70 + i) for i in range(15))
+        ]
+        assert stats.zc_agreements == sum(zc.verdict == stats.zc_structural for zc, _ in checks)
+        assert stats.ctrl_agreements == sum(c.verdict == stats.ctrl_structural for _, c in checks)
+        assert stats.inconsistent_trials == sum(
+            (not zc.consistent) + (not c.consistent) for zc, c in checks
+        )
+
+
+def _svd_calls(monkeypatch):
+    """Record the dtype kind and shape of every SVD while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(matrix, *args, **kwargs):
+        calls.append((matrix.dtype.kind, matrix.shape))
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def _last_over_cut(a, b, lam):
+    s = np.linalg.svd(np.hstack([a - lam * np.eye(len(a)), b]).astype(complex), compute_uv=False)
+    return s[-1] / (max(len(a), len(a) + b.shape[1]) * s[0] * 1e-10)
+
+
+def _in_guard_band(a, make_b, lam):
+    """Scale the one small entry of B so that the pencil at lam has its last
+    singular value just above the rank cutoff, inside the guard band."""
+    eps = 1e-9
+    eps /= _last_over_cut(a, make_b(eps), lam) / (1 + 2e-4)
+    b = make_b(eps)
+    assert abs(_last_over_cut(a, b, lam) - 1) < 5e-4
+    return make_realization(a, b)
+
+
+@pytest.mark.parametrize("case", ["real", "conjugate"])
+def test_guard_band_falls_back_to_the_complex_svd(case, monkeypatch):
+    if case == "real":  # eigenvalues 1 and 2; the pencil at 1 is nearly deficient
+        a = np.diag([1.0, 2.0])
+        r = _in_guard_band(a, lambda eps: np.array([[eps], [1.0]]), 1.0)
+        expected = [("f", (2, 3)), ("c", (2, 3)), ("f", (2, 3))]
+    else:  # eigenvalues +-i; both pencils nearly deficient
+        a = np.array([[0.0, -1.0], [1.0, 0.0]])
+        r = _in_guard_band(a, lambda eps: np.array([[eps], [0.0]]), 1j)
+        expected = [("c", (2, 3)), ("c", (2, 3))]
+    calls = _svd_calls(monkeypatch)
+    check = is_zero_controllable_numeric(r)
+    # after rank C and rank [C, A^n], the pencils in eigenvalue order
+    assert calls[2:] == expected
+    assert check == oracle_is_zero_controllable_numeric(r)
+    assert is_controllable_numeric(r) == oracle_is_controllable_numeric(r)
+
+
+def test_pencils_outside_the_guard_band_are_decided_once(monkeypatch):
+    a = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    r = make_realization(a, [[1.0], [0.0], [1.0]])
+    calls = _svd_calls(monkeypatch)
+    check = is_zero_controllable_numeric(r)
+    # after rank C and rank [C, A^n], one complex SVD for the pair +-i and a
+    # real one at 0.5
+    assert sorted(calls[2:]) == [("c", (3, 4)), ("f", (3, 4))]
+    assert check == oracle_is_zero_controllable_numeric(r)
+
+
+def test_hand_built_pencils_match_the_reference():
+    rng = np.random.default_rng(3)
+    nilpotent = np.triu(rng.uniform(0.5, 1.5, (5, 5)), k=1)
+    cases = [
+        (np.zeros((3, 3)), np.zeros((3, 2))),  # every pencil is all zero: s1 == 0
+        (np.zeros((3, 3)), np.zeros((3, 0))),
+        (nilpotent, np.zeros((5, 1))),  # no nonzero eigenvalue
+        (nilpotent, np.eye(5)[:, [4]]),
+        (nilpotent, np.zeros((5, 0))),  # m = 0
+        (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 0))),
+        (np.array([[0.0, -2.0], [2.0, 0.0]]), np.zeros((2, 0))),
+        (np.diag([1.0, 1.0, 3.0]), np.array([[1.0], [1.0], [0.0]])),  # repeated eigenvalue
+    ]
+    for a, b in cases:
+        r = make_realization(a, b)
+        assert is_zero_controllable_numeric(r) == oracle_is_zero_controllable_numeric(r)
+        assert is_controllable_numeric(r) == oracle_is_controllable_numeric(r)
 
 
 # --- eigenvalue counting -------------------------------------------------------------
