@@ -6,13 +6,19 @@ measure-zero set.  No finite computation certifies that, so this module
 samples concrete realizations, runs the classical numeric tests, and reports
 agreement statistics instead of pretending at certainty.
 
-One trial computes the eigenvalues, the controllability matrix and its rank
-once for both checks, and decides each Hautus pencil [A - lam I, B] once per
-conjugate class: a real lam takes a real SVD, and a conjugate reuses the
-singular values of its partner's complex SVD.  Such a decision stands only
-outside a guard band around the rank cutoff; inside it, the complex SVD of
-that very pencil decides, so the verdicts are those of one complex SVD per
-eigenvalue.
+Monte Carlo trials are decided together: a chunk of seeded realizations is
+sampled into one (T, n, n) stack, and its eigenvalues, controllability
+matrices, A^n and image ranks come from one stacked call each.  The Hautus
+pencils [A - lam I, B] are then decided in rounds, one per eigenvalue
+position, among the trials whose walk still needs that position; each walk
+stops at its first rank-deficient pencil.  A real lam takes a real SVD, a
+conjugate reuses the singular values of its partner's complex SVD, and an
+exact repeat reuses its earlier decision.  Such a reused or real decision
+stands only outside a guard band around the rank cutoff; inside it, the
+complex SVD of that very pencil decides, so the verdicts are those of one
+complex SVD per eigenvalue.  numpy runs the same LAPACK routine on each
+matrix of a stack, so a stacked decision is bit for bit the one-matrix one.
+The single-realization checks are stacks of one.
 """
 
 from __future__ import annotations
@@ -69,49 +75,57 @@ def sample_realization(
 ) -> Realization:
     """Deterministic realization for the given seed.  Entries are filled in
     sorted position order, so the draw sequence is part of the contract."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    a, b = _sample(pattern_a, pattern_b, [seed], value_spec)
+    return Realization(a[0], b[0], seed, value_spec)
+
+
+def _sample(pattern_a, pattern_b, seeds, value_spec) -> tuple[np.ndarray, np.ndarray]:
+    """The realizations of the given seeds, stacked as (T, n, n) and (T, n, m)."""
     if not pattern_a.is_square:
         raise ValueError("state pattern must be square")
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     n = pattern_a.n_rows
     m = pattern_b.n_cols if pattern_b is not None else 0
-    a, b = np.zeros((n, n)), np.zeros((n, m))
+    a, b = np.zeros((len(rngs), n, n)), np.zeros((len(rngs), n, m))
     for values, pattern in ((a, pattern_a), (b, pattern_b)):
         entries = pattern.sorted_entries() if pattern is not None else []
         if not entries:
             continue
-        # two draws per entry, in entry order: uniform magnitude, then sign
-        draws = rng.random(2 * len(entries))
-        magnitude = value_spec.low + (value_spec.high - value_spec.low) * draws[0::2]
+        # per seed, two draws per entry in entry order: uniform magnitude, then sign
+        draws = np.array([rng.random(2 * len(entries)) for rng in rngs])
+        magnitude = value_spec.low + (value_spec.high - value_spec.low) * draws[:, 0::2]
         rows, cols = (np.array(entries) - 1).T
-        values[rows, cols] = np.where(draws[1::2] < 0.5, magnitude, -magnitude)
-    return Realization(a, b, seed, value_spec)
+        values[:, rows, cols] = np.where(draws[:, 1::2] < 0.5, magnitude, -magnitude)
+    return a, b
 
 
 def numeric_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     """Rank with singular values below max(shape) * sigma_max * rel_tol
     treated as zero."""
-    if matrix.size == 0:
-        return 0
-    return _rank(np.linalg.svd(matrix, compute_uv=False), matrix.shape, rel_tol)
+    return int(_ranks(matrix[None], rel_tol)[0])
 
 
-def _rank(s: np.ndarray, shape: tuple[int, int], rel_tol: float = RANK_REL_TOL) -> int:
-    """``numeric_rank`` of a matrix of this shape with singular values s."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > max(shape) * s[0] * rel_tol))
+def _ranks(stack: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
+    """``numeric_rank`` of each matrix of a (T, rows, cols) stack."""
+    if stack.size == 0:
+        return np.zeros(len(stack), dtype=int)
+    s = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(s > max(stack.shape[1:]) * s[:, :1] * rel_tol, axis=1)
 
 
 def controllability_matrix(realization: Realization) -> np.ndarray:
     """[B, AB, ..., A^(n-1)B], an n-by-(n*m) matrix (n-by-0 when m = 0)."""
-    a, b = realization.a, realization.b
-    n = realization.n
-    blocks = []
-    block = b
-    for _ in range(n):
-        blocks.append(block)
-        block = a @ block
-    return np.hstack(blocks) if blocks else np.zeros((n, 0))
+    return _ctrb(realization.a[None], realization.b[None])[0]
+
+
+def _ctrb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The controllability matrix of each pair of a (T, n, n), (T, n, m) stack."""
+    blocks = [b]
+    for _ in range(a.shape[1] - 1):
+        blocks.append(a @ blocks[-1])
+    return np.concatenate(blocks, axis=2) if a.shape[1] else np.zeros((len(a), 0, 0))
 
 
 @dataclass(frozen=True)
@@ -130,13 +144,15 @@ class NumericCheck:
 
 
 def _eigenvalues(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of the square matrix ``a``, and those of them counted as
-    nonzero: modulus above tol * (1 + spectral radius)."""
+    """The eigenvalues of each matrix of a (T, n, n) stack, and the mask of
+    those counted as nonzero: modulus above tol * (1 + spectral radius)."""
     if not 0 < tol < np.inf:  # NaN fails both comparisons
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    eigenvalues = np.linalg.eigvals(a) if a.size else np.zeros(0)
-    radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    return eigenvalues, eigenvalues[np.abs(eigenvalues) > tol * (1.0 + radius)]
+    if not a.shape[1]:
+        return np.zeros((len(a), 0), dtype=complex), np.zeros((len(a), 0), dtype=bool)
+    eigenvalues = np.linalg.eigvals(a).astype(complex, copy=False)
+    modulus = np.abs(eigenvalues)
+    return eigenvalues, modulus > tol * (1.0 + modulus.max(axis=1, keepdims=True))
 
 
 def _check(image_ok: bool, hautus_ok: bool) -> NumericCheck:
@@ -149,74 +165,95 @@ def _check(image_ok: bool, hautus_ok: bool) -> NumericCheck:
 #: times the SVD rounding error; otherwise the exact SVD decides.
 _GUARD_BAND = 1e-3
 
+#: Matrix entries per stacked LAPACK call: Monte Carlo trials are decided in
+#: chunks that stay under it (one trial at least), so memory stays flat at any
+#: n or trial count.
+_STACK_ENTRIES = 2**18
 
-class _Trial:
-    """The numeric work on one realization that both checks share: the
-    eigenvalues, the controllability matrix and its rank, and one rank
-    decision per distinct Hautus pencil [A - lam I, B]."""
 
-    def __init__(self, realization: Realization, tol: float):
-        self.a, self.b, self.n = realization.a, realization.b, realization.n
-        self.eigenvalues, self.nonzero = _eigenvalues(self.a, tol)
-        self.ctrb = controllability_matrix(realization)
-        self.ctrb_rank = numeric_rank(self.ctrb)
-        self._eye = np.eye(self.n)
-        self._full_rank: dict[complex, bool] = {}  # eigenvalue -> pencil has rank n
-        self._exact: dict[complex, np.ndarray] = {}  # eigenvalue -> complex-SVD spectrum
+def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool) -> list[tuple]:
+    """Both numeric checks on a stack of realizations: one (image, hautus)
+    pair of boolean arrays per asked check, zero controllability first."""
+    lam, nonzero = _eigenvalues(a, tol)
+    t, n, m = b.shape
+    ctrb = _ctrb(a, b)
+    ctrb_rank = _ranks(ctrb)
+    images, walks = [], []
+    if zc:
+        a_pow_n = np.linalg.matrix_power(a, n) if n else a
+        images.append(_ranks(np.concatenate([ctrb, a_pow_n], axis=2)) == ctrb_rank)
+        walks.append(nonzero)
+    if ctrl:
+        images.append(ctrb_rank == n)
+        walks.append(np.ones_like(nonzero))
+    alive = np.ones((len(images), t), dtype=bool)  # no rank-deficient pencil yet
+    if not n:
+        return list(zip(images, alive))
+    walks = np.array(walks)  # (checks, T, n): the positions each Hautus walk covers
+    full = np.zeros((t, n), dtype=bool)  # pencil at each position has rank n
+    exact = np.zeros((t, n, n))  # complex-SVD spectrum at each position that took one
+    # an exact repeat reuses the decision at its value's first position, and
+    # the second of a conjugate pair the spectrum at its partner's first
+    # position, which took a complex SVD: nothing earlier equals or pairs it
+    position = np.arange(n)
+    first = (lam[:, :, None] == lam[:, None, :]).argmax(axis=1)
+    conjugate = lam[:, :, None] == lam[:, None, :].conj()
+    partner = np.where(conjugate.any(axis=1), conjugate.argmax(axis=1), n)
+    repeats, real = first < position, lam.imag == 0
+    reuses = ~real & (partner < position)
+    ab = np.concatenate([a, b], axis=2)
 
-    def zero_controllable(self) -> NumericCheck:
-        a_pow_n = np.linalg.matrix_power(self.a, self.n) if self.n else np.zeros((0, 0))
-        image_ok = numeric_rank(np.hstack([self.ctrb, a_pow_n])) == self.ctrb_rank
-        return _check(image_ok, self._hautus_ok(self.nonzero))
+    def pencils(rows, values):  # [A - lam I, B], bit for bit as a - lam * eye
+        pencil = ab[rows].astype(values.dtype, copy=False)
+        pencil[:, position, position] -= values[:, None]
+        return pencil
 
-    def controllable(self) -> NumericCheck:
-        return _check(self.ctrb_rank == self.n, self._hautus_ok(self.eigenvalues))
-
-    def _hautus_ok(self, eigenvalues: np.ndarray) -> bool:
-        # in eigenvalue order, stopping at the first rank-deficient pencil
-        return all(self._pencil_full_rank(lam) for lam in eigenvalues)
-
-    def _pencil_full_rank(self, lam: complex) -> bool:
-        """Whether [A - lam I, B] has rank n, decided as the complex SVD of
-        that pencil decides it.  A real lam takes the real SVD and a
-        conjugate reuses its partner's spectrum, each unless the guard band
-        sends it back to the complex SVD."""
-        if lam in self._full_rank:
-            return self._full_rank[lam]
-        shape = (self.n, self.n + self.b.shape[1])
-        if lam.imag == 0:
-            s = np.linalg.svd(np.hstack([self.a - lam.real * self._eye, self.b]), compute_uv=False)
-        else:
-            s = self._exact.get(lam.conjugate())
-        if s is not None:
-            cut = max(shape) * s[0] * RANK_REL_TOL
-            if not abs(s[-1] - cut) > _GUARD_BAND * cut:
-                s = None
-        if s is None:
-            pencil = np.hstack([self.a - lam * self._eye, self.b]).astype(complex)
-            s = self._exact[lam] = np.linalg.svd(pencil, compute_uv=False)
-        full = self._full_rank[lam] = _rank(s, shape) == self.n
-        return full
+    s = np.zeros((t, n))  # rows in todo: the singular values that decide position j
+    for j in range(n):
+        need = (alive & walks[:, :, j]).any(axis=0)
+        if not need.any():
+            continue
+        repeat = need & repeats[:, j]
+        full[repeat, j] = full[repeat, first[repeat, j]]
+        todo = need & ~repeat
+        by_real = todo & real[:, j]
+        if by_real.any():
+            s[by_real] = np.linalg.svd(pencils(by_real, lam[by_real, j].real), compute_uv=False)
+        by_partner = todo & reuses[:, j]
+        s[by_partner] = exact[by_partner, partner[by_partner, j]]
+        cut = (n + m) * s[:, 0] * RANK_REL_TOL  # numeric_rank's cutoff
+        close = ~(np.abs(s[:, -1] - cut) > _GUARD_BAND * cut)
+        redo = todo & (close | ~(by_real | by_partner))  # the complex SVD decides
+        if redo.any():
+            s[redo] = exact[redo, j] = np.linalg.svd(pencils(redo, lam[redo, j]), compute_uv=False)
+        full[todo, j] = (s[:, -1] > (n + m) * s[:, 0] * RANK_REL_TOL)[todo]
+        alive &= ~(walks[:, :, j] & ~full[:, j])
+    return list(zip(images, alive))
 
 
 def is_controllable_numeric(realization: Realization, tol: float = 1e-8) -> NumericCheck:
     """Controllability of a concrete pair: full-rank controllability matrix,
     cross-checked by the Hautus rank test at every eigenvalue."""
-    return _Trial(realization, tol).controllable()
+    return _single(realization, tol, zc=False)
 
 
 def is_zero_controllable_numeric(realization: Realization, tol: float = 1e-8) -> NumericCheck:
     """Zero controllability of a concrete pair: the image of A^n must lie in
     the image of the controllability matrix, cross-checked by the Hautus test
     at every eigenvalue of modulus above tol * (1 + spectral radius)."""
-    return _Trial(realization, tol).zero_controllable()
+    return _single(realization, tol, zc=True)
+
+
+def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
+    [(image, hautus)] = _decide(realization.a[None], realization.b[None], tol, zc, not zc)
+    return _check(bool(image[0]), bool(hautus[0]))
 
 
 def count_nonzero_eigenvalues(realization: Realization, tol: float = 1e-8) -> int:
     """Number of eigenvalues with modulus above tol * (1 + spectral radius);
     for almost every realization this equals the structural cycle count
     nu(A)."""
-    return len(_eigenvalues(realization.a, tol)[1])
+    return int(_eigenvalues(realization.a[None], tol)[1].sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,32 +355,31 @@ def monte_carlo_verify(
     verdict (optionally also plain controllability) with the structural one."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
     zc_structural = is_generically_zero_controllable(pattern_a, pattern_b).verdict
     ctrl_structural = (
         is_generically_controllable(pattern_a, pattern_b).verdict
         if check_controllability
         else None
     )
-    zc_agree = 0
-    ctrl_agree = 0
-    inconsistent = 0
+    zc_agree = ctrl_agree = inconsistent = 0
     disagreeing = []
-    for i in range(trials):
-        seed = base_seed + i
-        trial = _Trial(sample_realization(pattern_a, pattern_b, seed), tol)
-        zc = trial.zero_controllable()
-        if zc.verdict == zc_structural:
-            zc_agree += 1
-        else:
-            disagreeing.append(seed)
-        if not zc.consistent:
-            inconsistent += 1
-        if check_controllability:
-            ctrl = trial.controllable()
-            if ctrl.verdict == ctrl_structural:
-                ctrl_agree += 1
-            if not ctrl.consistent:
-                inconsistent += 1
+    n = pattern_a.n_rows
+    m = pattern_b.n_cols if pattern_b is not None else 0
+    chunk = max(1, _STACK_ENTRIES // max(1, n * n * (m + 1)))  # [C, A^n] is n by n(m + 1)
+    for start in range(base_seed, base_seed + trials, chunk):
+        seeds = range(start, min(start + chunk, base_seed + trials))
+        a, b = _sample(pattern_a, pattern_b, seeds, ValueSpec())
+        (image, hautus), *ctrl = _decide(a, b, tol, zc=True, ctrl=check_controllability)
+        zc = image & hautus
+        zc_agree += int(np.sum(zc == zc_structural))
+        disagreeing += [seed for seed, verdict in zip(seeds, zc) if verdict != zc_structural]
+        flagged = image != hautus  # a trial counts once, whichever check is inconsistent
+        for ctrl_image, ctrl_hautus in ctrl:
+            ctrl_agree += int(np.sum((ctrl_image & ctrl_hautus) == ctrl_structural))
+            flagged |= ctrl_image != ctrl_hautus
+        inconsistent += int(np.sum(flagged))
     return MonteCarloStats(
         trials=trials,
         base_seed=base_seed,

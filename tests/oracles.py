@@ -13,11 +13,14 @@ from functools import lru_cache
 import numpy as np
 
 from zerocontrol import (
+    MonteCarloStats,
     NumericCheck,
     PatternMatrix,
     Realization,
     ValueSpec,
     controllability_matrix,
+    is_generically_controllable,
+    is_generically_zero_controllable,
     numeric_rank,
 )
 from zerocontrol.graph import state_name
@@ -263,6 +266,32 @@ def oracle_is_zero_controllable_numeric(realization, tol=1e-8):
     a_pow_n = np.linalg.matrix_power(a, n) if n else np.zeros((0, 0))
     image_ok = numeric_rank(np.hstack([ctrb, a_pow_n])) == numeric_rank(ctrb)
     return _oracle_check(image_ok, _oracle_hautus_ok(a, b, _oracle_eigenvalues(a, tol)[1]))
+
+
+def oracle_monte_carlo_verify(pattern_a, pattern_b, trials, base_seed, tol=1e-8,
+                              check_controllability=False) -> MonteCarloStats:
+    """One realization at a time through the reference checks above; a trial
+    is flagged once when either of its checks is inconsistent."""
+    zc_structural = is_generically_zero_controllable(pattern_a, pattern_b).verdict
+    ctrl_structural = None
+    if check_controllability:
+        ctrl_structural = is_generically_controllable(pattern_a, pattern_b).verdict
+    zc_agree = ctrl_agree = flagged = 0
+    disagreeing = []
+    for seed in range(base_seed, base_seed + trials):
+        r = oracle_sample_realization(pattern_a, pattern_b, seed)
+        zc = oracle_is_zero_controllable_numeric(r, tol)
+        zc_agree += zc.verdict == zc_structural
+        if zc.verdict != zc_structural:
+            disagreeing.append(seed)
+        consistent = zc.consistent
+        if check_controllability:
+            ctrl = oracle_is_controllable_numeric(r, tol)
+            ctrl_agree += ctrl.verdict == ctrl_structural
+            consistent = consistent and ctrl.consistent
+        flagged += not consistent
+    return MonteCarloStats(trials, base_seed, zc_structural, zc_agree, flagged, tuple(disagreeing),
+                           ctrl_structural, ctrl_agree if check_controllability else None)
 
 
 def oracle_steering_to_dict(result) -> dict:

@@ -357,6 +357,8 @@ BAD_INPUTS = [
     (["verify", "example2.pat", "--drivers="], "empty driver list"),
     (["simulate", "example2.pat", "--drivers="], "empty driver list"),
     (["export-dot", "example2.pat", "--drivers="], "empty driver list"),
+    (["verify", "example1.pat", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["simulate", "example1.pat", "--seed", "-1"], "seed must be >= 0, got -1"),
 ]
 
 

@@ -4,7 +4,8 @@ Runs analyze, select and export-dot through ``run_cli`` on both fixtures and
 on a seeded corpus of random patterns, and hashes every stdout together with
 its exit code.  The digest was taken before the structural core was
 reorganised; any change to the printed results of these commands changes it.
-Numeric commands are left out because their floats depend on the BLAS build.
+Numeric commands are left out because their floats depend on the BLAS build;
+``NUMERIC_DIGEST`` below pins the counts that ``verify`` prints instead.
 """
 
 import hashlib
@@ -120,3 +121,61 @@ def test_select_prints_the_golden_output_on_tied_components(tmp_path, capsys):
             out = capsys.readouterr().out
             digest.update(f"{k} {' '.join(argv)} -> {code}\n{out}".encode())
     assert digest.hexdigest() == TIE_DIGEST
+
+
+NUMERIC_DIGEST = "0e2158598a765ebd6a927151dac2f0cbdbcf27a6861493e2fee84024c34b9eb3"
+
+NUMERIC_COMMANDS = (
+    ["verify", "--trials", "30", "--format", "json"],
+    ["verify", "--trials", "30", "--format", "json", "--check-controllability"],
+)
+
+
+def _numeric_corpus(seed: int = 11, count: int = 40):
+    """Random pairs with n <= 24, about 2n entries in A and 0-2 input columns
+    of 1 to n entries each; every fifth A is strictly lower triangular, so all
+    its eigenvalues are zero."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = int(rng.integers(1, 25))
+        entries = {
+            (int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)))
+            for _ in range(int(rng.integers(n, 3 * n + 1)))
+        }
+        if k % 5 == 4:
+            entries = {(i, j) for i, j in entries if i > j}
+        m = k % 3
+        b = None
+        if m:
+            b_entries = {
+                (int(rng.integers(1, n + 1)), j)
+                for j in range(1, m + 1)
+                for _ in range(int(rng.integers(1, n + 1)))
+            }
+            b = PatternMatrix(n, m, frozenset(b_entries))
+        out.append(serialize_pattern_file(PatternMatrix(n, n, frozenset(entries)), b))
+    return out
+
+
+def test_verify_prints_the_golden_counts(fixture_dir, tmp_path, capsys):
+    """The verify document holds counts only (agreements, flagged trials,
+    disagreeing seeds), so it hashes the rank decisions of 30 seeded
+    realizations per case.  Like any rank decision they may move with the
+    LAPACK build; the digest was taken with numpy 2.4 and its OpenBLAS.  It
+    was taken before the Monte Carlo trials were stacked, and stacking left
+    it unchanged.  It moved once since: ``inconsistent_trials`` counts a
+    trial once when both of its checks are inconsistent, which takes case
+    33 under --check-controllability from 19 flagged trials to 17."""
+    cases = [((fixture_dir / "example1.pat").read_text(encoding="utf-8"), [])]
+    cases.append(((fixture_dir / "example2.pat").read_text(encoding="utf-8"), ["--drivers", "x4,x8"]))
+    cases += [(text, []) for text in _numeric_corpus()]
+    digest = hashlib.sha256()
+    for k, (text, extra) in enumerate(cases):
+        path = tmp_path / f"v{k}.pat"
+        path.write_text(text, encoding="utf-8")
+        for argv in NUMERIC_COMMANDS:
+            code = run_cli([argv[0], str(path), *argv[1:], *extra])
+            out = capsys.readouterr().out
+            digest.update(f"{k} {' '.join(argv + extra)} -> {code}\n{out}".encode())
+    assert digest.hexdigest() == NUMERIC_DIGEST

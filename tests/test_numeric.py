@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from zerocontrol import numeric
 from zerocontrol import (
     PatternMatrix,
     Realization,
@@ -15,10 +18,13 @@ from zerocontrol import (
     sample_realization,
     steering_residual,
 )
-from conftest import EXAMPLE2_B_PER_DRIVER, random_pattern
+from conftest import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER, random_pattern
 from oracles import (
+    _oracle_eigenvalues,
+    _oracle_hautus_ok,
     oracle_is_controllable_numeric,
     oracle_is_zero_controllable_numeric,
+    oracle_monte_carlo_verify,
     oracle_sample_realization,
 )
 
@@ -217,21 +223,46 @@ def test_monte_carlo_shares_one_trial_between_the_checks():
         assert stats.zc_agreements == sum(zc.verdict == stats.zc_structural for zc, _ in checks)
         assert stats.ctrl_agreements == sum(c.verdict == stats.ctrl_structural for _, c in checks)
         assert stats.inconsistent_trials == sum(
-            (not zc.consistent) + (not c.consistent) for zc, c in checks
+            not (zc.consistent and c.consistent) for zc, c in checks
         )
 
 
+def _both_checks_inconsistent():
+    """A seeded pair whose trials 0-9 include 3 with both checks inconsistent
+    (rank C falls short numerically where every pencil has rank n)."""
+    rng = np.random.default_rng(8)
+    return random_pattern(rng, 16, 16, 3.0 / 16), random_pattern(rng, 16, 1, 0.3)
+
+
+def test_a_trial_is_flagged_once_when_both_checks_are_inconsistent():
+    a, b = _both_checks_inconsistent()
+    checks = [
+        (oracle_is_zero_controllable_numeric(r), oracle_is_controllable_numeric(r))
+        for r in (oracle_sample_realization(a, b, seed) for seed in range(10))
+    ]
+    assert sum(not zc.consistent and not c.consistent for zc, c in checks) == 3
+    stats = monte_carlo_verify(a, b, trials=10, base_seed=0, check_controllability=True)
+    assert stats.inconsistent_trials == sum(not (zc.consistent and c.consistent) for zc, c in checks)
+    assert stats.inconsistent_trials == 9
+
+
 def _svd_calls(monkeypatch):
-    """Record the dtype kind and shape of every SVD while the test runs."""
-    calls = []
+    """Record the input of every SVD call while the test runs, as a
+    (matrices, rows, cols) stack."""
+    stacks = []
     svd = np.linalg.svd
 
     def spy(matrix, *args, **kwargs):
-        calls.append((matrix.dtype.kind, matrix.shape))
+        stacks.append(np.array(matrix).reshape(-1, *matrix.shape[-2:]))
         return svd(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    return calls
+    return stacks
+
+
+def _matrices(stacks):
+    """The dtype kind and shape of each matrix of the recorded calls, in order."""
+    return [(stack.dtype.kind, stack.shape[1:]) for stack in stacks for _ in stack]
 
 
 def _last_over_cut(a, b, lam):
@@ -262,7 +293,7 @@ def test_guard_band_falls_back_to_the_complex_svd(case, monkeypatch):
     calls = _svd_calls(monkeypatch)
     check = is_zero_controllable_numeric(r)
     # after rank C and rank [C, A^n], the pencils in eigenvalue order
-    assert calls[2:] == expected
+    assert _matrices(calls)[2:] == expected
     assert check == oracle_is_zero_controllable_numeric(r)
     assert is_controllable_numeric(r) == oracle_is_controllable_numeric(r)
 
@@ -274,7 +305,7 @@ def test_pencils_outside_the_guard_band_are_decided_once(monkeypatch):
     check = is_zero_controllable_numeric(r)
     # after rank C and rank [C, A^n], one complex SVD for the pair +-i and a
     # real one at 0.5
-    assert sorted(calls[2:]) == [("c", (3, 4)), ("f", (3, 4))]
+    assert sorted(_matrices(calls)[2:]) == [("c", (3, 4)), ("f", (3, 4))]
     assert check == oracle_is_zero_controllable_numeric(r)
 
 
@@ -295,6 +326,142 @@ def test_hand_built_pencils_match_the_reference():
         r = make_realization(a, b)
         assert is_zero_controllable_numeric(r) == oracle_is_zero_controllable_numeric(r)
         assert is_controllable_numeric(r) == oracle_is_controllable_numeric(r)
+
+
+# --- stacked trials --------------------------------------------------------------------
+
+def _needed_classes(r, ctrl):
+    """The conjugate classes {lam, conj(lam)} of the eigenvalues that the
+    Hautus walks need, read off one complex SVD per eigenvalue: the zero
+    controllability walk covers the nonzero eigenvalues, the controllability
+    walk all of them, and each stops at its first rank-deficient pencil."""
+    eigenvalues, nonzero = _oracle_eigenvalues(r.a, 1e-8)
+    needed = set()
+    for walk in [nonzero] + ([eigenvalues] if ctrl else []):
+        for value in map(complex, walk):
+            needed.add(frozenset({value, value.conjugate()}))
+            if not _oracle_hautus_ok(r.a, r.b, [value]):
+                break
+    return needed
+
+
+def _pencils_by_trial(stacks, realizations):
+    """Attribute each recorded pencil [A - lam I, B] to the trial whose B and
+    off-diagonal entries of A it carries, and to the conjugate class of the
+    eigenvalue of that trial nearest to lam.  Other matrices are skipped."""
+    found = [[] for _ in realizations]
+    for stack in stacks:
+        for matrix in stack:
+            for k, r in enumerate(realizations):
+                n = r.n
+                if matrix.shape != (n, n + r.m):
+                    continue
+                off = ~np.eye(n, dtype=bool)
+                if np.array_equal(matrix[:, n:], r.b) and np.array_equal(matrix[:, :n][off], r.a[off]):
+                    lam = np.linalg.eigvals(r.a)
+                    value = complex(lam[np.argmin(np.abs(lam - (r.a[0, 0] - matrix[0, 0])))])
+                    found[k].append((frozenset({value, value.conjugate()}), matrix.dtype.kind))
+                    break
+    return found
+
+
+@pytest.mark.parametrize("ctrl", [False, True])
+def test_each_needed_pencil_class_takes_one_svd(ctrl, monkeypatch):
+    """Per trial, every conjugate class the walks need takes exactly one SVD
+    (real for a real eigenvalue, complex for a pair), and no other pencil is
+    decided: repeats and conjugates reuse, nothing runs past a walk's end."""
+    rng = np.random.default_rng(41)
+    chain = PatternMatrix(6, 6, frozenset((i + 1, i) for i in range(1, 6)))
+    cases = [(chain, PatternMatrix(6, 1, frozenset({(1, 1)})))]  # nilpotent, [A, B] full rank
+    for n, m in ((8, 1), (12, 2), (16, 1), (24, 1)):
+        cases.append((random_pattern(rng, n, n, 2.5 / n), random_pattern(rng, n, m, 0.3)))
+    complex_classes = 0
+    for k, (a, b) in enumerate(cases):
+        realizations = [oracle_sample_realization(a, b, 900 + k * 10 + i) for i in range(6)]
+        stacks = _svd_calls(monkeypatch)
+        monte_carlo_verify(a, b, trials=6, base_seed=900 + k * 10, check_controllability=ctrl)
+        monkeypatch.undo()
+        for r, pencils in zip(realizations, _pencils_by_trial(stacks, realizations)):
+            assert Counter(cls for cls, _ in pencils) == Counter(_needed_classes(r, ctrl))
+            for cls, kind in pencils:
+                assert kind == ("f" if len(cls) == 1 and next(iter(cls)).imag == 0 else "c")
+                complex_classes += len(cls) == 2
+            if k == 0:  # the repeated exact zeros take one real SVD under the controllability walk
+                assert pencils == ([(frozenset({0j}), "f")] if ctrl else [])
+    assert complex_classes > 0
+
+
+def test_stacked_calls_stay_under_the_entry_cap(monkeypatch):
+    """Every SVD and eigenvalue call holds at most the cap's entries, at the
+    default cap with n = 40, m = 2 and 100 trials, and at a small cap."""
+    rng = np.random.default_rng(42)
+    sizes = []
+    for name in ("svd", "eigvals"):
+        def spy(matrix, *args, _call=getattr(np.linalg, name), **kwargs):
+            sizes.append((matrix.size, matrix.shape))
+            return _call(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    for cap, n, m, trials in ((numeric._STACK_ENTRIES, 40, 2, 100), (5000, 12, 1, 40)):
+        monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
+        a, b = random_pattern(rng, n, n, 2.0 / n), random_pattern(rng, n, m, 0.3)
+        sizes.clear()
+        monte_carlo_verify(a, b, trials=trials, check_controllability=True)
+        assert max(size for size, _ in sizes) <= cap
+        assert any(len(shape) == 3 and shape[0] > 1 for _, shape in sizes)  # trials are stacked
+
+
+def _stacking_cases():
+    """Edge shapes (n = 0, n = 1, m = 0, all-zero A, nilpotent A), both
+    fixture pairs, a pair with both checks inconsistent, and seeded random
+    pairs with n up to 24."""
+    empty = PatternMatrix(0, 0, frozenset())
+    loop = PatternMatrix(1, 1, frozenset({(1, 1)}))
+    strict_lower = PatternMatrix(5, 5, frozenset({(2, 1), (3, 1), (4, 3), (5, 4)}))
+    cases = [
+        (empty, None), (empty, PatternMatrix(0, 2, frozenset())), (loop, None), (loop, loop),
+        (PatternMatrix.zeros(4, 4), PatternMatrix.zeros(4, 1)),
+        (PatternMatrix.zeros(4, 4), PatternMatrix(4, 1, frozenset({(2, 1)}))),
+        (strict_lower, PatternMatrix(5, 1, frozenset({(1, 1)}))), (strict_lower, None),
+        (EXAMPLE1_A, EXAMPLE1_B), (EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER), _both_checks_inconsistent(),
+    ]
+    rng = np.random.default_rng(43)
+    for k in range(8):
+        n = int(rng.integers(2, 25))
+        m = k % 3
+        cases.append((random_pattern(rng, n, n, 2.5 / n), random_pattern(rng, n, m, 0.3) if m else None))
+    return cases
+
+
+@pytest.mark.parametrize("ctrl", [False, True])
+def test_chunking_does_not_change_results(ctrl, monkeypatch):
+    """Every MonteCarloStats field is the same with one trial per chunk, with
+    chunks of three (so a boundary falls after an odd trial) and with the
+    default cap, and equals the one-realization-at-a-time reference."""
+    default = numeric._STACK_ENTRIES
+    for k, (a, b) in enumerate(_stacking_cases()):
+        n, m = a.n_rows, b.n_cols if b is not None else 0
+        trials = 1 if k % 4 == 0 else 10
+        expected = oracle_monte_carlo_verify(a, b, trials, 500 + k, check_controllability=ctrl)
+        for cap in (default, 1, 3 * max(1, n * n * (m + 1))):
+            monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
+            got = monte_carlo_verify(a, b, trials=trials, base_seed=500 + k, check_controllability=ctrl)
+            assert got == expected, (k, cap)
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                monte_carlo_verify(a, b, trials=trials, tol=bad, check_controllability=ctrl)
+
+
+def test_negative_seeds_are_refused_before_any_work(example1_a, example1_b, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(numeric, "is_generically_zero_controllable", no_work)
+    monkeypatch.setattr(numeric, "_sample", no_work)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        sample_realization(example1_a, example1_b, seed=-1)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+        monte_carlo_verify(example1_a, example1_b, trials=5, base_seed=-3)
 
 
 # --- eigenvalue counting -------------------------------------------------------------
