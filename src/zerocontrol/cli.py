@@ -298,6 +298,8 @@ def run_cli(argv=None) -> int:
             code, error = args.handler(args), []
         except (OSError, PatternFormatError, ValueError) as exc:
             code, error = 2, [f"error: {exc}"]
+        except MemoryError as exc:
+            code, error = 2, [f"error: out of memory ({str(exc) or 'allocation failed'})"]
     for line in [f"warning: {w.message}" for w in caught] + error:
         print(line, file=sys.stderr)
     return code

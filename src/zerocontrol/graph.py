@@ -37,10 +37,13 @@ def vertex_index(name: str) -> int:
     return int(m.group(2))
 
 
-def sort_vertices(names: Iterable[str]) -> list[str]:
-    """Sort vertex names by kind then numeric index (x before u is irrelevant;
-    kinds never mix in reports)."""
-    return sorted(names, key=lambda v: (v[0], vertex_index(v)))
+def _csr_of(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
+    """The edges, sorted by source and then destination, as the arrays
+    (src, dst) and as flat lists (indptr, indices) in which state v's
+    successors are indices[indptr[v]:indptr[v + 1]] (states index 1..n)."""
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
+    return src, dst, indptr.tolist(), dst.tolist()
 
 
 @dataclass(frozen=True)
@@ -66,13 +69,11 @@ class SystemGraph:
         return tuple(input_name(j) for j in range(1, self.n_inputs + 1))
 
     @cached_property
-    def state_successors(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted successor lists; index 0 is padding so states index 1..n."""
-        return _successors(self.state_edges, self.n_states)
-
-    @cached_property
-    def input_successors(self) -> tuple[tuple[int, ...], ...]:
-        return _successors(self.input_edges, self.n_inputs)
+    def _csr(self) -> tuple:
+        """The state subgraph's ``_csr_of``; ``build_graph`` fills it in from
+        the pattern's sorted entries."""
+        edges = np.array(sorted(self.state_edges), dtype=np.int64).reshape(-1, 2)
+        return _csr_of(self.n_states, edges[:, 0], edges[:, 1])
 
     @cached_property
     def condensation(self) -> SccDecomposition:
@@ -91,14 +92,6 @@ class SystemGraph:
         return kind, idx
 
 
-def _successors(edges: frozenset[tuple[int, int]], count: int) -> tuple[tuple[int, ...], ...]:
-    """Each source's destinations, ascending; index 0 is padding."""
-    succ: list[list[int]] = [[] for _ in range(count + 1)]
-    for s, d in edges:
-        succ[s].append(d)
-    return tuple(tuple(sorted(lst)) for lst in succ)
-
-
 def build_graph(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None) -> SystemGraph:
     """Assemble the system digraph from a square state pattern and an optional
     input pattern with matching row count."""
@@ -111,23 +104,28 @@ def build_graph(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None
             f"input pattern has {pattern_b.n_rows} rows, expected {pattern_a.n_rows} "
             f"to match the {pattern_a.n_rows}x{pattern_a.n_cols} state pattern"
         )
-    state_edges = frozenset((j, i) for i, j in pattern_a.nonzeros)
-    if pattern_b is None:
-        return SystemGraph(pattern_a.n_rows, 0, state_edges, frozenset())
-    input_edges = frozenset((j, i) for i, j in pattern_b.nonzeros)
-    return SystemGraph(pattern_a.n_rows, pattern_b.n_cols, state_edges, input_edges)
+    rows, cols = pattern_a._coords  # by column, then row: by source, then destination
+    graph = SystemGraph(
+        pattern_a.n_rows,
+        0 if pattern_b is None else pattern_b.n_cols,
+        frozenset(zip(cols.tolist(), rows.tolist())),
+        frozenset() if pattern_b is None else frozenset((j, i) for i, j in pattern_b.nonzeros),
+    )
+    graph.__dict__["_csr"] = _csr_of(pattern_a.n_rows, cols, rows)
+    return graph
 
 
 def _reach_states(graph: SystemGraph, seeds: Iterable[int]) -> bytearray:
     """reached[v] is 1 for every state v on a walk from a seed state (the
     seeds included); index 0 is padding."""
+    _, _, indptr, indices = graph._csr
     reached = bytearray(graph.n_states + 1)
     frontier = list(seeds)
     while frontier:
         v = frontier.pop()
         if not reached[v]:
             reached[v] = 1
-            frontier.extend(graph.state_successors[v])
+            frontier += indices[indptr[v]:indptr[v + 1]]
     return reached
 
 
@@ -140,7 +138,7 @@ def reachable_from(graph: SystemGraph, sources: Iterable[str]) -> frozenset[str]
     """
     seeds: list[int] = []
     for kind, idx in {graph.resolve(name) for name in sources}:
-        seeds.extend((idx,) if kind == "x" else graph.input_successors[idx])
+        seeds.extend((idx,) if kind == "x" else (d for s, d in graph.input_edges if s == idx))
     reached = _reach_states(graph, seeds)
     return frozenset(state_name(v) for v in range(1, graph.n_states + 1) if reached[v])
 
@@ -151,24 +149,52 @@ class SccDecomposition:
     components, with the component order induced by reachability.
 
     Components are numbered by their smallest member, so labels are stable;
-    ``_comp_of[v]`` is the component of state v (index 0 is padding).
-    ``order`` is the full (transitively closed) relation: (a, b) present means
-    some vertex of component a has a walk to component b.  ``covering_order``
-    is its transitive reduction, handy for drawing.  Both are built on first
-    use from the condensation's direct successors, taken in Tarjan's
-    emission order (each component after every component it reaches).
+    ``_comp_of[v]`` is the component of state v (index 0 is padding).  The
+    condensation's direct edges from component a lead to the ascending
+    ``_successors[a]``, which are ``_heads[_cuts[a]:_cuts[a + 1]]``, and
+    ``_sinks_first`` lists the components in Tarjan's emission order (each
+    after every component it reaches).  Everything else is built on first
+    use: ``components`` names the members; ``order`` is the full
+    (transitively closed) relation, (a, b) present meaning that some vertex
+    of component a has a walk to component b; ``covering_order`` is its
+    transitive reduction, handy for drawing.
     """
 
-    components: tuple[frozenset[str], ...]
     nontrivial: tuple[bool, ...]
-    _successors: tuple[tuple[int, ...], ...]
-    _sinks_first: tuple[int, ...]
     _comp_of: tuple[int, ...]
+    _heads: tuple[int, ...]
+    _cuts: tuple[int, ...]
+    _sinks_first: tuple[int, ...]
+
+    @cached_property
+    def _members(self) -> tuple[tuple[int, ...], ...]:
+        """Each component's states, ascending."""
+        comp = np.array(self._comp_of[1:], dtype=np.int64)
+        order = np.argsort(comp, kind="stable")  # states by component, ascending within
+        cuts = np.searchsorted(comp[order], np.arange(len(self.nontrivial) + 1)).tolist()
+        states = (order + 1).tolist()
+        return tuple(tuple(states[cuts[k]:cuts[k + 1]]) for k in range(len(self.nontrivial)))
+
+    def _named(self, k: int) -> frozenset[str]:
+        """Component k's members as vertex names, built on first use."""
+        names = self.__dict__.setdefault("_names", {})
+        if k not in names:
+            names[k] = frozenset(map(state_name, self._members[k]))
+        return names[k]
+
+    @cached_property
+    def components(self) -> tuple[frozenset[str], ...]:
+        return tuple(map(self._named, range(len(self.nontrivial))))
+
+    @cached_property
+    def _successors(self) -> tuple[tuple[int, ...], ...]:
+        cuts = self._cuts
+        return tuple(self._heads[cuts[a]:cuts[a + 1]] for a in range(len(self.nontrivial)))
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:
         """Bitmask of the components each component strictly reaches."""
-        reach = [0] * len(self.components)
+        reach = [0] * len(self.nontrivial)
         for a in self._sinks_first:
             for b in self._successors[a]:
                 reach[a] |= (1 << b) | reach[b]
@@ -203,72 +229,71 @@ class SccDecomposition:
     def label(self, k: int) -> str:
         return f"C{k + 1}"
 
-    def nontrivial_components(self) -> tuple[frozenset[str], ...]:
-        return tuple(c for c, nt in zip(self.components, self.nontrivial) if nt)
-
 
 def scc_decompose(graph: SystemGraph) -> SccDecomposition:
-    """Tarjan's algorithm on the state subgraph (input vertices are ignored),
-    followed by the condensation's direct edges."""
+    """Tarjan's algorithm on the state subgraph's CSR (input vertices are
+    ignored), with an explicit DFS path, followed by the condensation's
+    direct edges."""
     n = graph.n_states
-    succ = graph.state_successors
-    index = [0] * (n + 1)  # 0 = unvisited; discovery indices start at 1
-    lowlink = [0] * (n + 1)
-    on_stack = [0] * (n + 1)  # 1 + position on the stack, 0 when off it
-    stack: list[int] = []
-    counter = 1
-    raw_components: list[list[int]] = []
-
+    src, dst, indptr, indices = graph._csr
+    index = [0] * (n + 1)  # discovery order from 1; 0 = unvisited
+    low = [0] * (n + 1)
+    emitted = [-1] * (n + 1)  # component in emission order; -1 until emitted
+    scan = indptr[:]  # each vertex's next edge to look at
+    stack: list[int] = []  # visited and not yet emitted
+    path: list[int] = []
+    counter = emissions = 0
     for root in range(1, n + 1):
         if index[root]:
             continue
-        # explicit recursion stack: (vertex, iterator position)
-        work = [(root, 0)]
-        while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = len(stack)
-            advanced = False
-            for k in range(pos, len(succ[v])):
-                w = succ[v][k]
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        path.append(root)
+        while path:
+            v = path[-1]
+            k, end, low_v = scan[v], indptr[v + 1], low[v]
+            while k < end:
+                w = indices[k]
+                k += 1
                 if not index[w]:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    advanced = True
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
+                if index[w] < low_v and emitted[w] < 0:
+                    low_v = index[w]
+            else:  # every successor is done, so v leaves the path
+                path.pop()
+                low[v] = low_v
+                if low_v == index[v]:  # v roots a component
+                    w = 0
+                    while w != v:
+                        w = stack.pop()
+                        emitted[w] = emissions
+                    emissions += 1
+                elif low_v < low[path[-1]]:
+                    low[path[-1]] = low_v
                 continue
-            if lowlink[v] == index[v]:
-                comp = stack[on_stack[v] - 1:]
-                del stack[on_stack[v] - 1:]
-                for w in comp:
-                    on_stack[w] = 0
-                raw_components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            low[v], scan[v] = low_v, k
+            counter += 1
+            index[w] = low[w] = counter
+            stack.append(w)
+            path.append(w)
 
-    emitted = [comp[0] for comp in raw_components]  # sinks first
-    raw_components.sort(key=min)
-    comp_of = [0] * (n + 1)
-    for k, comp in enumerate(raw_components):
-        for v in comp:
-            comp_of[v] = k
-
-    direct: list[set[int]] = [set() for _ in raw_components]  # own id on an inner edge
-    for s, d in graph.state_edges:
-        direct[comp_of[s]].add(comp_of[d])
-
-    components = tuple(frozenset(state_name(v) for v in comp) for comp in raw_components)
-    nontrivial = tuple(len(comp) > 1 or k in direct[k] for k, comp in enumerate(raw_components))
-    successors = tuple(tuple(d - {k}) for k, d in enumerate(direct))
-    sinks_first = tuple(comp_of[v] for v in emitted)
-    return SccDecomposition(components, nontrivial, successors, sinks_first, tuple(comp_of))
+    emitted_states = np.array(emitted[1:], dtype=np.int64)
+    first_states = np.unique(emitted_states, return_index=True)[1]
+    label = np.argsort(np.argsort(first_states))  # numbered by smallest member
+    comp = np.concatenate(([-1], label[emitted_states]))
+    nontrivial = np.bincount(comp[1:], minlength=emissions) > 1
+    nontrivial[comp[src[src == dst]]] = True
+    a, b = comp[src], comp[dst]
+    cross = np.sort(a[a != b] * emissions + b[a != b])  # by (a, b); np.unique loads numpy.ma
+    cross = cross[np.diff(cross, prepend=-1) > 0]
+    return SccDecomposition(
+        nontrivial=tuple(nontrivial.tolist()),
+        _comp_of=tuple(comp.tolist()),
+        _heads=tuple((cross % emissions).tolist()),
+        _cuts=tuple(np.searchsorted(cross // emissions, np.arange(emissions + 1)).tolist()),
+        _sinks_first=tuple(label.tolist()),
+    )
 
 
 def has_cycle(graph: SystemGraph) -> bool:
@@ -285,35 +310,35 @@ def find_cycle(
     Deterministic: prefers the smallest self-loop, then the shortest cycle
     through the smallest vertex of the first nontrivial component.
     """
-    allowed = set(range(1, graph.n_states + 1)) if within is None else set()
+    excluded = bytearray(b"\x00" if within is None else b"\x01") * (graph.n_states + 1)
     for name in within or ():
         kind, idx = graph.resolve(name)
         if kind != "x":
             raise ValueError(f"cycle search is over states, got {name!r}")
-        allowed.add(idx)
+        excluded[idx] = 0
 
-    induced = frozenset((s, d) for s, d in graph.state_edges if s in allowed and d in allowed)
+    induced = frozenset((s, d) for s, d in graph.state_edges if not (excluded[s] or excluded[d]))
     subgraph = SystemGraph(graph.n_states, 0, induced, frozenset())
     first = next((k for k, nt in enumerate(subgraph.condensation.nontrivial) if nt), None)
-    return None if first is None else _cycle_witness(subgraph, sorted(allowed), first)
+    return None if first is None else _cycle_witness(subgraph, excluded, first)
 
 
 def _cycle_witness(
-    graph: SystemGraph, candidates: list[int], first: int
+    graph: SystemGraph, excluded: bytearray, first: int
 ) -> tuple[tuple[str, str], ...]:
-    """The smallest self-loop among the ascending ``candidates``, otherwise the
-    shortest cycle through the smallest member of the graph's component
-    ``first`` (whose members are all candidates): BFS back to it inside the
+    """The smallest self-loop on a state that is not ``excluded``, otherwise
+    the shortest cycle through the smallest member of the graph's component
+    ``first`` (no member of which is excluded): BFS back to it inside its
     component, visiting successors in ascending order."""
-    loop = next((v for v in candidates if (v, v) in graph.state_edges), 0)
-    allowed = {loop} if loop else {v for v in candidates if graph.condensation._comp_of[v] == first}
-    start = min(allowed)
+    src, dst, indptr, indices = graph._csr
+    comp_of = graph.condensation._comp_of
+    start = next((v for v in src[src == dst].tolist() if not excluded[v]), 0) or comp_of.index(first)
     parent: dict[int, int] = {start: 0}
     queue = [start]
     while True:
         next_queue = []
         for v in queue:
-            for w in graph.state_successors[v]:
+            for w in indices[indptr[v]:indptr[v + 1]]:
                 if w == start:
                     cycle = [start]  # start, v, parents of v .. start
                     while v:
@@ -321,7 +346,7 @@ def _cycle_witness(
                         v = parent[v]
                     names = [state_name(x) for x in reversed(cycle)]
                     return tuple(zip(names, names[1:]))
-                if w in allowed and w not in parent:
+                if comp_of[w] == comp_of[start] and w not in parent:
                     parent[w] = v
                     next_queue.append(w)
         queue = next_queue
@@ -416,7 +441,8 @@ def entry_paths(
             raise ValueError(f"index {name}={idx} out of range 1..{n}")
 
     graph = build_graph(pattern_a)
-    succ = graph.state_successors
+    _, _, indptr, indices = graph._csr
+    succ = [indices[indptr[v]:indptr[v + 1]] for v in range(n + 1)]
     total = _count_walks(succ, j, i, k, n)
     if total > max_monomials:
         raise WalkCountError(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,17 +35,30 @@ class PatternMatrix:
             raise ValueError(f"negative dimensions: {self.n_rows}x{self.n_cols}")
         nz = frozenset((int(i), int(j)) for i, j in self.nonzeros)
         object.__setattr__(self, "nonzeros", nz)
-        for i, j in sorted(nz):
-            if not 1 <= i <= self.n_rows:
-                raise ValueError(
-                    f"row {i} out of range for a {self.n_rows}x{self.n_cols} pattern"
-                )
-            if not 1 <= j <= self.n_cols:
-                raise ValueError(
-                    f"column {j} out of range for a {self.n_rows}x{self.n_cols} pattern"
-                )
+        bad = [(i, j) for i, j in nz if not (1 <= i <= self.n_rows and 1 <= j <= self.n_cols)]
+        if bad:  # the first in sorted order, its row before its column
+            i, j = min(bad)
+            what, value = ("row", i) if not 1 <= i <= self.n_rows else ("column", j)
+            raise ValueError(f"{what} {value} out of range for a {self.n_rows}x{self.n_cols} pattern")
+
+    @cached_property
+    def _coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the entries as int64 arrays, sorted by column
+        and then by row."""
+        entries = np.array(list(self.nonzeros), dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort(entries.T)
+        return entries[order, 0], entries[order, 1]
 
     # --- constructors ---
+
+    @classmethod
+    def _trusted(cls, n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray) -> "PatternMatrix":
+        """A pattern from distinct in-range entries already sorted as in
+        ``_coords``, which it keeps, without the checks of ``__post_init__``."""
+        pattern = object.__new__(cls)
+        pattern.__dict__.update(n_rows=n_rows, n_cols=n_cols, _coords=(rows, cols),
+                                nonzeros=frozenset(zip(rows.tolist(), cols.tolist())))
+        return pattern
 
     @classmethod
     def from_entries(

@@ -29,17 +29,14 @@ def is_structurally_nilpotent(pattern_a: PatternMatrix) -> bool:
     if not pattern_a.is_square:
         raise ValueError("nilpotency is only defined for square patterns")
     n = pattern_a.n_rows
-    succ: list[list[int]] = [[] for _ in range(n + 1)]
-    indegree = [0] * (n + 1)
-    for i, j in pattern_a.nonzeros:  # edge x_j -> x_i
-        succ[j].append(i)
-        indegree[i] += 1
+    _, dst, indptr, indices = build_graph(pattern_a)._csr
+    indegree = np.bincount(dst, minlength=n + 1).tolist()
     ready = [v for v in range(1, n + 1) if indegree[v] == 0]
     removed = 0
     while ready:
         v = ready.pop()
         removed += 1
-        for w in succ[v]:
+        for w in indices[indptr[v]:indptr[v + 1]]:
             indegree[w] -= 1
             if indegree[w] == 0:
                 ready.append(w)
@@ -189,8 +186,8 @@ def _obstruction(graph: SystemGraph, seeds: Iterable[int]) -> ZcReport:
         verdict=not blocking,
         reachable_states=frozenset(state_name(v) for v in range(1, len(reached)) if reached[v]),
         unreachable_states=frozenset(map(state_name, unreached)),
-        cycle_witness=_cycle_witness(graph, unreached, blocking[0]) if blocking else None,
-        nontrivial_unreachable_components=tuple(scc.components[k] for k in blocking),
+        cycle_witness=_cycle_witness(graph, reached, blocking[0]) if blocking else None,
+        nontrivial_unreachable_components=tuple(map(scc._named, blocking)),
     )
 
 

@@ -8,6 +8,7 @@ sides of every check stay independent.
 from __future__ import annotations
 
 import itertools
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +24,9 @@ from zerocontrol import (
     is_generically_zero_controllable,
     numeric_rank,
 )
+from zerocontrol.fileio import PatternFormatError
 from zerocontrol.graph import state_name
+from zerocontrol.patterns import DuplicateEntryWarning
 
 
 def max_matching_size(n_rows: int, cols_of_row, n_cols: int) -> int:
@@ -173,6 +176,77 @@ def oracle_minimum_driver_sets(pattern: PatternMatrix) -> tuple[int, list[frozen
     raise AssertionError("the full vertex set is always valid")
 
 
+_SIZE_NAMES = {"n": "size 'n'", "m": "input count 'm'"}
+
+
+def oracle_parse_pattern_file(text: str) -> tuple[PatternMatrix, PatternMatrix | None]:
+    """The per-line parser, kept as the reference for the bulk one: every
+    line is split and checked in file order."""
+    sizes: dict[str, int] = {}  # 'n' and 'm', once declared
+    entries: dict[str, set[tuple[int, int]]] = {"a": set(), "b": set()}
+
+    def parse_int(token: str, line_no: int, what: str) -> int:
+        digits = token[1:] if token[0] in "+-" else token
+        if not (digits.isascii() and digits.isdigit()):  # int() also takes '1_0' and '\u0663'
+            raise PatternFormatError(line_no, f"{what} must be an integer, got {token!r}")
+        return int(token)
+
+    # lines end at '\n', '\r\n' or '\r' only; str.splitlines also breaks at
+    # '\x0b', '\x0c', '\x1c'-'\x1e', '\x85', '\u2028' and '\u2029'
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        keyword = tokens[0]
+
+        if keyword in _SIZE_NAMES:
+            if keyword == "m" and "n" not in sizes:
+                raise PatternFormatError(line_no, "'m' before the size declaration 'n'")
+            if keyword in sizes:
+                raise PatternFormatError(line_no, f"{_SIZE_NAMES[keyword]} declared twice")
+            if len(tokens) != 2:
+                raise PatternFormatError(line_no, f"expected '{keyword} <int>', got {line!r}")
+            size = sizes[keyword] = parse_int(tokens[1], line_no, keyword)
+            if size < 0:
+                raise PatternFormatError(line_no, f"{keyword} must be >= 0, got {size}")
+        elif keyword in entries:
+            if "n" not in sizes:
+                raise PatternFormatError(line_no, "entry before the size declaration 'n'")
+            if len(tokens) != 3:
+                raise PatternFormatError(line_no, f"expected '{keyword} <row> <col>', got {line!r}")
+            i = parse_int(tokens[1], line_no, "row")
+            j = parse_int(tokens[2], line_no, "column")
+            entry = f"'{keyword} {i} {j}'"
+            columns = "n" if keyword == "a" else "m"
+            if keyword == "b" and not sizes.get("m"):
+                raise PatternFormatError(
+                    line_no, f"entry {entry} needs a prior 'm' declaration with m >= 1"
+                )
+            for what, value, bound in (("row", i, "n"), ("column", j, columns)):
+                if value < 1:
+                    raise PatternFormatError(line_no, f"{what} {value} must be >= 1 in entry {entry}")
+                if value > sizes[bound]:
+                    raise PatternFormatError(
+                        line_no, f"{what} {value} exceeds {bound}={sizes[bound]} in entry {entry}"
+                    )
+            if (i, j) in entries[keyword]:
+                warnings.warn(
+                    f"line {line_no}: duplicate entry {entry} collapsed", DuplicateEntryWarning
+                )
+            entries[keyword].add((i, j))
+        else:
+            raise PatternFormatError(line_no, f"unknown directive {keyword!r}")
+
+    if "n" not in sizes:
+        raise PatternFormatError(None, "missing size declaration 'n'")
+    n, m = sizes["n"], sizes.get("m", 0)
+    pattern_a = PatternMatrix(n, n, frozenset(entries["a"]))
+    pattern_b = PatternMatrix(n, m, frozenset(entries["b"])) if m > 0 else None
+    return pattern_a, pattern_b
+
+
 def oracle_find_cycle(graph, within=None):
     """Cycle witness by brute force: the smallest self-loop in ``within``,
     else a BFS from every allowed vertex in ascending order until one leads
@@ -183,13 +257,14 @@ def oracle_find_cycle(graph, within=None):
     for v in sorted(allowed):
         if (v, v) in graph.state_edges:
             return ((state_name(v), state_name(v)),)
+    successors = {v: sorted(d for s, d in graph.state_edges if s == v) for v in allowed}
     for start in sorted(allowed):
         parent = {start: 0}
         queue = [start]
         while queue:
             next_queue = []
             for v in queue:
-                for w in graph.state_successors[v]:
+                for w in successors[v]:
                     if w not in allowed:
                         continue
                     if w == start:

@@ -245,6 +245,36 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "row 6 exceeds n=5" in captured.err
 
 
+@pytest.mark.parametrize("command", ["analyze", "select", "export-dot"])
+def test_out_of_memory_exits_2_with_one_line(command, example2_path, monkeypatch, capsys):
+    def exhausted(*args, detail=""):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr("zerocontrol.graph._csr_of", lambda *args: exhausted(detail="Unable to allocate"))
+    assert run_cli([command, example2_path]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory (Unable to allocate)\n")
+    monkeypatch.setattr("zerocontrol.cli._cmd_analyze", exhausted)
+    assert run_cli(["analyze", example2_path]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory (allocation failed)\n")
+
+
+def test_a_size_past_the_address_space_exits_2(tmp_path):
+    """n = 10^11 states need an 800 GB CSR; under a 4 GB address-space limit
+    the allocation fails at once, without touching memory."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.pat"
+    path.write_text("n 100000000000\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerocontrol.cli", "analyze", str(path)], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory (") and proc.stderr.count("\n") == 1
+
+
 def test_usage_error_exits_2():
     assert run_cli(["frobnicate"]) == 2
     assert run_cli([]) == 2
@@ -278,6 +308,31 @@ def test_subcommands_do_not_import_scipy(argv, fixture_dir):
         f"    code = run_cli({argv!r})\n"
         "assert code in (0, 1), code\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "example1.pat"], ["select", "example2.pat", "--enumerate"],
+     ["export-dot", "example2.pat", "--drivers", "x4,x8"]],
+    ids=lambda argv: argv[0],
+)
+def test_structural_commands_load_no_numpy_submodule(argv, fixture_dir):
+    """The structural path needs nothing that importing the CLI did not load
+    (np.unique without its index outputs, for one, would load numpy.ma)."""
+    argv = [argv[0], str(fixture_dir / argv[1]), *argv[2:]]
+    script = (
+        "import contextlib, io, sys\n"
+        "from zerocontrol.cli import run_cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    run_cli({argv!r})\n"
+        "loaded = [m for m in set(sys.modules) - before if m.startswith(('numpy', 'scipy'))]\n"
+        "assert not loaded, loaded\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

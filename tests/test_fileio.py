@@ -1,5 +1,7 @@
+import warnings
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerocontrol import (
@@ -8,8 +10,10 @@ from zerocontrol import (
     parse_pattern_file,
     serialize_pattern_file,
 )
+from zerocontrol.fileio import _parse_bulk
 from zerocontrol.patterns import DuplicateEntryWarning
 from conftest import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE2_A
+from oracles import oracle_parse_pattern_file
 
 
 def test_parse_example1_fixture(fixture_dir, example1_a, example1_b):
@@ -243,3 +247,100 @@ def test_b_pattern_document_round_trip():
 
     bp = build_b_pattern(11, {"x4", "x8"}, "per_driver")
     assert b_pattern_from_dict(b_pattern_to_dict(bp)) == bp
+
+
+# --- the bulk parser against the per-line reference ----------------------------
+
+ODD_INTEGERS = ["+1", "+2", "-0", "007", "1_0", "\u0663", "\uff12", "+-1", "1-", "--2", "x",
+                "1" * 25, "9" * 18, "+" + "9" * 17, ""]
+PLAIN_BLANKS = [" ", "\t", "  \t"]
+# str.split() separates at these as well, so a line may use them between tokens
+ODD_BLANKS = ["\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
+@st.composite
+def pattern_texts(draw):
+    """Files of every shape: plain ones (which the bulk parser reads) with
+    duplicates and out-of-range entries, and odd ones with signed, non-ASCII
+    or oversized integers, Unicode blanks, unknown directives, wrong token
+    counts and shuffled directives.  Any newline style and an optional BOM."""
+    odd = draw(st.booleans())
+    blank = st.sampled_from(PLAIN_BLANKS + ODD_BLANKS if odd else PLAIN_BLANKS)
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 2))
+
+    def index(bound):  # mostly in range
+        outliers = ["0", str(bound + 1)] + (ODD_INTEGERS if odd else [])
+        return draw(st.sampled_from([str(k) for k in range(1, bound + 1)] * 40 + outliers))
+
+    directives = [["n", str(n)]] + ([["m", str(m)]] if m or draw(st.booleans()) else [])
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from("aaab" if m else "a"))
+        directives.append([kind, index(n), index(n if kind == "a" else m)])
+    if odd:  # each deviation in about one file of four
+        if draw(st.integers(0, 3)) == 0:
+            directives = draw(st.permutations(directives))
+        if draw(st.integers(0, 3)) == 0:
+            tokens = draw(st.sampled_from(directives))
+            if draw(st.booleans()):
+                tokens.append(index(n))
+            else:
+                tokens.pop()
+        if draw(st.integers(0, 3)) == 0:
+            directives.insert(draw(st.integers(0, len(directives))), [draw(st.sampled_from("qNa1"))])
+    lines = []
+    for tokens in directives:
+        joined = "".join(t + draw(blank) for t in tokens[:-1]) + (tokens[-1] if tokens else "")
+        comment = draw(st.sampled_from(["", "", " # note", "#é", "\t#a 1 1"]))
+        lines.append(draw(st.sampled_from(["", "", " ", "\t"])) + joined + comment)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# header \u2028 a 1 1", "#"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    body = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return draw(st.sampled_from(["", "\ufeff"])) + body
+
+
+def parse_outcome(parse, text):
+    """The patterns or the error of a parse, with the warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except PatternFormatError as exc:
+            result = (str(exc), exc.line_no)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_parses_like_the_reference(text):
+    outcome = parse_outcome(parse_pattern_file, text)
+    assert outcome == parse_outcome(oracle_parse_pattern_file, text)
+    if isinstance(outcome[0][0], PatternMatrix):
+        for pattern in filter(None, outcome[0]):
+            rows, cols = pattern._coords
+            assert list(zip(rows.tolist(), cols.tolist())) == sorted(
+                pattern.nonzeros, key=lambda e: (e[1], e[0])
+            )
+
+
+@settings(max_examples=400, deadline=None)
+@given(pattern_texts())
+def test_bulk_parser_matches_the_line_reference(text):
+    assert_parses_like_the_reference(text)
+
+
+@pytest.mark.parametrize("text", [t for t, _ in PARSE_ERRORS] + [
+    "n 2\na 1 2\na 1 2\n", "n 2\nm 1\nb 2 1\n\nb 2 1\na 2 2\na 2 2\n", "n 3\na 1 2 # x\na 1\xa02\n",
+    "n 1\na\u30001\u20281\n", "n 99999999999999999999\n", "n 1\na +1 01\n", "n 2\na 1 1 a 2 2\n",
+    "n 2\nm 1\nm 1\n", "n 2\nb 1 1\nm 1\n", "n 2\na 1 1\nn 2\n", "\ufeff\ufeffn 1\n", "n 1\n\x1c\n",
+])
+def test_malformed_and_odd_files_match_the_line_reference(text):
+    assert_parses_like_the_reference(text)
+
+
+def test_plain_files_take_the_bulk_path(fixture_dir):
+    texts = [(fixture_dir / name).read_text() for name in ("example1.pat", "example2.pat")]
+    texts += [serialize_pattern_file(a, b) for a, b in ((EXAMPLE1_A, EXAMPLE1_B), (EXAMPLE2_A, None))]
+    texts += ["n 0\n", "n 3\r\nm 2\r\n\tb 3 +2  # c\r\na 1 1\r\nb 1 1", "# é\nn 2\na 2 1\n"]
+    for text in texts:
+        assert _parse_bulk(text.replace("\r\n", "\n")) is not None, text
+    for text in ("n 2\na 1 1\na 1 1\n", "n 2\na 1\xa01\n", "n 1_0\n", "m 1\nn 2\n", "n 2\nb 1 1\n"):
+        assert _parse_bulk(text) is None, text

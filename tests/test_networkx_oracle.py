@@ -231,3 +231,76 @@ def test_minimum_driver_set_size_matches_milp():
         ds = minimal_driver_set(a, exact_cap=80)
         assert ds.valid and ds.minimal
         assert ds.size == _milp_optimum(a)
+
+
+# --- the CSR Tarjan at scale ---------------------------------------------------------
+
+def _path(n):
+    return {(i + 1, i) for i in range(1, n)}
+
+
+def _hamiltonian_cycle_with_chords(n):
+    rng = np.random.default_rng(7)
+    chords = zip(rng.integers(1, n + 1, size=n // 2).tolist(), rng.integers(1, n + 1, size=n // 2).tolist())
+    return {(i % n + 1, i) for i in range(1, n + 1)} | set(chords)
+
+
+def _chains_ending_in_cycles(n, length=1000):
+    # chain x(s) -> ... -> x(s+length-1), whose last three states form a cycle
+    entries = set()
+    for s in range(1, n + 1, length):
+        e = min(s + length, n + 1) - 1
+        entries |= {(i + 1, i) for i in range(s, e)} | ({(e - 2, e)} if e - 2 >= s else set())
+    return entries
+
+
+def _bidiagonal_plus_corner(n):
+    return {(i, i) for i in range(1, n + 1)} | {(i + 1, i) for i in range(1, n)} | {(1, n)}
+
+
+def _assert_condensation_matches_networkx(n, entries):
+    """Our condensation against networkx's partition, with the condensation's
+    edges read off the state edges between its components."""
+    dst, src = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T  # x_src -> x_dst
+    order = np.lexsort((dst, src))  # the pattern's entry order, which the graph keeps
+    scc = build_graph(PatternMatrix._trusted(n, n, dst[order], src[order])).condensation
+    comp = np.array(scc._comp_of)
+    g = nx.DiGraph()
+    g.add_nodes_from(range(1, n + 1))
+    g.add_edges_from(zip(src.tolist(), dst.tolist()))
+    theirs = np.zeros(n + 1, dtype=np.int64)
+    for k, members in enumerate(nx.strongly_connected_components(g)):
+        theirs[list(members)] = k
+    loops = np.fromiter(nx.nodes_with_selfloops(g), dtype=np.int64)
+    del g
+
+    # the same partition, numbered by smallest member
+    count = theirs.max(initial=-1) + 1
+    assert len(scc.nontrivial) == count == len(np.unique(comp[1:] * count + theirs[1:]))
+    first = np.unique(comp[1:], return_index=True)[1]
+    assert (np.diff(first) > 0).all()
+    sizes = np.bincount(theirs[1:], minlength=count)
+    nontrivial = sizes[theirs] > 1
+    nontrivial[loops] = True
+    assert np.array_equal(np.array(scc.nontrivial)[comp[1:]], nontrivial[1:])
+    # the condensation's edges, from networkx's components
+    cross = theirs[src] != theirs[dst]
+    edges = np.unique(np.stack([comp[src[cross]], comp[dst[cross]]], axis=1), axis=0)
+    ours = [(a, b) for a, succ in enumerate(scc._successors) for b in succ]
+    assert np.array_equal(np.array(ours, dtype=np.int64).reshape(-1, 2), edges)
+    # sinks first: every component once, after every component it reaches
+    assert sorted(scc._sinks_first) == list(range(count))
+    position = np.empty(count, dtype=np.int64)
+    position[list(scc._sinks_first)] = np.arange(count)
+    assert (position[edges[:, 1]] < position[edges[:, 0]]).all()
+
+
+def test_csr_tarjan_matches_networkx_at_scale():
+    rng = np.random.default_rng(501)
+    for n in (1, 2, 10, 100, 1000, 20_000):
+        for density in (0.5, 1.5, 3.0) if n < 20_000 else (1.5,):
+            a = sparse_pattern(rng, n, n, max(1, int(density * n)))
+            _assert_condensation_matches_networkx(n, a.nonzeros)
+    n = 100_000
+    for shape in (_path, _hamiltonian_cycle_with_chords, _chains_ending_in_cycles, _bidiagonal_plus_corner):
+        _assert_condensation_matches_networkx(n, shape(n))
