@@ -35,6 +35,10 @@ from hostprobe import probe  # noqa: E402
 
 COMMANDS = ("analyze", "select", "export-dot")
 FIXTURE = ROOT / "fixtures" / "example1.pat"
+SIZES = (10**3, 10**4, 10**5)
+SEEDS = (1, 2)
+REPEAT = 2  # runs of the whole ladder; each job reports its best
+OUT_DIR = ROOT  # where BENCH_<label>.json goes
 
 
 def pattern_text(n: int, seed: int) -> str:
@@ -71,14 +75,10 @@ def main() -> None:
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the zerocontrol package to time")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[10**3, 10**4, 10**5])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--repeat", type=int, default=2, help="runs of the whole ladder")
-    parser.add_argument("--out", type=Path, default=ROOT, help="directory for the JSON file")
     args = parser.parse_args()
 
     jobs = [{"name": "analyze example1.pat", "argv": ["analyze", str(FIXTURE)]}]
-    names = {(n, seed): f"n{n}-seed{seed}.pat" for n in args.sizes for seed in args.seeds}
+    names = {(n, seed): f"n{n}-seed{seed}.pat" for n in SIZES for seed in SEEDS}
     for name in names.values():
         jobs += [{"name": f"{cmd} {name}", "argv": [cmd, name]} for cmd in COMMANDS]
     with tempfile.TemporaryDirectory() as work:
@@ -93,7 +93,7 @@ def main() -> None:
             sys.exit("pattern generation failed")
         probes = [probe() for _ in range(3)]
         runs = [[run_job(job["argv"], args.src.resolve(), Path(work)) for job in jobs]
-                for _ in range(args.repeat)]
+                for _ in range(REPEAT)]
         probes += [probe() for _ in range(3)]
 
     records = []
@@ -121,10 +121,10 @@ def main() -> None:
                      "one b entry at a random row",
         "host": {"python": platform.python_version(), "numpy": numpy.__version__,
                  "nproc": os.cpu_count(), "host_loop_ms": round(1e3 * statistics.median(probes), 2)},
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "jobs": records,
     }
-    path = args.out / f"BENCH_{args.label}.json"
+    path = OUT_DIR / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 

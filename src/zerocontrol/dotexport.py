@@ -4,7 +4,7 @@ components, and analysis results."""
 from __future__ import annotations
 
 from .drivers import DriverSet
-from .graph import SccDecomposition, SystemGraph, input_name, reachable_from, state_name
+from .graph import SccDecomposition, SystemGraph, input_name, reachable_from, sort_vertices, state_name
 from .structural import ZcReport
 
 REACHABLE_FILL = "palegreen"
@@ -27,31 +27,30 @@ def export_dot(
         drivers = report.drivers
         reachable = reachable_from(graph, drivers)
 
-    def node_attrs(driver: bool, reached: bool | None) -> str:
-        attrs = ["shape=doublecircle"] if driver else []
-        if reached is not None:
-            attrs += ["style=filled", f"fillcolor={REACHABLE_FILL if reached else UNREACHABLE_FILL}"]
+    def node_attrs(name: str) -> str:
+        attrs = []
+        if name in drivers:
+            attrs.append("shape=doublecircle")
+        if reachable is not None:
+            fill = REACHABLE_FILL if name in reachable else UNREACHABLE_FILL
+            attrs.append("style=filled")
+            attrs.append(f"fillcolor={fill}")
         return f" [{', '.join(attrs)}]" if attrs else ""
 
-    attrs = {(d, r): node_attrs(d, r) for d in (False, True) for r in (None, False, True)}
-    names = [state_name(v) for v in range(graph.n_states + 1)]
-    nodes = [
-        f"    {name}{attrs[name in drivers, None if reachable is None else name in reachable]};"
-        for name in names
-    ]
     lines = ["digraph system {", "  rankdir=LR;", "  node [shape=circle];"]
-    for k, members in enumerate(scc._members):
+    for k, comp in enumerate(scc.components):
         kind = "nontrivial" if scc.nontrivial[k] else "trivial"
         lines.append(f"  subgraph cluster_{k + 1} {{")
         lines.append(f'    label="{scc.label(k)} ({kind})";')
         if scc.nontrivial[k]:
             lines.append("    peripheries=2;")
-        lines += map(nodes.__getitem__, members)
+        for name in sort_vertices(comp):
+            lines.append(f"    {name}{node_attrs(name)};")
         lines.append("  }")
     for j in range(1, graph.n_inputs + 1):
         lines.append(f"  {input_name(j)} [shape=box];")
     src, dst = graph._csr[:2]
-    lines += [f"  {names[s]} -> {names[d]};" for s, d in zip(src.tolist(), dst.tolist())]
+    lines += [f"  {state_name(s)} -> {state_name(d)};" for s, d in zip(src.tolist(), dst.tolist())]
     for src, dst in sorted(graph.input_edges):
         lines.append(f"  {input_name(src)} -> {state_name(dst)};")
     lines.append("}")

@@ -151,7 +151,7 @@ def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
     graph = build_graph(pattern_a)
     scc = graph.condensation
     targets = [k for k, nt in enumerate(scc.nontrivial) if nt]
-    mask_of = [0] * len(scc.nontrivial)
+    mask_of = [0] * len(scc.components)
     for t, k in enumerate(targets):
         mask_of[k] = 1 << t
     for a in scc._sinks_first:  # successors' masks are final before a's

@@ -37,6 +37,12 @@ def vertex_index(name: str) -> int:
     return int(m.group(2))
 
 
+def sort_vertices(names: Iterable[str]) -> list[str]:
+    """Sort vertex names by kind then numeric index (x before u is irrelevant;
+    kinds never mix in reports)."""
+    return sorted(names, key=lambda v: (v[0], int(v[1:])))
+
+
 def _csr_of(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
     """The edges, sorted by source and then destination, as the arrays
     (src, dst) and as flat lists (indptr, indices) in which state v's
@@ -70,10 +76,25 @@ class SystemGraph:
 
     @cached_property
     def _csr(self) -> tuple:
-        """The state subgraph's ``_csr_of``; ``build_graph`` fills it in from
-        the pattern's sorted entries."""
+        """The state subgraph's ``_csr_of``.  ``build_graph`` fills it in from
+        the pattern's sorted entries; a graph constructed directly, such as
+        ``find_cycle``'s subgraph, has only its edge set, sorted here."""
         edges = np.array(sorted(self.state_edges), dtype=np.int64).reshape(-1, 2)
         return _csr_of(self.n_states, edges[:, 0], edges[:, 1])
+
+    @cached_property
+    def state_successors(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted successor lists; index 0 is padding so states index 1..n."""
+        _, _, indptr, indices = self._csr
+        return tuple(tuple(indices[indptr[v]:indptr[v + 1]]) for v in range(self.n_states + 1))
+
+    @cached_property
+    def input_successors(self) -> tuple[tuple[int, ...], ...]:
+        """Each input's destination states, ascending; index 0 is padding."""
+        succ: list[list[int]] = [[] for _ in range(self.n_inputs + 1)]
+        for s, d in sorted(self.input_edges):
+            succ[s].append(d)
+        return tuple(map(tuple, succ))
 
     @cached_property
     def condensation(self) -> SccDecomposition:
@@ -138,7 +159,7 @@ def reachable_from(graph: SystemGraph, sources: Iterable[str]) -> frozenset[str]
     """
     seeds: list[int] = []
     for kind, idx in {graph.resolve(name) for name in sources}:
-        seeds.extend((idx,) if kind == "x" else (d for s, d in graph.input_edges if s == idx))
+        seeds.extend((idx,) if kind == "x" else graph.input_successors[idx])
     reached = _reach_states(graph, seeds)
     return frozenset(state_name(v) for v in range(1, graph.n_states + 1) if reached[v])
 
@@ -149,52 +170,24 @@ class SccDecomposition:
     components, with the component order induced by reachability.
 
     Components are numbered by their smallest member, so labels are stable;
-    ``_comp_of[v]`` is the component of state v (index 0 is padding).  The
-    condensation's direct edges from component a lead to the ascending
-    ``_successors[a]``, which are ``_heads[_cuts[a]:_cuts[a + 1]]``, and
-    ``_sinks_first`` lists the components in Tarjan's emission order (each
-    after every component it reaches).  Everything else is built on first
-    use: ``components`` names the members; ``order`` is the full
-    (transitively closed) relation, (a, b) present meaning that some vertex
-    of component a has a walk to component b; ``covering_order`` is its
-    transitive reduction, handy for drawing.
+    ``_comp_of[v]`` is the component of state v (index 0 is padding).
+    ``order`` is the full (transitively closed) relation: (a, b) present means
+    some vertex of component a has a walk to component b.  ``covering_order``
+    is its transitive reduction, handy for drawing.  Both are built on first
+    use from the condensation's direct successors, taken in Tarjan's
+    emission order (each component after every component it reaches).
     """
 
+    components: tuple[frozenset[str], ...]
     nontrivial: tuple[bool, ...]
-    _comp_of: tuple[int, ...]
-    _heads: tuple[int, ...]
-    _cuts: tuple[int, ...]
+    _successors: tuple[tuple[int, ...], ...]
     _sinks_first: tuple[int, ...]
-
-    @cached_property
-    def _members(self) -> tuple[tuple[int, ...], ...]:
-        """Each component's states, ascending."""
-        comp = np.array(self._comp_of[1:], dtype=np.int64)
-        order = np.argsort(comp, kind="stable")  # states by component, ascending within
-        cuts = np.searchsorted(comp[order], np.arange(len(self.nontrivial) + 1)).tolist()
-        states = (order + 1).tolist()
-        return tuple(tuple(states[cuts[k]:cuts[k + 1]]) for k in range(len(self.nontrivial)))
-
-    def _named(self, k: int) -> frozenset[str]:
-        """Component k's members as vertex names, built on first use."""
-        names = self.__dict__.setdefault("_names", {})
-        if k not in names:
-            names[k] = frozenset(map(state_name, self._members[k]))
-        return names[k]
-
-    @cached_property
-    def components(self) -> tuple[frozenset[str], ...]:
-        return tuple(map(self._named, range(len(self.nontrivial))))
-
-    @cached_property
-    def _successors(self) -> tuple[tuple[int, ...], ...]:
-        cuts = self._cuts
-        return tuple(self._heads[cuts[a]:cuts[a + 1]] for a in range(len(self.nontrivial)))
+    _comp_of: tuple[int, ...]
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:
         """Bitmask of the components each component strictly reaches."""
-        reach = [0] * len(self.nontrivial)
+        reach = [0] * len(self.components)
         for a in self._sinks_first:
             for b in self._successors[a]:
                 reach[a] |= (1 << b) | reach[b]
@@ -228,6 +221,9 @@ class SccDecomposition:
 
     def label(self, k: int) -> str:
         return f"C{k + 1}"
+
+    def nontrivial_components(self) -> tuple[frozenset[str], ...]:
+        return tuple(c for c, nt in zip(self.components, self.nontrivial) if nt)
 
 
 def scc_decompose(graph: SystemGraph) -> SccDecomposition:
@@ -287,12 +283,17 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
     a, b = comp[src], comp[dst]
     cross = np.sort(a[a != b] * emissions + b[a != b])  # by (a, b); np.unique loads numpy.ma
     cross = cross[np.diff(cross, prepend=-1) > 0]
+    heads = (cross % emissions).tolist()
+    cuts = np.searchsorted(cross // emissions, np.arange(emissions + 1)).tolist()
+    by_comp = np.argsort(comp[1:], kind="stable")  # states by component, ascending within
+    names = list(map(state_name, (by_comp + 1).tolist()))
+    members = np.searchsorted(comp[1:][by_comp], np.arange(emissions + 1)).tolist()
     return SccDecomposition(
+        components=tuple([frozenset(names[i:j]) for i, j in zip(members, members[1:])]),
         nontrivial=tuple(nontrivial.tolist()),
-        _comp_of=tuple(comp.tolist()),
-        _heads=tuple((cross % emissions).tolist()),
-        _cuts=tuple(np.searchsorted(cross // emissions, np.arange(emissions + 1)).tolist()),
+        _successors=tuple([tuple(heads[i:j]) for i, j in zip(cuts, cuts[1:])]),
         _sinks_first=tuple(label.tolist()),
+        _comp_of=tuple(comp.tolist()),
     )
 
 
@@ -441,8 +442,7 @@ def entry_paths(
             raise ValueError(f"index {name}={idx} out of range 1..{n}")
 
     graph = build_graph(pattern_a)
-    _, _, indptr, indices = graph._csr
-    succ = [indices[indptr[v]:indptr[v + 1]] for v in range(n + 1)]
+    succ = graph.state_successors
     total = _count_walks(succ, j, i, k, n)
     if total > max_monomials:
         raise WalkCountError(

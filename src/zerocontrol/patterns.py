@@ -35,11 +35,15 @@ class PatternMatrix:
             raise ValueError(f"negative dimensions: {self.n_rows}x{self.n_cols}")
         nz = frozenset((int(i), int(j)) for i, j in self.nonzeros)
         object.__setattr__(self, "nonzeros", nz)
-        bad = [(i, j) for i, j in nz if not (1 <= i <= self.n_rows and 1 <= j <= self.n_cols)]
-        if bad:  # the first in sorted order, its row before its column
-            i, j = min(bad)
-            what, value = ("row", i) if not 1 <= i <= self.n_rows else ("column", j)
-            raise ValueError(f"{what} {value} out of range for a {self.n_rows}x{self.n_cols} pattern")
+        for i, j in sorted(nz):
+            if not 1 <= i <= self.n_rows:
+                raise ValueError(
+                    f"row {i} out of range for a {self.n_rows}x{self.n_cols} pattern"
+                )
+            if not 1 <= j <= self.n_cols:
+                raise ValueError(
+                    f"column {j} out of range for a {self.n_rows}x{self.n_cols} pattern"
+                )
 
     @cached_property
     def _coords(self) -> tuple[np.ndarray, np.ndarray]:

@@ -4,18 +4,14 @@ for the analysis, driver-selection and Monte Carlo result types."""
 from __future__ import annotations
 
 from .drivers import BPattern, DriverSet
+from .graph import sort_vertices
 from .numeric import MonteCarloStats, SteeringResult
 from .patterns import PatternMatrix
 from .structural import ZcReport
 
 
-def _by_index(names) -> list[str]:
-    """Vertex names of one kind, ascending by index."""
-    return sorted(names, key=lambda v: int(v[1:]))
-
-
 def _component_lists(components) -> list[list[str]]:
-    return [_by_index(c) for c in components]
+    return [sort_vertices(c) for c in components]
 
 
 def _edge_list(edges) -> list[list[str]] | None:
@@ -35,8 +31,8 @@ def _obstruction_lines(components, witness) -> list[str]:
 def zc_report_to_dict(report: ZcReport) -> dict:
     return {
         "verdict": report.verdict,
-        "reachable_states": _by_index(report.reachable_states),
-        "unreachable_states": _by_index(report.unreachable_states),
+        "reachable_states": sort_vertices(report.reachable_states),
+        "unreachable_states": sort_vertices(report.unreachable_states),
         "cycle_witness": _edge_list(report.cycle_witness),
         "nontrivial_unreachable_components": _component_lists(
             report.nontrivial_unreachable_components
@@ -59,8 +55,8 @@ def zc_report_from_dict(data: dict) -> ZcReport:
 
 def render_zc_report(report: ZcReport) -> str:
     lines = [f"generically zero controllable: {'yes' if report.verdict else 'no'}"]
-    reach = _by_index(report.reachable_states)
-    unreach = _by_index(report.unreachable_states)
+    reach = sort_vertices(report.reachable_states)
+    unreach = sort_vertices(report.unreachable_states)
     lines.append(f"reachable from inputs ({len(reach)}): {' '.join(reach) or '-'}")
     lines.append(f"unreachable ({len(unreach)}): {' '.join(unreach) or '-'}")
     if report.verdict:

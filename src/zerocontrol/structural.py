@@ -187,7 +187,7 @@ def _obstruction(graph: SystemGraph, seeds: Iterable[int]) -> ZcReport:
         reachable_states=frozenset(state_name(v) for v in range(1, len(reached)) if reached[v]),
         unreachable_states=frozenset(map(state_name, unreached)),
         cycle_witness=_cycle_witness(graph, reached, blocking[0]) if blocking else None,
-        nontrivial_unreachable_components=tuple(map(scc._named, blocking)),
+        nontrivial_unreachable_components=tuple(scc.components[k] for k in blocking),
     )
 
 

@@ -257,14 +257,13 @@ def oracle_find_cycle(graph, within=None):
     for v in sorted(allowed):
         if (v, v) in graph.state_edges:
             return ((state_name(v), state_name(v)),)
-    successors = {v: sorted(d for s, d in graph.state_edges if s == v) for v in allowed}
     for start in sorted(allowed):
         parent = {start: 0}
         queue = [start]
         while queue:
             next_queue = []
             for v in queue:
-                for w in successors[v]:
+                for w in graph.state_successors[v]:
                     if w not in allowed:
                         continue
                     if w == start:

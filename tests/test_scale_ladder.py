@@ -1,7 +1,6 @@
 """The scale ladder script: its seeded generator and one tiny run."""
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -9,24 +8,24 @@ from zerocontrol import parse_pattern_file
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scale_ladder.py"
 sys.path.insert(0, str(SCRIPT.parent))
-from scale_ladder import pattern_text  # noqa: E402
+import scale_ladder  # noqa: E402
 
 
 def test_generator_is_seeded_and_sparse():
-    text = pattern_text(200, 1)
-    assert text == pattern_text(200, 1) != pattern_text(200, 2)
+    text = scale_ladder.pattern_text(200, 1)
+    assert text == scale_ladder.pattern_text(200, 1) != scale_ladder.pattern_text(200, 2)
     a, b = parse_pattern_file(text)
     assert a.shape == (200, 200) and len(a.nonzeros) == 300
     assert b is not None and b.shape == (200, 1) and len(b.nonzeros) == 1
 
 
-def test_ladder_writes_one_record_per_job(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--label", "t", "--sizes", "40", "--seeds", "3",
-         "--repeat", "1", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_ladder_writes_one_record_per_job(tmp_path, monkeypatch):
+    monkeypatch.setattr(scale_ladder, "SIZES", (40,))
+    monkeypatch.setattr(scale_ladder, "SEEDS", (3,))
+    monkeypatch.setattr(scale_ladder, "REPEAT", 1)
+    monkeypatch.setattr(scale_ladder, "OUT_DIR", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["scale_ladder.py", "--label", "t"])
+    scale_ladder.main()
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert [job["name"] for job in doc["jobs"]] == [
         "analyze example1.pat", "analyze n40-seed3.pat", "select n40-seed3.pat",
