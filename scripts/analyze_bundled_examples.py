@@ -22,7 +22,6 @@ from zerocontrol import (
     monte_carlo_verify,
     parse_pattern_file,
     sample_realization,
-    scc_decompose,
 )
 from zerocontrol.reports import render_stats, render_zc_report
 
@@ -52,7 +51,7 @@ def main():
 
         graph = build_graph(pattern_a, pattern_b)
         dot_path = out_dir / f"{path.stem}.dot"
-        dot_path.write_text(export_dot(graph, scc_decompose(graph), report))
+        dot_path.write_text(export_dot(graph, graph.condensation, report))
         print(f"wrote {dot_path}")
 
         if not report.verdict and pattern_b is None:

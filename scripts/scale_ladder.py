@@ -6,9 +6,9 @@ state entries until nnz = 1.5n, m = 1, and one input entry at a random row.
 ``analyze``, ``select`` and ``export-dot`` run on every size and seed, and
 ``analyze`` once more on a bundled fixture.  Every job runs in a fresh child
 Python with one BLAS thread; the ladder records its wall time, the child's
-peak RSS, and the sha256 of its exit code, stdout and stderr, then writes
-``BENCH_<label>.json`` at the repository root.  Two files agree on output
-exactly when their digests do.
+CPU time (user plus system) and peak RSS, and the sha256 of its exit code,
+stdout and stderr, then writes ``BENCH_<label>.json`` at the repository
+root.  Two files agree on output exactly when their digests do.
 
     python3 scripts/scale_ladder.py --label mine
     python3 scripts/scale_ladder.py --label parent --src ../parent/src
@@ -52,7 +52,7 @@ def pattern_text(n: int, seed: int) -> str:
 
 
 def run_job(argv: list[str], src: Path, cwd: Path) -> dict:
-    """One CLI call in a fresh child: wall time, peak RSS and output digest."""
+    """One CLI call in a fresh child: wall and CPU time, peak RSS and output digest."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
@@ -66,8 +66,8 @@ def run_job(argv: list[str], src: Path, cwd: Path) -> dict:
         for stream in (out, err):
             stream.seek(0)
             digest.update(hashlib.file_digest(stream, "sha256").digest())
-    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024, "exit_code": code,
-            "sha256": digest.hexdigest()}
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "peak_rss_mb": usage.ru_maxrss / 1024, "exit_code": code, "sha256": digest.hexdigest()}
 
 
 def main() -> None:
@@ -108,10 +108,13 @@ def main() -> None:
             "sha256": digests.pop(),
             "best_wall_s": round(min(s["wall_s"] for s in samples), 4),
             "wall_s": [round(s["wall_s"], 4) for s in samples],
+            "best_cpu_s": round(min(s["cpu_s"] for s in samples), 4),
+            "cpu_s": [round(s["cpu_s"], 4) for s in samples],
             "peak_rss_mb": round(max(s["peak_rss_mb"] for s in samples), 1),
         })
         print(f"{job['name']:<36} {records[-1]['best_wall_s']:8.3f} s "
-              f"{records[-1]['peak_rss_mb']:8.1f} MB  exit {records[-1]['exit_code']}")
+              f"{records[-1]['best_cpu_s']:8.3f} s cpu {records[-1]['peak_rss_mb']:8.1f} MB  "
+              f"exit {records[-1]['exit_code']}")
 
     import numpy  # the child's version, as the parent sees it
 

@@ -10,6 +10,7 @@ each: warnings first, then at most one error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -187,7 +188,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     pattern_a, pattern_b = _load_patterns(args.file)
-    graph = build_graph(pattern_a, pattern_b if args.drivers is None else None)
+    if args.drivers is not None and pattern_b is not None:
+        print("note: --drivers colors reachability from the drivers; input entries ignored",
+              file=sys.stderr)
+        pattern_b = None
+    graph = build_graph(pattern_a, pattern_b)
     report = None
     if args.drivers is not None:
         report = _validate_on(graph, _parse_drivers(args.drivers))
@@ -209,7 +214,9 @@ def _add_b_mode(parser, help: str) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; ``run_cli`` looks each handler up by name."""
     parser = argparse.ArgumentParser(
         prog="zerocontrol",
         description=(
@@ -224,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="generic zero-controllability verdict")
     p.add_argument("file", help="pattern file")
     _add_format(p)
-    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("select", help="driver-node selection")
     p.add_argument("file", help="pattern file (state pattern only is used)")
@@ -239,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max candidate components for the exact search",
     )
     _add_format(p)
-    p.set_defaults(handler=_cmd_select)
 
     p = sub.add_parser("verify", help="Monte Carlo check of the structural verdict")
     p.add_argument("file", help="pattern file")
@@ -262,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also compare plain controllability verdicts",
     )
     _add_format(p)
-    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("simulate", help="deadbeat steering on a sampled realization")
     p.add_argument("file", help="pattern file")
@@ -274,14 +278,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_b_mode(p, "input shape used with --drivers")
     _add_format(p)
-    p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("export-dot", help="Graphviz rendering of the system graph")
     p.add_argument("file", help="pattern file")
     p.add_argument(
         "--drivers", help="mark these states as drivers and color reachability from them"
     )
-    p.set_defaults(handler=_cmd_export_dot)
 
     return parser
 
@@ -293,9 +295,10 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code, error = args.handler(args), []
+            code, error = handler(args), []
         except (OSError, PatternFormatError, ValueError) as exc:
             code, error = 2, [f"error: {exc}"]
         except MemoryError as exc:

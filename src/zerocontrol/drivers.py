@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .graph import SystemGraph, build_graph, state_name, vertex_index
+from .graph import SystemGraph, _bits, build_graph, state_name, vertex_index
 from .patterns import PatternMatrix
 from .structural import _obstruction
 
@@ -139,14 +139,6 @@ class _CoverProblem:
         return tuple(out)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
     graph = build_graph(pattern_a)
     scc = graph.condensation
@@ -154,9 +146,7 @@ def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
     mask_of = [0] * len(scc.components)
     for t, k in enumerate(targets):
         mask_of[k] = 1 << t
-    for a in scc._sinks_first:  # successors' masks are final before a's
-        for b in scc._successors[a]:
-            mask_of[a] |= mask_of[b]
+    scc._fold(mask_of)
 
     classes: dict[int, list[int]] = {}  # keys in order of first state
     for v in range(1, graph.n_states + 1):

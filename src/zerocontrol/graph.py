@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,6 +41,14 @@ def sort_vertices(names: Iterable[str]) -> list[str]:
     """Sort vertex names by kind then numeric index (x before u is irrelevant;
     kinds never mix in reports)."""
     return sorted(names, key=lambda v: (v[0], int(v[1:])))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _csr_of(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
@@ -184,21 +192,24 @@ class SccDecomposition:
     _sinks_first: tuple[int, ...]
     _comp_of: tuple[int, ...]
 
+    def _fold(self, masks: list[int]) -> list[int]:
+        """ORs into each component's entry of ``masks`` (in place) those of
+        every component it reaches, sinks first, so that each successor's
+        mask is final before it is read."""
+        for a in self._sinks_first:
+            for b in self._successors[a]:
+                masks[a] |= masks[b]
+        return masks
+
     @cached_property
     def _reach(self) -> tuple[int, ...]:
         """Bitmask of the components each component strictly reaches."""
-        reach = [0] * len(self.components)
-        for a in self._sinks_first:
-            for b in self._successors[a]:
-                reach[a] |= (1 << b) | reach[b]
-        return tuple(reach)
+        own = [1 << a for a in range(len(self.components))]
+        return tuple(mask ^ (1 << a) for a, mask in enumerate(self._fold(own)))
 
     @cached_property
     def order(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (a, b) for a, mask in enumerate(self._reach)
-            for b in range(mask.bit_length()) if mask >> b & 1
-        )
+        return frozenset((a, b) for a, mask in enumerate(self._reach) for b in _bits(mask))
 
     @cached_property
     def covering_order(self) -> frozenset[tuple[int, int]]:
@@ -402,22 +413,6 @@ class PathMonomial:
         return out
 
 
-def _count_walks(succ, start: int, end: int, length: int, n: int) -> int:
-    """Exact number of walks start -> end using `length` edges (Python ints,
-    no overflow)."""
-    counts = [0] * (n + 1)
-    counts[start] = 1
-    for _ in range(length):
-        nxt = [0] * (n + 1)
-        for v in range(1, n + 1):
-            c = counts[v]
-            if c:
-                for w in succ[v]:
-                    nxt[w] += c
-        counts = nxt
-    return counts[end]
-
-
 def entry_paths(
     pattern_a: PatternMatrix,
     i: int,
@@ -441,28 +436,29 @@ def entry_paths(
         if not 1 <= idx <= n:
             raise ValueError(f"index {name}={idx} out of range 1..{n}")
 
-    graph = build_graph(pattern_a)
-    succ = graph.state_successors
-    total = _count_walks(succ, j, i, k, n)
+    src, dst, indptr, indices = build_graph(pattern_a)._csr
+    by_dst = np.argsort(dst, kind="stable")
+    _, _, first, preds = _csr_of(n, dst[by_dst], src[by_dst])  # the reversed edges
+    # ways[s] maps each state with a walk of s edges to x_i to how many there
+    # are: the cap reads x_j's count, the search keeps to the states present
+    ways = [{i: 1}]
+    for _ in range(k):
+        step: dict[int, int] = {}
+        for w, count in ways[-1].items():
+            for v in preds[first[w]:first[w + 1]]:
+                step[v] = step.get(v, 0) + count
+        ways.append(step)
+    total = ways[k].get(j, 0)
     if total > max_monomials:
         raise WalkCountError(
             f"{total} walks of length {k} from x{j} to x{i} exceed the cap of {max_monomials}"
         )
 
-    # distance-to-target pruning: steps_left must be able to finish at i
-    reach_in = [set() for _ in range(k + 1)]
-    reach_in[0] = {i}
-    pred: list[list[int]] = [[] for _ in range(n + 1)]
-    for s, d in sorted(graph.state_edges):
-        pred[d].append(s)
-    for step in range(1, k + 1):
-        reach_in[step] = {p for v in reach_in[step - 1] for p in pred[v]}
-
     monomials = []
-    if j in reach_in[k]:
+    if total:
         # iterative DFS; pruning guarantees every completed walk ends at i
         walk = [j]
-        stack = [iter([w for w in succ[j] if w in reach_in[k - 1]])]
+        stack = [iter([w for w in indices[indptr[j]:indptr[j + 1]] if w in ways[k - 1]])]
         while stack:
             w = next(stack[-1], None)
             if w is None:
@@ -478,5 +474,6 @@ def entry_paths(
                 monomials.append(PathMonomial(factors))
                 walk.pop()
             else:
-                stack.append(iter([v for v in succ[w] if v in reach_in[steps_left - 1]]))
+                later = ways[steps_left - 1]
+                stack.append(iter([v for v in indices[indptr[w]:indptr[w + 1]] if v in later]))
     return frozenset(monomials)

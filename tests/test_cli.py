@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -225,6 +226,14 @@ def test_export_dot_with_drivers(example2_path, capsys):
     assert "x7 [style=filled, fillcolor=palegreen];" in out
 
 
+def test_export_dot_notes_that_drivers_replace_the_file_inputs(example1_path, capsys):
+    code = run_cli(["export-dot", example1_path, "--drivers", "x5"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err == "note: --drivers colors reachability from the drivers; input entries ignored\n"
+    assert "x5 [shape=doublecircle" in out and "u1" not in out
+
+
 # --- errors and exit codes --------------------------------------------------------
 
 def test_missing_file_exits_2(capsys):
@@ -283,6 +292,37 @@ def test_usage_error_exits_2():
 
 def test_help_exits_0():
     assert run_cli(["--help"]) == 0
+
+
+def test_one_parser_serves_every_call(example1_path, example2_path, monkeypatch, capsys):
+    """Calls in one process, a usage error among them, build the parser at
+    most once and print what the same calls print one process each."""
+    argvs = [
+        ["select", example2_path, "--greedy", "--format", "json"],
+        ["analyze", example1_path, "--format", "xml"],
+        ["select", example2_path],
+        ["analyze", example1_path],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    separate = [
+        subprocess.run([sys.executable, "-m", "zerocontrol.cli", *argv], env=env,
+                       capture_output=True, text=True, timeout=120)
+        for argv in argvs
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    printed, builds = [], []
+    for argv in argvs:
+        printed.append((run_cli(argv), *capsys.readouterr()))
+        builds.append(len(built))
+    assert printed == [(p.returncode, p.stdout, p.stderr) for p in separate]
+    assert printed[1][0] == 2 and "invalid choice: 'xml'" in printed[1][2]
+    # the first call may build the parser and its five subparsers; no later one builds any
+    assert builds[0] in (0, 6) and builds == builds[:1] * len(argvs)
 
 
 # --- imports -----------------------------------------------------------------------

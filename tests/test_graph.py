@@ -330,6 +330,16 @@ def test_entry_paths_overflow_guard():
     # a tight custom cap triggers too
     with pytest.raises(WalkCountError):
         entry_paths(full, 1, 1, 3, max_monomials=5)
+    # the cap is inclusive: 4^2 = 16 closed walks of 3 steps at x1
+    assert len(entry_paths(full, 1, 1, 3, max_monomials=16)) == 16
+    with pytest.raises(WalkCountError, match=r"^16 walks of length 3 from x1 to x1 exceed the cap of 15$"):
+        entry_paths(full, 1, 1, 3, max_monomials=15)
+    # x1 -> x1, x2 -> x1, x3 -> x2, x1 -> x3: 2 walks of 4 steps from x1 to x3,
+    # 1 from x3 to x1, so a cap of 1 tells the count's direction
+    skew = PatternMatrix(3, 3, frozenset({(1, 1), (1, 2), (2, 3), (3, 1)}))
+    with pytest.raises(WalkCountError, match=r"^2 walks of length 4 from x1 to x3 exceed the cap of 1$"):
+        entry_paths(skew, 3, 1, 4, max_monomials=1)
+    assert [str(m) for m in entry_paths(skew, 1, 3, 4, max_monomials=1)] == ["a11*a11*a12*a23"]
 
 
 def test_monomial_factors_must_chain():

@@ -33,3 +33,6 @@ def test_ladder_writes_one_record_per_job(tmp_path, monkeypatch):
     ]
     assert doc["jobs"][0]["exit_code"] == 1  # example1 is not zero controllable
     assert all(job["exit_code"] in (0, 1) and len(job["sha256"]) == 64 for job in doc["jobs"])
+    # CPU time, user plus system, of each job's child
+    assert all(0 < job["best_cpu_s"] == min(job["cpu_s"]) and len(job["cpu_s"]) == 1
+               for job in doc["jobs"])
