@@ -68,16 +68,15 @@ class BPattern:
     pattern: PatternMatrix
 
 
-def _state_indices(n: int, drivers: Iterable[str], too_large: str) -> list[int]:
-    """Sorted distinct indices of the driver states; ``too_large`` is the error
-    for an index above n, formatted with ``name``, ``idx`` and ``n``."""
+def _state_indices(n: int, drivers: Iterable[str]) -> list[int]:
+    """Sorted distinct indices of the driver states."""
     out = set()
     for name in drivers:
         if not isinstance(name, str) or not name.startswith("x"):
             raise ValueError(f"driver vertices must be states, got {name!r}")
         idx = vertex_index(name)
         if idx > n:
-            raise ValueError(too_large.format(name=name, idx=idx, n=n))
+            raise ValueError(f"unknown vertex {name!r} (pattern has {n} states)")
         out.add(idx)
     return sorted(out)
 
@@ -106,7 +105,7 @@ def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> Dri
 def _validate_on(graph: SystemGraph, drivers: Iterable[str]) -> DriverSet:
     """validate_driver_set on a graph already built."""
     n = graph.n_states
-    indices = _state_indices(n, drivers, "unknown vertex {name!r} (pattern has {n} states)")
+    indices = _state_indices(n, drivers)
     return _driver_set(graph, indices, minimal=False)
 
 
@@ -334,7 +333,7 @@ def build_b_pattern(
     pattern."""
     if mode not in ("shared", "per_driver"):
         raise ValueError(f"mode must be 'shared' or 'per_driver', got {mode!r}")
-    rows = _state_indices(n, drivers, "driver row {idx} out of range 1..{n}")
+    rows = _state_indices(n, drivers)
     if not rows:
         return BPattern(mode, PatternMatrix.zeros(n, 0))
     if mode == "shared":

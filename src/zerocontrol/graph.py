@@ -309,9 +309,22 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
 
 
 def has_cycle(graph: SystemGraph) -> bool:
-    """True when the state subgraph contains a cycle, i.e. some maximal
-    strongly connected component is nontrivial."""
-    return any(graph.condensation.nontrivial)
+    """True when the state subgraph contains a cycle: Kahn's peel on the CSR
+    removes states with no remaining predecessor, and a cycle is what is left
+    (no condensation is built)."""
+    n = graph.n_states
+    _, dst, indptr, indices = graph._csr
+    indegree = np.bincount(dst, minlength=n + 1).tolist()
+    ready = [v for v in range(1, n + 1) if indegree[v] == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for w in indices[indptr[v]:indptr[v + 1]]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    return removed < n
 
 
 def find_cycle(

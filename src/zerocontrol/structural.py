@@ -13,6 +13,7 @@ from .graph import (
     _cycle_witness,
     _reach_states,
     build_graph,
+    has_cycle,
     state_name,
 )
 from .patterns import PatternMatrix
@@ -20,27 +21,10 @@ from .patterns import PatternMatrix
 
 def is_structurally_nilpotent(pattern_a: PatternMatrix) -> bool:
     """True when every realization of the square pattern is nilpotent, which
-    happens exactly when its state graph is acyclic.
-
-    Uses Kahn's algorithm, deliberately a different code path from both
-    `has_cycle` (Tarjan) and `compute_nu` (matching), so the three can
-    cross-check each other.
-    """
+    happens exactly when its state graph is acyclic."""
     if not pattern_a.is_square:
         raise ValueError("nilpotency is only defined for square patterns")
-    n = pattern_a.n_rows
-    _, dst, indptr, indices = build_graph(pattern_a)._csr
-    indegree = np.bincount(dst, minlength=n + 1).tolist()
-    ready = [v for v in range(1, n + 1) if indegree[v] == 0]
-    removed = 0
-    while ready:
-        v = ready.pop()
-        removed += 1
-        for w in indices[indptr[v]:indptr[v + 1]]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                ready.append(w)
-    return removed == n
+    return not has_cycle(build_graph(pattern_a))
 
 
 def compute_nu(pattern_a: PatternMatrix) -> int:
@@ -48,28 +32,24 @@ def compute_nu(pattern_a: PatternMatrix) -> int:
 
     Equivalently the largest order of a principal sub-pattern with a perfect
     row-column matching, i.e. the generic number of nonzero eigenvalues.
-    Solved as a max-weight assignment: a real entry (i, j) is a weight-1 slot,
-    every diagonal position additionally offers a weight-0 "stay" slot, and
-    any full assignment then decomposes into real-entry cycles plus idle
-    diagonal positions, so the optimum counts the covered vertices.
+    Solved as a sparse min-weight perfect matching: a real entry (i, j) is a
+    weight-1 slot, a diagonal position without one offers a weight-2 "stay"
+    slot, and any perfect matching then decomposes into real-entry cycles
+    plus idle diagonal positions, so nu is 2n minus the optimum weight.
     """
-    from scipy.optimize import linear_sum_assignment  # slow import, needed only here
+    from scipy.sparse import csr_array  # slow imports, needed only here
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
     if not pattern_a.is_square:
         raise ValueError("nu is only defined for square patterns")
     n = pattern_a.n_rows
-    if n == 0:
-        return 0
-    forbidden = 2.0 * n + 1.0  # worse than any all-real assignment can recoup
-    cost = np.full((n, n), forbidden)
-    for i, j in pattern_a.nonzeros:
-        cost[i - 1, j - 1] = -1.0
-    for d in range(n):
-        cost[d, d] = min(cost[d, d], 0.0)
-    rows, cols = linear_sum_assignment(cost)
-    total = cost[rows, cols].sum()
-    assert total <= 0.0  # identity assignment is always available
-    return int(round(-total))
+    rows, cols = pattern_a._coords
+    stays = np.setdiff1d(np.arange(1, n + 1), rows[rows == cols])
+    weights = np.concatenate((np.ones(len(rows)), np.full(len(stays), 2.0)))
+    slots = csr_array((weights, (np.append(rows, stays) - 1, np.append(cols, stays) - 1)), shape=(n, n))
+    weight = int(slots[min_weight_full_bipartite_matching(slots)].sum())
+    assert n <= weight <= 2 * n  # the stay slots make the identity matching available
+    return 2 * n - weight
 
 
 def generic_rank(pattern: PatternMatrix) -> int:

@@ -68,6 +68,15 @@ def random_pattern(rng: np.random.Generator, n_rows: int, n_cols: int, density: 
     return PatternMatrix(n_rows, n_cols, frozenset(entries))
 
 
+def sparse_pattern(rng, n_rows, n_cols, nnz):
+    """About ``nnz`` uniformly drawn entries (duplicates collapse)."""
+    if not n_rows or not n_cols:
+        return PatternMatrix(n_rows, n_cols)
+    rows = rng.integers(1, n_rows + 1, size=nnz)
+    cols = rng.integers(1, n_cols + 1, size=nnz)
+    return PatternMatrix(n_rows, n_cols, frozenset(zip(rows.tolist(), cols.tolist())))
+
+
 def random_square_patterns(seed: int, count: int, max_n: int):
     """Deterministic stream of `count` random square patterns with n <= max_n."""
     rng = np.random.default_rng(seed)

@@ -452,6 +452,9 @@ BAD_INPUTS = [
     (["verify", "example2.pat", "--drivers="], "empty driver list"),
     (["simulate", "example2.pat", "--drivers="], "empty driver list"),
     (["export-dot", "example2.pat", "--drivers="], "empty driver list"),
+    (["verify", "example2.pat", "--drivers", "x4,x12"], "unknown vertex 'x12' (pattern has 11 states)"),
+    (["simulate", "example2.pat", "--drivers", "x12"], "unknown vertex 'x12' (pattern has 11 states)"),
+    (["export-dot", "example2.pat", "--drivers", "x12"], "unknown vertex 'x12' (pattern has 11 states)"),
     (["verify", "example1.pat", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["simulate", "example1.pat", "--seed", "-1"], "seed must be >= 0, got -1"),
 ]

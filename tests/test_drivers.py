@@ -354,7 +354,7 @@ def test_b_pattern_column_order_follows_state_index():
 
 
 def test_b_pattern_rejects_bad_input():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"unknown vertex 'x9' \(pattern has 3 states\)"):
         build_b_pattern(3, {"x9"}, "shared")
     with pytest.raises(ValueError, match="must be states"):
         build_b_pattern(3, {"u1"}, "shared")

@@ -11,6 +11,7 @@ nx = pytest.importorskip("networkx")
 from zerocontrol import (
     PatternMatrix,
     build_graph,
+    has_cycle,
     is_generically_zero_controllable,
     minimal_driver_set,
     scc_decompose,
@@ -18,15 +19,7 @@ from zerocontrol import (
 )
 from zerocontrol.cli import run_cli
 from zerocontrol.fileio import serialize_pattern_file
-
-
-def sparse_pattern(rng, n_rows, n_cols, nnz):
-    """About ``nnz`` uniformly drawn entries (duplicates collapse)."""
-    if not n_rows or not n_cols:
-        return PatternMatrix(n_rows, n_cols)
-    rows = rng.integers(1, n_rows + 1, size=nnz)
-    cols = rng.integers(1, n_cols + 1, size=nnz)
-    return PatternMatrix(n_rows, n_cols, frozenset(zip(rows.tolist(), cols.tolist())))
+from conftest import sparse_pattern
 
 
 def to_networkx(pattern_a, pattern_b=None):
@@ -263,7 +256,9 @@ def _assert_condensation_matches_networkx(n, entries):
     edges read off the state edges between its components."""
     dst, src = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T  # x_src -> x_dst
     order = np.lexsort((dst, src))  # the pattern's entry order, which the graph keeps
-    scc = build_graph(PatternMatrix._trusted(n, n, dst[order], src[order])).condensation
+    graph = build_graph(PatternMatrix._trusted(n, n, dst[order], src[order]))
+    scc = graph.condensation
+    assert has_cycle(graph) == any(scc.nontrivial)  # Kahn against Tarjan
     comp = np.array(scc._comp_of)
     g = nx.DiGraph()
     g.add_nodes_from(range(1, n + 1))

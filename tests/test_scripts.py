@@ -1,0 +1,52 @@
+"""The fixture walkthrough and the job-digest tool, each run once."""
+
+import hashlib
+import re
+import sys
+from pathlib import Path
+
+from zerocontrol import build_graph, export_dot, is_generically_zero_controllable, parse_pattern_file
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+FIXTURES = SCRIPTS.parent / "fixtures"
+sys.path.insert(0, str(SCRIPTS))
+import analyze_bundled_examples  # noqa: E402
+import job_digests  # noqa: E402
+
+
+def test_walkthrough_writes_each_fixture_dot(tmp_path, monkeypatch, capsys):
+    argv = ["analyze_bundled_examples.py", "--out", str(tmp_path), "--trials", "5"]
+    monkeypatch.setattr(sys, "argv", argv)
+    analyze_bundled_examples.main()
+    out = capsys.readouterr().out
+    paths = sorted(FIXTURES.glob("*.pat"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{p.stem}.dot" for p in paths]
+    for path in paths:
+        assert f"\n{path.name}\n{'-' * len(path.name)}\n" in out
+        pattern_a, pattern_b = parse_pattern_file(path.read_text())
+        graph = build_graph(pattern_a, pattern_b)
+        report = is_generically_zero_controllable(pattern_a, pattern_b)
+        expected = export_dot(graph, graph.condensation, report)
+        assert (tmp_path / f"{path.stem}.dot").read_text() == expected
+
+
+def test_job_digests_at_smoke_size(monkeypatch, capsys):
+    monkeypatch.setattr(job_digests, "SMOKE", True)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    job_digests.main()
+    *jobs, total = capsys.readouterr().out.splitlines()
+    digests = {}
+    for line in jobs:
+        digest, argv = line.split("  ", 1)
+        assert re.fullmatch("[0-9a-f]{64}", digest)
+        digests[argv] = digest
+    assert len(digests) == len(jobs) == 2 * (13 + 4 + 3)  # per seed: ladder, cover, mc
+    expected = hashlib.sha256("".join(line[:64] for line in jobs).encode()).hexdigest()
+    assert total == f"{expected}  total of {len(jobs)} jobs"
+    # the seed relabels the random instances' states, never the fixtures'
+    for k in range(1, 14):
+        seed1, seed2 = (digests[argv] for argv in digests
+                        if re.search(rf"struct-ladder-s[12]/job{k:04d}\.pat", argv))
+        assert (seed1 == seed2) == (k > 3)

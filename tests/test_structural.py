@@ -18,7 +18,7 @@ from zerocontrol import (
     sample_realization,
     scc_decompose,
 )
-from conftest import random_pattern, random_square_patterns
+from conftest import random_pattern, random_square_patterns, sparse_pattern
 from oracles import oracle_acyclic, oracle_nu, oracle_term_rank
 
 
@@ -43,12 +43,63 @@ def test_nu_requires_square():
 
 
 def test_three_cycle_tests_agree_on_random_patterns():
-    # three independent code paths: Kahn toposort, Tarjan components, matching
+    # three independent code paths: Kahn toposort (has_cycle, behind the
+    # nilpotency test), Tarjan components (the condensation), matching
     for p in random_square_patterns(seed=2024, count=200, max_n=8):
         nilpotent = is_structurally_nilpotent(p)
         assert nilpotent == (compute_nu(p) == 0)
-        assert nilpotent == (not has_cycle(build_graph(p)))
+        assert nilpotent == (not any(build_graph(p).condensation.nontrivial))
         assert nilpotent == oracle_acyclic(p)
+
+
+def test_cycle_questions_build_no_condensation(monkeypatch):
+    # has_cycle and nilpotency are Kahn's peel, not Tarjan's condensation
+    def no_condensation(graph):
+        raise AssertionError("a condensation was built")
+
+    monkeypatch.setattr("zerocontrol.graph.scc_decompose", no_condensation)
+    cyclic = PatternMatrix(3, 3, frozenset({(2, 1), (3, 2), (1, 3)}))
+    acyclic = PatternMatrix(3, 3, frozenset({(2, 1), (3, 2), (3, 1)}))
+    assert has_cycle(build_graph(cyclic)) and not is_structurally_nilpotent(cyclic)
+    assert not has_cycle(build_graph(acyclic)) and is_structurally_nilpotent(acyclic)
+
+
+def _dense_nu(pattern):
+    """The dense max-weight assignment compute_nu used to solve: weight 1 on a
+    real entry, a weight-0 stay slot on each diagonal position, every other
+    position forbidden."""
+    from scipy.optimize import linear_sum_assignment
+
+    n = pattern.n_rows
+    cost = np.full((n, n), 2.0 * n + 1.0)
+    for i, j in pattern.nonzeros:
+        cost[i - 1, j - 1] = -1.0
+    np.fill_diagonal(cost, np.minimum(np.diag(cost), 0.0))
+    rows, cols = linear_sum_assignment(cost)
+    return int(round(-cost[rows, cols].sum()))
+
+
+def test_sparse_nu_matches_dense_assignment():
+    rng = np.random.default_rng(1312)
+    for _ in range(240):
+        n = int(rng.integers(1, 301))
+        p = sparse_pattern(rng, n, n, int(rng.uniform(0.0, 3.0) * n))
+        assert compute_nu(p) == _dense_nu(p)
+
+
+def test_nu_memory_is_sparse():
+    import tracemalloc
+
+    n = 5000
+    p = sparse_pattern(np.random.default_rng(5), n, n, 3 * n // 2)
+    compute_nu(PatternMatrix.identity(3))  # imports outside the traced region
+    tracemalloc.start()
+    try:
+        nu = compute_nu(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < nu <= n and peak < 20 * 2**20  # the dense cost matrix alone is 200 MB
 
 
 def test_nu_matches_exhaustive_oracle_smoke():
