@@ -53,7 +53,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)  # job paths are relative to it
         shutil.copytree(ROOT / "fixtures", root / "fixtures")
-        with contextlib.chdir(root):
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
             for workload in WORKLOADS:
                 for seed in SEEDS:
                     work = root / f"{workload}-s{seed}"
@@ -64,6 +66,8 @@ def main() -> None:
                         total.update(digest.encode())
                         count += 1
                         print(f"{digest}  {' '.join(job.argv)}")
+        finally:
+            os.chdir(cwd)
     print(f"{total.hexdigest()}  total of {count} jobs")
 
 

@@ -65,7 +65,7 @@ def run_job(argv: list[str], src: Path, cwd: Path) -> dict:
         digest = hashlib.sha256(f"{code}\n".encode())
         for stream in (out, err):
             stream.seek(0)
-            digest.update(hashlib.file_digest(stream, "sha256").digest())
+            digest.update(hashlib.sha256(stream.read()).digest())
     return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
             "peak_rss_mb": usage.ru_maxrss / 1024, "exit_code": code, "sha256": digest.hexdigest()}
 

@@ -11,7 +11,11 @@ sampled into one (T, n, n) stack, and its eigenvalues, controllability
 matrices, A^n and image ranks come from one stacked call each.  The Hautus
 pencils [A - lam I, B] are then decided in rounds, one per eigenvalue
 position, among the trials whose walk still needs that position; each walk
-stops at its first rank-deficient pencil.  A real lam takes a real SVD, a
+stops at its first rank-deficient pencil.  Positions run through each trial's
+eigenvalues smallest modulus first, where deficient pencils tend to sit (the
+exact zeros, and the eps^(1/k) eigenvalues that rounding smears out of
+nilpotent chains); the verdict, "no needed pencil is deficient", does not
+depend on the order.  A real lam takes a real SVD, a
 conjugate reuses the singular values of its partner's complex SVD, and an
 exact repeat reuses its earlier decision.  Such a reused or real decision
 stands only outside a guard band around the rank cutoff; inside it, the
@@ -175,6 +179,9 @@ def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool) -> l
     """Both numeric checks on a stack of realizations: one (image, hautus)
     pair of boolean arrays per asked check, zero controllability first."""
     lam, nonzero = _eigenvalues(a, tol)
+    # smallest modulus first; stable, so a conjugate pair (bit-equal moduli) stays in order
+    order = np.argsort(np.abs(lam), axis=1, kind="stable")
+    lam, nonzero = np.take_along_axis(lam, order, 1), np.take_along_axis(nonzero, order, 1)
     t, n, m = b.shape
     ctrb = _ctrb(a, b)
     ctrb_rank = _ranks(ctrb)

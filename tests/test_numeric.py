@@ -12,13 +12,21 @@ from zerocontrol import (
     count_nonzero_eigenvalues,
     deadbeat_steer,
     is_controllable_numeric,
+    is_generically_zero_controllable,
     is_zero_controllable_numeric,
     monte_carlo_verify,
     numeric_rank,
     sample_realization,
     steering_residual,
 )
-from conftest import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER, random_pattern
+from conftest import (
+    EXAMPLE1_A,
+    EXAMPLE1_B,
+    EXAMPLE2_A,
+    EXAMPLE2_B_PER_DRIVER,
+    random_pattern,
+    sparse_pattern,
+)
 from oracles import (
     _oracle_eigenvalues,
     _oracle_hautus_ok,
@@ -330,19 +338,36 @@ def test_hand_built_pencils_match_the_reference():
 
 # --- stacked trials --------------------------------------------------------------------
 
-def _needed_classes(r, ctrl):
+def _needed_classes(r, ctrl, by_modulus=True):
     """The conjugate classes {lam, conj(lam)} of the eigenvalues that the
     Hautus walks need, read off one complex SVD per eigenvalue: the zero
     controllability walk covers the nonzero eigenvalues, the controllability
-    walk all of them, and each stops at its first rank-deficient pencil."""
+    walk all of them, each in stable ascending-modulus order (or in the order
+    ``eigvals`` returns them), and each stops at its first rank-deficient
+    pencil."""
     eigenvalues, nonzero = _oracle_eigenvalues(r.a, 1e-8)
     needed = set()
     for walk in [nonzero] + ([eigenvalues] if ctrl else []):
+        if by_modulus:
+            walk = walk[np.argsort(np.abs(walk), kind="stable")]
         for value in map(complex, walk):
             needed.add(frozenset({value, value.conjugate()}))
             if not _oracle_hautus_ok(r.a, r.b, [value]):
                 break
     return needed
+
+
+def _non_zc_pairs(seed, count, n=40):
+    """The first ``count`` structurally non-zero-controllable pairs of a seeded
+    draw shaped like the benchmark's Monte Carlo patterns: about 2n entries in
+    A and one input column with one or two entries."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        a, b = sparse_pattern(rng, n, n, 2 * n), sparse_pattern(rng, n, 1, 2)
+        if not is_generically_zero_controllable(a, b).verdict:
+            pairs.append((a, b))
+    return pairs
 
 
 def _pencils_by_trial(stacks, realizations):
@@ -375,6 +400,7 @@ def test_each_needed_pencil_class_takes_one_svd(ctrl, monkeypatch):
     cases = [(chain, PatternMatrix(6, 1, frozenset({(1, 1)})))]  # nilpotent, [A, B] full rank
     for n, m in ((8, 1), (12, 2), (16, 1), (24, 1)):
         cases.append((random_pattern(rng, n, n, 2.5 / n), random_pattern(rng, n, m, 0.3)))
+    cases += _non_zc_pairs(44, 2)
     complex_classes = 0
     for k, (a, b) in enumerate(cases):
         realizations = [oracle_sample_realization(a, b, 900 + k * 10 + i) for i in range(6)]
@@ -389,6 +415,24 @@ def test_each_needed_pencil_class_takes_one_svd(ctrl, monkeypatch):
             if k == 0:  # the repeated exact zeros take one real SVD under the controllability walk
                 assert pencils == ([(frozenset({0j}), "f")] if ctrl else [])
     assert complex_classes > 0
+
+
+def test_walks_start_at_the_smallest_modulus(monkeypatch):
+    """On structurally non-zero-controllable pairs at n = 40, 100 trials with
+    both checks decide at most half the pencils that walks in ``eigvals``
+    order would: the deficient pencils tend to sit at small |lam|, where the
+    exact zeros are and where rounding smears nilpotent chains."""
+    trials = 100
+    decided = needed = 0
+    for k, (a, b) in enumerate(_non_zc_pairs(46, 4)):
+        stacks = _svd_calls(monkeypatch)
+        monte_carlo_verify(a, b, trials=trials, base_seed=7000 + k * trials, check_controllability=True)
+        monkeypatch.undo()
+        decided += sum(len(stack) for stack in stacks if stack.shape[1:] == (40, 41))
+        for seed in range(7000 + k * trials, 7000 + (k + 1) * trials):
+            r = oracle_sample_realization(a, b, seed)
+            needed += len(_needed_classes(r, ctrl=True, by_modulus=False))
+    assert decided <= needed / 2, (decided, needed)
 
 
 def test_stacked_calls_stay_under_the_entry_cap(monkeypatch):
@@ -413,8 +457,9 @@ def test_stacked_calls_stay_under_the_entry_cap(monkeypatch):
 
 def _stacking_cases():
     """Edge shapes (n = 0, n = 1, m = 0, all-zero A, nilpotent A), both
-    fixture pairs, a pair with both checks inconsistent, and seeded random
-    pairs with n up to 24."""
+    fixture pairs, a pair with both checks inconsistent, seeded random pairs
+    with n up to 24, and two structurally non-zero-controllable pairs with
+    n = 40."""
     empty = PatternMatrix(0, 0, frozenset())
     loop = PatternMatrix(1, 1, frozenset({(1, 1)}))
     strict_lower = PatternMatrix(5, 5, frozenset({(2, 1), (3, 1), (4, 3), (5, 4)}))
@@ -430,7 +475,7 @@ def _stacking_cases():
         n = int(rng.integers(2, 25))
         m = k % 3
         cases.append((random_pattern(rng, n, n, 2.5 / n), random_pattern(rng, n, m, 0.3) if m else None))
-    return cases
+    return cases + _non_zc_pairs(45, 2)
 
 
 @pytest.mark.parametrize("ctrl", [False, True])

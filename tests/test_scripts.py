@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +51,19 @@ def test_job_digests_at_smoke_size(monkeypatch, capsys):
         seed1, seed2 = (digests[argv] for argv in digests
                         if re.search(rf"struct-ladder-s[12]/job{k:04d}\.pat", argv))
         assert (seed1 == seed2) == (k > 3)
+
+
+JOB_DIGEST = "5808668e49a49bbfca4ab257f2b495541fdad4a590d08d681c20540f8f4c9b4b"
+
+
+def test_job_digests_at_full_size():
+    """Every benchmark job prints the same bytes: the total of
+    ``scripts/job_digests.py`` at full size (exit code, stdout and stderr of
+    all 112 jobs at run seeds 1 and 2, one BLAS thread) is ``JOB_DIGEST``.
+    A change to the benchmark that alters its workloads moves it, and records
+    the new total and its reason."""
+    # a fresh interpreter: numpy is imported here already, so the script's
+    # one-BLAS-thread setting would not take effect in this process
+    script = [sys.executable, str(SCRIPTS / "job_digests.py")]
+    out = subprocess.run(script, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == f"{JOB_DIGEST}  total of 112 jobs"
