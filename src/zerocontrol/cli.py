@@ -46,6 +46,7 @@ from .reports import (
 from .structural import _obstruction, is_generically_zero_controllable
 
 DEFAULT_MIN_AGREEMENT = 0.95
+_LEAF = frozenset((float, int, bool, str, type(None)))  # what the C encoder prints as one token
 
 
 def _load_patterns(path: str) -> tuple[PatternMatrix, PatternMatrix | None]:
@@ -78,10 +79,32 @@ def _resolve_input_pattern(args, pattern_a, pattern_b):
     return pattern_b
 
 
+def _dumps(obj, pad="\n  ") -> str:
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, one C-encoder call per scalar container."""
+    if type(obj) in _LEAF:
+        return json.dumps(obj)
+    if type(obj) is dict and all(type(key) is str for key in obj):
+        ends, values = "{}", obj.values()
+    elif type(obj) in (list, tuple):
+        ends, values = "[]", obj
+    else:  # _emit hands the whole document to the reference call
+        raise TypeError(f"no indented emitter for {type(obj).__name__}")
+    if _LEAF.issuperset(map(type, values)):  # the C encoder cannot indent, but it can separate
+        body = json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))[1:-1]
+    else:  # recurse; a dict's values follow their keys, in key order
+        items = [(json.dumps(k) + ": ", v) for k, v in sorted(obj.items())] if ends == "{}" else [("", v) for v in obj]
+        body = ("," + pad).join(head + _dumps(value, pad + "  ") for head, value in items)
+    return f"{ends[0]}{pad}{body}{pad[:-2]}{ends[1]}" if obj else ends
+
+
 def _emit(args, text_doc, json_doc) -> None:
     """Print the document --format asks for; each is a callable, built only if printed."""
     if args.format == "json":
-        print(json.dumps(json_doc(), indent=2, sort_keys=True))
+        doc = json_doc()
+        try:
+            print(_dumps(doc))
+        except TypeError:  # a type or a key that only the reference encoder knows
+            print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(text_doc())
 
@@ -181,6 +204,8 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"--x0 values must be finite, got {args.x0}")
         x0 = np.array(values)
     result = deadbeat_steer(realization, x0, horizon)
+    if not (np.isfinite(result.controls).all() and np.isfinite(result.trajectory).all()):
+        raise ValueError(f"steering overflowed within horizon {horizon} (controls or trajectory not finite)")
     _emit(args, lambda: render_steering(result),
           lambda: {"command": "simulate", "seed": args.seed, "steering": steering_to_dict(result)})
     return 0

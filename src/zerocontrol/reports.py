@@ -196,7 +196,12 @@ def steering_to_dict(result: SteeringResult) -> dict:
 def render_steering(result: SteeringResult) -> str:
     lines = [f"horizon: {result.horizon}", f"final state norm: {result.final_norm:.3e}"]
     lines.append("state norms per step:")
-    for k, row in enumerate(result.trajectory):
-        norm = float(sum(v * v for v in row)) ** 0.5
+    # the sum runs left to right over Python floats, which are the numpy
+    # scalars' IEEE doubles; a loop, since sum() compensates floats from 3.12
+    for k, row in enumerate(result.trajectory.tolist()):
+        total = 0.0
+        for v in row:
+            total += v * v
+        norm = total ** 0.5
         lines.append(f"  k={k:<3d} |x| = {norm:.6e}")
     return "\n".join(lines)

@@ -376,3 +376,13 @@ def oracle_steering_to_dict(result) -> dict:
         "controls": [[float(v) for v in row] for row in result.controls],
         "trajectory": [[float(v) for v in row] for row in result.trajectory],
     }
+
+
+def oracle_render_steering(result) -> str:
+    """The steering text summed over numpy scalars, one element at a time."""
+    lines = [f"horizon: {result.horizon}", f"final state norm: {result.final_norm:.3e}"]
+    lines.append("state norms per step:")
+    for k, row in enumerate(result.trajectory):
+        norm = float(sum(v * v for v in row)) ** 0.5
+        lines.append(f"  k={k:<3d} |x| = {norm:.6e}")
+    return "\n".join(lines)

@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -14,7 +17,7 @@ from zerocontrol.cli import run_cli
 from zerocontrol.fileio import serialize_pattern_file
 from zerocontrol.patterns import PatternMatrix
 from conftest import EXAMPLE1_A, EXAMPLE1_B
-from oracles import oracle_steering_to_dict
+from oracles import oracle_render_steering, oracle_steering_to_dict
 
 
 @pytest.fixture
@@ -194,6 +197,33 @@ def test_simulate_json_matches_the_per_float_document(tmp_path, monkeypatch, cap
     assert len(json.loads(out)["steering"]["trajectory"]) == n + 1
 
 
+def test_steering_text_sums_python_floats_as_numpy_scalars():
+    from zerocontrol.numeric import SteeringResult
+    from zerocontrol.reports import render_steering
+
+    rng = np.random.default_rng(7)
+    for case in range(40):
+        horizon, n = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        scale = 10.0 ** rng.uniform(-20, 20, size=(horizon + 1, 1 if case % 2 else n))
+        trajectory = rng.standard_normal((horizon + 1, n)) * scale
+        special = rng.integers(0, horizon + 1, size=3)
+        trajectory[special[0]] = np.inf
+        trajectory[special[1], int(rng.integers(n))] = np.nan
+        trajectory[special[2], int(rng.integers(n))] = -np.inf
+        result = SteeringResult(np.zeros((horizon, 1)), trajectory, float(rng.random()), horizon)
+        assert render_steering(result) == oracle_render_steering(result)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_simulate_refuses_a_steer_that_overflows(fmt, example1_path, capsys):
+    assert run_cli(["simulate", example1_path, "--horizon", "2000", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    *warned, error = captured.err.splitlines()
+    assert error == "error: steering overflowed within horizon 2000 (controls or trajectory not finite)"
+    assert warned and all(line.startswith("warning: ") for line in warned)
+
+
 def test_simulate_default_horizon_is_at_least_one(tmp_path, capsys):
     path = tmp_path / "empty.pat"
     path.write_text("n 0\n")
@@ -323,6 +353,84 @@ def test_one_parser_serves_every_call(example1_path, example2_path, monkeypatch,
     assert printed[1][0] == 2 and "invalid choice: 'xml'" in printed[1][2]
     # the first call may build the parser and its five subparsers; no later one builds any
     assert builds[0] in (0, 6) and builds == builds[:1] * len(argvs)
+
+
+# --- indented JSON -------------------------------------------------------------------
+
+_FLOATS = [-0.0, 0.0, 5e-324, 1e308, -1e308, float("nan"), float("inf"), float("-inf"), 0.1, 1e16]
+_INTS = [0, -1, 7, 2**63, -(2**63) - 1, 10**30]
+_PIECES = ["", ", ", ",\n  ", ": ", "[", "]", "{", "}", '"', "\\", "\x00\x1f\t\n", "é", "中文", "\U0001f600", "\u2028", "x12"]
+
+
+def _random_document(rng: random.Random, depth: int):
+    """Scalars at the edges of what JSON prints, inside lists, tuples and dicts;
+    now and then a non-str key or a type only the reference encoder knows."""
+    if depth == 0 or rng.random() < 0.45:
+        kind = rng.randrange(7)
+        if kind == 0:
+            return rng.choice(_FLOATS) if rng.random() < 0.5 else rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300)
+        if kind == 1:
+            return rng.choice(_INTS) if rng.random() < 0.5 else rng.randint(-10**6, 10**6)
+        if kind == 2:
+            return rng.random() < 0.5
+        if kind == 3:
+            return None
+        if kind == 4 and rng.random() < 0.05:
+            return np.float64(rng.choice(_FLOATS))
+        return "".join(rng.choice(_PIECES) for _ in range(rng.randrange(4)))
+    values = [_random_document(rng, depth - 1) for _ in range(rng.randrange(5))]
+    kind = rng.randrange(4)
+    if kind == 0:
+        return values
+    if kind == 1:
+        return tuple(values)
+    if rng.random() < 0.04:
+        return {rng.randint(-3, 3): value for value in values}
+    return {"".join(rng.choice(_PIECES) for _ in range(3)) + str(i): value for i, value in enumerate(values)}
+
+
+def test_indented_emitter_prints_what_the_reference_encoder_prints(monkeypatch):
+    from zerocontrol import cli
+
+    fallbacks = []
+    dumps = cli._dumps
+
+    def counted(doc, *pad):
+        try:
+            return dumps(doc, *pad)
+        except TypeError:
+            if not pad:
+                fallbacks.append(doc)
+            raise
+
+    monkeypatch.setattr(cli, "_dumps", counted)
+    args = argparse.Namespace(format="json")
+    rng = random.Random(2024)
+    for _ in range(10_000):
+        doc = {"doc": _random_document(rng, 5)} if rng.random() < 0.5 else _random_document(rng, 5)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(args, None, lambda: doc)
+        assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert 100 < len(fallbacks) < 2000
+
+
+JSON_COMMANDS = [
+    ["analyze"], ["select"], ["select", "--enumerate"], ["select", "--greedy", "--b-mode", "shared"],
+    ["verify", "--trials", "5", "--check-controllability"], ["simulate"], ["simulate", "--horizon", "3"],
+]
+
+
+@pytest.mark.parametrize("fixture", ["example1.pat", "example2.pat"])
+@pytest.mark.parametrize("command", JSON_COMMANDS, ids=" ".join)
+def test_json_output_matches_the_reference_encoder(command, fixture, fixture_dir, monkeypatch, capsys):
+    from zerocontrol import cli
+
+    argv = [command[0], str(fixture_dir / fixture), *command[1:], "--format", "json"]
+    printed = (run_cli(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "_dumps", lambda doc: json.dumps(doc, indent=2, sort_keys=True))
+    assert (run_cli(argv), *capsys.readouterr()) == printed
+    assert printed[1].startswith("{\n")
 
 
 # --- imports -----------------------------------------------------------------------
