@@ -29,7 +29,7 @@ from .drivers import (
 )
 from .fileio import PatternFormatError, parse_pattern_file
 from .graph import build_graph
-from .numeric import DEFAULT_BASE_SEED, deadbeat_steer, monte_carlo_verify, sample_realization
+from .numeric import DEFAULT_BASE_SEED, check_dense_size, deadbeat_steer, monte_carlo_verify, sample_realization
 from .patterns import PatternMatrix
 from .reports import (
     b_pattern_to_dict,
@@ -43,7 +43,7 @@ from .reports import (
     steering_to_dict,
     zc_report_to_dict,
 )
-from .structural import _obstruction, is_generically_zero_controllable
+from .structural import _zc_report, is_generically_zero_controllable
 
 DEFAULT_MIN_AGREEMENT = 0.95
 _LEAF = frozenset((float, int, bool, str, type(None)))  # what the C encoder prints as one token
@@ -122,6 +122,8 @@ def _cmd_select(args) -> int:
     for name, value, least in (("exact_cap", args.exact_cap, 0), ("limit", args.limit, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    if args.greedy and args.enumerate:
+        raise ValueError("--greedy and --enumerate cannot be combined: the greedy set is not enumerated")
     pattern_a, pattern_b = _load_patterns(args.file)
     if pattern_b is not None:
         print("note: driver selection works on the state pattern; input entries ignored",
@@ -189,6 +191,7 @@ def _cmd_simulate(args) -> int:
     pattern_b = _resolve_input_pattern(args, pattern_a, pattern_b)
     n = pattern_a.n_rows
     horizon = args.horizon if args.horizon is not None else max(n, 1)
+    check_dense_size(n, pattern_b.n_cols if pattern_b is not None else 0, horizon)
     realization = sample_realization(pattern_a, pattern_b, args.seed)
     if args.x0 == "random":
         rng = np.random.default_rng(args.seed + 1)
@@ -222,7 +225,7 @@ def _cmd_export_dot(args) -> int:
     if args.drivers is not None:
         report = _validate_on(graph, _parse_drivers(args.drivers))
     elif pattern_b is not None:
-        report = _obstruction(graph, (d for _, d in graph.input_edges))
+        report = _zc_report(graph)
     print(export_dot(graph, graph.condensation, report), end="")
     return 0
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .graph import SystemGraph, _bits, build_graph, state_name, vertex_index
+from .graph import SystemGraph, _bits, _obstruction, build_graph, state_name, vertex_index
 from .patterns import PatternMatrix
-from .structural import _obstruction
 
 #: Above this many candidate components the exact search hands over to the
 #: greedy heuristic.
@@ -83,13 +82,13 @@ def _state_indices(n: int, drivers: Iterable[str]) -> list[int]:
 
 def _driver_set(graph: SystemGraph, indices: Sequence[int], minimal: bool) -> DriverSet:
     """The drivers with their certificate; every search result is re-checked here."""
-    report = _obstruction(graph, indices)
+    _, witness, blocking = _obstruction(graph, indices)
     return DriverSet(
         drivers=frozenset(state_name(i) for i in indices),
-        valid=report.verdict,
+        valid=not blocking,
         minimal=minimal,
-        uncovered_witness=report.cycle_witness,
-        nontrivial_unreachable_components=report.nontrivial_unreachable_components,
+        uncovered_witness=witness,
+        nontrivial_unreachable_components=blocking,
     )
 
 

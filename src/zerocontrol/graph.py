@@ -333,7 +333,8 @@ def find_cycle(
     """One concrete cycle among the given state vertices, or None.
 
     Deterministic: prefers the smallest self-loop, then the shortest cycle
-    through the smallest vertex of the first nontrivial component.
+    through the smallest vertex on a cycle: ``_obstruction``'s witness on the
+    induced subgraph, seeded with the excluded states (which keep no edge).
     """
     excluded = bytearray(b"\x00" if within is None else b"\x01") * (graph.n_states + 1)
     for name in within or ():
@@ -344,20 +345,29 @@ def find_cycle(
 
     induced = frozenset((s, d) for s, d in graph.state_edges if not (excluded[s] or excluded[d]))
     subgraph = SystemGraph(graph.n_states, 0, induced, frozenset())
-    first = next((k for k, nt in enumerate(subgraph.condensation.nontrivial) if nt), None)
-    return None if first is None else _cycle_witness(subgraph, excluded, first)
+    return _obstruction(subgraph, [v for v in range(1, graph.n_states + 1) if excluded[v]])[1]
 
 
-def _cycle_witness(
-    graph: SystemGraph, excluded: bytearray, first: int
-) -> tuple[tuple[str, str], ...]:
+def _obstruction(graph: SystemGraph, seeds: Iterable[int]) -> tuple:
+    """States unreachable from the seed states, and the cycles they hold: the
+    reach bytes, one unreached cycle or None, and the unreached nontrivial
+    components in label order.  The unreachable set is closed under
+    predecessors, so it is a union of whole components of the graph."""
+    scc = graph.condensation
+    reached = _reach_states(graph, seeds)
+    cyclic = [v for v in range(1, len(reached)) if not reached[v] and scc.nontrivial[scc._comp_of[v]]]
+    blocking = sorted({scc._comp_of[v] for v in cyclic})
+    witness = _cycle_witness(graph, reached, cyclic[0]) if cyclic else None
+    return reached, witness, tuple(scc.components[k] for k in blocking)
+
+
+def _cycle_witness(graph: SystemGraph, excluded: bytearray, start: int) -> tuple[tuple[str, str], ...]:
     """The smallest self-loop on a state that is not ``excluded``, otherwise
-    the shortest cycle through the smallest member of the graph's component
-    ``first`` (no member of which is excluded): BFS back to it inside its
-    component, visiting successors in ascending order."""
+    the shortest cycle through ``start``: BFS back to it over the states not
+    excluded, successors in ascending order.  A state on that cycle reaches
+    ``start`` and is reached from it, so no condensation is needed."""
     src, dst, indptr, indices = graph._csr
-    comp_of = graph.condensation._comp_of
-    start = next((v for v in src[src == dst].tolist() if not excluded[v]), 0) or comp_of.index(first)
+    start = next((v for v in src[src == dst].tolist() if not excluded[v]), 0) or start
     parent: dict[int, int] = {start: 0}
     queue = [start]
     while True:
@@ -371,7 +381,7 @@ def _cycle_witness(
                         v = parent[v]
                     names = [state_name(x) for x in reversed(cycle)]
                     return tuple(zip(names, names[1:]))
-                if comp_of[w] == comp_of[start] and w not in parent:
+                if not excluded[w] and w not in parent:
                     parent[w] = v
                     next_queue.append(w)
         queue = next_queue

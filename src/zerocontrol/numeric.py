@@ -40,6 +40,22 @@ DEFAULT_BASE_SEED = 20240001
 #: Relative singular-value cutoff for numeric rank decisions.
 RANK_REL_TOL = 1e-10
 
+#: Most matrix entries the dense numeric work of one pair may need: over
+#: ``steps`` steps (n for the Monte Carlo tests, the horizon for steering) it
+#: builds n-by-steps blocks, one per input column and one for the state.  At
+#: 2^25 entries one such float64 array takes 256 MiB.
+MAX_DENSE_ENTRIES = 2**25
+
+
+def check_dense_size(n: int, m: int, steps: int) -> None:
+    """Refuse, before anything is allocated, dense work above MAX_DENSE_ENTRIES."""
+    entries = n * max(n, steps) * (m + 1)
+    if entries > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"n={n}, m={m} over {max(n, steps)} steps needs {entries} dense matrix entries, "
+            f"above the limit of {MAX_DENSE_ENTRIES}"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class ValueSpec:
@@ -287,6 +303,7 @@ def deadbeat_steer(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     a, b = realization.a, realization.b
     n, m = realization.n, realization.m
+    check_dense_size(n, m, horizon)
     x0 = np.asarray(x0, dtype=float).reshape(n)
 
     if m > 0:
@@ -364,6 +381,9 @@ def monte_carlo_verify(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if base_seed < 0:
         raise ValueError(f"seed must be >= 0, got {base_seed}")
+    n = pattern_a.n_rows
+    m = pattern_b.n_cols if pattern_b is not None else 0
+    check_dense_size(n, m, n)
     zc_structural = is_generically_zero_controllable(pattern_a, pattern_b).verdict
     ctrl_structural = (
         is_generically_controllable(pattern_a, pattern_b).verdict
@@ -372,8 +392,6 @@ def monte_carlo_verify(
     )
     zc_agree = ctrl_agree = inconsistent = 0
     disagreeing = []
-    n = pattern_a.n_rows
-    m = pattern_b.n_cols if pattern_b is not None else 0
     chunk = max(1, _STACK_ENTRIES // max(1, n * n * (m + 1)))  # [C, A^n] is n by n(m + 1)
     for start in range(base_seed, base_seed + trials, chunk):
         seeds = range(start, min(start + chunk, base_seed + trials))

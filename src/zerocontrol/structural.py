@@ -4,18 +4,10 @@ generic controllability and generic zero controllability."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .graph import (
-    SystemGraph,
-    _cycle_witness,
-    _reach_states,
-    build_graph,
-    has_cycle,
-    state_name,
-)
+from .graph import SystemGraph, _obstruction, _reach_states, build_graph, has_cycle, state_name
 from .patterns import PatternMatrix
 
 
@@ -58,15 +50,17 @@ def generic_rank(pattern: PatternMatrix) -> int:
 
     Deterministic augmenting-path bipartite matching (rows against columns),
     depth first with an explicit stack so long augmenting paths cannot
-    exhaust the interpreter's recursion limit.
+    exhaust the interpreter's recursion limit.  Visited columns stay banned
+    for a whole phase over the free rows; phases repeat until one augments
+    nothing, which proves the matching maximum (Berge).
     """
+    rows, cols = pattern._coords  # by column, so each row's columns ascend
     adj: dict[int, list[int]] = {}
-    for i, j in sorted(pattern.nonzeros):
+    for i, j in zip(rows.tolist(), cols.tolist()):
         adj.setdefault(i, []).append(j)
     match_col: dict[int, int] = {}
 
-    def augment(root: int) -> bool:
-        banned: set[int] = set()
+    def augment(root: int, banned: set[int]) -> bool:
         path = [[root, iter(adj[root]), 0]]  # row, untried columns, column in use
         while path:
             frame = path[-1]
@@ -82,7 +76,12 @@ def generic_rank(pattern: PatternMatrix) -> int:
                 return True
         return False
 
-    return sum(augment(r) for r in sorted(adj))
+    free, matched = sorted(adj), -1
+    while matched < len(match_col):
+        banned: set[int] = set()  # one set per phase
+        matched = len(match_col)
+        free = [r for r in free if not augment(r, banned)]
+    return matched
 
 
 def _input_reach(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None) -> bytearray:
@@ -152,22 +151,16 @@ class ZcReport:
         return self.verdict
 
 
-def _obstruction(graph: SystemGraph, seeds: Iterable[int]) -> ZcReport:
-    """States unreachable from the seed states, and the cycles they hold.
-
-    The unreachable set is closed under predecessors, so it is a union of
-    whole components of the graph, and those are its own components too.
-    """
-    scc = graph.condensation
-    reached = _reach_states(graph, seeds)
-    unreached = [v for v in range(1, graph.n_states + 1) if not reached[v]]
-    blocking = sorted(k for k in {scc._comp_of[v] for v in unreached} if scc.nontrivial[k])
+def _zc_report(graph: SystemGraph) -> ZcReport:
+    """The obstruction left by the input-reached states, with every state
+    named: the one place where the report boundary names them all."""
+    reached, witness, blocking = _obstruction(graph, (d for _, d in graph.input_edges))
     return ZcReport(
         verdict=not blocking,
         reachable_states=frozenset(state_name(v) for v in range(1, len(reached)) if reached[v]),
-        unreachable_states=frozenset(map(state_name, unreached)),
-        cycle_witness=_cycle_witness(graph, reached, blocking[0]) if blocking else None,
-        nontrivial_unreachable_components=tuple(scc.components[k] for k in blocking),
+        unreachable_states=frozenset(state_name(v) for v in range(1, len(reached)) if not reached[v]),
+        cycle_witness=witness,
+        nontrivial_unreachable_components=blocking,
     )
 
 
@@ -177,8 +170,7 @@ def is_generically_zero_controllable(
     """Generic zero controllability: the input-unreachable part of the state
     graph must contain no cycle.  A missing input pattern means nothing is
     reachable and the test reduces to structural nilpotency."""
-    graph = build_graph(pattern_a, pattern_b)
-    return _obstruction(graph, (d for _, d in graph.input_edges))
+    return _zc_report(build_graph(pattern_a, pattern_b))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -222,6 +223,32 @@ def test_simulate_refuses_a_steer_that_overflows(fmt, example1_path, capsys):
     *warned, error = captured.err.splitlines()
     assert error == "error: steering overflowed within horizon 2000 (controls or trajectory not finite)"
     assert warned and all(line.startswith("warning: ") for line in warned)
+
+
+_EMPTY_1E5 = "n=100000, m=0 over 100000 steps needs 10000000000 dense matrix entries, above the limit of 33554432"
+TOO_DENSE = [
+    (["simulate", "example1.pat", "--horizon", "1000000000000"],
+     "n=5, m=1 over 1000000000000 steps needs 10000000000000 dense matrix entries, above the limit of 33554432"),
+    (["simulate", "empty"], _EMPTY_1E5),
+    (["verify", "empty"], _EMPTY_1E5),
+    (["verify", "empty", "--check-controllability", "--format", "json"], _EMPTY_1E5),
+]
+
+
+@pytest.mark.parametrize("argv, error", TOO_DENSE, ids=[" ".join(argv) for argv, _ in TOO_DENSE])
+def test_dense_work_past_the_limit_exits_2_before_allocating(argv, error, fixture_dir, tmp_path, capsys):
+    empty = tmp_path / "empty.pat"
+    empty.write_text("n 100000\n")
+    path = empty if argv[1] == "empty" else fixture_dir / argv[1]
+    tracemalloc.start()
+    try:
+        code = run_cli([argv[0], str(path), *argv[2:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert peak < 16 * 2**20  # the pattern and its parse; no realization, graph or matrix power
 
 
 def test_simulate_default_horizon_is_at_least_one(tmp_path, capsys):
@@ -565,6 +592,8 @@ BAD_INPUTS = [
     (["export-dot", "example2.pat", "--drivers", "x12"], "unknown vertex 'x12' (pattern has 11 states)"),
     (["verify", "example1.pat", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["simulate", "example1.pat", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["select", "example2.pat", "--greedy", "--enumerate"],
+     "--greedy and --enumerate cannot be combined: the greedy set is not enumerated"),
 ]
 
 

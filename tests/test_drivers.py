@@ -395,3 +395,28 @@ def test_witnesses_match_find_cycle_on_the_unreached_states():
             negatives += witness is not None
             bfs_witnesses += witness is not None and len(witness) > 1
     assert negatives > 500 and bfs_witnesses > 100
+
+
+# --- names only at the report boundary ------------------------------------------------
+
+def test_enumeration_names_each_state_once_and_each_driver_per_set(monkeypatch):
+    """Three disjoint 4-cycles feeding a 60-state chain: 64 minimum sets of
+    3 drivers.  Naming happens once per state (the components) and once per
+    listed driver; the checks themselves run on state ids."""
+    from zerocontrol import drivers, graph, structural
+
+    n = 72
+    cycles = {(1 + 4 * c + (k + 1) % 4, 1 + 4 * c + k) for c in range(3) for k in range(4)}
+    chain = {(13, 1), (13, 5), (13, 9)} | {(v + 1, v) for v in range(13, n)}
+    calls = []
+    original = graph.state_name
+
+    def counted(i):
+        calls.append(i)
+        return original(i)
+
+    for module in (graph, structural, drivers):
+        monkeypatch.setattr(module, "state_name", counted)
+    listed = enumerate_minimal_driver_sets(PatternMatrix(n, n, frozenset(cycles | chain)), limit=100)
+    assert len(listed) == 64 and all(ds.valid and ds.size == 3 for ds in listed)
+    assert len(calls) <= n + 64 * 3

@@ -134,6 +134,33 @@ def test_generic_rank_survives_long_augmenting_path():
     assert generic_rank(PatternMatrix(n, n, frozenset(entries | {(n, 1)}))) == n
 
 
+@pytest.mark.parametrize("extra_input", [False, True], ids=["alone", "with one B column"])
+def test_generic_rank_has_no_quadratic_cliff(extra_input):
+    # bidiagonal plus a corner entry, without (1, 1): each row's augmenting
+    # search walks back down the whole chain unless visited columns persist
+    n = 10**5
+    entries = {(i, i) for i in range(2, n + 1)} | {(i, i + 1) for i in range(1, n)} | {(n, 1)}
+    p = PatternMatrix(n, n, frozenset(entries))
+    if extra_input:
+        p = p.hstack(PatternMatrix(n, 1, frozenset({(1, 1)})))
+    assert generic_rank(p) == n
+
+
+def test_generic_rank_matches_scipy_matching():
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        rows, cols = (int(10 ** (4 * rng.random() ** 3)) for _ in range(2))  # 1 .. 10^4, mostly small
+        nnz = int(rng.uniform(0.3, 2.5) * max(rows, cols))
+        keys = np.unique(rng.integers(0, cols, nnz) * rows + rng.integers(0, rows, nnz))
+        r, c = keys % rows, keys // rows  # distinct, by column and then row
+        p = PatternMatrix._trusted(rows, cols, r + 1, c + 1)
+        graph = csr_array((np.ones(len(r)), (r, c)), shape=(rows, cols))
+        assert generic_rank(p) == int((maximum_bipartite_matching(graph, perm_type="column") >= 0).sum())
+
+
 def test_generic_rank_matches_oracle_and_numeric_rank():
     rng = np.random.default_rng(55)
     numeric_hits = 0
