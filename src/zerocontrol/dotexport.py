@@ -3,8 +3,10 @@ components, and analysis results."""
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .drivers import DriverSet
-from .graph import SccDecomposition, SystemGraph, input_name, reachable_from, sort_vertices, state_name
+from .graph import SccDecomposition, SystemGraph, _parse_vertex, _reach_from, input_name, state_name
 from .structural import ZcReport
 
 REACHABLE_FILL = "palegreen"
@@ -19,39 +21,34 @@ def export_dot(
     """Deterministic DOT text: one cluster per component (double border for
     nontrivial ones), reachable and unreachable states in distinct fills,
     driver vertices drawn as double circles."""
-    drivers: frozenset[str] = frozenset()
-    reachable: frozenset[str] | None = None
+    n = graph.n_states
+    reached, drivers = None, set()
     if isinstance(report, ZcReport):
-        reachable = report.reachable_states
+        ids = {idx for kind, idx in map(_parse_vertex, report.reachable_states) if kind == "x"}
+        reached = bytes(v in ids for v in range(n + 1))
     elif isinstance(report, DriverSet):
-        drivers = report.drivers
-        reachable = reachable_from(graph, drivers)
-
-    def node_attrs(name: str) -> str:
-        attrs = []
-        if name in drivers:
-            attrs.append("shape=doublecircle")
-        if reachable is not None:
-            fill = REACHABLE_FILL if name in reachable else UNREACHABLE_FILL
-            attrs.append("style=filled")
-            attrs.append(f"fillcolor={fill}")
-        return f" [{', '.join(attrs)}]" if attrs else ""
+        sources = {graph.resolve(name) for name in report.drivers}
+        drivers = {idx for kind, idx in sources if kind == "x"}
+        reached = _reach_from(graph, sources)
+    fills = [f" [style=filled, fillcolor={fill}]" for fill in (UNREACHABLE_FILL, REACHABLE_FILL)]
+    attrs = [""] * (n + 1) if reached is None else [fills[r] for r in reached]
+    for v in drivers:
+        attrs[v] = attrs[v].replace("[", "[shape=doublecircle, ")
+    names = [""] + list(map(state_name, range(1, n + 1)))
 
     lines = ["digraph system {", "  rankdir=LR;", "  node [shape=circle];"]
-    for k, comp in enumerate(scc.components):
+    comp = scc._comp_of.__getitem__  # a stable sort keeps each component's states ascending
+    for k, members in groupby(sorted(range(1, n + 1), key=comp), comp):
         kind = "nontrivial" if scc.nontrivial[k] else "trivial"
         lines.append(f"  subgraph cluster_{k + 1} {{")
         lines.append(f'    label="{scc.label(k)} ({kind})";')
         if scc.nontrivial[k]:
             lines.append("    peripheries=2;")
-        for name in sort_vertices(comp):
-            lines.append(f"    {name}{node_attrs(name)};")
+        lines += [f"    {names[v]}{attrs[v]};" for v in members]
         lines.append("  }")
-    for j in range(1, graph.n_inputs + 1):
-        lines.append(f"  {input_name(j)} [shape=box];")
+    lines += [f"  {input_name(j)} [shape=box];" for j in range(1, graph.n_inputs + 1)]
     src, dst = graph._csr[:2]
-    lines += [f"  {state_name(s)} -> {state_name(d)};" for s, d in zip(src.tolist(), dst.tolist())]
-    for src, dst in sorted(graph.input_edges):
-        lines.append(f"  {input_name(src)} -> {state_name(dst)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f"  {names[s]} -> {names[d]};" for s, d in zip(src.tolist(), dst.tolist())]
+    lines += [f"  {input_name(s)} -> {names[d]};" for s, d in sorted(graph.input_edges)]
+    lines.append("}\n")  # the final newline, without copying the joined text again
+    return "\n".join(lines)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .graph import SystemGraph, _bits, _obstruction, build_graph, state_name, vertex_index
+from .graph import SystemGraph, _bits, _obstruction, _parse_vertex, build_graph, sort_vertices, state_name
 from .patterns import PatternMatrix
 
 #: Above this many candidate components the exact search hands over to the
@@ -49,7 +49,7 @@ class DriverSet:
         return len(self.drivers)
 
     def sorted_drivers(self) -> list[str]:
-        return sorted(self.drivers, key=vertex_index)
+        return sort_vertices(self.drivers)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -71,9 +71,9 @@ def _state_indices(n: int, drivers: Iterable[str]) -> list[int]:
     """Sorted distinct indices of the driver states."""
     out = set()
     for name in drivers:
-        if not isinstance(name, str) or not name.startswith("x"):
+        kind, idx = _parse_vertex(name) if isinstance(name, str) else ("", 0)
+        if kind != "x":
             raise ValueError(f"driver vertices must be states, got {name!r}")
-        idx = vertex_index(name)
         if idx > n:
             raise ValueError(f"unknown vertex {name!r} (pattern has {n} states)")
         out.add(idx)

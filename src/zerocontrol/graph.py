@@ -5,13 +5,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .patterns import PatternMatrix
 
-_VERTEX_RE = re.compile(r"^([xu])([1-9][0-9]*)$")
+_VERTEX_RE = re.compile(r"([xu])([1-9][0-9]*)")
 
 #: Hard cap on the number of walk monomials a single entry_paths call may emit.
 MAX_WALK_MONOMIALS = 10**6
@@ -29,18 +30,16 @@ def input_name(j: int) -> str:
     return f"u{j}"
 
 
-def vertex_index(name: str) -> int:
-    """Numeric part of a vertex name such as ``x12`` or ``u3``."""
-    m = _VERTEX_RE.match(name)
-    if m is None:
-        raise ValueError(f"malformed vertex name {name!r}")
-    return int(m.group(2))
+def _parse_vertex(name: str) -> tuple[str, int]:
+    """(kind, index) of a vertex name such as ``x12`` or ``u3``; ("", 0) for any other string."""
+    m = _VERTEX_RE.fullmatch(name)
+    return (m[1], int(m[2])) if m else ("", 0)
 
 
 def sort_vertices(names: Iterable[str]) -> list[str]:
-    """Sort vertex names by kind then numeric index (x before u is irrelevant;
-    kinds never mix in reports)."""
-    return sorted(names, key=lambda v: (v[0], int(v[1:])))
+    """Sort vertex names by kind, then index: indices have no leading zeros, so
+    stable sorts by text, by length and by kind give that order on C-level keys."""
+    return sorted(sorted(sorted(names), key=len), key=itemgetter(0))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -111,10 +110,9 @@ class SystemGraph:
 
     def resolve(self, name: str) -> tuple[str, int]:
         """Split a vertex name into (kind, index), rejecting unknown vertices."""
-        m = _VERTEX_RE.match(name)
-        if m is None:
+        kind, idx = _parse_vertex(name)
+        if not kind:
             raise ValueError(f"unknown vertex {name!r}")
-        kind, idx = m.group(1), int(m.group(2))
         bound = self.n_states if kind == "x" else self.n_inputs
         if idx > bound:
             raise ValueError(f"unknown vertex {name!r} (graph has {bound} {kind}-vertices)")
@@ -158,6 +156,12 @@ def _reach_states(graph: SystemGraph, seeds: Iterable[int]) -> bytearray:
     return reached
 
 
+def _reach_from(graph: SystemGraph, sources: Iterable[tuple[str, int]]) -> bytearray:
+    """``_reach_states`` from resolved sources: a state seeds itself, an input its edges' heads."""
+    return _reach_states(graph, [v for kind, idx in sources
+                                 for v in ((idx,) if kind == "x" else graph.input_successors[idx])])
+
+
 def reachable_from(graph: SystemGraph, sources: Iterable[str]) -> frozenset[str]:
     """State vertices reachable from the given source vertices.
 
@@ -165,10 +169,7 @@ def reachable_from(graph: SystemGraph, sources: Iterable[str]) -> frozenset[str]
     source only contributes the states its edges lead to, and is never itself
     part of the result.
     """
-    seeds: list[int] = []
-    for kind, idx in {graph.resolve(name) for name in sources}:
-        seeds.extend((idx,) if kind == "x" else graph.input_successors[idx])
-    reached = _reach_states(graph, seeds)
+    reached = _reach_from(graph, {graph.resolve(name) for name in sources})
     return frozenset(state_name(v) for v in range(1, graph.n_states + 1) if reached[v])
 
 
@@ -219,10 +220,10 @@ class SccDecomposition:
         )
 
     def component_of(self, name: str) -> int:
-        m = _VERTEX_RE.match(name)
-        if m is None or m.group(1) != "x" or int(m.group(2)) >= len(self._comp_of):
+        kind, idx = _parse_vertex(name)
+        if kind != "x" or idx >= len(self._comp_of):
             raise KeyError(name)
-        return self._comp_of[int(m.group(2))]
+        return self._comp_of[idx]
 
     def precedes(self, a: frozenset[str] | int, b: frozenset[str] | int) -> bool:
         """True when component a can reach component b (strictly: a != b)."""

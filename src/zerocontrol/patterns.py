@@ -130,13 +130,14 @@ class PatternMatrix:
         return PatternMatrix(self.n_rows, self.n_cols, self.nonzeros - {(i, j)})
 
     def hstack(self, other: "PatternMatrix") -> "PatternMatrix":
-        """Pattern of [self other]."""
+        """Pattern of [self other]; self's entries, then other's shifted ones, keep ``_coords`` order."""
         if other.n_rows != self.n_rows:
             raise ValueError(
                 f"cannot stack {self.n_rows}x{self.n_cols} beside {other.n_rows}x{other.n_cols}"
             )
-        shifted = {(i, j + self.n_cols) for i, j in other.nonzeros}
-        return PatternMatrix(self.n_rows, self.n_cols + other.n_cols, self.nonzeros | shifted)
+        (rows, cols), (more_rows, more_cols) = self._coords, other._coords
+        return PatternMatrix._trusted(self.n_rows, self.n_cols + other.n_cols, np.concatenate((rows, more_rows)),
+                                      np.concatenate((cols, more_cols + self.n_cols)))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PatternMatrix":
         """Reindexed block: new entry (a, b) iff (rows[a-1], cols[b-1]) was nonzero."""

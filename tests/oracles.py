@@ -254,6 +254,10 @@ def oracle_find_cycle(graph, within=None):
     allowed = set(range(1, graph.n_states + 1))
     if within is not None:
         allowed = {int(name[1:]) for name in within}
+    successors = {v: [] for v in allowed}  # built here, not read off the graph's CSR
+    for s, d in sorted(graph.state_edges):
+        if s in allowed:
+            successors[s].append(d)
     for v in sorted(allowed):
         if (v, v) in graph.state_edges:
             return ((state_name(v), state_name(v)),)
@@ -263,7 +267,7 @@ def oracle_find_cycle(graph, within=None):
         while queue:
             next_queue = []
             for v in queue:
-                for w in graph.state_successors[v]:
+                for w in successors[v]:
                     if w not in allowed:
                         continue
                     if w == start:

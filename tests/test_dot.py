@@ -1,3 +1,6 @@
+import numpy as np
+
+from zerocontrol import dotexport, graph as graph_module
 from zerocontrol import (
     PatternMatrix,
     build_graph,
@@ -6,6 +9,7 @@ from zerocontrol import (
     scc_decompose,
     validate_driver_set,
 )
+from conftest import sparse_pattern
 
 
 def test_dot_example1_marks_unreachable_state(example1_a, example1_b):
@@ -58,3 +62,25 @@ def test_dot_is_deterministic(example2_a):
     scc = scc_decompose(graph)
     ds = validate_driver_set(example2_a, {"x4", "x8"})
     assert export_dot(graph, scc, ds) == export_dot(graph, scc, ds)
+
+
+def test_dot_names_each_state_once_and_reads_ids(monkeypatch):
+    pattern = sparse_pattern(np.random.default_rng(3), 60, 60, 90)
+    inputs = PatternMatrix(60, 2, frozenset({(4, 1), (31, 2)}))
+    graph = build_graph(pattern, inputs)
+    reports = [is_generically_zero_controllable(pattern, inputs), validate_driver_set(pattern, {"x2", "x17"})]
+    expected = [export_dot(graph, graph.condensation, report) for report in reports]
+
+    def forbidden(*args):
+        raise AssertionError("export_dot went back to names")
+
+    calls = []
+    counted = graph_module.state_name
+    monkeypatch.setattr(dotexport, "state_name", lambda i: calls.append(i) or counted(i))
+    for module in (dotexport, graph_module):
+        monkeypatch.setattr(module, "sort_vertices", forbidden, raising=False)
+        monkeypatch.setattr(module, "reachable_from", forbidden, raising=False)
+    for report, dot in zip(reports, expected):
+        calls.clear()
+        assert export_dot(graph, graph.condensation, report) == dot
+        assert len(calls) <= graph.n_states

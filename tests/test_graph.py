@@ -8,6 +8,7 @@ from zerocontrol import (
     PathMonomial,
     PatternMatrix,
     WalkCountError,
+    build_b_pattern,
     build_graph,
     entry_paths,
     find_cycle,
@@ -15,7 +16,9 @@ from zerocontrol import (
     reachable_from,
     sample_realization,
     scc_decompose,
+    validate_driver_set,
 )
+from zerocontrol.graph import sort_vertices
 from conftest import random_pattern
 from oracles import oracle_find_cycle
 
@@ -88,6 +91,33 @@ def test_reachable_rejects_unknown_vertices(example1_a, example1_b):
         reachable_from(g, {"u2"})
     with pytest.raises(ValueError, match="unknown vertex 'y1'"):
         reachable_from(g, {"y1"})
+
+
+def test_names_with_a_trailing_newline_are_rejected(example1_a, example2_a):
+    g = build_graph(example1_a)
+    with pytest.raises(ValueError, match="unknown vertex"):
+        g.resolve("x2\n")
+    with pytest.raises(ValueError, match="unknown vertex"):
+        reachable_from(g, ["x1\n"])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        find_cycle(g, within=["x1\n"])
+    with pytest.raises(KeyError):
+        g.condensation.component_of("x3\n")
+    with pytest.raises(ValueError, match="must be states"):
+        validate_driver_set(example2_a, ["x1\n"])
+    with pytest.raises(ValueError, match="must be states"):
+        build_b_pattern(5, ["x1\n"], "shared")
+
+
+def test_sort_vertices_orders_by_kind_then_index():
+    rng = np.random.default_rng(5)
+    boundaries = [f"{kind}{i}" for kind in "xu" for i in (1, 9, 10, 11, 99, 100, 101, 999, 1000)]
+    for _ in range(300):
+        pool = [f"{kind}{i}" for kind in rng.choice(["x", "u", "xu"]) for i in rng.integers(1, 2000, size=40)]
+        names = list(set(pool + [str(v) for v in rng.choice(boundaries, size=int(rng.integers(0, 10)))]))
+        rng.shuffle(names)
+        assert sort_vertices(names) == sorted(names, key=lambda v: (v[0], int(v[1:])))
+    assert sort_vertices(boundaries) == [f"{kind}{i}" for kind in "ux" for i in (1, 9, 10, 11, 99, 100, 101, 999, 1000)]
 
 
 @st.composite

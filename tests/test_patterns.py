@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from zerocontrol import PatternMatrix
 from zerocontrol.patterns import DuplicateEntryWarning
+from conftest import random_pattern
 
 
 def test_basic_construction():
@@ -52,6 +53,20 @@ def test_hstack_shifts_columns():
     assert stacked.nonzeros == frozenset({(1, 1), (2, 3)})
     with pytest.raises(ValueError, match="cannot stack"):
         a.hstack(PatternMatrix(3, 1))
+
+
+def test_hstack_equals_the_validating_construction():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n, m_a, m_b = (int(k) for k in rng.integers(0, 9, size=3))
+        a = random_pattern(rng, n, m_a, float(rng.uniform(0, 0.7)))
+        b = random_pattern(rng, n, m_b, float(rng.uniform(0, 0.7)))
+        shifted = {(i, j + m_a) for i, j in b.nonzeros}
+        reference = PatternMatrix(n, m_a + m_b, a.nonzeros | shifted)
+        stacked = a.hstack(b)
+        assert stacked == reference
+        for got, want in zip(stacked._coords, reference._coords):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_submatrix_reindexes():
