@@ -13,11 +13,7 @@ import time
 
 import numpy as np
 
-from zerocontrol import (
-    PatternMatrix,
-    is_generically_zero_controllable,
-    monte_carlo_verify,
-)
+from zerocontrol import PatternMatrix, monte_carlo_verify
 
 
 def random_pattern(rng, n, density):

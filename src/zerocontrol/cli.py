@@ -18,17 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .dotexport import export_dot
+from .dotexport import _dot
 from .drivers import (
     DEFAULT_EXACT_CAP,
-    _validate_on,
+    _state_indices,
     build_b_pattern,
     enumerate_minimal_driver_sets,
     greedy_driver_set,
     minimal_driver_set,
 )
 from .fileio import PatternFormatError, parse_pattern_file
-from .graph import build_graph
+from .graph import _reach_from, _reach_states, build_graph, state_name
 from .numeric import DEFAULT_BASE_SEED, check_dense_size, deadbeat_steer, monte_carlo_verify, sample_realization
 from .patterns import PatternMatrix
 from .reports import (
@@ -43,7 +43,7 @@ from .reports import (
     steering_to_dict,
     zc_report_to_dict,
 )
-from .structural import _zc_report, is_generically_zero_controllable
+from .structural import is_generically_zero_controllable
 
 DEFAULT_MIN_AGREEMENT = 0.95
 _LEAF = frozenset((float, int, bool, str, type(None)))  # what the C encoder prints as one token
@@ -60,7 +60,7 @@ def _parse_drivers(raw: str) -> list[str]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        names.append(f"x{chunk}" if chunk.isdigit() else chunk)
+        names.append(state_name(int(chunk)) if chunk.isascii() and chunk.isdigit() else chunk)
     if not names:
         raise ValueError("empty driver list")
     return names
@@ -221,12 +221,13 @@ def _cmd_export_dot(args) -> int:
               file=sys.stderr)
         pattern_b = None
     graph = build_graph(pattern_a, pattern_b)
-    report = None
+    reached, drivers = None, []
     if args.drivers is not None:
-        report = _validate_on(graph, _parse_drivers(args.drivers))
+        drivers = _state_indices(graph.n_states, _parse_drivers(args.drivers))
+        reached = _reach_states(graph, drivers)
     elif pattern_b is not None:
-        report = _zc_report(graph)
-    print(export_dot(graph, graph.condensation, report), end="")
+        reached = _reach_from(graph, [("u", j) for j in range(1, graph.n_inputs + 1)])
+    print(_dot(graph, graph.condensation, reached, drivers), end="")
     return 0
 
 

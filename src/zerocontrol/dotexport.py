@@ -4,6 +4,7 @@ components, and analysis results."""
 from __future__ import annotations
 
 from itertools import groupby
+from typing import Iterable
 
 from .drivers import DriverSet
 from .graph import SccDecomposition, SystemGraph, _parse_vertex, _reach_from, input_name, state_name
@@ -21,15 +22,18 @@ def export_dot(
     """Deterministic DOT text: one cluster per component (double border for
     nontrivial ones), reachable and unreachable states in distinct fills,
     driver vertices drawn as double circles."""
-    n = graph.n_states
-    reached, drivers = None, set()
     if isinstance(report, ZcReport):
         ids = {idx for kind, idx in map(_parse_vertex, report.reachable_states) if kind == "x"}
-        reached = bytes(v in ids for v in range(n + 1))
-    elif isinstance(report, DriverSet):
+        return _dot(graph, scc, bytes(v in ids for v in range(graph.n_states + 1)))
+    if isinstance(report, DriverSet):
         sources = {graph.resolve(name) for name in report.drivers}
-        drivers = {idx for kind, idx in sources if kind == "x"}
-        reached = _reach_from(graph, sources)
+        return _dot(graph, scc, _reach_from(graph, sources), [idx for kind, idx in sources if kind == "x"])
+    return _dot(graph, scc)
+
+
+def _dot(graph: SystemGraph, scc: SccDecomposition, reached: bytes | None = None, drivers: Iterable[int] = ()) -> str:
+    """export_dot on state ids: ``reached[v]`` picks state v's fill, ``drivers`` are state ids."""
+    n = graph.n_states
     fills = [f" [style=filled, fillcolor={fill}]" for fill in (UNREACHABLE_FILL, REACHABLE_FILL)]
     attrs = [""] * (n + 1) if reached is None else [fills[r] for r in reached]
     for v in drivers:

@@ -98,14 +98,7 @@ def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> Dri
     generic zero controllability with the drivers as the reached seeds."""
     if not pattern_a.is_square:
         raise ValueError("driver validation needs a square state pattern")
-    return _validate_on(build_graph(pattern_a), drivers)
-
-
-def _validate_on(graph: SystemGraph, drivers: Iterable[str]) -> DriverSet:
-    """validate_driver_set on a graph already built."""
-    n = graph.n_states
-    indices = _state_indices(n, drivers)
-    return _driver_set(graph, indices, minimal=False)
+    return _driver_set(build_graph(pattern_a), _state_indices(pattern_a.n_rows, drivers), minimal=False)
 
 
 # --- coverage classes ------------------------------------------------------

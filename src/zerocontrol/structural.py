@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SystemGraph, _obstruction, _reach_states, build_graph, has_cycle, state_name
+from .graph import _obstruction, _reach_states, build_graph, has_cycle, state_name
 from .patterns import PatternMatrix
 
 
@@ -151,9 +151,14 @@ class ZcReport:
         return self.verdict
 
 
-def _zc_report(graph: SystemGraph) -> ZcReport:
-    """The obstruction left by the input-reached states, with every state
-    named: the one place where the report boundary names them all."""
+def is_generically_zero_controllable(
+    pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None
+) -> ZcReport:
+    """Generic zero controllability: the input-unreachable part of the state
+    graph must contain no cycle.  A missing input pattern means nothing is
+    reachable and the test reduces to structural nilpotency.  The report
+    boundary: the one place that names every state."""
+    graph = build_graph(pattern_a, pattern_b)
     reached, witness, blocking = _obstruction(graph, (d for _, d in graph.input_edges))
     return ZcReport(
         verdict=not blocking,
@@ -162,15 +167,6 @@ def _zc_report(graph: SystemGraph) -> ZcReport:
         cycle_witness=witness,
         nontrivial_unreachable_components=blocking,
     )
-
-
-def is_generically_zero_controllable(
-    pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None
-) -> ZcReport:
-    """Generic zero controllability: the input-unreachable part of the state
-    graph must contain no cycle.  A missing input pattern means nothing is
-    reachable and the test reduces to structural nilpotency."""
-    return _zc_report(build_graph(pattern_a, pattern_b))
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,57 @@ def test_export_dot_notes_that_drivers_replace_the_file_inputs(example1_path, ca
     assert "x5 [shape=doublecircle" in out and "u1" not in out
 
 
+def test_export_dot_draws_from_state_ids(tmp_path, monkeypatch, capsys):
+    # no report is built on the way: besides the condensation, which names
+    # its components once per graph, the states are named once, in the DOT
+    # lines, and each typed driver is parsed once
+    from zerocontrol import build_graph, export_dot, is_generically_zero_controllable, validate_driver_set
+    from zerocontrol import cli, dotexport, drivers, graph as graph_module, structural
+    from conftest import sparse_pattern
+
+    pattern = sparse_pattern(np.random.default_rng(5), 60, 60, 90)
+    inputs = PatternMatrix(60, 2, frozenset({(4, 1), (31, 2)}))
+    path = tmp_path / "sixty.pat"
+    path.write_text(serialize_pattern_file(pattern, inputs))
+    graphs = build_graph(pattern, inputs), build_graph(pattern)
+    reports = is_generically_zero_controllable(pattern, inputs), validate_driver_set(pattern, {"x2", "x17", "x44"})
+    cases = [([], 0), (["--drivers", "x2,x17,x44"], 3)]
+    expected = [export_dot(graph, graph.condensation, report) for graph, report in zip(graphs, reports)]
+
+    names, parsed, in_condensation = [], [], []
+    named, parse, condense = graph_module.state_name, graph_module._parse_vertex, graph_module.scc_decompose
+
+    def counted_name(i):
+        if not in_condensation:
+            names.append(i)
+        return named(i)
+
+    def uncounted_condensation(graph):
+        in_condensation.append(graph)
+        try:
+            return condense(graph)
+        finally:
+            in_condensation.pop()
+
+    def forbidden(*args):
+        raise AssertionError("export-dot ran the obstruction")
+
+    monkeypatch.setattr(graph_module, "scc_decompose", uncounted_condensation)
+    for module in (graph_module, structural, drivers, dotexport, cli):
+        for attr, spy in (("state_name", counted_name),
+                          ("_parse_vertex", lambda v: parsed.append(v) or parse(v)),
+                          ("_obstruction", forbidden)):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, spy)
+    for (extra, typed), dot in zip(cases, expected):
+        names.clear()
+        parsed.clear()
+        assert run_cli(["export-dot", str(path), *extra]) == 0
+        assert capsys.readouterr().out == dot
+        assert len(names) <= 60
+        assert len(parsed) <= typed
+
+
 # --- errors and exit codes --------------------------------------------------------
 
 def test_missing_file_exits_2(capsys):
@@ -584,6 +635,7 @@ BAD_INPUTS = [
     (["verify", "example2.pat", "--drivers", "u1"], "driver vertices must be states, got 'u1'"),
     (["simulate", "example2.pat", "--drivers", "x4,u1"], "driver vertices must be states, got 'u1'"),
     (["export-dot", "example2.pat", "--drivers", "u1"], "driver vertices must be states, got 'u1'"),
+    (["verify", "example2.pat", "--drivers", "\u0664"], "driver vertices must be states, got '\u0664'"),
     (["verify", "example2.pat", "--drivers="], "empty driver list"),
     (["simulate", "example2.pat", "--drivers="], "empty driver list"),
     (["export-dot", "example2.pat", "--drivers="], "empty driver list"),
@@ -608,10 +660,10 @@ def test_bad_numeric_and_driver_inputs_exit_2(argv, error, fixture_dir, capsys):
 @pytest.mark.parametrize("command", ["verify", "simulate", "export-dot"])
 def test_bare_driver_indices_name_states(command, example2_path, capsys):
     outputs = []
-    for drivers in ("x4,x8", "4,8"):
+    for drivers in ("x4,x8", "4,8", "04,08"):
         assert run_cli([command, example2_path, "--drivers", drivers]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] and outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2] and outputs[0]
 
 
 def test_analyze_reads_a_byte_order_mark_as_absent(example1_path, tmp_path, capsys):

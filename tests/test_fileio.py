@@ -241,6 +241,33 @@ def test_stats_document_round_trip(example1_a, example1_b):
     assert stats_from_dict(stats_to_dict(stats)) == stats
 
 
+def test_render_stats_prints_every_optional_line():
+    from zerocontrol.numeric import MonteCarloStats
+    from zerocontrol.reports import render_stats
+
+    stats = MonteCarloStats(40, 7, True, 31, 2, tuple(range(7, 19)), False, 38)
+    assert render_stats(stats) == (
+        "structural verdict (zero controllable): yes\n"
+        "numeric agreement: 31/40 (77.5%)\n"
+        "base seed: 7\n"
+        "controllability: structural no, numeric agreement 38/40\n"
+        "flagged trials (image vs eigenvalue tests disagreed): 2\n"
+        "disagreeing seeds: 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, ..."
+    )
+
+
+def test_render_driver_set_prints_the_obstruction_of_an_invalid_set(example2_a):
+    from zerocontrol import validate_driver_set
+    from zerocontrol.reports import render_driver_set
+
+    assert render_driver_set(validate_driver_set(example2_a, {"x9"})) == (
+        "drivers (1): x9\n"
+        "valid: no\n"
+        "unreached cycles in components: {x4}\n"
+        "cycle witness: x4 -> x4"
+    )
+
+
 def test_b_pattern_document_round_trip():
     from zerocontrol import build_b_pattern
     from zerocontrol.reports import b_pattern_from_dict, b_pattern_to_dict

@@ -109,6 +109,30 @@ def test_names_with_a_trailing_newline_are_rejected(example1_a, example2_a):
         build_b_pattern(5, ["x1\n"], "shared")
 
 
+def test_cycle_search_refuses_input_vertices(example1_a, example1_b):
+    g = build_graph(example1_a, example1_b)
+    with pytest.raises(ValueError, match="^cycle search is over states, got 'u1'$"):
+        find_cycle(g, within=["x1", "u1"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_graph_accessors_agree_with_the_edge_sets(seed):
+    g = build_graph(random_pattern(np.random.default_rng(seed), 9, 9, 0.3), PatternMatrix.zeros(9, seed))
+    successors = [[] for _ in range(g.n_states + 1)]
+    for s, d in g.state_edges:
+        successors[s].append(d)
+    assert g.state_successors == tuple(tuple(sorted(succ)) for succ in successors)
+    assert g.input_vertices == tuple(f"u{j}" for j in range(1, seed + 1))
+    loops = {f"x{d}" for s, d in g.state_edges if s == d}
+    expected = tuple(c for c in g.condensation.components if len(c) > 1 or c & loops)
+    assert g.condensation.nontrivial_components() == expected
+
+
+def test_nontrivial_components_example2(example2_a):
+    expected = ({"x1", "x2", "x3"}, {"x4"}, {"x5"}, {"x6", "x7"})
+    assert build_graph(example2_a).condensation.nontrivial_components() == tuple(map(frozenset, expected))
+
+
 def test_sort_vertices_orders_by_kind_then_index():
     rng = np.random.default_rng(5)
     boundaries = [f"{kind}{i}" for kind in "xu" for i in (1, 9, 10, 11, 99, 100, 101, 999, 1000)]
@@ -370,6 +394,14 @@ def test_entry_paths_overflow_guard():
     with pytest.raises(WalkCountError, match=r"^2 walks of length 4 from x1 to x3 exceed the cap of 1$"):
         entry_paths(skew, 3, 1, 4, max_monomials=1)
     assert [str(m) for m in entry_paths(skew, 1, 3, 4, max_monomials=1)] == ["a11*a11*a12*a23"]
+
+
+def test_symbols_outside_the_state_matrix_are_refused():
+    with pytest.raises(ValueError, match="^matrix tag must be 'a' or 'b', got 'c'$"):
+        EdgeSymbol("c", 1, 1)
+    mixed = PathMonomial((EdgeSymbol("a", 1, 2), EdgeSymbol("b", 2, 1)))
+    with pytest.raises(ValueError, match="^only state-matrix monomials can be evaluated here$"):
+        mixed.evaluate(np.ones((2, 2)))
 
 
 def test_monomial_factors_must_chain():

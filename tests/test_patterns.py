@@ -80,6 +80,8 @@ def test_reindex_requires_permutation():
     p = PatternMatrix.identity(3)
     with pytest.raises(ValueError, match="not a permutation"):
         p.reindex([1, 1, 2])
+    with pytest.raises(ValueError, match="^col_order is not a permutation of the column indices$"):
+        p.reindex([1, 2, 3], [3, 2, 4])
 
 
 def test_to_dense_round_trip():

@@ -1,4 +1,5 @@
-"""The fixture walkthrough and the job-digest tool, each run once."""
+"""The fixture walkthrough, the agreement experiment and the job-digest
+tool, each run once."""
 
 import hashlib
 import re
@@ -13,6 +14,7 @@ FIXTURES = SCRIPTS.parent / "fixtures"
 sys.path.insert(0, str(SCRIPTS))
 import analyze_bundled_examples  # noqa: E402
 import job_digests  # noqa: E402
+import random_agreement_experiment  # noqa: E402
 
 
 def test_walkthrough_writes_each_fixture_dot(tmp_path, monkeypatch, capsys):
@@ -29,6 +31,17 @@ def test_walkthrough_writes_each_fixture_dot(tmp_path, monkeypatch, capsys):
         report = is_generically_zero_controllable(pattern_a, pattern_b)
         expected = export_dot(graph, graph.condensation, report)
         assert (tmp_path / f"{path.stem}.dot").read_text() == expected
+
+
+def test_agreement_experiment_at_smoke_size(monkeypatch, capsys):
+    argv = ["random_agreement_experiment.py", "--instances", "4", "--max-n", "5", "--trials", "4"]
+    monkeypatch.setattr(sys, "argv", argv)
+    random_agreement_experiment.main()
+    lines = capsys.readouterr().out.splitlines()
+    counts = re.fullmatch(r"instances: 4 \((\d+) positive, (\d+) negative verdicts\)", lines[0])
+    assert counts and int(counts[1]) + int(counts[2]) == 4
+    assert re.fullmatch(r"worst instance agreement: \d+\.\d%", lines[-2])
+    assert lines[-1].startswith("elapsed: ")
 
 
 def test_job_digests_at_smoke_size(monkeypatch, capsys):

@@ -4,9 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerocontrol import (
+    ControllabilityReport,
+    DriverSet,
+    NumericCheck,
     PatternMatrix,
+    ZcReport,
     build_graph,
     compute_nu,
+    entry_paths,
     generic_rank,
     has_cycle,
     is_generically_controllable,
@@ -17,6 +22,8 @@ from zerocontrol import (
     reducible_decomposition,
     sample_realization,
     scc_decompose,
+    serialize_pattern_file,
+    validate_driver_set,
 )
 from conftest import random_pattern, random_square_patterns, sparse_pattern
 from oracles import oracle_acyclic, oracle_nu, oracle_term_rank
@@ -40,6 +47,36 @@ def test_nu_golden(example1_a, example2_a):
 def test_nu_requires_square():
     with pytest.raises(ValueError):
         compute_nu(PatternMatrix(2, 3))
+
+
+NON_SQUARE = {
+    "is_structurally_nilpotent": (is_structurally_nilpotent, "nilpotency is only defined for square patterns"),
+    "entry_paths": (lambda p: entry_paths(p, 1, 1, 1), "entry_paths needs a square state pattern"),
+    "validate_driver_set": (lambda p: validate_driver_set(p, {"x1"}),
+                            "driver validation needs a square state pattern"),
+    "sample_realization": (sample_realization, "state pattern must be square"),
+    "serialize_pattern_file": (serialize_pattern_file, "state pattern must be square"),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_SQUARE.values(), ids=NON_SQUARE)
+def test_non_square_state_patterns_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(PatternMatrix(2, 3, frozenset({(1, 1), (2, 3)})))
+
+
+VERDICTS = {
+    "ZcReport": lambda verdict: ZcReport(verdict, frozenset(), frozenset(), None, ()),
+    "ControllabilityReport": lambda verdict: ControllabilityReport(verdict, None, frozenset(), 0, 0),
+    "DriverSet": lambda valid: DriverSet(frozenset(), valid, False, None, ()),
+    "NumericCheck": lambda verdict: NumericCheck(verdict, True, True, True),
+}
+
+
+@pytest.mark.parametrize("make", VERDICTS.values(), ids=VERDICTS)
+def test_reports_are_true_exactly_on_a_positive_verdict(make):
+    assert bool(make(True)) is True
+    assert bool(make(False)) is False
 
 
 def test_three_cycle_tests_agree_on_random_patterns():
