@@ -3,8 +3,12 @@
 
 Each pattern comes from ``random.Random(seed)``: distinct uniform (i, j)
 state entries until nnz = 1.5n, m = 1, and one input entry at a random row.
-``analyze``, ``select`` and ``export-dot`` run on every size and seed, and
-``analyze`` once more on a bundled fixture.  Every job runs in a fresh child
+Beside them, each size has one pattern of the worst case for the obstruction
+test: one giant strongly connected component that no input reaches (a
+Hamiltonian cycle with chords over 60 % of the states, shuffled) and a chain
+through the other states, which the input feeds.  ``analyze``, ``select`` and
+``export-dot`` run on every pattern, and ``analyze`` once more on a bundled
+fixture.  Every job runs in a fresh child
 Python with one BLAS thread; the ladder records its wall time, the child's
 CPU time (user plus system) and peak RSS, and the sha256 of its exit code,
 stdout and stderr, then writes ``BENCH_<label>.json`` at the repository
@@ -37,6 +41,7 @@ COMMANDS = ("analyze", "select", "export-dot")
 FIXTURE = ROOT / "fixtures" / "example1.pat"
 SIZES = (10**3, 10**4, 10**5)
 SEEDS = (1, 2)
+GIANT_SCC_SEED = 1  # the worst-case shape is drawn once per size
 REPEAT = 2  # runs of the whole ladder; each job reports its best
 OUT_DIR = ROOT  # where BENCH_<label>.json goes
 
@@ -48,6 +53,21 @@ def pattern_text(n: int, seed: int) -> str:
     while len(entries) < 3 * n // 2:
         entries[rng.randint(1, n), rng.randint(1, n)] = None
     lines = [f"n {n}", "m 1", *(f"a {i} {j}" for i, j in entries), f"b {rng.randint(1, n)} 1"]
+    return "\n".join(lines) + "\n"
+
+
+def giant_scc_text(n: int, seed: int) -> str:
+    """The seeded worst case: a cycle through 3n/5 shuffled states with n/5 chords,
+    unreached, and a chain through the rest that the one input feeds."""
+    rng = random.Random(seed)
+    states = list(range(1, n + 1))
+    rng.shuffle(states)
+    ring, chain = states[:3 * n // 5], states[3 * n // 5:]
+    edges = dict.fromkeys(zip(ring, ring[1:] + ring[:1]))  # (src, dst), insertion-ordered
+    while len(edges) < len(ring) + n // 5:
+        edges[rng.choice(ring), rng.choice(ring)] = None
+    edges.update(dict.fromkeys(zip(chain, chain[1:])))
+    lines = [f"n {n}", "m 1", *(f"a {d} {s}" for s, d in edges), f"b {chain[0]} 1"]
     return "\n".join(lines) + "\n"
 
 
@@ -78,16 +98,17 @@ def main() -> None:
     args = parser.parse_args()
 
     jobs = [{"name": "analyze example1.pat", "argv": ["analyze", str(FIXTURE)]}]
-    names = {(n, seed): f"n{n}-seed{seed}.pat" for n in SIZES for seed in SEEDS}
-    for name in names.values():
+    patterns = {f"n{n}-seed{seed}.pat": (pattern_text, n, seed) for n in SIZES for seed in SEEDS}
+    patterns.update({f"n{n}-giant-scc.pat": (giant_scc_text, n, GIANT_SCC_SEED) for n in SIZES})
+    for name in patterns:
         jobs += [{"name": f"{cmd} {name}", "argv": [cmd, name]} for cmd in COMMANDS]
     with tempfile.TemporaryDirectory() as work:
         # a child's peak RSS counts the pages of the process it was spawned
         # from, so the patterns are generated in a forked process of their own
         pid = os.fork()
         if pid == 0:
-            for (n, seed), name in names.items():
-                (Path(work) / name).write_text(pattern_text(n, seed), encoding="utf-8")
+            for name, (make, n, seed) in patterns.items():
+                (Path(work) / name).write_text(make(n, seed), encoding="utf-8")
             os._exit(0)
         if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
             sys.exit("pattern generation failed")
@@ -122,6 +143,8 @@ def main() -> None:
         "label": args.label,
         "generator": "random.Random(seed): distinct uniform (i, j) until nnz = 1.5n; m = 1; "
                      "one b entry at a random row",
+        "giant_scc": f"random.Random({GIANT_SCC_SEED}): an unreached cycle through 3n/5 shuffled states "
+                     "with n/5 chords; a chain through the rest, fed by the one input",
         "host": {"python": platform.python_version(), "numpy": numpy.__version__,
                  "nproc": os.cpu_count(), "host_loop_ms": round(1e3 * statistics.median(probes), 2)},
         "repeat": REPEAT,

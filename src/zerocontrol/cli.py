@@ -28,7 +28,7 @@ from .drivers import (
     minimal_driver_set,
 )
 from .fileio import PatternFormatError, parse_pattern_file
-from .graph import _reach_from, _reach_states, build_graph, state_name
+from .graph import _input_reach, _reach_states, build_graph, state_name
 from .numeric import DEFAULT_BASE_SEED, check_dense_size, deadbeat_steer, monte_carlo_verify, sample_realization
 from .patterns import PatternMatrix
 from .reports import (
@@ -200,7 +200,13 @@ def _cmd_simulate(args) -> int:
         if norm > 0:
             x0 = x0 / norm
     else:
-        values = [float(v) for v in args.x0.split(",")]
+        chunks = args.x0.split(",")
+        try:  # float() also reads '1_0' and non-ASCII digits, which no other input takes
+            if not all(chunk.isascii() and "_" not in chunk for chunk in chunks):
+                raise ValueError
+            values = [float(chunk) for chunk in chunks]
+        except ValueError:
+            raise ValueError(f"--x0 values must be numbers, got {args.x0}") from None
         if len(values) != n:
             raise ValueError(f"--x0 needs {n} comma-separated values, got {len(values)}")
         if not np.all(np.isfinite(values)):
@@ -216,17 +222,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     pattern_a, pattern_b = _load_patterns(args.file)
+    drivers = [] if args.drivers is None else _state_indices(pattern_a.n_rows, _parse_drivers(args.drivers))
     if args.drivers is not None and pattern_b is not None:
         print("note: --drivers colors reachability from the drivers; input entries ignored",
               file=sys.stderr)
         pattern_b = None
     graph = build_graph(pattern_a, pattern_b)
-    reached, drivers = None, []
+    reached = None if pattern_b is None else _input_reach(graph)
     if args.drivers is not None:
-        drivers = _state_indices(graph.n_states, _parse_drivers(args.drivers))
         reached = _reach_states(graph, drivers)
-    elif pattern_b is not None:
-        reached = _reach_from(graph, [("u", j) for j in range(1, graph.n_inputs + 1)])
     print(_dot(graph, graph.condensation, reached, drivers), end="")
     return 0
 

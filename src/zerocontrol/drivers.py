@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .graph import SystemGraph, _bits, _obstruction, _parse_vertex, build_graph, sort_vertices, state_name
+from .graph import SystemGraph, _bits, _obstruction, _parse_vertex, _reach_states, build_graph, sort_vertices, state_name
 from .patterns import PatternMatrix
 
 #: Above this many candidate components the exact search hands over to the
@@ -82,7 +82,7 @@ def _state_indices(n: int, drivers: Iterable[str]) -> list[int]:
 
 def _driver_set(graph: SystemGraph, indices: Sequence[int], minimal: bool) -> DriverSet:
     """The drivers with their certificate; every search result is re-checked here."""
-    _, witness, blocking = _obstruction(graph, indices)
+    witness, blocking = _obstruction(graph, _reach_states(graph, indices))
     return DriverSet(
         drivers=frozenset(state_name(i) for i in indices),
         valid=not blocking,

@@ -83,9 +83,8 @@ class SystemGraph:
 
     @cached_property
     def _csr(self) -> tuple:
-        """The state subgraph's ``_csr_of``.  ``build_graph`` fills it in from
-        the pattern's sorted entries; a graph constructed directly, such as
-        ``find_cycle``'s subgraph, has only its edge set, sorted here."""
+        """The state subgraph's ``_csr_of``.  ``_graph_of`` fills it in from sorted edge arrays (the
+        pattern's entries, or a peel's survivors); a directly built graph's edge set is sorted here."""
         edges = np.array(sorted(self.state_edges), dtype=np.int64).reshape(-1, 2)
         return _csr_of(self.n_states, edges[:, 0], edges[:, 1])
 
@@ -132,13 +131,14 @@ def build_graph(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None
             f"to match the {pattern_a.n_rows}x{pattern_a.n_cols} state pattern"
         )
     rows, cols = pattern_a._coords  # by column, then row: by source, then destination
-    graph = SystemGraph(
-        pattern_a.n_rows,
-        0 if pattern_b is None else pattern_b.n_cols,
-        frozenset(zip(cols.tolist(), rows.tolist())),
-        frozenset() if pattern_b is None else frozenset((j, i) for i, j in pattern_b.nonzeros),
-    )
-    graph.__dict__["_csr"] = _csr_of(pattern_a.n_rows, cols, rows)
+    inputs = frozenset() if pattern_b is None else frozenset((j, i) for i, j in pattern_b.nonzeros)
+    return _graph_of(pattern_a.n_rows, 0 if pattern_b is None else pattern_b.n_cols, cols, rows, inputs)
+
+
+def _graph_of(n: int, m: int, src: np.ndarray, dst: np.ndarray, input_edges: frozenset) -> SystemGraph:
+    """The graph with these state edges, sorted by source and then destination, and its CSR."""
+    graph = SystemGraph(n, m, frozenset(zip(src.tolist(), dst.tolist())), input_edges)
+    graph.__dict__["_csr"] = _csr_of(n, src, dst)
     return graph
 
 
@@ -154,6 +154,11 @@ def _reach_states(graph: SystemGraph, seeds: Iterable[int]) -> bytearray:
             reached[v] = 1
             frontier += indices[indptr[v]:indptr[v + 1]]
     return reached
+
+
+def _input_reach(graph: SystemGraph) -> bytearray:
+    """``_reach_states`` from the states the inputs feed: what the inputs reach."""
+    return _reach_states(graph, (d for _, d in graph.input_edges))
 
 
 def _reach_from(graph: SystemGraph, sources: Iterable[tuple[str, int]]) -> bytearray:
@@ -309,23 +314,27 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
     )
 
 
-def has_cycle(graph: SystemGraph) -> bool:
-    """True when the state subgraph contains a cycle: Kahn's peel on the CSR
-    removes states with no remaining predecessor, and a cycle is what is left
-    (no condensation is built)."""
-    n = graph.n_states
-    _, dst, indptr, indices = graph._csr
-    indegree = np.bincount(dst, minlength=n + 1).tolist()
-    ready = [v for v in range(1, n + 1) if indegree[v] == 0]
-    removed = 0
+def _peel(graph: SystemGraph, excluded: bytes) -> np.ndarray:
+    """Kahn's peel of the states outside ``excluded``, on the edges between them (an excluded
+    count starts at 0 and only drops, so it is never readied; index 0, padding, peels at once).
+    The mask of the survivors: the kept states on a cycle of the induced subgraph, or after one."""
+    src, dst, indptr, indices = graph._csr
+    kept = np.frombuffer(excluded, dtype=np.uint8) == 0
+    indegree = np.bincount(dst[kept[src] & kept[dst]], minlength=graph.n_states + 1)
+    ready = np.flatnonzero(kept & (indegree == 0)).tolist()
+    indegree = indegree.tolist()
     while ready:
         v = ready.pop()
-        removed += 1
         for w in indices[indptr[v]:indptr[v + 1]]:
             indegree[w] -= 1
             if indegree[w] == 0:
                 ready.append(w)
-    return removed < n
+    return np.array(indegree) > 0  # a peeled count stays 0, a survivor keeps a survivor before it
+
+
+def has_cycle(graph: SystemGraph) -> bool:
+    """True when the state subgraph holds a cycle: Kahn's peel leaves a state (no condensation)."""
+    return bool(_peel(graph, bytes(graph.n_states + 1)).any())
 
 
 def find_cycle(
@@ -333,9 +342,8 @@ def find_cycle(
 ) -> tuple[tuple[str, str], ...] | None:
     """One concrete cycle among the given state vertices, or None.
 
-    Deterministic: prefers the smallest self-loop, then the shortest cycle
-    through the smallest vertex on a cycle: ``_obstruction``'s witness on the
-    induced subgraph, seeded with the excluded states (which keep no edge).
+    Deterministic: ``_obstruction``'s witness with the other states excluded, the smallest
+    self-loop, else the shortest cycle through the smallest vertex on a cycle.
     """
     excluded = bytearray(b"\x00" if within is None else b"\x01") * (graph.n_states + 1)
     for name in within or ():
@@ -343,32 +351,30 @@ def find_cycle(
         if kind != "x":
             raise ValueError(f"cycle search is over states, got {name!r}")
         excluded[idx] = 0
-
-    induced = frozenset((s, d) for s, d in graph.state_edges if not (excluded[s] or excluded[d]))
-    subgraph = SystemGraph(graph.n_states, 0, induced, frozenset())
-    return _obstruction(subgraph, [v for v in range(1, graph.n_states + 1) if excluded[v]])[1]
+    return _obstruction(graph, excluded)[0]
 
 
-def _obstruction(graph: SystemGraph, seeds: Iterable[int]) -> tuple:
-    """States unreachable from the seed states, and the cycles they hold: the
-    reach bytes, one unreached cycle or None, and the unreached nontrivial
-    components in label order.  The unreachable set is closed under
-    predecessors, so it is a union of whole components of the graph."""
-    scc = graph.condensation
-    reached = _reach_states(graph, seeds)
-    cyclic = [v for v in range(1, len(reached)) if not reached[v] and scc.nontrivial[scc._comp_of[v]]]
-    blocking = sorted({scc._comp_of[v] for v in cyclic})
-    witness = _cycle_witness(graph, reached, cyclic[0]) if cyclic else None
-    return reached, witness, tuple(scc.components[k] for k in blocking)
+def _obstruction(graph: SystemGraph, excluded: bytes) -> tuple:
+    """The cycles among the states outside ``excluded``: one of them or None, and the nontrivial
+    components they form, in label order.  Only what the peel leaves, every cycle, is decomposed.
+    When ``excluded`` is what some seeds reach, the rest is closed under predecessors, so these
+    are whole components of the graph, numbered by their smallest members as there."""
+    alive = _peel(graph, excluded)
+    if not alive.any():
+        return None, ()
+    src, dst = graph._csr[:2]
+    kept = alive[src] & alive[dst]
+    subgraph = _graph_of(graph.n_states, 0, src[kept], dst[kept], frozenset())
+    scc = subgraph.condensation  # from the smallest state on a cycle
+    return _cycle_witness(subgraph, scc._comp_of.index(scc.nontrivial.index(True))), scc.nontrivial_components()
 
 
-def _cycle_witness(graph: SystemGraph, excluded: bytearray, start: int) -> tuple[tuple[str, str], ...]:
-    """The smallest self-loop on a state that is not ``excluded``, otherwise
-    the shortest cycle through ``start``: BFS back to it over the states not
-    excluded, successors in ascending order.  A state on that cycle reaches
-    ``start`` and is reached from it, so no condensation is needed."""
+def _cycle_witness(graph: SystemGraph, start: int) -> tuple[tuple[str, str], ...]:
+    """The smallest self-loop, otherwise the shortest cycle through ``start``:
+    BFS back to it, successors in ascending order.  A state on that cycle
+    reaches ``start`` and is reached from it, so no condensation is needed."""
     src, dst, indptr, indices = graph._csr
-    start = next((v for v in src[src == dst].tolist() if not excluded[v]), 0) or start
+    start = next(iter(src[src == dst].tolist()), start)
     parent: dict[int, int] = {start: 0}
     queue = [start]
     while True:
@@ -382,7 +388,7 @@ def _cycle_witness(graph: SystemGraph, excluded: bytearray, start: int) -> tuple
                         v = parent[v]
                     names = [state_name(x) for x in reversed(cycle)]
                     return tuple(zip(names, names[1:]))
-                if not excluded[w] and w not in parent:
+                if w not in parent:
                     parent[w] = v
                     next_queue.append(w)
         queue = next_queue

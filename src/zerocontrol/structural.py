@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _obstruction, _reach_states, build_graph, has_cycle, state_name
+from .graph import _input_reach, _obstruction, build_graph, has_cycle, state_name
 from .patterns import PatternMatrix
 
 
@@ -84,17 +84,12 @@ def generic_rank(pattern: PatternMatrix) -> int:
     return matched
 
 
-def _input_reach(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None) -> bytearray:
-    graph = build_graph(pattern_a, pattern_b)
-    return _reach_states(graph, (d for _, d in graph.input_edges))
-
-
 def is_irreducible(pattern_a: PatternMatrix, pattern_b: PatternMatrix) -> bool:
     """True when no permutation can expose an input-unreachable block, i.e.
     every state vertex is reachable from some input vertex."""
     if pattern_b.n_cols < 1:
         raise ValueError("irreducibility needs at least one input column")
-    return all(_input_reach(pattern_a, pattern_b)[1:])
+    return all(_input_reach(build_graph(pattern_a, pattern_b))[1:])
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,7 @@ def is_generically_controllable(
 ) -> ControllabilityReport:
     """Generic controllability of the pair: irreducible and the stacked
     pattern [A B] has full term rank."""
-    reached = _input_reach(pattern_a, pattern_b)
+    reached = _input_reach(build_graph(pattern_a, pattern_b))
     n = pattern_a.n_rows
     unreachable = frozenset(state_name(v) for v in range(1, n + 1) if not reached[v])
     stacked = pattern_a.hstack(pattern_b) if pattern_b is not None else pattern_a
@@ -159,7 +154,8 @@ def is_generically_zero_controllable(
     reachable and the test reduces to structural nilpotency.  The report
     boundary: the one place that names every state."""
     graph = build_graph(pattern_a, pattern_b)
-    reached, witness, blocking = _obstruction(graph, (d for _, d in graph.input_edges))
+    reached = _input_reach(graph)
+    witness, blocking = _obstruction(graph, reached)
     return ZcReport(
         verdict=not blocking,
         reachable_states=frozenset(state_name(v) for v in range(1, len(reached)) if reached[v]),
@@ -209,7 +205,7 @@ def reducible_decomposition(
 ) -> Decomposition:
     """Reorder the states so the input-reachable ones come first, and cut the
     patterns into the corresponding blocks."""
-    reached = _input_reach(pattern_a, pattern_b)
+    reached = _input_reach(build_graph(pattern_a, pattern_b))
     reach_idx = [v for v in range(1, pattern_a.n_rows + 1) if reached[v]]
     unreach_idx = [v for v in range(1, pattern_a.n_rows + 1) if not reached[v]]
     perm = tuple(reach_idx + unreach_idx)

@@ -642,6 +642,16 @@ BAD_INPUTS = [
     (["verify", "example2.pat", "--drivers", "x4,x12"], "unknown vertex 'x12' (pattern has 11 states)"),
     (["simulate", "example2.pat", "--drivers", "x12"], "unknown vertex 'x12' (pattern has 11 states)"),
     (["export-dot", "example2.pat", "--drivers", "x12"], "unknown vertex 'x12' (pattern has 11 states)"),
+    # a bad driver list on a file with inputs is refused before the note that the inputs are ignored
+    (["export-dot", "example1.pat", "--drivers", "u1"], "driver vertices must be states, got 'u1'"),
+    (["export-dot", "example1.pat", "--drivers="], "empty driver list"),
+    (["export-dot", "example1.pat", "--drivers", "x9"], "unknown vertex 'x9' (pattern has 5 states)"),
+    # float() alone would read these as 1..5 and 10,1,1,1,1, or word the error without the option
+    (["simulate", "example1.pat", "--x0", "\u0661,\u0662,\u0663,\u0664,\u0665"],
+     "--x0 values must be numbers, got \u0661,\u0662,\u0663,\u0664,\u0665"),
+    (["simulate", "example1.pat", "--x0", "1_0,1,1,1,1"], "--x0 values must be numbers, got 1_0,1,1,1,1"),
+    (["simulate", "example1.pat", "--x0", "a,1,1,1,1"], "--x0 values must be numbers, got a,1,1,1,1"),
+    (["simulate", "example1.pat", "--x0", "1,,1,1,1"], "--x0 values must be numbers, got 1,,1,1,1"),
     (["verify", "example1.pat", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["simulate", "example1.pat", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["select", "example2.pat", "--greedy", "--enumerate"],
@@ -746,6 +756,17 @@ def test_structural_commands_build_one_graph_and_one_condensation(argv, fixture_
     assert run_cli([argv[0], str(fixture_dir / argv[1]), *argv[2:]]) in (0, 1)
     assert capsys.readouterr().out
     assert calls == {"build_graph": 1, "scc_decompose": 1}
+
+
+def test_zero_controllable_analyze_builds_no_condensation(tmp_path, monkeypatch, capsys):
+    # the unreached states x3 -> x4 hold no cycle, so the peel clears them
+    # and nothing is decomposed; the reached cycle x1 <-> x2 is not looked at
+    path = tmp_path / "zc.pat"
+    path.write_text("n 4\nm 1\na 1 2\na 2 1\na 4 3\na 1 4\nb 1 1\n")
+    calls = _count_graph_builds(monkeypatch)
+    assert run_cli(["analyze", str(path)]) == 0
+    assert "unreachable (2): x3 x4" in capsys.readouterr().out
+    assert calls == {"build_graph": 1}
 
 
 def test_cycle_witness_needs_no_second_condensation(tmp_path, monkeypatch, capsys):

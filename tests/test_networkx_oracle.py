@@ -11,6 +11,7 @@ nx = pytest.importorskip("networkx")
 from zerocontrol import (
     PatternMatrix,
     build_graph,
+    find_cycle,
     has_cycle,
     is_generically_zero_controllable,
     minimal_driver_set,
@@ -19,6 +20,7 @@ from zerocontrol import (
 )
 from zerocontrol.cli import run_cli
 from zerocontrol.fileio import serialize_pattern_file
+from zerocontrol.graph import _peel
 from conftest import sparse_pattern
 
 
@@ -119,8 +121,52 @@ def _random_with_input(n):
     return sparse_pattern(rng, n, n, 3 * n // 2), sparse_pattern(rng, n, 1, 3)
 
 
+def _relabelled(n, edges, inputs, seed):
+    """The pattern pair of state edges (src, dst) and input heads, states shuffled."""
+    perm = np.random.default_rng(seed).permutation(n) + 1
+    a = PatternMatrix(n, n, frozenset((int(perm[d - 1]), int(perm[s - 1])) for s, d in edges))
+    return a, PatternMatrix(n, 1, frozenset((int(perm[d - 1]), 1) for d in inputs))
+
+
+def _acyclic_unreached_part(n):
+    # the input feeds a chain through the first half, whose random back edges
+    # close cycles; the second half only feeds forward, into itself and into
+    # the first half, so it is unreached and acyclic: the peel clears it
+    rng = np.random.default_rng(20_001)
+    half = n // 2
+    edges = {(i, i + 1) for i in range(1, half)}
+    edges |= set(zip(rng.integers(1, half + 1, size=half).tolist(), rng.integers(1, half + 1, size=half).tolist()))
+    s, d = rng.integers(half + 1, n + 1, size=(2, n))
+    edges |= {(int(u), int(v)) for u, v in zip(np.minimum(s, d), np.maximum(s, d)) if u != v}
+    edges |= set(zip(rng.integers(half + 1, n + 1, size=half).tolist(), rng.integers(1, half + 1, size=half).tolist()))
+    return _relabelled(n, edges, [1], 20_001)
+
+
+def _giant_unreached_scc(n):
+    # a Hamiltonian cycle with chords over 60% of the states, fed by an
+    # unreached chain; the input feeds a chain of its own, which the cycle
+    # also feeds
+    rng = np.random.default_rng(20_002)
+    k, chain = 3 * n // 5, n // 5
+    edges = {(i, i % k + 1) for i in range(1, k + 1)}
+    edges |= set(zip(rng.integers(1, k + 1, size=k // 2).tolist(), rng.integers(1, k + 1, size=k // 2).tolist()))
+    edges |= {(i, i + 1) for i in range(k + 1, k + chain)} | {(k + chain, 1)}
+    edges |= {(i, i + 1) for i in range(k + chain + 1, n)}
+    edges |= set(zip(rng.integers(1, k + 1, size=10).tolist(), rng.integers(k + chain + 1, n + 1, size=10).tolist()))
+    return _relabelled(n, edges, [k + chain + 1], 20_002)
+
+
+def _assert_cycle_within(witness, g, states):
+    """``witness`` is a list of edges of g that closes a cycle on the given states."""
+    assert witness and all(g.has_edge(u, v) for u, v in witness)
+    assert [v for _, v in witness] == [u for u, _ in witness[1:]] + [witness[0][0]]
+    assert {u for u, _ in witness} <= states
+
+
 @pytest.mark.filterwarnings("ignore::zerocontrol.drivers.ExactSearchSkipped")
-@pytest.mark.parametrize("make", [_chain_with_end_cycle, _random_with_input])
+@pytest.mark.parametrize(
+    "make", [_chain_with_end_cycle, _random_with_input, _acyclic_unreached_part, _giant_unreached_scc]
+)
 def test_analyze_and_select_at_20000_states(make, tmp_path, capsys):
     a, b = make(20_000)
     g = to_networkx(a, b)
@@ -133,11 +179,47 @@ def test_analyze_and_select_at_20000_states(make, tmp_path, capsys):
     assert code == (0 if zc else 1)
     assert report["verdict"] == zc
     assert set(report["unreachable_states"]) == unreached
+    # every blocking component, as networkx finds it in the unreached
+    # subgraph, in the order of their smallest states
+    theirs = sorted(cyclic_components(g.subgraph(unreached)), key=lambda c: min(int(v[1:]) for v in c))
+    assert list(map(frozenset, report["nontrivial_unreachable_components"])) == theirs
+    if zc:
+        assert report["cycle_witness"] is None
+    else:
+        _assert_cycle_within(report["cycle_witness"], g, unreached)
 
     code, doc = _run_json(capsys, ["select", path])
     chosen = doc["driver_set"]
     assert code == 0 and chosen["valid"]
     assert nx.is_directed_acyclic_graph(g.subgraph(unreached_by(g, chosen["drivers"])))
+
+
+def test_find_cycle_within_a_subset_at_20000_states():
+    n = 20_000
+    rng = np.random.default_rng(20_003)
+    a = sparse_pattern(rng, n, n, 3 * n // 2)
+    graph, g = build_graph(a), to_networkx(a)
+    outcomes = set()
+    for share in (0.05, 0.2, 0.5, 1.0):
+        within = {f"x{v}" for v in (np.flatnonzero(rng.random(n) < share) + 1).tolist()}
+        cycle = find_cycle(graph, within=within)
+        outcomes.add(cycle is None)
+        assert (cycle is None) == nx.is_directed_acyclic_graph(g.subgraph(within))
+        if cycle is not None:
+            _assert_cycle_within([list(edge) for edge in cycle], g, within)
+    assert outcomes == {True, False}  # both answers are exercised
+
+
+def test_peel_leaves_the_states_on_or_after_a_cycle():
+    rng = np.random.default_rng(20_004)
+    for n in (1, 5, 50, 500, 5000):
+        a = sparse_pattern(rng, n, n, max(1, int(rng.uniform(0.5, 1.5) * n)))
+        graph, g = build_graph(a), to_networkx(a)
+        excluded = (rng.random(n + 1) < 0.3).astype(np.uint8).tobytes()  # index 0 is padding
+        kept = g.subgraph(f"x{v}" for v in range(1, n + 1) if not excluded[v])
+        after = set().union(*(nx.descendants(kept, v) | {v} for c in cyclic_components(kept) for v in c))
+        survivors = np.flatnonzero(_peel(graph, excluded)).tolist()
+        assert {f"x{v}" for v in survivors} == after
 
 
 def _cover_instance(rng):

@@ -4,7 +4,7 @@ import json
 import sys
 from pathlib import Path
 
-from zerocontrol import parse_pattern_file
+from zerocontrol import is_generically_zero_controllable, parse_pattern_file
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scale_ladder.py"
 sys.path.insert(0, str(SCRIPT.parent))
@@ -19,6 +19,17 @@ def test_generator_is_seeded_and_sparse():
     assert b is not None and b.shape == (200, 1) and len(b.nonzeros) == 1
 
 
+def test_giant_scc_shape_is_seeded_and_unreached():
+    text = scale_ladder.giant_scc_text(200, 1)
+    assert text == scale_ladder.giant_scc_text(200, 1) != scale_ladder.giant_scc_text(200, 2)
+    a, b = parse_pattern_file(text)
+    assert a.shape == (200, 200) and len(a.nonzeros) == 120 + 40 + 79
+    assert b is not None and b.shape == (200, 1) and len(b.nonzeros) == 1
+    report = is_generically_zero_controllable(a, b)
+    assert len(report.reachable_states) == 80  # the chain
+    assert [len(c) for c in report.nontrivial_unreachable_components] == [120]
+
+
 def test_ladder_writes_one_record_per_job(tmp_path, monkeypatch):
     monkeypatch.setattr(scale_ladder, "SIZES", (40,))
     monkeypatch.setattr(scale_ladder, "SEEDS", (3,))
@@ -29,7 +40,8 @@ def test_ladder_writes_one_record_per_job(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert [job["name"] for job in doc["jobs"]] == [
         "analyze example1.pat", "analyze n40-seed3.pat", "select n40-seed3.pat",
-        "export-dot n40-seed3.pat",
+        "export-dot n40-seed3.pat", "analyze n40-giant-scc.pat", "select n40-giant-scc.pat",
+        "export-dot n40-giant-scc.pat",
     ]
     assert doc["jobs"][0]["exit_code"] == 1  # example1 is not zero controllable
     assert all(job["exit_code"] in (0, 1) and len(job["sha256"]) == 64 for job in doc["jobs"])

@@ -101,6 +101,30 @@ def test_cycle_questions_build_no_condensation(monkeypatch):
     assert not has_cycle(build_graph(acyclic)) and is_structurally_nilpotent(acyclic)
 
 
+def test_positive_verdicts_decompose_nothing(monkeypatch):
+    # the peel clears an acyclic unreached part, so a positive verdict and a
+    # valid driver set need no components; a cyclic one decomposes only
+    # what the peel leaves: here the cycle x1 -> x2 -> x3 -> x1 and x5 after
+    # it, but not x4 before it
+    decomposed = []
+    condense = scc_decompose
+
+    def recorded(graph):
+        decomposed.append(sorted(graph.state_edges))
+        return condense(graph)
+
+    monkeypatch.setattr("zerocontrol.graph.scc_decompose", recorded)
+    a = PatternMatrix(5, 5, frozenset({(2, 1), (3, 2), (1, 3), (1, 4), (5, 1), (5, 4)}))
+    assert is_generically_zero_controllable(a, PatternMatrix(5, 1, frozenset({(1, 1)})))
+    assert validate_driver_set(a, {"x2"}) and not decomposed
+    report = is_generically_zero_controllable(a, PatternMatrix(5, 1, frozenset({(4, 1)})))
+    assert report.verdict and not decomposed  # x4 feeds x1's cycle
+    report = is_generically_zero_controllable(a)
+    assert report.cycle_witness == (("x1", "x2"), ("x2", "x3"), ("x3", "x1"))
+    assert report.nontrivial_unreachable_components == (frozenset({"x1", "x2", "x3"}),)
+    assert decomposed == [[(1, 2), (1, 5), (2, 3), (3, 1)]]
+
+
 def _dense_nu(pattern):
     """The dense max-weight assignment compute_nu used to solve: weight 1 on a
     real entry, a weight-0 stay slot on each diagonal position, every other
