@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -153,37 +154,62 @@ def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
     )
 
 
-def _lower_bound(by_target: list[int]) -> int:
-    """Greedy family of targets no two of which share an allowed coverer;
-    each family member forces one distinct pick.  ``by_target`` holds each
-    uncovered target's allowed coverers, in ascending target order."""
+def _node(problem: _CoverProblem, allowed: int, uncovered: int, budget: int) -> list[int] | None:
+    """Each uncovered target's allowed coverers, in ascending target order
+    stably sorted scarcest first; None when a target has none, or when a
+    greedy packing finds more than `budget` targets that pairwise share no
+    coverer (each forces one distinct pick)."""
+    by_target, coverers_of = [], problem.coverers
+    while uncovered:
+        low = uncovered & -uncovered
+        coverers = coverers_of[low.bit_length() - 1] & allowed
+        if not coverers:
+            return None
+        by_target.append(coverers)
+        uncovered ^= low
+    by_target.sort(key=int.bit_count)
     used = bound = 0
-    for coverers in sorted(by_target, key=int.bit_count):
+    for coverers in by_target:
         if not coverers & used:
             used |= coverers
             bound += 1
-    return bound
+    return None if bound > budget else by_target
 
 
 def _min_covers(
     problem: _CoverProblem, allowed: int, uncovered: int, budget: int
 ) -> Iterator[tuple[int, ...]]:
     """All covers of `uncovered` by at most `budget` allowed candidates, each
-    found once; at the optimum budget, every minimum cover.  Drawing only the
-    first answers whether any cover fits the budget."""
+    found once; at the optimum budget, every minimum cover."""
     if uncovered == 0:
         yield ()
         return
-    by_target = [problem.coverers[t] & allowed for t in _bits(uncovered)]
-    if not all(by_target) or _lower_bound(by_target) > budget:
+    by_target = _node(problem, allowed, uncovered, budget)
+    if by_target is None:
         return
-    # branch on the scarcest target, the lowest one on ties, trying its
-    # widest coverers first so that a feasibility probe stops early
-    scarcest = min(by_target, key=int.bit_count)
-    for c in sorted(_bits(scarcest), key=lambda c: -problem.coverage[c].bit_count()):
+    # branch on the scarcest target (the lowest on ties), widest coverers
+    # first so that a probe stops early.  Column dominance: a coverer whose
+    # gain lies inside a failed earlier sibling's fails too, as swapping in
+    # the wider one keeps any cover a cover and that branch allowed more
+    # candidates, so skipping it loses no cover.
+    failed: list[int] = []
+    for c in sorted(_bits(by_target[0]), key=lambda c: -problem.coverage[c].bit_count()):
         allowed &= ~(1 << c)  # later branches must not reuse c
-        for rest in _min_covers(problem, allowed, uncovered & ~problem.coverage[c], budget - 1):
+        gain = problem.coverage[c] & uncovered
+        if any(gain | wider == wider for wider in failed):
+            continue
+        found = False
+        for rest in _min_covers(problem, allowed, uncovered & ~gain, budget - 1):
+            found = True
             yield (c,) + rest
+        if not found:
+            failed.append(gain)
+
+
+def _feasible(problem: _CoverProblem, allowed: int, uncovered: int, budget: int) -> bool:
+    """Whether some cover of `uncovered` by at most `budget` allowed candidates
+    exists: the search stops at its first cover."""
+    return next(_min_covers(problem, allowed, uncovered, budget), None) is not None
 
 
 def _lex_smallest_cover(problem: _CoverProblem, size: int) -> list[int]:
@@ -197,7 +223,7 @@ def _lex_smallest_cover(problem: _CoverProblem, size: int) -> list[int]:
         budget = size - len(chosen) - 1
         for c in range(start, len(problem.coverage)):
             rest = _EVERY_CANDIDATE << (c + 1)  # the candidates after c
-            if next(_min_covers(problem, rest, uncovered & ~problem.coverage[c], budget), None) is not None:
+            if _feasible(problem, rest, uncovered & ~problem.coverage[c], budget):
                 chosen.append(c)
                 uncovered &= ~problem.coverage[c]
                 start = c + 1
@@ -263,8 +289,8 @@ def _exact_search(
         )
         return problem, _driver_set(problem.graph, _greedy_cover(problem), minimal=False)
     # iterative deepening: the first budget that admits a cover is the optimum
-    size = _lower_bound(list(problem.coverers))
-    while next(_min_covers(problem, _EVERY_CANDIDATE, problem.full_mask, size), None) is None:
+    size = 0
+    while not _feasible(problem, _EVERY_CANDIDATE, problem.full_mask, size):
         size += 1
     return problem, size
 
@@ -310,11 +336,19 @@ def enumerate_minimal_driver_sets(
     if isinstance(size, DriverSet):
         return [size]
     covers = _min_covers(problem, _EVERY_CANDIDATE, problem.full_mask, size)
-    expansions = heapq.merge(*(_picks([problem.members[c] for c in cover]) for cover in covers))
-    return [
-        _driver_set(problem.graph, indices, minimal=True)
-        for indices in itertools.islice(expansions, limit)
-    ]
+    expansions = heapq.merge(*(
+        zip(_picks([problem.members[c] for c in cover]), itertools.repeat(k))
+        for k, cover in enumerate(covers)
+    ))
+    # the picks of one cover reach the same targets: check each cover once
+    checked: dict[int, DriverSet] = {}
+    listed = []
+    for indices, k in itertools.islice(expansions, min(limit, sys.maxsize)):  # a larger limit means all
+        if k in checked:
+            listed.append(replace(checked[k], drivers=frozenset(state_name(i) for i in indices)))
+        else:
+            listed.append(checked.setdefault(k, _driver_set(problem.graph, indices, minimal=True)))
+    return listed
 
 
 def build_b_pattern(

@@ -86,3 +86,26 @@ def random_square_patterns(seed: int, count: int, max_n: int):
         density = float(rng.uniform(0.1, 0.6))
         out.append(random_pattern(rng, n, n, density))
     return out
+
+
+def cover_instance(rng, max_targets=40):
+    """T <= max_targets disjoint cycles of length 1-3 fed by up to 80 - T acyclic
+    feeder states; a feeder enters k random cycles and may also feed an
+    earlier feeder, so coverages nest.  States are shuffled."""
+    targets = int(rng.integers(1, max_targets + 1))
+    feeders = int(rng.integers(0, min(40, 80 - targets) + 1))
+    k = int(rng.integers(1, min(6, targets) + 1))
+    edges, cycles, n = set(), [], 0
+    for _ in range(targets):
+        nodes = list(range(n + 1, n + int(rng.integers(1, 4)) + 1))
+        n = nodes[-1]
+        edges |= set(zip(nodes, nodes[1:] + nodes[:1]))
+        cycles.append(nodes)
+    first_feeder = n + 1
+    for _ in range(feeders):
+        n += 1
+        edges |= {(n, int(rng.choice(cycles[t]))) for t in rng.choice(targets, size=k, replace=False)}
+        if n > first_feeder and rng.random() < 0.3:
+            edges.add((n, int(rng.integers(first_feeder, n))))
+    perm = rng.permutation(n) + 1
+    return PatternMatrix(n, n, frozenset((int(perm[d - 1]), int(perm[s - 1])) for s, d in edges))

@@ -120,6 +120,19 @@ def test_select_json(example2_path, capsys):
     assert doc["b_pattern"]["entries"] == [[4, 1], [8, 2]]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_select_limit_past_sys_maxsize_lists_every_set(fmt, example2_path, capsys):
+    """A limit above sys.maxsize means every set, as any limit above their
+    number does: the same bytes as the default limit of 100."""
+    outputs = []
+    for limit in ("100", "99999999999999999999"):
+        code = run_cli(["select", example2_path, "--enumerate", "--limit", limit, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
 # --- verify --------------------------------------------------------------------
 
 def test_verify_agreement_exits_0(example1_path, capsys):

@@ -15,7 +15,7 @@ from zerocontrol import (
     validate_driver_set,
 )
 from zerocontrol.drivers import ExactSearchSkipped
-from conftest import random_square_patterns
+from conftest import cover_instance, random_square_patterns
 from oracles import oracle_minimum_driver_sets
 
 
@@ -198,6 +198,107 @@ def test_states_with_equal_coverage_form_one_candidate():
         )
     ]
     assert all(ds.valid and ds.minimal for ds in listed)
+
+
+def test_enumeration_checks_one_certificate_per_cover(monkeypatch):
+    """The twelve self-loops above: the five listed sets come from one class
+    cover, so one obstruction check certifies them all."""
+    from zerocontrol import drivers
+
+    calls = []
+    check = drivers._obstruction
+    monkeypatch.setattr(drivers, "_obstruction", lambda *args: calls.append(args) or check(*args))
+    t = 12
+    a = PatternMatrix(3 * t, 3 * t, frozenset(
+        (3 * c + 1, 3 * c + d) for c in range(t) for d in (1, 2, 3)
+    ))
+    listed = enumerate_minimal_driver_sets(a, 5, exact_cap=100)
+    assert len(calls) == 1
+    assert len({ds.drivers for ds in listed}) == 5
+    for ds in listed:  # each set carries its own names and the shared certificate
+        alone = validate_driver_set(a, ds.drivers)
+        assert (ds.valid, ds.uncovered_witness, ds.nontrivial_unreachable_components) == (
+            alone.valid, alone.uncovered_witness, alone.nontrivial_unreachable_components
+        )
+
+
+def test_a_limit_past_sys_maxsize_means_all(example2_a):
+    listed = enumerate_minimal_driver_sets(example2_a, 2**63)
+    assert listed == enumerate_minimal_driver_sets(example2_a, 100)
+    assert len(listed) == 4
+
+
+def _unpruned_covers(problem, allowed, uncovered, budget):
+    """The search without dominance: every branch of the scarcest target's
+    coverers, widest first, each candidate used in one branch only."""
+    if uncovered == 0:
+        yield ()
+        return
+    by_target = [problem.coverers[t] & allowed for t in range(len(problem.coverers)) if uncovered >> t & 1]
+    if budget <= 0 or not all(by_target):
+        return
+    scarcest = min(by_target, key=int.bit_count)
+    for c in sorted((c for c in range(len(problem.coverage)) if scarcest >> c & 1),
+                    key=lambda c: -problem.coverage[c].bit_count()):
+        allowed &= ~(1 << c)
+        for rest in _unpruned_covers(problem, allowed, uncovered & ~problem.coverage[c], budget - 1):
+            yield (c,) + rest
+
+
+def test_dominance_pruning_loses_no_cover():
+    """Skipping the coverers dominated by a failed sibling changes neither the
+    probe's answer nor the covers listed, or their order: at every budget up
+    to the optimum and one past it, with every candidate allowed and with
+    only the candidates after each one."""
+    from zerocontrol import drivers
+
+    rng = np.random.default_rng(2020)
+    answers, covers = set(), 0
+    for _ in range(60):
+        problem = drivers._cover_problem(cover_instance(rng, max_targets=12))
+        every, full = drivers._EVERY_CANDIDATE, problem.full_mask
+        optimum = next(b for b in range(len(problem.coverage) + 1)
+                       if next(_unpruned_covers(problem, every, full, b), None) is not None)
+        for allowed in [every] + [every << (c + 1) for c in range(len(problem.coverage))]:
+            for budget in range(optimum + 2):
+                listed = list(drivers._min_covers(problem, allowed, full, budget))
+                assert listed == list(_unpruned_covers(problem, allowed, full, budget))
+                assert drivers._feasible(problem, allowed, full, budget) == bool(listed)
+                answers.add(bool(listed))
+                covers += len(listed)
+    assert answers == {True, False} and covers > 1000
+
+
+def test_minimal_set_is_the_first_enumerated_set():
+    rng = np.random.default_rng(2021)
+    for _ in range(200):
+        a = cover_instance(rng, max_targets=26)
+        assert minimal_driver_set(a, exact_cap=80) == enumerate_minimal_driver_sets(a, 1, exact_cap=80)[0]
+
+
+def _tied_groups(count):
+    """Independent groups of three self-loops a, b, c with feeders of {a, b},
+    {b, c} and {a, c}: the packing bound is 1 per group, the optimum 2."""
+    entries = set()
+    for g in range(count):
+        a, b, c, ab, bc, ac = range(6 * g + 1, 6 * g + 7)
+        entries |= {(a, a), (b, b), (c, c), (a, ab), (b, ab), (b, bc), (c, bc), (a, ac), (c, ac)}
+    return PatternMatrix(6 * count, 6 * count, frozenset(entries))
+
+
+def test_tied_groups_probe_node_count(monkeypatch):
+    """Six tied groups: the deepening refutes budgets 0-11 and the lex probes
+    fix 12 members.  A count of node checks pins the search's size, not its
+    speed."""
+    from zerocontrol import drivers
+
+    nodes = []
+    check = drivers._node
+    monkeypatch.setattr(drivers, "_node", lambda *args: nodes.append(args) or check(*args))
+    ds = minimal_driver_set(_tied_groups(6), exact_cap=100)
+    assert ds.size == 12 and ds.minimal
+    assert ds.sorted_drivers() == [f"x{6 * g + v}" for g in range(6) for v in (1, 5)]
+    assert len(nodes) == 1323
 
 
 # --- greedy ----------------------------------------------------------------------

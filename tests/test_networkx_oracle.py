@@ -21,7 +21,7 @@ from zerocontrol import (
 from zerocontrol.cli import run_cli
 from zerocontrol.fileio import serialize_pattern_file
 from zerocontrol.graph import _peel
-from conftest import sparse_pattern
+from conftest import cover_instance, sparse_pattern
 
 
 def to_networkx(pattern_a, pattern_b=None):
@@ -222,29 +222,6 @@ def test_peel_leaves_the_states_on_or_after_a_cycle():
         assert {f"x{v}" for v in survivors} == after
 
 
-def _cover_instance(rng):
-    """T <= 40 disjoint cycles of length 1-3 fed by up to 80 - T acyclic
-    feeder states; a feeder enters k random cycles and may also feed an
-    earlier feeder, so coverages nest.  States are shuffled."""
-    targets = int(rng.integers(1, 41))
-    feeders = int(rng.integers(0, min(40, 80 - targets) + 1))
-    k = int(rng.integers(1, min(6, targets) + 1))
-    edges, cycles, n = set(), [], 0
-    for _ in range(targets):
-        nodes = list(range(n + 1, n + int(rng.integers(1, 4)) + 1))
-        n = nodes[-1]
-        edges |= set(zip(nodes, nodes[1:] + nodes[:1]))
-        cycles.append(nodes)
-    first_feeder = n + 1
-    for _ in range(feeders):
-        n += 1
-        edges |= {(n, int(rng.choice(cycles[t]))) for t in rng.choice(targets, size=k, replace=False)}
-        if n > first_feeder and rng.random() < 0.3:
-            edges.add((n, int(rng.integers(first_feeder, n))))
-    perm = rng.permutation(n) + 1
-    return PatternMatrix(n, n, frozenset((int(perm[d - 1]), int(perm[s - 1])) for s, d in edges))
-
-
 def _milp_optimum(a):
     """Fewest condensation components whose descendants, themselves included,
     meet every cyclic component: a 0/1 set-cover ILP solved by HiGHS."""
@@ -290,7 +267,7 @@ def test_driver_candidates_are_the_coverage_classes():
     from zerocontrol.drivers import _cover_problem
 
     rng = np.random.default_rng(402)
-    patterns = [a for _, a, _ in random_instances(403, 70)] + [_cover_instance(rng) for _ in range(30)]
+    patterns = [a for _, a, _ in random_instances(403, 70)] + [cover_instance(rng) for _ in range(30)]
     merged = 0
     for a in patterns:
         problem = _cover_problem(a)
@@ -301,8 +278,8 @@ def test_driver_candidates_are_the_coverage_classes():
 
 def test_minimum_driver_set_size_matches_milp():
     rng = np.random.default_rng(401)
-    for _ in range(120):
-        a = _cover_instance(rng)
+    for _ in range(200):
+        a = cover_instance(rng)
         ds = minimal_driver_set(a, exact_cap=80)
         assert ds.valid and ds.minimal
         assert ds.size == _milp_optimum(a)
