@@ -3,7 +3,6 @@ components, and analysis results."""
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Iterable
 
 from .drivers import DriverSet
@@ -41,8 +40,7 @@ def _dot(graph: SystemGraph, scc: SccDecomposition, reached: bytes | None = None
     names = [""] + list(map(state_name, range(1, n + 1)))
 
     lines = ["digraph system {", "  rankdir=LR;", "  node [shape=circle];"]
-    comp = scc._comp_of.__getitem__  # a stable sort keeps each component's states ascending
-    for k, members in groupby(sorted(range(1, n + 1), key=comp), comp):
+    for k, members in enumerate(scc._members):
         kind = "nontrivial" if scc.nontrivial[k] else "trivial"
         lines.append(f"  subgraph cluster_{k + 1} {{")
         lines.append(f'    label="{scc.label(k)} ({kind})";')

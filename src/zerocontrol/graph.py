@@ -183,8 +183,9 @@ class SccDecomposition:
     """Partition of the state vertices into maximal strongly connected
     components, with the component order induced by reachability.
 
-    Components are numbered by their smallest member, so labels are stable;
-    ``_comp_of[v]`` is the component of state v (index 0 is padding).
+    Components are numbered by their smallest member, so labels are stable.
+    ``_members[k]`` lists component k's states ascending (``components`` names
+    them on first read); state v is in ``_comp_of[v]`` (index 0 is padding).
     ``order`` is the full (transitively closed) relation: (a, b) present means
     some vertex of component a has a walk to component b.  ``covering_order``
     is its transitive reduction, handy for drawing.  Both are built on first
@@ -192,11 +193,15 @@ class SccDecomposition:
     emission order (each component after every component it reaches).
     """
 
-    components: tuple[frozenset[str], ...]
     nontrivial: tuple[bool, ...]
+    _members: tuple[tuple[int, ...], ...]
     _successors: tuple[tuple[int, ...], ...]
     _sinks_first: tuple[int, ...]
     _comp_of: tuple[int, ...]
+
+    @cached_property
+    def components(self) -> tuple[frozenset[str], ...]:
+        return tuple([frozenset(map(state_name, members)) for members in self._members])
 
     def _fold(self, masks: list[int]) -> list[int]:
         """ORs into each component's entry of ``masks`` (in place) those of
@@ -210,7 +215,7 @@ class SccDecomposition:
     @cached_property
     def _reach(self) -> tuple[int, ...]:
         """Bitmask of the components each component strictly reaches."""
-        own = [1 << a for a in range(len(self.components))]
+        own = [1 << a for a in range(len(self.nontrivial))]
         return tuple(mask ^ (1 << a) for a, mask in enumerate(self._fold(own)))
 
     @cached_property
@@ -240,7 +245,7 @@ class SccDecomposition:
         return f"C{k + 1}"
 
     def nontrivial_components(self) -> tuple[frozenset[str], ...]:
-        return tuple(c for c, nt in zip(self.components, self.nontrivial) if nt)
+        return tuple(frozenset(map(state_name, m)) for m, nt in zip(self._members, self.nontrivial) if nt)
 
 
 def scc_decompose(graph: SystemGraph) -> SccDecomposition:
@@ -303,11 +308,11 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
     heads = (cross % emissions).tolist()
     cuts = np.searchsorted(cross // emissions, np.arange(emissions + 1)).tolist()
     by_comp = np.argsort(comp[1:], kind="stable")  # states by component, ascending within
-    names = list(map(state_name, (by_comp + 1).tolist()))
+    states = (by_comp + 1).tolist()
     members = np.searchsorted(comp[1:][by_comp], np.arange(emissions + 1)).tolist()
     return SccDecomposition(
-        components=tuple([frozenset(names[i:j]) for i, j in zip(members, members[1:])]),
         nontrivial=tuple(nontrivial.tolist()),
+        _members=tuple([tuple(states[i:j]) for i, j in zip(members, members[1:])]),
         _successors=tuple([tuple(heads[i:j]) for i, j in zip(cuts, cuts[1:])]),
         _sinks_first=tuple(label.tolist()),
         _comp_of=tuple(comp.tolist()),
@@ -356,23 +361,27 @@ def find_cycle(
 
 def _obstruction(graph: SystemGraph, excluded: bytes) -> tuple:
     """The cycles among the states outside ``excluded``: one of them or None, and the nontrivial
-    components they form, in label order.  Only what the peel leaves, every cycle, is decomposed.
-    When ``excluded`` is what some seeds reach, the rest is closed under predecessors, so these
-    are whole components of the graph, numbered by their smallest members as there."""
+    components they form, in label order.  Only the peel's k survivors, every cycle, are decomposed,
+    renumbered 1..k in order.  When ``excluded`` is what some seeds reach, the rest is closed under
+    predecessors, so these are whole components of the graph, numbered by smallest member as there."""
     alive = _peel(graph, excluded)
     if not alive.any():
         return None, ()
     src, dst = graph._csr[:2]
     kept = alive[src] & alive[dst]
-    subgraph = _graph_of(graph.n_states, 0, src[kept], dst[kept], frozenset())
-    scc = subgraph.condensation  # from the smallest state on a cycle
-    return _cycle_witness(subgraph, scc._comp_of.index(scc.nontrivial.index(True))), scc.nontrivial_components()
+    renumber = np.cumsum(alive)  # survivor v becomes renumber[v] (alive[0], padding, is False)
+    states = np.flatnonzero(alive).tolist()  # and survivor s is state states[s - 1]
+    subgraph = _graph_of(len(states), 0, renumber[src[kept]], renumber[dst[kept]], frozenset())
+    scc = subgraph.condensation
+    blocking = [m for m, nt in zip(scc._members, scc.nontrivial) if nt]  # from the smallest state on a cycle
+    names = {s: state_name(states[s - 1]) for m in blocking for s in m}  # the witness lies in them
+    return _cycle_witness(subgraph, blocking[0][0], names), tuple(frozenset(map(names.get, m)) for m in blocking)
 
 
-def _cycle_witness(graph: SystemGraph, start: int) -> tuple[tuple[str, str], ...]:
+def _cycle_witness(graph: SystemGraph, start: int, names: dict[int, str]) -> tuple[tuple[str, str], ...]:
     """The smallest self-loop, otherwise the shortest cycle through ``start``:
-    BFS back to it, successors in ascending order.  A state on that cycle
-    reaches ``start`` and is reached from it, so no condensation is needed."""
+    BFS back to it, successors in ascending order, named by ``names[v]``.  A state on that
+    cycle reaches ``start`` and is reached from it, so no condensation is needed."""
     src, dst, indptr, indices = graph._csr
     start = next(iter(src[src == dst].tolist()), start)
     parent: dict[int, int] = {start: 0}
@@ -386,8 +395,8 @@ def _cycle_witness(graph: SystemGraph, start: int) -> tuple[tuple[str, str], ...
                     while v:
                         cycle.append(v)
                         v = parent[v]
-                    names = [state_name(x) for x in reversed(cycle)]
-                    return tuple(zip(names, names[1:]))
+                    walk = [names[x] for x in reversed(cycle)]
+                    return tuple(zip(walk, walk[1:]))
                 if w not in parent:
                     parent[w] = v
                     next_queue.append(w)

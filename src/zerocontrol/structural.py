@@ -186,17 +186,12 @@ class Decomposition:
 
     def permuted_pair(self) -> tuple[PatternMatrix, PatternMatrix]:
         """Reassembled permuted patterns, for round-trip checks."""
-        n = self.n_reachable + self.n_unreachable
-        m = self.b1.n_cols
-        entries = set()
-        for i, j in self.a11.nonzeros:
-            entries.add((i, j))
-        for i, j in self.a12.nonzeros:
-            entries.add((i, j + self.n_reachable))
-        for i, j in self.a22.nonzeros:
-            entries.add((i + self.n_reachable, j + self.n_reachable))
+        r = self.n_reachable
+        n = r + self.n_unreachable
+        entries = (self.a11.nonzeros | {(i, j + r) for i, j in self.a12.nonzeros}
+                   | {(i + r, j + r) for i, j in self.a22.nonzeros})
         a = PatternMatrix(n, n, frozenset(entries))
-        b = PatternMatrix(n, m, frozenset(self.b1.nonzeros))
+        b = PatternMatrix(n, self.b1.n_cols, frozenset(self.b1.nonzeros))
         return a, b
 
 

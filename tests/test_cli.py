@@ -305,9 +305,9 @@ def test_export_dot_notes_that_drivers_replace_the_file_inputs(example1_path, ca
 
 
 def test_export_dot_draws_from_state_ids(tmp_path, monkeypatch, capsys):
-    # no report is built on the way: besides the condensation, which names
-    # its components once per graph, the states are named once, in the DOT
-    # lines, and each typed driver is parsed once
+    # no report is built on the way: the condensation keeps state ids, the
+    # states are named once, in the DOT lines, and each typed driver is
+    # parsed once
     from zerocontrol import build_graph, export_dot, is_generically_zero_controllable, validate_driver_set
     from zerocontrol import cli, dotexport, drivers, graph as graph_module, structural
     from conftest import sparse_pattern
@@ -321,27 +321,14 @@ def test_export_dot_draws_from_state_ids(tmp_path, monkeypatch, capsys):
     cases = [([], 0), (["--drivers", "x2,x17,x44"], 3)]
     expected = [export_dot(graph, graph.condensation, report) for graph, report in zip(graphs, reports)]
 
-    names, parsed, in_condensation = [], [], []
-    named, parse, condense = graph_module.state_name, graph_module._parse_vertex, graph_module.scc_decompose
-
-    def counted_name(i):
-        if not in_condensation:
-            names.append(i)
-        return named(i)
-
-    def uncounted_condensation(graph):
-        in_condensation.append(graph)
-        try:
-            return condense(graph)
-        finally:
-            in_condensation.pop()
+    names, parsed = [], []
+    named, parse = graph_module.state_name, graph_module._parse_vertex
 
     def forbidden(*args):
         raise AssertionError("export-dot ran the obstruction")
 
-    monkeypatch.setattr(graph_module, "scc_decompose", uncounted_condensation)
     for module in (graph_module, structural, drivers, dotexport, cli):
-        for attr, spy in (("state_name", counted_name),
+        for attr, spy in (("state_name", lambda i: names.append(i) or named(i)),
                           ("_parse_vertex", lambda v: parsed.append(v) or parse(v)),
                           ("_obstruction", forbidden)):
             if hasattr(module, attr):

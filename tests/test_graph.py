@@ -133,6 +133,58 @@ def test_nontrivial_components_example2(example2_a):
     assert build_graph(example2_a).condensation.nontrivial_components() == tuple(map(frozenset, expected))
 
 
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_components_are_named_on_first_read(seed, monkeypatch):
+    # the decomposition keeps state ids only; nontrivial_components() names
+    # its own members, and components every state, when first read
+    from zerocontrol import graph as graph_module
+
+    calls = []
+    named = graph_module.state_name
+    monkeypatch.setattr(graph_module, "state_name", lambda i: calls.append(i) or named(i))
+    g = build_graph(random_pattern(np.random.default_rng(seed), 40, 40, 0.04))
+    scc = scc_decompose(g)
+    assert not calls and "components" not in scc.__dict__
+    grouped = {}
+    for v in range(1, g.n_states + 1):
+        grouped.setdefault(scc._comp_of[v], set()).add(f"x{v}")
+    expected = tuple(frozenset(grouped[k]) for k in range(len(grouped)))
+    nontrivial = scc.nontrivial_components()
+    assert nontrivial == tuple(c for c, nt in zip(expected, scc.nontrivial) if nt)
+    assert 0 < len(calls) == sum(map(len, nontrivial)) < g.n_states
+    assert "components" not in scc.__dict__
+    assert scc.components == expected and scc.components is scc.components
+    assert len(calls) == sum(map(len, nontrivial)) + g.n_states
+
+
+def test_obstruction_decomposes_and_names_only_the_survivors(monkeypatch):
+    # the peel's k survivors are decomposed as a k-state graph, and at most
+    # those k states are named; the certificate is the one found on the
+    # states' own ids: the reference witness and the induced subgraph's
+    # nontrivial components
+    from zerocontrol import graph as graph_module
+
+    condense, named = graph_module.scc_decompose, graph_module.state_name
+    decomposed, calls = [], []
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        g = build_graph(random_pattern(rng, n, n, float(rng.uniform(0.02, 0.15))))
+        excluded = bytes([1]) + bytes((rng.random(n) < 0.3).tolist())
+        within = {f"x{v}" for v in range(1, n + 1) if not excluded[v]}
+        induced = PatternMatrix(n, n, frozenset(
+            (d, s) for s, d in g.state_edges if not excluded[s] and not excluded[d]))
+        expected = (oracle_find_cycle(g, within), scc_decompose(build_graph(induced)).nontrivial_components())
+        k = int(graph_module._peel(g, excluded).sum())
+        decomposed.clear()
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_module, "scc_decompose", lambda h: decomposed.append(h.n_states) or condense(h))
+            patch.setattr(graph_module, "state_name", lambda i: calls.append(i) or named(i))
+            assert graph_module._obstruction(g, excluded) == expected
+        assert decomposed == ([k] if k else []) and len(calls) <= k
+
+
 def test_sort_vertices_orders_by_kind_then_index():
     rng = np.random.default_rng(5)
     boundaries = [f"{kind}{i}" for kind in "xu" for i in (1, 9, 10, 11, 99, 100, 101, 999, 1000)]

@@ -48,3 +48,32 @@ def test_ladder_writes_one_record_per_job(tmp_path, monkeypatch):
     # CPU time, user plus system, of each job's child
     assert all(0 < job["best_cpu_s"] == min(job["cpu_s"]) and len(job["cpu_s"]) == 1
                for job in doc["jobs"])
+
+
+# the giant shape has no entry in BENCH_pr12.json; these digests were taken
+# from the tree before its obstruction was sized to the survivors
+GIANT_SCC_DIGESTS = {
+    "analyze n10000-giant-scc.pat": "704c35759ed3b99fab28be0d8fbcee3dde7b2f63bc478e1a1e2c4103fcc2db80",
+    "select n10000-giant-scc.pat": "0a25e9b1f299c6db75157643af527e44f1f9a6b0587b302f783ef93d11470c11",
+    "export-dot n10000-giant-scc.pat": "d9cfc397aff54dd625421c3952ce6d1b24a22001e24485e04c44ace529ebcafa",
+}
+
+
+def test_ladder_outputs_match_the_committed_digests(tmp_path, monkeypatch):
+    # the ladder's jobs at n = 10^3 and 10^4, run in process: each output
+    # digest is the one committed in BENCH_pr12.json (or pinned above)
+    from job_digests import job_digest
+    from zerocontrol.cli import run_cli
+
+    bench = json.loads((SCRIPT.parent.parent / "BENCH_pr12.json").read_text())
+    expected = {job["name"]: job["sha256"] for job in bench["jobs"]} | GIANT_SCC_DIGESTS
+    patterns = {f"n{n}-seed{seed}.pat": scale_ladder.pattern_text(n, seed)
+                for n in (10**3, 10**4) for seed in (1, 2)}
+    patterns["n10000-giant-scc.pat"] = scale_ladder.giant_scc_text(10**4, scale_ladder.GIANT_SCC_SEED)
+    monkeypatch.chdir(tmp_path)  # the jobs name their files relative to the working directory
+    digests = {}
+    for name, text in patterns.items():
+        (tmp_path / name).write_text(text)
+        for command in scale_ladder.COMMANDS:
+            digests[f"{command} {name}"] = job_digest(run_cli, [command, name])
+    assert digests == {job: expected[job] for job in digests}

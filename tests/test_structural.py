@@ -105,12 +105,12 @@ def test_positive_verdicts_decompose_nothing(monkeypatch):
     # the peel clears an acyclic unreached part, so a positive verdict and a
     # valid driver set need no components; a cyclic one decomposes only
     # what the peel leaves: here the cycle x1 -> x2 -> x3 -> x1 and x5 after
-    # it, but not x4 before it
+    # it, but not x4 before it, renumbered in order to the states 1..4
     decomposed = []
     condense = scc_decompose
 
     def recorded(graph):
-        decomposed.append(sorted(graph.state_edges))
+        decomposed.append((graph.n_states, sorted(graph.state_edges)))
         return condense(graph)
 
     monkeypatch.setattr("zerocontrol.graph.scc_decompose", recorded)
@@ -122,7 +122,7 @@ def test_positive_verdicts_decompose_nothing(monkeypatch):
     report = is_generically_zero_controllable(a)
     assert report.cycle_witness == (("x1", "x2"), ("x2", "x3"), ("x3", "x1"))
     assert report.nontrivial_unreachable_components == (frozenset({"x1", "x2", "x3"}),)
-    assert decomposed == [[(1, 2), (1, 5), (2, 3), (3, 1)]]
+    assert decomposed == [(4, [(1, 2), (1, 4), (2, 3), (3, 1)])]
 
 
 def _dense_nu(pattern):
