@@ -39,7 +39,7 @@ from hostprobe import probe  # noqa: E402
 
 COMMANDS = ("analyze", "select", "export-dot")
 FIXTURE = ROOT / "fixtures" / "example1.pat"
-SIZES = (10**3, 10**4, 10**5)
+SIZES = (10, 10**2, 10**3, 10**4, 10**5)
 SEEDS = (1, 2)
 GIANT_SCC_SEED = 1  # the worst-case shape is drawn once per size
 REPEAT = 2  # runs of the whole ladder; each job reports its best

@@ -131,15 +131,21 @@ def build_graph(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None
             f"to match the {pattern_a.n_rows}x{pattern_a.n_cols} state pattern"
         )
     rows, cols = pattern_a._coords  # by column, then row: by source, then destination
-    inputs = frozenset() if pattern_b is None else frozenset((j, i) for i, j in pattern_b.nonzeros)
-    return _graph_of(pattern_a.n_rows, 0 if pattern_b is None else pattern_b.n_cols, cols, rows, inputs)
+    pattern_b = pattern_b or PatternMatrix.zeros(pattern_a.n_rows, 0)
+    states, inputs = pattern_b._coords  # an input entry (i, j) is the edge u_j -> x_i
+    return _graph_of(pattern_a.n_rows, pattern_b.n_cols, cols, rows, frozenset(zip(inputs.tolist(), states.tolist())))
 
 
 def _graph_of(n: int, m: int, src: np.ndarray, dst: np.ndarray, input_edges: frozenset) -> SystemGraph:
-    """The graph with these state edges, sorted by source and then destination, and its CSR."""
-    graph = SystemGraph(n, m, frozenset(zip(src.tolist(), dst.tolist())), input_edges)
-    graph.__dict__["_csr"] = _csr_of(n, src, dst)
+    """The graph with these state edges, sorted by source and then destination, kept as its CSR alone."""
+    graph = object.__new__(SystemGraph)
+    graph.__dict__.update(n_states=n, n_inputs=m, input_edges=input_edges, _csr=_csr_of(n, src, dst))
     return graph
+
+
+# A view set as PatternMatrix.nonzeros is: only a _graph_of graph names its state edges, from the CSR.
+SystemGraph.state_edges = cached_property(lambda self: frozenset(zip(*[a.tolist() for a in self._csr[:2]])))
+SystemGraph.state_edges.__set_name__(SystemGraph, "state_edges")
 
 
 def _reach_states(graph: SystemGraph, seeds: Iterable[int]) -> bytearray:

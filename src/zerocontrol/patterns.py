@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,9 +32,10 @@ class PatternMatrix:
     nonzeros: frozenset[Entry] = frozenset()
 
     def __post_init__(self):
+        self.__dict__.update(n_rows=index(self.n_rows), n_cols=index(self.n_cols))  # plain ints; 2.5 is refused
         if self.n_rows < 0 or self.n_cols < 0:
             raise ValueError(f"negative dimensions: {self.n_rows}x{self.n_cols}")
-        nz = frozenset((int(i), int(j)) for i, j in self.nonzeros)
+        nz = frozenset((index(i), index(j)) for i, j in self.nonzeros)
         object.__setattr__(self, "nonzeros", nz)
         for i, j in sorted(nz):
             if not 1 <= i <= self.n_rows:
@@ -57,18 +59,17 @@ class PatternMatrix:
 
     @classmethod
     def _trusted(cls, n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray) -> "PatternMatrix":
-        """A pattern from distinct in-range entries already sorted as in
-        ``_coords``, which it keeps, without the checks of ``__post_init__``."""
+        """A pattern from distinct in-range entries already sorted as in ``_coords``, which is
+        all it keeps (``nonzeros`` is named on first read), without the checks of ``__post_init__``."""
         pattern = object.__new__(cls)
-        pattern.__dict__.update(n_rows=n_rows, n_cols=n_cols, _coords=(rows, cols),
-                                nonzeros=frozenset(zip(rows.tolist(), cols.tolist())))
+        pattern.__dict__.update(n_rows=n_rows, n_cols=n_cols, _coords=(rows, cols))
         return pattern
 
     @classmethod
     def from_entries(
         cls, n_rows: int, n_cols: int, entries: Iterable[Entry], *, warn_duplicates: bool = False
     ) -> "PatternMatrix":
-        entries = [(int(i), int(j)) for i, j in entries]
+        entries = [(index(i), index(j)) for i, j in entries]
         unique = frozenset(entries)
         if warn_duplicates and len(entries) > len(unique):
             seen: set[Entry] = set()
@@ -161,3 +162,9 @@ class PatternMatrix:
         if sorted(col_order) != list(range(1, self.n_cols + 1)):
             raise ValueError("col_order is not a permutation of the column indices")
         return self.submatrix(list(row_order), list(col_order))
+
+
+# Set once @dataclass has read the field, a view: as a non-data descriptor it yields to the value a
+# public constructor stores in the instance __dict__, so only a _trusted pattern names it, on first read.
+PatternMatrix.nonzeros = cached_property(lambda self: frozenset(zip(*[a.tolist() for a in self._coords])))
+PatternMatrix.nonzeros.__set_name__(PatternMatrix, "nonzeros")

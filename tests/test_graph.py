@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +10,14 @@ from zerocontrol import (
     EdgeSymbol,
     PathMonomial,
     PatternMatrix,
+    SystemGraph,
     WalkCountError,
     build_b_pattern,
     build_graph,
     entry_paths,
     find_cycle,
     has_cycle,
+    parse_pattern_file,
     reachable_from,
     sample_realization,
     scc_decompose,
@@ -57,6 +62,64 @@ def test_edge_counts_match_pattern_nonzeros(example1_a, example1_b):
     g = build_graph(example1_a, example1_b)
     assert len(g.state_edges) == len(example1_a.nonzeros)
     assert len(g.input_edges) == len(example1_b.nonzeros)
+
+
+# (n, m, A entries drawn): n = 0, m = 0 and an empty A first, then seeded sizes
+TWIN_CASES = [(0, 0, 0), (0, 2, 0), (6, 0, 12), (6, 2, 0), (1, 1, 1), (9, 1, 18), (14, 3, 28), (30, 2, 60)]
+
+
+def _twin_case(n: int, m: int, draws: int, seed: int):
+    """A seeded pattern file with its entry lines shuffled, and its A and B entries in the
+    order a parsed pattern keeps them (by column, then row).  A frozenset iterates, and so
+    prints, in an order that follows its insertions: a twin built from these prints alike."""
+    rng = np.random.default_rng(seed)
+    a = {(int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))) for _ in range(draws)}
+    b = {(int(rng.integers(1, n + 1)), int(rng.integers(1, m + 1))) for _ in range(3 if n * m else 0)}
+    entry_lines = [f"a {i} {j}" for i, j in a] + [f"b {i} {j}" for i, j in b]
+    rng.shuffle(entry_lines)
+    by_column = [sorted(entries, key=lambda e: (e[1], e[0])) for entries in (a, b)]
+    return "\n".join([f"n {n}", f"m {m}", *entry_lines]) + "\n", *by_column
+
+
+def _round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+def _assert_twins(fast, twin, name):
+    """Equal on ==, hash and repr, also after dataclasses.replace and a pickle round trip
+    (each of which re-inserts a stored frozenset in its iteration order, so each side gets
+    it).  Unread, the field stays out of a fast object's pickle and is named as before."""
+    unread = _round_trip(fast)
+    assert name not in fast.__dict__ and name not in unread.__dict__
+    assert unread == twin and hash(unread) == hash(twin)
+    for got, want in ((fast, twin), (dataclasses.replace(fast), dataclasses.replace(twin)),
+                      (_round_trip(fast), _round_trip(twin))):
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert getattr(fast, name) is fast.__dict__[name] is getattr(fast, name)
+
+
+@pytest.mark.parametrize("case", TWIN_CASES)
+def test_parsed_patterns_equal_their_public_twins(case):
+    # a parsed pattern keeps only its coordinate arrays and names nonzeros on first read
+    text, a_entries, b_entries = _twin_case(*case, seed=sum(case))
+    n, m, _ = case
+    a, b = parse_pattern_file(text)
+    twins = [(a, PatternMatrix(n, n, a_entries))] + [(b, PatternMatrix(n, m, b_entries))] * (m > 0)
+    assert (b is None) == (m == 0)
+    for fast, twin in twins:
+        _assert_twins(fast, twin, "nonzeros")
+
+
+@pytest.mark.parametrize("case", TWIN_CASES)
+def test_built_graphs_equal_their_public_twins(case):
+    # a built graph keeps its CSR and names state_edges on first read
+    text, a_entries, b_entries = _twin_case(*case, seed=sum(case))
+    n, m, _ = case
+    g = build_graph(*parse_pattern_file(text))
+    twin = SystemGraph(n, m, frozenset((j, i) for i, j in a_entries), frozenset((j, i) for i, j in b_entries))
+    assert g.state_successors == twin.state_successors
+    assert g.condensation._members == twin.condensation._members
+    _assert_twins(g, twin, "state_edges")
 
 
 # --- reachability -----------------------------------------------------------

@@ -26,6 +26,25 @@ def test_rejects_out_of_range_entries():
         PatternMatrix(-1, 2)
 
 
+@pytest.mark.parametrize("make, args", [
+    (PatternMatrix, (2, 2, {(1.7, 1)})),  # was silently {(1, 1)}
+    (PatternMatrix, (2, 2, {(1, 2.0)})),
+    (PatternMatrix, (2.5, 2)),  # was accepted
+    (PatternMatrix, (2, 2.0)),
+    (PatternMatrix.from_entries, (2, 2, [(1.7, 1)])),
+])
+def test_sizes_and_indices_must_be_integers(make, args):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        make(*args)
+
+
+def test_numpy_integers_are_stored_as_plain_ints():
+    p = PatternMatrix(np.int64(2), np.int32(3), {(np.int64(1), np.uint8(3))})
+    assert p == PatternMatrix(2, 3, {(1, 3)})
+    assert repr(p) == "PatternMatrix(n_rows=2, n_cols=3, nonzeros=frozenset({(1, 3)}))"
+    assert {type(k) for k in (p.n_rows, p.n_cols, *next(iter(p.nonzeros)))} == {int}
+
+
 def test_from_rows_matches_grid():
     p = PatternMatrix.from_rows([[1, 0], [0, 1]])
     assert p == PatternMatrix.identity(2)

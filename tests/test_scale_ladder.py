@@ -1,5 +1,7 @@
 """The scale ladder script: its seeded generator and one tiny run."""
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -77,3 +79,30 @@ def test_ladder_outputs_match_the_committed_digests(tmp_path, monkeypatch):
         for command in scale_ladder.COMMANDS:
             digests[f"{command} {name}"] = job_digest(run_cli, [command, name])
     assert digests == {job: expected[job] for job in digests}
+
+
+def test_structural_commands_name_no_edge_set(tmp_path, monkeypatch):
+    # a parsed pattern keeps its entries as arrays and a built graph its CSR:
+    # analyze, select and export-dot never build the nonzeros or state_edges
+    # view, while verify reads the entries by name, so the spy is live
+    from zerocontrol import PatternMatrix, SystemGraph
+    from zerocontrol.cli import run_cli
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run_cli(argv) in (0, 1), argv
+
+    builds = []
+    for view in (PatternMatrix.__dict__["nonzeros"], SystemGraph.__dict__["state_edges"]):
+        monkeypatch.setattr(view, "func", lambda self, build=view.func: builds.append(self) or build(self))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed1.pat").write_text(scale_ladder.pattern_text(10**3, 1))
+    (tmp_path / "giant.pat").write_text(scale_ladder.giant_scc_text(10**3, scale_ladder.GIANT_SCC_SEED))
+    for name in ("seed1.pat", "giant.pat"):
+        for argv in (["analyze", name], ["analyze", name, "--format", "json"], ["select", name],
+                     ["select", name, "--format", "json"], ["select", name, "--enumerate", "--limit", "3"],
+                     ["export-dot", name], ["export-dot", name, "--drivers", "x1,x2"]):
+            run(argv)
+            assert not builds, argv
+    run(["verify", str(scale_ladder.FIXTURE), "--trials", "2"])
+    assert builds
