@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .patterns import PatternMatrix
+from .patterns import PatternMatrix, _sorted_repr
 
 _VERTEX_RE = re.compile(r"([xu])([1-9][0-9]*)")
 
@@ -72,6 +72,10 @@ class SystemGraph:
     n_inputs: int
     state_edges: frozenset[tuple[int, int]]  # (src state, dst state)
     input_edges: frozenset[tuple[int, int]]  # (src input, dst state)
+
+    def __repr__(self) -> str:
+        return (f"SystemGraph(n_states={self.n_states}, n_inputs={self.n_inputs}, "
+                f"state_edges={_sorted_repr(self.state_edges)}, input_edges={_sorted_repr(self.input_edges)})")
 
     @property
     def state_vertices(self) -> tuple[str, ...]:

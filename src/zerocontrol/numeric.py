@@ -15,14 +15,17 @@ stops at its first rank-deficient pencil.  Positions run through each trial's
 eigenvalues smallest modulus first, where deficient pencils tend to sit (the
 exact zeros, and the eps^(1/k) eigenvalues that rounding smears out of
 nilpotent chains); the verdict, "no needed pencil is deficient", does not
-depend on the order.  A real lam takes a real SVD, a
-conjugate reuses the singular values of its partner's complex SVD, and an
-exact repeat reuses its earlier decision.  Such a reused or real decision
-stands only outside a guard band around the rank cutoff; inside it, the
-complex SVD of that very pencil decides, so the verdicts are those of one
-complex SVD per eigenvalue.  numpy runs the same LAPACK routine on each
-matrix of a stack, so a stacked decision is bit for bit the one-matrix one.
-The single-realization checks are stacks of one.
+depend on the order.  Where the structural verdict says a walk passes, a
+needed pencil P first tries a certificate: a Cholesky factorization of P P^H
+shifted by theta^2 plus its rounding-error bound proves sigma_min(P) > theta,
+over 10^3 rank cutoffs (Demmel 1989; Rump 2006): P and its conjugate are full.
+Otherwise a real lam takes a real SVD, a conjugate reuses the singular values
+of its partner's complex SVD, and an exact repeat reuses its earlier decision.
+Such a reused or real decision stands only outside a guard band around the
+rank cutoff; inside it, the complex SVD of that very pencil decides, so the
+verdicts are those of one complex SVD per eigenvalue.  numpy runs the same
+LAPACK routine on each matrix of a stack, so a stacked decision is bit for bit
+the one-matrix one.  The single-realization checks are stacks of one.
 """
 
 from __future__ import annotations
@@ -191,9 +194,9 @@ _GUARD_BAND = 1e-3
 _STACK_ENTRIES = 2**18
 
 
-def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool) -> list[tuple]:
-    """Both numeric checks on a stack of realizations: one (image, hautus)
-    pair of boolean arrays per asked check, zero controllability first."""
+def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool, expect=(False, False)) -> list[tuple]:
+    """Both numeric checks on a stack of realizations: one (image, hautus) pair of boolean arrays
+    per asked check, zero controllability first; a walk tries certificates if ``expect`` says it passes."""
     lam, nonzero = _eigenvalues(a, tol)
     # smallest modulus first; stable, so a conjugate pair (bit-equal moduli) stays in order
     order = np.argsort(np.abs(lam), axis=1, kind="stable")
@@ -213,8 +216,10 @@ def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool) -> l
     if not n:
         return list(zip(images, alive))
     walks = np.array(walks)  # (checks, T, n): the positions each Hautus walk covers
+    doubt = ~np.array(expect[:len(walks)])[:, None]  # (checks, 1): the walks that try no certificate
     full = np.zeros((t, n), dtype=bool)  # pencil at each position has rank n
     exact = np.zeros((t, n, n))  # complex-SVD spectrum at each position that took one
+    certified = np.zeros((t, n), dtype=bool)  # full rank proven without an SVD
     # an exact repeat reuses the decision at its value's first position, and
     # the second of a conjugate pair the spectrum at its partner's first
     # position, which took a complex SVD: nothing earlier equals or pairs it
@@ -239,10 +244,17 @@ def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool) -> l
         repeat = need & repeats[:, j]
         full[repeat, j] = full[repeat, first[repeat, j]]
         todo = need & ~repeat
+        by_partner = todo & reuses[:, j]  # a conjugate's singular values are its partner's
+        if not doubt.all():
+            full[by_partner, j] = certified[by_partner, j] = certified[by_partner, partner[by_partner, j]]
+            likely = todo & ~by_partner & ~(alive & walks[:, :, j] & doubt).any(axis=0)
+            for rows, values in ((likely & real[:, j], lam[:, j].real), (likely & ~real[:, j], lam[:, j])):
+                if rows.any():
+                    full[rows, j] = certified[rows, j] = _certified(pencils(rows, values[rows]))
+            todo &= ~certified[:, j]
         by_real = todo & real[:, j]
         if by_real.any():
             s[by_real] = np.linalg.svd(pencils(by_real, lam[by_real, j].real), compute_uv=False)
-        by_partner = todo & reuses[:, j]
         s[by_partner] = exact[by_partner, partner[by_partner, j]]
         cut = (n + m) * s[:, 0] * RANK_REL_TOL  # numeric_rank's cutoff
         close = ~(np.abs(s[:, -1] - cut) > _GUARD_BAND * cut)
@@ -252,6 +264,33 @@ def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool) -> l
         full[todo, j] = (s[:, -1] > (n + m) * s[:, 0] * RANK_REL_TOL)[todo]
         alive &= ~(walks[:, :, j] & ~full[:, j])
     return list(zip(images, alive))
+
+
+def _certified(stack: np.ndarray) -> np.ndarray:
+    """Which pencils of a (T, n, k) stack, k >= n, a shifted Gram-Cholesky test proves to have
+    sigma_min > theta = 2e3 * k * RANK_REL_TOL * ||P||_F, 2 * 10^3 times numeric_rank's cutoff."""
+    _, n, k = stack.shape
+    # exact scaling to a largest entry in [1/2, 1): G = P P^H cannot overflow, nor underflow much
+    _, e = np.frexp(np.abs(stack).max(axis=(1, 2)))
+    p = np.ldexp(stack.view(float), -e[:, None, None]).view(stack.dtype)
+    gram = p @ p.conj().swapaxes(1, 2)
+    # With u = eps / 2, forming G errs by gamma_(k+2) ||P||_F^2 in the 2-norm, the shift by u tr(G),
+    # and a Cholesky factorization that completes is exact for G - tau I + dH, ||dH|| <= gamma_(n+1)
+    # tr(G) (Higham, Accuracy and Stability, Thm 10.5).  At 4u per term for complex arithmetic,
+    # success proves lambda_min(P P^H) >= tau - 4 (n + k + 4) u tr(G) = theta^2; never when P = 0.
+    shift = (2e3 * k * RANK_REL_TOL) ** 2 + 2 * (n + k + 4) * np.finfo(float).eps  # tau / tr(G)
+    gram[:, range(n), range(n)] -= np.trace(gram, axis1=1, axis2=2).real[:, None] * shift
+
+    def factors(g, levels=2):  # np.linalg.cholesky refuses a stack as a whole: halve a failed one
+        try:
+            np.linalg.cholesky(g)
+            return np.ones(len(g), dtype=bool)
+        except np.linalg.LinAlgError:
+            if not levels or len(g) == 1:
+                return np.zeros(len(g), dtype=bool)
+        return np.concatenate([factors(g[:len(g) // 2], levels - 1), factors(g[len(g) // 2:], levels - 1)])
+
+    return factors(gram)
 
 
 def is_controllable_numeric(realization: Realization, tol: float = 1e-8) -> NumericCheck:
@@ -396,7 +435,8 @@ def monte_carlo_verify(
     for start in range(base_seed, base_seed + trials, chunk):
         seeds = range(start, min(start + chunk, base_seed + trials))
         a, b = _sample(pattern_a, pattern_b, seeds, ValueSpec())
-        (image, hautus), *ctrl = _decide(a, b, tol, zc=True, ctrl=check_controllability)
+        (image, hautus), *ctrl = _decide(a, b, tol, True, check_controllability,
+                                         (zc_structural, ctrl_structural))
         zc = image & hautus
         zc_agree += int(np.sum(zc == zc_structural))
         disagreeing += [seed for seed, verdict in zip(seeds, zc) if verdict != zc_structural]

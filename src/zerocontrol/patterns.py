@@ -17,6 +17,12 @@ class DuplicateEntryWarning(UserWarning):
     """A nonzero position was listed more than once and has been collapsed."""
 
 
+def _sorted_repr(entries: frozenset) -> str:
+    """A frozenset's repr with its entries sorted, so that equal sets print alike
+    whatever order they were inserted in."""
+    return f"frozenset({{{', '.join(map(repr, sorted(entries)))}}})" if entries else "frozenset()"
+
+
 @dataclass(frozen=True)
 class PatternMatrix:
     """Which entries of a matrix are (free) nonzeros.
@@ -46,6 +52,9 @@ class PatternMatrix:
                 raise ValueError(
                     f"column {j} out of range for a {self.n_rows}x{self.n_cols} pattern"
                 )
+
+    def __repr__(self) -> str:
+        return f"PatternMatrix(n_rows={self.n_rows}, n_cols={self.n_cols}, nonzeros={_sorted_repr(self.nonzeros)})"
 
     @cached_property
     def _coords(self) -> tuple[np.ndarray, np.ndarray]:

@@ -122,6 +122,26 @@ def test_built_graphs_equal_their_public_twins(case):
     _assert_twins(g, twin, "state_edges")
 
 
+def test_equal_patterns_and_graphs_print_alike():
+    """repr lists the entries sorted: 200 seeded parsed patterns and their graphs print as
+    their twins built from the same entries inserted in a shuffled order, also after
+    dataclasses.replace and a pickle round trip, though the frozensets print apart."""
+    rng = np.random.default_rng(51)
+    apart = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        entries = sorted({(int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))) for _ in range(2 * n)})
+        a, _ = parse_pattern_file("\n".join([f"n {n}", *(f"a {i} {j}" for i, j in entries)]) + "\n")
+        rng.shuffle(entries)
+        twin = PatternMatrix(n, n, entries)
+        twin_graph = SystemGraph(n, 0, frozenset((j, i) for i, j in entries), frozenset())
+        apart += repr(a.nonzeros) != repr(twin.nonzeros)
+        for fast, slow in ((a, twin), (build_graph(a), twin_graph)):
+            for got in (fast, dataclasses.replace(fast), _round_trip(fast), _round_trip(slow)):
+                assert repr(got) == repr(slow)
+    assert apart > 100
+
+
 # --- reachability -----------------------------------------------------------
 
 def test_reachable_from_inputs_example1(example1_a, example1_b):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -273,18 +274,41 @@ def _matrices(stacks):
     return [(stack.dtype.kind, stack.shape[1:]) for stack in stacks for _ in stack]
 
 
+def _certificate_calls(monkeypatch):
+    """Record every certificate attempt while the test runs, as (pencils,
+    which of them are certified)."""
+    calls = []
+    certified = numeric._certified
+
+    def spy(stack):
+        result = certified(stack)
+        calls.append((stack.copy(), result))
+        return result
+
+    monkeypatch.setattr(numeric, "_certified", spy)
+    return calls
+
+
+def _zc_certifying(r):
+    """The zero controllability check of one realization with certificates
+    tried, as in a Monte Carlo trial whose structural verdict is positive."""
+    [(image, hautus)] = numeric._decide(r.a[None], r.b[None], 1e-8, True, False, (True,))
+    return numeric._check(bool(image[0]), bool(hautus[0]))
+
+
 def _last_over_cut(a, b, lam):
     s = np.linalg.svd(np.hstack([a - lam * np.eye(len(a)), b]).astype(complex), compute_uv=False)
     return s[-1] / (max(len(a), len(a) + b.shape[1]) * s[0] * 1e-10)
 
 
-def _in_guard_band(a, make_b, lam):
+def _in_guard_band(a, make_b, lam, over=1 + 2e-4):
     """Scale the one small entry of B so that the pencil at lam has its last
-    singular value just above the rank cutoff, inside the guard band."""
+    singular value ``over`` times the rank cutoff: by default just above it,
+    inside the guard band."""
     eps = 1e-9
-    eps /= _last_over_cut(a, make_b(eps), lam) / (1 + 2e-4)
+    eps /= _last_over_cut(a, make_b(eps), lam) / over
     b = make_b(eps)
-    assert abs(_last_over_cut(a, b, lam) - 1) < 5e-4
+    assert abs(_last_over_cut(a, b, lam) / over - 1) < 5e-4
     return make_realization(a, b)
 
 
@@ -293,28 +317,83 @@ def test_guard_band_falls_back_to_the_complex_svd(case, monkeypatch):
     if case == "real":  # eigenvalues 1 and 2; the pencil at 1 is nearly deficient
         a = np.diag([1.0, 2.0])
         r = _in_guard_band(a, lambda eps: np.array([[eps], [1.0]]), 1.0)
-        expected = [("f", (2, 3)), ("c", (2, 3)), ("f", (2, 3))]
+        expected, certified = [("f", (2, 3)), ("c", (2, 3))], [False, True]
     else:  # eigenvalues +-i; both pencils nearly deficient
         a = np.array([[0.0, -1.0], [1.0, 0.0]])
         r = _in_guard_band(a, lambda eps: np.array([[eps], [0.0]]), 1j)
-        expected = [("c", (2, 3)), ("c", (2, 3))]
+        expected, certified = [("c", (2, 3)), ("c", (2, 3))], [False]  # -i tries none of its own
     calls = _svd_calls(monkeypatch)
-    check = is_zero_controllable_numeric(r)
-    # after rank C and rank [C, A^n], the pencils in eigenvalue order
+    certificates = _certificate_calls(monkeypatch)
+    check = _zc_certifying(r)
+    # after rank C and rank [C, A^n], the pencils in eigenvalue order: a nearly
+    # deficient pencil is never certified and reaches the complex SVD
     assert _matrices(calls)[2:] == expected
+    assert [bool(ok) for _, result in certificates for ok in result] == certified
     assert check == oracle_is_zero_controllable_numeric(r)
     assert is_controllable_numeric(r) == oracle_is_controllable_numeric(r)
 
 
 def test_pencils_outside_the_guard_band_are_decided_once(monkeypatch):
     a = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
-    r = make_realization(a, [[1.0], [0.0], [1.0]])
-    calls = _svd_calls(monkeypatch)
-    check = is_zero_controllable_numeric(r)
-    # after rank C and rank [C, A^n], one complex SVD for the pair +-i and a
-    # real one at 0.5
-    assert sorted(_matrices(calls)[2:]) == [("c", (3, 4)), ("f", (3, 4))]
-    assert check == oracle_is_zero_controllable_numeric(r)
+    well = make_realization(a, [[1.0], [0.0], [1.0]])
+    # eigenvalues 1 and 2; the pencil at 1 sits ten cutoffs up, below any certificate
+    near = _in_guard_band(np.diag([1.0, 2.0]), lambda eps: np.array([[eps], [1.0]]), 1.0, over=10.0)
+    # one certificate for the pair +-i and one at 0.5, and no pencil SVD; then
+    # a real SVD that stands at 1 and a certificate at 2
+    for r, certified, svds in ((well, [("c", (3, 4)), ("f", (3, 4))], []),
+                               (near, [("f", (2, 3))], [("f", (2, 3))])):
+        calls = _svd_calls(monkeypatch)
+        certificates = _certificate_calls(monkeypatch)
+        check = _zc_certifying(r)
+        assert sorted(_matrices(stack[ok] for stack, ok in certificates)) == certified
+        assert _matrices(calls)[2:] == svds  # after rank C and rank [C, A^n]
+        del certificates[:]
+        assert is_zero_controllable_numeric(r) == check == oracle_is_zero_controllable_numeric(r)
+        assert certificates == []  # a single-realization check knows no structural verdict
+        monkeypatch.undo()
+
+
+def _pencil(rng, n, k, ratio, dtype):
+    """A seeded n-by-k pencil U diag(sigma) V^H with singular values drawn
+    from [0.5, 2], but the last set to ``ratio`` times the pencil's Frobenius
+    norm (when n > 1)."""
+    def orthonormal(size):
+        z = rng.standard_normal((size, size)) + (1j * rng.standard_normal((size, size)) if dtype is complex else 0)
+        return np.linalg.qr(z)[0]
+
+    sigma = rng.uniform(0.5, 2.0, n)
+    if n > 1:
+        sigma[-1] = ratio * np.sqrt(np.sum(sigma[:-1] ** 2) / (1 - ratio**2))
+    return orthonormal(n) @ np.diag(sigma) @ orthonormal(k)[:n]
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (1, 1), (5, 0), (12, 1), (40, 1), (40, 3)])
+def test_a_certificate_proves_what_the_complex_svd_finds(n, m):
+    """Every certified pencil has full numeric rank, its last singular value
+    at least 10^3 cutoffs up, on pencils whose sigma_min runs from 1e-1 to
+    1e-15 of their norm, scaled by 2^500 and 2^-500 too; every pencil with
+    sigma_min >= 1e-5 ||P||_F is certified, and no all-zero one.  A stack
+    certifies no pencil that fails alone."""
+    rng = np.random.default_rng(100 * n + m)
+    k = n + m
+    certified = 0
+    for dtype in (float, complex):
+        pencils = [np.zeros((n, k), dtype=dtype)]
+        for ratio in [10.0**-e for e in range(1, 16)] if n > 1 else [1.0]:
+            pencil = _pencil(rng, n, k, ratio, dtype)
+            pencils += [pencil, pencil * 2.0**500, pencil * 2.0**-500]
+        alone = np.array([numeric._certified(pencil[None])[0] for pencil in pencils])
+        assert not alone[0]
+        assert not (numeric._certified(np.array(pencils)) & ~alone).any()
+        for pencil, ok in zip(pencils, alone):
+            s = np.linalg.svd(pencil.astype(complex), compute_uv=False)
+            if ok:
+                assert numeric_rank(pencil.astype(complex)) == n
+                assert s[-1] >= 1e3 * k * s[0] * numeric.RANK_REL_TOL
+            else:
+                assert s[-1] < 1e-5 * np.linalg.norm(pencil) or not pencil.any()
+        certified += alone.sum()
+    assert certified >= 6 * (1 if n == 1 else 5)
 
 
 def test_hand_built_pencils_match_the_reference():
@@ -391,10 +470,12 @@ def _pencils_by_trial(stacks, realizations):
 
 
 @pytest.mark.parametrize("ctrl", [False, True])
-def test_each_needed_pencil_class_takes_one_svd(ctrl, monkeypatch):
-    """Per trial, every conjugate class the walks need takes exactly one SVD
-    (real for a real eigenvalue, complex for a pair), and no other pencil is
-    decided: repeats and conjugates reuse, nothing runs past a walk's end."""
+def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
+    """Per trial, every conjugate class the walks need is decided exactly once,
+    by a certificate or else by one SVD (each real for a real eigenvalue,
+    complex for a pair), and no other pencil is decided: repeats and
+    conjugates reuse, a certified class takes no SVD, a class tries at most
+    one certificate, and nothing runs past a walk's end."""
     rng = np.random.default_rng(41)
     chain = PatternMatrix(6, 6, frozenset((i + 1, i) for i in range(1, 6)))
     cases = [(chain, PatternMatrix(6, 1, frozenset({(1, 1)})))]  # nilpotent, [A, B] full rank
@@ -402,19 +483,25 @@ def test_each_needed_pencil_class_takes_one_svd(ctrl, monkeypatch):
         cases.append((random_pattern(rng, n, n, 2.5 / n), random_pattern(rng, n, m, 0.3)))
     cases += _non_zc_pairs(44, 2)
     complex_classes = 0
+    decided = Counter()
     for k, (a, b) in enumerate(cases):
         realizations = [oracle_sample_realization(a, b, 900 + k * 10 + i) for i in range(6)]
         stacks = _svd_calls(monkeypatch)
+        certificates = _certificate_calls(monkeypatch)
         monte_carlo_verify(a, b, trials=6, base_seed=900 + k * 10, check_controllability=ctrl)
         monkeypatch.undo()
-        for r, pencils in zip(realizations, _pencils_by_trial(stacks, realizations)):
-            assert Counter(cls for cls, _ in pencils) == Counter(_needed_classes(r, ctrl))
-            for cls, kind in pencils:
+        tried = _pencils_by_trial([stack for stack, _ in certificates], realizations)
+        proven = _pencils_by_trial([stack[ok] for stack, ok in certificates], realizations)
+        for r, svds, tries, certs in zip(realizations, _pencils_by_trial(stacks, realizations), tried, proven):
+            assert Counter(cls for cls, _ in svds + certs) == Counter(_needed_classes(r, ctrl))
+            assert max(Counter(cls for cls, _ in tries).values(), default=0) <= 1
+            for cls, kind in svds + tries:
                 assert kind == ("f" if len(cls) == 1 and next(iter(cls)).imag == 0 else "c")
                 complex_classes += len(cls) == 2
-            if k == 0:  # the repeated exact zeros take one real SVD under the controllability walk
-                assert pencils == ([(frozenset({0j}), "f")] if ctrl else [])
-    assert complex_classes > 0
+            decided.update(svd=len(svds), certificate=len(certs))
+            if k == 0:  # the repeated exact zeros take one real certificate under the controllability walk
+                assert svds == [] and certs == ([(frozenset({0j}), "f")] if ctrl else [])
+    assert complex_classes > 0 and decided["svd"] > 0 and decided["certificate"] > 0
 
 
 def test_walks_start_at_the_smallest_modulus(monkeypatch):
@@ -436,11 +523,11 @@ def test_walks_start_at_the_smallest_modulus(monkeypatch):
 
 
 def test_stacked_calls_stay_under_the_entry_cap(monkeypatch):
-    """Every SVD and eigenvalue call holds at most the cap's entries, at the
+    """Every SVD, eigenvalue and Cholesky call holds at most the cap's entries, at the
     default cap with n = 40, m = 2 and 100 trials, and at a small cap."""
     rng = np.random.default_rng(42)
     sizes = []
-    for name in ("svd", "eigvals"):
+    for name in ("svd", "eigvals", "cholesky"):
         def spy(matrix, *args, _call=getattr(np.linalg, name), **kwargs):
             sizes.append((matrix.size, matrix.shape))
             return _call(matrix, *args, **kwargs)
@@ -634,6 +721,27 @@ def test_monte_carlo_with_controllability(example1_a, example1_b):
     )
     assert stats.ctrl_structural is False
     assert stats.ctrl_agreements == 10
+
+
+#: sha256 of repr(MonteCarloStats) over the sweep below, one BLAS thread
+SWEEP_DIGEST = "e12cd0f5a6648e92d681b91f311dab720fcb975c3772512da5da3d3651b6d535"
+
+
+def test_a_seeded_sweep_keeps_its_digest():
+    """Monte Carlo statistics beyond the benchmark's seeds: 40 seeded patterns
+    with about 2n entries at n = 12, 24, 40 and 60 and one or two inputs, 60
+    trials each, with the controllability check on every third pattern."""
+    rng = np.random.default_rng(2023)
+    digest = hashlib.sha256()
+    k = 0
+    for n in (12, 24, 40, 60):
+        for m in (1, 2):
+            for _ in range(5):
+                a, b = sparse_pattern(rng, n, n, 2 * n), sparse_pattern(rng, n, m, 2 * m)
+                stats = monte_carlo_verify(a, b, trials=60, base_seed=1000 * k, check_controllability=k % 3 == 0)
+                digest.update(repr(stats).encode())
+                k += 1
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 def test_monte_carlo_validates_trials(example1_a):
