@@ -73,9 +73,8 @@ def _resolve_input_pattern(args, pattern_a, pattern_b):
             raise ValueError(
                 "the file already declares an input pattern; drop --drivers or the b-entries"
             )
-        mode = "per_driver" if args.b_mode == "per-driver" else "shared"
         names = _parse_drivers(args.drivers)
-        return build_b_pattern(pattern_a.n_rows, names, mode).pattern
+        return build_b_pattern(pattern_a.n_rows, names, _B_MODES[args.b_mode]).pattern
     return pattern_b
 
 
@@ -128,7 +127,6 @@ def _cmd_select(args) -> int:
     if pattern_b is not None:
         print("note: driver selection works on the state pattern; input entries ignored",
               file=sys.stderr)
-    mode = "per_driver" if args.b_mode == "per-driver" else "shared"
 
     if args.greedy:
         chosen = greedy_driver_set(pattern_a)
@@ -142,7 +140,7 @@ def _cmd_select(args) -> int:
         chosen = minimal_driver_set(pattern_a, exact_cap=args.exact_cap)
         enumeration = None
 
-    bp = build_b_pattern(pattern_a.n_rows, chosen.drivers, mode)
+    bp = build_b_pattern(pattern_a.n_rows, chosen.drivers, _B_MODES[args.b_mode])
 
     def text_doc() -> str:
         sections = [render_driver_set(chosen)]
@@ -241,9 +239,13 @@ def _add_format(parser) -> None:
     )
 
 
+#: --b-mode spellings and the build_b_pattern modes they name
+_B_MODES = {"shared": "shared", "per-driver": "per_driver"}
+
+
 def _add_b_mode(parser, help: str) -> None:
     parser.add_argument(
-        "--b-mode", choices=("shared", "per-driver"), default="per-driver", help=help
+        "--b-mode", choices=tuple(_B_MODES), default="per-driver", help=help
     )
 
 

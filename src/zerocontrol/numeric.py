@@ -15,17 +15,17 @@ stops at its first rank-deficient pencil.  Positions run through each trial's
 eigenvalues smallest modulus first, where deficient pencils tend to sit (the
 exact zeros, and the eps^(1/k) eigenvalues that rounding smears out of
 nilpotent chains); the verdict, "no needed pencil is deficient", does not
-depend on the order.  Where the structural verdict says a walk passes, a
-needed pencil P first tries a certificate: a Cholesky factorization of P P^H
-shifted by theta^2 plus its rounding-error bound proves sigma_min(P) > theta,
-over 10^3 rank cutoffs (Demmel 1989; Rump 2006): P and its conjugate are full.
-Otherwise a real lam takes a real SVD, a conjugate reuses the singular values
-of its partner's complex SVD, and an exact repeat reuses its earlier decision.
-Such a reused or real decision stands only outside a guard band around the
-rank cutoff; inside it, the complex SVD of that very pencil decides, so the
-verdicts are those of one complex SVD per eigenvalue.  numpy runs the same
-LAPACK routine on each matrix of a stack, so a stacked decision is bit for bit
-the one-matrix one.  The single-realization checks are stacks of one.
+depend on the order.  Walks that fail nearly always fail at their first
+pencil, so a needed pencil P tries a certificate only in a trial that has
+passed a pencil: a Cholesky factorization of P P^H shifted by theta^2 plus its
+rounding-error bound proves sigma_min(P) > theta, over 10^3 rank cutoffs
+(Demmel 1989; Rump 2006).  Otherwise P takes an SVD, a real one for a real
+lam unless it lands in a guard band around the rank cutoff.  An exact repeat
+reuses its first decision, and the second of a conjugate pair its partner's
+when a certificate or an SVD outside the band made it, so the verdicts are
+those of one complex SVD per eigenvalue.  numpy runs the same LAPACK routine
+on each matrix of a stack, so a stacked decision is bit for bit the
+one-matrix one.  The single-realization checks are stacks of one.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ def _sample(pattern_a, pattern_b, seeds, value_spec) -> tuple[np.ndarray, np.nda
         raise ValueError("state pattern must be square")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     n = pattern_a.n_rows
+    if pattern_b is not None and pattern_b.n_rows != n:
+        raise ValueError(f"input pattern has {pattern_b.n_rows} rows, expected {n} to match the {n}x{n} state pattern")
     m = pattern_b.n_cols if pattern_b is not None else 0
     a, b = np.zeros((len(rngs), n, n)), np.zeros((len(rngs), n, m))
     for values, pattern in ((a, pattern_a), (b, pattern_b)):
@@ -182,10 +184,10 @@ def _check(image_ok: bool, hautus_ok: bool) -> NumericCheck:
     return NumericCheck(image_ok and hautus_ok, image_ok, hautus_ok, image_ok == hautus_ok)
 
 
-#: A pencil decision read off other singular values than the exact ones (the
-#: complex SVD of that very pencil) stands only when the smallest of them lies
-#: farther than this fraction of the rank cutoff from the cutoff, about 10^5
-#: times the SVD rounding error; otherwise the exact SVD decides.
+#: A real SVD's decision stands, and a complex one's also decides the
+#: conjugate pencil, only when the last singular value lies farther than this
+#: fraction of the rank cutoff from the cutoff, about 10^5 times the SVD
+#: rounding error.
 _GUARD_BAND = 1e-3
 
 #: Matrix entries per stacked LAPACK call: Monte Carlo trials are decided in
@@ -194,14 +196,14 @@ _GUARD_BAND = 1e-3
 _STACK_ENTRIES = 2**18
 
 
-def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool, expect=(False, False)) -> list[tuple]:
+def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool) -> list[tuple]:
     """Both numeric checks on a stack of realizations: one (image, hautus) pair of boolean arrays
-    per asked check, zero controllability first; a walk tries certificates if ``expect`` says it passes."""
+    per asked check, zero controllability first."""
     lam, nonzero = _eigenvalues(a, tol)
     # smallest modulus first; stable, so a conjugate pair (bit-equal moduli) stays in order
     order = np.argsort(np.abs(lam), axis=1, kind="stable")
     lam, nonzero = np.take_along_axis(lam, order, 1), np.take_along_axis(nonzero, order, 1)
-    t, n, m = b.shape
+    t, n, _ = b.shape
     ctrb = _ctrb(a, b)
     ctrb_rank = _ranks(ctrb)
     images, walks = [], []
@@ -216,19 +218,15 @@ def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool, expe
     if not n:
         return list(zip(images, alive))
     walks = np.array(walks)  # (checks, T, n): the positions each Hautus walk covers
-    doubt = ~np.array(expect[:len(walks)])[:, None]  # (checks, 1): the walks that try no certificate
     full = np.zeros((t, n), dtype=bool)  # pencil at each position has rank n
-    exact = np.zeros((t, n, n))  # complex-SVD spectrum at each position that took one
-    certified = np.zeros((t, n), dtype=bool)  # full rank proven without an SVD
-    # an exact repeat reuses the decision at its value's first position, and
-    # the second of a conjugate pair the spectrum at its partner's first
-    # position, which took a complex SVD: nothing earlier equals or pairs it
-    position = np.arange(n)
-    first = (lam[:, :, None] == lam[:, None, :]).argmax(axis=1)
-    conjugate = lam[:, :, None] == lam[:, None, :].conj()
-    partner = np.where(conjugate.any(axis=1), conjugate.argmax(axis=1), n)
-    repeats, real = first < position, lam.imag == 0
-    reuses = ~real & (partner < position)
+    sure = np.zeros((t, n), dtype=bool)  # decided by a certificate or an SVD outside the guard band
+    # an exact repeat reuses the decision at its value's first position, and the
+    # second of a conjugate pair its partner's when that one is sure
+    position, trial, real = np.arange(n), np.arange(t), lam.imag == 0
+    equal = lam[:, :, None] == lam[:, None, :]
+    first = equal.argmax(axis=1)
+    repeats = first < position
+    source = np.where(repeats, first, (equal | (lam[:, :, None] == lam[:, None, :].conj())).argmax(axis=1))
     ab = np.concatenate([a, b], axis=2)
 
     def pencils(rows, values):  # [A - lam I, B], bit for bit as a - lam * eye
@@ -236,34 +234,37 @@ def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool, expe
         pencil[:, position, position] -= values[:, None]
         return pencil
 
-    s = np.zeros((t, n))  # rows in todo: the singular values that decide position j
     for j in range(n):
         need = (alive & walks[:, :, j]).any(axis=0)
         if not need.any():
             continue
-        repeat = need & repeats[:, j]
-        full[repeat, j] = full[repeat, first[repeat, j]]
-        todo = need & ~repeat
-        by_partner = todo & reuses[:, j]  # a conjugate's singular values are its partner's
-        if not doubt.all():
-            full[by_partner, j] = certified[by_partner, j] = certified[by_partner, partner[by_partner, j]]
-            likely = todo & ~by_partner & ~(alive & walks[:, :, j] & doubt).any(axis=0)
-            for rows, values in ((likely & real[:, j], lam[:, j].real), (likely & ~real[:, j], lam[:, j])):
-                if rows.any():
-                    full[rows, j] = certified[rows, j] = _certified(pencils(rows, values[rows]))
-            todo &= ~certified[:, j]
-        by_real = todo & real[:, j]
-        if by_real.any():
-            s[by_real] = np.linalg.svd(pencils(by_real, lam[by_real, j].real), compute_uv=False)
-        s[by_partner] = exact[by_partner, partner[by_partner, j]]
-        cut = (n + m) * s[:, 0] * RANK_REL_TOL  # numeric_rank's cutoff
-        close = ~(np.abs(s[:, -1] - cut) > _GUARD_BAND * cut)
-        redo = todo & (close | ~(by_real | by_partner))  # the complex SVD decides
-        if redo.any():
-            s[redo] = exact[redo, j] = np.linalg.svd(pencils(redo, lam[redo, j]), compute_uv=False)
-        full[todo, j] = (s[:, -1] > (n + m) * s[:, 0] * RANK_REL_TOL)[todo]
+        reuse = need & (source[:, j] < j) & (repeats[:, j] | sure[trial, source[:, j]])
+        full[reuse, j] = full[reuse, source[reuse, j]]
+        todo = need & ~reuse
+        # walks that fail nearly always fail at their first pencil, so a trial
+        # tries certificates only once one of its pencils has passed
+        passed = full[:, :j].any(axis=1)
+        for rows, values in ((todo & real[:, j], lam[:, j].real), (todo & ~real[:, j], lam[:, j])):
+            tried = rows & passed
+            if tried.any():
+                full[tried, j] = sure[tried, j] = _certified(pencils(tried, values[tried]))
+            rows &= ~sure[:, j]
+            if rows.any():
+                full[rows, j], sure[rows, j] = _full_rank(pencils(rows, values[rows]))
         alive &= ~(walks[:, :, j] & ~full[:, j])
     return list(zip(images, alive))
+
+
+def _full_rank(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each pencil of a (T, n, k) stack, k >= n, has full numeric rank, and whether that is sure:
+    sigma_min lies outside the guard band around numeric_rank's cutoff, in which a real SVD yields to a complex one."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    cut = stack.shape[2] * s[:, 0] * RANK_REL_TOL
+    full, sure = s[:, -1] > cut, np.abs(s[:, -1] - cut) > _GUARD_BAND * cut
+    band = ~sure
+    if stack.dtype.kind == "f" and band.any():
+        full[band], sure[band] = _full_rank(stack[band].astype(complex))
+    return full, sure
 
 
 def _certified(stack: np.ndarray) -> np.ndarray:
@@ -435,8 +436,7 @@ def monte_carlo_verify(
     for start in range(base_seed, base_seed + trials, chunk):
         seeds = range(start, min(start + chunk, base_seed + trials))
         a, b = _sample(pattern_a, pattern_b, seeds, ValueSpec())
-        (image, hautus), *ctrl = _decide(a, b, tol, True, check_controllability,
-                                         (zc_structural, ctrl_structural))
+        (image, hautus), *ctrl = _decide(a, b, tol, True, check_controllability)
         zc = image & hautus
         zc_agree += int(np.sum(zc == zc_structural))
         disagreeing += [seed for seed, verdict in zip(seeds, zc) if verdict != zc_structural]

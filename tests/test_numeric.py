@@ -94,6 +94,14 @@ def test_sampling_matches_the_scalar_draw_loop():
                 assert np.array_equal(r.a, expected.a) and np.array_equal(r.b, expected.b)
 
 
+def test_an_input_pattern_needs_one_row_per_state():
+    a = PatternMatrix(3, 3, frozenset({(1, 2), (3, 3)}))
+    for rows in (2, 5):  # fewer and more rows than states
+        b = PatternMatrix(rows, 1, frozenset({(1, 1), (rows, 1)}))
+        with pytest.raises(ValueError, match=rf"^input pattern has {rows} rows, expected 3 to match the 3x3 state"):
+            sample_realization(a, b)
+
+
 # --- controllability matrix ----------------------------------------------------
 
 def test_controllability_matrix_zero_a():
@@ -289,24 +297,18 @@ def _certificate_calls(monkeypatch):
     return calls
 
 
-def _zc_certifying(r):
-    """The zero controllability check of one realization with certificates
-    tried, as in a Monte Carlo trial whose structural verdict is positive."""
-    [(image, hautus)] = numeric._decide(r.a[None], r.b[None], 1e-8, True, False, (True,))
-    return numeric._check(bool(image[0]), bool(hautus[0]))
-
-
 def _last_over_cut(a, b, lam):
     s = np.linalg.svd(np.hstack([a - lam * np.eye(len(a)), b]).astype(complex), compute_uv=False)
     return s[-1] / (max(len(a), len(a) + b.shape[1]) * s[0] * 1e-10)
 
 
 def _in_guard_band(a, make_b, lam, over=1 + 2e-4):
-    """Scale the one small entry of B so that the pencil at lam has its last
-    singular value ``over`` times the rank cutoff: by default just above it,
-    inside the guard band."""
+    """Scale the one small entry of B, twice, so that the pencil at lam has its
+    last singular value ``over`` times the rank cutoff, as closely as its SVD
+    resolves: by default just above the cutoff, inside the guard band."""
     eps = 1e-9
-    eps /= _last_over_cut(a, make_b(eps), lam) / over
+    for _ in range(2):
+        eps /= _last_over_cut(a, make_b(eps), lam) / over
     b = make_b(eps)
     assert abs(_last_over_cut(a, b, lam) / over - 1) < 5e-4
     return make_realization(a, b)
@@ -317,16 +319,17 @@ def test_guard_band_falls_back_to_the_complex_svd(case, monkeypatch):
     if case == "real":  # eigenvalues 1 and 2; the pencil at 1 is nearly deficient
         a = np.diag([1.0, 2.0])
         r = _in_guard_band(a, lambda eps: np.array([[eps], [1.0]]), 1.0)
-        expected, certified = [("f", (2, 3)), ("c", (2, 3))], [False, True]
+        expected, certified = [("f", (2, 3)), ("c", (2, 3))], [True]  # 1 is first: it tries none
     else:  # eigenvalues +-i; both pencils nearly deficient
         a = np.array([[0.0, -1.0], [1.0, 0.0]])
         r = _in_guard_band(a, lambda eps: np.array([[eps], [0.0]]), 1j)
-        expected, certified = [("c", (2, 3)), ("c", (2, 3))], [False]  # -i tries none of its own
+        expected, certified = [("c", (2, 3)), ("c", (2, 3))], [False]  # +i is first: it tries none
     calls = _svd_calls(monkeypatch)
     certificates = _certificate_calls(monkeypatch)
-    check = _zc_certifying(r)
+    check = is_zero_controllable_numeric(r)
     # after rank C and rank [C, A^n], the pencils in eigenvalue order: a nearly
-    # deficient pencil is never certified and reaches the complex SVD
+    # deficient pencil is never certified and reaches the complex SVD, and the
+    # partner of an unsure one takes its own
     assert _matrices(calls)[2:] == expected
     assert [bool(ok) for _, result in certificates for ok in result] == certified
     assert check == oracle_is_zero_controllable_numeric(r)
@@ -338,19 +341,42 @@ def test_pencils_outside_the_guard_band_are_decided_once(monkeypatch):
     well = make_realization(a, [[1.0], [0.0], [1.0]])
     # eigenvalues 1 and 2; the pencil at 1 sits ten cutoffs up, below any certificate
     near = _in_guard_band(np.diag([1.0, 2.0]), lambda eps: np.array([[eps], [1.0]]), 1.0, over=10.0)
-    # one certificate for the pair +-i and one at 0.5, and no pencil SVD; then
-    # a real SVD that stands at 1 and a certificate at 2
-    for r, certified, svds in ((well, [("c", (3, 4)), ("f", (3, 4))], []),
+    # a real SVD that stands at 0.5, then one certificate for the pair +-i; a
+    # real SVD that stands at 1, then a certificate at 2
+    for r, certified, svds in ((well, [("c", (3, 4))], [("f", (3, 4))]),
                                (near, [("f", (2, 3))], [("f", (2, 3))])):
         calls = _svd_calls(monkeypatch)
         certificates = _certificate_calls(monkeypatch)
-        check = _zc_certifying(r)
+        check = is_zero_controllable_numeric(r)
+        assert _matrices(stack for stack, _ in certificates) == certified  # each certificate holds
         assert sorted(_matrices(stack[ok] for stack, ok in certificates)) == certified
         assert _matrices(calls)[2:] == svds  # after rank C and rank [C, A^n]
-        del certificates[:]
-        assert is_zero_controllable_numeric(r) == check == oracle_is_zero_controllable_numeric(r)
-        assert certificates == []  # a single-realization check knows no structural verdict
+        assert check == oracle_is_zero_controllable_numeric(r)
         monkeypatch.undo()
+
+
+def test_pencils_at_the_rank_cutoff_match_the_reference():
+    """A real or a conjugate pencil placed at (1 +- 10^-k) times the rank
+    cutoff, k = 3..15, first in its walk or after a pencil that passes (so
+    that it tries a certificate): both checks equal the complex-SVD reference,
+    and the reference finds the pencil full on some and deficient on others."""
+    rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    cases = [  # (A, B with its small entry eps, lam), lam first and then after 0.5
+        (np.diag([1.0, 2.0]), lambda eps: np.array([[eps], [1.0]]), 1.0),
+        (np.diag([0.5, 1.0]), lambda eps: np.array([[1.0], [eps]]), 1.0),
+        (rotation[:2, :2], lambda eps: np.array([[eps], [0.0]]), 1j),
+        (rotation, lambda eps: np.array([[eps], [0.0], [1.0]]), 1j),
+    ]
+    seen = set()
+    for a, make_b, lam in cases:
+        for k in range(3, 16):
+            for over in (1 - 10.0**-k, 1 + 10.0**-k):
+                r = _in_guard_band(a, make_b, lam, over)
+                expected = oracle_is_zero_controllable_numeric(r)
+                assert is_zero_controllable_numeric(r) == expected, (a.shape, lam, over)
+                assert is_controllable_numeric(r) == oracle_is_controllable_numeric(r), (a.shape, lam, over)
+                seen.add(expected.hautus_test)
+    assert seen == {False, True}
 
 
 def _pencil(rng, n, k, ratio, dtype):
@@ -499,9 +525,41 @@ def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
                 assert kind == ("f" if len(cls) == 1 and next(iter(cls)).imag == 0 else "c")
                 complex_classes += len(cls) == 2
             decided.update(svd=len(svds), certificate=len(certs))
-            if k == 0:  # the repeated exact zeros take one real certificate under the controllability walk
-                assert svds == [] and certs == ([(frozenset({0j}), "f")] if ctrl else [])
+            if k == 0:  # the repeated exact zeros take one real SVD under the controllability walk
+                assert certs == [] and svds == ([(frozenset({0j}), "f")] if ctrl else [])
     assert complex_classes > 0 and decided["svd"] > 0 and decided["certificate"] > 0
+
+
+def test_one_trial_decides_as_the_single_check(monkeypatch):
+    """A one-trial Monte Carlo run tries the same certificates and takes the
+    same SVDs on its Hautus pencils as the single zero controllability check
+    of that realization, on 40 seeded pairs at n = 12 and 24, half of them
+    structurally zero controllable, with 3 seeds each."""
+    rng = np.random.default_rng(48)
+    pairs = []
+    for n in (12, 24):
+        kinds = {True: [], False: []}
+        while min(map(len, kinds.values())) < 10:
+            a, b = sparse_pattern(rng, n, n, 2 * n), sparse_pattern(rng, n, 1, 2)
+            kinds[is_generically_zero_controllable(a, b).verdict].append((a, b))
+        pairs += kinds[True][:10] + kinds[False][:10]
+
+    def hautus_calls(run, n):
+        svds, certificates = _svd_calls(monkeypatch), _certificate_calls(monkeypatch)
+        run()
+        monkeypatch.undo()
+        return [[(stack.dtype.kind, stack.tobytes()) for stack in stacks if stack.shape[1:] == (n, n + 1)]
+                for stacks in (svds, [stack for stack, _ in certificates])]
+
+    tried = 0
+    for k, (a, b) in enumerate(pairs):
+        for seed in (600 + 3 * k, 601 + 3 * k, 602 + 3 * k):
+            r = sample_realization(a, b, seed)
+            single = hautus_calls(lambda: is_zero_controllable_numeric(r), a.n_rows)
+            trial = hautus_calls(lambda: monte_carlo_verify(a, b, trials=1, base_seed=seed), a.n_rows)
+            assert trial == single, (k, seed)
+            tried += len(single[1]) > 0
+    assert tried > 0
 
 
 def test_walks_start_at_the_smallest_modulus(monkeypatch):
