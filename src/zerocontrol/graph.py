@@ -329,22 +329,40 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
     )
 
 
-def _peel(graph: SystemGraph, excluded: bytes) -> np.ndarray:
+def _peel(graph: SystemGraph, excluded: bytes, popped: list[int] | None = None) -> np.ndarray:
     """Kahn's peel of the states outside ``excluded``, on the edges between them (an excluded
-    count starts at 0 and only drops, so it is never readied; index 0, padding, peels at once).
+    count starts at 0 and only drops, so it is never readied; index 0, padding, peels at once),
+    appending each peeled state to ``popped`` as it goes, so each one follows its kept predecessors.
     The mask of the survivors: the kept states on a cycle of the induced subgraph, or after one."""
     src, dst, indptr, indices = graph._csr
     kept = np.frombuffer(excluded, dtype=np.uint8) == 0
     indegree = np.bincount(dst[kept[src] & kept[dst]], minlength=graph.n_states + 1)
     ready = np.flatnonzero(kept & (indegree == 0)).tolist()
     indegree = indegree.tolist()
+    popped = [] if popped is None else popped
     while ready:
         v = ready.pop()
+        popped.append(v)
         for w in indices[indptr[v]:indptr[v + 1]]:
             indegree[w] -= 1
             if indegree[w] == 0:
                 ready.append(w)
     return np.array(indegree) > 0  # a peeled count stays 0, a survivor keeps a survivor before it
+
+
+def _reachable_split(graph: SystemGraph) -> tuple[np.ndarray, int, int]:
+    """The states in Kalman's canonical order (1963), as ids: the input-reached ones ascending, then
+    the unreached ones in the order Kahn's peel (1962) removes them, then the peel's survivors
+    ascending; with the counts n1 of reached states and k of survivors.  Nothing reached feeds an
+    unreached state and no input does, so in this order every realization has A21 = 0 and B2 = 0; a
+    peeled state is fed only by states peeled before it, so their block is strictly lower triangular.
+    The survivors lie on or after an unreached cycle: there are none exactly on a ZC verdict."""
+    reached = _input_reach(graph)
+    popped: list[int] = []
+    alive = _peel(graph, reached, popped)
+    popped.remove(0)  # the padding index peels too
+    first, last = np.flatnonzero(np.frombuffer(reached, dtype=np.uint8)), np.flatnonzero(alive)
+    return np.concatenate((first, np.array(popped, dtype=np.int64), last)), len(first), len(last)
 
 
 def has_cycle(graph: SystemGraph) -> bool:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _input_reach, _obstruction, build_graph, has_cycle, state_name
+from .graph import _input_reach, _obstruction, _reachable_split, build_graph, has_cycle, state_name
 from .patterns import PatternMatrix
 
 
@@ -198,22 +198,22 @@ class Decomposition:
 def reducible_decomposition(
     pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None
 ) -> Decomposition:
-    """Reorder the states so the input-reachable ones come first, and cut the
-    patterns into the corresponding blocks."""
-    reached = _input_reach(build_graph(pattern_a, pattern_b))
-    reach_idx = [v for v in range(1, pattern_a.n_rows + 1) if reached[v]]
-    unreach_idx = [v for v in range(1, pattern_a.n_rows + 1) if not reached[v]]
-    perm = tuple(reach_idx + unreach_idx)
-    n1, n2 = len(reach_idx), len(unreach_idx)
-    m = pattern_b.n_cols if pattern_b is not None else 0
+    """Reorder the states so the input-reachable ones come first, each group ascending, and cut the
+    patterns into the corresponding blocks: the graph's reachable split, read off its coordinates."""
+    order, n1, _ = _reachable_split(build_graph(pattern_a, pattern_b))
+    perm = np.concatenate((order[:n1], np.sort(order[n1:])))
+    n2 = len(perm) - n1
+    at = np.concatenate(([0], np.argsort(perm) + 1))  # state v moves to at[v]
     b = pattern_b if pattern_b is not None else PatternMatrix.zeros(pattern_a.n_rows, 0)
+    rows, cols = at[pattern_a._coords[0]], at[pattern_a._coords[1]]
+    b_rows, b_cols = at[b._coords[0]], b._coords[1]
+    if ((rows > n1) & (cols <= n1)).any() or (b_rows > n1).any():  # reachability is closed under edges
+        raise RuntimeError("an input-reached state feeds an unreached one: A21 or B2 is not zero")
 
-    a11 = pattern_a.submatrix(reach_idx, reach_idx)
-    a12 = pattern_a.submatrix(reach_idx, unreach_idx)
-    a21 = pattern_a.submatrix(unreach_idx, reach_idx)
-    a22 = pattern_a.submatrix(unreach_idx, unreach_idx)
-    b1 = b.submatrix(reach_idx, list(range(1, m + 1)))
-    b2 = b.submatrix(unreach_idx, list(range(1, m + 1)))
-    # reachability is closed under edges, so these blocks cannot carry entries
-    assert not a21.nonzeros and not b2.nonzeros
-    return Decomposition(perm, n1, n2, a11, a12, a22, b1)
+    def block(keep, shape, row_shift, col_shift, rows=rows, cols=cols):
+        rows, cols = rows[keep] - row_shift, cols[keep] - col_shift
+        return PatternMatrix(*shape, frozenset(zip(rows.tolist(), cols.tolist())))
+    upper, left = rows <= n1, cols <= n1
+    return Decomposition(tuple(perm.tolist()), n1, n2, block(upper & left, (n1, n1), 0, 0),
+                         block(upper & ~left, (n1, n2), 0, n1), block(~upper, (n2, n2), n1, n1),
+                         block(b_rows <= n1, (n1, b.n_cols), 0, 0, b_rows, b_cols))

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from zerocontrol import (
+    Decomposition,
     MonteCarloStats,
     NumericCheck,
     PatternMatrix,
@@ -25,7 +26,7 @@ from zerocontrol import (
     numeric_rank,
 )
 from zerocontrol.fileio import PatternFormatError
-from zerocontrol.graph import state_name
+from zerocontrol.graph import _input_reach, build_graph, state_name
 from zerocontrol.patterns import DuplicateEntryWarning
 
 
@@ -287,6 +288,24 @@ def oracle_find_cycle(graph, within=None):
     return None
 
 
+def oracle_reducible_decomposition(pattern_a, pattern_b=None) -> Decomposition:
+    """The reducible decomposition cut with ``submatrix``: the reached states
+    ascending, then the rest ascending, and the five blocks of the pair."""
+    reached = _input_reach(build_graph(pattern_a, pattern_b))
+    reach_idx = [v for v in range(1, pattern_a.n_rows + 1) if reached[v]]
+    unreach_idx = [v for v in range(1, pattern_a.n_rows + 1) if not reached[v]]
+    m = pattern_b.n_cols if pattern_b is not None else 0
+    b = pattern_b if pattern_b is not None else PatternMatrix.zeros(pattern_a.n_rows, 0)
+    a21 = pattern_a.submatrix(unreach_idx, reach_idx)
+    b2 = b.submatrix(unreach_idx, list(range(1, m + 1)))
+    assert not a21.nonzeros and not b2.nonzeros
+    return Decomposition(
+        tuple(reach_idx + unreach_idx), len(reach_idx), len(unreach_idx),
+        pattern_a.submatrix(reach_idx, reach_idx), pattern_a.submatrix(reach_idx, unreach_idx),
+        pattern_a.submatrix(unreach_idx, unreach_idx), b.submatrix(reach_idx, list(range(1, m + 1))),
+    )
+
+
 # --- numeric reference: one draw at a time, one complex SVD per eigenvalue ----
 
 def oracle_sample_realization(pattern_a, pattern_b=None, seed=20240001, value_spec=None):
@@ -346,9 +365,62 @@ def oracle_is_zero_controllable_numeric(realization, tol=1e-8):
     return _oracle_check(image_ok, _oracle_hautus_ok(a, b, _oracle_eigenvalues(a, tol)[1]))
 
 
+# --- numeric reference on the reachable split ----------------------------------
+
+def oracle_split(realization):
+    """The reached states and the unreached ones on or after an unreached
+    cycle, ascending, 0-based, searched out over the realization's nonzeros:
+    a BFS from the states that B feeds, then one search per unreached state
+    for a walk back to itself, then a BFS from the states on such cycles."""
+    a, b = realization.a, realization.b
+    n = realization.n
+
+    def closure(sources, allowed):
+        seen, frontier = set(), list(sources)
+        while frontier:
+            v = frontier.pop()
+            for w in np.flatnonzero(a[:, v]).tolist():  # entry (w, v) is the edge v -> w
+                if w in allowed and w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return seen
+
+    fed = set(np.flatnonzero(b.any(axis=1)).tolist())
+    reached = fed | closure(fed, set(range(n)))
+    unreached = set(range(n)) - reached
+    on_cycle = {v for v in unreached if v in closure([v], unreached)}
+    survivors = on_cycle | closure(on_cycle, unreached)
+    return np.array(sorted(reached), dtype=int), np.array(sorted(survivors), dtype=int)
+
+
+def oracle_split_checks(realization, tol=1e-8):
+    """Both checks on the split: with every state reached, the full-pair
+    references above.  Otherwise zero controllability needs the complex-SVD
+    checks on (A11, B1), with n Krylov blocks and A11^n in the image test, and
+    a nilpotent S: S^n exactly zero for the image test and no eigenvalue of S
+    (np.linalg.eigvals) above the nonzero threshold for the Hautus test; and
+    controllability fails both tests."""
+    n = realization.n
+    reached, survivors = oracle_split(realization)
+    if len(reached) == n:
+        return oracle_is_zero_controllable_numeric(realization, tol), oracle_is_controllable_numeric(realization, tol)
+    a, b = realization.a, realization.b
+    a11, b1, s = a[np.ix_(reached, reached)], b[reached], a[np.ix_(survivors, survivors)]
+    image_ok = not np.linalg.matrix_power(s, n).any() if len(s) else True
+    hautus_ok = not len(_oracle_eigenvalues(s, tol)[1])
+    if len(reached):
+        krylov = [b1]
+        for _ in range(n - 1):
+            krylov.append(a11 @ krylov[-1])
+        ctrb = np.hstack(krylov)
+        image_ok &= numeric_rank(np.hstack([ctrb, np.linalg.matrix_power(a11, n)])) == numeric_rank(ctrb)
+        hautus_ok &= _oracle_hautus_ok(a11, b1, _oracle_eigenvalues(a11, tol)[1])
+    return _oracle_check(image_ok, hautus_ok), _oracle_check(False, False)
+
+
 def oracle_monte_carlo_verify(pattern_a, pattern_b, trials, base_seed, tol=1e-8,
                               check_controllability=False) -> MonteCarloStats:
-    """One realization at a time through the reference checks above; a trial
+    """One realization at a time through the split reference checks; a trial
     is flagged once when either of its checks is inconsistent."""
     zc_structural = is_generically_zero_controllable(pattern_a, pattern_b).verdict
     ctrl_structural = None
@@ -358,13 +430,12 @@ def oracle_monte_carlo_verify(pattern_a, pattern_b, trials, base_seed, tol=1e-8,
     disagreeing = []
     for seed in range(base_seed, base_seed + trials):
         r = oracle_sample_realization(pattern_a, pattern_b, seed)
-        zc = oracle_is_zero_controllable_numeric(r, tol)
+        zc, ctrl = oracle_split_checks(r, tol)
         zc_agree += zc.verdict == zc_structural
         if zc.verdict != zc_structural:
             disagreeing.append(seed)
         consistent = zc.consistent
         if check_controllability:
-            ctrl = oracle_is_controllable_numeric(r, tol)
             ctrl_agree += ctrl.verdict == ctrl_structural
             consistent = consistent and ctrl.consistent
         flagged += not consistent

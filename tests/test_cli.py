@@ -238,21 +238,26 @@ def test_simulate_refuses_a_steer_that_overflows(fmt, example1_path, capsys):
     assert warned and all(line.startswith("warning: ") for line in warned)
 
 
-_EMPTY_1E5 = "n=100000, m=0 over 100000 steps needs 10000000000 dense matrix entries, above the limit of 33554432"
+_FED_1E5 = ("n=100000, m=1 over 100000 steps needs 40000000 dense matrix entries on 200 reached and 0 survivor states "
+            "(20000000000 on the full pair), above the limit of 33554432")
 TOO_DENSE = [
     (["simulate", "example1.pat", "--horizon", "1000000000000"],
      "n=5, m=1 over 1000000000000 steps needs 10000000000000 dense matrix entries, above the limit of 33554432"),
-    (["simulate", "empty"], _EMPTY_1E5),
-    (["verify", "empty"], _EMPTY_1E5),
-    (["verify", "empty", "--check-controllability", "--format", "json"], _EMPTY_1E5),
+    (["simulate", "empty"],
+     "n=100000, m=0 over 100000 steps needs 10000000000 dense matrix entries, above the limit of 33554432"),
+    (["verify", "fed"], _FED_1E5),
+    (["verify", "fed", "--check-controllability", "--format", "json"], _FED_1E5),
 ]
 
 
 @pytest.mark.parametrize("argv, error", TOO_DENSE, ids=[" ".join(argv) for argv, _ in TOO_DENSE])
 def test_dense_work_past_the_limit_exits_2_before_allocating(argv, error, fixture_dir, tmp_path, capsys):
-    empty = tmp_path / "empty.pat"
+    """An empty 10^5-state file for simulate, and one whose input feeds 200
+    states for verify, which makes only the input-reached rows dense."""
+    empty, fed = tmp_path / "empty", tmp_path / "fed"
     empty.write_text("n 100000\n")
-    path = empty if argv[1] == "empty" else fixture_dir / argv[1]
+    fed.write_text("n 100000\nm 1\n" + "".join(f"b {i} 1\n" for i in range(1, 201)))
+    path = tmp_path / argv[1] if argv[1] in ("empty", "fed") else fixture_dir / argv[1]
     tracemalloc.start()
     try:
         code = run_cli([argv[0], str(path), *argv[2:]])
@@ -261,7 +266,29 @@ def test_dense_work_past_the_limit_exits_2_before_allocating(argv, error, fixtur
         tracemalloc.stop()
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert peak < 16 * 2**20  # the pattern and its parse; no realization, graph or matrix power
+    assert peak < 16 * 2**20  # the pattern, its parse and its graph's reach; no realization or matrix power
+
+
+def test_verify_makes_only_the_reached_block_dense(tmp_path, capsys):
+    """A 6000-state pair whose input reaches a chain of 8 states, followed by
+    an unreached acyclic tail of 5992: the full pair's 72 million entries
+    were refused, but verify makes only the 8 reached rows dense (96 000
+    entries), and the tail settles both verdicts exactly."""
+    n = 6000
+    path = tmp_path / "tail.pat"
+    path.write_text(f"n {n}\nm 1\nb 1 1\n" + "".join(f"a {i + 1} {i}\n" for i in range(1, n) if i != 8))
+    tracemalloc.start()
+    try:
+        code = run_cli(["verify", str(path), "--trials", "5", "--check-controllability", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert code == 0
+    assert (stats["zc_structural"], stats["zc_agreements"], stats["ctrl_structural"], stats["ctrl_agreements"]) == (
+        True, 5, False, 5)
+    assert stats["inconsistent_trials"] == 0
+    assert peak < 64 * 2**20  # one 6000 x 6000 matrix alone takes 275 MiB
 
 
 def test_simulate_default_horizon_is_at_least_one(tmp_path, capsys):

@@ -17,14 +17,15 @@ from zerocontrol import (
     entry_paths,
     find_cycle,
     has_cycle,
+    is_generically_zero_controllable,
     parse_pattern_file,
     reachable_from,
     sample_realization,
     scc_decompose,
     validate_driver_set,
 )
-from zerocontrol.graph import sort_vertices
-from conftest import random_pattern
+from zerocontrol.graph import _reachable_split, sort_vertices
+from conftest import random_pattern, sparse_pattern
 from oracles import oracle_find_cycle
 
 
@@ -298,6 +299,39 @@ def test_reachability_is_additive_over_sources(data):
     union = reachable_from(g, s1 | s2)
     assert union == reachable_from(g, s1) | reachable_from(g, s2)
     assert reachable_from(g, s1) <= union  # monotone
+
+
+def _split_corpus(seed=26, count=120):
+    """Seeded pairs with n <= 60, 0.5n to 2n entries and 0-2 inputs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 61))
+        m = int(rng.integers(0, 3))
+        a = sparse_pattern(rng, n, n, max(1, int(rng.uniform(0.5, 2.0) * n)))
+        yield a, sparse_pattern(rng, n, m, int(rng.integers(1, 4))) if m else None
+
+
+def test_the_reachable_split_is_kalmans_form():
+    """In the split's order every pattern of a seeded corpus has A21 = 0, B2 =
+    0 and a strictly lower triangular peeled block, the reached states and the
+    survivors each ascending; the survivors are empty exactly on a ZC verdict."""
+    seen = set()
+    for a, b in _split_corpus():
+        n = a.n_rows
+        order, n1, k = _reachable_split(build_graph(a, b))
+        assert sorted(order.tolist()) == list(range(1, n + 1))
+        assert list(order[:n1]) == sorted(order[:n1]) and list(order[n - k:]) == sorted(order[n - k:])
+        at = {v: p for p, v in enumerate(order.tolist())}
+        for i, j in a.nonzeros:  # state j feeds state i
+            if at[i] >= n1:
+                assert at[j] >= n1  # A21 = 0
+            if n1 <= at[i] < n - k:
+                assert at[j] < at[i]  # strictly lower triangular
+        assert all(at[i] < n1 for i, _ in (b.nonzeros if b is not None else ()))  # B2 = 0
+        verdict = is_generically_zero_controllable(a, b).verdict
+        assert verdict == (k == 0)
+        seen.add((verdict, 0 < n1 < n))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # --- strongly connected components -------------------------------------------

@@ -20,7 +20,7 @@ from zerocontrol import (
 )
 from zerocontrol.cli import run_cli
 from zerocontrol.fileio import serialize_pattern_file
-from zerocontrol.graph import _peel
+from zerocontrol.graph import _peel, _reachable_split
 from conftest import cover_instance, sparse_pattern
 
 
@@ -220,6 +220,32 @@ def test_peel_leaves_the_states_on_or_after_a_cycle():
         after = set().union(*(nx.descendants(kept, v) | {v} for c in cyclic_components(kept) for v in c))
         survivors = np.flatnonzero(_peel(graph, excluded)).tolist()
         assert {f"x{v}" for v in survivors} == after
+
+
+def test_reachable_split_matches_networkx():
+    """Up to n = 10^4: the reached states are the descendants of the states
+    the inputs feed, the peeled states come in a topological order of the
+    subgraph they induce, and the survivors are the unreached states on or
+    after an unreached cycle."""
+    rng = np.random.default_rng(20_026)
+    parts = set()
+    for n in (1, 6, 60, 600, 3000, 10_000):
+        for m in (0, 1, 3):
+            a = sparse_pattern(rng, n, n, max(1, int(rng.uniform(0.6, 1.4) * n)))
+            b = sparse_pattern(rng, n, m, int(rng.integers(1, 4))) if m else None
+            g = to_networkx(a, b)
+            order, n1, k = _reachable_split(build_graph(a, b))
+            names = [f"x{v}" for v in order.tolist()]
+            fed = {f"x{i}" for i, _ in b.nonzeros} if b is not None else set()
+            assert set(names[:n1]) == fed.union(*(nx.descendants(g, v) for v in fed))
+            peeled = g.subgraph(names[n1:n - k])
+            at = {v: p for p, v in enumerate(names)}
+            assert all(at[u] < at[v] for u, v in peeled.edges)
+            unreached = g.subgraph(names[n1:])
+            after = set().union(*(nx.descendants(unreached, v) | {v} for c in cyclic_components(unreached) for v in c))
+            assert set(names[n - k:]) == after
+            parts.add((n1 > 0, n - k > n1, k > 0))
+    assert (True, True, True) in parts  # some split has all three parts
 
 
 def _milp_optimum(a):

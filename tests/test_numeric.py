@@ -35,6 +35,8 @@ from oracles import (
     oracle_is_zero_controllable_numeric,
     oracle_monte_carlo_verify,
     oracle_sample_realization,
+    oracle_split,
+    oracle_split_checks,
 )
 
 
@@ -206,8 +208,8 @@ def test_zero_controllability_matches_structure_on_example1(example1_a, example1
 # --- one decision per Hautus pencil ---------------------------------------------------
 
 def test_checks_match_one_complex_svd_per_eigenvalue():
-    """Every field of both checks equals the reference that runs the complex
-    SVD of every pencil, on 600 seeded realizations."""
+    """Every field of both checks equals the split reference, which runs the
+    complex SVD of every pencil of (A11, B1), on 600 seeded realizations."""
     rng = np.random.default_rng(31)
     seen = set()
     count = 0
@@ -217,9 +219,8 @@ def test_checks_match_one_complex_svd_per_eigenvalue():
             a = random_pattern(rng, n, n, float(rng.uniform(1.0, 3.0)) / n)
             b = random_pattern(rng, n, m, 1.5 / n) if m else None
             r = sample_realization(a, b, seed=5000 + k)
-            for check, oracle in ((is_zero_controllable_numeric, oracle_is_zero_controllable_numeric),
-                                  (is_controllable_numeric, oracle_is_controllable_numeric)):
-                got, expected = check(r), oracle(r)
+            for check, expected in zip((is_zero_controllable_numeric, is_controllable_numeric), oracle_split_checks(r)):
+                got = check(r)
                 assert got == expected, (n, k, check.__name__)
                 seen.add((check.__name__, got.verdict))
             count += 1
@@ -233,10 +234,7 @@ def test_monte_carlo_shares_one_trial_between_the_checks():
         a = random_pattern(rng, n, n, 2.0 / n)
         b = random_pattern(rng, n, m, 1.5 / n) if m else None
         stats = monte_carlo_verify(a, b, trials=15, base_seed=70, check_controllability=True)
-        checks = [
-            (oracle_is_zero_controllable_numeric(r), oracle_is_controllable_numeric(r))
-            for r in (oracle_sample_realization(a, b, seed=70 + i) for i in range(15))
-        ]
+        checks = [oracle_split_checks(r) for r in (oracle_sample_realization(a, b, seed=70 + i) for i in range(15))]
         assert stats.zc_agreements == sum(zc.verdict == stats.zc_structural for zc, _ in checks)
         assert stats.ctrl_agreements == sum(c.verdict == stats.ctrl_structural for _, c in checks)
         assert stats.inconsistent_trials == sum(
@@ -253,10 +251,7 @@ def _both_checks_inconsistent():
 
 def test_a_trial_is_flagged_once_when_both_checks_are_inconsistent():
     a, b = _both_checks_inconsistent()
-    checks = [
-        (oracle_is_zero_controllable_numeric(r), oracle_is_controllable_numeric(r))
-        for r in (oracle_sample_realization(a, b, seed) for seed in range(10))
-    ]
+    checks = [oracle_split_checks(r) for r in (oracle_sample_realization(a, b, seed) for seed in range(10))]
     assert sum(not zc.consistent and not c.consistent for zc, c in checks) == 3
     stats = monte_carlo_verify(a, b, trials=10, base_seed=0, check_controllability=True)
     assert stats.inconsistent_trials == sum(not (zc.consistent and c.consistent) for zc, c in checks)
@@ -462,6 +457,19 @@ def _needed_classes(r, ctrl, by_modulus=True):
     return needed
 
 
+def _decided_block(r, ctrl):
+    """The pair that ``_decide`` sees for a realization, and the checks it
+    runs there: the whole pair when every state is reached, else (A11, B1)
+    for zero controllability alone, or None when S settles the trial."""
+    reached, survivors = oracle_split(r)
+    if len(reached) == r.n:
+        return r, ctrl
+    s = r.a[np.ix_(survivors, survivors)]
+    if len(s) and np.linalg.matrix_power(s, r.n).any() and len(_oracle_eigenvalues(s, 1e-8)[1]):
+        return None, False
+    return make_realization(r.a[np.ix_(reached, reached)], r.b[reached]), False
+
+
 def _non_zc_pairs(seed, count, n=40):
     """The first ``count`` structurally non-zero-controllable pairs of a seeded
     draw shaped like the benchmark's Monte Carlo patterns: about 2n entries in
@@ -483,6 +491,8 @@ def _pencils_by_trial(stacks, realizations):
     for stack in stacks:
         for matrix in stack:
             for k, r in enumerate(realizations):
+                if r is None:
+                    continue
                 n = r.n
                 if matrix.shape != (n, n + r.m):
                     continue
@@ -501,7 +511,8 @@ def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
     by a certificate or else by one SVD (each real for a real eigenvalue,
     complex for a pair), and no other pencil is decided: repeats and
     conjugates reuse, a certified class takes no SVD, a class tries at most
-    one certificate, and nothing runs past a walk's end."""
+    one certificate, and nothing runs past a walk's end.  The walks run on
+    the pair that ``_decide`` sees, and a trial that S settles has none."""
     rng = np.random.default_rng(41)
     chain = PatternMatrix(6, 6, frozenset((i + 1, i) for i in range(1, 6)))
     cases = [(chain, PatternMatrix(6, 1, frozenset({(1, 1)})))]  # nilpotent, [A, B] full rank
@@ -511,15 +522,17 @@ def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
     complex_classes = 0
     decided = Counter()
     for k, (a, b) in enumerate(cases):
-        realizations = [oracle_sample_realization(a, b, 900 + k * 10 + i) for i in range(6)]
+        blocks = [_decided_block(oracle_sample_realization(a, b, 900 + k * 10 + i), ctrl) for i in range(6)]
+        realizations = [r for r, _ in blocks]
         stacks = _svd_calls(monkeypatch)
         certificates = _certificate_calls(monkeypatch)
         monte_carlo_verify(a, b, trials=6, base_seed=900 + k * 10, check_controllability=ctrl)
         monkeypatch.undo()
         tried = _pencils_by_trial([stack for stack, _ in certificates], realizations)
         proven = _pencils_by_trial([stack[ok] for stack, ok in certificates], realizations)
-        for r, svds, tries, certs in zip(realizations, _pencils_by_trial(stacks, realizations), tried, proven):
-            assert Counter(cls for cls, _ in svds + certs) == Counter(_needed_classes(r, ctrl))
+        for (r, walks_ctrl), svds, tries, certs in zip(blocks, _pencils_by_trial(stacks, realizations), tried, proven):
+            needed = _needed_classes(r, walks_ctrl) if r is not None else set()
+            assert Counter(cls for cls, _ in svds + certs) == Counter(needed)
             assert max(Counter(cls for cls, _ in tries).values(), default=0) <= 1
             for cls, kind in svds + tries:
                 assert kind == ("f" if len(cls) == 1 and next(iter(cls)).imag == 0 else "c")
@@ -532,8 +545,9 @@ def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
 
 def test_one_trial_decides_as_the_single_check(monkeypatch):
     """A one-trial Monte Carlo run tries the same certificates and takes the
-    same SVDs on its Hautus pencils as the single zero controllability check
-    of that realization, on 40 seeded pairs at n = 12 and 24, half of them
+    same SVDs on the Hautus pencils of (A11, B1), the block of the states its
+    inputs reach, as the single zero controllability check of that
+    realization, on 40 seeded pairs at n = 12 and 24, half of them
     structurally zero controllable, with 3 seeds each."""
     rng = np.random.default_rng(48)
     pairs = []
@@ -544,39 +558,41 @@ def test_one_trial_decides_as_the_single_check(monkeypatch):
             kinds[is_generically_zero_controllable(a, b).verdict].append((a, b))
         pairs += kinds[True][:10] + kinds[False][:10]
 
-    def hautus_calls(run, n):
+    def hautus_calls(run, n1):  # the pencils of (A11, B1), and any matrix of their shape
         svds, certificates = _svd_calls(monkeypatch), _certificate_calls(monkeypatch)
         run()
         monkeypatch.undo()
-        return [[(stack.dtype.kind, stack.tobytes()) for stack in stacks if stack.shape[1:] == (n, n + 1)]
+        return [[(stack.dtype.kind, stack.tobytes()) for stack in stacks if stack.shape[1:] == (n1, n1 + 1)]
                 for stacks in (svds, [stack for stack, _ in certificates])]
 
     tried = 0
     for k, (a, b) in enumerate(pairs):
         for seed in (600 + 3 * k, 601 + 3 * k, 602 + 3 * k):
             r = sample_realization(a, b, seed)
-            single = hautus_calls(lambda: is_zero_controllable_numeric(r), a.n_rows)
-            trial = hautus_calls(lambda: monte_carlo_verify(a, b, trials=1, base_seed=seed), a.n_rows)
+            n1 = len(oracle_split(r)[0])
+            single = hautus_calls(lambda: is_zero_controllable_numeric(r), n1)
+            trial = hautus_calls(lambda: monte_carlo_verify(a, b, trials=1, base_seed=seed), n1)
             assert trial == single, (k, seed)
             tried += len(single[1]) > 0
     assert tried > 0
 
 
 def test_walks_start_at_the_smallest_modulus(monkeypatch):
-    """On structurally non-zero-controllable pairs at n = 40, 100 trials with
-    both checks decide at most half the pencils that walks in ``eigvals``
-    order would: the deficient pencils tend to sit at small |lam|, where the
-    exact zeros are and where rounding smears nilpotent chains."""
+    """On the whole pairs of structurally non-zero-controllable patterns at
+    n = 40 (which ``verify`` settles on their survivor block), ``_decide``
+    with both checks decides at most half the pencils of 100 trials that walks
+    in ``eigvals`` order would: the deficient pencils tend to sit at small
+    |lam|, where the exact zeros are and where rounding smears nilpotent
+    chains."""
     trials = 100
     decided = needed = 0
     for k, (a, b) in enumerate(_non_zc_pairs(46, 4)):
+        realizations = [oracle_sample_realization(a, b, 7000 + k * trials + i) for i in range(trials)]
         stacks = _svd_calls(monkeypatch)
-        monte_carlo_verify(a, b, trials=trials, base_seed=7000 + k * trials, check_controllability=True)
+        numeric._decide(np.array([r.a for r in realizations]), np.array([r.b for r in realizations]), 1e-8, True, True, 40)
         monkeypatch.undo()
         decided += sum(len(stack) for stack in stacks if stack.shape[1:] == (40, 41))
-        for seed in range(7000 + k * trials, 7000 + (k + 1) * trials):
-            r = oracle_sample_realization(a, b, seed)
-            needed += len(_needed_classes(r, ctrl=True, by_modulus=False))
+        needed += sum(len(_needed_classes(r, ctrl=True, by_modulus=False)) for r in realizations)
     assert decided <= needed / 2, (decided, needed)
 
 
@@ -640,6 +656,15 @@ def test_chunking_does_not_change_results(ctrl, monkeypatch):
         for bad in (0.0, float("nan")):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 monte_carlo_verify(a, b, trials=trials, tol=bad, check_controllability=ctrl)
+
+
+def test_a_split_that_breaks_kalmans_form_is_an_error(example1_a, example1_b, monkeypatch):
+    """The block facts are checked before any trial: an order that moves the
+    unreached x5 first leaves the input-fed x4 among the unreached rows
+    (B2 != 0), and that raises, whichever way Python runs."""
+    monkeypatch.setattr(numeric, "_reachable_split", lambda graph: (np.array([5, 1, 2, 3, 4]), 4, 1))
+    with pytest.raises(RuntimeError, match="Kalman's form"):
+        monte_carlo_verify(example1_a, example1_b, trials=2)
 
 
 def test_negative_seeds_are_refused_before_any_work(example1_a, example1_b, monkeypatch):
@@ -781,8 +806,9 @@ def test_monte_carlo_with_controllability(example1_a, example1_b):
     assert stats.ctrl_agreements == 10
 
 
-#: sha256 of repr(MonteCarloStats) over the sweep below, one BLAS thread
-SWEEP_DIGEST = "e12cd0f5a6648e92d681b91f311dab720fcb975c3772512da5da3d3651b6d535"
+#: sha256 of repr(MonteCarloStats) over the sweep below, one BLAS thread; taken
+#: when trials came to be decided on the reachable split
+SWEEP_DIGEST = "d85dc73d5f00f61724b6042f76c10d5914dc209997c66e65de256c50ea0f91ef"
 
 
 def test_a_seeded_sweep_keeps_its_digest():

@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
-from zerocontrol import is_generically_zero_controllable, parse_pattern_file
+from zerocontrol import build_graph, is_generically_zero_controllable, parse_pattern_file
+from zerocontrol.graph import _input_reach, _peel, _reachable_split
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scale_ladder.py"
 sys.path.insert(0, str(SCRIPT.parent))
@@ -106,3 +108,18 @@ def test_structural_commands_name_no_edge_set(tmp_path, monkeypatch):
             assert not builds, argv
     run(["verify", str(scale_ladder.FIXTURE), "--trials", "2"])
     assert builds
+
+
+def test_the_split_costs_the_reach_and_the_peel():
+    """At n = 10^5 (seed 1, and the giant unreached component) the reachable
+    split takes no longer than the reach and the peel it is made of (best of
+    five interleaved runs each, 25 % for timing noise)."""
+    for text in (scale_ladder.pattern_text(10**5, 1), scale_ladder.giant_scc_text(10**5, 1)):
+        graph = build_graph(*parse_pattern_file(text))
+        best = {"split": float("inf"), "parts": float("inf")}
+        for _ in range(5):
+            for name, run in (("parts", lambda: _peel(graph, _input_reach(graph))), ("split", lambda: _reachable_split(graph))):
+                start = time.process_time()
+                run()
+                best[name] = min(best[name], time.process_time() - start)
+        assert best["split"] <= 1.25 * best["parts"], best

@@ -26,7 +26,7 @@ from zerocontrol import (
     validate_driver_set,
 )
 from conftest import random_pattern, random_square_patterns, sparse_pattern
-from oracles import oracle_acyclic, oracle_nu, oracle_term_rank
+from oracles import oracle_acyclic, oracle_nu, oracle_reducible_decomposition, oracle_term_rank
 
 
 # --- structural nilpotency and nu --------------------------------------------
@@ -406,3 +406,19 @@ def test_decomposition_round_trip_random():
         # the leading pair is irreducible whenever it has inputs
         if n1 and permuted_b.n_cols:
             assert is_irreducible(decomp.a11, decomp.b1)
+
+
+def test_decomposition_equals_the_submatrix_reference():
+    """The adapter over the graph's reachable split gives the permutation and
+    blocks that cutting with ``submatrix`` gives, on 200 seeded pairs."""
+    rng = np.random.default_rng(26)
+    shapes = set()
+    for _ in range(200):
+        n = int(rng.integers(0, 30))
+        m = int(rng.integers(0, 3))
+        a = sparse_pattern(rng, n, n, int(rng.uniform(0.5, 2.0) * n))
+        b = sparse_pattern(rng, n, m, int(rng.integers(1, 4))) if m else None
+        decomp = reducible_decomposition(a, b)
+        assert decomp == oracle_reducible_decomposition(a, b)
+        shapes.add((decomp.n_reachable > 0, decomp.n_unreachable > 0))
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
