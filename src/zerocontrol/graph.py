@@ -329,17 +329,18 @@ def scc_decompose(graph: SystemGraph) -> SccDecomposition:
     )
 
 
-def _peel(graph: SystemGraph, excluded: bytes, popped: list[int] | None = None) -> np.ndarray:
+def _peel(graph: SystemGraph, excluded: bytes) -> tuple[np.ndarray, list[int]]:
     """Kahn's peel of the states outside ``excluded``, on the edges between them (an excluded
-    count starts at 0 and only drops, so it is never readied; index 0, padding, peels at once),
-    appending each peeled state to ``popped`` as it goes, so each one follows its kept predecessors.
-    The mask of the survivors: the kept states on a cycle of the induced subgraph, or after one."""
+    count starts at 0 and only drops, so it is never readied; index 0, padding, peels at once).
+    The mask of the survivors: the kept states on a cycle of the induced subgraph, or after one;
+    and the peeled states, index 0 among them, in the order the peel removes them, each after its
+    kept predecessors."""
     src, dst, indptr, indices = graph._csr
     kept = np.frombuffer(excluded, dtype=np.uint8) == 0
     indegree = np.bincount(dst[kept[src] & kept[dst]], minlength=graph.n_states + 1)
     ready = np.flatnonzero(kept & (indegree == 0)).tolist()
     indegree = indegree.tolist()
-    popped = [] if popped is None else popped
+    popped: list[int] = []
     while ready:
         v = ready.pop()
         popped.append(v)
@@ -347,27 +348,36 @@ def _peel(graph: SystemGraph, excluded: bytes, popped: list[int] | None = None) 
             indegree[w] -= 1
             if indegree[w] == 0:
                 ready.append(w)
-    return np.array(indegree) > 0  # a peeled count stays 0, a survivor keeps a survivor before it
+    return np.array(indegree) > 0, popped  # a peeled count stays 0, a survivor keeps a survivor before it
 
 
-def _reachable_split(graph: SystemGraph) -> tuple[np.ndarray, int, int]:
+def _reachable_split(graph: SystemGraph) -> tuple[np.ndarray, np.ndarray, int, int]:
     """The states in Kalman's canonical order (1963), as ids: the input-reached ones ascending, then
     the unreached ones in the order Kahn's peel (1962) removes them, then the peel's survivors
-    ascending; with the counts n1 of reached states and k of survivors.  Nothing reached feeds an
-    unreached state and no input does, so in this order every realization has A21 = 0 and B2 = 0; a
-    peeled state is fed only by states peeled before it, so their block is strictly lower triangular.
-    The survivors lie on or after an unreached cycle: there are none exactly on a ZC verdict."""
+    ascending; with each state's position in that order (``at[v]`` for state v), the count n1 of
+    reached states and the count k of survivors.  Nothing reached feeds an unreached state and no
+    input does, so in this order every realization has A21 = 0 and B2 = 0; a peeled state is fed only
+    by states peeled before it, so their block is strictly lower triangular.  These block facts are
+    checked on the edges, and a violation raises.  The survivors lie on or after an unreached cycle:
+    there are none exactly on a ZC verdict."""
     reached = _input_reach(graph)
-    popped: list[int] = []
-    alive = _peel(graph, reached, popped)
+    alive, popped = _peel(graph, reached)
     popped.remove(0)  # the padding index peels too
     first, last = np.flatnonzero(np.frombuffer(reached, dtype=np.uint8)), np.flatnonzero(alive)
-    return np.concatenate((first, np.array(popped, dtype=np.int64), last)), len(first), len(last)
+    order = np.concatenate((first, np.array(popped, dtype=np.int64), last))
+    n, n1, k = len(order), len(first), len(last)
+    at = np.full(n + 1, -1, dtype=np.int64)
+    at[order] = np.arange(n)
+    src, dst = graph._csr[:2]
+    rows, cols, fed = at[dst], at[src], at[[d for _, d in graph.input_edges]]  # edge j -> i is entry (i, j)
+    if (fed >= n1).any() or ((rows >= n1) & ((cols < n1) | (rows < n - k) & (cols >= rows))).any():
+        raise RuntimeError("the reachable split breaks Kalman's form: A21, B2 or the peeled block is not zero there")
+    return order, at, n1, k
 
 
 def has_cycle(graph: SystemGraph) -> bool:
     """True when the state subgraph holds a cycle: Kahn's peel leaves a state (no condensation)."""
-    return bool(_peel(graph, bytes(graph.n_states + 1)).any())
+    return bool(_peel(graph, bytes(graph.n_states + 1))[0].any())
 
 
 def find_cycle(
@@ -392,7 +402,7 @@ def _obstruction(graph: SystemGraph, excluded: bytes) -> tuple:
     components they form, in label order.  Only the peel's k survivors, every cycle, are decomposed,
     renumbered 1..k in order.  When ``excluded`` is what some seeds reach, the rest is closed under
     predecessors, so these are whole components of the graph, numbered by smallest member as there."""
-    alive = _peel(graph, excluded)
+    alive = _peel(graph, excluded)[0]
     if not alive.any():
         return None, ()
     src, dst = graph._csr[:2]

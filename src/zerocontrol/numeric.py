@@ -62,13 +62,15 @@ RANK_REL_TOL = 1e-10
 MAX_DENSE_ENTRIES = 2**25
 
 
-def check_dense_size(n: int, m: int, steps: int) -> None:
-    """Refuse, before anything is allocated, dense work above MAX_DENSE_ENTRIES."""
-    entries = n * max(n, steps) * (m + 1)
+def check_dense_size(n: int, m: int, steps: int, dense: int | None = None) -> None:
+    """Refuse, before anything is allocated, dense work above MAX_DENSE_ENTRIES: the full pair's,
+    or the ``dense`` entries of it that are made dense, when given."""
+    full = n * max(n, steps) * (m + 1)
+    entries = full if dense is None else dense
     if entries > MAX_DENSE_ENTRIES:
         raise ValueError(
-            f"n={n}, m={m} over {max(n, steps)} steps needs {entries} dense matrix entries, "
-            f"above the limit of {MAX_DENSE_ENTRIES}"
+            f"n={n}, m={m} over {max(n, steps)} steps needs {entries} dense matrix entries"
+            f"{'' if dense is None else f' ({full} on the full pair)'}, above the limit of {MAX_DENSE_ENTRIES}"
         )
 
 
@@ -117,8 +119,8 @@ def sample_realization(
 
 
 def _sample(pattern_a, pattern_b, seeds, value_spec, at=None, windows=None) -> tuple[list, np.ndarray]:
-    """The realizations of the given seeds, stacked as (T, n, n) and (T, n, m); or, the same draws with state i + 1
-    at position at[i], only A's diagonal blocks over the position ``windows`` and B's rows in the first one."""
+    """The realizations of the given seeds, stacked as (T, n, n) and (T, n, m); or, the same draws with state v
+    at position at[v], only A's diagonal blocks over the position ``windows`` and B's rows in the first one."""
     if not pattern_a.is_square:
         raise ValueError("state pattern must be square")
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -126,20 +128,21 @@ def _sample(pattern_a, pattern_b, seeds, value_spec, at=None, windows=None) -> t
     if pattern_b is not None and pattern_b.n_rows != n:
         raise ValueError(f"input pattern has {pattern_b.n_rows} rows, expected {n} to match the {n}x{n} state pattern")
     m = pattern_b.n_cols if pattern_b is not None else 0
-    at, windows = (np.arange(n), [(0, n)]) if at is None else (at, windows)
+    at, windows = (np.arange(-1, n), [(0, n)]) if at is None else (at, windows)
     blocks = [np.zeros((len(rngs), hi - lo, hi - lo)) for lo, hi in windows]
     b = np.zeros((len(rngs), windows[0][1], m))
     for inputs, pattern in enumerate((pattern_a, pattern_b)):
-        entries = pattern.sorted_entries() if pattern is not None else []
-        if not entries:
+        if pattern is None or not len(pattern._coords[0]):
             continue
+        rows, cols = pattern._coords
+        ordered = np.lexsort((cols, rows))  # the sorted entry order: by row, then by column
+        rows, cols = rows[ordered], cols[ordered]
         # per seed, two draws per entry in entry order: uniform magnitude, then sign
-        draws = np.array([rng.random(2 * len(entries)) for rng in rngs])
+        draws = np.array([rng.random(2 * len(rows)) for rng in rngs])
         magnitude = value_spec.low + (value_spec.high - value_spec.low) * draws[:, 0::2]
         values = np.where(draws[:, 1::2] < 0.5, magnitude, -magnitude)
-        rows, cols = (np.array(entries) - 1).T
         if inputs:
-            b[:, at[rows], cols] = values
+            b[:, at[rows], cols - 1] = values
             continue
         rows, cols = at[rows], at[cols]
         for (lo, hi), block in zip(windows, blocks):
@@ -349,7 +352,7 @@ def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
     """One check on the split that the realization's own nonzeros give, as ``verify`` decides a trial."""
     a, b = realization.a, realization.b  # np.nonzero(v.T) runs by column, then row, as PatternMatrix._coords
     patterns = [PatternMatrix._trusted(*v.shape, *np.array(np.nonzero(v.T))[::-1] + 1) for v in (a, b)]
-    order, n1, k = _reachable_split(build_graph(*patterns))
+    order, _, n1, k = _reachable_split(build_graph(*patterns))
     reached, survivors = order[:n1] - 1, order[len(order) - k:] - 1
     [(image, hautus)] = _split_decide(a[np.ix_(reached, reached)][None], b[reached][None],
                                       a[np.ix_(survivors, survivors)][None], len(order), tol, zc, not zc)
@@ -467,22 +470,15 @@ def monte_carlo_verify(
         raise ValueError(f"seed must be >= 0, got {base_seed}")
     n = pattern_a.n_rows
     m = pattern_b.n_cols if pattern_b is not None else 0
-    order, n1, k = _reachable_split(build_graph(pattern_a, pattern_b))
-    # the block facts, once per pattern, from its coordinates: A21 = 0, B2 = 0, the peeled block strictly lower
-    at = np.argsort(order)  # state i + 1 sits at position at[i]
-    rows, cols = at[pattern_a._coords[0] - 1], at[pattern_a._coords[1] - 1]
-    inputs = at[pattern_b._coords[0] - 1] if pattern_b is not None else rows[:0]
-    if (inputs >= n1).any() or ((rows >= n1) & ((cols < n1) | (rows < n - k) & (cols >= rows))).any():
-        raise RuntimeError("the reachable split breaks Kalman's form: A21, B2 or the peeled block is not zero there")
-    dense, full = n1 * n * (m + 1) + k * k, n * n * (m + 1)  # [C, A^n] on the reached rows, and S
-    if dense > MAX_DENSE_ENTRIES:
-        raise ValueError(f"n={n}, m={m} over {n} steps needs {dense} dense matrix entries on {n1} reached and {k} "
-                         f"survivor states ({full} on the full pair), above the limit of {MAX_DENSE_ENTRIES}")
+    _, at, n1, k = _reachable_split(build_graph(pattern_a, pattern_b))  # which checks the block facts
+    dense = n1 * n * (m + 1) + k * k  # [C, A^n] on the reached rows, and S
+    check_dense_size(n, m, n, dense)
+    drawn = sum(2 * len(p._coords[0]) for p in (pattern_a, pattern_b) if p is not None)  # the sampler's, per trial
     zc_structural = is_generically_zero_controllable(pattern_a, pattern_b).verdict
     ctrl_structural = is_generically_controllable(pattern_a, pattern_b).verdict if check_controllability else None
     zc_agree = ctrl_agree = inconsistent = 0
     disagreeing = []
-    chunk = max(1, _STACK_ENTRIES // max(1, dense))
+    chunk = max(1, _STACK_ENTRIES // max(1, dense, drawn))
     for start in range(base_seed, base_seed + trials, chunk):
         seeds = range(start, min(start + chunk, base_seed + trials))
         (a11, s), b1 = _sample(pattern_a, pattern_b, seeds, ValueSpec(), at, [(0, n1), (n - k, n)])

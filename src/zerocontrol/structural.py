@@ -200,15 +200,12 @@ def reducible_decomposition(
 ) -> Decomposition:
     """Reorder the states so the input-reachable ones come first, each group ascending, and cut the
     patterns into the corresponding blocks: the graph's reachable split, read off its coordinates."""
-    order, n1, _ = _reachable_split(build_graph(pattern_a, pattern_b))
+    order, _, n1, _ = _reachable_split(build_graph(pattern_a, pattern_b))  # which checks A21 = 0 and B2 = 0
     perm = np.concatenate((order[:n1], np.sort(order[n1:])))
     n2 = len(perm) - n1
     at = np.concatenate(([0], np.argsort(perm) + 1))  # state v moves to at[v]
     b = pattern_b if pattern_b is not None else PatternMatrix.zeros(pattern_a.n_rows, 0)
     rows, cols = at[pattern_a._coords[0]], at[pattern_a._coords[1]]
-    b_rows, b_cols = at[b._coords[0]], b._coords[1]
-    if ((rows > n1) & (cols <= n1)).any() or (b_rows > n1).any():  # reachability is closed under edges
-        raise RuntimeError("an input-reached state feeds an unreached one: A21 or B2 is not zero")
 
     def block(keep, shape, row_shift, col_shift, rows=rows, cols=cols):
         rows, cols = rows[keep] - row_shift, cols[keep] - col_shift
@@ -216,4 +213,4 @@ def reducible_decomposition(
     upper, left = rows <= n1, cols <= n1
     return Decomposition(tuple(perm.tolist()), n1, n2, block(upper & left, (n1, n1), 0, 0),
                          block(upper & ~left, (n1, n2), 0, n1), block(~upper, (n2, n2), n1, n1),
-                         block(b_rows <= n1, (n1, b.n_cols), 0, 0, b_rows, b_cols))
+                         block(..., (n1, b.n_cols), 0, 0, at[b._coords[0]], b._coords[1]))

@@ -238,8 +238,8 @@ def test_simulate_refuses_a_steer_that_overflows(fmt, example1_path, capsys):
     assert warned and all(line.startswith("warning: ") for line in warned)
 
 
-_FED_1E5 = ("n=100000, m=1 over 100000 steps needs 40000000 dense matrix entries on 200 reached and 0 survivor states "
-            "(20000000000 on the full pair), above the limit of 33554432")
+_FED_1E5 = ("n=100000, m=1 over 100000 steps needs 40000000 dense matrix entries (20000000000 on the full pair), "
+            "above the limit of 33554432")
 TOO_DENSE = [
     (["simulate", "example1.pat", "--horizon", "1000000000000"],
      "n=5, m=1 over 1000000000000 steps needs 10000000000000 dense matrix entries, above the limit of 33554432"),
@@ -289,6 +289,25 @@ def test_verify_makes_only_the_reached_block_dense(tmp_path, capsys):
         True, 5, False, 5)
     assert stats["inconsistent_trials"] == 0
     assert peak < 64 * 2**20  # one 6000 x 6000 matrix alone takes 275 MiB
+
+
+def test_verify_memory_stays_flat_when_the_draws_outweigh_the_dense_blocks(tmp_path, capsys):
+    """A 10^5-state chain of 2^15 entries with no inputs makes nothing dense,
+    but each trial draws two values per entry: 200 trials run in chunks that
+    keep the draws near 2^18 entries, not in one chunk of 200 x 2^16 draws
+    (100 MiB, several times over in the sampler's temporaries)."""
+    path = tmp_path / "chain.pat"
+    path.write_text("n 100000\n" + "".join(f"a {i + 1} {i}\n" for i in range(1, 2**15 + 1)))
+    tracemalloc.start()
+    try:
+        code = run_cli(["verify", str(path), "--trials", "200", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert code == 0
+    assert (stats["zc_structural"], stats["zc_agreements"], stats["inconsistent_trials"]) == (True, 200, 0)
+    assert peak < 32 * 2**20
 
 
 def test_simulate_default_horizon_is_at_least_one(tmp_path, capsys):

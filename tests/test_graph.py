@@ -259,7 +259,7 @@ def test_obstruction_decomposes_and_names_only_the_survivors(monkeypatch):
         induced = PatternMatrix(n, n, frozenset(
             (d, s) for s, d in g.state_edges if not excluded[s] and not excluded[d]))
         expected = (oracle_find_cycle(g, within), scc_decompose(build_graph(induced)).nontrivial_components())
-        k = int(graph_module._peel(g, excluded).sum())
+        k = int(graph_module._peel(g, excluded)[0].sum())
         decomposed.clear()
         calls.clear()
         with monkeypatch.context() as patch:
@@ -318,10 +318,11 @@ def test_the_reachable_split_is_kalmans_form():
     seen = set()
     for a, b in _split_corpus():
         n = a.n_rows
-        order, n1, k = _reachable_split(build_graph(a, b))
+        order, positions, n1, k = _reachable_split(build_graph(a, b))
         assert sorted(order.tolist()) == list(range(1, n + 1))
         assert list(order[:n1]) == sorted(order[:n1]) and list(order[n - k:]) == sorted(order[n - k:])
         at = {v: p for p, v in enumerate(order.tolist())}
+        assert positions[1:].tolist() == [at[v] for v in range(1, n + 1)]
         for i, j in a.nonzeros:  # state j feeds state i
             if at[i] >= n1:
                 assert at[j] >= n1  # A21 = 0
@@ -332,6 +333,26 @@ def test_the_reachable_split_is_kalmans_form():
         assert verdict == (k == 0)
         seen.add((verdict, 0 < n1 < n))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_a_split_that_breaks_kalmans_form_is_an_error(monkeypatch):
+    """The split checks its block facts on the edges: a reach that stops at the
+    fed x1 leaves x1 -> x2 in A21, one that misses x1 leaves B2 nonzero, and
+    the peel's order run backwards puts x3 -> x4 above the diagonal.  Each
+    raises, whichever way Python runs."""
+    from zerocontrol import graph as graph_module
+
+    graph = build_graph(PatternMatrix(4, 4, frozenset({(2, 1), (4, 3)})), PatternMatrix(4, 1, frozenset({(1, 1)})))
+    order, at, n1, k = _reachable_split(graph)
+    assert (order.tolist(), at.tolist(), n1, k) == ([1, 2, 3, 4], [-1, 0, 1, 2, 3], 2, 0)
+    peel = graph_module._peel
+    for name, fake in (("_input_reach", lambda g: bytearray([0, 1, 0, 0, 0])),
+                       ("_input_reach", lambda g: bytearray(5)),
+                       ("_peel", lambda g, excluded: (peel(g, excluded)[0], peel(g, excluded)[1][::-1]))):
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_module, name, fake)
+            with pytest.raises(RuntimeError, match="Kalman's form"):
+                _reachable_split(graph)
 
 
 # --- strongly connected components -------------------------------------------

@@ -218,7 +218,7 @@ def test_peel_leaves_the_states_on_or_after_a_cycle():
         excluded = (rng.random(n + 1) < 0.3).astype(np.uint8).tobytes()  # index 0 is padding
         kept = g.subgraph(f"x{v}" for v in range(1, n + 1) if not excluded[v])
         after = set().union(*(nx.descendants(kept, v) | {v} for c in cyclic_components(kept) for v in c))
-        survivors = np.flatnonzero(_peel(graph, excluded)).tolist()
+        survivors = np.flatnonzero(_peel(graph, excluded)[0]).tolist()
         assert {f"x{v}" for v in survivors} == after
 
 
@@ -234,7 +234,7 @@ def test_reachable_split_matches_networkx():
             a = sparse_pattern(rng, n, n, max(1, int(rng.uniform(0.6, 1.4) * n)))
             b = sparse_pattern(rng, n, m, int(rng.integers(1, 4))) if m else None
             g = to_networkx(a, b)
-            order, n1, k = _reachable_split(build_graph(a, b))
+            order, _, n1, k = _reachable_split(build_graph(a, b))
             names = [f"x{v}" for v in order.tolist()]
             fed = {f"x{i}" for i, _ in b.nonzeros} if b is not None else set()
             assert set(names[:n1]) == fed.union(*(nx.descendants(g, v) for v in fed))

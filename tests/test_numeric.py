@@ -658,15 +658,6 @@ def test_chunking_does_not_change_results(ctrl, monkeypatch):
                 monte_carlo_verify(a, b, trials=trials, tol=bad, check_controllability=ctrl)
 
 
-def test_a_split_that_breaks_kalmans_form_is_an_error(example1_a, example1_b, monkeypatch):
-    """The block facts are checked before any trial: an order that moves the
-    unreached x5 first leaves the input-fed x4 among the unreached rows
-    (B2 != 0), and that raises, whichever way Python runs."""
-    monkeypatch.setattr(numeric, "_reachable_split", lambda graph: (np.array([5, 1, 2, 3, 4]), 4, 1))
-    with pytest.raises(RuntimeError, match="Kalman's form"):
-        monte_carlo_verify(example1_a, example1_b, trials=2)
-
-
 def test_negative_seeds_are_refused_before_any_work(example1_a, example1_b, monkeypatch):
     def no_work(*args):
         raise AssertionError("work started")

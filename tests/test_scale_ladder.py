@@ -85,8 +85,9 @@ def test_ladder_outputs_match_the_committed_digests(tmp_path, monkeypatch):
 
 def test_structural_commands_name_no_edge_set(tmp_path, monkeypatch):
     # a parsed pattern keeps its entries as arrays and a built graph its CSR:
-    # analyze, select and export-dot never build the nonzeros or state_edges
-    # view, while verify reads the entries by name, so the spy is live
+    # analyze, select, export-dot and verify never build the nonzeros or
+    # state_edges view, while reading a parsed pattern's entries by name does,
+    # so the spy is live
     from zerocontrol import PatternMatrix, SystemGraph
     from zerocontrol.cli import run_cli
 
@@ -107,17 +108,18 @@ def test_structural_commands_name_no_edge_set(tmp_path, monkeypatch):
             run(argv)
             assert not builds, argv
     run(["verify", str(scale_ladder.FIXTURE), "--trials", "2"])
-    assert builds
+    assert not builds
+    assert parse_pattern_file((tmp_path / "seed1.pat").read_text())[0].nonzeros and builds
 
 
 def test_the_split_costs_the_reach_and_the_peel():
     """At n = 10^5 (seed 1, and the giant unreached component) the reachable
     split takes no longer than the reach and the peel it is made of (best of
-    five interleaved runs each, 25 % for timing noise)."""
+    nine interleaved runs each, 25 % for timing noise)."""
     for text in (scale_ladder.pattern_text(10**5, 1), scale_ladder.giant_scc_text(10**5, 1)):
         graph = build_graph(*parse_pattern_file(text))
         best = {"split": float("inf"), "parts": float("inf")}
-        for _ in range(5):
+        for _ in range(9):
             for name, run in (("parts", lambda: _peel(graph, _input_reach(graph))), ("split", lambda: _reachable_split(graph))):
                 start = time.process_time()
                 run()
