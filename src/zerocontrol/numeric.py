@@ -7,15 +7,15 @@ samples concrete realizations, runs the classical numeric tests, and reports
 agreement statistics instead of pretending at certainty.
 
 A pair is decided on the graph's reachable split (Kalman 1963): the reached
-states, the unreached ones in Kahn's peel order, then the peel's survivors
-(none on a ZC verdict).  There every realization has A21 = 0, B2 = 0 and a
-strictly triangular peeled block, as checked once per pattern, so ZC(A, B)
-holds exactly when ZC(A11, B1) does and the survivor block S is nilpotent, and
-an unreached state makes the pair exactly not controllable.  C is exactly zero
-on the unreached rows, so a trial with S^n != 0 and an eigenvalue of S above
-the nonzero threshold is a settled, consistent "no"; the other trials are
-decided on (A11, B1), over n steps as the whole pair would be.  A trial of a
-"no" pattern is flagged only when S fails one test alone or (A11, B1) is.
+states, the unreached ones in Kahn's peel order, then the peel's survivors.  It
+gives both structural verdicts: ZC exactly when nothing survives; not
+controllable, in any realization either, when a state is unreached; else the
+term rank decides.  Every realization has A21 = 0, B2 = 0 and a strictly
+triangular peeled block there, so ZC(A, B) holds exactly when ZC(A11, B1) does
+and the survivor block S is nilpotent.  C is zero on the unreached rows, so a
+trial with S^n != 0 and an eigenvalue of S above the nonzero threshold is a
+settled, consistent "no"; the others are decided on (A11, B1) over n steps.  A
+"no" trial is flagged only when S fails one test alone or (A11, B1) is.
 
 Monte Carlo trials are decided together: a chunk of seeded (A11, B1) blocks
 gets its eigenvalues, controllability matrices, A^n and image ranks from one
@@ -47,7 +47,7 @@ import numpy as np
 
 from .graph import _reachable_split, build_graph
 from .patterns import PatternMatrix
-from .structural import is_generically_controllable, is_generically_zero_controllable
+from .structural import is_generically_controllable
 
 #: Default base seed for every seeded entry point, so quick-start runs agree.
 DEFAULT_BASE_SEED = 20240001
@@ -82,6 +82,10 @@ class ValueSpec:
 
     low: float = 0.1
     high: float = 2.0
+
+    def __post_init__(self):
+        if not 0 < self.low <= self.high < np.inf:  # NaN fails every comparison
+            raise ValueError(f"value bounds need 0 < low <= high < inf, got low={self.low}, high={self.high}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,8 +478,8 @@ def monte_carlo_verify(
     dense = n1 * n * (m + 1) + k * k  # [C, A^n] on the reached rows, and S
     check_dense_size(n, m, n, dense)
     drawn = sum(2 * len(p._coords[0]) for p in (pattern_a, pattern_b) if p is not None)  # the sampler's, per trial
-    zc_structural = is_generically_zero_controllable(pattern_a, pattern_b).verdict
-    ctrl_structural = is_generically_controllable(pattern_a, pattern_b).verdict if check_controllability else None
+    zc_structural = not k  # the survivors lie on or after an unreached cycle
+    ctrl_structural = (n1 == n and is_generically_controllable(pattern_a, pattern_b).verdict) if check_controllability else None
     zc_agree = ctrl_agree = inconsistent = 0
     disagreeing = []
     chunk = max(1, _STACK_ENTRIES // max(1, dense, drawn))

@@ -1,3 +1,6 @@
+import os
+import platform
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,16 @@ EXAMPLE2_A = PatternMatrix.from_rows([
 ])
 
 EXAMPLE2_B_PER_DRIVER = build_b_pattern(11, {"x4", "x8"}, "per_driver").pattern
+
+
+def pytest_report_header(config):
+    """The numeric stack in the log head: the seeded digests of float output depend on the
+    library versions and on the BLAS thread count.  Versions come from the installed
+    metadata, so scipy is not imported."""
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                       for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    return [f"numeric stack: python {platform.python_version()}, numpy {metadata.version('numpy')}, "
+            f"scipy {metadata.version('scipy')}", f"BLAS threads: {threads}"]
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`."""
 
+import re
 import time
 from contextlib import contextmanager
 
@@ -224,3 +225,15 @@ def test_criterion_9_test_family_consistency():
                     assert not check.verdict  # disagreement is resolved conservatively
         assert inconsistent <= 0.01 * 400
         assert flagged == inconsistent  # every disagreement is flagged, none hidden
+
+
+def test_readme_library_block_does_what_its_comments_say():
+    readme = (FIXTURE_DIR.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.S | re.M).group(1)
+    names = {}
+    exec(compile(block, "README.md (## Library)", "exec"), names)
+    report, selection, stats = names["report"], names["selection"], names["stats"]
+    assert not report.verdict and not report.reachable_states
+    assert report.unreachable_states == {f"x{i}" for i in range(1, 6)}
+    assert selection.drivers == frozenset({"x5"}) and selection.minimal and selection.valid
+    assert (stats.trials, stats.zc_agreements, stats.zc_structural) == (100, 100, True)

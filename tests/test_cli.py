@@ -763,14 +763,14 @@ def test_only_the_printed_document_is_built(command, fmt, example2_path, monkeyp
 
 # --- one graph and one condensation per structural command ---------------------------
 
-def _count_graph_builds(monkeypatch):
-    """Wrap build_graph and scc_decompose wherever zerocontrol modules bound
-    them; the originals are taken once, so nested calls are not counted twice."""
+def _count_graph_builds(monkeypatch, names=("build_graph", "scc_decompose")):
+    """Wrap the named graph functions wherever zerocontrol modules bound them;
+    the originals are taken once, so nested calls are not counted twice."""
     from zerocontrol import graph
 
     calls = Counter()
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "zerocontrol"]
-    for name in ("build_graph", "scc_decompose"):
+    for name in names:
         original = getattr(graph, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -822,3 +822,38 @@ def test_cycle_witness_needs_no_second_condensation(tmp_path, monkeypatch, capsy
     assert run_cli(["analyze", str(path)]) == 1
     assert "cycle witness: x1 -> x2 -> x1" in capsys.readouterr().out
     assert calls == {"build_graph": 1, "scc_decompose": 1}
+
+
+# Graph work per command, as (build_graph, _reach_states, _peel, scc_decompose, state_name) calls.
+# verify reads both structural verdicts off its one reachable split: one build, one reach, one peel,
+# no Tarjan and no state name; only the term rank of a pair whose inputs reach every state (full.pat)
+# takes a second build and reach.  The other rows pin what those commands do, so added graph work shows here.
+PASS_COUNTS = {
+    "analyze example1.pat": (1, 1, 1, 1, 6),
+    "analyze example2.pat": (1, 1, 1, 1, 18),
+    "select example2.pat": (1, 1, 1, 1, 2),
+    "select example2.pat --enumerate --limit 7": (1, 1, 1, 1, 8),
+    "export-dot example1.pat": (1, 1, 0, 1, 5),
+    "export-dot example2.pat --drivers x4,x8": (1, 1, 0, 1, 11),
+    "simulate example1.pat": (0, 0, 0, 0, 0),
+    "verify example1.pat --trials 3": (1, 1, 1, 0, 0),
+    "verify example1.pat --trials 3 --check-controllability": (1, 1, 1, 0, 0),
+    "verify example2.pat --trials 3 --drivers x4,x8": (1, 1, 1, 0, 0),
+    "verify full.pat --trials 3": (1, 1, 1, 0, 0),
+    "verify full.pat --trials 3 --check-controllability": (2, 2, 1, 0, 0),
+}
+
+
+def test_each_command_makes_the_structural_passes_it_needs(fixture_dir, tmp_path, monkeypatch, capsys):
+    names = ("build_graph", "_reach_states", "_peel", "scc_decompose", "state_name")
+    (tmp_path / "full.pat").write_text("n 3\nm 1\na 2 1\na 3 2\na 1 3\nb 1 1\n")  # x1 fed, x1 -> x2 -> x3 -> x1
+    calls = _count_graph_builds(monkeypatch, names)
+    got = {}
+    for command in PASS_COUNTS:
+        name, file, *rest = command.split()
+        calls.clear()
+        folder = tmp_path if file == "full.pat" else fixture_dir
+        assert run_cli([name, str(folder / file), *rest]) in (0, 1), command
+        assert capsys.readouterr().out, command
+        got[command] = tuple(calls[n] for n in names)
+    assert got == PASS_COUNTS

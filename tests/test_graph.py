@@ -17,6 +17,7 @@ from zerocontrol import (
     entry_paths,
     find_cycle,
     has_cycle,
+    is_generically_controllable,
     is_generically_zero_controllable,
     parse_pattern_file,
     reachable_from,
@@ -314,9 +315,13 @@ def _split_corpus(seed=26, count=120):
 def test_the_reachable_split_is_kalmans_form():
     """In the split's order every pattern of a seeded corpus has A21 = 0, B2 =
     0 and a strictly lower triangular peeled block, the reached states and the
-    survivors each ascending; the survivors are empty exactly on a ZC verdict."""
-    seen = set()
-    for a, b in _split_corpus():
+    survivors each ascending; the survivors are empty exactly on a ZC verdict,
+    and a state is unreached exactly when the controllability test fails on
+    irreducibility.  A dilation (x1 feeds x2 and x3, the input x1) is fully
+    reached and fails on term rank."""
+    dilation = PatternMatrix(3, 3, frozenset({(2, 1), (3, 1)})), PatternMatrix(3, 1, frozenset({(1, 1)}))
+    seen, failed_conditions = set(), set()
+    for a, b in [*_split_corpus(), dilation]:
         n = a.n_rows
         order, positions, n1, k = _reachable_split(build_graph(a, b))
         assert sorted(order.tolist()) == list(range(1, n + 1))
@@ -332,7 +337,11 @@ def test_the_reachable_split_is_kalmans_form():
         verdict = is_generically_zero_controllable(a, b).verdict
         assert verdict == (k == 0)
         seen.add((verdict, 0 < n1 < n))
+        failed = is_generically_controllable(a, b).failed_condition
+        assert (n1 < n) == (failed == "irreducibility")
+        failed_conditions.add(failed)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert failed_conditions == {None, "generic-rank", "irreducibility"}
 
 
 def test_a_split_that_breaks_kalmans_form_is_an_error(monkeypatch):

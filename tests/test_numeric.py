@@ -79,6 +79,17 @@ def test_value_spec_is_configurable(example1_a):
     assert values.min() >= 1.0 and values.max() <= 1.5
 
 
+@pytest.mark.parametrize(
+    "low, high",
+    [(0.0, 0.0), (2.0, 1.0), (float("nan"), 1.0), (0.1, float("nan")), (-1.0, 1.0), (0.1, float("inf"))],
+    ids=["zero", "reversed", "nan-low", "nan-high", "negative", "infinite"],
+)
+def test_value_spec_refuses_bounds_that_break_the_realization_contract(low, high):
+    # every nonzero must get a finite value with |value| >= low > 0
+    with pytest.raises(ValueError, match=r"^value bounds need 0 < low <= high < inf"):
+        ValueSpec(low, high)
+
+
 def test_sampling_matches_the_scalar_draw_loop():
     rng = np.random.default_rng(8)
     specs = (ValueSpec(), ValueSpec(low=1.0, high=1.5), ValueSpec(low=0.5, high=0.5))
@@ -662,7 +673,7 @@ def test_negative_seeds_are_refused_before_any_work(example1_a, example1_b, monk
     def no_work(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(numeric, "is_generically_zero_controllable", no_work)
+    monkeypatch.setattr(numeric, "_reachable_split", no_work)
     monkeypatch.setattr(numeric, "_sample", no_work)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         sample_realization(example1_a, example1_b, seed=-1)
