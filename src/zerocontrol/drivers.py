@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .graph import SystemGraph, _bits, _obstruction, _parse_vertex, _reach_states, build_graph, sort_vertices, state_name
+from .graph import (SystemGraph, _bits, _obstruction, _parse_vertex, _reach_states, _vertex_names, build_graph,
+                    sort_vertices, state_name)
 from .patterns import PatternMatrix
 
 #: Above this many candidate components the exact search hands over to the
@@ -71,7 +72,7 @@ class BPattern:
 def _state_indices(n: int, drivers: Iterable[str]) -> list[int]:
     """Sorted distinct indices of the driver states."""
     out = set()
-    for name in drivers:
+    for name in _vertex_names(drivers):
         kind, idx = _parse_vertex(name) if isinstance(name, str) else ("", 0)
         if kind != "x":
             raise ValueError(f"driver vertices must be states, got {name!r}")

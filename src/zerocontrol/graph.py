@@ -36,6 +36,13 @@ def _parse_vertex(name: str) -> tuple[str, int]:
     return (m[1], int(m[2])) if m else ("", 0)
 
 
+def _vertex_names(names: Iterable[str]) -> Iterable[str]:
+    """``names``, unless it is one string: iterating that would read its characters as the names."""
+    if isinstance(names, str):
+        raise TypeError(f"expected a collection of vertex names, got the string {names!r}")
+    return names
+
+
 def sort_vertices(names: Iterable[str]) -> list[str]:
     """Sort vertex names by kind, then index: indices have no leading zeros, so
     stable sorts by text, by length and by kind give that order on C-level keys."""
@@ -184,7 +191,7 @@ def reachable_from(graph: SystemGraph, sources: Iterable[str]) -> frozenset[str]
     source only contributes the states its edges lead to, and is never itself
     part of the result.
     """
-    reached = _reach_from(graph, {graph.resolve(name) for name in sources})
+    reached = _reach_from(graph, {graph.resolve(name) for name in _vertex_names(sources)})
     return frozenset(state_name(v) for v in range(1, graph.n_states + 1) if reached[v])
 
 
@@ -389,7 +396,7 @@ def find_cycle(
     self-loop, else the shortest cycle through the smallest vertex on a cycle.
     """
     excluded = bytearray(b"\x00" if within is None else b"\x01") * (graph.n_states + 1)
-    for name in within or ():
+    for name in () if within is None else _vertex_names(within):
         kind, idx = graph.resolve(name)
         if kind != "x":
             raise ValueError(f"cycle search is over states, got {name!r}")

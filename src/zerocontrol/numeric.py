@@ -29,14 +29,14 @@ deficient", does not depend on the order.  Walks that fail nearly always fail
 at their first pencil, so a needed pencil P tries a certificate only in a
 trial that has passed a pencil: a Cholesky factorization of P P^H shifted by
 theta^2 plus its rounding-error bound proves sigma_min(P) > theta, over 10^3
-rank cutoffs (Demmel 1989; Rump 2006).  Otherwise P takes an SVD, a real one
-for a real lam unless it lands in a guard band around the rank cutoff.  An
-exact repeat reuses its first decision, and the second of a conjugate pair its
-partner's when a certificate or an SVD outside the band made it, so the
-verdicts are those of one complex SVD per eigenvalue.  numpy runs the same
-LAPACK routine on each matrix of a stack, so a stacked decision is bit for bit
-the one-matrix one.  The single-realization checks are stacks of one, on the
-split of the realization's own nonzeros.
+rank cutoffs (Demmel 1989; Rump 2006).  Otherwise P takes one complex SVD,
+numeric_rank's test.  An exact repeat reuses its first decision, and the
+second of a conjugate pair its partner's: the pencils are bit-equal or exactly
+conjugate, and the complex SVD gives conjugate pencils bit-identical singular
+values, so the verdicts are those of one complex SVD per eigenvalue.  numpy
+runs the same LAPACK routine on each matrix of a stack, so a stacked decision
+is bit for bit the one-matrix one.  The single-realization checks are stacks
+of one, on the split of the realization's own nonzeros.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .graph import _reachable_split, build_graph
 from .patterns import PatternMatrix
-from .structural import is_generically_controllable
+from .structural import generic_rank
 
 #: Default base seed for every seeded entry point, so quick-start runs agree.
 DEFAULT_BASE_SEED = 20240001
@@ -213,12 +213,6 @@ def _check(image_ok: bool, hautus_ok: bool) -> NumericCheck:
     return NumericCheck(image_ok and hautus_ok, image_ok, hautus_ok, image_ok == hautus_ok)
 
 
-#: A real SVD's decision stands, and a complex one's also decides the
-#: conjugate pencil, only when the last singular value lies farther than this
-#: fraction of the rank cutoff from the cutoff, about 10^5 times the SVD
-#: rounding error.
-_GUARD_BAND = 1e-3
-
 #: Matrix entries per stacked LAPACK call: Monte Carlo trials are decided in
 #: chunks that stay under it (one trial at least), so memory stays flat at any
 #: n or trial count.
@@ -248,14 +242,10 @@ def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool, powe
         return list(zip(images, alive))
     walks = np.array(walks)  # (checks, T, n): the positions each Hautus walk covers
     full = np.zeros((t, n), dtype=bool)  # pencil at each position has rank n
-    sure = np.zeros((t, n), dtype=bool)  # decided by a certificate or an SVD outside the guard band
-    # an exact repeat reuses the decision at its value's first position, and the
-    # second of a conjugate pair its partner's when that one is sure
-    position, trial, real = np.arange(n), np.arange(t), lam.imag == 0
-    equal = lam[:, :, None] == lam[:, None, :]
-    first = equal.argmax(axis=1)
-    repeats = first < position
-    source = np.where(repeats, first, (equal | (lam[:, :, None] == lam[:, None, :].conj())).argmax(axis=1))
+    # an exact repeat or the second of a conjugate pair reuses the decision at its
+    # value's first position: its pencil is bit-equal there, or exactly conjugate
+    position, real = np.arange(n), lam.imag == 0
+    source = ((lam[:, :, None] == lam[:, None, :]) | (lam[:, :, None] == lam[:, None, :].conj())).argmax(axis=1)
     ab = np.concatenate([a, b], axis=2)
 
     def pencils(rows, values):  # [A - lam I, B], bit for bit as a - lam * eye
@@ -267,33 +257,20 @@ def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool, powe
         need = (alive & walks[:, :, j]).any(axis=0)
         if not need.any():
             continue
-        reuse = need & (source[:, j] < j) & (repeats[:, j] | sure[trial, source[:, j]])
+        reuse = need & (source[:, j] < j)
         full[reuse, j] = full[reuse, source[reuse, j]]
         todo = need & ~reuse
         # walks that fail nearly always fail at their first pencil, so a trial
         # tries certificates only once one of its pencils has passed
-        passed = full[:, :j].any(axis=1)
-        for rows, values in ((todo & real[:, j], lam[:, j].real), (todo & ~real[:, j], lam[:, j])):
-            tried = rows & passed
-            if tried.any():
-                full[tried, j] = sure[tried, j] = _certified(pencils(tried, values[tried]))
-            rows &= ~sure[:, j]
+        tried = todo & full[:, :j].any(axis=1)
+        for rows, values in ((tried & real[:, j], lam[:, j].real), (tried & ~real[:, j], lam[:, j])):
             if rows.any():
-                full[rows, j], sure[rows, j] = _full_rank(pencils(rows, values[rows]))
+                full[rows, j] = _certified(pencils(rows, values[rows]))
+        todo &= ~full[:, j]
+        if todo.any():
+            full[todo, j] = _ranks(pencils(todo, lam[todo, j])) == n
         alive &= ~(walks[:, :, j] & ~full[:, j])
     return list(zip(images, alive))
-
-
-def _full_rank(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each pencil of a (T, n, k) stack, k >= n, has full numeric rank, and whether that is sure:
-    sigma_min lies outside the guard band around numeric_rank's cutoff, in which a real SVD yields to a complex one."""
-    s = np.linalg.svd(stack, compute_uv=False)
-    cut = stack.shape[2] * s[:, 0] * RANK_REL_TOL
-    full, sure = s[:, -1] > cut, np.abs(s[:, -1] - cut) > _GUARD_BAND * cut
-    band = ~sure
-    if stack.dtype.kind == "f" and band.any():
-        full[band], sure[band] = _full_rank(stack[band].astype(complex))
-    return full, sure
 
 
 def _certified(stack: np.ndarray) -> np.ndarray:
@@ -479,7 +456,8 @@ def monte_carlo_verify(
     check_dense_size(n, m, n, dense)
     drawn = sum(2 * len(p._coords[0]) for p in (pattern_a, pattern_b) if p is not None)  # the sampler's, per trial
     zc_structural = not k  # the survivors lie on or after an unreached cycle
-    ctrl_structural = (n1 == n and is_generically_controllable(pattern_a, pattern_b).verdict) if check_controllability else None
+    # a pair whose inputs reach every state is controllable exactly when [A B] has term rank n
+    ctrl_structural = (n1 == n and generic_rank(pattern_a.hstack(pattern_b) if m else pattern_a) == n) if check_controllability else None
     zc_agree = ctrl_agree = inconsistent = 0
     disagreeing = []
     chunk = max(1, _STACK_ENTRIES // max(1, dense, drawn))

@@ -40,14 +40,26 @@ EXAMPLE2_A = PatternMatrix.from_rows([
 EXAMPLE2_B_PER_DRIVER = build_b_pattern(11, {"x4", "x8"}, "per_driver").pattern
 
 
+def _linalg_build(library: str) -> str:
+    """Name and version of the BLAS or LAPACK library numpy was built with, or "unknown"
+    where numpy cannot report it as a dict (before 1.25)."""
+    try:
+        found = np.show_config(mode="dicts")["Build Dependencies"][library]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{found.get('name', 'unknown')} {found.get('version', 'unknown')}"
+
+
 def pytest_report_header(config):
     """The numeric stack in the log head: the seeded digests of float output depend on the
-    library versions and on the BLAS thread count.  Versions come from the installed
-    metadata, so scipy is not imported."""
+    library versions and on the BLAS thread count, and the bit-equal stacked and conjugate
+    Hautus decisions on the LAPACK build.  Versions come from the installed metadata, so
+    scipy is not imported."""
     threads = " ".join(f"{var}={os.environ.get(var, 'unset')}"
                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
     return [f"numeric stack: python {platform.python_version()}, numpy {metadata.version('numpy')}, "
-            f"scipy {metadata.version('scipy')}", f"BLAS threads: {threads}"]
+            f"scipy {metadata.version('scipy')}", f"BLAS threads: {threads}",
+            f"numpy built with BLAS {_linalg_build('blas')}, LAPACK {_linalg_build('lapack')}"]
 
 
 @pytest.fixture

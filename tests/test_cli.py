@@ -826,8 +826,8 @@ def test_cycle_witness_needs_no_second_condensation(tmp_path, monkeypatch, capsy
 
 # Graph work per command, as (build_graph, _reach_states, _peel, scc_decompose, state_name) calls.
 # verify reads both structural verdicts off its one reachable split: one build, one reach, one peel,
-# no Tarjan and no state name; only the term rank of a pair whose inputs reach every state (full.pat)
-# takes a second build and reach.  The other rows pin what those commands do, so added graph work shows here.
+# no Tarjan and no state name; the term rank of a pair whose inputs reach every state (full.pat) is a
+# matching on [A B], with no graph.  The other rows pin what those commands do, so added graph work shows here.
 PASS_COUNTS = {
     "analyze example1.pat": (1, 1, 1, 1, 6),
     "analyze example2.pat": (1, 1, 1, 1, 18),
@@ -840,7 +840,7 @@ PASS_COUNTS = {
     "verify example1.pat --trials 3 --check-controllability": (1, 1, 1, 0, 0),
     "verify example2.pat --trials 3 --drivers x4,x8": (1, 1, 1, 0, 0),
     "verify full.pat --trials 3": (1, 1, 1, 0, 0),
-    "verify full.pat --trials 3 --check-controllability": (2, 2, 1, 0, 0),
+    "verify full.pat --trials 3 --check-controllability": (1, 1, 1, 0, 0),
 }
 
 

@@ -59,6 +59,23 @@ def test_validate_rejects_unknown_vertices(example2_a):
         validate_driver_set(example2_a, {"u1"})
 
 
+def test_a_bare_string_is_refused_whole(example2_a):
+    """Each vertex-collection argument refuses one string, whose iteration would read
+    its characters as the names ('x' and '3'), with one message that quotes it whole;
+    the one-element collection it stands for is accepted."""
+    graph = build_graph(example2_a)
+    calls = [
+        lambda names: validate_driver_set(example2_a, names),
+        lambda names: build_b_pattern(11, names, "shared"),
+        lambda names: reachable_from(graph, names),
+        lambda names: find_cycle(graph, within=names),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=r"^expected a collection of vertex names, got the string 'x3'$"):
+            call("x3")
+        call(["x3"])
+
+
 # --- minimal driver sets ----------------------------------------------------------
 
 def test_minimal_on_acyclic_pattern_is_empty():

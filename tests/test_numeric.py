@@ -13,6 +13,7 @@ from zerocontrol import (
     count_nonzero_eigenvalues,
     deadbeat_steer,
     is_controllable_numeric,
+    is_generically_controllable,
     is_generically_zero_controllable,
     is_zero_controllable_numeric,
     monte_carlo_verify,
@@ -308,10 +309,10 @@ def _last_over_cut(a, b, lam):
     return s[-1] / (max(len(a), len(a) + b.shape[1]) * s[0] * 1e-10)
 
 
-def _in_guard_band(a, make_b, lam, over=1 + 2e-4):
+def _near_the_cutoff(a, make_b, lam, over=1 + 2e-4):
     """Scale the one small entry of B, twice, so that the pencil at lam has its
     last singular value ``over`` times the rank cutoff, as closely as its SVD
-    resolves: by default just above the cutoff, inside the guard band."""
+    resolves: by default just above the cutoff."""
     eps = 1e-9
     for _ in range(2):
         eps /= _last_over_cut(a, make_b(eps), lam) / over
@@ -321,36 +322,35 @@ def _in_guard_band(a, make_b, lam, over=1 + 2e-4):
 
 
 @pytest.mark.parametrize("case", ["real", "conjugate"])
-def test_guard_band_falls_back_to_the_complex_svd(case, monkeypatch):
+def test_a_pencil_at_the_cutoff_takes_one_complex_svd(case, monkeypatch):
     if case == "real":  # eigenvalues 1 and 2; the pencil at 1 is nearly deficient
         a = np.diag([1.0, 2.0])
-        r = _in_guard_band(a, lambda eps: np.array([[eps], [1.0]]), 1.0)
-        expected, certified = [("f", (2, 3)), ("c", (2, 3))], [True]  # 1 is first: it tries none
+        r = _near_the_cutoff(a, lambda eps: np.array([[eps], [1.0]]), 1.0)
+        certified = [("f", True)]  # 1 is first: it tries none; 2 tries one, in the real dtype
     else:  # eigenvalues +-i; both pencils nearly deficient
         a = np.array([[0.0, -1.0], [1.0, 0.0]])
-        r = _in_guard_band(a, lambda eps: np.array([[eps], [0.0]]), 1j)
-        expected, certified = [("c", (2, 3)), ("c", (2, 3))], [False]  # +i is first: it tries none
+        r = _near_the_cutoff(a, lambda eps: np.array([[eps], [0.0]]), 1j)
+        certified = []  # +i is first: it tries none, and -i takes its decision
     calls = _svd_calls(monkeypatch)
     certificates = _certificate_calls(monkeypatch)
     check = is_zero_controllable_numeric(r)
-    # after rank C and rank [C, A^n], the pencils in eigenvalue order: a nearly
-    # deficient pencil is never certified and reaches the complex SVD, and the
-    # partner of an unsure one takes its own
-    assert _matrices(calls)[2:] == expected
-    assert [bool(ok) for _, result in certificates for ok in result] == certified
+    # after rank C and rank [C, A^n], the nearly deficient pencil is never
+    # certified and takes one complex SVD, and its conjugate none
+    assert _matrices(calls)[2:] == [("c", (2, 3))]
+    assert [(stack.dtype.kind, bool(ok)) for stack, result in certificates for ok in result] == certified
     assert check == oracle_is_zero_controllable_numeric(r)
     assert is_controllable_numeric(r) == oracle_is_controllable_numeric(r)
 
 
-def test_pencils_outside_the_guard_band_are_decided_once(monkeypatch):
+def test_each_pencil_takes_a_certificate_or_one_complex_svd(monkeypatch):
     a = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
     well = make_realization(a, [[1.0], [0.0], [1.0]])
     # eigenvalues 1 and 2; the pencil at 1 sits ten cutoffs up, below any certificate
-    near = _in_guard_band(np.diag([1.0, 2.0]), lambda eps: np.array([[eps], [1.0]]), 1.0, over=10.0)
-    # a real SVD that stands at 0.5, then one certificate for the pair +-i; a
-    # real SVD that stands at 1, then a certificate at 2
-    for r, certified, svds in ((well, [("c", (3, 4))], [("f", (3, 4))]),
-                               (near, [("f", (2, 3))], [("f", (2, 3))])):
+    near = _near_the_cutoff(np.diag([1.0, 2.0]), lambda eps: np.array([[eps], [1.0]]), 1.0, over=10.0)
+    # a complex SVD at 0.5, then one complex certificate for the pair +-i; a
+    # complex SVD at 1, then a real certificate at 2
+    for r, certified, svds in ((well, [("c", (3, 4))], [("c", (3, 4))]),
+                               (near, [("f", (2, 3))], [("c", (2, 3))])):
         calls = _svd_calls(monkeypatch)
         certificates = _certificate_calls(monkeypatch)
         check = is_zero_controllable_numeric(r)
@@ -377,12 +377,60 @@ def test_pencils_at_the_rank_cutoff_match_the_reference():
     for a, make_b, lam in cases:
         for k in range(3, 16):
             for over in (1 - 10.0**-k, 1 + 10.0**-k):
-                r = _in_guard_band(a, make_b, lam, over)
+                r = _near_the_cutoff(a, make_b, lam, over)
                 expected = oracle_is_zero_controllable_numeric(r)
                 assert is_zero_controllable_numeric(r) == expected, (a.shape, lam, over)
                 assert is_controllable_numeric(r) == oracle_is_controllable_numeric(r), (a.shape, lam, over)
                 seen.add(expected.hautus_test)
     assert seen == {False, True}
+
+
+def test_conjugate_pencils_have_bit_identical_singular_values():
+    """The premise of conjugate reuse: the complex SVD gives the Hautus pencil
+    [A - lam I, B] and the pencil at conj(lam), both built as ``_decide`` builds
+    them, the same singular values bit for bit.  On seeded realizations with
+    n up to 40 and m = 0..3, at every eigenvalue of positive imaginary part,
+    and at [A - (lam + t) I, t B] with t scaled, thrice, to put the last
+    singular value at (1 +- 10^-k) times the rank cutoff, k = 3..15."""
+    def pencil(a, b, lam):
+        p = np.concatenate([a, b], axis=1).astype(complex)
+        p[range(len(a)), range(len(a))] -= lam
+        return p
+
+    def over_cut(p):
+        s = np.linalg.svd(p, compute_uv=False)
+        return s[-1] / (p.shape[1] * s[0] * numeric.RANK_REL_TOL)
+
+    def assert_conjugates_agree(a, b, lam):
+        p, q = pencil(a, b, lam), pencil(a, b, np.conj(lam))
+        assert np.array_equal(q, p.conj())
+        assert np.linalg.svd(p, compute_uv=False).tobytes() == np.linalg.svd(q, compute_uv=False).tobytes()
+        return over_cut(p)
+
+    rng = np.random.default_rng(29)
+    pencils, sides = 0, set()
+    for n in (2, 5, 12, 24, 40):
+        for m in range(4):
+            found = 0
+            while found < 3:  # realizations with a complex eigenvalue
+                r = sample_realization(sparse_pattern(rng, n, n, 3 * n), sparse_pattern(rng, n, m, 2) if m else None,
+                                       seed=int(rng.integers(2**30)))
+                lams = [lam for lam in np.linalg.eigvals(r.a) if lam.imag > 0]
+                if not lams:
+                    continue
+                found += 1
+                for lam in lams:
+                    assert_conjugates_agree(r.a, r.b, lam)
+                    pencils += 1
+                for over in (1 + sign * 10.0**-k for k in range(3, 16) for sign in (-1, 1)):
+                    t = 1e-9
+                    for _ in range(3):
+                        t /= over_cut(pencil(r.a, t * r.b, lams[0] + t)) / over
+                    ratio = assert_conjugates_agree(r.a, t * r.b, lams[0] + t)
+                    assert abs(ratio / over - 1) < 1e-5
+                    sides.add(ratio > 1)
+                    pencils += 1
+    assert pencils > 1500 and sides == {False, True}
 
 
 def _pencil(rng, n, k, ratio, dtype):
@@ -519,11 +567,12 @@ def _pencils_by_trial(stacks, realizations):
 @pytest.mark.parametrize("ctrl", [False, True])
 def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
     """Per trial, every conjugate class the walks need is decided exactly once,
-    by a certificate or else by one SVD (each real for a real eigenvalue,
-    complex for a pair), and no other pencil is decided: repeats and
-    conjugates reuse, a certified class takes no SVD, a class tries at most
-    one certificate, and nothing runs past a walk's end.  The walks run on
-    the pair that ``_decide`` sees, and a trial that S settles has none."""
+    by a certificate or else by one complex SVD, and no other pencil is
+    decided: repeats and conjugates reuse, so the conjugate of an SVD-decided
+    pencil takes no SVD, a certified class takes none either, a class tries at
+    most one certificate (real for a real eigenvalue, complex for a pair), and
+    nothing runs past a walk's end.  The walks run on the pair that
+    ``_decide`` sees, and a trial that S settles has none."""
     rng = np.random.default_rng(41)
     chain = PatternMatrix(6, 6, frozenset((i + 1, i) for i in range(1, 6)))
     cases = [(chain, PatternMatrix(6, 1, frozenset({(1, 1)})))]  # nilpotent, [A, B] full rank
@@ -545,13 +594,14 @@ def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
             needed = _needed_classes(r, walks_ctrl) if r is not None else set()
             assert Counter(cls for cls, _ in svds + certs) == Counter(needed)
             assert max(Counter(cls for cls, _ in tries).values(), default=0) <= 1
-            for cls, kind in svds + tries:
+            assert {kind for _, kind in svds} <= {"c"}
+            for cls, kind in tries:
                 assert kind == ("f" if len(cls) == 1 and next(iter(cls)).imag == 0 else "c")
                 complex_classes += len(cls) == 2
-            decided.update(svd=len(svds), certificate=len(certs))
-            if k == 0:  # the repeated exact zeros take one real SVD under the controllability walk
-                assert certs == [] and svds == ([(frozenset({0j}), "f")] if ctrl else [])
-    assert complex_classes > 0 and decided["svd"] > 0 and decided["certificate"] > 0
+            decided.update(svd=len(svds), certificate=len(certs), pair_svd=sum(len(cls) == 2 for cls, _ in svds))
+            if k == 0:  # the repeated exact zeros take one complex SVD under the controllability walk
+                assert certs == [] and svds == ([(frozenset({0j}), "c")] if ctrl else [])
+    assert complex_classes > 0 and decided["svd"] > 0 and decided["certificate"] > 0 and decided["pair_svd"] > 0
 
 
 def test_one_trial_decides_as_the_single_check(monkeypatch):
@@ -806,6 +856,27 @@ def test_monte_carlo_with_controllability(example1_a, example1_b):
     )
     assert stats.ctrl_structural is False
     assert stats.ctrl_agreements == 10
+
+
+def test_the_controllability_verdict_is_the_structural_test():
+    """``ctrl_structural`` equals ``is_generically_controllable``'s verdict on
+    seeded pairs with n <= 30 and 0-2 inputs, on the empty pair, and on fully
+    reached dilations, whose [A B] falls short of term rank n because two of
+    its rows share their one column."""
+    rng = np.random.default_rng(52)
+    pairs = [(PatternMatrix(0, 0), None),
+             (PatternMatrix(3, 3, frozenset({(2, 1), (3, 1)})), PatternMatrix(3, 1, frozenset({(1, 1)}))),
+             (PatternMatrix(4, 4, frozenset({(1, 1), (2, 1), (3, 2), (4, 2)})), PatternMatrix(4, 1, frozenset({(1, 1)})))]
+    for _ in range(150):
+        n, m = int(rng.integers(1, 31)), int(rng.integers(0, 3))
+        a = sparse_pattern(rng, n, n, int(rng.uniform(1.0, 3.0) * n))
+        pairs.append((a, sparse_pattern(rng, n, m, int(rng.integers(1, 2 * n + 1))) if m else None))
+    failed = Counter()
+    for a, b in pairs:
+        expected = is_generically_controllable(a, b)
+        assert monte_carlo_verify(a, b, trials=1, check_controllability=True).ctrl_structural == expected.verdict
+        failed[expected.failed_condition] += 1
+    assert min(failed[condition] for condition in (None, "generic-rank", "irreducibility")) >= 10, failed
 
 
 #: sha256 of repr(MonteCarloStats) over the sweep below, one BLAS thread; taken
