@@ -211,7 +211,8 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"--x0 values must be finite, got {args.x0}")
         x0 = np.array(values)
     result = deadbeat_steer(realization, x0, horizon)
-    if not (np.isfinite(result.controls).all() and np.isfinite(result.trajectory).all()):
+    if not (np.isfinite(result.controls).all() and np.isfinite(result.trajectory).all()
+            and np.isfinite(result.final_norm)):
         raise ValueError(f"steering overflowed within horizon {horizon} (controls or trajectory not finite)")
     _emit(args, lambda: render_steering(result),
           lambda: {"command": "simulate", "seed": args.seed, "steering": steering_to_dict(result)})
@@ -285,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="pattern file")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED)
-    p.add_argument("--tol", type=float, default=1e-8, help="eigenvalue nonzero threshold scale")
+    p.add_argument("--tol", type=float, default=1e-8, help="eigenvalue nonzero threshold scale, in (0, 1)")
     p.add_argument(
         "--drivers", help="comma-separated driver states (e.g. x4,x8) to synthesize inputs"
     )

@@ -25,18 +25,20 @@ that position; each walk stops at its first rank-deficient pencil.  Positions
 run through each trial's eigenvalues smallest modulus first, where deficient
 pencils tend to sit (the exact zeros, and the eps^(1/k) eigenvalues that
 rounding smears out of nilpotent chains); the verdict, "no needed pencil is
-deficient", does not depend on the order.  Walks that fail nearly always fail
-at their first pencil, so a needed pencil P tries a certificate only in a
-trial that has passed a pencil: a Cholesky factorization of P P^H shifted by
-theta^2 plus its rounding-error bound proves sigma_min(P) > theta, over 10^3
-rank cutoffs (Demmel 1989; Rump 2006).  Otherwise P takes one complex SVD,
-numeric_rank's test.  An exact repeat reuses its first decision, and the
-second of a conjugate pair its partner's: the pencils are bit-equal or exactly
-conjugate, and the complex SVD gives conjugate pencils bit-identical singular
-values, so the verdicts are those of one complex SVD per eigenvalue.  numpy
-runs the same LAPACK routine on each matrix of a stack, so a stacked decision
-is bit for bit the one-matrix one.  The single-realization checks are stacks
-of one, on the split of the realization's own nonzeros.
+deficient", does not depend on the order.  Each needed pencil P is decided by
+one rule.  An exact repeat reuses its first decision, and the second of a
+conjugate pair its partner's: the pencils are bit-equal or exactly conjugate,
+and the complex SVD gives conjugate pencils bit-identical singular values.
+Any other P tries a certificate, in the real dtype for a real lam: a Cholesky
+factorization of P P^H shifted by theta^2 plus its rounding-error bound
+proves sigma_min(P) > theta, over 10^3 rank cutoffs (Demmel 1989; Rump 2006).
+Only a P it cannot prove takes one complex SVD, numeric_rank's test.  So the
+verdicts are those of one complex SVD per eigenvalue.  numpy runs the same
+LAPACK routine on each matrix of a stack, and a stack that Cholesky refuses is
+halved down to single pencils, so a stacked decision, certificate or SVD, is
+bit for bit the one-matrix one, whatever chunk a trial lands in.  The
+single-realization checks are stacks of one, on the split of the realization's
+own nonzeros.
 """
 
 from __future__ import annotations
@@ -199,9 +201,10 @@ class NumericCheck:
 
 def _eigenvalues(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of each matrix of a (T, n, n) stack, and the mask of
-    those counted as nonzero: modulus above tol * (1 + spectral radius)."""
-    if not 0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    those counted as nonzero: modulus above tol * (1 + spectral radius).  A tol
+    of 1 or more would count none, since no modulus exceeds the radius."""
+    if not 0 < tol < 1:  # NaN fails both comparisons
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if not a.shape[1]:
         return np.zeros((len(a), 0), dtype=complex), np.zeros((len(a), 0), dtype=bool)
     eigenvalues = np.linalg.eigvals(a).astype(complex, copy=False)
@@ -227,11 +230,14 @@ def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool, powe
     order = np.argsort(np.abs(lam), axis=1, kind="stable")
     lam, nonzero = np.take_along_axis(lam, order, 1), np.take_along_axis(nonzero, order, 1)
     t, n, _ = b.shape
-    ctrb = _ctrb(a, b, power)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with one message
+        ctrb = _ctrb(a, b, power)
+        a_pow_n = np.linalg.matrix_power(a, power) if zc and n else a
+    if not (np.isfinite(ctrb).all() and np.isfinite(a_pow_n).all()):
+        raise ValueError(f"n={power}: the controllability matrix or A^n overflows float64, so no numeric verdict")
     ctrb_rank = _ranks(ctrb)
     images, walks = [], []
     if zc:
-        a_pow_n = np.linalg.matrix_power(a, power) if n else a
         images.append(_ranks(np.concatenate([ctrb, a_pow_n], axis=2)) == ctrb_rank)
         walks.append(nonzero)
     if ctrl:
@@ -260,10 +266,7 @@ def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool, powe
         reuse = need & (source[:, j] < j)
         full[reuse, j] = full[reuse, source[reuse, j]]
         todo = need & ~reuse
-        # walks that fail nearly always fail at their first pencil, so a trial
-        # tries certificates only once one of its pencils has passed
-        tried = todo & full[:, :j].any(axis=1)
-        for rows, values in ((tried & real[:, j], lam[:, j].real), (tried & ~real[:, j], lam[:, j])):
+        for rows, values in ((todo & real[:, j], lam[:, j].real), (todo & ~real[:, j], lam[:, j])):
             if rows.any():
                 full[rows, j] = _certified(pencils(rows, values[rows]))
         todo &= ~full[:, j]
@@ -288,14 +291,14 @@ def _certified(stack: np.ndarray) -> np.ndarray:
     shift = (2e3 * k * RANK_REL_TOL) ** 2 + 2 * (n + k + 4) * np.finfo(float).eps  # tau / tr(G)
     gram[:, range(n), range(n)] -= np.trace(gram, axis1=1, axis2=2).real[:, None] * shift
 
-    def factors(g, levels=2):  # np.linalg.cholesky refuses a stack as a whole: halve a failed one
+    def factors(g):  # np.linalg.cholesky refuses a stack as a whole: halve a refused one down to single pencils
         try:
             np.linalg.cholesky(g)
             return np.ones(len(g), dtype=bool)
         except np.linalg.LinAlgError:
-            if not levels or len(g) == 1:
-                return np.zeros(len(g), dtype=bool)
-        return np.concatenate([factors(g[:len(g) // 2], levels - 1), factors(g[len(g) // 2:], levels - 1)])
+            if len(g) == 1:
+                return np.zeros(1, dtype=bool)
+        return np.concatenate([factors(g[:len(g) // 2]), factors(g[len(g) // 2:])])
 
     return factors(gram)
 
@@ -308,7 +311,8 @@ def _split_decide(a11, b1, s, n: int, tol: float, zc: bool, ctrl: bool) -> list[
     no = np.zeros(len(a11), dtype=bool)
     # C's unreached rows are zero: S^n != 0 fails the image test, a nonzero eigenvalue of S the Hautus test
     hautus = ~_eigenvalues(s, tol)[1].any(axis=1)
-    image = ~np.linalg.matrix_power(s, n).any(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed S^n is nonzero too
+        image = ~np.linalg.matrix_power(s, n).any(axis=(1, 2))
     todo = (image | hautus) & zc
     if a11.shape[1] and todo.any():
         for verdict, block_verdict in zip((image, hautus), _decide(a11[todo], b1[todo], tol, True, False, n)[0]):
@@ -358,6 +362,8 @@ class SteeringResult:
     horizon: int
 
 
+# an overflow shows up as a non-finite result, which the caller judges; numpy need not warn of it
+@np.errstate(over="ignore", invalid="ignore")
 def deadbeat_steer(
     realization: Realization, x0: np.ndarray, horizon: int
 ) -> SteeringResult:

@@ -335,8 +335,8 @@ def _oracle_hautus_ok(a, b, eigenvalues) -> bool:
 
 
 def _oracle_eigenvalues(a, tol):
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     eigenvalues = np.linalg.eigvals(a) if a.size else np.zeros(0)
     radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
     return eigenvalues, eigenvalues[np.abs(eigenvalues) > tol * (1.0 + radius)]

@@ -233,9 +233,44 @@ def test_simulate_refuses_a_steer_that_overflows(fmt, example1_path, capsys):
     assert run_cli(["simulate", example1_path, "--horizon", "2000", "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    *warned, error = captured.err.splitlines()
-    assert error == "error: steering overflowed within horizon 2000 (controls or trajectory not finite)"
-    assert warned and all(line.startswith("warning: ") for line in warned)
+    assert captured.err.splitlines() == [
+        "error: steering overflowed within horizon 2000 (controls or trajectory not finite)"
+    ]
+
+
+def _dense_pattern(path, n, fed=True):
+    """Every a-entry of an n-state pattern, fed at x1 alone (or not at all)."""
+    lines = [f"n {n}", "m 1"] + [f"a {i} {j}" for i in range(1, n + 1) for j in range(1, n + 1)] + ["b 1 1"] * fed
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_verify_refuses_krylov_blocks_that_overflow(tmp_path, capsys):
+    # A^400 and the Krylov blocks overflow float64, and an SVD of them would not converge
+    assert run_cli(["verify", _dense_pattern(tmp_path / "dense.pat", 400), "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: n=400: the controllability matrix or A^n overflows float64, so no numeric verdict"
+    ]
+
+
+def test_verify_counts_an_overflowed_survivor_power_as_nonzero(tmp_path, capsys):
+    # nothing is reached, so S = A, and S^300 overflows float64: a settled "no", with no warning
+    assert run_cli(["verify", _dense_pattern(tmp_path / "dense.pat", 300, fed=False), "--trials", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "numeric agreement: 1/1" in captured.out
+    assert captured.err == ""
+
+
+def test_simulate_refuses_a_final_norm_that_overflows(tmp_path, capsys):
+    # the trajectory is finite, but the norm of its last state is not: JSON has no token for it
+    assert run_cli(["simulate", _dense_pattern(tmp_path / "dense.pat", 200), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: steering overflowed within horizon 200 (controls or trajectory not finite)"
+    ]
 
 
 _FED_1E5 = ("n=100000, m=1 over 100000 steps needs 40000000 dense matrix entries (20000000000 on the full pair), "
@@ -671,10 +706,11 @@ BAD_INPUTS = [
     (["verify", "example1.pat", "--min-agreement", "2"], "min_agreement must be in [0, 1], got 2.0"),
     (["verify", "example1.pat", "--min-agreement", "-1"], "min_agreement must be in [0, 1], got -1.0"),
     (["verify", "example1.pat", "--min-agreement", "nan"], "min_agreement must be in [0, 1], got nan"),
-    (["verify", "example1.pat", "--tol", "nan"], "tol must be positive and finite, got nan"),
-    (["verify", "example1.pat", "--tol", "inf"], "tol must be positive and finite, got inf"),
-    (["verify", "example1.pat", "--tol", "inf", "--check-controllability"],
-     "tol must be positive and finite, got inf"),
+    (["verify", "example1.pat", "--tol", "nan"], "tol must lie in (0, 1), got nan"),
+    (["verify", "example1.pat", "--tol", "inf"], "tol must lie in (0, 1), got inf"),
+    (["verify", "example1.pat", "--tol", "inf", "--check-controllability"], "tol must lie in (0, 1), got inf"),
+    # no eigenvalue exceeds 1 * (1 + spectral radius), so every Hautus test would pass vacuously
+    (["verify", "example1.pat", "--tol", "1"], "tol must lie in (0, 1), got 1.0"),
     (["simulate", "example1.pat", "--x0", "1,2,nan,0,0", "--format", "json"],
      "--x0 values must be finite, got 1,2,nan,0,0"),
     (["simulate", "example1.pat", "--x0", "0,0,0,0,-inf"], "--x0 values must be finite, got 0,0,0,0,-inf"),

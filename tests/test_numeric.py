@@ -180,8 +180,8 @@ def test_controllable_after_adding_b51(example1_a, example1_b):
 def test_tol_must_be_positive(example1_a, example1_b):
     r = sample_realization(example1_a, example1_b, seed=1)
     for check in (is_controllable_numeric, is_zero_controllable_numeric, count_nonzero_eigenvalues):
-        for tol in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError, match="tol must be positive and finite"):
+        for tol in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), 1.0, 1.5, 1e308):
+            with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
                 check(r, tol)
 
 
@@ -326,11 +326,11 @@ def test_a_pencil_at_the_cutoff_takes_one_complex_svd(case, monkeypatch):
     if case == "real":  # eigenvalues 1 and 2; the pencil at 1 is nearly deficient
         a = np.diag([1.0, 2.0])
         r = _near_the_cutoff(a, lambda eps: np.array([[eps], [1.0]]), 1.0)
-        certified = [("f", True)]  # 1 is first: it tries none; 2 tries one, in the real dtype
+        certified = [("f", False), ("f", True)]  # 1 and then 2 try one each, in the real dtype
     else:  # eigenvalues +-i; both pencils nearly deficient
         a = np.array([[0.0, -1.0], [1.0, 0.0]])
         r = _near_the_cutoff(a, lambda eps: np.array([[eps], [0.0]]), 1j)
-        certified = []  # +i is first: it tries none, and -i takes its decision
+        certified = [("c", False)]  # +i tries one, and -i takes its decision
     calls = _svd_calls(monkeypatch)
     certificates = _certificate_calls(monkeypatch)
     check = is_zero_controllable_numeric(r)
@@ -347,15 +347,16 @@ def test_each_pencil_takes_a_certificate_or_one_complex_svd(monkeypatch):
     well = make_realization(a, [[1.0], [0.0], [1.0]])
     # eigenvalues 1 and 2; the pencil at 1 sits ten cutoffs up, below any certificate
     near = _near_the_cutoff(np.diag([1.0, 2.0]), lambda eps: np.array([[eps], [1.0]]), 1.0, over=10.0)
-    # a complex SVD at 0.5, then one complex certificate for the pair +-i; a
-    # complex SVD at 1, then a real certificate at 2
-    for r, certified, svds in ((well, [("c", (3, 4))], [("c", (3, 4))]),
-                               (near, [("f", (2, 3))], [("c", (2, 3))])):
+    # a real certificate at 0.5, then one complex certificate for the pair +-i,
+    # and no SVD; at 1 a real certificate that fails and a complex SVD, then a
+    # real certificate at 2
+    for r, tried, held, svds in ((well, [("f", (3, 4)), ("c", (3, 4))], [True, True], []),
+                                 (near, [("f", (2, 3)), ("f", (2, 3))], [False, True], [("c", (2, 3))])):
         calls = _svd_calls(monkeypatch)
         certificates = _certificate_calls(monkeypatch)
         check = is_zero_controllable_numeric(r)
-        assert _matrices(stack for stack, _ in certificates) == certified  # each certificate holds
-        assert sorted(_matrices(stack[ok] for stack, ok in certificates)) == certified
+        assert _matrices(stack for stack, _ in certificates) == tried
+        assert [bool(ok) for _, result in certificates for ok in result] == held
         assert _matrices(calls)[2:] == svds  # after rank C and rank [C, A^n]
         assert check == oracle_is_zero_controllable_numeric(r)
         monkeypatch.undo()
@@ -453,7 +454,7 @@ def test_a_certificate_proves_what_the_complex_svd_finds(n, m):
     at least 10^3 cutoffs up, on pencils whose sigma_min runs from 1e-1 to
     1e-15 of their norm, scaled by 2^500 and 2^-500 too; every pencil with
     sigma_min >= 1e-5 ||P||_F is certified, and no all-zero one.  A stack
-    certifies no pencil that fails alone."""
+    certifies exactly the pencils that are certified alone, in any order."""
     rng = np.random.default_rng(100 * n + m)
     k = n + m
     certified = 0
@@ -464,7 +465,8 @@ def test_a_certificate_proves_what_the_complex_svd_finds(n, m):
             pencils += [pencil, pencil * 2.0**500, pencil * 2.0**-500]
         alone = np.array([numeric._certified(pencil[None])[0] for pencil in pencils])
         assert not alone[0]
-        assert not (numeric._certified(np.array(pencils)) & ~alone).any()
+        for order in (np.arange(len(pencils)), np.arange(len(pencils))[::-1], rng.permutation(len(pencils))):
+            assert np.array_equal(numeric._certified(np.array(pencils)[order]), alone[order])
         for pencil, ok in zip(pencils, alone):
             s = np.linalg.svd(pencil.astype(complex), compute_uv=False)
             if ok:
@@ -519,25 +521,26 @@ def _needed_classes(r, ctrl, by_modulus=True):
 def _decided_block(r, ctrl):
     """The pair that ``_decide`` sees for a realization, and the checks it
     runs there: the whole pair when every state is reached, else (A11, B1)
-    for zero controllability alone, or None when S settles the trial."""
+    for zero controllability alone, or None when S settles the trial or no
+    state is reached."""
     reached, survivors = oracle_split(r)
     if len(reached) == r.n:
         return r, ctrl
     s = r.a[np.ix_(survivors, survivors)]
-    if len(s) and np.linalg.matrix_power(s, r.n).any() and len(_oracle_eigenvalues(s, 1e-8)[1]):
+    if not len(reached) or len(s) and np.linalg.matrix_power(s, r.n).any() and len(_oracle_eigenvalues(s, 1e-8)[1]):
         return None, False
     return make_realization(r.a[np.ix_(reached, reached)], r.b[reached]), False
 
 
-def _non_zc_pairs(seed, count, n=40):
-    """The first ``count`` structurally non-zero-controllable pairs of a seeded
-    draw shaped like the benchmark's Monte Carlo patterns: about 2n entries in
-    A and one input column with one or two entries."""
+def _mc_pairs(seed, count, n=40, zc=False):
+    """The first ``count`` pairs of a seeded draw shaped like the benchmark's
+    Monte Carlo patterns (about 2n entries in A and one input column with one
+    or two entries) whose structural zero controllability verdict is ``zc``."""
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < count:
         a, b = sparse_pattern(rng, n, n, 2 * n), sparse_pattern(rng, n, 1, 2)
-        if not is_generically_zero_controllable(a, b).verdict:
+        if is_generically_zero_controllable(a, b).verdict is zc:
             pairs.append((a, b))
     return pairs
 
@@ -578,7 +581,7 @@ def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
     cases = [(chain, PatternMatrix(6, 1, frozenset({(1, 1)})))]  # nilpotent, [A, B] full rank
     for n, m in ((8, 1), (12, 2), (16, 1), (24, 1)):
         cases.append((random_pattern(rng, n, n, 2.5 / n), random_pattern(rng, n, m, 0.3)))
-    cases += _non_zc_pairs(44, 2)
+    cases += _mc_pairs(44, 2) + _mc_pairs(49, 1, zc=True)  # the last with complex pairs that take SVDs
     complex_classes = 0
     decided = Counter()
     for k, (a, b) in enumerate(cases):
@@ -599,8 +602,9 @@ def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
                 assert kind == ("f" if len(cls) == 1 and next(iter(cls)).imag == 0 else "c")
                 complex_classes += len(cls) == 2
             decided.update(svd=len(svds), certificate=len(certs), pair_svd=sum(len(cls) == 2 for cls, _ in svds))
-            if k == 0:  # the repeated exact zeros take one complex SVD under the controllability walk
-                assert certs == [] and svds == ([(frozenset({0j}), "c")] if ctrl else [])
+            if k == 0:  # the repeated exact zeros try one real certificate under the controllability walk
+                assert tries == ([(frozenset({0j}), "f")] if ctrl else [])
+                assert Counter(cls for cls, _ in svds + certs) == Counter([frozenset({0j})] * ctrl)
     assert complex_classes > 0 and decided["svd"] > 0 and decided["certificate"] > 0 and decided["pair_svd"] > 0
 
 
@@ -647,7 +651,7 @@ def test_walks_start_at_the_smallest_modulus(monkeypatch):
     chains."""
     trials = 100
     decided = needed = 0
-    for k, (a, b) in enumerate(_non_zc_pairs(46, 4)):
+    for k, (a, b) in enumerate(_mc_pairs(46, 4)):
         realizations = [oracle_sample_realization(a, b, 7000 + k * trials + i) for i in range(trials)]
         stacks = _svd_calls(monkeypatch)
         numeric._decide(np.array([r.a for r in realizations]), np.array([r.b for r in realizations]), 1e-8, True, True, 40)
@@ -697,7 +701,33 @@ def _stacking_cases():
         n = int(rng.integers(2, 25))
         m = k % 3
         cases.append((random_pattern(rng, n, n, 2.5 / n), random_pattern(rng, n, m, 0.3) if m else None))
-    return cases + _non_zc_pairs(45, 2)
+    return cases + _mc_pairs(45, 2)
+
+
+@pytest.mark.parametrize("ctrl", [False, True])
+def test_a_trial_takes_the_same_hautus_path_in_any_chunk(ctrl, monkeypatch):
+    """Per trial, the same conjugate classes try a certificate (in the same
+    dtype), the same are proven, and the same take a complex SVD, whether the
+    trials are decided in chunks at the default cap or one at a time: on the
+    stacking cases, and on structurally zero controllable pairs shaped like
+    the benchmark's Monte Carlo patterns at n = 24 and 40, with 30 trials."""
+    def paths(a, b, trials, base_seed, cap):
+        blocks = [_decided_block(oracle_sample_realization(a, b, base_seed + i), ctrl)[0] for i in range(trials)]
+        svds, certificates = _svd_calls(monkeypatch), _certificate_calls(monkeypatch)
+        monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
+        monte_carlo_verify(a, b, trials=trials, base_seed=base_seed, check_controllability=ctrl)
+        monkeypatch.undo()
+        calls = [[stack for stack, _ in certificates], [stack[ok] for stack, ok in certificates], svds]
+        return [[Counter(found) for found in _pencils_by_trial(stacks, blocks)] for stacks in calls]
+
+    cases = [(a, b, 1 if k % 4 == 0 else 10) for k, (a, b) in enumerate(_stacking_cases())]
+    cases += [(a, b, 30) for n in (24, 40) for a, b in _mc_pairs(49, 2, n, zc=True)]
+    decided = Counter()
+    for k, (a, b, trials) in enumerate(cases):
+        chunked = paths(a, b, trials, 500 + k, numeric._STACK_ENTRIES)
+        assert chunked == paths(a, b, trials, 500 + k, 1), k
+        decided.update(tried=sum(map(len, chunked[0])), svd=sum(map(len, chunked[2])))
+    assert decided["tried"] > 0 and decided["svd"] > 0
 
 
 @pytest.mark.parametrize("ctrl", [False, True])
@@ -715,7 +745,7 @@ def test_chunking_does_not_change_results(ctrl, monkeypatch):
             got = monte_carlo_verify(a, b, trials=trials, base_seed=500 + k, check_controllability=ctrl)
             assert got == expected, (k, cap)
         for bad in (0.0, float("nan")):
-            with pytest.raises(ValueError, match="tol must be positive and finite"):
+            with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
                 monte_carlo_verify(a, b, trials=trials, tol=bad, check_controllability=ctrl)
 
 
