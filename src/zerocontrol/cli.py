@@ -21,14 +21,13 @@ import numpy as np
 from .dotexport import _dot
 from .drivers import (
     DEFAULT_EXACT_CAP,
-    _state_indices,
     build_b_pattern,
     enumerate_minimal_driver_sets,
     greedy_driver_set,
     minimal_driver_set,
 )
 from .fileio import PatternFormatError, parse_pattern_file
-from .graph import _input_reach, _reach_states, build_graph, state_name
+from .graph import _input_reach, _reach_states, _state_ids, build_graph, state_name
 from .numeric import DEFAULT_BASE_SEED, check_dense_size, deadbeat_steer, monte_carlo_verify, sample_realization
 from .patterns import PatternMatrix
 from .reports import (
@@ -211,9 +210,10 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"--x0 values must be finite, got {args.x0}")
         x0 = np.array(values)
     result = deadbeat_steer(realization, x0, horizon)
-    if not (np.isfinite(result.controls).all() and np.isfinite(result.trajectory).all()
-            and np.isfinite(result.final_norm)):
+    if not (np.isfinite(result.controls).all() and np.isfinite(result.trajectory).all()):
         raise ValueError(f"steering overflowed within horizon {horizon} (controls or trajectory not finite)")
+    if not np.isfinite(result.final_norm):
+        raise ValueError(f"the final state norm overflows float64 within horizon {horizon}")
     _emit(args, lambda: render_steering(result),
           lambda: {"command": "simulate", "seed": args.seed, "steering": steering_to_dict(result)})
     return 0
@@ -221,7 +221,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     pattern_a, pattern_b = _load_patterns(args.file)
-    drivers = [] if args.drivers is None else _state_indices(pattern_a.n_rows, _parse_drivers(args.drivers))
+    drivers = [] if args.drivers is None else _state_ids(
+        pattern_a.n_rows, _parse_drivers(args.drivers), "driver vertices must be states")
     if args.drivers is not None and pattern_b is not None:
         print("note: --drivers colors reachability from the drivers; input entries ignored",
               file=sys.stderr)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .drivers import DriverSet
-from .graph import SccDecomposition, SystemGraph, _parse_vertex, _reach_from, input_name, state_name
+from .graph import SccDecomposition, SystemGraph, _reach_states, _state_ids, input_name, state_name
 from .structural import ZcReport
 
 REACHABLE_FILL = "palegreen"
@@ -22,11 +22,11 @@ def export_dot(
     nontrivial ones), reachable and unreachable states in distinct fills,
     driver vertices drawn as double circles."""
     if isinstance(report, ZcReport):
-        ids = {idx for kind, idx in map(_parse_vertex, report.reachable_states) if kind == "x"}
+        ids = set(_state_ids(graph.n_states, report.reachable_states, "reachable vertices must be states"))
         return _dot(graph, scc, bytes(v in ids for v in range(graph.n_states + 1)))
     if isinstance(report, DriverSet):
-        sources = {graph.resolve(name) for name in report.drivers}
-        return _dot(graph, scc, _reach_from(graph, sources), [idx for kind, idx in sources if kind == "x"])
+        drivers = _state_ids(graph.n_states, report.drivers, "driver vertices must be states")
+        return _dot(graph, scc, _reach_states(graph, drivers), drivers)
     return _dot(graph, scc)
 
 

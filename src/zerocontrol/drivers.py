@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .graph import (SystemGraph, _bits, _obstruction, _parse_vertex, _reach_states, _vertex_names, build_graph,
-                    sort_vertices, state_name)
+from .graph import SystemGraph, _bits, _obstruction, _reach_states, _state_ids, build_graph, sort_vertices, state_name
 from .patterns import PatternMatrix
 
 #: Above this many candidate components the exact search hands over to the
@@ -69,19 +68,6 @@ class BPattern:
     pattern: PatternMatrix
 
 
-def _state_indices(n: int, drivers: Iterable[str]) -> list[int]:
-    """Sorted distinct indices of the driver states."""
-    out = set()
-    for name in _vertex_names(drivers):
-        kind, idx = _parse_vertex(name) if isinstance(name, str) else ("", 0)
-        if kind != "x":
-            raise ValueError(f"driver vertices must be states, got {name!r}")
-        if idx > n:
-            raise ValueError(f"unknown vertex {name!r} (pattern has {n} states)")
-        out.add(idx)
-    return sorted(out)
-
-
 def _driver_set(graph: SystemGraph, indices: Sequence[int], minimal: bool) -> DriverSet:
     """The drivers with their certificate; every search result is re-checked here."""
     witness, blocking = _obstruction(graph, _reach_states(graph, indices))
@@ -100,7 +86,8 @@ def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> Dri
     generic zero controllability with the drivers as the reached seeds."""
     if not pattern_a.is_square:
         raise ValueError("driver validation needs a square state pattern")
-    return _driver_set(build_graph(pattern_a), _state_indices(pattern_a.n_rows, drivers), minimal=False)
+    indices = _state_ids(pattern_a.n_rows, drivers, "driver vertices must be states")
+    return _driver_set(build_graph(pattern_a), indices, minimal=False)
 
 
 # --- coverage classes ------------------------------------------------------
@@ -360,7 +347,7 @@ def build_b_pattern(
     pattern."""
     if mode not in ("shared", "per_driver"):
         raise ValueError(f"mode must be 'shared' or 'per_driver', got {mode!r}")
-    rows = _state_indices(n, drivers)
+    rows = _state_ids(n, drivers, "driver vertices must be states")
     if not rows:
         return BPattern(mode, PatternMatrix.zeros(n, 0))
     if mode == "shared":

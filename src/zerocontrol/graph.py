@@ -31,8 +31,8 @@ def input_name(j: int) -> str:
 
 
 def _parse_vertex(name: str) -> tuple[str, int]:
-    """(kind, index) of a vertex name such as ``x12`` or ``u3``; ("", 0) for any other string."""
-    m = _VERTEX_RE.fullmatch(name)
+    """(kind, index) of a vertex name such as ``x12`` or ``u3``; ("", 0) for anything else."""
+    m = isinstance(name, str) and _VERTEX_RE.fullmatch(name)
     return (m[1], int(m[2])) if m else ("", 0)
 
 
@@ -41,6 +41,20 @@ def _vertex_names(names: Iterable[str]) -> Iterable[str]:
     if isinstance(names, str):
         raise TypeError(f"expected a collection of vertex names, got the string {names!r}")
     return names
+
+
+def _state_ids(n: int, names: Iterable[str], refusal: str) -> list[int]:
+    """Sorted distinct ids of the named states, the one resolver from names to state ids.  An input vertex is
+    refused in the caller's words, ``f"{refusal}, got 'u1'"``; any other non-state as an unknown vertex."""
+    ids = set()
+    for name in _vertex_names(names):
+        kind, idx = _parse_vertex(name)
+        if kind == "u":
+            raise ValueError(f"{refusal}, got {name!r}")
+        if kind != "x" or idx > n:
+            raise ValueError(f"unknown vertex {name!r} (pattern has {n} states)")
+        ids.add(idx)
+    return sorted(ids)
 
 
 def sort_vertices(names: Iterable[str]) -> list[str]:
@@ -106,27 +120,16 @@ class SystemGraph:
         return tuple(tuple(indices[indptr[v]:indptr[v + 1]]) for v in range(self.n_states + 1))
 
     @cached_property
-    def input_successors(self) -> tuple[tuple[int, ...], ...]:
-        """Each input's destination states, ascending; index 0 is padding."""
-        succ: list[list[int]] = [[] for _ in range(self.n_inputs + 1)]
-        for s, d in sorted(self.input_edges):
-            succ[s].append(d)
-        return tuple(map(tuple, succ))
-
-    @cached_property
     def condensation(self) -> SccDecomposition:
         """The state subgraph's components, computed once per graph."""
         return scc_decompose(self)
 
     def resolve(self, name: str) -> tuple[str, int]:
-        """Split a vertex name into (kind, index), rejecting unknown vertices."""
+        """Split a vertex name into (kind, index), rejecting unknown vertices; a state as ``_state_ids`` does."""
         kind, idx = _parse_vertex(name)
-        if not kind:
-            raise ValueError(f"unknown vertex {name!r}")
-        bound = self.n_states if kind == "x" else self.n_inputs
-        if idx > bound:
-            raise ValueError(f"unknown vertex {name!r} (graph has {bound} {kind}-vertices)")
-        return kind, idx
+        if kind == "u" and idx > self.n_inputs:
+            raise ValueError(f"unknown vertex {name!r} (graph has {self.n_inputs} u-vertices)")
+        return (kind, idx) if kind == "u" else ("x", _state_ids(self.n_states, [name], "")[0])
 
 
 def build_graph(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None) -> SystemGraph:
@@ -178,12 +181,6 @@ def _input_reach(graph: SystemGraph) -> bytearray:
     return _reach_states(graph, (d for _, d in graph.input_edges))
 
 
-def _reach_from(graph: SystemGraph, sources: Iterable[tuple[str, int]]) -> bytearray:
-    """``_reach_states`` from resolved sources: a state seeds itself, an input its edges' heads."""
-    return _reach_states(graph, [v for kind, idx in sources
-                                 for v in ((idx,) if kind == "x" else graph.input_successors[idx])])
-
-
 def reachable_from(graph: SystemGraph, sources: Iterable[str]) -> frozenset[str]:
     """State vertices reachable from the given source vertices.
 
@@ -191,7 +188,9 @@ def reachable_from(graph: SystemGraph, sources: Iterable[str]) -> frozenset[str]
     source only contributes the states its edges lead to, and is never itself
     part of the result.
     """
-    reached = _reach_from(graph, {graph.resolve(name) for name in _vertex_names(sources)})
+    sources = {graph.resolve(name) for name in _vertex_names(sources)}  # an input seeds its edges' heads
+    reached = _reach_states(graph, [idx for kind, idx in sources if kind == "x"]
+                            + [d for s, d in graph.input_edges if ("u", s) in sources])
     return frozenset(state_name(v) for v in range(1, graph.n_states + 1) if reached[v])
 
 
@@ -396,11 +395,8 @@ def find_cycle(
     self-loop, else the shortest cycle through the smallest vertex on a cycle.
     """
     excluded = bytearray(b"\x00" if within is None else b"\x01") * (graph.n_states + 1)
-    for name in () if within is None else _vertex_names(within):
-        kind, idx = graph.resolve(name)
-        if kind != "x":
-            raise ValueError(f"cycle search is over states, got {name!r}")
-        excluded[idx] = 0
+    for v in () if within is None else _state_ids(graph.n_states, within, "cycle search is over states"):
+        excluded[v] = 0
     return _obstruction(graph, excluded)[0]
 
 

@@ -269,7 +269,7 @@ def test_simulate_refuses_a_final_norm_that_overflows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: steering overflowed within horizon 200 (controls or trajectory not finite)"
+        "error: the final state norm overflows float64 within horizon 200"
     ]
 
 
@@ -717,7 +717,7 @@ BAD_INPUTS = [
     (["verify", "example2.pat", "--drivers", "u1"], "driver vertices must be states, got 'u1'"),
     (["simulate", "example2.pat", "--drivers", "x4,u1"], "driver vertices must be states, got 'u1'"),
     (["export-dot", "example2.pat", "--drivers", "u1"], "driver vertices must be states, got 'u1'"),
-    (["verify", "example2.pat", "--drivers", "\u0664"], "driver vertices must be states, got '\u0664'"),
+    (["verify", "example2.pat", "--drivers", "\u0664"], "unknown vertex '\u0664' (pattern has 11 states)"),
     (["verify", "example2.pat", "--drivers="], "empty driver list"),
     (["simulate", "example2.pat", "--drivers="], "empty driver list"),
     (["export-dot", "example2.pat", "--drivers="], "empty driver list"),

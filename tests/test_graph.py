@@ -25,8 +25,10 @@ from zerocontrol import (
     scc_decompose,
     validate_driver_set,
 )
+from zerocontrol.cli import run_cli
+from zerocontrol.dotexport import export_dot
 from zerocontrol.graph import _reachable_split, sort_vertices
-from conftest import random_pattern, sparse_pattern
+from conftest import EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER, random_pattern, sparse_pattern
 from oracles import oracle_find_cycle
 
 
@@ -188,9 +190,9 @@ def test_names_with_a_trailing_newline_are_rejected(example1_a, example2_a):
         find_cycle(g, within=["x1\n"])
     with pytest.raises(KeyError):
         g.condensation.component_of("x3\n")
-    with pytest.raises(ValueError, match="must be states"):
+    with pytest.raises(ValueError, match="unknown vertex"):
         validate_driver_set(example2_a, ["x1\n"])
-    with pytest.raises(ValueError, match="must be states"):
+    with pytest.raises(ValueError, match="unknown vertex"):
         build_b_pattern(5, ["x1\n"], "shared")
 
 
@@ -198,6 +200,62 @@ def test_cycle_search_refuses_input_vertices(example1_a, example1_b):
     g = build_graph(example1_a, example1_b)
     with pytest.raises(ValueError, match="^cycle search is over states, got 'u1'$"):
         find_cycle(g, within=["x1", "u1"])
+
+
+# Every name an entry point takes goes through one resolver, on the 11-state example2 with the
+# inputs of drivers x4 and x8.  Each bad name gets the same refusal from every entry point; only
+# an input vertex is refused in the entry point's own words, or (reachable_from) accepted.
+_BAD_NAMES = [
+    (["u1"], ValueError, "{input}, got 'u1'"),
+    (["x0"], ValueError, "unknown vertex 'x0' (pattern has 11 states)"),
+    (["x99"], ValueError, "unknown vertex 'x99' (pattern has 11 states)"),
+    (["y1"], ValueError, "unknown vertex 'y1' (pattern has 11 states)"),
+    (["x1\n"], ValueError, "unknown vertex 'x1\\n' (pattern has 11 states)"),
+    ([4], ValueError, "unknown vertex 4 (pattern has 11 states)"),
+    ("x1", TypeError, "expected a collection of vertex names, got the string 'x1'"),
+]
+
+
+def _name_entry_points():
+    """(entry point, its words for an input vertex or None where an input is a valid name)."""
+    a, b = EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER
+    g = build_graph(a, b)
+    zc = is_generically_zero_controllable(a, b)
+    return [
+        (lambda names: validate_driver_set(a, names), "driver vertices must be states"),
+        (lambda names: build_b_pattern(11, names, "shared"), "driver vertices must be states"),
+        (lambda names: find_cycle(g, within=names), "cycle search is over states"),
+        (lambda names: reachable_from(g, names), None),
+        (lambda names: export_dot(g, g.condensation, dataclasses.replace(validate_driver_set(a, ["x4"]), drivers=names)),
+         "driver vertices must be states"),
+        (lambda names: export_dot(g, g.condensation, dataclasses.replace(zc, reachable_states=names)),
+         "reachable vertices must be states"),
+    ]
+
+
+@pytest.mark.parametrize("names, error, words", _BAD_NAMES, ids=[repr(names) for names, _, _ in _BAD_NAMES])
+def test_every_entry_point_refuses_a_name_in_the_same_words(names, error, words):
+    for call, input_words in _name_entry_points():
+        if names == ["u1"] and input_words is None:
+            call(names)  # an input is a source for reachability
+            continue
+        with pytest.raises(error) as refused:
+            call(names)
+        assert str(refused.value) == words.format(input=input_words)
+
+
+# the rows a --drivers list can spell (it strips each name and reads a bare index as a state),
+# then u1 after a good driver, and x0 and x99 spelled as bare indices
+_BAD_DRIVERS = [(names[0], words) for names, _, words in _BAD_NAMES[:4]] + [
+    ("x4,u1", _BAD_NAMES[0][2]), ("0", _BAD_NAMES[1][2]), ("99", _BAD_NAMES[2][2])]
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "export-dot"])
+@pytest.mark.parametrize("drivers, words", _BAD_DRIVERS, ids=[drivers for drivers, _ in _BAD_DRIVERS])
+def test_every_driver_option_refuses_a_name_in_the_same_words(command, drivers, words, fixture_dir, capsys):
+    assert run_cli([command, str(fixture_dir / "example2.pat"), "--drivers", drivers]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {words.format(input='driver vertices must be states')}\n")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -114,14 +115,20 @@ def test_structural_commands_name_no_edge_set(tmp_path, monkeypatch):
 
 def test_the_split_costs_the_reach_and_the_peel():
     """At n = 10^5 (seed 1, and the giant unreached component) the reachable
-    split takes no longer than the reach and the peel it is made of (best of
-    nine interleaved runs each, 25 % for timing noise)."""
+    split takes no longer than the reach and the peel it is made of: the
+    median over 25 rounds of the split's time over the parts' time in the same
+    round, which of the two runs first alternating by round, with 25 % for
+    timing noise.  A busy machine slows both runs of a round alike, and an
+    outlier round moves a median little: beside two CPU-bound loops on 2
+    cores the median read at most 1.12, while the best of each read 1.26."""
     for text in (scale_ladder.pattern_text(10**5, 1), scale_ladder.giant_scc_text(10**5, 1)):
         graph = build_graph(*parse_pattern_file(text))
-        best = {"split": float("inf"), "parts": float("inf")}
-        for _ in range(9):
-            for name, run in (("parts", lambda: _peel(graph, _input_reach(graph))), ("split", lambda: _reachable_split(graph))):
+        runs = [("parts", lambda: _peel(graph, _input_reach(graph))), ("split", lambda: _reachable_split(graph))]
+        times = {"split": [], "parts": []}
+        for k in range(25):
+            for name, run in runs[::1 if k % 2 else -1]:
                 start = time.process_time()
                 run()
-                best[name] = min(best[name], time.process_time() - start)
-        assert best["split"] <= 1.25 * best["parts"], best
+                times[name].append(time.process_time() - start)
+        ratio = statistics.median(split / parts for split, parts in zip(times["split"], times["parts"]))
+        assert ratio <= 1.25, times
