@@ -28,8 +28,8 @@ from .drivers import (
 )
 from .fileio import PatternFormatError, parse_pattern_file
 from .graph import _input_reach, _reach_states, _state_ids, build_graph, state_name
-from .numeric import DEFAULT_BASE_SEED, check_dense_size, deadbeat_steer, monte_carlo_verify, sample_realization
-from .patterns import PatternMatrix
+from .numeric import DEFAULT_BASE_SEED, DEFAULT_TOL, check_dense_size, deadbeat_steer, monte_carlo_verify, sample_realization
+from .patterns import PatternMatrix, _pair
 from .reports import (
     b_pattern_to_dict,
     driver_set_to_dict,
@@ -185,10 +185,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     pattern_a, pattern_b = _load_patterns(args.file)
-    pattern_b = _resolve_input_pattern(args, pattern_a, pattern_b)
-    n = pattern_a.n_rows
+    pattern_b = _pair(pattern_a, _resolve_input_pattern(args, pattern_a, pattern_b))
+    n, m = pattern_b.shape
     horizon = args.horizon if args.horizon is not None else max(n, 1)
-    check_dense_size(n, pattern_b.n_cols if pattern_b is not None else 0, horizon)
+    check_dense_size(n, m, horizon)
     realization = sample_realization(pattern_a, pattern_b, args.seed)
     if args.x0 == "random":
         rng = np.random.default_rng(args.seed + 1)
@@ -228,7 +228,7 @@ def _cmd_export_dot(args) -> int:
               file=sys.stderr)
         pattern_b = None
     graph = build_graph(pattern_a, pattern_b)
-    reached = None if pattern_b is None else _input_reach(graph)
+    reached = _input_reach(graph) if graph.n_inputs else None
     if args.drivers is not None:
         reached = _reach_states(graph, drivers)
     print(_dot(graph, graph.condensation, reached, drivers), end="")
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="pattern file")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED)
-    p.add_argument("--tol", type=float, default=1e-8, help="eigenvalue nonzero threshold scale, in (0, 1)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="eigenvalue nonzero threshold scale, in (0, 1)")
     p.add_argument(
         "--drivers", help="comma-separated driver states (e.g. x4,x8) to synthesize inputs"
     )

@@ -84,10 +84,8 @@ def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> Dri
     """Check a driver set: form the subgraph of states unreachable from the
     drivers and require it to be acyclic, the same obstruction test as
     generic zero controllability with the drivers as the reached seeds."""
-    if not pattern_a.is_square:
-        raise ValueError("driver validation needs a square state pattern")
-    indices = _state_ids(pattern_a.n_rows, drivers, "driver vertices must be states")
-    return _driver_set(build_graph(pattern_a), indices, minimal=False)
+    graph = build_graph(pattern_a)
+    return _driver_set(graph, _state_ids(graph.n_states, drivers, "driver vertices must be states"), minimal=False)
 
 
 # --- coverage classes ------------------------------------------------------

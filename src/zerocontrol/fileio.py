@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .patterns import DuplicateEntryWarning, PatternMatrix
+from .patterns import DuplicateEntryWarning, PatternMatrix, _pair
 
 _SIZE_NAMES = {"n": "size 'n'", "m": "input count 'm'"}
 _COMMENT = re.compile("#[^\n]*")
@@ -169,20 +169,19 @@ def serialize_pattern_file(
     *,
     header_comment: str | None = None,
 ) -> str:
-    """Render patterns back to the file format; parsing the result recovers
-    the same patterns (entry order is normalized)."""
-    if not pattern_a.is_square:
-        raise ValueError("state pattern must be square")
+    """Render patterns back to the file format; parsing the result recovers the same patterns (entry order is
+    normalized).  ``_pair`` refuses a non-square state pattern and an input pattern without one row per state,
+    which no file can declare; a missing input pattern means n-by-0, written with no 'm' line."""
+    pattern_b = _pair(pattern_a, pattern_b)
     lines = []
     if header_comment:
         for chunk in header_comment.splitlines():
             lines.append(f"# {chunk}".rstrip())
     lines.append(f"n {pattern_a.n_rows}")
-    if pattern_b is not None and pattern_b.n_cols > 0:
+    if pattern_b.n_cols:
         lines.append(f"m {pattern_b.n_cols}")
     for i, j in pattern_a.sorted_entries():
         lines.append(f"a {i} {j}")
-    if pattern_b is not None:
-        for i, j in pattern_b.sorted_entries():
-            lines.append(f"b {i} {j}")
+    for i, j in pattern_b.sorted_entries():
+        lines.append(f"b {i} {j}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .patterns import PatternMatrix, _sorted_repr
+from .patterns import PatternMatrix, _pair, _sorted_repr
 
 _VERTEX_RE = re.compile(r"([xu])([1-9][0-9]*)")
 
@@ -133,19 +133,10 @@ class SystemGraph:
 
 
 def build_graph(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None = None) -> SystemGraph:
-    """Assemble the system digraph from a square state pattern and an optional
-    input pattern with matching row count."""
-    if not pattern_a.is_square:
-        raise ValueError(
-            f"state pattern must be square, got {pattern_a.n_rows}x{pattern_a.n_cols}"
-        )
-    if pattern_b is not None and pattern_b.n_rows != pattern_a.n_rows:
-        raise ValueError(
-            f"input pattern has {pattern_b.n_rows} rows, expected {pattern_a.n_rows} "
-            f"to match the {pattern_a.n_rows}x{pattern_a.n_cols} state pattern"
-        )
+    """Assemble the system digraph of the pair.  ``_pair`` refuses a non-square state pattern and an
+    input pattern without one row per state; a missing input pattern means n-by-0, no input vertices."""
+    pattern_b = _pair(pattern_a, pattern_b)
     rows, cols = pattern_a._coords  # by column, then row: by source, then destination
-    pattern_b = pattern_b or PatternMatrix.zeros(pattern_a.n_rows, 0)
     states, inputs = pattern_b._coords  # an input entry (i, j) is the edge u_j -> x_i
     return _graph_of(pattern_a.n_rows, pattern_b.n_cols, cols, rows, frozenset(zip(inputs.tolist(), states.tolist())))
 
@@ -246,10 +237,7 @@ class SccDecomposition:
         )
 
     def component_of(self, name: str) -> int:
-        kind, idx = _parse_vertex(name)
-        if kind != "x" or idx >= len(self._comp_of):
-            raise KeyError(name)
-        return self._comp_of[idx]
+        return self._comp_of[_state_ids(len(self._comp_of) - 1, [name], "components hold states")[0]]
 
     def precedes(self, a: frozenset[str] | int, b: frozenset[str] | int) -> bool:
         """True when component a can reach component b (strictly: a != b)."""
@@ -507,16 +495,15 @@ def entry_paths(
     k-th power of the state matrix; walks may revisit vertices.  Raises
     WalkCountError when more than ``max_monomials`` walks exist.
     """
-    if not pattern_a.is_square:
-        raise ValueError("entry_paths needs a square state pattern")
-    n = pattern_a.n_rows
+    graph = build_graph(pattern_a)
+    n = graph.n_states
     if k < 1:
         raise ValueError(f"walk length must be >= 1, got {k}")
     for name, idx in (("i", i), ("j", j)):
         if not 1 <= idx <= n:
             raise ValueError(f"index {name}={idx} out of range 1..{n}")
 
-    src, dst, indptr, indices = build_graph(pattern_a)._csr
+    src, dst, indptr, indices = graph._csr
     by_dst = np.argsort(dst, kind="stable")
     _, _, first, preds = _csr_of(n, dst[by_dst], src[by_dst])  # the reversed edges
     # ways[s] maps each state with a walk of s edges to x_i to how many there

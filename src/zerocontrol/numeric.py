@@ -48,11 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _reachable_split, build_graph
-from .patterns import PatternMatrix
+from .patterns import PatternMatrix, _pair
 from .structural import generic_rank
 
 #: Default base seed for every seeded entry point, so quick-start runs agree.
 DEFAULT_BASE_SEED = 20240001
+
+#: Default eigenvalue nonzero threshold scale of every numeric test, ``verify --tol`` included.
+DEFAULT_TOL = 1e-8
 
 #: Relative singular-value cutoff for numeric rank decisions.
 RANK_REL_TOL = 1e-10
@@ -116,29 +119,31 @@ def sample_realization(
     seed: int = DEFAULT_BASE_SEED,
     value_spec: ValueSpec = ValueSpec(),
 ) -> Realization:
-    """Deterministic realization for the given seed.  Entries are filled in
-    sorted position order, so the draw sequence is part of the contract."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    (a,), b = _sample(pattern_a, pattern_b, [seed], value_spec)
+    """Deterministic realization for the given seed.  Entries are filled in sorted position order, so the draw
+    sequence is part of the contract.  ``_pair`` refuses a non-square state pattern and an input pattern without
+    one row per state; a missing input pattern means n-by-0, no inputs."""
+    (a,), b = _sample(pattern_a, pattern_b, _seeds(seed, 1), value_spec)
     return Realization(a[0], b[0], seed, value_spec)
+
+
+def _seeds(base_seed: int, count: int) -> range:
+    """The seeds of ``count`` realizations from ``base_seed`` on, refused before any work when negative."""
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
+    return range(base_seed, base_seed + count)
 
 
 def _sample(pattern_a, pattern_b, seeds, value_spec, at=None, windows=None) -> tuple[list, np.ndarray]:
     """The realizations of the given seeds, stacked as (T, n, n) and (T, n, m); or, the same draws with state v
     at position at[v], only A's diagonal blocks over the position ``windows`` and B's rows in the first one."""
-    if not pattern_a.is_square:
-        raise ValueError("state pattern must be square")
+    pattern_b = _pair(pattern_a, pattern_b)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    n = pattern_a.n_rows
-    if pattern_b is not None and pattern_b.n_rows != n:
-        raise ValueError(f"input pattern has {pattern_b.n_rows} rows, expected {n} to match the {n}x{n} state pattern")
-    m = pattern_b.n_cols if pattern_b is not None else 0
+    n, m = pattern_b.shape
     at, windows = (np.arange(-1, n), [(0, n)]) if at is None else (at, windows)
     blocks = [np.zeros((len(rngs), hi - lo, hi - lo)) for lo, hi in windows]
     b = np.zeros((len(rngs), windows[0][1], m))
     for inputs, pattern in enumerate((pattern_a, pattern_b)):
-        if pattern is None or not len(pattern._coords[0]):
+        if not len(pattern._coords[0]):
             continue
         rows, cols = pattern._coords
         ordered = np.lexsort((cols, rows))  # the sorted entry order: by row, then by column
@@ -320,13 +325,13 @@ def _split_decide(a11, b1, s, n: int, tol: float, zc: bool, ctrl: bool) -> list[
     return [(image, hautus)] * zc + [(no, no)] * ctrl
 
 
-def is_controllable_numeric(realization: Realization, tol: float = 1e-8) -> NumericCheck:
+def is_controllable_numeric(realization: Realization, tol: float = DEFAULT_TOL) -> NumericCheck:
     """Controllability of a concrete pair: full-rank controllability matrix,
     cross-checked by the Hautus rank test at every eigenvalue."""
     return _single(realization, tol, zc=False)
 
 
-def is_zero_controllable_numeric(realization: Realization, tol: float = 1e-8) -> NumericCheck:
+def is_zero_controllable_numeric(realization: Realization, tol: float = DEFAULT_TOL) -> NumericCheck:
     """Zero controllability of a concrete pair: the image of A^n must lie in
     the image of the controllability matrix, cross-checked by the Hautus test
     at every eigenvalue of modulus above tol * (1 + spectral radius)."""
@@ -344,7 +349,7 @@ def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
     return _check(bool(image[0]), bool(hautus[0]))
 
 
-def count_nonzero_eigenvalues(realization: Realization, tol: float = 1e-8) -> int:
+def count_nonzero_eigenvalues(realization: Realization, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues with modulus above tol * (1 + spectral radius).  Generically that is nu(A), but
     not in float as n grows, where rounding smears nilpotent chains: on four draws of 15 patterns with 2n entries
     and 4 seeds each, it matched nu(A) on 58-60 of 60 at n = 12, 22-55 at n = 40 and 4-9 at n = 100."""
@@ -446,34 +451,31 @@ def monte_carlo_verify(
     pattern_b: PatternMatrix | None = None,
     trials: int = 100,
     base_seed: int = DEFAULT_BASE_SEED,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     check_controllability: bool = False,
 ) -> MonteCarloStats:
     """Sample `trials` realizations and compare the numeric zero-controllability
     verdict (optionally also plain controllability) with the structural one."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if base_seed < 0:
-        raise ValueError(f"seed must be >= 0, got {base_seed}")
-    n = pattern_a.n_rows
-    m = pattern_b.n_cols if pattern_b is not None else 0
+    seeds, pattern_b = _seeds(base_seed, trials), _pair(pattern_a, pattern_b)
+    n, m = pattern_b.shape
     _, at, n1, k = _reachable_split(build_graph(pattern_a, pattern_b))  # which checks the block facts
     dense = n1 * n * (m + 1) + k * k  # [C, A^n] on the reached rows, and S
     check_dense_size(n, m, n, dense)
-    drawn = sum(2 * len(p._coords[0]) for p in (pattern_a, pattern_b) if p is not None)  # the sampler's, per trial
+    drawn = 2 * len(pattern_a._coords[0]) + 2 * len(pattern_b._coords[0])  # the sampler's, per trial
     zc_structural = not k  # the survivors lie on or after an unreached cycle
     # a pair whose inputs reach every state is controllable exactly when [A B] has term rank n
-    ctrl_structural = (n1 == n and generic_rank(pattern_a.hstack(pattern_b) if m else pattern_a) == n) if check_controllability else None
+    ctrl_structural = (n1 == n and generic_rank(pattern_a.hstack(pattern_b)) == n) if check_controllability else None
     zc_agree = ctrl_agree = inconsistent = 0
     disagreeing = []
     chunk = max(1, _STACK_ENTRIES // max(1, dense, drawn))
-    for start in range(base_seed, base_seed + trials, chunk):
-        seeds = range(start, min(start + chunk, base_seed + trials))
-        (a11, s), b1 = _sample(pattern_a, pattern_b, seeds, ValueSpec(), at, [(0, n1), (n - k, n)])
+    for batch in (seeds[start:start + chunk] for start in range(0, trials, chunk)):
+        (a11, s), b1 = _sample(pattern_a, pattern_b, batch, ValueSpec(), at, [(0, n1), (n - k, n)])
         (image, hautus), *ctrl = _split_decide(a11, b1, s, n, tol, True, check_controllability)
         zc = image & hautus
         zc_agree += int(np.sum(zc == zc_structural))
-        disagreeing += [seed for seed, verdict in zip(seeds, zc) if verdict != zc_structural]
+        disagreeing += [seed for seed, verdict in zip(batch, zc) if verdict != zc_structural]
         flagged = image != hautus  # a trial counts once, whichever check is inconsistent
         for ctrl_image, ctrl_hautus in ctrl:
             ctrl_agree += int(np.sum((ctrl_image & ctrl_hautus) == ctrl_structural))

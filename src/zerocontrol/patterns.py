@@ -173,6 +173,19 @@ class PatternMatrix:
         return self.submatrix(list(row_order), list(col_order))
 
 
+def _pair(pattern_a: PatternMatrix, pattern_b: PatternMatrix | None) -> PatternMatrix:
+    """The input pattern of the structured pair (A, B), the one rule for a pair: A must be square and B, when
+    given, must have one row per state.  A missing B is the n-by-0 pattern, a system with no inputs."""
+    n = pattern_a.n_rows
+    if not pattern_a.is_square:
+        raise ValueError(f"state pattern must be square, got {n}x{pattern_a.n_cols}")
+    if pattern_b is None:
+        return PatternMatrix.zeros(n, 0)
+    if pattern_b.n_rows != n:
+        raise ValueError(f"input pattern has {pattern_b.n_rows} rows, expected {n} to match the {n}x{n} state pattern")
+    return pattern_b
+
+
 # Set once @dataclass has read the field, a view: as a non-data descriptor it yields to the value a
 # public constructor stores in the instance __dict__, so only a _trusted pattern names it, on first read.
 PatternMatrix.nonzeros = cached_property(lambda self: frozenset(zip(*[a.tolist() for a in self._coords])))

@@ -8,14 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _input_reach, _obstruction, _reachable_split, build_graph, has_cycle, state_name
-from .patterns import PatternMatrix
+from .patterns import PatternMatrix, _pair
 
 
 def is_structurally_nilpotent(pattern_a: PatternMatrix) -> bool:
     """True when every realization of the square pattern is nilpotent, which
     happens exactly when its state graph is acyclic."""
-    if not pattern_a.is_square:
-        raise ValueError("nilpotency is only defined for square patterns")
     return not has_cycle(build_graph(pattern_a))
 
 
@@ -29,11 +27,10 @@ def compute_nu(pattern_a: PatternMatrix) -> int:
     slot, and any perfect matching then decomposes into real-entry cycles
     plus idle diagonal positions, so nu is 2n minus the optimum weight.
     """
+    _pair(pattern_a, None)
     from scipy.sparse import csr_array  # slow imports, needed only here
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    if not pattern_a.is_square:
-        raise ValueError("nu is only defined for square patterns")
     n = pattern_a.n_rows
     rows, cols = pattern_a._coords
     stays = np.setdiff1d(np.arange(1, n + 1), rows[rows == cols])
@@ -85,8 +82,10 @@ def generic_rank(pattern: PatternMatrix) -> int:
 
 
 def is_irreducible(pattern_a: PatternMatrix, pattern_b: PatternMatrix) -> bool:
-    """True when no permutation can expose an input-unreachable block, i.e.
-    every state vertex is reachable from some input vertex."""
+    """True when no permutation can expose an input-unreachable block, i.e. every state vertex is reachable from
+    some input vertex.  ``_pair`` refuses a non-square state pattern and an input pattern without one row per
+    state; a missing input pattern means n-by-0, and a pair with no input column is refused."""
+    pattern_b = _pair(pattern_a, pattern_b)
     if pattern_b.n_cols < 1:
         raise ValueError("irreducibility needs at least one input column")
     return all(_input_reach(build_graph(pattern_a, pattern_b))[1:])
@@ -113,11 +112,11 @@ def is_generically_controllable(
 ) -> ControllabilityReport:
     """Generic controllability of the pair: irreducible and the stacked
     pattern [A B] has full term rank."""
+    pattern_b = _pair(pattern_a, pattern_b)
     reached = _input_reach(build_graph(pattern_a, pattern_b))
     n = pattern_a.n_rows
     unreachable = frozenset(state_name(v) for v in range(1, n + 1) if not reached[v])
-    stacked = pattern_a.hstack(pattern_b) if pattern_b is not None else pattern_a
-    grank = generic_rank(stacked)
+    grank = generic_rank(pattern_a.hstack(pattern_b))
     if unreachable:
         return ControllabilityReport(False, "irreducibility", unreachable, grank, n)
     if grank < n:
@@ -200,11 +199,11 @@ def reducible_decomposition(
 ) -> Decomposition:
     """Reorder the states so the input-reachable ones come first, each group ascending, and cut the
     patterns into the corresponding blocks: the graph's reachable split, read off its coordinates."""
-    order, _, n1, _ = _reachable_split(build_graph(pattern_a, pattern_b))  # which checks A21 = 0 and B2 = 0
+    b = _pair(pattern_a, pattern_b)
+    order, _, n1, _ = _reachable_split(build_graph(pattern_a, b))  # which checks A21 = 0 and B2 = 0
     perm = np.concatenate((order[:n1], np.sort(order[n1:])))
     n2 = len(perm) - n1
     at = np.concatenate(([0], np.argsort(perm) + 1))  # state v moves to at[v]
-    b = pattern_b if pattern_b is not None else PatternMatrix.zeros(pattern_a.n_rows, 0)
     rows, cols = at[pattern_a._coords[0]], at[pattern_a._coords[1]]
 
     def block(keep, shape, row_shift, col_shift, rows=rows, cols=cols):

@@ -210,6 +210,14 @@ def test_serialize_header_comment_survives_parsing(example1_a):
     assert a == example1_a
 
 
+def test_serialize_refuses_a_pair_no_file_can_hold():
+    # an input row past n would be written, then refused by the parser: 'b 3 1' exceeds n=2
+    with pytest.raises(ValueError, match="^input pattern has 3 rows, expected 2 to match the 2x2 state pattern$"):
+        serialize_pattern_file(PatternMatrix(2, 2, {(1, 2)}), PatternMatrix(3, 1, {(3, 1)}))
+    text = serialize_pattern_file(PatternMatrix(2, 2, {(1, 2)}), PatternMatrix.zeros(2, 0))
+    assert text == "n 2\na 1 2\n" and parse_pattern_file(text) == (PatternMatrix(2, 2, {(1, 2)}), None)
+
+
 # --- report documents round-trip ------------------------------------------------
 
 def test_zc_report_document_round_trip(example1_a, example1_b):

@@ -188,7 +188,7 @@ def test_names_with_a_trailing_newline_are_rejected(example1_a, example2_a):
         reachable_from(g, ["x1\n"])
     with pytest.raises(ValueError, match="unknown vertex"):
         find_cycle(g, within=["x1\n"])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown vertex"):
         g.condensation.component_of("x3\n")
     with pytest.raises(ValueError, match="unknown vertex"):
         validate_driver_set(example2_a, ["x1\n"])
@@ -242,6 +242,18 @@ def test_every_entry_point_refuses_a_name_in_the_same_words(names, error, words)
         with pytest.raises(error) as refused:
             call(names)
         assert str(refused.value) == words.format(input=input_words)
+
+
+_BAD_NAME_ROWS = [(names[0], words) for names, error, words in _BAD_NAMES if error is ValueError]
+
+
+@pytest.mark.parametrize("name, words", _BAD_NAME_ROWS, ids=[repr(name) for name, _ in _BAD_NAME_ROWS])
+def test_component_of_refuses_a_name_in_the_resolver_words(name, words):
+    g = build_graph(EXAMPLE2_A)
+    assert g.condensation.component_of("x4") == g.condensation._comp_of[4]
+    with pytest.raises(ValueError) as refused:
+        g.condensation.component_of(name)
+    assert str(refused.value) == words.format(input="components hold states")
 
 
 # the rows a --drivers list can spell (it strips each name and reads a bare index as a state),

@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zerocontrol
 from zerocontrol import (
     ControllabilityReport,
     DriverSet,
@@ -12,12 +15,16 @@ from zerocontrol import (
     build_graph,
     compute_nu,
     entry_paths,
+    enumerate_minimal_driver_sets,
     generic_rank,
+    greedy_driver_set,
     has_cycle,
     is_generically_controllable,
     is_generically_zero_controllable,
     is_irreducible,
     is_structurally_nilpotent,
+    minimal_driver_set,
+    monte_carlo_verify,
     numeric_rank,
     reducible_decomposition,
     sample_realization,
@@ -49,20 +56,47 @@ def test_nu_requires_square():
         compute_nu(PatternMatrix(2, 3))
 
 
+# Every public entry point that takes a state pattern, called on (A, B); one that takes no input
+# pattern ignores B.  Each refuses a bad pair in _pair's words.
 NON_SQUARE = {
-    "is_structurally_nilpotent": (is_structurally_nilpotent, "nilpotency is only defined for square patterns"),
-    "entry_paths": (lambda p: entry_paths(p, 1, 1, 1), "entry_paths needs a square state pattern"),
-    "validate_driver_set": (lambda p: validate_driver_set(p, {"x1"}),
-                            "driver validation needs a square state pattern"),
-    "sample_realization": (sample_realization, "state pattern must be square"),
-    "serialize_pattern_file": (serialize_pattern_file, "state pattern must be square"),
+    "build_graph": build_graph,
+    "compute_nu": lambda a, b: compute_nu(a),
+    "entry_paths": lambda a, b: entry_paths(a, 1, 1, 1),
+    "enumerate_minimal_driver_sets": lambda a, b: enumerate_minimal_driver_sets(a),
+    "greedy_driver_set": lambda a, b: greedy_driver_set(a),
+    "is_generically_controllable": is_generically_controllable,
+    "is_generically_zero_controllable": is_generically_zero_controllable,
+    "is_irreducible": is_irreducible,
+    "is_structurally_nilpotent": lambda a, b: is_structurally_nilpotent(a),
+    "minimal_driver_set": lambda a, b: minimal_driver_set(a),
+    "monte_carlo_verify": monte_carlo_verify,
+    "reducible_decomposition": reducible_decomposition,
+    "sample_realization": sample_realization,
+    "serialize_pattern_file": serialize_pattern_file,
+    "validate_driver_set": lambda a, b: validate_driver_set(a, {"x1"}),
 }
 
 
-@pytest.mark.parametrize("call, message", NON_SQUARE.values(), ids=NON_SQUARE)
-def test_non_square_state_patterns_are_refused(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        call(PatternMatrix(2, 3, frozenset({(1, 1), (2, 3)})))
+def _public_functions_with(parameter):
+    return {name for name in zerocontrol.__all__ if inspect.isfunction(getattr(zerocontrol, name))
+            and parameter in inspect.signature(getattr(zerocontrol, name)).parameters}
+
+
+def test_the_pair_table_holds_every_entry_point_that_takes_a_state_pattern():
+    assert set(NON_SQUARE) == _public_functions_with("pattern_a")
+    assert _public_functions_with("pattern_b") < set(NON_SQUARE)
+
+
+@pytest.mark.parametrize("call", NON_SQUARE.values(), ids=NON_SQUARE)
+def test_non_square_state_patterns_are_refused(call):
+    with pytest.raises(ValueError, match="^state pattern must be square, got 2x3$"):
+        call(PatternMatrix(2, 3, frozenset({(1, 1), (2, 3)})), None)
+
+
+@pytest.mark.parametrize("name", sorted(_public_functions_with("pattern_b")))
+def test_input_patterns_without_one_row_per_state_are_refused(name):
+    with pytest.raises(ValueError, match="^input pattern has 3 rows, expected 2 to match the 2x2 state pattern$"):
+        NON_SQUARE[name](PatternMatrix(2, 2, frozenset({(1, 2)})), PatternMatrix(3, 1, frozenset({(3, 1)})))
 
 
 VERDICTS = {
@@ -264,6 +298,11 @@ def test_irreducible_golden(example1_a, example1_b):
 def test_irreducible_needs_inputs(example1_a):
     with pytest.raises(ValueError, match="at least one input column"):
         is_irreducible(example1_a, PatternMatrix.zeros(5, 0))
+    # a missing input pattern is n-by-0, as everywhere else; the pair's shape is checked first
+    with pytest.raises(ValueError, match="^irreducibility needs at least one input column$"):
+        is_irreducible(example1_a, None)
+    with pytest.raises(ValueError, match="^state pattern must be square, got 2x3$"):
+        is_irreducible(PatternMatrix(2, 3), PatternMatrix.zeros(2, 0))
 
 
 def test_generically_controllable_example1(example1_a, example1_b):
