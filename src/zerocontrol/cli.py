@@ -279,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--exact-cap",
         type=int,
         default=DEFAULT_EXACT_CAP,
-        help="max candidate components for the exact search",
+        help="max coverage classes in one independent block of targets for the exact search",
     )
     _add_format(p)
 

@@ -16,11 +16,9 @@ from typing import Iterable, Iterator, Literal, Sequence
 from .graph import SystemGraph, _bits, _obstruction, _reach_states, _state_ids, build_graph, sort_vertices, state_name
 from .patterns import PatternMatrix
 
-#: Above this many candidate components the exact search hands over to the
-#: greedy heuristic.
+#: Above this many coverage classes in one independent block of targets, the
+#: exact search hands over to the greedy heuristic.
 DEFAULT_EXACT_CAP = 25
-
-_EVERY_CANDIDATE = -1  # candidate sets are int bitmasks; this one admits all of them
 
 
 class ExactSearchSkipped(UserWarning):
@@ -90,11 +88,14 @@ def validate_driver_set(pattern_a: PatternMatrix, drivers: Iterable[str]) -> Dri
 
 # --- coverage classes ------------------------------------------------------
 #
-# A state covers the nontrivial ("target") components it reaches, and a valid
-# driver set is a cover of all targets.  States with equal coverage, such as
-# the states of one component, are interchangeable drivers, so the search runs
-# over coverage classes and a minimum cover holds at most one state of each.
-# Classes are expanded into concrete states only at the output.
+# A driver set is valid when it reaches every nontrivial component, so exactly
+# when it reaches the root ones, below no other.  These are the targets, and a
+# valid driver set is a cover of them.  States with equal coverage, such as the
+# states of one component, are interchangeable drivers, so the search runs over
+# coverage classes and a minimum cover holds at most one state of each.  A
+# class that is the only coverer of a target is forced; the targets left split
+# into independent blocks, each searched alone.  Classes are expanded into
+# concrete states only at the output.
 
 
 @dataclass(frozen=True)
@@ -103,13 +104,12 @@ class _CoverProblem:
     coverage: tuple[int, ...]    # class -> bitmask over targets; classes ascend by smallest state
     members: tuple[tuple[int, ...], ...]  # class -> its states, ascending
     full_mask: int
-    components: int              # candidate components, the unit of the exact-search cap
 
     @cached_property
     def coverers(self) -> tuple[int, ...]:
         """Target -> bitmask over the classes covering it.  Its size is the
-        sum of all coverages, quadratic on a long chain of self-loops, so it
-        is built only when an exact search first asks for it."""
+        sum of all coverages, quadratic where they nest, so it is built only
+        when an exact search first asks for it."""
         out = [0] * self.full_mask.bit_length()
         for c, mask in enumerate(self.coverage):
             for t in _bits(mask):
@@ -120,7 +120,12 @@ class _CoverProblem:
 def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
     graph = build_graph(pattern_a)
     scc = graph.condensation
-    targets = [k for k, nt in enumerate(scc.nontrivial) if nt]
+    below = [False] * len(scc.nontrivial)  # below some nontrivial component
+    for a in reversed(scc._sinks_first):
+        if scc.nontrivial[a] or below[a]:
+            for b in scc._successors[a]:
+                below[b] = True
+    targets = [k for k, nt in enumerate(scc.nontrivial) if nt and not below[k]]
     mask_of = [0] * len(scc.nontrivial)
     for t, k in enumerate(targets):
         mask_of[k] = 1 << t
@@ -136,8 +141,41 @@ def _cover_problem(pattern_a: PatternMatrix) -> _CoverProblem:
         coverage=tuple(classes),
         members=tuple(map(tuple, classes.values())),
         full_mask=(1 << len(targets)) - 1,
-        components=sum(map(bool, mask_of)),
     )
+
+
+def _kernel(problem: _CoverProblem) -> tuple[list[int], list[tuple[int, int]]]:
+    """The forced classes, each the only coverer of some target, and the
+    blocks: the connected parts of the incidence between the targets left and
+    the classes that gain some, as (classes, targets) bitmasks.  A union-find
+    over targets holds each part at its root: a class costs one find per part."""
+    once = twice = 0
+    for mask in problem.coverage:
+        once, twice = once | mask, twice | once & mask
+    forced = [c for c, mask in enumerate(problem.coverage) if mask & ~twice]
+    uncovered = problem.full_mask
+    for c in forced:
+        uncovered &= ~problem.coverage[c]
+    up = list(range(uncovered.bit_length()))
+    parts: dict[int, tuple[int, int]] = {}  # root target -> its part
+
+    def root(t: int) -> int:
+        while up[t] != t:
+            up[t] = t = up[up[t]]
+        return t
+
+    for c, mask in enumerate(problem.coverage):
+        classes, targets, rest = 1 << c, 0, mask & uncovered
+        while rest:  # join the parts of the targets the class gains, under the first one's root
+            t = root((rest & -rest).bit_length() - 1)
+            top = top if targets else t
+            joined, more = parts.pop(t, (0, 1 << t))
+            up[t] = top
+            classes, targets = classes | joined, targets | more
+            rest &= ~targets
+        if targets:
+            parts[top] = (classes, targets)
+    return forced, list(parts.values())
 
 
 def _node(problem: _CoverProblem, allowed: int, uncovered: int, budget: int) -> list[int] | None:
@@ -170,7 +208,7 @@ def _min_covers(
     if uncovered == 0:
         yield ()
         return
-    by_target = _node(problem, allowed, uncovered, budget)
+    by_target = _node(problem, allowed, uncovered, budget) if budget else None
     if by_target is None:
         return
     # branch on the scarcest target (the lowest on ties), widest coverers
@@ -198,21 +236,20 @@ def _feasible(problem: _CoverProblem, allowed: int, uncovered: int, budget: int)
     return next(_min_covers(problem, allowed, uncovered, budget), None) is not None
 
 
-def _lex_smallest_cover(problem: _CoverProblem, size: int) -> list[int]:
-    """The minimum cover whose sorted representative tuple is lexicographically
-    smallest.  Fixes members in ascending representative order, keeping each
-    prefix feasible; remaining picks are restricted to larger representatives."""
+def _lex_smallest_cover(problem: _CoverProblem, allowed: int, uncovered: int, size: int) -> list[int]:
+    """The minimum cover of `uncovered` by `allowed` candidates whose sorted
+    representative tuple is lexicographically smallest.  Fixes members in
+    ascending representative order, keeping each prefix feasible and skipping
+    a candidate that gains nothing; remaining picks come after the last one."""
     chosen: list[int] = []
-    uncovered = problem.full_mask
-    start = 0
     while uncovered:
         budget = size - len(chosen) - 1
-        for c in range(start, len(problem.coverage)):
-            rest = _EVERY_CANDIDATE << (c + 1)  # the candidates after c
-            if _feasible(problem, rest, uncovered & ~problem.coverage[c], budget):
+        for c in _bits(allowed):
+            allowed ^= 1 << c  # later picks come after c
+            gain = problem.coverage[c] & uncovered
+            if gain and _feasible(problem, allowed, uncovered & ~gain, budget):
                 chosen.append(c)
-                uncovered &= ~problem.coverage[c]
-                start = c + 1
+                uncovered &= ~gain
                 break
         else:  # pragma: no cover - guarded by caller computing `size` exactly
             raise AssertionError("no cover at the announced optimum size")
@@ -261,24 +298,26 @@ def greedy_driver_set(pattern_a: PatternMatrix) -> DriverSet:
 
 def _exact_search(
     pattern_a: PatternMatrix, exact_cap: int, fallback: str
-) -> tuple[_CoverProblem, int | DriverSet]:
-    """The cover problem with its optimum cover size, or with the greedy set
-    (and a warning ending in ``fallback``) above the exact-search cap."""
+) -> tuple[_CoverProblem, list[int], list[tuple[int, int, int]]] | DriverSet:
+    """The cover problem, its forced classes and its blocks, each as (classes,
+    targets, optimum size); or the greedy set, with a warning ending in
+    ``fallback``, when a block has more classes than the exact-search cap."""
     if exact_cap < 0:
         raise ValueError(f"exact_cap must be >= 0, got {exact_cap}")
     problem = _cover_problem(pattern_a)
-    if problem.components > exact_cap:
+    forced, blocks = _kernel(problem)
+    largest = max((classes.bit_count() for classes, _ in blocks), default=0)
+    if largest > exact_cap:
         warnings.warn(
-            f"{problem.components} candidate components exceed the exact-search cap "
+            f"{largest} coverage classes in one independent block exceed the exact-search cap "
             f"of {exact_cap}; {fallback}",
             ExactSearchSkipped,
         )
-        return problem, _driver_set(problem.graph, _greedy_cover(problem), minimal=False)
-    # iterative deepening: the first budget that admits a cover is the optimum
-    size = 0
-    while not _feasible(problem, _EVERY_CANDIDATE, problem.full_mask, size):
-        size += 1
-    return problem, size
+        return _driver_set(problem.graph, _greedy_cover(problem), minimal=False)
+    # iterative deepening: the first budget that admits a cover is a block's optimum
+    return problem, forced, [
+        (*block, next(size for size in itertools.count() if _feasible(problem, *block, size))) for block in blocks
+    ]
 
 
 def minimal_driver_set(
@@ -288,16 +327,16 @@ def minimal_driver_set(
 
     Exact branch-and-bound over coverage classes; among all optima the
     lexicographically smallest vertex set (by ascending state index) is
-    returned, with the minimal flag set.  Instances with more than
-    ``exact_cap`` candidate components fall back to the greedy heuristic with
-    a warning and the minimal flag unset.
+    returned, with the minimal flag set.  Blocks share no class, so that set
+    joins the forced classes and each block's lex-smallest cover.  Instances
+    with a block of more than ``exact_cap`` coverage classes fall back to the
+    greedy heuristic with a warning and the minimal flag unset.
     """
-    problem, size = _exact_search(
-        pattern_a, exact_cap, "returning a greedy (possibly non-minimal) driver set"
-    )
-    if isinstance(size, DriverSet):
-        return size
-    chosen = _lex_smallest_cover(problem, size)
+    search = _exact_search(pattern_a, exact_cap, "returning a greedy (possibly non-minimal) driver set")
+    if isinstance(search, DriverSet):
+        return search
+    problem, forced, blocks = search
+    chosen = forced + [c for block in blocks for c in _lex_smallest_cover(problem, *block)]
     return _driver_set(problem.graph, [problem.members[c][0] for c in chosen], minimal=True)
 
 
@@ -307,24 +346,25 @@ def enumerate_minimal_driver_sets(
     """All minimum-cardinality valid driver sets, lexicographically sorted,
     truncated to ``limit``.
 
-    States that reach the same cycles are interchangeable as drivers, so
-    each minimum cover of coverage classes expands into one state from each
-    of its classes.  The expansions are produced lazily in lex order and
-    merged, so the cost follows ``limit`` and the number of class covers,
-    not the number of sets.
+    The minimum class covers are the forced classes with one minimum cover
+    of each block, and each expands into one state from each of its classes
+    (states that reach the same cycles are interchangeable drivers).  The
+    expansions are produced lazily in lex order and merged, so the cost
+    follows ``limit`` and the number of class covers, not the number of sets.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    problem, size = _exact_search(
+    search = _exact_search(
         pattern_a, exact_cap,
         "enumeration would not be exhaustive, returning the greedy driver set only",
     )
-    if isinstance(size, DriverSet):
-        return [size]
-    covers = _min_covers(problem, _EVERY_CANDIDATE, problem.full_mask, size)
+    if isinstance(search, DriverSet):
+        return [search]
+    problem, forced, blocks = search
+    covers = itertools.product(*(list(_min_covers(problem, *block)) for block in blocks))
     expansions = heapq.merge(*(
-        zip(_picks([problem.members[c] for c in cover]), itertools.repeat(k))
-        for k, cover in enumerate(covers)
+        zip(_picks([problem.members[c] for c in itertools.chain(forced, *parts)]), itertools.repeat(k))
+        for k, parts in enumerate(covers)
     ))
     # the picks of one cover reach the same targets: check each cover once
     checked: dict[int, DriverSet] = {}

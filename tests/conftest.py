@@ -114,11 +114,11 @@ def random_square_patterns(seed: int, count: int, max_n: int):
 
 
 def cover_instance(rng, max_targets=40):
-    """T <= max_targets disjoint cycles of length 1-3 fed by up to 80 - T acyclic
+    """T <= max_targets disjoint cycles of length 1-3 fed by up to 40 acyclic
     feeder states; a feeder enters k random cycles and may also feed an
     earlier feeder, so coverages nest.  States are shuffled."""
     targets = int(rng.integers(1, max_targets + 1))
-    feeders = int(rng.integers(0, min(40, 80 - targets) + 1))
+    feeders = int(rng.integers(0, 41))
     k = int(rng.integers(1, min(6, targets) + 1))
     edges, cycles, n = set(), [], 0
     for _ in range(targets):

@@ -656,7 +656,7 @@ def test_exact_cap_warning_is_one_line(example2_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == greedy
     assert captured.err == (
-        "warning: 8 candidate components exceed the exact-search cap of 1; "
+        "warning: 3 coverage classes in one independent block exceed the exact-search cap of 1; "
         "returning a greedy (possibly non-minimal) driver set\n"
     )
 

@@ -205,7 +205,7 @@ def test_states_with_equal_coverage_form_one_candidate():
     ))
     problem = drivers._cover_problem(a)
     assert problem.members == tuple((3 * c + 1, 3 * c + 2, 3 * c + 3) for c in range(t))
-    covers = drivers._min_covers(problem, drivers._EVERY_CANDIDATE, problem.full_mask, t)
+    covers = drivers._min_covers(problem, -1, problem.full_mask, t)  # -1 allows every class
     assert len(list(covers)) == 1
     listed = enumerate_minimal_driver_sets(a, 5, exact_cap=100)
     loops = [f"x{3 * c + 1}" for c in range(t - 2)]
@@ -273,7 +273,7 @@ def test_dominance_pruning_loses_no_cover():
     answers, covers = set(), 0
     for _ in range(60):
         problem = drivers._cover_problem(cover_instance(rng, max_targets=12))
-        every, full = drivers._EVERY_CANDIDATE, problem.full_mask
+        every, full = -1, problem.full_mask  # candidate sets are bitmasks; -1 allows all
         optimum = next(b for b in range(len(problem.coverage) + 1)
                        if next(_unpruned_covers(problem, every, full, b), None) is not None)
         for allowed in [every] + [every << (c + 1) for c in range(len(problem.coverage))]:
@@ -304,18 +304,102 @@ def _tied_groups(count):
 
 
 def test_tied_groups_probe_node_count(monkeypatch):
-    """Six tied groups: the deepening refutes budgets 0-11 and the lex probes
-    fix 12 members.  A count of node checks pins the search's size, not its
-    speed."""
+    """Each tied group is an independent block of 3 targets and 6 classes:
+    its deepening refutes budgets 0 and 1 and its lex probes fix 2 members,
+    in 4 node checks (a search left with no budget and targets to cover
+    fails unchecked), so the search grows linearly in the number of groups
+    (the search over all six groups at once took 1323).  A count of node
+    checks pins the search's size, not its speed."""
     from zerocontrol import drivers
 
     nodes = []
     check = drivers._node
     monkeypatch.setattr(drivers, "_node", lambda *args: nodes.append(args) or check(*args))
-    ds = minimal_driver_set(_tied_groups(6), exact_cap=100)
-    assert ds.size == 12 and ds.minimal
-    assert ds.sorted_drivers() == [f"x{6 * g + v}" for g in range(6) for v in (1, 5)]
-    assert len(nodes) == 1323
+    for groups in (6, 16):
+        nodes.clear()
+        ds = minimal_driver_set(_tied_groups(groups))
+        assert ds.size == 2 * groups and ds.minimal
+        assert ds.sorted_drivers() == [f"x{6 * g + v}" for g in range(groups) for v in (1, 5)]
+        assert len(nodes) == 4 * groups
+
+
+def _kernel_pattern(rng, max_n=16):
+    """Pieces drawn until about max_n states, then shuffled: a cycle with
+    private feeders (a forced class), two cycles with a shared feeder (a
+    block), a tied group of three loops, or a root cycle whose path ends in a
+    downstream cycle (a target below a root) that may have a feeder of its
+    own.  Sometimes a feeder also enters the previous piece's first cycle,
+    which joins the two pieces' blocks."""
+    edges, n, last = set(), 0, None
+
+    def cycle():
+        nonlocal n
+        nodes = list(range(n + 1, n + int(rng.integers(1, 3)) + 1))
+        n = nodes[-1]
+        edges.update(zip(nodes, nodes[1:] + nodes[:1]))
+        return nodes[0]
+
+    def feeder(*heads):
+        nonlocal n
+        n += 1
+        edges.update((n, h) for h in heads)
+        return n
+
+    while n < max_n - 5:
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            head = cycle()
+            for _ in range(int(rng.integers(0, 3))):
+                feeder(head)
+        elif kind == 1:
+            head, other = cycle(), cycle()
+            feeder(head, other)
+            if rng.random() < 0.5:
+                feeder(head)
+        elif kind == 2:
+            head, b, c = (feeder() for _ in range(3))
+            edges.update({(head, head), (b, b), (c, c)})
+            for pair in ((head, b), (b, c), (head, c)):
+                feeder(*pair)
+        else:
+            head = cycle()
+            f = feeder()
+            edges.add((head, f))
+            downstream = cycle()
+            edges.add((f, downstream))
+            if rng.random() < 0.5:
+                feeder(downstream)
+        if last is not None and rng.random() < 0.3:
+            feeder(last, head)
+        last = head
+    perm = rng.permutation(n) + 1
+    return PatternMatrix(n, n, frozenset((int(perm[d - 1]), int(perm[s - 1])) for s, d in edges))
+
+
+def test_kernelized_search_matches_the_exhaustive_oracle():
+    """Forced classes, independent blocks, tied groups and targets below a
+    root: the selected set and the enumeration at limits 1, 5 and all are
+    the oracle's lex-first minimum sets."""
+    from zerocontrol import drivers
+
+    rng = np.random.default_rng(3232)
+    seen = {"forced": 0, "blocks": 0, "downstream": 0}
+    for _ in range(100):
+        p = _kernel_pattern(rng)
+        size, all_sets = oracle_minimum_driver_sets(p)
+        expected = [sorted(s) for s in all_sets]
+        ds = minimal_driver_set(p)
+        assert ds.minimal and ds.size == size and sorted(drivers_as_indices(ds)) == expected[0]
+        for limit in (1, 5, 10**6):
+            listed = enumerate_minimal_driver_sets(p, limit)
+            assert [sorted(drivers_as_indices(e)) for e in listed] == expected[:limit]
+        problem = drivers._cover_problem(p)
+        forced, blocks = drivers._kernel(problem)
+        scc = problem.graph.condensation
+        seen["forced"] += bool(forced)
+        seen["blocks"] += len(blocks) >= 2
+        seen["downstream"] += sum(scc.nontrivial) > problem.full_mask.bit_length()
+    assert min(seen.values()) >= 40, seen
 
 
 # --- greedy ----------------------------------------------------------------------
@@ -341,15 +425,36 @@ def _many_self_loops(count):
     return PatternMatrix(count, count, frozenset((i, i) for i in range(1, count + 1)))
 
 
+def _nested_chain(count):
+    """A chain x1 -> ... -> xk whose states each feed a private self-loop
+    x(k+i): every loop is a root target, xi covers loops i..k, so the
+    coverages nest and the 2k - 1 classes form one block with nothing
+    forced.  x1 alone is the minimum (and the greedy) driver set."""
+    entries = {(count + i, i) for i in range(1, count + 1)} | {(count + i, count + i) for i in range(1, count + 1)}
+    return PatternMatrix(2 * count, 2 * count, frozenset(entries | {(i + 1, i) for i in range(1, count)}))
+
+
 def test_exact_cap_falls_back_to_greedy():
-    p = _many_self_loops(30)
-    with pytest.warns(ExactSearchSkipped):
+    p = _nested_chain(15)  # a block of 29 classes
+    with pytest.warns(ExactSearchSkipped, match="^29 coverage classes in one independent block exceed"):
         ds = minimal_driver_set(p)
     assert ds.valid and not ds.minimal
-    assert ds.size == 30  # greedy is still exact here, flag stays conservative
+    assert ds.drivers == frozenset({"x1"})  # greedy is still exact here, flag stays conservative
     with pytest.warns(ExactSearchSkipped):
         sets = enumerate_minimal_driver_sets(p)
     assert len(sets) == 1 and not sets[0].minimal
+
+
+def test_forced_classes_take_no_search():
+    """Thirty self-loops are thirty forced classes and no block, so the cap
+    of 25 does not apply and no coverer mask is built."""
+    from zerocontrol import drivers
+
+    problem = drivers._cover_problem(_many_self_loops(30))
+    assert drivers._kernel(problem) == (list(range(30)), [])
+    ds = minimal_driver_set(_many_self_loops(30))
+    assert ds.minimal and ds.size == 30
+    assert "coverers" not in vars(problem)
 
 
 def test_exact_cap_fallback_builds_the_cover_problem_once(monkeypatch):
@@ -358,7 +463,7 @@ def test_exact_cap_fallback_builds_the_cover_problem_once(monkeypatch):
     calls = []
     build = drivers._cover_problem
     monkeypatch.setattr(drivers, "_cover_problem", lambda a: calls.append(a) or build(a))
-    p = _many_self_loops(30)
+    p = _nested_chain(15)
     for search in (minimal_driver_set, enumerate_minimal_driver_sets):
         calls.clear()
         with pytest.warns(ExactSearchSkipped):
@@ -367,28 +472,39 @@ def test_exact_cap_fallback_builds_the_cover_problem_once(monkeypatch):
 
 
 def test_over_cap_search_builds_no_coverer_masks(monkeypatch):
-    """The per-target coverer masks hold every coverage bit: quadratic on a
-    long chain of self-loops, where the greedy fallback needs none of them."""
+    """The per-target coverer masks hold every coverage bit: quadratic where
+    coverages nest, and the greedy fallback needs none of them."""
     from zerocontrol import drivers
 
     problems = []
     build = drivers._cover_problem
     monkeypatch.setattr(drivers, "_cover_problem", lambda a: problems.append(build(a)) or problems[-1])
-    n = 5000
-    chain = PatternMatrix(n, n, frozenset({(i, i) for i in range(1, n + 1)} | {(i + 1, i) for i in range(1, n)}))
+    chain = _nested_chain(5000)
     with pytest.warns(ExactSearchSkipped):
         assert minimal_driver_set(chain).drivers == frozenset({"x1"})
     with pytest.warns(ExactSearchSkipped):
         assert [ds.drivers for ds in enumerate_minimal_driver_sets(chain)] == [frozenset({"x1"})]
     assert len(problems) == 2 and not any("coverers" in vars(p) for p in problems)
-    minimal_driver_set(_many_self_loops(3))
+    minimal_driver_set(_nested_chain(3))
     assert "coverers" in vars(problems[-1])
 
 
+def test_a_chain_of_self_loops_has_one_root_target():
+    """Every loop of the chain x1 -> ... -> xn lies below x1's, so x1's class
+    is the one target's only coverer: exact, with no search, at any n."""
+    from zerocontrol import drivers
+
+    n = 10**4
+    chain = PatternMatrix(n, n, frozenset({(i, i) for i in range(1, n + 1)} | {(i + 1, i) for i in range(1, n)}))
+    problem = drivers._cover_problem(chain)
+    assert (problem.coverage, problem.members) == ((1,), ((1,),))
+    ds = minimal_driver_set(chain, exact_cap=0)
+    assert ds.drivers == frozenset({"x1"}) and ds.minimal
+
+
 def test_exact_cap_can_be_raised():
-    p = _many_self_loops(30)
-    ds = minimal_driver_set(p, exact_cap=40)
-    assert ds.minimal and ds.size == 30
+    ds = minimal_driver_set(_nested_chain(15), exact_cap=29)
+    assert ds.minimal and ds.drivers == frozenset({"x1"})
 
 
 # --- cross-module and oracle properties ----------------------------------------------

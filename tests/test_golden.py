@@ -9,14 +9,21 @@ Numeric commands are left out because their floats depend on the BLAS build;
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 
+from oracles import oracle_driver_set_valid
+from zerocontrol import enumerate_minimal_driver_sets, parse_pattern_file
 from zerocontrol.cli import run_cli
 from zerocontrol.fileio import serialize_pattern_file
 from zerocontrol.patterns import PatternMatrix
 
-GOLDEN_DIGEST = "b3fcf8d74269133443ac185ad90f6aa70816f23071445d98b032ee7ef3552f03"
+# moved once on purpose, when the exact-search cap came to count the classes
+# of one independent block: corpus patterns 73 and 107 (27 and 33 candidate
+# components, 1 minimum driver) used to fall back to greedy and now print
+# the same drivers as an exact, minimal set
+GOLDEN_DIGEST = "ed988c13ab84b145d740f1745d921f9c7336fa3e6e3b247dfe48e45d030e6ffd"
 
 STRUCTURAL_COMMANDS = (
     ["analyze"],
@@ -71,6 +78,21 @@ def test_structural_commands_print_the_golden_output(fixture_dir, tmp_path, caps
             out = capsys.readouterr().out
             digest.update(f"{k} {' '.join(argv)} -> {code}\n{out}".encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_golden_driver_sets_are_exact_and_irreducible():
+    """Every corpus pattern now selects exactly, the two that used to exceed
+    the cap among them, and every listed set passes the oracle: it is valid,
+    and no single driver can be removed."""
+    for text, _ in _corpus():
+        a, _ = parse_pattern_file(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            listed = enumerate_minimal_driver_sets(a, limit=7)
+        for ds in listed:
+            drivers = {int(v[1:]) for v in ds.drivers}
+            assert ds.minimal and oracle_driver_set_valid(a, drivers)
+            assert not any(oracle_driver_set_valid(a, drivers - {d}) for d in drivers)
 
 
 TIE_DIGEST = "933625f13a9bee4d736e5f07e1d785376fab0a1a537632f9418b2af69e18072d"

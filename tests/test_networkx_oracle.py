@@ -257,11 +257,11 @@ def _milp_optimum(a):
     cond = nx.condensation(g)
     cyclic = cyclic_components(g)
     targets = [k for k in cond if frozenset(cond.nodes[k]["members"]) in cyclic]
+    row_of = {t: row for row, t in enumerate(targets)}
     incidence = np.zeros((len(targets), len(cond)))
     for c in cond:
-        reach = nx.descendants(cond, c) | {c}
-        for row, t in enumerate(targets):
-            incidence[row, c] = t in reach
+        for t in (nx.descendants(cond, c) | {c}) & row_of.keys():
+            incidence[row_of[t], c] = 1
     res = milp(
         np.ones(len(cond)),
         constraints=LinearConstraint(incidence, lb=1),
@@ -273,20 +273,21 @@ def _milp_optimum(a):
 
 
 def _coverage_classes(a):
-    """States grouped by the set of cyclic condensation nodes among their
-    descendants, themselves included, in order of smallest state; states that
-    reach no cycle are left out."""
+    """States grouped by the set of root cyclic condensation nodes (those with
+    no cyclic ancestor) among their descendants, themselves included, in order
+    of smallest state; states that reach no cycle are left out.  Also the
+    number of condensation nodes that reach one."""
     g = to_networkx(a)
     cond = nx.condensation(g)
-    cyclic = cyclic_components(g)
-    targets = {k for k in cond if frozenset(cond.nodes[k]["members"]) in cyclic}
-    reached = {k: frozenset((nx.descendants(cond, k) | {k}) & targets) for k in cond}
+    cyclic = {k for k in cond if frozenset(cond.nodes[k]["members"]) in cyclic_components(g)}
+    roots = {k for k in cyclic if not nx.ancestors(cond, k) & cyclic}
+    reached = {k: frozenset((nx.descendants(cond, k) | {k}) & roots) for k in cond}
     classes = {}
     for v in range(1, a.n_rows + 1):
         key = reached[cond.graph["mapping"][f"x{v}"]]
         if key:
             classes.setdefault(key, []).append(v)
-    return tuple(tuple(states) for states in classes.values())
+    return tuple(tuple(states) for states in classes.values()), sum(map(bool, reached.values()))
 
 
 def test_driver_candidates_are_the_coverage_classes():
@@ -296,9 +297,9 @@ def test_driver_candidates_are_the_coverage_classes():
     patterns = [a for _, a, _ in random_instances(403, 70)] + [cover_instance(rng) for _ in range(30)]
     merged = 0
     for a in patterns:
-        problem = _cover_problem(a)
-        assert problem.members == _coverage_classes(a)
-        merged += len(problem.members) < problem.components
+        classes, components = _coverage_classes(a)
+        assert _cover_problem(a).members == classes
+        merged += len(classes) < components
     assert merged >= 50  # most instances merge components with equal coverage
 
 
@@ -307,6 +308,17 @@ def test_minimum_driver_set_size_matches_milp():
     for _ in range(200):
         a = cover_instance(rng)
         ds = minimal_driver_set(a, exact_cap=80)
+        assert ds.valid and ds.minimal
+        assert ds.size == _milp_optimum(a)
+
+
+def test_minimum_driver_set_size_matches_milp_at_scale():
+    """Up to 300 targets and 40 feeders: most cycles are forced, and the
+    rest form independent blocks of up to 186 classes."""
+    rng = np.random.default_rng(405)
+    for _ in range(200):
+        a = cover_instance(rng, max_targets=300)
+        ds = minimal_driver_set(a, exact_cap=300)
         assert ds.valid and ds.minimal
         assert ds.size == _milp_optimum(a)
 

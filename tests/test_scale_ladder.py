@@ -64,6 +64,18 @@ GIANT_SCC_DIGESTS = {
 }
 
 
+# these selects fell back to greedy in BENCH_pr12.json, with 245-2445
+# candidate components over the cap of 25; they have 1-2 root targets, which
+# leave forced classes and at most one block of 3 classes, so they now print
+# the same drivers as an exact, minimal set and no warning
+EXACT_SELECT_DIGESTS = {
+    "select n1000-seed1.pat": "54a7d467da81ed74f0cd89e866f5a89d3c5efdfd3778df648cb834ce86e858d8",
+    "select n1000-seed2.pat": "0d67722d5e2c286e8906ae723650391a0a89c46de74c4dd82733bc2e356d6f18",
+    "select n10000-seed1.pat": "61001fd3ccb275a9891f62db4dd0b803efde81374a4d32b915526dee42ece802",
+    "select n10000-seed2.pat": "a9f6416098d9da60fdeed5f5631c1e5c68877755d8832792614db5e73c402380",
+}
+
+
 def test_ladder_outputs_match_the_committed_digests(tmp_path, monkeypatch):
     # the ladder's jobs at n = 10^3 and 10^4, run in process: each output
     # digest is the one committed in BENCH_pr12.json (or pinned above)
@@ -71,7 +83,7 @@ def test_ladder_outputs_match_the_committed_digests(tmp_path, monkeypatch):
     from zerocontrol.cli import run_cli
 
     bench = json.loads((SCRIPT.parent.parent / "BENCH_pr12.json").read_text())
-    expected = {job["name"]: job["sha256"] for job in bench["jobs"]} | GIANT_SCC_DIGESTS
+    expected = {job["name"]: job["sha256"] for job in bench["jobs"]} | GIANT_SCC_DIGESTS | EXACT_SELECT_DIGESTS
     patterns = {f"n{n}-seed{seed}.pat": scale_ladder.pattern_text(n, seed)
                 for n in (10**3, 10**4) for seed in (1, 2)}
     patterns["n10000-giant-scc.pat"] = scale_ladder.giant_scc_text(10**4, scale_ladder.GIANT_SCC_SEED)

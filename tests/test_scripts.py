@@ -66,7 +66,7 @@ def test_job_digests_at_smoke_size(monkeypatch, capsys):
         assert (seed1 == seed2) == (k > 3)
 
 
-JOB_DIGEST = "321aa663db8df4611456c4c714e9ac84c4a214be26fda21c478b82e3cd4425d4"
+JOB_DIGEST = "eb1c6871c2c7ba340e345ad6085609560c6988e3a536e22522662d22f0cd58db"
 
 
 def test_job_digests_at_full_size():
@@ -75,7 +75,10 @@ def test_job_digests_at_full_size():
     all 112 jobs at run seeds 1 and 2, one BLAS thread) is ``JOB_DIGEST``.
     A change to the benchmark that alters its workloads moves it, and records
     the new total and its reason; so does a change to what ``verify`` counts
-    (the reachable split moved the Monte Carlo jobs 2, 3, 5 and 6)."""
+    (the reachable split moved the Monte Carlo jobs 2, 3, 5 and 6) or to
+    which selects run exact (counting the exact-search cap per independent
+    block moved struct-ladder's selects at n = 300 and 700 and on the chain
+    from greedy to the same drivers, flagged minimal)."""
     # a fresh interpreter: numpy is imported here already, so the script's
     # one-BLAS-thread setting would not take effect in this process
     script = [sys.executable, str(SCRIPTS / "job_digests.py")]
