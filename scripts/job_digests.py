@@ -3,17 +3,21 @@
 
 Builds the struct-ladder, cover-search and verify-mc jobs at run seeds 1 and
 2 with ``perfbench/workloads.py``, in a temporary directory, and runs each
-argv through ``run_cli`` of this checkout's ``src`` with one BLAS thread.
+argv through ``run_cli`` with one BLAS thread, importing ``zerocontrol`` from
+this checkout's ``src`` or from the directory that ``--src`` names.
 Prints the sha256 of each job's exit code, stdout and stderr, then the sha256
-of all of them.  Two checkouts give every job the same output exactly when
-their totals agree, so to check that a change keeps the output, copy this
-script into a scratch checkout of the parent and compare the two totals.
+of all of them.  Two trees give every job the same output exactly when their
+totals agree, so to check that a change keeps the output, run the script once
+as it is and once with ``--src`` naming the ``src`` of a checkout of the
+parent, and compare the two totals.
 
     python3 scripts/job_digests.py
+    python3 scripts/job_digests.py --src ../parent/src
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -41,10 +45,14 @@ def job_digest(run_cli, argv: list[str]) -> str:
     return digest.hexdigest()
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the zerocontrol package to run")
+    args = parser.parse_args([] if argv is None else argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # takes effect when numpy is first imported, below
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     import workloads
     from zerocontrol.cli import run_cli
 
@@ -72,4 +80,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -65,6 +65,10 @@ class BPattern:
     mode: Literal["shared", "per_driver"]
     pattern: PatternMatrix
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("shared", "per_driver"):
+            raise ValueError(f"mode must be 'shared' or 'per_driver', got {self.mode!r}")
+
 
 def _driver_set(graph: SystemGraph, indices: Sequence[int], minimal: bool) -> DriverSet:
     """The drivers with their certificate; every search result is re-checked here."""
@@ -383,8 +387,6 @@ def build_b_pattern(
     """Input pattern wiring the drivers: one shared column, or one column per
     driver in ascending state order.  An empty driver set yields an n-by-0
     pattern."""
-    if mode not in ("shared", "per_driver"):
-        raise ValueError(f"mode must be 'shared' or 'per_driver', got {mode!r}")
     rows = _state_ids(n, drivers, "driver vertices must be states")
     if not rows:
         return BPattern(mode, PatternMatrix.zeros(n, 0))

@@ -386,15 +386,13 @@ def deadbeat_steer(
     x0 = np.asarray(x0, dtype=float).reshape(n)
 
     if m > 0:
-        powers = [b]
-        for _ in range(horizon - 1):
-            powers.append(a @ powers[-1])
-        # columns ordered for the stacked unknown [u(0); ...; u(horizon-1)]
-        gram = np.hstack(powers[::-1])
+        blocks = _ctrb(a[None], b[None], horizon)[0].reshape(n, horizon, m)
+        # column blocks reversed, to match the stacked unknown [u(0); ...; u(horizon-1)]
+        gram = blocks[:, ::-1].reshape(n, horizon * m)
         rhs = -np.linalg.matrix_power(a, horizon) @ x0
         stacked, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
         controls = stacked.reshape(horizon, m)
-    else:
+    else:  # nothing to solve for, so no power of A is taken
         controls = np.zeros((horizon, 0))
 
     trajectory = np.empty((horizon + 1, n))

@@ -1,7 +1,12 @@
 """Report documents: lossless dict forms (for JSON) and human-readable text
-for the analysis, driver-selection and Monte Carlo result types."""
+for the analysis, driver-selection and Monte Carlo result types.  Each
+result type's JSON form is stated once, as its row of ``_FORMS``, which
+``_to_dict`` writes and ``_from_dict`` reads back to an equal object; only
+the ``BPattern`` form, which flattens the nested pattern, is spelled out."""
 
 from __future__ import annotations
+
+from operator import methodcaller
 
 from .drivers import BPattern, DriverSet
 from .graph import sort_vertices
@@ -10,14 +15,46 @@ from .patterns import PatternMatrix
 from .structural import ZcReport
 
 
+def _same(value):
+    return value
+
+
 def _component_lists(components) -> list[list[str]]:
     return [sort_vertices(c) for c in components]
 
 
-def _edge_list(edges) -> list[list[str]] | None:
-    if edges is None:
-        return None
-    return [[src, dst] for src, dst in edges]
+# codecs: (write, read) of one value; a read of None marks a key that is only
+# written, being derived from the others or of a form with no reader
+_SAME, _BOOL, _INT, _WRITTEN = (_same, _same), (_same, bool), (_same, int), (_same, None)
+_NAMES = (sort_vertices, frozenset)  # a set of state names
+_COMPONENTS = (_component_lists, lambda components: tuple(frozenset(c) for c in components))
+_WALK = (  # a cycle as its edges, or None when there is none
+    lambda walk: None if walk is None else [[src, dst] for src, dst in walk],
+    lambda walk: None if walk is None else tuple((src, dst) for src, dst in walk),
+)
+_ARRAY = (methodcaller("tolist"), None)
+
+# result type -> JSON key -> codec of the attribute of that name, keys in output order
+_FORMS = {
+    ZcReport: {"verdict": _BOOL, "reachable_states": _NAMES, "unreachable_states": _NAMES,
+               "cycle_witness": _WALK, "nontrivial_unreachable_components": _COMPONENTS},
+    DriverSet: {"drivers": _NAMES, "valid": _BOOL, "minimal": _BOOL, "size": _WRITTEN,
+                "uncovered_witness": _WALK, "nontrivial_unreachable_components": _COMPONENTS},
+    MonteCarloStats: {"trials": _INT, "base_seed": _INT, "zc_structural": _BOOL,
+                      "zc_agreements": _INT, "agreement_fraction": _WRITTEN,
+                      "inconsistent_trials": _INT, "disagreeing_seeds": (list, tuple),
+                      "ctrl_structural": _SAME, "ctrl_agreements": _SAME},
+    SteeringResult: {"horizon": _WRITTEN, "final_norm": _WRITTEN, "controls": _ARRAY,
+                     "trajectory": _ARRAY},
+}
+
+
+def _to_dict(result) -> dict:
+    return {key: write(getattr(result, key)) for key, (write, _) in _FORMS[type(result)].items()}
+
+
+def _from_dict(cls, data: dict):
+    return cls(**{key: read(data[key]) for key, (_, read) in _FORMS[cls].items() if read is not None})
 
 
 def _obstruction_lines(components, witness) -> list[str]:
@@ -29,28 +66,11 @@ def _obstruction_lines(components, witness) -> list[str]:
 # --- zero-controllability reports ------------------------------------------
 
 def zc_report_to_dict(report: ZcReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "reachable_states": sort_vertices(report.reachable_states),
-        "unreachable_states": sort_vertices(report.unreachable_states),
-        "cycle_witness": _edge_list(report.cycle_witness),
-        "nontrivial_unreachable_components": _component_lists(
-            report.nontrivial_unreachable_components
-        ),
-    }
+    return _to_dict(report)
 
 
 def zc_report_from_dict(data: dict) -> ZcReport:
-    witness = data["cycle_witness"]
-    return ZcReport(
-        verdict=bool(data["verdict"]),
-        reachable_states=frozenset(data["reachable_states"]),
-        unreachable_states=frozenset(data["unreachable_states"]),
-        cycle_witness=None if witness is None else tuple((s, d) for s, d in witness),
-        nontrivial_unreachable_components=tuple(
-            frozenset(c) for c in data["nontrivial_unreachable_components"]
-        ),
-    )
+    return _from_dict(ZcReport, data)
 
 
 def render_zc_report(report: ZcReport) -> str:
@@ -69,29 +89,11 @@ def render_zc_report(report: ZcReport) -> str:
 # --- driver sets ------------------------------------------------------------
 
 def driver_set_to_dict(ds: DriverSet) -> dict:
-    return {
-        "drivers": ds.sorted_drivers(),
-        "valid": ds.valid,
-        "minimal": ds.minimal,
-        "size": ds.size,
-        "uncovered_witness": _edge_list(ds.uncovered_witness),
-        "nontrivial_unreachable_components": _component_lists(
-            ds.nontrivial_unreachable_components
-        ),
-    }
+    return _to_dict(ds)
 
 
 def driver_set_from_dict(data: dict) -> DriverSet:
-    witness = data["uncovered_witness"]
-    return DriverSet(
-        drivers=frozenset(data["drivers"]),
-        valid=bool(data["valid"]),
-        minimal=bool(data["minimal"]),
-        uncovered_witness=None if witness is None else tuple((s, d) for s, d in witness),
-        nontrivial_unreachable_components=tuple(
-            frozenset(c) for c in data["nontrivial_unreachable_components"]
-        ),
-    )
+    return _from_dict(DriverSet, data)
 
 
 def render_driver_set(ds: DriverSet) -> str:
@@ -115,12 +117,8 @@ def b_pattern_to_dict(bp: BPattern) -> dict:
 
 
 def b_pattern_from_dict(data: dict) -> BPattern:
-    return BPattern(
-        mode=data["mode"],
-        pattern=PatternMatrix(
-            data["n_rows"], data["n_cols"], frozenset((i, j) for i, j in data["entries"])
-        ),
-    )
+    entries = frozenset((i, j) for i, j in data["entries"])
+    return BPattern(data["mode"], PatternMatrix(data["n_rows"], data["n_cols"], entries))
 
 
 def render_b_pattern(bp: BPattern) -> str:
@@ -133,30 +131,11 @@ def render_b_pattern(bp: BPattern) -> str:
 # --- Monte Carlo statistics --------------------------------------------------
 
 def stats_to_dict(stats: MonteCarloStats) -> dict:
-    return {
-        "trials": stats.trials,
-        "base_seed": stats.base_seed,
-        "zc_structural": stats.zc_structural,
-        "zc_agreements": stats.zc_agreements,
-        "agreement_fraction": stats.agreement_fraction,
-        "inconsistent_trials": stats.inconsistent_trials,
-        "disagreeing_seeds": list(stats.disagreeing_seeds),
-        "ctrl_structural": stats.ctrl_structural,
-        "ctrl_agreements": stats.ctrl_agreements,
-    }
+    return _to_dict(stats)
 
 
 def stats_from_dict(data: dict) -> MonteCarloStats:
-    return MonteCarloStats(
-        trials=int(data["trials"]),
-        base_seed=int(data["base_seed"]),
-        zc_structural=bool(data["zc_structural"]),
-        zc_agreements=int(data["zc_agreements"]),
-        inconsistent_trials=int(data["inconsistent_trials"]),
-        disagreeing_seeds=tuple(data["disagreeing_seeds"]),
-        ctrl_structural=data["ctrl_structural"],
-        ctrl_agreements=data["ctrl_agreements"],
-    )
+    return _from_dict(MonteCarloStats, data)
 
 
 def render_stats(stats: MonteCarloStats) -> str:
@@ -185,12 +164,7 @@ def render_stats(stats: MonteCarloStats) -> str:
 # --- steering ----------------------------------------------------------------
 
 def steering_to_dict(result: SteeringResult) -> dict:
-    return {
-        "horizon": result.horizon,
-        "final_norm": result.final_norm,
-        "controls": result.controls.tolist(),
-        "trajectory": result.trajectory.tolist(),
-    }
+    return _to_dict(result)
 
 
 def render_steering(result: SteeringResult) -> str:

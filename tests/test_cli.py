@@ -17,7 +17,7 @@ import numpy as np
 from zerocontrol.cli import run_cli
 from zerocontrol.fileio import serialize_pattern_file
 from zerocontrol.patterns import PatternMatrix
-from conftest import EXAMPLE1_A, EXAMPLE1_B
+from conftest import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE2_A
 from oracles import oracle_render_steering, oracle_steering_to_dict
 
 
@@ -120,6 +120,20 @@ def test_select_json(example2_path, capsys):
     assert doc["b_pattern"]["entries"] == [[4, 1], [8, 2]]
 
 
+def test_select_json_round_trips(example2_path, capsys):
+    from zerocontrol import build_b_pattern, enumerate_minimal_driver_sets
+    from zerocontrol.reports import b_pattern_from_dict, driver_set_from_dict
+
+    code = run_cli(["select", example2_path, "--format", "json", "--enumerate"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["command"] == "select"
+    enumeration = enumerate_minimal_driver_sets(EXAMPLE2_A)
+    assert [driver_set_from_dict(d) for d in doc["enumeration"]] == enumeration
+    assert driver_set_from_dict(doc["driver_set"]) == enumeration[0]
+    bp = build_b_pattern(EXAMPLE2_A.n_rows, enumeration[0].drivers, "per_driver")
+    assert b_pattern_from_dict(doc["b_pattern"]) == bp
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_select_limit_past_sys_maxsize_lists_every_set(fmt, example2_path, capsys):
     """A limit above sys.maxsize means every set, as any limit above their
@@ -156,6 +170,21 @@ def test_verify_rejects_conflicting_inputs(example1_path, capsys):
     assert code == 2
     assert captured.out == ""  # no partial primary output
     assert "already declares an input pattern" in captured.err
+
+
+def test_verify_json_round_trips_with_controllability(example1_path, capsys):
+    from zerocontrol import monte_carlo_verify
+    from zerocontrol.reports import stats_from_dict
+
+    argv = ["verify", example1_path, "--format", "json", "--check-controllability",
+            "--trials", "12", "--seed", "31"]
+    code = run_cli(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["command"] == "verify"
+    stats = stats_from_dict(doc["stats"])
+    assert stats == monte_carlo_verify(EXAMPLE1_A, EXAMPLE1_B, trials=12, base_seed=31,
+                                       check_controllability=True)
+    assert stats.ctrl_structural is not None and stats.ctrl_agreements is not None
 
 
 def test_verify_deterministic_output(example1_path, capsys):

@@ -594,6 +594,11 @@ def test_b_pattern_rejects_bad_input():
         build_b_pattern(3, {"u1"}, "shared")
     with pytest.raises(ValueError, match="mode must be"):
         build_b_pattern(3, {"x1"}, "weird")
+    with pytest.raises(ValueError, match="^mode must be 'shared' or 'per_driver', got 'weird'$"):
+        build_b_pattern(3, set(), "weird")
+    # BPattern itself checks the mode, after the drivers are resolved
+    with pytest.raises(ValueError, match="unknown vertex 'x9'"):
+        build_b_pattern(3, {"x9"}, "weird")
 
 
 def test_negative_exact_cap_is_rejected(example2_a):

@@ -284,6 +284,33 @@ def test_b_pattern_document_round_trip():
     assert b_pattern_from_dict(b_pattern_to_dict(bp)) == bp
 
 
+def test_b_pattern_document_with_an_unknown_mode_is_refused():
+    from zerocontrol.reports import b_pattern_from_dict
+
+    doc = {"mode": "bogus", "n_rows": 3, "n_cols": 1, "entries": [[2, 1]]}
+    with pytest.raises(ValueError, match="^mode must be 'shared' or 'per_driver', got 'bogus'$"):
+        b_pattern_from_dict(doc)
+
+
+def test_each_form_writes_every_field_and_reads_back_all_but_its_derived_keys():
+    """A field added to a result type cannot be left out of its JSON form:
+    the form's keys are the fields plus the derived keys, which are only
+    written, and a form with a reader reads every field back."""
+    from dataclasses import fields
+
+    from zerocontrol import DriverSet, MonteCarloStats, SteeringResult, ZcReport
+    from zerocontrol.reports import _FORMS
+
+    derived = {ZcReport: set(), DriverSet: {"size"}, MonteCarloStats: {"agreement_fraction"},
+               SteeringResult: set()}
+    assert set(_FORMS) == set(derived)
+    for cls, form in _FORMS.items():
+        names = {f.name for f in fields(cls)}
+        assert set(form) == names | derived[cls], cls.__name__
+        read_back = {key for key, (_, read) in form.items() if read is not None}
+        assert read_back == (set() if cls is SteeringResult else names), cls.__name__
+
+
 # --- the bulk parser against the per-line reference ----------------------------
 
 ODD_INTEGERS = ["+1", "+2", "-0", "007", "1_0", "\u0663", "\uff12", "+-1", "1-", "--2", "x",

@@ -66,6 +66,25 @@ def test_job_digests_at_smoke_size(monkeypatch, capsys):
         assert (seed1 == seed2) == (k > 3)
 
 
+def test_job_digests_runs_the_tree_that_src_names(tmp_path):
+    """``--src`` swaps the package the jobs run through: with a stub
+    ``run_cli`` that echoes its argv, each job's digest is that echo's."""
+    stub = tmp_path / "zerocontrol"
+    stub.mkdir()
+    (stub / "__init__.py").write_text("")
+    (stub / "cli.py").write_text("def run_cli(argv):\n    print(' '.join(argv))\n    return 0\n")
+    script = [sys.executable, str(SCRIPTS / "job_digests.py"), "--src", str(tmp_path)]
+    out = subprocess.run(script, capture_output=True, text=True, check=True).stdout
+    *jobs, total = out.splitlines()
+    assert len(jobs) == 112 and total.endswith("  total of 112 jobs")
+    for line in jobs:
+        digest, argv = line.split("  ", 1)
+        expected = hashlib.sha256(b"0\n")
+        for stream in (f"{argv}\n", ""):
+            expected.update(hashlib.sha256(stream.encode()).digest())
+        assert digest == expected.hexdigest()
+
+
 JOB_DIGEST = "eb1c6871c2c7ba340e345ad6085609560c6988e3a536e22522662d22f0cd58db"
 
 
