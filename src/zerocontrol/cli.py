@@ -287,7 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="pattern file")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="eigenvalue nonzero threshold scale, in (0, 1)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="must lie in (0, 1); exact verdicts use no threshold, so it changes nothing")
     p.add_argument(
         "--drivers", help="comma-separated driver states (e.g. x4,x8) to synthesize inputs"
     )

@@ -1,10 +1,10 @@
 """Numerical cross-validation of structural verdicts: random admissible
-realizations, rank and eigenvalue tests, deadbeat steering, Monte Carlo runs.
+realizations, exact and float rank tests, deadbeat steering, Monte Carlo runs.
 
 Structural claims are generic: they hold for all parameter values outside a
 measure-zero set.  No finite computation certifies that, so this module
-samples concrete realizations, runs the classical numeric tests, and reports
-agreement statistics instead of pretending at certainty.
+samples concrete realizations, decides them, and reports agreement statistics
+instead of pretending at certainty.
 
 A pair is decided on the graph's reachable split (Kalman 1963): the reached
 states, the unreached ones in Kahn's peel order, then the peel's survivors.  It
@@ -12,33 +12,36 @@ gives both structural verdicts: ZC exactly when nothing survives; not
 controllable, in any realization either, when a state is unreached; else the
 term rank decides.  Every realization has A21 = 0, B2 = 0 and a strictly
 triangular peeled block there, so ZC(A, B) holds exactly when ZC(A11, B1) does
-and the survivor block S is nilpotent.  C is zero on the unreached rows, so a
-trial with S^n != 0 and an eigenvalue of S above the nonzero threshold is a
-settled, consistent "no"; the others are decided on (A11, B1) over n steps.  A
-"no" trial is flagged only when S fails one test alone or (A11, B1) is.
+and the survivor block S is nilpotent.
 
-Monte Carlo trials are decided together: a chunk of seeded (A11, B1) blocks
-gets its eigenvalues, controllability matrices, A^n and image ranks from one
-stacked call each.  The Hautus pencils [A - lam I, B] are then decided in
-rounds, one per eigenvalue position, among the trials whose walk still needs
-that position; each walk stops at its first rank-deficient pencil.  Positions
-run through each trial's eigenvalues smallest modulus first, where deficient
-pencils tend to sit (the exact zeros, and the eps^(1/k) eigenvalues that
-rounding smears out of nilpotent chains); the verdict, "no needed pencil is
-deficient", does not depend on the order.  Each needed pencil P is decided by
-one rule.  An exact repeat reuses its first decision, and the second of a
-conjugate pair its partner's: the pencils are bit-equal or exactly conjugate,
-and the complex SVD gives conjugate pencils bit-identical singular values.
-Any other P tries a certificate, in the real dtype for a real lam: a Cholesky
-factorization of P P^H shifted by theta^2 plus its rounding-error bound
-proves sigma_min(P) > theta, over 10^3 rank cutoffs (Demmel 1989; Rump 2006).
-Only a P it cannot prove takes one complex SVD, numeric_rank's test.  So the
-verdicts are those of one complex SVD per eigenvalue.  numpy runs the same
-LAPACK routine on each matrix of a stack, and a stack that Cholesky refuses is
-halved down to single pencils, so a stacked decision, certificate or SVD, is
-bit for bit the one-matrix one, whatever chunk a trial lands in.  The
-single-realization checks are stacks of one, on the split of the realization's
-own nonzeros.
+``monte_carlo_verify`` (so ``verify``) decides every trial exactly over GF(p),
+p = 2^31 - 1, with values drawn mod p from the trial's own stream.  S is not
+nilpotent when S^k v' != 0 for a random v'.  (A11, B1) is decided with sparse
+Krylov sequences (Wiedemann 1986): Berlekamp-Massey (Massey 1969) gives the
+dimension of the controllable space, polynomial arithmetic mod its generator
+tests A11^d v against it, and Horner's rule proves both; see ``_gf_krylov``.
+The trials of a chunk are stacked, so each mat-vec is one gather and one
+reduction for all of them, and a trial decides alike in any chunk.  A verdict
+is wrong only with the small probabilities stated at ``_P``; a trial that the
+engine cannot prove is counted inconsistent and takes "no".
+
+The float family runs behind the single-realization checks alone
+(``is_zero_controllable_numeric``, ``is_controllable_numeric``), on the split
+of the realization's own nonzeros.  (A11, B1) is decided over n steps by the
+image test (rank [C, A^n] against rank C) and the Hautus test at every
+eigenvalue of modulus above the nonzero threshold; C is zero on the unreached
+rows, so S^n != 0 or a nonzero eigenvalue of S settles a "no".  A check is
+consistent when the two tests agree, and its verdict is "both pass".  The
+Hautus pencils [A - lam I, B] are decided in rounds, one per eigenvalue
+position, smallest modulus first, where deficient pencils tend to sit; each
+walk stops at its first rank-deficient pencil.  An exact repeat reuses its
+first decision, and the second of a conjugate pair its partner's: the complex
+SVD gives conjugate pencils bit-identical singular values.  Any other pencil P
+tries a certificate, in the real dtype for a real lam: a Cholesky factorization
+of P P^H shifted by theta^2 plus its rounding-error bound proves sigma_min(P) >
+theta, over 10^3 rank cutoffs (Demmel 1989; Rump 2006).  Only a P it cannot
+prove takes one complex SVD, numeric_rank's test.  So the verdicts are those of
+one complex SVD per eigenvalue.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from .structural import generic_rank
 #: Default base seed for every seeded entry point, so quick-start runs agree.
 DEFAULT_BASE_SEED = 20240001
 
-#: Default eigenvalue nonzero threshold scale of every numeric test, ``verify --tol`` included.
+#: Default eigenvalue nonzero threshold scale of the float checks.  ``verify --tol`` takes it too, but only
+#: validates it: exact verdicts use no threshold.
 DEFAULT_TOL = 1e-8
 
 #: Relative singular-value cutoff for numeric rank decisions.
@@ -122,8 +126,17 @@ def sample_realization(
     """Deterministic realization for the given seed.  Entries are filled in sorted position order, so the draw
     sequence is part of the contract.  ``_pair`` refuses a non-square state pattern and an input pattern without
     one row per state; a missing input pattern means n-by-0, no inputs."""
-    (a,), b = _sample(pattern_a, pattern_b, _seeds(seed, 1), value_spec)
-    return Realization(a[0], b[0], seed, value_spec)
+    rng = np.random.default_rng(_seeds(seed, 1)[0])
+    pattern_b = _pair(pattern_a, pattern_b)
+    a, b = np.zeros(pattern_a.shape), np.zeros(pattern_b.shape)
+    for matrix, pattern in ((a, pattern_a), (b, pattern_b)):
+        rows, cols = _entries(pattern)
+        if not len(rows):
+            continue
+        draws = rng.random(2 * len(rows))  # two per entry in entry order: uniform magnitude, then sign
+        magnitude = value_spec.low + (value_spec.high - value_spec.low) * draws[0::2]
+        matrix[rows - 1, cols - 1] = np.where(draws[1::2] < 0.5, magnitude, -magnitude)
+    return Realization(a, b, seed, value_spec)
 
 
 def _seeds(base_seed: int, count: int) -> range:
@@ -133,33 +146,11 @@ def _seeds(base_seed: int, count: int) -> range:
     return range(base_seed, base_seed + count)
 
 
-def _sample(pattern_a, pattern_b, seeds, value_spec, at=None, windows=None) -> tuple[list, np.ndarray]:
-    """The realizations of the given seeds, stacked as (T, n, n) and (T, n, m); or, the same draws with state v
-    at position at[v], only A's diagonal blocks over the position ``windows`` and B's rows in the first one."""
-    pattern_b = _pair(pattern_a, pattern_b)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    n, m = pattern_b.shape
-    at, windows = (np.arange(-1, n), [(0, n)]) if at is None else (at, windows)
-    blocks = [np.zeros((len(rngs), hi - lo, hi - lo)) for lo, hi in windows]
-    b = np.zeros((len(rngs), windows[0][1], m))
-    for inputs, pattern in enumerate((pattern_a, pattern_b)):
-        if not len(pattern._coords[0]):
-            continue
-        rows, cols = pattern._coords
-        ordered = np.lexsort((cols, rows))  # the sorted entry order: by row, then by column
-        rows, cols = rows[ordered], cols[ordered]
-        # per seed, two draws per entry in entry order: uniform magnitude, then sign
-        draws = np.array([rng.random(2 * len(rows)) for rng in rngs])
-        magnitude = value_spec.low + (value_spec.high - value_spec.low) * draws[:, 0::2]
-        values = np.where(draws[:, 1::2] < 0.5, magnitude, -magnitude)
-        if inputs:
-            b[:, at[rows], cols - 1] = values
-            continue
-        rows, cols = at[rows], at[cols]
-        for (lo, hi), block in zip(windows, blocks):
-            inside = (lo <= rows) & (rows < hi) & (lo <= cols) & (cols < hi)
-            block[:, rows[inside] - lo, cols[inside] - lo] = values[:, inside]
-    return blocks, b
+def _entries(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The pattern's entries, 1-based, in the sorted order that every draw follows: by row, then by column."""
+    rows, cols = pattern._coords
+    ordered = np.lexsort((cols, rows))
+    return rows[ordered], cols[ordered]
 
 
 def numeric_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
@@ -208,8 +199,7 @@ def _eigenvalues(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of each matrix of a (T, n, n) stack, and the mask of
     those counted as nonzero: modulus above tol * (1 + spectral radius).  A tol
     of 1 or more would count none, since no modulus exceeds the radius."""
-    if not 0 < tol < 1:  # NaN fails both comparisons
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    _check_tol(tol)
     if not a.shape[1]:
         return np.zeros((len(a), 0), dtype=complex), np.zeros((len(a), 0), dtype=bool)
     eigenvalues = np.linalg.eigvals(a).astype(complex, copy=False)
@@ -217,14 +207,13 @@ def _eigenvalues(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, modulus > tol * (1.0 + modulus.max(axis=1, keepdims=True))
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < 1:  # NaN fails both comparisons
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
 def _check(image_ok: bool, hautus_ok: bool) -> NumericCheck:
     return NumericCheck(image_ok and hautus_ok, image_ok, hautus_ok, image_ok == hautus_ok)
-
-
-#: Matrix entries per stacked LAPACK call: Monte Carlo trials are decided in
-#: chunks that stay under it (one trial at least), so memory stays flat at any
-#: n or trial count.
-_STACK_ENTRIES = 2**18
 
 
 def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool, power: int) -> list[tuple]:
@@ -390,8 +379,10 @@ def deadbeat_steer(
         # column blocks reversed, to match the stacked unknown [u(0); ...; u(horizon-1)]
         gram = blocks[:, ::-1].reshape(n, horizon * m)
         rhs = -np.linalg.matrix_power(a, horizon) @ x0
-        stacked, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        controls = stacked.reshape(horizon, m)
+        if np.isfinite(gram).all() and np.isfinite(rhs).all():
+            controls = np.linalg.lstsq(gram, rhs, rcond=None)[0].reshape(horizon, m)
+        else:  # LAPACK refuses an overflowed system, and some builds print to stderr first
+            controls = np.full((horizon, m), np.nan)
     else:  # nothing to solve for, so no power of A is taken
         controls = np.zeros((horizon, 0))
 
@@ -424,11 +415,260 @@ def steering_residual(realization: Realization, result: SteeringResult) -> float
     return worst
 
 
+# --- exact trials over GF(p) ------------------------------------------------------------------------------
+
+#: The prime of the exact trials.  Residues lie below 2^31, so a product of two lies below 2^62 and fits int64;
+#: each product is reduced mod _P before it is summed, so a sum of fewer than 2^32 of them fits too, at any n.
+#: A trial's values mod _P are uniform and nonzero: by Schwartz (1980) and Zippel (1979) its pair falls on the
+#: non-generic set with probability at most n^2 / (2 _P), 2.3e-4 at n = 1000, and then its verdict may differ.
+_P = 2**31 - 1
+
+#: The spawn key of each trial's exact stream: PCG64 seeded by SeedSequence(base_seed + i) with this key, apart
+#: from the float stream of that seed that ``sample_realization`` reads.  A trial draws its 64-bit words once, for
+#: its values mod _P and then its random vectors, and once more for each redraw of u.
+_GF_KEY = (1,)
+
+#: Draws of the left vector u a trial may take; a trial that none of them proves counts as inconsistent and
+#: takes the conservative "no".  One draw fails with probability at most n1 / _P.
+_GF_DRAWS = 3
+
+#: Most array entries of one chunk of stacked trials, so memory stays flat at any n or trial count.
+_STACK_ENTRIES = 2**18
+
+
+def _gf_stream(seed: int) -> np.random.PCG64:
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=_GF_KEY))
+
+
+def _residues(words: np.ndarray, low: int = 0) -> np.ndarray:
+    """64-bit words as residues in [low, _P), each within 2^-32 of uniform: values are nonzero, vectors need not be."""
+    return (words % np.uint64(_P - low)).astype(np.int64) + low
+
+
+def _gf_plan(pattern_a: PatternMatrix, pattern_b: PatternMatrix, at: np.ndarray, n1: int, k: int) -> tuple:
+    """Where a trial's drawn values go on the split.  The values are drawn per entry in ``_entries`` order, A's
+    then B's.  Returns the mat-vec plans of A11, of A11 and its transpose side by side (block diagonal), and of
+    S; then, for B1, the indices of its values, their rows and their columns."""
+    rows, cols = (at[v] for v in _entries(pattern_a))
+    lo = len(at) - 1 - k  # the first survivor's position
+    a11, s = (rows < n1) & (cols < n1), (rows >= lo) & (cols >= lo)
+    index, r, c = np.flatnonzero(a11), rows[a11], cols[a11]
+    blocks = (_mv_plan(index, r, c), _mv_plan(np.r_[index, index], np.r_[r, c + n1], np.r_[c, r + n1]),
+              _mv_plan(np.flatnonzero(s), rows[s] - lo, cols[s] - lo))
+    b_rows, b_cols = _entries(pattern_b)
+    return blocks, (len(rows) + np.arange(len(b_rows)), at[b_rows], b_cols - 1)
+
+
+def _mv_plan(index: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """A block's mat-vec plan, by row: the indices of its values, their columns, the first entry of each row
+    that has one, and those rows."""
+    order = np.argsort(rows, kind="stable")
+    present, starts = np.unique(rows[order], return_index=True)
+    return index[order], cols[order], starts, present
+
+
+def _gf_matvec(x: np.ndarray, vals: np.ndarray, block: tuple) -> np.ndarray:
+    """M x mod _P for each trial's block M, whose values are ``vals`` (entries, T), and each of that trial's
+    vectors in x (size, V, T): one gather and one reduction for the whole stack, trials last."""
+    _, cols, starts, present = block
+    y = np.zeros_like(x)
+    if len(cols):
+        products = x[cols]
+        products *= vals[:, None]
+        products %= _P
+        y[present] = np.add.reduceat(products, starts, axis=0) % _P
+    return y
+
+
+def _gf_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sums mod _P over the first axis of x y, each product reduced first."""
+    return (x * y % _P).sum(axis=0) % _P
+
+
+def _berlekamp_massey(a: np.ndarray, most: int) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal generator f of each column of a (2 * most, T) stack of sequences of linear complexity at most
+    ``most``: its coefficients by power (most + 1, T), not monic, and its degree r.  Massey's (1969) algorithm
+    in its inversion-free form, across the columns: sum_i f_i a_(j+i) = 0 for every j."""
+    length, t = a.shape
+    c = np.zeros((most + 2, t), dtype=np.int64)  # the connection polynomial, c_0 != 0
+    c[0] = 1
+    bz = np.roll(c, 1, axis=0)  # z^s times the connection polynomial before the last length change
+    ell, gamma = np.zeros(t, dtype=np.int64), np.ones(t, dtype=np.int64)
+    reverse = a[::-1]
+    for j in range(length):
+        w = min(j + 1, most + 2)
+        disc = _gf_dot(c[:w], reverse[length - 1 - j:length - 1 - j + w])
+        grow = (disc != 0) & (2 * ell <= j)
+        c, bz = (gamma * c - disc * bz) % _P, np.roll(np.where(grow, c, bz), 1, axis=0)
+        bz[0] = 0
+        ell, gamma = np.where(grow, j + 1 - ell, ell), np.where(grow, disc, gamma)
+    return _shifted(c[:most + 1], ell, reverse=True), ell
+
+
+def _shifted(poly: np.ndarray, by: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Each polynomial times z^by, cut to its coefficients, with the coefficients on the first axis and the
+    trials on the last; or, with ``reverse``, its coefficients 0..by in reverse order."""
+    power = np.arange(len(poly)).reshape(-1, *[1] * (poly.ndim - 1))
+    power = by - power if reverse else power - by
+    index = np.broadcast_to(np.clip(power, 0, len(poly) - 1), poly.shape)
+    return np.where((power >= 0) & (power < len(poly)), np.take_along_axis(poly, index, axis=0), 0)
+
+
+def _gf_inverse(x: np.ndarray) -> np.ndarray:
+    """x^(_P - 2) mod _P elementwise: the inverse of each nonzero residue (Fermat)."""
+    result, power = np.ones_like(x), _P - 2
+    while power:
+        result = result * x % _P if power & 1 else result
+        x, power = x * x % _P, power >> 1
+    return result
+
+
+def _solve_mod(f: np.ndarray, r: np.ndarray, g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h and a nonzero constant gamma with g h = gamma c (mod f) in each column, deg h <= 2 max(r), where g is
+    prime to f: Euclid's algorithm on (f, g) as 2 max(r) division steps of Bernstein and Yang (2019), which need
+    no inversion and shift every column alike.  Polynomials are by power, deg f = r, and deg g, deg c < r.
+
+    The steps run on the reversals F = z^r f(1/z) and G = z^(r-1) g(1/z) and keep z^n F_n = U F + V G and
+    z^n G_n = U' F + V' G; starting V' at the reversal of c carries c along, so gamma = F_N(0) and
+    h = z^N V(1/z) at the end, N the step count."""
+    width, t = f.shape
+    steps = 2 * (width - 1)
+    top, low = _shifted(f, r, reverse=True), _shifted(g, r - 1, reverse=True)
+    v_top, v_low = np.zeros((2, steps + width + 1, t), dtype=np.int64)
+    v_low[:width] = _shifted(c, r - 1, reverse=True)
+    delta = np.ones(t, dtype=np.int64)
+    for used in range(width, width + steps):  # the cofactors' degrees stay below ``used``
+        swap = (delta > 0) & (low[0] != 0)
+        moved = np.where(swap, v_low[:used], v_top[:used])
+        v_low[:used] = (top[0] * v_low[:used] - low[0] * v_top[:used]) % _P
+        v_top[1:used + 1] = moved
+        low, top = (top[0] * low - low[0] * top) % _P, np.where(swap, low, top)
+        low[:-1], low[-1] = low[1:], 0
+        delta = np.where(swap, 1 - delta, 1 + delta)
+    return _shifted(v_top, steps, reverse=True)[:steps + 1], top[0]
+
+
+def _gf_krylov(a11: tuple, both: tuple, values: np.ndarray, b: np.ndarray, v: np.ndarray, u: np.ndarray) -> tuple:
+    """ZC and controllability over GF(_P) of stacked pairs (A11, b) of one input, after Wiedemann (1986), with
+    random vectors v and u; vectors are (n1, T), ``values`` (drawn, T), ``a11`` and ``both`` the plans of A11 and
+    of A11 beside its transpose.  Returns which trials are proven, which are ZC and which are controllable.
+
+    (i) a_j = u A^j b for j < 2 n1 has minimal generator f, of degree r, by Berlekamp-Massey.  (ii) f(A) b = 0
+    proves that r is the dimension of K, the Krylov space of b; else u was unlucky.  (iii) The quotient by K has
+    dimension d = n1 - r, so it is nilpotent exactly when A^d maps every vector into K, and w = A^d v for a
+    random v lands in K otherwise with probability at most 1 / _P.  (iv) w = h(A) b, deg h < r, has h = N_c /
+    N_a (mod f), where N_a and N_c are the polynomial parts of f(z) sum a_j z^-(j+1) and f(z) sum c_j z^-(j+1)
+    for c_j = u A^j w: O(r^2) work and no matrix.  (v) gamma h(A) b = gamma w, by Horner, proves w in K, and its
+    failure proves w outside it, h being unique.  Controllability is r = n1."""
+    n1, t = b.shape
+    a, e = np.empty((2 * n1, t), dtype=np.int64), np.zeros((n1 + 1, t), dtype=np.int64)
+    xy, vals = np.concatenate([b, u])[:, None], values[both[0]]  # A^k b above (A^T)^k u
+    for k in range(n1):  # a_2k = (A^T)^k u . A^k b, a_2k+1 = (A^T)^(k+1) u . A^k b, and e_k = u A^k v
+        x = xy[:n1]
+        a[2 * k], e[k] = _gf_dot(np.concatenate([x, v[:, None]], axis=1), xy[n1:])
+        xy = _gf_matvec(xy, vals, both)
+        a[2 * k + 1] = _gf_dot(x[:, 0], xy[n1:, 0])
+    vals = values[a11[0]]
+    f, r = _berlekamp_massey(a, n1)
+    width, d = int(r.max()) + 1, n1 - r
+    f = f[:width] * _gf_inverse(f[r, np.arange(t)]) % _P  # monic
+    sequences = np.stack([a[:width], _shifted(e, -d)[:width]], axis=1)  # c_j = e_(d + j)
+    numerators = np.zeros_like(sequences)  # N_k = sum_(i > k) f_i a_(i - k - 1), and the same for c
+    for i in range(1, width):
+        numerators[:i] += f[i, None] * sequences[i - 1::-1] % _P
+    h, gamma = _solve_mod(f, r, *(numerators % _P).swapaxes(0, 1))
+    top = _shifted(f, width - 1 - r)  # z^(width - 1 - r) f, monic of degree width - 1 in every column
+    for i in range(len(h) - 1, width - 2, -1):  # h mod top, which is h mod f too
+        h[i - width + 1:i + 1] = (h[i - width + 1:i + 1] - h[i] * top % _P) % _P
+    coefficients = np.zeros((n1 + 1, 3, t), dtype=np.int64)  # f and h on b, and -gamma z^d on v
+    coefficients[:width, 0], coefficients[:width - 1, 1] = f, h[:width - 1]
+    coefficients[d, 2, np.arange(t)] = (_P - gamma) % _P
+    y = np.zeros((n1, 2, t), dtype=np.int64)  # f(A) b, and gamma h(A) b - gamma A^d v
+    for i in range(n1, -1, -1):
+        y = _gf_matvec(y, vals, a11) if i < n1 else y
+        y += coefficients[i, :2] * b[:, None] % _P
+        y[:, 1] += coefficients[i, 2] * v % _P
+        y %= _P
+    return ~y[:, 0].any(axis=0), ~y[:, 1].any(axis=0), r == n1
+
+
+def _gf_dense(block: tuple, vals: np.ndarray, b: np.ndarray, v: np.ndarray) -> tuple[bool, bool]:
+    """ZC and controllability of one pair (A11, B1) over GF(_P) by Gaussian elimination: rank K against n1, and
+    whether w = A11^d v, d = n1 - rank K, lies in K.  K's columns are eliminated a block A11^j B1 at a time, and a
+    block that adds no rank ends K, since every later block lies in the span too.  ``vals`` is (entries, 1), b
+    (n1, m) and v (n1,)."""
+    n1 = len(b)
+    basis, pivots = np.zeros((0, n1), dtype=np.int64), []  # each row 1 at its pivot and 0 at the others'
+
+    def grows(vector):  # add the vector's residual against the span, if it is not zero
+        nonlocal basis
+        residual = (vector - _gf_dot(basis, vector[pivots][:, None])) % _P
+        if not residual.any():
+            return False
+        pivot = int(np.argmax(residual != 0))
+        residual = residual * _gf_inverse(residual[pivot]) % _P
+        basis = np.vstack([(basis - basis[:, pivot, None] * residual % _P) % _P, residual])
+        pivots.append(pivot)
+        return True
+
+    x = b[:, :, None]
+    while sum([grows(column) for column in x[:, :, 0].T]) and len(pivots) < n1:  # every column, then the count
+        x = _gf_matvec(x, vals, block)
+    rank, w = len(pivots), v[:, None, None]
+    for _ in range(n1 - rank):
+        w = _gf_matvec(w, vals, block)
+    return not grows(w[:, 0, 0]), rank == n1
+
+
+def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, words: np.ndarray, streams: list, ctrl: bool) -> tuple:
+    """Exact verdicts of a chunk of trials over GF(_P) on the reachable split, where ZC(A, B) holds exactly when
+    ZC(A11, B1) does and S is nilpotent.  ``words`` holds each trial's first draw, one row per trial: its values,
+    one per entry, then alpha, v', v and u; ``streams`` give each redraw of u.  Returns per trial whether it is
+    ZC, whether it is controllable and whether it was proven.
+
+    (vi) S^k v' != 0 proves that S is not nilpotent.  With m > 1 inputs the Krylov steps run on b = B1 alpha:
+    K(A11, b) lies inside K(A11, B1), so a "yes" there is a "yes" for B1.  A "no" proves nothing about B1, so it
+    falls back to ``_gf_dense``."""
+    (a11, both, s), (b_index, b_rows, b_cols) = plan
+    t, drawn = words.shape[0], words.shape[1] - m - k - 2 * n1
+    values = _residues(words[:, :drawn].T, 1)
+    alpha, v_s, v, u = np.split(_residues(words[:, drawn:].T), np.cumsum([m, k, n1]))
+    zc, controllable, proven = np.ones(t, dtype=bool), np.full(t, n1 == n), np.ones(t, dtype=bool)
+    if k:
+        x, vals = v_s[:, None], values[s[0]]
+        for _ in range(k):
+            x = _gf_matvec(x, vals, s)
+        zc = ~x.any(axis=(0, 1))
+    todo = np.flatnonzero((zc | ctrl & controllable) & (n1 > 0))
+    if not len(todo):
+        return zc, controllable, proven
+    b1 = np.zeros((n1, m, t), dtype=np.int64)
+    b1[b_rows, b_cols] = values[b_index]
+    b = _gf_dot(b1.swapaxes(0, 1), alpha[:, None])
+    u = u[:, todo]
+    for draw in range(_GF_DRAWS):
+        if draw:
+            u = _residues(np.array([streams[i].random_raw(n1) for i in todo]).T)
+        ok, zc_b, ctrl_b = _gf_krylov(a11, both, values[:, todo], b[:, todo], v[:, todo], u)
+        done = todo[ok]
+        zc[done], controllable[done] = zc_b[ok], controllable[done] & ctrl_b[ok]
+        for i in done[~zc[done] | ctrl & (n1 == n) & ~controllable[done]] if m > 1 else ():
+            zc[i], controllable[i] = _gf_dense(a11, values[a11[0], i, None], b1[..., i], v[:, i])
+            controllable[i] &= n1 == n
+        todo = todo[~ok]
+        if not len(todo):
+            break
+    proven[todo] = zc[todo] = controllable[todo] = False
+    return zc, controllable, proven
+
+
 @dataclass(frozen=True)
 class MonteCarloStats:
-    """Agreement between a structural verdict and seeded numeric trials.
+    """Agreement between a structural verdict and seeded exact trials.
     Trial i uses seed base_seed + i, so results are reproducible and
-    independent of execution order."""
+    independent of execution order.  ``inconsistent_trials`` counts the
+    trials that the exact engine could not prove within its redraw budget;
+    each takes the conservative "no" on both checks, and none is expected."""
 
     trials: int
     base_seed: int
@@ -452,33 +692,33 @@ def monte_carlo_verify(
     tol: float = DEFAULT_TOL,
     check_controllability: bool = False,
 ) -> MonteCarloStats:
-    """Sample `trials` realizations and compare the numeric zero-controllability
-    verdict (optionally also plain controllability) with the structural one."""
+    """Sample `trials` realizations over GF(p) and compare their exact zero-controllability verdicts (optionally
+    also plain controllability) with the structural ones.  ``tol`` is only validated: exact verdicts use no
+    threshold."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     seeds, pattern_b = _seeds(base_seed, trials), _pair(pattern_a, pattern_b)
+    _check_tol(tol)
     n, m = pattern_b.shape
     _, at, n1, k = _reachable_split(build_graph(pattern_a, pattern_b))  # which checks the block facts
-    dense = n1 * n * (m + 1) + k * k  # [C, A^n] on the reached rows, and S
-    check_dense_size(n, m, n, dense)
-    drawn = 2 * len(pattern_a._coords[0]) + 2 * len(pattern_b._coords[0])  # the sampler's, per trial
+    check_dense_size(n, m, n, n1 * n * (m + 1) + k * k)  # the float blocks' refusal; it bounds the m > 1 fallback's K
     zc_structural = not k  # the survivors lie on or after an unreached cycle
     # a pair whose inputs reach every state is controllable exactly when [A B] has term rank n
     ctrl_structural = (n1 == n and generic_rank(pattern_a.hstack(pattern_b)) == n) if check_controllability else None
     zc_agree = ctrl_agree = inconsistent = 0
     disagreeing = []
-    chunk = max(1, _STACK_ENTRIES // max(1, dense, drawn))
+    plan = _gf_plan(pattern_a, pattern_b, at, n1, k)
+    drawn = len(pattern_a._coords[0]) + len(pattern_b._coords[0]) + m + k + 2 * n1  # values, alpha, v', v, u
+    # per trial: A's entries gathered for two vectors, the Krylov sequences and polynomials, and S's vector
+    chunk = max(1, _STACK_ENTRIES // max(2 * len(pattern_a._coords[0]) + 16 * n1 + k, drawn, 1))
     for batch in (seeds[start:start + chunk] for start in range(0, trials, chunk)):
-        (a11, s), b1 = _sample(pattern_a, pattern_b, batch, ValueSpec(), at, [(0, n1), (n - k, n)])
-        (image, hautus), *ctrl = _split_decide(a11, b1, s, n, tol, True, check_controllability)
-        zc = image & hautus
+        streams = [_gf_stream(seed) for seed in batch]
+        words = np.array([stream.random_raw(drawn) for stream in streams])
+        zc, controllable, proven = _gf_decide(plan, n, m, n1, k, words, streams, check_controllability)
         zc_agree += int(np.sum(zc == zc_structural))
         disagreeing += [seed for seed, verdict in zip(batch, zc) if verdict != zc_structural]
-        flagged = image != hautus  # a trial counts once, whichever check is inconsistent
-        for ctrl_image, ctrl_hautus in ctrl:
-            ctrl_agree += int(np.sum((ctrl_image & ctrl_hautus) == ctrl_structural))
-            flagged |= ctrl_image != ctrl_hautus
-        inconsistent += int(np.sum(flagged))
+        ctrl_agree += int(np.sum(controllable == ctrl_structural))
+        inconsistent += int(np.sum(~proven))
     return MonteCarloStats(
         trials=trials,
         base_seed=base_seed,

@@ -152,7 +152,7 @@ def render_stats(stats: MonteCarloStats) -> str:
         )
     if stats.inconsistent_trials:
         lines.append(
-            f"flagged trials (image vs eigenvalue tests disagreed): {stats.inconsistent_trials}"
+            f"flagged trials (not proven within the redraw budget, counted as no): {stats.inconsistent_trials}"
         )
     if stats.disagreeing_seeds:
         shown = ", ".join(str(s) for s in stats.disagreeing_seeds[:10])

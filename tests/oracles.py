@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from zerocontrol import numeric
 from zerocontrol import (
     Decomposition,
     MonteCarloStats,
@@ -418,28 +419,76 @@ def oracle_split_checks(realization, tol=1e-8):
     return _oracle_check(image_ok, hautus_ok), _oracle_check(False, False)
 
 
-def oracle_monte_carlo_verify(pattern_a, pattern_b, trials, base_seed, tol=1e-8,
-                              check_controllability=False) -> MonteCarloStats:
-    """One realization at a time through the split reference checks; a trial
-    is flagged once when either of its checks is inconsistent."""
+def oracle_gf_pair(pattern_a, pattern_b, seed, stream=None):
+    """A trial's pair mod p, as lists of Python ints: the first words of the trial's exact stream (or of
+    ``stream(seed)``) give one value per entry, A's entries and then B's, each in (row, column) order, each
+    word w taken as 1 + w mod (p - 1)."""
+    p = numeric._P
+    n = pattern_a.n_rows
+    m = pattern_b.n_cols if pattern_b is not None else 0
+    entries = [(0, i, j) for i, j in sorted(pattern_a.nonzeros)]
+    entries += [(1, i, j) for i, j in sorted(pattern_b.nonzeros if pattern_b is not None else ())]
+    words = (np.random.PCG64(np.random.SeedSequence(seed, spawn_key=numeric._GF_KEY)) if stream is None
+             else stream(seed)).random_raw(len(entries))
+    a, b = [[0] * n for _ in range(n)], [[0] * m for _ in range(n)]
+    for (which, i, j), word in zip(entries, words.tolist()):
+        (b if which else a)[i - 1][j - 1] = 1 + word % (p - 1)
+    return a, b
+
+
+def oracle_gf_rank(rows, p):
+    """Rank mod p of a list of rows of Python ints, by Gaussian elimination."""
+    rows, rank = [list(row) for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] % p:
+                factor = rows[i][col] * inverse % p
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_gf_checks(a, b, p):
+    """Zero controllability and controllability of a whole pair mod p: rank [K, A^n] against rank K, and rank K
+    against n, for K = [B, AB, ..., A^(n-1) B], each column built by products with A's nonzeros."""
+    n, m = len(a), len(b[0]) if b else 0
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+    def times_a(column, count):
+        for _ in range(count):
+            column = [sum(x * column[j] for j, x in row) % p for row in nonzeros]
+        return column
+
+    columns = [times_a([row[i] for row in b], power) for i in range(m) for power in range(n)]
+    krylov = [[column[i] for column in columns] for i in range(n)]
+    a_to_n = [times_a([int(i == j) for i in range(n)], n) for j in range(n)]
+    rank = oracle_gf_rank(krylov, p)
+    with_a_to_n = [row + [column[i] for column in a_to_n] for i, row in enumerate(krylov)]
+    return oracle_gf_rank(with_a_to_n, p) == rank, rank == n
+
+
+def oracle_monte_carlo_verify(pattern_a, pattern_b, trials, base_seed, check_controllability=False,
+                              stream=None) -> MonteCarloStats:
+    """One trial at a time, by dense elimination mod p on the whole pair of the trial's values; the elimination
+    proves every trial, so none is inconsistent."""
     zc_structural = is_generically_zero_controllable(pattern_a, pattern_b).verdict
     ctrl_structural = None
     if check_controllability:
         ctrl_structural = is_generically_controllable(pattern_a, pattern_b).verdict
-    zc_agree = ctrl_agree = flagged = 0
+    zc_agree = ctrl_agree = 0
     disagreeing = []
     for seed in range(base_seed, base_seed + trials):
-        r = oracle_sample_realization(pattern_a, pattern_b, seed)
-        zc, ctrl = oracle_split_checks(r, tol)
-        zc_agree += zc.verdict == zc_structural
-        if zc.verdict != zc_structural:
+        zc, ctrl = oracle_gf_checks(*oracle_gf_pair(pattern_a, pattern_b, seed, stream), numeric._P)
+        zc_agree += zc == zc_structural
+        if zc != zc_structural:
             disagreeing.append(seed)
-        consistent = zc.consistent
-        if check_controllability:
-            ctrl_agree += ctrl.verdict == ctrl_structural
-            consistent = consistent and ctrl.consistent
-        flagged += not consistent
-    return MonteCarloStats(trials, base_seed, zc_structural, zc_agree, flagged, tuple(disagreeing),
+        ctrl_agree += ctrl == ctrl_structural
+    return MonteCarloStats(trials, base_seed, zc_structural, zc_agree, 0, tuple(disagreeing),
                            ctrl_structural, ctrl_agree if check_controllability else None)
 
 

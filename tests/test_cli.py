@@ -274,22 +274,33 @@ def _dense_pattern(path, n, fed=True):
     return str(path)
 
 
-def test_verify_refuses_krylov_blocks_that_overflow(tmp_path, capsys):
-    # A^400 and the Krylov blocks overflow float64, and an SVD of them would not converge
-    assert run_cli(["verify", _dense_pattern(tmp_path / "dense.pat", 400), "--trials", "1"]) == 2
+def test_verify_decides_a_pair_whose_krylov_blocks_overflow_float64(tmp_path, capsys):
+    # A^300 and the Krylov blocks overflow float64, which the float checks refused; exact trials decide it
+    assert run_cli(["verify", _dense_pattern(tmp_path / "dense.pat", 300), "--trials", "1"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: n=400: the controllability matrix or A^n overflows float64, so no numeric verdict"
-    ]
+    assert "structural verdict (zero controllable): yes" in captured.out
+    assert "numeric agreement: 1/1" in captured.out
+    assert captured.err == ""
 
 
 def test_verify_counts_an_overflowed_survivor_power_as_nonzero(tmp_path, capsys):
-    # nothing is reached, so S = A, and S^300 overflows float64: a settled "no", with no warning
+    # nothing is reached, so S = A, whose S^300 overflows float64; S^k v' != 0 mod p settles a "no", with no warning
     assert run_cli(["verify", _dense_pattern(tmp_path / "dense.pat", 300, fed=False), "--trials", "1"]) == 0
     captured = capsys.readouterr()
     assert "numeric agreement: 1/1" in captured.out
     assert captured.err == ""
+
+
+def test_simulate_refuses_an_overflowed_steering_system_in_one_line(tmp_path):
+    # the stacked matrix overflows to inf; LAPACK would refuse it, and some builds print to fd 2 first
+    path, src = _dense_pattern(tmp_path / "dense.pat", 30), str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "zerocontrol.cli", "simulate", path, "--horizon", "400"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines() == [
+        "error: steering overflowed within horizon 400 (controls or trajectory not finite)"
+    ]
 
 
 def test_simulate_refuses_a_final_norm_that_overflows(tmp_path, capsys):

@@ -259,7 +259,7 @@ def test_render_stats_prints_every_optional_line():
         "numeric agreement: 31/40 (77.5%)\n"
         "base seed: 7\n"
         "controllability: structural no, numeric agreement 38/40\n"
-        "flagged trials (image vs eigenvalue tests disagreed): 2\n"
+        "flagged trials (not proven within the redraw budget, counted as no): 2\n"
         "disagreeing seeds: 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, ..."
     )
 

@@ -32,6 +32,8 @@ from conftest import (
 from oracles import (
     _oracle_eigenvalues,
     _oracle_hautus_ok,
+    oracle_gf_checks,
+    oracle_gf_pair,
     oracle_is_controllable_numeric,
     oracle_is_zero_controllable_numeric,
     oracle_monte_carlo_verify,
@@ -240,34 +242,89 @@ def test_checks_match_one_complex_svd_per_eigenvalue():
     assert len(seen) == 4  # both verdicts of both checks occur
 
 
+def _exact(a, b, seed, stream=None):
+    """The exact oracle's (zero controllability, controllability) of one trial."""
+    return oracle_gf_checks(*oracle_gf_pair(a, b, seed, stream), numeric._P)
+
+
 def test_monte_carlo_shares_one_trial_between_the_checks():
     rng = np.random.default_rng(32)
     for n, m in ((12, 0), (12, 2), (24, 1), (40, 1)):
         a = random_pattern(rng, n, n, 2.0 / n)
         b = random_pattern(rng, n, m, 1.5 / n) if m else None
         stats = monte_carlo_verify(a, b, trials=15, base_seed=70, check_controllability=True)
-        checks = [oracle_split_checks(r) for r in (oracle_sample_realization(a, b, seed=70 + i) for i in range(15))]
-        assert stats.zc_agreements == sum(zc.verdict == stats.zc_structural for zc, _ in checks)
-        assert stats.ctrl_agreements == sum(c.verdict == stats.ctrl_structural for _, c in checks)
-        assert stats.inconsistent_trials == sum(
-            not (zc.consistent and c.consistent) for zc, c in checks
-        )
+        checks = [_exact(a, b, 70 + i) for i in range(15)]
+        assert stats.zc_agreements == sum(zc == stats.zc_structural for zc, _ in checks)
+        assert stats.ctrl_agreements == sum(c == stats.ctrl_structural for _, c in checks)
+        assert stats.inconsistent_trials == 0  # the engine proves every trial
 
 
-def _both_checks_inconsistent():
-    """A seeded pair whose trials 0-9 include 3 with both checks inconsistent
-    (rank C falls short numerically where every pencil has rank n)."""
+def _float_inconsistent_pair():
+    """A seeded pair on whose trials 0-9 the float checks were both
+    inconsistent 3 times (rank C falls short numerically where every pencil
+    has rank n)."""
     rng = np.random.default_rng(8)
     return random_pattern(rng, 16, 16, 3.0 / 16), random_pattern(rng, 16, 1, 0.3)
 
 
-def test_a_trial_is_flagged_once_when_both_checks_are_inconsistent():
-    a, b = _both_checks_inconsistent()
-    checks = [oracle_split_checks(r) for r in (oracle_sample_realization(a, b, seed) for seed in range(10))]
-    assert sum(not zc.consistent and not c.consistent for zc, c in checks) == 3
-    stats = monte_carlo_verify(a, b, trials=10, base_seed=0, check_controllability=True)
-    assert stats.inconsistent_trials == sum(not (zc.consistent and c.consistent) for zc, c in checks)
-    assert stats.inconsistent_trials == 9
+class _Stream:
+    """A trial's exact stream whose draws numbered in ``change`` (from 1) are
+    passed through ``change[draw]``: a trial's first draw holds its values
+    mod p, then alpha, v', v and u; each later one is a redraw of u."""
+
+    def __init__(self, stream, change):
+        self.stream, self.change, self.calls = stream, change, 0
+
+    def random_raw(self, size):
+        self.calls += 1
+        words = self.stream.random_raw(size)
+        return self.change[self.calls](words) if self.calls in self.change else words
+
+
+def _streams(monkeypatch, change):
+    """Make every trial's exact stream a ``_Stream`` with ``change``; returns the list they are put in."""
+    made, real = [], numeric._gf_stream
+
+    def stream(seed):
+        made.append(_Stream(real(seed), change))
+        return made[-1]
+
+    monkeypatch.setattr(numeric, "_gf_stream", stream)
+    return made
+
+
+def test_a_trial_is_flagged_once_when_both_checks_are_inconsistent(monkeypatch):
+    """A u of zeros makes Berlekamp-Massey find the generator 1, which f(A) b
+    = 0 refutes, so the trial is not proven by that draw.  With every u zero,
+    each trial that takes the Krylov steps draws u the budgeted number of
+    times, is flagged once though both of its checks are unproven, and takes
+    the conservative "no" on both; a trial that S settles draws once and is
+    not flagged.  With only the first u zero, each such trial draws twice and
+    every verdict is the oracle's."""
+    strict_lower = PatternMatrix(5, 5, frozenset({(2, 1), (3, 1), (4, 3), (5, 4)}))
+    cases = [_float_inconsistent_pair(), (strict_lower, PatternMatrix(5, 1, frozenset({(1, 1)}))),
+             (EXAMPLE1_A, EXAMPLE1_B), (EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER)]
+    took = []
+    for a, b in cases:
+        n1 = len(oracle_split(oracle_sample_realization(a, b, 0))[0])
+        zero_u = {1: lambda words, n1=n1: np.r_[words[:len(words) - n1], np.zeros(n1, dtype=np.uint64)]}
+        every_u = zero_u | {draw: np.zeros_like for draw in range(2, numeric._GF_DRAWS + 1)}
+        checks = [_exact(a, b, seed) for seed in range(10)]
+        for change, draws in ((every_u, numeric._GF_DRAWS), (zero_u, 2)):
+            streams = _streams(monkeypatch, change)
+            stats = monte_carlo_verify(a, b, trials=10, base_seed=0, check_controllability=True)
+            monkeypatch.undo()
+            krylov = [stream.calls > 1 for stream in streams]
+            assert [stream.calls for stream in streams] == [1 + (draws - 1) * k for k in krylov]
+            flagged = change is every_u
+            assert stats.inconsistent_trials == sum(krylov) * flagged
+            verdicts = [(False, False) if k and flagged else check for k, check in zip(krylov, checks)]
+            assert stats.zc_agreements == sum(zc == stats.zc_structural for zc, _ in verdicts)
+            assert stats.ctrl_agreements == sum(ctrl == stats.ctrl_structural for _, ctrl in verdicts)
+            assert stats.disagreeing_seeds == tuple(seed for seed, (zc, _) in enumerate(verdicts)
+                                                    if zc != stats.zc_structural)
+        took.append(sum(krylov))
+    assert took[1:] == [10, 0, 10]  # S settles Example 1, whose x5 loop is unreached
 
 
 def _svd_calls(monkeypatch):
@@ -567,6 +624,19 @@ def _pencils_by_trial(stacks, realizations):
     return found
 
 
+def _no_float_work(monkeypatch):
+    """Record every SVD, eigenvalue, Cholesky and certificate call while the test runs."""
+    calls = []
+    for module, name in ((np.linalg, "svd"), (np.linalg, "eigvals"), (np.linalg, "cholesky"),
+                         (numeric, "_certified")):
+        def spy(*args, _call=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("ctrl", [False, True])
 def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
     """Per trial, every conjugate class the walks need is decided exactly once,
@@ -574,8 +644,11 @@ def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
     decided: repeats and conjugates reuse, so the conjugate of an SVD-decided
     pencil takes no SVD, a certified class takes none either, a class tries at
     most one certificate (real for a real eigenvalue, complex for a pair), and
-    nothing runs past a walk's end.  The walks run on the pair that
-    ``_decide`` sees, and a trial that S settles has none."""
+    nothing runs past a walk's end.  The walks run on the pairs that the float
+    checks decide, six trials stacked in one ``_decide`` call, and a trial that
+    S settles has none.  ``monte_carlo_verify`` decides the same trials with
+    no pencil at all: no SVD, eigenvalue, Cholesky or certificate call, and
+    its statistics are the exact oracle's."""
     rng = np.random.default_rng(41)
     chain = PatternMatrix(6, 6, frozenset((i + 1, i) for i in range(1, 6)))
     cases = [(chain, PatternMatrix(6, 1, frozenset({(1, 1)})))]  # nilpotent, [A, B] full rank
@@ -589,7 +662,10 @@ def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
         realizations = [r for r, _ in blocks]
         stacks = _svd_calls(monkeypatch)
         certificates = _certificate_calls(monkeypatch)
-        monte_carlo_verify(a, b, trials=6, base_seed=900 + k * 10, check_controllability=ctrl)
+        kept = [(r, walks_ctrl) for r, walks_ctrl in blocks if r is not None]
+        if kept:
+            numeric._decide(np.array([r.a for r, _ in kept]), np.array([r.b for r, _ in kept]), 1e-8, True,
+                            kept[0][1], a.n_rows)
         monkeypatch.undo()
         tried = _pencils_by_trial([stack for stack, _ in certificates], realizations)
         proven = _pencils_by_trial([stack[ok] for stack, ok in certificates], realizations)
@@ -605,15 +681,20 @@ def test_each_needed_pencil_class_is_decided_once(ctrl, monkeypatch):
             if k == 0:  # the repeated exact zeros try one real certificate under the controllability walk
                 assert tries == ([(frozenset({0j}), "f")] if ctrl else [])
                 assert Counter(cls for cls, _ in svds + certs) == Counter([frozenset({0j})] * ctrl)
+        float_calls = _no_float_work(monkeypatch)
+        stats = monte_carlo_verify(a, b, trials=6, base_seed=900 + k * 10, check_controllability=ctrl)
+        monkeypatch.undo()
+        assert float_calls == []
+        assert stats == oracle_monte_carlo_verify(a, b, 6, 900 + k * 10, check_controllability=ctrl)
     assert complex_classes > 0 and decided["svd"] > 0 and decided["certificate"] > 0 and decided["pair_svd"] > 0
 
 
 def test_one_trial_decides_as_the_single_check(monkeypatch):
-    """A one-trial Monte Carlo run tries the same certificates and takes the
-    same SVDs on the Hautus pencils of (A11, B1), the block of the states its
-    inputs reach, as the single zero controllability check of that
-    realization, on 40 seeded pairs at n = 12 and 24, half of them
-    structurally zero controllable, with 3 seeds each."""
+    """A one-trial Monte Carlo run decides its trial as the single exact check
+    of that trial's pair does (the oracle's elimination mod p), with no float
+    work, on 40 seeded pairs at n = 12 and 24, half of them structurally zero
+    controllable, with 3 seeds each; and a three-trial run from the first
+    seed decides the same three trials."""
     rng = np.random.default_rng(48)
     pairs = []
     for n in (12, 24):
@@ -623,23 +704,23 @@ def test_one_trial_decides_as_the_single_check(monkeypatch):
             kinds[is_generically_zero_controllable(a, b).verdict].append((a, b))
         pairs += kinds[True][:10] + kinds[False][:10]
 
-    def hautus_calls(run, n1):  # the pencils of (A11, B1), and any matrix of their shape
-        svds, certificates = _svd_calls(monkeypatch), _certificate_calls(monkeypatch)
-        run()
-        monkeypatch.undo()
-        return [[(stack.dtype.kind, stack.tobytes()) for stack in stacks if stack.shape[1:] == (n1, n1 + 1)]
-                for stacks in (svds, [stack for stack, _ in certificates])]
-
-    tried = 0
+    seen = set()
     for k, (a, b) in enumerate(pairs):
-        for seed in (600 + 3 * k, 601 + 3 * k, 602 + 3 * k):
-            r = sample_realization(a, b, seed)
-            n1 = len(oracle_split(r)[0])
-            single = hautus_calls(lambda: is_zero_controllable_numeric(r), n1)
-            trial = hautus_calls(lambda: monte_carlo_verify(a, b, trials=1, base_seed=seed), n1)
-            assert trial == single, (k, seed)
-            tried += len(single[1]) > 0
-    assert tried > 0
+        seeds = (600 + 3 * k, 601 + 3 * k, 602 + 3 * k)
+        float_calls = _no_float_work(monkeypatch)
+        runs = [monte_carlo_verify(a, b, trials=1, base_seed=seed, check_controllability=True) for seed in seeds]
+        together = monte_carlo_verify(a, b, trials=3, base_seed=seeds[0], check_controllability=True)
+        monkeypatch.undo()
+        assert float_calls == []
+        for seed, stats in zip(seeds, runs):
+            zc, ctrl = _exact(a, b, seed)
+            assert stats.zc_agreements == (zc == stats.zc_structural)
+            assert stats.ctrl_agreements == (ctrl == stats.ctrl_structural)
+            assert stats.inconsistent_trials == 0
+            seen.add((stats.zc_structural, zc))
+        assert together.disagreeing_seeds == sum((stats.disagreeing_seeds for stats in runs), ())
+        assert together.ctrl_agreements == sum(stats.ctrl_agreements for stats in runs)
+    assert seen == {(True, True), (False, False)}
 
 
 def test_walks_start_at_the_smallest_modulus(monkeypatch):
@@ -662,28 +743,33 @@ def test_walks_start_at_the_smallest_modulus(monkeypatch):
 
 
 def test_stacked_calls_stay_under_the_entry_cap(monkeypatch):
-    """Every SVD, eigenvalue and Cholesky call holds at most the cap's entries, at the
-    default cap with n = 40, m = 2 and 100 trials, and at a small cap."""
+    """Every stacked mat-vec gathers at most the cap's entries (entries times
+    vectors times trials), at the default cap with n = 40, m = 2 and 100
+    trials, and at a small cap; trials are stacked; no float call is made."""
     rng = np.random.default_rng(42)
     sizes = []
-    for name in ("svd", "eigvals", "cholesky"):
-        def spy(matrix, *args, _call=getattr(np.linalg, name), **kwargs):
-            sizes.append((matrix.size, matrix.shape))
-            return _call(matrix, *args, **kwargs)
+    matvec = numeric._gf_matvec
 
-        monkeypatch.setattr(np.linalg, name, spy)
+    def spy(x, vals, block):
+        sizes.append((len(block[1]) * x.shape[1] * x.shape[2], x.shape[2]))
+        return matvec(x, vals, block)
+
     for cap, n, m, trials in ((numeric._STACK_ENTRIES, 40, 2, 100), (5000, 12, 1, 40)):
+        float_calls = _no_float_work(monkeypatch)
+        monkeypatch.setattr(numeric, "_gf_matvec", spy)
         monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
         a, b = random_pattern(rng, n, n, 2.0 / n), random_pattern(rng, n, m, 0.3)
         sizes.clear()
         monte_carlo_verify(a, b, trials=trials, check_controllability=True)
+        monkeypatch.undo()
+        assert float_calls == []
         assert max(size for size, _ in sizes) <= cap
-        assert any(len(shape) == 3 and shape[0] > 1 for _, shape in sizes)  # trials are stacked
+        assert max(stacked for _, stacked in sizes) > 1  # trials are stacked
 
 
 def _stacking_cases():
-    """Edge shapes (n = 0, n = 1, m = 0, all-zero A, nilpotent A), both
-    fixture pairs, a pair with both checks inconsistent, seeded random pairs
+    """Edge shapes (n = 0, n = 1, m = 0, all-zero A, nilpotent A, A = 0 with B = I), both
+    fixture pairs, a pair the float checks found inconsistent, seeded random pairs
     with n up to 24, and two structurally non-zero-controllable pairs with
     n = 40."""
     empty = PatternMatrix(0, 0, frozenset())
@@ -693,8 +779,9 @@ def _stacking_cases():
         (empty, None), (empty, PatternMatrix(0, 2, frozenset())), (loop, None), (loop, loop),
         (PatternMatrix.zeros(4, 4), PatternMatrix.zeros(4, 1)),
         (PatternMatrix.zeros(4, 4), PatternMatrix(4, 1, frozenset({(2, 1)}))),
+        (PatternMatrix.zeros(3, 3), PatternMatrix.identity(3)),  # controllable, but not from one B alpha
         (strict_lower, PatternMatrix(5, 1, frozenset({(1, 1)}))), (strict_lower, None),
-        (EXAMPLE1_A, EXAMPLE1_B), (EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER), _both_checks_inconsistent(),
+        (EXAMPLE1_A, EXAMPLE1_B), (EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER), _float_inconsistent_pair(),
     ]
     rng = np.random.default_rng(43)
     for k in range(8):
@@ -704,43 +791,76 @@ def _stacking_cases():
     return cases + _mc_pairs(45, 2)
 
 
-@pytest.mark.parametrize("ctrl", [False, True])
-def test_a_trial_takes_the_same_hautus_path_in_any_chunk(ctrl, monkeypatch):
-    """Per trial, the same conjugate classes try a certificate (in the same
-    dtype), the same are proven, and the same take a complex SVD, whether the
-    trials are decided in chunks at the default cap or one at a time: on the
-    stacking cases, and on structurally zero controllable pairs shaped like
-    the benchmark's Monte Carlo patterns at n = 24 and 40, with 30 trials."""
-    def paths(a, b, trials, base_seed, cap):
-        blocks = [_decided_block(oracle_sample_realization(a, b, base_seed + i), ctrl)[0] for i in range(trials)]
-        svds, certificates = _svd_calls(monkeypatch), _certificate_calls(monkeypatch)
-        monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
-        monte_carlo_verify(a, b, trials=trials, base_seed=base_seed, check_controllability=ctrl)
-        monkeypatch.undo()
-        calls = [[stack for stack, _ in certificates], [stack[ok] for stack, ok in certificates], svds]
-        return [[Counter(found) for found in _pencils_by_trial(stacks, blocks)] for stacks in calls]
+def _per_trial(monkeypatch, a, b, trials, base_seed, ctrl, cap=None, change=None):
+    """Run ``monte_carlo_verify``, its streams changed as ``_Stream`` says, and return its statistics, then per
+    trial its verdicts and proof from the exact engine, the number of draws it made from its stream and the
+    next words there, then the trials (by their v) that took the dense fallback and those that took the Krylov
+    steps, once per attempt."""
+    decided, dense, krylov, streams = [], [], [], _streams(monkeypatch, change or {})
+    decide, fallback, steps = numeric._gf_decide, numeric._gf_dense, numeric._gf_krylov
 
+    def spy_decide(*args):
+        decided.append(decide(*args))
+        return decided[-1]
+
+    def spy_dense(block, vals, b1, v):
+        dense.append(v.tobytes())
+        return fallback(block, vals, b1, v)
+
+    def spy_krylov(a11, both, values, b, v, u):
+        krylov.extend(column.tobytes() for column in v.T)
+        return steps(a11, both, values, b, v, u)
+
+    monkeypatch.setattr(numeric, "_gf_decide", spy_decide)
+    monkeypatch.setattr(numeric, "_gf_dense", spy_dense)
+    monkeypatch.setattr(numeric, "_gf_krylov", spy_krylov)
+    if cap is not None:
+        monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
+    stats = monte_carlo_verify(a, b, trials=trials, base_seed=base_seed, check_controllability=ctrl)
+    monkeypatch.undo()
+    verdicts = [tuple(map(bool, trial)) for chunk in decided for trial in zip(*chunk)]
+    probes = [stream.stream.random_raw(4) for stream in streams]  # where each stream stopped
+    trials = [(verdict, stream.calls, p.tobytes()) for verdict, stream, p in zip(verdicts, streams, probes)]
+    return stats, trials, (sorted(dense), sorted(krylov))
+
+
+@pytest.mark.parametrize("ctrl", [False, True])
+def test_a_trial_takes_the_same_path_in_any_chunk(ctrl, monkeypatch):
+    """Per trial, the exact engine gives the same verdicts and proof, draws the
+    same number of times from its stream, which then stands at the same
+    place, and takes the Krylov steps and the dense fallback alike, whether the trials are decided
+    in chunks at the default cap or one at a time: on the stacking cases, and
+    on structurally zero controllable pairs shaped like the benchmark's Monte
+    Carlo patterns at n = 24 and 40, with 30 trials.  A = 0 with B = I takes
+    the fallback under the controllability check."""
     cases = [(a, b, 1 if k % 4 == 0 else 10) for k, (a, b) in enumerate(_stacking_cases())]
     cases += [(a, b, 30) for n in (24, 40) for a, b in _mc_pairs(49, 2, n, zc=True)]
-    decided = Counter()
+    took = Counter()
     for k, (a, b, trials) in enumerate(cases):
-        chunked = paths(a, b, trials, 500 + k, numeric._STACK_ENTRIES)
-        assert chunked == paths(a, b, trials, 500 + k, 1), k
-        decided.update(tried=sum(map(len, chunked[0])), svd=sum(map(len, chunked[2])))
-    assert decided["tried"] > 0 and decided["svd"] > 0
+        stats, chunked, (dense, krylov) = _per_trial(monkeypatch, a, b, trials, 500 + k, ctrl)
+        assert (stats, chunked, (dense, krylov)) == _per_trial(monkeypatch, a, b, trials, 500 + k, ctrl, cap=1), k
+        took.update(krylov=len(krylov), dense=len(dense))
+    assert took["krylov"] > 0 and (took["dense"] > 0) == ctrl  # a generic "no" on B alpha is one of control
+
+
+def _chunk_entries(a, b):
+    """The entries ``monte_carlo_verify`` counts per trial when it sizes its chunks."""
+    b = numeric._pair(a, b)
+    _, _, n1, k = numeric._reachable_split(numeric.build_graph(a, b))
+    return max(2 * len(a._coords[0]) + 16 * n1 + k, len(a._coords[0]) + len(b._coords[0]) + b.n_cols + k + 2 * n1, 1)
 
 
 @pytest.mark.parametrize("ctrl", [False, True])
 def test_chunking_does_not_change_results(ctrl, monkeypatch):
     """Every MonteCarloStats field is the same with one trial per chunk, with
     chunks of three (so a boundary falls after an odd trial) and with the
-    default cap, and equals the one-realization-at-a-time reference."""
+    default cap, and equals the one-trial-at-a-time exact oracle; a bad tol
+    is still refused."""
     default = numeric._STACK_ENTRIES
     for k, (a, b) in enumerate(_stacking_cases()):
-        n, m = a.n_rows, b.n_cols if b is not None else 0
         trials = 1 if k % 4 == 0 else 10
         expected = oracle_monte_carlo_verify(a, b, trials, 500 + k, check_controllability=ctrl)
-        for cap in (default, 1, 3 * max(1, n * n * (m + 1))):
+        for cap in (default, 1, 3 * _chunk_entries(a, b)):
             monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
             got = monte_carlo_verify(a, b, trials=trials, base_seed=500 + k, check_controllability=ctrl)
             assert got == expected, (k, cap)
@@ -753,12 +873,143 @@ def test_negative_seeds_are_refused_before_any_work(example1_a, example1_b, monk
     def no_work(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(numeric, "_reachable_split", no_work)
-    monkeypatch.setattr(numeric, "_sample", no_work)
+    for name in ("_pair", "_reachable_split", "_gf_stream"):
+        monkeypatch.setattr(numeric, name, no_work)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         sample_realization(example1_a, example1_b, seed=-1)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
         monte_carlo_verify(example1_a, example1_b, trials=5, base_seed=-3)
+
+
+# --- exact trials ------------------------------------------------------------------------
+
+def _small(a, b):
+    """A change of each trial's first draw that takes every value from {1, 2}: pairs off the generic set, and
+    both verdicts, become common."""
+    values = len(a.nonzeros) + (len(b.nonzeros) if b is not None else 0)
+    return {1: lambda words: np.r_[words[:values] % 2, words[values:]]}
+
+
+def _assert_trials_match_the_oracle(monkeypatch, a, b, trials, base_seed, ctrl, change=None, seen=None):
+    stats, got, _ = _per_trial(monkeypatch, a, b, trials, base_seed, ctrl, change=change)
+    stream = None if change is None else (lambda seed: _Stream(numeric._gf_stream(seed), change))
+    for seed, ((zc, controllable, proven), _, _) in enumerate(got, start=base_seed):
+        expected = _exact(a, b, seed, stream)
+        assert proven and (zc, controllable)[:1 + ctrl] == expected[:1 + ctrl], (a, b, seed)
+        if seen is not None:
+            seen.update([("zc", zc)] + [("ctrl", controllable)] * ctrl)
+    assert stats == oracle_monte_carlo_verify(a, b, trials, base_seed, ctrl, stream)
+
+
+def test_the_exact_engine_equals_the_oracle_trial_by_trial(monkeypatch):
+    """On 160 seeded pairs with n <= 10 and m = 1 or 2, with and without the
+    controllability check, every trial's verdicts equal those of the oracle's
+    elimination mod p on the whole pair, and every trial is proven: on the
+    trials' own draws, and with every value drawn from {1, 2}, where both
+    verdicts of both checks occur."""
+    rng = np.random.default_rng(61)
+    seen = {None: Counter(), "small": Counter()}
+    for k in range(160):
+        n, m, ctrl = int(rng.integers(1, 11)), 1 + k % 2, k % 4 < 2
+        a = random_pattern(rng, n, n, float(rng.uniform(0.1, 0.5)))
+        b = random_pattern(rng, n, m, float(rng.uniform(0.2, 0.6)))
+        for change in (None, "small"):
+            _assert_trials_match_the_oracle(monkeypatch, a, b, 6, 100 * k, ctrl, change and _small(a, b),
+                                            seen[change])
+    assert set(seen["small"]) == {("zc", True), ("zc", False), ("ctrl", True), ("ctrl", False)}
+    assert seen["small"][("zc", False)] > seen[None][("zc", False)]
+
+
+EDGE_CASES = {
+    "n = 0": (PatternMatrix(0, 0), None),
+    "n = 0, m = 2": (PatternMatrix(0, 0), PatternMatrix(0, 2)),
+    "m = 0, cycle": (PatternMatrix(3, 3, frozenset({(2, 1), (3, 2), (1, 3)})), None),
+    "m = 0, acyclic": (PatternMatrix(3, 3, frozenset({(2, 1), (3, 2)})), None),
+    "n1 = 0, k > 0": (PatternMatrix(3, 3, frozenset({(2, 1), (2, 2)})), PatternMatrix.zeros(3, 1)),
+    "n1 = 0, k = 0": (PatternMatrix(3, 3, frozenset({(2, 1), (3, 2)})), PatternMatrix.zeros(3, 2)),
+    "k = 0, n1 < n": (PatternMatrix(4, 4, frozenset({(2, 1), (2, 2), (4, 3)})),
+                      PatternMatrix(4, 1, frozenset({(1, 1)}))),
+    "k = 0, n1 = n": (PatternMatrix(2, 2, frozenset({(2, 1), (2, 2)})), PatternMatrix(2, 1, frozenset({(1, 1)}))),
+    "k > 0, n1 > 0": (PatternMatrix(3, 3, frozenset({(2, 1), (3, 3)})), PatternMatrix(3, 1, frozenset({(1, 1)}))),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edge_shapes_match_the_oracle(case, monkeypatch):
+    a, b = EDGE_CASES[case]
+    for ctrl in (False, True):
+        for change in (None, _small(a, b)):
+            _assert_trials_match_the_oracle(monkeypatch, a, b, 4, 10, ctrl, change)
+
+
+def test_hand_built_shared_eigenvalues(monkeypatch):
+    """x1 feeds x2 and x3 (a dilation), which carry self-loops.  Equal loops
+    share an eigenvalue, so the pair is not zero controllable though every
+    cycle is reached; distinct loops make it controllable; the dilation alone
+    is nilpotent, so zero controllable, yet not controllable."""
+    dilation = PatternMatrix(3, 3, frozenset({(2, 1), (3, 1)}))
+    loops = dilation.with_entry(2, 2).with_entry(3, 3)
+    b = PatternMatrix(3, 1, frozenset({(1, 1)}))
+    # values in entry order: a21, (a22,) a31, (a33,) b11
+    for a, values, expected in ((loops, [3, 5, 4, 5, 1], (False, False)), (loops, [3, 5, 4, 7, 1], (True, True)),
+                                (dilation, [3, 4, 1], (True, False))):
+        change = {1: lambda words, values=values: np.r_[np.array(values, dtype=np.uint64) - 1, words[len(values):]]}
+        _, got, _ = _per_trial(monkeypatch, a, b, 3, 0, True, change=change)
+        assert [verdicts for verdicts, _, _ in got] == [expected + (True,)] * 3
+        assert _exact(a, b, 0, lambda seed: _Stream(numeric._gf_stream(seed), change)) == expected
+
+
+def test_a_trial_decides_alike_alone_and_among_a_hundred(monkeypatch):
+    """``trials=1`` at seed s gives trial s of a ``trials=100`` run, verdicts,
+    proof, draws and fallback alike, on pairs where both verdicts occur."""
+    rng = np.random.default_rng(62)
+    pairs = [(random_pattern(rng, 8, 8, 0.3), random_pattern(rng, 8, 2, 0.3)) for _ in range(2)]
+    verdicts = set()
+    for a, b in pairs + _mc_pairs(63, 1, 24, zc=True):
+        stats, together, paths = _per_trial(monkeypatch, a, b, 100, 3000, True, change=_small(a, b))
+        alone = [_per_trial(monkeypatch, a, b, 1, 3000 + i, True, change=_small(a, b)) for i in range(100)]
+        assert together == [trial for _, (trial,), _ in alone]
+        assert paths == tuple(sorted(v for _, _, path in alone for v in path[side]) for side in (0, 1))
+        verdicts.update(zc for (zc, _, _), _, _ in together)
+    assert verdicts == {False, True}
+
+
+def test_one_input_per_state_takes_the_fallback_and_decides(monkeypatch):
+    """With B = I every trial's B alpha spans too little for controllability, so
+    each takes the dense fallback, which stops at the first Krylov block (it
+    already has rank n): at n = 150 both checks agree on every trial, where
+    the float checks found the controllable pairs uncontrollable."""
+    rng = np.random.default_rng(65)
+    a, b = sparse_pattern(rng, 150, 150, 300), PatternMatrix.identity(150)
+    calls = []
+    matvec = numeric._gf_matvec
+    monkeypatch.setattr(numeric, "_gf_matvec", lambda x, vals, block: calls.append(x.shape) or matvec(x, vals, block))
+    stats = monte_carlo_verify(a, b, trials=2, check_controllability=True)
+    assert (stats.zc_agreements, stats.ctrl_structural, stats.ctrl_agreements) == (2, True, 2)
+    assert stats.inconsistent_trials == 0
+    assert sum(shape[1] == 150 for shape in calls) == 0  # no Krylov block of B beyond the first is built
+
+
+def _sweep_pairs(rng, n, count):
+    """``count`` seeded pairs of about 2n entries and one input entry, the verify-mc shape."""
+    return [(sparse_pattern(rng, n, n, 2 * n), sparse_pattern(rng, n, 1, 1)) for _ in range(count)]
+
+
+def test_exact_trials_back_the_structural_verdicts_at_scale():
+    """A seeded sweep at n = 20, 50, 100 and 200, 12 pairs per size and 5
+    trials each: on each verdict side, at least 99 % of the trials agree with
+    the structural verdict, and every trial is proven."""
+    rng = np.random.default_rng(64)
+    agree, total = Counter(), Counter()
+    for n in (20, 50, 100, 200):
+        for a, b in _sweep_pairs(rng, n, 12):
+            seed = int(rng.integers(2**30))
+            stats = monte_carlo_verify(a, b, trials=5, base_seed=seed, check_controllability=True)
+            agree[stats.zc_structural] += stats.zc_agreements
+            total[stats.zc_structural] += stats.trials
+            assert stats.inconsistent_trials == 0
+    assert min(total.values()) >= 50 and set(total) == {False, True}
+    assert all(agree[side] >= 0.99 * total[side] for side in total), (agree, total)
 
 
 # --- eigenvalue counting -------------------------------------------------------------
@@ -873,8 +1124,7 @@ def test_monte_carlo_uses_contiguous_seeds(example1_a, example1_b):
     # every trial is reproducible in isolation with seed base + i
     agree = 0
     for i in range(5):
-        r = sample_realization(example1_a, example1_b, seed=1234 + i)
-        if is_zero_controllable_numeric(r).verdict == stats.zc_structural:
+        if _exact(example1_a, example1_b, 1234 + i)[0] == stats.zc_structural:
             agree += 1
     assert agree == stats.zc_agreements
     assert stats.base_seed == 1234 and stats.trials == 5
@@ -909,9 +1159,9 @@ def test_the_controllability_verdict_is_the_structural_test():
     assert min(failed[condition] for condition in (None, "generic-rank", "irreducibility")) >= 10, failed
 
 
-#: sha256 of repr(MonteCarloStats) over the sweep below, one BLAS thread; taken
-#: when trials came to be decided on the reachable split
-SWEEP_DIGEST = "d85dc73d5f00f61724b6042f76c10d5914dc209997c66e65de256c50ea0f91ef"
+#: sha256 of repr(MonteCarloStats) over the sweep below; taken when the trials
+#: came to be decided exactly over GF(p), which agree on all 2400 of them
+SWEEP_DIGEST = "c7be55e79a49ab955a3a56e5442c1556cd7700d3a4ee64040e1513f8eb32a175"
 
 
 def test_a_seeded_sweep_keeps_its_digest():

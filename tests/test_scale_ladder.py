@@ -8,7 +8,14 @@ import sys
 import time
 from pathlib import Path
 
-from zerocontrol import build_graph, is_generically_zero_controllable, parse_pattern_file
+from zerocontrol import (
+    build_b_pattern,
+    build_graph,
+    greedy_driver_set,
+    is_generically_zero_controllable,
+    monte_carlo_verify,
+    parse_pattern_file,
+)
 from zerocontrol.graph import _input_reach, _peel, _reachable_split
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scale_ladder.py"
@@ -144,3 +151,16 @@ def test_the_split_costs_the_reach_and_the_peel():
                 times[name].append(time.process_time() - start)
         ratio = statistics.median(split / parts for split, parts in zip(times["split"], times["parts"]))
         assert ratio <= 1.25, times
+
+
+def test_exact_trials_agree_on_the_zero_controllable_ladder_shape():
+    """The ladder's pattern of seed 1 at n = 1000, driven by one shared input
+    at ``greedy_driver_set``'s drivers, is structurally zero controllable with
+    549 states reached.  The float checks backed none of its trials, and
+    overflowed from n = 2000 on; the exact ones agree on every trial, with
+    none flagged."""
+    a, _ = parse_pattern_file(scale_ladder.pattern_text(1000, 1))
+    b = build_b_pattern(1000, greedy_driver_set(a).drivers, "shared").pattern
+    assert _reachable_split(build_graph(a, b))[2:] == (549, 0)
+    stats = monte_carlo_verify(a, b, trials=5, base_seed=7)
+    assert (stats.zc_structural, stats.zc_agreements, stats.inconsistent_trials) == (True, 5, 0)
