@@ -17,13 +17,15 @@ and the survivor block S is nilpotent.
 ``monte_carlo_verify`` (so ``verify``) decides every trial exactly over GF(p),
 p = 2^31 - 1, with values drawn mod p from the trial's own stream.  S is not
 nilpotent when S^k v' != 0 for a random v'.  (A11, B1) is decided with sparse
-Krylov sequences (Wiedemann 1986): Berlekamp-Massey (Massey 1969) gives the
-dimension of the controllable space, polynomial arithmetic mod its generator
-tests A11^d v against it, and Horner's rule proves both; see ``_gf_krylov``.
-The trials of a chunk are stacked, so each mat-vec is one gather and one
-reduction for all of them, and a trial decides alike in any chunk.  A verdict
-is wrong only with the small probabilities stated at ``_P``; a trial that the
-engine cannot prove is counted inconsistent and takes "no".
+Krylov sequences (Wiedemann 1986): Berlekamp-Massey (Massey 1969), Euclid's
+algorithm on the sequence (Dornstetter 1987), gives the dimension of the
+controllable space and a cofactor, so one product mod its generator tests
+A11^d v against it with no second Euclid (no Bernstein-Yang division steps),
+and Horner's rule proves both; see ``_gf_krylov``.  Products fold mod the
+Mersenne prime p with no division, stacked trials share each mat-vec, and a
+trial decides alike in any chunk.  A verdict is wrong only with the small
+probabilities stated at ``_P``; a trial that the engine cannot prove is
+counted inconsistent and takes "no".
 
 The float family runs behind the single-realization checks alone
 (``is_zero_controllable_numeric``, ``is_controllable_numeric``), on the split
@@ -417,8 +419,9 @@ def steering_residual(realization: Realization, result: SteeringResult) -> float
 
 # --- exact trials over GF(p) ------------------------------------------------------------------------------
 
-#: The prime of the exact trials.  Residues lie below 2^31, so a product of two lies below 2^62 and fits int64;
-#: each product is reduced mod _P before it is summed, so a sum of fewer than 2^32 of them fits too, at any n.
+#: The prime of the exact trials, a Mersenne prime.  Residues lie below 2^31, so a product x of two lies below 2^62
+#: and, as 2^31 = 1 mod _P, folds with no division to (x & _P) + (x >> 31) < 2^32 (``_fold``); fewer than 2^31
+#: folded terms sum in int64, so each sum takes one reduction mod _P, at any n.
 #: A trial's values mod _P are uniform and nonzero: by Schwartz (1980) and Zippel (1979) its pair falls on the
 #: non-generic set with probability at most n^2 / (2 _P), 2.3e-4 at n = 1000, and then its verdict may differ.
 _P = 2**31 - 1
@@ -429,7 +432,7 @@ _P = 2**31 - 1
 _GF_KEY = (1,)
 
 #: Draws of the left vector u a trial may take; a trial that none of them proves counts as inconsistent and
-#: takes the conservative "no".  One draw fails with probability at most n1 / _P.
+#: takes the conservative "no".  One draw fails with probability at most (n1 + 1) / _P.
 _GF_DRAWS = 3
 
 #: Most array entries of one chunk of stacked trials, so memory stays flat at any n or trial count.
@@ -460,49 +463,71 @@ def _gf_plan(pattern_a: PatternMatrix, pattern_b: PatternMatrix, at: np.ndarray,
 
 
 def _mv_plan(index: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """A block's mat-vec plan, by row: the indices of its values, their columns, the first entry of each row
-    that has one, and those rows."""
-    order = np.argsort(rows, kind="stable")
-    present, starts = np.unique(rows[order], return_index=True)
-    return index[order], cols[order], starts, present
+    """A block's mat-vec plan in layers: layer j holds the j-th entry of each row with more than j, rows by falling
+    count, so it adds into a prefix of the row sums.  Layers stop at 16, a numpy call each, and the other entries
+    of longer rows follow by row, for one segmented sum.  Returns the values' indices and columns, the layer sizes,
+    the rows by sum, and each segment's start."""
+    by_row = np.argsort(rows, kind="stable")
+    present, starts, count = np.unique(rows[by_row], return_index=True, return_counts=True)
+    ranked, position = np.argsort(-count, kind="stable"), np.arange(len(rows)) - np.repeat(starts, count)
+    sizes, slot = np.bincount(position), np.repeat(np.argsort(ranked), count)  # each entry's row's place in ranked
+    layers = min(len(sizes), 16)
+    order = np.lexsort((position, slot, np.minimum(position, layers)))
+    rest = np.flatnonzero(np.diff(slot[order[sizes[:layers].sum():]], prepend=-1))
+    return index[by_row][order], cols[by_row][order], sizes[:layers], present[ranked], rest
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """Each entry of x, 0 <= x < 2^62, folded in place to (x & _P) + (x >> 31) < 2^32, equal mod _P."""
+    high = x >> 31
+    x &= _P
+    x += high
+    return x
 
 
 def _gf_matvec(x: np.ndarray, vals: np.ndarray, block: tuple) -> np.ndarray:
     """M x mod _P for each trial's block M, whose values are ``vals`` (entries, T), and each of that trial's
-    vectors in x (size, V, T): one gather and one reduction for the whole stack, trials last."""
-    _, cols, starts, present = block
+    vectors in x (size, V, T): one gather, one fold and one pass over the layers for the whole stack, trials last."""
+    _, cols, sizes, rows, rest = block
     y = np.zeros_like(x)
     if len(cols):
         products = x[cols]
         products *= vals[:, None]
-        products %= _P
-        y[present] = np.add.reduceat(products, starts, axis=0) % _P
+        sums, end = _fold(products)[:sizes[0]], sizes[0]
+        for size in sizes[1:]:
+            sums[:size] += products[end:end + size]
+            end += size
+        sums[:len(rest)] += np.add.reduceat(products[end:], rest, axis=0)
+        y[rows] = np.remainder(sums, _P, out=sums)
     return y
 
 
 def _gf_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sums mod _P over the first axis of x y, each product reduced first."""
-    return (x * y % _P).sum(axis=0) % _P
+    """Sums mod _P over the first axis of x y, each product folded first."""
+    return _fold(x * y).sum(axis=0) % _P
 
 
-def _berlekamp_massey(a: np.ndarray, most: int) -> tuple[np.ndarray, np.ndarray]:
+def _berlekamp_massey(a: np.ndarray, most: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The minimal generator f of each column of a (2 * most, T) stack of sequences of linear complexity at most
-    ``most``: its coefficients by power (most + 1, T), not monic, and its degree r.  Massey's (1969) algorithm
-    in its inversion-free form, across the columns: sum_i f_i a_(j+i) = 0 for every j."""
+    ``most``: its coefficients by power (most + 1, T), not monic, and its degree r; then q', the connection
+    polynomial from before the last length change reversed over its length, of degree below r.  Massey's (1969)
+    algorithm in its inversion-free form, across the columns: sum_i f_i a_(j+i) = 0 for every j.  It is Euclid's
+    on the sequence (Dornstetter 1987), q' the cofactor of its last step: with N_a the polynomial part of
+    f(z) sum a_j z^-(j+1), N_a q' = kappa (mod f) for a constant kappa != 0."""
     length, t = a.shape
-    c = np.zeros((most + 2, t), dtype=np.int64)  # the connection polynomial, c_0 != 0
-    c[0] = 1
-    bz = np.roll(c, 1, axis=0)  # z^s times the connection polynomial before the last length change
-    ell, gamma = np.zeros(t, dtype=np.int64), np.ones(t, dtype=np.int64)
-    reverse = a[::-1]
+    c, saved, bz = np.zeros((3, most + 2, t), dtype=np.int64)  # c, c before its last length change, z^s saved
+    c[0] = saved[0] = bz[1] = 1
+    ell, ell_saved, gamma = np.zeros(t, dtype=np.int64), np.zeros(t, dtype=np.int64), np.ones(t, dtype=np.int64)
     for j in range(length):
-        w = min(j + 1, most + 2)
-        disc = _gf_dot(c[:w], reverse[length - 1 - j:length - 1 - j + w])
-        grow = (disc != 0) & (2 * ell <= j)
-        c, bz = (gamma * c - disc * bz) % _P, np.roll(np.where(grow, c, bz), 1, axis=0)
-        bz[0] = 0
-        ell, gamma = np.where(grow, j + 1 - ell, ell), np.where(grow, disc, gamma)
-    return _shifted(c[:most + 1], ell, reverse=True), ell
+        disc = _gf_dot(c[:j + 1], a[j::-1][:most + 2])  # sum_i c_i a_(j-i)
+        grow, old, moved = (disc != 0) & (2 * ell <= j), c, bz
+        if disc.any():  # else c stays, short of the factor gamma, and no result depends on its scale
+            c = (gamma * c - disc * bz) % _P
+        if grow.any():
+            saved, moved = np.where(grow, old, saved), np.where(grow, old, bz)
+            ell, ell_saved, gamma = np.where(grow, [j + 1 - ell, ell, disc], [ell, ell_saved, gamma])
+        bz[1:] = moved[:-1]
+    return _shifted(c[:most + 1], ell, reverse=True), ell, _shifted(saved[:most + 1], ell_saved, reverse=True)
 
 
 def _shifted(poly: np.ndarray, by: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -514,40 +539,6 @@ def _shifted(poly: np.ndarray, by: np.ndarray, reverse: bool = False) -> np.ndar
     return np.where((power >= 0) & (power < len(poly)), np.take_along_axis(poly, index, axis=0), 0)
 
 
-def _gf_inverse(x: np.ndarray) -> np.ndarray:
-    """x^(_P - 2) mod _P elementwise: the inverse of each nonzero residue (Fermat)."""
-    result, power = np.ones_like(x), _P - 2
-    while power:
-        result = result * x % _P if power & 1 else result
-        x, power = x * x % _P, power >> 1
-    return result
-
-
-def _solve_mod(f: np.ndarray, r: np.ndarray, g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """h and a nonzero constant gamma with g h = gamma c (mod f) in each column, deg h <= 2 max(r), where g is
-    prime to f: Euclid's algorithm on (f, g) as 2 max(r) division steps of Bernstein and Yang (2019), which need
-    no inversion and shift every column alike.  Polynomials are by power, deg f = r, and deg g, deg c < r.
-
-    The steps run on the reversals F = z^r f(1/z) and G = z^(r-1) g(1/z) and keep z^n F_n = U F + V G and
-    z^n G_n = U' F + V' G; starting V' at the reversal of c carries c along, so gamma = F_N(0) and
-    h = z^N V(1/z) at the end, N the step count."""
-    width, t = f.shape
-    steps = 2 * (width - 1)
-    top, low = _shifted(f, r, reverse=True), _shifted(g, r - 1, reverse=True)
-    v_top, v_low = np.zeros((2, steps + width + 1, t), dtype=np.int64)
-    v_low[:width] = _shifted(c, r - 1, reverse=True)
-    delta = np.ones(t, dtype=np.int64)
-    for used in range(width, width + steps):  # the cofactors' degrees stay below ``used``
-        swap = (delta > 0) & (low[0] != 0)
-        moved = np.where(swap, v_low[:used], v_top[:used])
-        v_low[:used] = (top[0] * v_low[:used] - low[0] * v_top[:used]) % _P
-        v_top[1:used + 1] = moved
-        low, top = (top[0] * low - low[0] * top) % _P, np.where(swap, low, top)
-        low[:-1], low[-1] = low[1:], 0
-        delta = np.where(swap, 1 - delta, 1 + delta)
-    return _shifted(v_top, steps, reverse=True)[:steps + 1], top[0]
-
-
 def _gf_krylov(a11: tuple, both: tuple, values: np.ndarray, b: np.ndarray, v: np.ndarray, u: np.ndarray) -> tuple:
     """ZC and controllability over GF(_P) of stacked pairs (A11, b) of one input, after Wiedemann (1986), with
     random vectors v and u; vectors are (n1, T), ``values`` (drawn, T), ``a11`` and ``both`` the plans of A11 and
@@ -556,40 +547,49 @@ def _gf_krylov(a11: tuple, both: tuple, values: np.ndarray, b: np.ndarray, v: np
     (i) a_j = u A^j b for j < 2 n1 has minimal generator f, of degree r, by Berlekamp-Massey.  (ii) f(A) b = 0
     proves that r is the dimension of K, the Krylov space of b; else u was unlucky.  (iii) The quotient by K has
     dimension d = n1 - r, so it is nilpotent exactly when A^d maps every vector into K, and w = A^d v for a
-    random v lands in K otherwise with probability at most 1 / _P.  (iv) w = h(A) b, deg h < r, has h = N_c /
-    N_a (mod f), where N_a and N_c are the polynomial parts of f(z) sum a_j z^-(j+1) and f(z) sum c_j z^-(j+1)
-    for c_j = u A^j w: O(r^2) work and no matrix.  (v) gamma h(A) b = gamma w, by Horner, proves w in K, and its
-    failure proves w outside it, h being unique.  Controllability is r = n1."""
+    random v lands in K otherwise with probability at most 1 / _P.  (iv) w = h(A) b, deg h < r, has h N_a = N_c
+    (mod f), N_a and N_c the polynomial parts of f(z) sum a_j z^-(j+1) and f(z) sum c_j z^-(j+1), c_j = u A^j w.
+    Berlekamp-Massey's q' has N_a q' = kappa != 0 (mod f), so kappa h = N_c q' mod f, in O(r^2) work; and sigma
+    = sum_i (N_a q')_i a_i is kappa a_0, as f generates a.  If a_0 = u b = 0, u was unlucky (r = 0, where b = 0
+    and h = 0, takes sigma = 1).  (v) a_0 kappa h(A) b = sigma w, by Horner from degree max(r, d), proves w in
+    K, and its failure proves w outside it, h being unique.  Controllability is r = n1."""
     n1, t = b.shape
-    a, e = np.empty((2 * n1, t), dtype=np.int64), np.zeros((n1 + 1, t), dtype=np.int64)
+    a, e = np.empty((2 * n1 + 1, t), dtype=np.int64), np.empty((n1 + 1, t), dtype=np.int64)
     xy, vals = np.concatenate([b, u])[:, None], values[both[0]]  # A^k b above (A^T)^k u
-    for k in range(n1):  # a_2k = (A^T)^k u . A^k b, a_2k+1 = (A^T)^(k+1) u . A^k b, and e_k = u A^k v
-        x = xy[:n1]
-        a[2 * k], e[k] = _gf_dot(np.concatenate([x, v[:, None]], axis=1), xy[n1:])
+    dots = np.stack([b, b, v], axis=1)  # A^(k-1) b, A^k b and v, each dotted with (A^T)^k u
+    a[0], e[0] = _gf_dot(dots[:, 1:], u[:, None])
+    for k in range(n1):  # a_2k+1 = (A^T)^(k+1) u . A^k b, a_2k+2 and e_k+1 = u A^(k+1) v in one dot
         xy = _gf_matvec(xy, vals, both)
-        a[2 * k + 1] = _gf_dot(x[:, 0], xy[n1:, 0])
-    vals = values[a11[0]]
-    f, r = _berlekamp_massey(a, n1)
+        dots[:, 0], dots[:, 1] = dots[:, 1], xy[:n1, 0]
+        a[2 * k + 1], a[2 * k + 2], e[k + 1] = _gf_dot(dots, xy[n1:])
+    (f, r, q), vals = _berlekamp_massey(a[:2 * n1], n1), values[a11[0]]
     width, d = int(r.max()) + 1, n1 - r
-    f = f[:width] * _gf_inverse(f[r, np.arange(t)]) % _P  # monic
+    f = f[:width] * [pow(int(lead), -1, _P) for lead in f[r, np.arange(t)]] % _P  # monic
     sequences = np.stack([a[:width], _shifted(e, -d)[:width]], axis=1)  # c_j = e_(d + j)
     numerators = np.zeros_like(sequences)  # N_k = sum_(i > k) f_i a_(i - k - 1), and the same for c
     for i in range(1, width):
-        numerators[:i] += f[i, None] * sequences[i - 1::-1] % _P
-    h, gamma = _solve_mod(f, r, *(numerators % _P).swapaxes(0, 1))
-    top = _shifted(f, width - 1 - r)  # z^(width - 1 - r) f, monic of degree width - 1 in every column
-    for i in range(len(h) - 1, width - 2, -1):  # h mod top, which is h mod f too
-        h[i - width + 1:i + 1] = (h[i - width + 1:i + 1] - h[i] * top % _P) % _P
-    coefficients = np.zeros((n1 + 1, 3, t), dtype=np.int64)  # f and h on b, and -gamma z^d on v
-    coefficients[:width, 0], coefficients[:width - 1, 1] = f, h[:width - 1]
-    coefficients[d, 2, np.arange(t)] = (_P - gamma) % _P
-    y = np.zeros((n1, 2, t), dtype=np.int64)  # f(A) b, and gamma h(A) b - gamma A^d v
-    for i in range(n1, -1, -1):
-        y = _gf_matvec(y, vals, a11) if i < n1 else y
-        y += coefficients[i, :2] * b[:, None] % _P
-        y[:, 1] += coefficients[i, 2] * v % _P
+        numerators[:i] += _fold(f[i, None] * sequences[i - 1::-1])
+    numerators %= _P
+    products = np.zeros((2 * width - 2, 2, t), dtype=np.int64)  # N_a q' and N_c q', of degree below 2 r - 1
+    for i in range(width - 1):  # deg q' < r
+        products[i:i + width - 1] += _fold(q[i, None] * numerators[:width - 1])
+    products %= _P
+    sigma = np.where(r > 0, _gf_dot(products[:, 0], a[:len(products)]), 1)
+    h, top = products[:, 1], _shifted(f, width - 1 - r)  # z^(width - 1 - r) f, monic of degree width - 1
+    for i in range(len(h) - 1, width - 2, -1):  # kappa h = N_c q' mod top, which is mod f too
+        h[i - width + 1:i + 1] += _fold((_P - h[i] % _P) * top)
+    start = int(np.maximum(r, d).max())
+    coefficients = np.zeros((start + 1, 3, t), dtype=np.int64)  # f and a_0 kappa h on b, and -sigma z^d on v
+    coefficients[:width, 0], coefficients[:width - 1, 1] = f, h[:width - 1] % _P * a[0] % _P
+    coefficients[d, 2, np.arange(t)] = (_P - sigma) % _P
+    y = np.zeros((n1, 2, t), dtype=np.int64)  # f(A) b, and a_0 kappa h(A) b - sigma A^d v
+    for i in range(start, -1, -1):
+        y = _gf_matvec(y, vals, a11) if i < start else y
+        y += coefficients[i, :2] * b[:, None]  # below 2^62 + 2^31, and 2^63 with the term on v
+        if coefficients[i, 2].any():
+            y[:, 1] += _fold(coefficients[i, 2] * v)
         y %= _P
-    return ~y[:, 0].any(axis=0), ~y[:, 1].any(axis=0), r == n1
+    return ~y[:, 0].any(axis=0) & (sigma != 0), ~y[:, 1].any(axis=0), r == n1
 
 
 def _gf_dense(block: tuple, vals: np.ndarray, b: np.ndarray, v: np.ndarray) -> tuple[bool, bool]:
@@ -606,7 +606,7 @@ def _gf_dense(block: tuple, vals: np.ndarray, b: np.ndarray, v: np.ndarray) -> t
         if not residual.any():
             return False
         pivot = int(np.argmax(residual != 0))
-        residual = residual * _gf_inverse(residual[pivot]) % _P
+        residual = residual * pow(int(residual[pivot]), -1, _P) % _P
         basis = np.vstack([(basis - basis[:, pivot, None] * residual % _P) % _P, residual])
         pivots.append(pivot)
         return True

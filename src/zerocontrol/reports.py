@@ -139,10 +139,12 @@ def stats_from_dict(data: dict) -> MonteCarloStats:
 
 
 def render_stats(stats: MonteCarloStats) -> str:
+    percent = 100.0 * stats.agreement_fraction
+    if 0 < stats.zc_agreements < stats.trials:  # a partial count never rounds to 0.0% or 100.0%
+        percent = min(max(percent, 0.1), 99.9)
     lines = [
         f"structural verdict (zero controllable): {'yes' if stats.zc_structural else 'no'}",
-        f"numeric agreement: {stats.zc_agreements}/{stats.trials} "
-        f"({100.0 * stats.agreement_fraction:.1f}%)",
+        f"numeric agreement: {stats.zc_agreements}/{stats.trials} ({percent:.1f}%)",
         f"base seed: {stats.base_seed}",
     ]
     if stats.ctrl_structural is not None:

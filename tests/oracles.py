@@ -472,6 +472,42 @@ def oracle_gf_checks(a, b, p):
     return oracle_gf_rank(with_a_to_n, p) == rank, rank == n
 
 
+def oracle_gf_sequence(a, b, u, length, p):
+    """u A^j b mod p for j < length, on lists of Python ints, each power applied row by row."""
+    sequence, x = [], list(b)
+    for _ in range(length):
+        sequence.append(sum(ui * xi for ui, xi in zip(u, x)) % p)
+        x = [sum(aij * xj for aij, xj in zip(row, x)) % p for row in a]
+    return sequence
+
+
+def oracle_poly_times(x, y, p):
+    """The product mod p of two polynomials given by their coefficients, lowest power first."""
+    product = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            product[i + j] = (product[i + j] + xi * yj) % p
+    return product
+
+
+def oracle_poly_mod(poly, f, p):
+    """The remainder mod f of a polynomial over GF(p), by schoolbook long division: its deg f coefficients, lowest
+    power first.  f's last coefficient must be nonzero."""
+    poly, degree = [c % p for c in poly], len(f) - 1
+    inverse = pow(f[-1], -1, p)
+    for top in range(len(poly) - 1, degree - 1, -1):
+        factor = poly[top] * inverse % p
+        for k, c in enumerate(f):
+            poly[top - degree + k] = (poly[top - degree + k] - factor * c) % p
+    return (poly + [0] * degree)[:degree]
+
+
+def oracle_numerator(f, sequence, p):
+    """The polynomial part of f(z) sum_j a_j z^-(j+1), lowest power first: coefficient k is the sum over i > k of
+    f_i a_(i-k-1)."""
+    return [sum(f[i] * sequence[i - k - 1] for i in range(k + 1, len(f))) % p for k in range(len(f) - 1)]
+
+
 def oracle_monte_carlo_verify(pattern_a, pattern_b, trials, base_seed, check_controllability=False,
                               stream=None) -> MonteCarloStats:
     """One trial at a time, by dense elimination mod p on the whole pair of the trial's values; the elimination

@@ -264,6 +264,27 @@ def test_render_stats_prints_every_optional_line():
     )
 
 
+def test_render_stats_never_rounds_a_partial_agreement_to_all_or_none():
+    """1999/2000 and 1/2500 once printed (100.0%) and (0.0%), so a disagreement
+    read as full agreement; a partial count now prints 99.9% and 0.1% at its
+    ends, and every k/100 prints k.0% as before."""
+    from zerocontrol.numeric import MonteCarloStats
+    from zerocontrol.reports import render_stats
+
+    def shown(agreements, trials):
+        line = render_stats(MonteCarloStats(trials, 0, True, agreements, 0, ()))
+        return line.splitlines()[1]
+
+    assert shown(1999, 2000) == "numeric agreement: 1999/2000 (99.9%)"
+    assert shown(1, 2500) == "numeric agreement: 1/2500 (0.1%)"
+    assert shown(2000, 2000) == "numeric agreement: 2000/2000 (100.0%)"
+    assert shown(0, 2500) == "numeric agreement: 0/2500 (0.0%)"
+    assert [shown(k, 100) for k in range(101)] == [f"numeric agreement: {k}/100 ({k}.0%)" for k in range(101)]
+    for trials in (2, 3, 7, 999, 1001, 2000, 20001):
+        for agreements in {1, 2, trials // 2, trials - 2, trials - 1} - {0, trials}:
+            assert shown(agreements, trials)[-7:] not in (" (0.0%)", "100.0%)"), (agreements, trials)
+
+
 def test_render_driver_set_prints_the_obstruction_of_an_invalid_set(example2_a):
     from zerocontrol import validate_driver_set
     from zerocontrol.reports import render_driver_set

@@ -34,9 +34,13 @@ from oracles import (
     _oracle_hautus_ok,
     oracle_gf_checks,
     oracle_gf_pair,
+    oracle_gf_sequence,
     oracle_is_controllable_numeric,
     oracle_is_zero_controllable_numeric,
     oracle_monte_carlo_verify,
+    oracle_numerator,
+    oracle_poly_mod,
+    oracle_poly_times,
     oracle_sample_realization,
     oracle_split,
     oracle_split_checks,
@@ -988,6 +992,120 @@ def test_one_input_per_state_takes_the_fallback_and_decides(monkeypatch):
     assert (stats.zc_agreements, stats.ctrl_structural, stats.ctrl_agreements) == (2, True, 2)
     assert stats.inconsistent_trials == 0
     assert sum(shape[1] == 150 for shape in calls) == 0  # no Krylov block of B beyond the first is built
+
+
+def _identity_matrix(rng, kind, n, reached):
+    """A random n-by-n matrix mod p of the kind asked, as lists of Python ints: dense ("random"), strictly lower
+    triangular with at most one diagonal entry ("nilpotent"), or a diagonal of one or two values above sparse
+    entries ("repeated").  Its first ``reached`` states never see the others, so a b there spans at most them."""
+    p = numeric._P
+
+    def draw():
+        return int(rng.integers(1, p))
+
+    if kind == "random":
+        a = [[draw() if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+    elif kind == "nilpotent":
+        a = [[draw() if j < i and rng.random() < 0.6 else 0 for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            i = int(rng.integers(n))
+            a[i][i] = draw()
+    else:
+        values = [draw() for _ in range(int(rng.integers(1, 3)))]
+        a = [[values[int(rng.integers(len(values)))] if i == j else draw() if j > i and rng.random() < 0.3 else 0
+              for j in range(n)] for i in range(n)]
+    for i in range(reached, n):  # no edge from the last states into the first
+        a[i][:reached] = [0] * reached
+    return a
+
+
+def test_the_cofactor_of_berlekamp_massey_inverts_the_numerator():
+    """The identity that a "no" of the Krylov engine rests on: on 360 seeded
+    sequences a_j = u A^j b mod p, stacked by size, ``_berlekamp_massey``
+    returns a generator f of degree r and a q' of degree below r with N_a q'
+    mod f a nonzero constant kappa, N_a the polynomial part of f(z) sum a_j
+    z^-(j+1), and sum_i (N_a q')_i a_i = kappa a_0, all checked with Python
+    ints.  A is random, nilpotent-heavy or has repeated eigenvalues, and each
+    kind gives both r = n and r < n."""
+    p, rng = numeric._P, np.random.default_rng(71)
+    sequences = {}
+    for k in range(360):
+        n, kind = int(rng.integers(1, 11)), ("random", "nilpotent", "repeated")[k % 3]
+        reached = n if k % 2 else int(rng.integers(1, n + 1))
+        a = _identity_matrix(rng, kind, n, reached)
+        b = [int(rng.integers(1, p)) if i < reached else 0 for i in range(n)]
+        u = [int(rng.integers(p)) for _ in range(n)]
+        sequences.setdefault(n, []).append((kind, oracle_gf_sequence(a, b, u, 2 * n, p)))
+    seen = Counter()
+    for n, stack in sequences.items():
+        f, r, q = numeric._berlekamp_massey(np.array([sequence for _, sequence in stack]).T, n)
+        for (kind, a), f, r, q in zip(stack, f.T.tolist(), r.tolist(), q.T.tolist()):
+            assert 1 <= r and f[r] and not any(f[r + 1:]) and not any(q[r:]), (n, kind)
+            assert all(sum(f[i] * a[j + i] for i in range(r + 1)) % p == 0 for j in range(2 * n - r))
+            product = oracle_poly_times(oracle_numerator(f[:r + 1], a, p), q[:r], p)
+            kappa, *rest = oracle_poly_mod(product, f[:r + 1], p)
+            assert kappa and not any(rest), (n, kind)
+            assert sum(c * a[i] for i, c in enumerate(product)) % p == kappa * a[0] % p
+            seen[kind, r == n] += 1
+    assert sum(seen.values()) >= 300 and len(seen) == 6, seen
+
+
+def _two_cycle_draws(**words):
+    """The 2-cycle x1 <-> x2 driven at x1 by one input, and a change of each trial's first draw that sets the
+    words named: its draw is a12, a21, b11, alpha, v1, v2, u1, u2."""
+    names = ("a12", "a21", "b11", "alpha", "v1", "v2", "u1", "u2")
+    index = [names.index(name) for name in words]
+    change = {1: lambda drawn: np.array([words[names[i]] if i in index else word
+                                         for i, word in enumerate(drawn.tolist())], dtype=np.uint64)}
+    return PatternMatrix(2, 2, frozenset({(1, 2), (2, 1)})), PatternMatrix(2, 1, frozenset({(1, 1)})), change
+
+
+def test_a_zero_b_on_a_nilpotent_free_block_decides_no(monkeypatch):
+    """alpha = 0 makes b = B1 alpha = 0, so r = 0, K = 0 and h = 0: the trial
+    takes sigma = 1 and proves A^2 v != 0 on the 2-cycle, whose block is not
+    nilpotent, a "no" on both checks from one draw."""
+    a, b, change = _two_cycle_draws(alpha=0)
+    for ctrl in (False, True):
+        stats, trials, (dense, krylov) = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
+        assert [(verdicts, calls) for verdicts, calls, _ in trials] == [((False, False, True), 1)] * 5
+        assert (stats.zc_structural, stats.zc_agreements, stats.inconsistent_trials) == (True, 0, 0)
+        assert (len(dense), len(krylov)) == (0, 5)
+
+
+def test_a_u_orthogonal_to_b_redraws_instead_of_deciding(monkeypatch):
+    """b11 = alpha = 1 and u = (0, 1) give b = e1 and a_0 = u b = 0, though
+    f(A) b = 0 holds: the trial cannot scale h, so it is not proven by that u
+    and draws again, and the new u decides as the oracle does."""
+    a, b, change = _two_cycle_draws(b11=0, alpha=1, u1=0, u2=1)
+    for ctrl in (False, True):
+        stats, trials, (_, krylov) = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
+        expected = [_exact(a, b, seed, lambda seed: _Stream(numeric._gf_stream(seed), change))
+                    for seed in range(40, 45)]
+        assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), 2) for e in expected]
+        assert expected == [(True, True)] * 5 and stats.inconsistent_trials == 0 and len(krylov) == 10
+
+
+def test_the_kernels_equal_python_ints_at_their_edges():
+    """``_gf_matvec`` and ``_gf_dot`` against sums of Python ints: every value
+    and vector entry p - 1 (each product's largest fold), then random ones; a
+    row of 2^16 + 5 entries, 20 rows of 20 and single entries, so layers and a
+    segmented sum both run; empty rows; one trial and three vectors."""
+    p, rng = numeric._P, np.random.default_rng(72)
+    size, long_row = 300, 2**16 + 5
+    rows = [0] * long_row + [r for r in range(1, 21) for _ in range(20)] + list(range(21, 200, 2))
+    cols = rng.integers(size, size=len(rows))
+    block = numeric._mv_plan(np.arange(len(rows)), np.array(rows), cols)
+    for vals, x in ((np.full((len(rows), 1), p - 1), np.full((size, 3, 1), p - 1)),
+                    (rng.integers(1, p, (len(rows), 1)), rng.integers(p, size=(size, 3, 1)))):
+        got = numeric._gf_matvec(x, vals[block[0]], block).tolist()  # the values in the plan's order
+        expected = [[[0] for _ in range(3)] for _ in range(size)]
+        for k, (row, col) in enumerate(zip(rows, cols.tolist())):
+            for j in range(3):
+                expected[row][j][0] += int(vals[k, 0]) * int(x[col, j, 0])
+        assert got == [[[total % p for total in vector] for vector in row] for row in expected]
+        assert sorted(set(range(size)) - set(rows)) == list(range(22, 200, 2)) + list(range(200, size))
+        assert numeric._gf_dot(x[cols], vals[:, None]).tolist() == [
+            [sum(int(v) * int(w) for v, w in zip(vals[:, 0], x[cols, j, 0])) % p] for j in range(3)]
 
 
 def _sweep_pairs(rng, n, count):

@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from zerocontrol import (
     build_b_pattern,
     build_graph,
@@ -17,6 +19,7 @@ from zerocontrol import (
     parse_pattern_file,
 )
 from zerocontrol.graph import _input_reach, _peel, _reachable_split
+from conftest import sparse_pattern
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scale_ladder.py"
 sys.path.insert(0, str(SCRIPT.parent))
@@ -164,3 +167,23 @@ def test_exact_trials_agree_on_the_zero_controllable_ladder_shape():
     assert _reachable_split(build_graph(a, b))[2:] == (549, 0)
     stats = monte_carlo_verify(a, b, trials=5, base_seed=7)
     assert (stats.zc_structural, stats.zc_agreements, stats.inconsistent_trials) == (True, 5, 0)
+
+
+def test_exact_trials_agree_on_both_verdict_sides_at_n_1000():
+    """At n = 1000, 20 trials on each structural verdict agree with it, every
+    one proven: the zero controllable ladder shape above at a fresh base seed,
+    and four seeded patterns of 2n entries and one input entry that are not
+    zero controllable, 5 trials each, with the controllability check."""
+    a, _ = parse_pattern_file(scale_ladder.pattern_text(1000, 1))
+    b = build_b_pattern(1000, greedy_driver_set(a).drivers, "shared").pattern
+    stats = monte_carlo_verify(a, b, trials=20, base_seed=1000)
+    assert (stats.zc_structural, stats.zc_agreements, stats.inconsistent_trials) == (True, 20, 0)
+    rng, checked = np.random.default_rng(73), 0
+    while checked < 4:
+        a, b = sparse_pattern(rng, 1000, 1000, 2000), sparse_pattern(rng, 1000, 1, 1)
+        if is_generically_zero_controllable(a, b).verdict:
+            continue
+        stats = monte_carlo_verify(a, b, trials=5, base_seed=2000 + checked, check_controllability=True)
+        assert (stats.zc_structural, stats.zc_agreements, stats.inconsistent_trials) == (False, 5, 0)
+        assert (stats.ctrl_structural, stats.ctrl_agreements) == (False, 5)
+        checked += 1
