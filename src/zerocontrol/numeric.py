@@ -463,18 +463,11 @@ def _gf_plan(pattern_a: PatternMatrix, pattern_b: PatternMatrix, at: np.ndarray,
 
 
 def _mv_plan(index: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """A block's mat-vec plan in layers: layer j holds the j-th entry of each row with more than j, rows by falling
-    count, so it adds into a prefix of the row sums.  Layers stop at 16, a numpy call each, and the other entries
-    of longer rows follow by row, for one segmented sum.  Returns the values' indices and columns, the layer sizes,
-    the rows by sum, and each segment's start."""
-    by_row = np.argsort(rows, kind="stable")
-    present, starts, count = np.unique(rows[by_row], return_index=True, return_counts=True)
-    ranked, position = np.argsort(-count, kind="stable"), np.arange(len(rows)) - np.repeat(starts, count)
-    sizes, slot = np.bincount(position), np.repeat(np.argsort(ranked), count)  # each entry's row's place in ranked
-    layers = min(len(sizes), 16)
-    order = np.lexsort((position, slot, np.minimum(position, layers)))
-    rest = np.flatnonzero(np.diff(slot[order[sizes[:layers].sum():]], prepend=-1))
-    return index[by_row][order], cols[by_row][order], sizes[:layers], present[ranked], rest
+    """A block's mat-vec plan, by row: the indices of its values, their columns, the first entry of each row
+    that has one, and those rows."""
+    order = np.argsort(rows, kind="stable")
+    present, starts = np.unique(rows[order], return_index=True)
+    return index[order], cols[order], starts, present
 
 
 def _fold(x: np.ndarray) -> np.ndarray:
@@ -487,18 +480,13 @@ def _fold(x: np.ndarray) -> np.ndarray:
 
 def _gf_matvec(x: np.ndarray, vals: np.ndarray, block: tuple) -> np.ndarray:
     """M x mod _P for each trial's block M, whose values are ``vals`` (entries, T), and each of that trial's
-    vectors in x (size, V, T): one gather, one fold and one pass over the layers for the whole stack, trials last."""
-    _, cols, sizes, rows, rest = block
+    vectors in x (size, V, T): one gather, one fold and one segmented sum for the whole stack, trials last."""
+    _, cols, starts, present = block
     y = np.zeros_like(x)
     if len(cols):
         products = x[cols]
         products *= vals[:, None]
-        sums, end = _fold(products)[:sizes[0]], sizes[0]
-        for size in sizes[1:]:
-            sums[:size] += products[end:end + size]
-            end += size
-        sums[:len(rest)] += np.add.reduceat(products[end:], rest, axis=0)
-        y[rows] = np.remainder(sums, _P, out=sums)
+        y[present] = np.add.reduceat(_fold(products), starts, axis=0) % _P
     return y
 
 
@@ -520,12 +508,10 @@ def _berlekamp_massey(a: np.ndarray, most: int) -> tuple[np.ndarray, np.ndarray,
     ell, ell_saved, gamma = np.zeros(t, dtype=np.int64), np.zeros(t, dtype=np.int64), np.ones(t, dtype=np.int64)
     for j in range(length):
         disc = _gf_dot(c[:j + 1], a[j::-1][:most + 2])  # sum_i c_i a_(j-i)
-        grow, old, moved = (disc != 0) & (2 * ell <= j), c, bz
-        if disc.any():  # else c stays, short of the factor gamma, and no result depends on its scale
-            c = (gamma * c - disc * bz) % _P
-        if grow.any():
-            saved, moved = np.where(grow, old, saved), np.where(grow, old, bz)
-            ell, ell_saved, gamma = np.where(grow, [j + 1 - ell, ell, disc], [ell, ell_saved, gamma])
+        grow = (disc != 0) & (2 * ell <= j)
+        saved, moved = np.where(grow, c, saved), np.where(grow, c, bz)
+        c = (gamma * c - disc * bz) % _P
+        ell, ell_saved, gamma = np.where(grow, [j + 1 - ell, ell, disc], [ell, ell_saved, gamma])
         bz[1:] = moved[:-1]
     return _shifted(c[:most + 1], ell, reverse=True), ell, _shifted(saved[:most + 1], ell_saved, reverse=True)
 
@@ -585,9 +571,8 @@ def _gf_krylov(a11: tuple, both: tuple, values: np.ndarray, b: np.ndarray, v: np
     y = np.zeros((n1, 2, t), dtype=np.int64)  # f(A) b, and a_0 kappa h(A) b - sigma A^d v
     for i in range(start, -1, -1):
         y = _gf_matvec(y, vals, a11) if i < start else y
-        y += coefficients[i, :2] * b[:, None]  # below 2^62 + 2^31, and 2^63 with the term on v
-        if coefficients[i, 2].any():
-            y[:, 1] += _fold(coefficients[i, 2] * v)
+        y += _fold(coefficients[i, :2] * b[:, None])
+        y[:, 1] += _fold(coefficients[i, 2] * v)
         y %= _P
     return ~y[:, 0].any(axis=0) & (sigma != 0), ~y[:, 1].any(axis=0), r == n1
 

@@ -1088,8 +1088,8 @@ def test_a_u_orthogonal_to_b_redraws_instead_of_deciding(monkeypatch):
 def test_the_kernels_equal_python_ints_at_their_edges():
     """``_gf_matvec`` and ``_gf_dot`` against sums of Python ints: every value
     and vector entry p - 1 (each product's largest fold), then random ones; a
-    row of 2^16 + 5 entries, 20 rows of 20 and single entries, so layers and a
-    segmented sum both run; empty rows; one trial and three vectors."""
+    row of 2^16 + 5 entries, 20 rows of 20 and single entries in one segmented
+    sum; empty rows; one trial and three vectors."""
     p, rng = numeric._P, np.random.default_rng(72)
     size, long_row = 300, 2**16 + 5
     rows = [0] * long_row + [r for r in range(1, 21) for _ in range(20)] + list(range(21, 200, 2))
