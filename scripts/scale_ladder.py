@@ -7,8 +7,10 @@ Beside them, each size has one pattern of the worst case for the obstruction
 test: one giant strongly connected component that no input reaches (a
 Hamiltonian cycle with chords over 60 % of the states, shuffled) and a chain
 through the other states, which the input feeds.  ``analyze``, ``select`` and
-``export-dot`` run on every pattern, and ``analyze`` once more on a bundled
-fixture.  Every job runs in a fresh child
+``export-dot`` run on each of these, and ``analyze`` once more on a bundled
+fixture.  A third, nilpotent shape (strictly lower-triangular state entries,
+three inputs) runs one ``simulate --format json`` per size up to 10^3, where
+its dense steering still fits.  Every job runs in a fresh child
 Python with one BLAS thread; the ladder records its wall time, the child's
 CPU time (user plus system) and peak RSS, and the sha256 of its exit code,
 stdout and stderr, then writes ``BENCH_<label>.json`` at the repository
@@ -42,6 +44,9 @@ FIXTURE = ROOT / "fixtures" / "example1.pat"
 SIZES = (10, 10**2, 10**3, 10**4, 10**5)
 SEEDS = (1, 2)
 GIANT_SCC_SEED = 1  # the worst-case shape is drawn once per size
+NILPOTENT_SEED = 1
+NILPOTENT_INPUTS = 3
+SIMULATE_MAX_N = 10**3  # simulate's Gram is n x (n * inputs) floats: 24 MB at n = 10^3
 REPEAT = 2  # runs of the whole ladder; each job reports its best
 OUT_DIR = ROOT  # where BENCH_<label>.json goes
 
@@ -68,6 +73,20 @@ def giant_scc_text(n: int, seed: int) -> str:
         edges[rng.choice(ring), rng.choice(ring)] = None
     edges.update(dict.fromkeys(zip(chain, chain[1:])))
     lines = [f"n {n}", "m 1", *(f"a {d} {s}" for s, d in edges), f"b {chain[0]} 1"]
+    return "\n".join(lines) + "\n"
+
+
+def nilpotent_text(n: int, seed: int) -> str:
+    """The seeded nilpotent shape: distinct uniform entries below the diagonal until
+    nnz = 1.5n (or the whole triangle), and one entry in a random row per input."""
+    rng = random.Random(seed)
+    entries: dict[tuple[int, int], None] = {}
+    while len(entries) < min(3 * n // 2, n * (n - 1) // 2):
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        if i > j:
+            entries[i, j] = None
+    lines = [f"n {n}", f"m {NILPOTENT_INPUTS}", *(f"a {i} {j}" for i, j in entries),
+             *(f"b {rng.randint(1, n)} {k}" for k in range(1, NILPOTENT_INPUTS + 1))]
     return "\n".join(lines) + "\n"
 
 
@@ -102,6 +121,10 @@ def main() -> None:
     patterns.update({f"n{n}-giant-scc.pat": (giant_scc_text, n, GIANT_SCC_SEED) for n in SIZES})
     for name in patterns:
         jobs += [{"name": f"{cmd} {name}", "argv": [cmd, name]} for cmd in COMMANDS]
+    for n in (n for n in SIZES if n <= SIMULATE_MAX_N):
+        name = f"n{n}-nilpotent.pat"
+        patterns[name] = (nilpotent_text, n, NILPOTENT_SEED)
+        jobs.append({"name": f"simulate {name}", "argv": ["simulate", name, "--format", "json"]})
     with tempfile.TemporaryDirectory() as work:
         # a child's peak RSS counts the pages of the process it was spawned
         # from, so the patterns are generated in a forked process of their own
@@ -145,6 +168,8 @@ def main() -> None:
                      "one b entry at a random row",
         "giant_scc": f"random.Random({GIANT_SCC_SEED}): an unreached cycle through 3n/5 shuffled states "
                      "with n/5 chords; a chain through the rest, fed by the one input",
+        "nilpotent": f"random.Random({NILPOTENT_SEED}): distinct entries below the diagonal until nnz = 1.5n; "
+                     f"m = {NILPOTENT_INPUTS}, one b entry per input at a random row; simulate only",
         "host": {"python": platform.python_version(), "numpy": numpy.__version__,
                  "nproc": os.cpu_count(), "host_loop_ms": round(1e3 * statistics.median(probes), 2)},
         "repeat": REPEAT,

@@ -39,7 +39,7 @@ from .reports import (
     render_steering,
     render_zc_report,
     stats_to_dict,
-    steering_to_dict,
+    steering_to_arrays,
     zc_report_to_dict,
 )
 from .structural import is_generically_zero_controllable
@@ -77,32 +77,40 @@ def _resolve_input_pattern(args, pattern_a, pattern_b):
     return pattern_b
 
 
-def _dumps(obj, pad="\n  ") -> str:
-    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``, one C-encoder call per scalar container."""
+def _dumps(obj, pad="\n  ") -> list:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` as pieces to write in order, one C-encoder call per scalar
+    container; a 2-D float array is the list of its rows, and its piece makes each row's text as it is written."""
     if type(obj) in _LEAF:
-        return json.dumps(obj)
+        return [json.dumps(obj)]
     if type(obj) is dict and all(type(key) is str for key in obj):
         ends, values = "{}", obj.values()
-    elif type(obj) in (list, tuple):
+    elif type(obj) in (list, tuple) or type(obj) is np.ndarray and obj.ndim == 2:
         ends, values = "[]", obj
-    else:  # _emit hands the whole document to the reference call
+    else:  # _emit hands the whole document to the reference call, before its first byte
         raise TypeError(f"no indented emitter for {type(obj).__name__}")
-    if _LEAF.issuperset(map(type, values)):  # the C encoder cannot indent, but it can separate
-        body = json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))[1:-1]
+    if not len(obj):
+        return [ends]
+    if type(obj) is np.ndarray:  # one piece, the generator of its rows' text: a row's floats are leaves
+        body = [(("," + pad if k else "") + "".join(_dumps(row.tolist(), pad + "  ")) for k, row in enumerate(obj))]
+    elif _LEAF.issuperset(map(type, values)):  # the C encoder cannot indent, but it can separate
+        body = [json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))[1:-1]]
     else:  # recurse; a dict's values follow their keys, in key order
         items = [(json.dumps(k) + ": ", v) for k, v in sorted(obj.items())] if ends == "{}" else [("", v) for v in obj]
-        body = ("," + pad).join(head + _dumps(value, pad + "  ") for head, value in items)
-    return f"{ends[0]}{pad}{body}{pad[:-2]}{ends[1]}" if obj else ends
+        body = [piece for k, (head, value) in enumerate(items)
+                for piece in [("," + pad if k else "") + head, *_dumps(value, pad + "  ")]]
+    return [ends[0] + pad, *body, pad[:-2] + ends[1]]
 
 
 def _emit(args, text_doc, json_doc) -> None:
-    """Print the document --format asks for; each is a callable, built only if printed."""
+    """Print the document --format asks for; each is a callable, built only if printed, and JSON is written in pieces."""
     if args.format == "json":
         doc = json_doc()
         try:
-            print(_dumps(doc))
+            pieces = _dumps(doc)
         except TypeError:  # a type or a key that only the reference encoder knows
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            pieces = [json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)]
+        for piece in [*pieces, "\n"]:  # a str, or the generator of an array's rows
+            sys.stdout.writelines([piece] if type(piece) is str else piece)
     else:
         print(text_doc())
 
@@ -215,7 +223,7 @@ def _cmd_simulate(args) -> int:
     if not np.isfinite(result.final_norm):
         raise ValueError(f"the final state norm overflows float64 within horizon {horizon}")
     _emit(args, lambda: render_steering(result),
-          lambda: {"command": "simulate", "seed": args.seed, "steering": steering_to_dict(result)})
+          lambda: {"command": "simulate", "seed": args.seed, "steering": steering_to_arrays(result)})
     return 0
 
 

@@ -330,7 +330,8 @@ def is_zero_controllable_numeric(realization: Realization, tol: float = DEFAULT_
 
 
 def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
-    """One check on the split that the realization's own nonzeros give, as ``verify`` decides a trial."""
+    """One realization decided by the float image and Hautus tests, on the split that its own nonzeros give;
+    only the public single checks run it, as ``verify`` decides its trials exactly."""
     a, b = realization.a, realization.b  # np.nonzero(v.T) runs by column, then row, as PatternMatrix._coords
     patterns = [PatternMatrix._trusted(*v.shape, *np.array(np.nonzero(v.T))[::-1] + 1) for v in (a, b)]
     order, _, n1, k = _reachable_split(build_graph(*patterns))
@@ -377,9 +378,13 @@ def deadbeat_steer(
     x0 = np.asarray(x0, dtype=float).reshape(n)
 
     if m > 0:
-        blocks = _ctrb(a[None], b[None], horizon)[0].reshape(n, horizon, m)
-        # column blocks reversed, to match the stacked unknown [u(0); ...; u(horizon-1)]
-        gram = blocks[:, ::-1].reshape(n, horizon * m)
+        # column block k is A^(horizon-1-k) B, to match the stacked unknown [u(0); ...; u(horizon-1)],
+        # written in place from the last block down, so the Gram is the only copy
+        gram = np.empty((n, horizon * m))
+        blocks = gram.reshape(n, horizon, m).transpose(1, 0, 2)
+        blocks[-1] = b
+        for k in range(horizon - 2, -1, -1):
+            np.matmul(a, blocks[k + 1], out=blocks[k])
         rhs = -np.linalg.matrix_power(a, horizon) @ x0
         if np.isfinite(gram).all() and np.isfinite(rhs).all():
             controls = np.linalg.lstsq(gram, rhs, rcond=None)[0].reshape(horizon, m)

@@ -169,14 +169,20 @@ def steering_to_dict(result: SteeringResult) -> dict:
     return _to_dict(result)
 
 
+def steering_to_arrays(result: SteeringResult) -> dict:
+    """``steering_to_dict`` with the two arrays left whole, for a writer that prints them one row at a time."""
+    return {key: getattr(result, key) if codec is _ARRAY else codec[0](getattr(result, key))
+            for key, codec in _FORMS[SteeringResult].items()}
+
+
 def render_steering(result: SteeringResult) -> str:
     lines = [f"horizon: {result.horizon}", f"final state norm: {result.final_norm:.3e}"]
     lines.append("state norms per step:")
     # the sum runs left to right over Python floats, which are the numpy
     # scalars' IEEE doubles; a loop, since sum() compensates floats from 3.12
-    for k, row in enumerate(result.trajectory.tolist()):
+    for k, row in enumerate(result.trajectory):
         total = 0.0
-        for v in row:
+        for v in row.tolist():
             total += v * v
         norm = total ** 0.5
         lines.append(f"  k={k:<3d} |x| = {norm:.6e}")

@@ -221,23 +221,82 @@ def test_simulate_rejects_wrong_x0_length(example1_path, capsys):
     assert "needs 5 comma-separated values" in captured.err
 
 
-def test_simulate_json_matches_the_per_float_document(tmp_path, monkeypatch, capsys):
-    from zerocontrol import cli
-
-    rng = np.random.default_rng(150)
-    n = 150
+def _simulate_pattern(n: int, seed: int) -> str:
+    """Up to 1.5n uniform state entries and three inputs, each at one random row."""
+    rng = np.random.default_rng(seed)
     a = {(int(i), int(j)) for i, j in rng.integers(1, n + 1, size=(round(1.5 * n), 2))}
     b = {(int(rng.integers(1, n + 1)), j) for j in range(1, 4)}
+    return serialize_pattern_file(PatternMatrix(n, n, frozenset(a)), PatternMatrix(n, 3, frozenset(b)))
+
+
+def test_simulate_json_matches_the_per_float_document(tmp_path, monkeypatch, capsys):
+    # the CLI hands the emitter the arrays, which it writes a row at a time;
+    # the per-float lists of the same result print the same bytes
+    from zerocontrol import cli
+
+    n = 150
     path = tmp_path / "sim.pat"
-    path.write_text(serialize_pattern_file(PatternMatrix(n, n, frozenset(a)),
-                                           PatternMatrix(n, 3, frozenset(b))))
+    path.write_text(_simulate_pattern(n, 150))
     argv = ["simulate", str(path), "--format", "json"]
     assert run_cli(argv) == 0
     out = capsys.readouterr().out
-    monkeypatch.setattr(cli, "steering_to_dict", oracle_steering_to_dict)
+    monkeypatch.setattr(cli, "steering_to_arrays", oracle_steering_to_dict)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == out
     assert len(json.loads(out)["steering"]["trajectory"]) == n + 1
+
+
+SIMULATE_SHAPES = {  # pattern file, extra arguments, (controls, trajectory) shapes
+    "no states": ("n 0\n", [], ((1, 0), (2, 0))),
+    "no inputs": ("n 4\na 2 1\na 3 2\na 1 3\n", [], ((4, 0), (5, 4))),
+    "horizon 1": (serialize_pattern_file(EXAMPLE1_A, EXAMPLE1_B), ["--horizon", "1"], ((1, 1), (2, 5))),
+    "150 states, 3 inputs": (_simulate_pattern(150, 151), [], ((150, 3), (151, 150))),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("shape", list(SIMULATE_SHAPES))
+def test_streamed_simulate_prints_the_reference_documents(shape, fmt, tmp_path, monkeypatch, capsys):
+    """The streamed document is the reference encoder's output for the
+    per-float document, and the text the per-scalar oracle's, on the shapes
+    whose rows are empty and on a one-step horizon."""
+    from zerocontrol import cli
+
+    text, extra, shapes = SIMULATE_SHAPES[shape]
+    path = tmp_path / "sim.pat"
+    path.write_text(text)
+    steered = []
+    monkeypatch.setattr(cli, "deadbeat_steer",
+                        lambda *args, steer=cli.deadbeat_steer: steered.append(steer(*args)) or steered[-1])
+    assert run_cli(["simulate", str(path), "--format", fmt, *extra]) == 0
+    [result] = steered
+    assert (result.controls.shape, result.trajectory.shape) == shapes
+    doc = {"command": "simulate", "seed": cli.DEFAULT_BASE_SEED, "steering": oracle_steering_to_dict(result)}
+    expected = json.dumps(doc, indent=2, sort_keys=True) if fmt == "json" else oracle_render_steering(result)
+    assert capsys.readouterr() == (expected + "\n", "")
+
+
+def test_simulate_json_holds_no_copy_of_the_document(tmp_path):
+    """simulate --format json on 300 states with three inputs, as verify-mc's
+    larger simulate job: its Gram is 300 x 900 floats (2.06 MB) and its
+    document 2.0 MB of text.  The Gram is built in place and the document
+    written a row at a time, so neither the whole document's floats nor its
+    text is held: the peak read 4.9 MiB, where a three-copy Gram and the
+    whole-document emitter read 8.1 MiB.  (Least squares copies the Gram with
+    an allocator that tracemalloc does not see.)"""
+    path, out = tmp_path / "sim.pat", tmp_path / "out.json"
+    path.write_text(_simulate_pattern(300, 300))
+    with open(out, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = run_cli(["simulate", str(path), "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert out.stat().st_size > 2 * 10**6
+    assert len(json.loads(out.read_text(encoding="utf-8"))["steering"]["trajectory"]) == 301
+    assert peak < 6 * 2**20
 
 
 def test_steering_text_sums_python_floats_as_numpy_scalars():
@@ -563,9 +622,13 @@ _PIECES = ["", ", ", ",\n  ", ": ", "[", "]", "{", "}", '"', "\\", "\x00\x1f\t\n
 
 def _random_document(rng: random.Random, depth: int):
     """Scalars at the edges of what JSON prints, inside lists, tuples and dicts;
-    now and then a non-str key or a type only the reference encoder knows."""
+    now and then a 2-D float array, a non-str key or a type only the reference
+    encoder knows."""
     if depth == 0 or rng.random() < 0.45:
         kind = rng.randrange(7)
+        if kind == 5 and rng.random() < 0.1:  # each dimension may be 0
+            shape = rng.randrange(4), rng.randrange(4)
+            return np.array([rng.choice(_FLOATS) for _ in range(shape[0] * shape[1])]).reshape(shape)
         if kind == 0:
             return rng.choice(_FLOATS) if rng.random() < 0.5 else rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300)
         if kind == 1:
@@ -591,10 +654,12 @@ def _random_document(rng: random.Random, depth: int):
 def test_indented_emitter_prints_what_the_reference_encoder_prints(monkeypatch):
     from zerocontrol import cli
 
-    fallbacks = []
+    fallbacks, arrays = [], Counter()
     dumps = cli._dumps
 
     def counted(doc, *pad):
+        if type(doc) is np.ndarray:
+            arrays[min(doc.shape)] += 1
         try:
             return dumps(doc, *pad)
         except TypeError:
@@ -610,8 +675,9 @@ def test_indented_emitter_prints_what_the_reference_encoder_prints(monkeypatch):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._emit(args, None, lambda: doc)
-        assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
     assert 100 < len(fallbacks) < 2000
+    assert arrays[0] > 100 and sum(arrays.values()) > 300, arrays  # arrays with no rows or empty rows, and filled ones
 
 
 JSON_COMMANDS = [
@@ -627,7 +693,7 @@ def test_json_output_matches_the_reference_encoder(command, fixture, fixture_dir
 
     argv = [command[0], str(fixture_dir / fixture), *command[1:], "--format", "json"]
     printed = (run_cli(argv), *capsys.readouterr())
-    monkeypatch.setattr(cli, "_dumps", lambda doc: json.dumps(doc, indent=2, sort_keys=True))
+    monkeypatch.setattr(cli, "_dumps", lambda doc: [json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)])
     assert (run_cli(argv), *capsys.readouterr()) == printed
     assert printed[1].startswith("{\n")
 
@@ -814,7 +880,7 @@ RENDERERS = {
     "analyze": (["render_zc_report"], ["zc_report_to_dict"]),
     "select": (["render_driver_set", "render_b_pattern"], ["driver_set_to_dict", "b_pattern_to_dict"]),
     "verify": (["render_stats"], ["stats_to_dict"]),
-    "simulate": (["render_steering"], ["steering_to_dict"]),
+    "simulate": (["render_steering"], ["steering_to_arrays"]),
 }
 
 

@@ -45,6 +45,15 @@ def test_giant_scc_shape_is_seeded_and_unreached():
     assert [len(c) for c in report.nontrivial_unreachable_components] == [120]
 
 
+def test_nilpotent_shape_is_seeded_and_strictly_lower_triangular():
+    text = scale_ladder.nilpotent_text(200, 1)
+    assert text == scale_ladder.nilpotent_text(200, 1) != scale_ladder.nilpotent_text(200, 2)
+    a, b = parse_pattern_file(text)
+    assert a.shape == (200, 200) and len(a.nonzeros) == 300 and all(i > j for i, j in a.nonzeros)
+    assert b is not None and b.shape == (200, 3) and sorted(j for _, j in b.nonzeros) == [1, 2, 3]
+    assert parse_pattern_file(scale_ladder.nilpotent_text(3, 1))[0].nonzeros == {(2, 1), (3, 1), (3, 2)}
+
+
 def test_ladder_writes_one_record_per_job(tmp_path, monkeypatch):
     monkeypatch.setattr(scale_ladder, "SIZES", (40,))
     monkeypatch.setattr(scale_ladder, "SEEDS", (3,))
@@ -56,7 +65,7 @@ def test_ladder_writes_one_record_per_job(tmp_path, monkeypatch):
     assert [job["name"] for job in doc["jobs"]] == [
         "analyze example1.pat", "analyze n40-seed3.pat", "select n40-seed3.pat",
         "export-dot n40-seed3.pat", "analyze n40-giant-scc.pat", "select n40-giant-scc.pat",
-        "export-dot n40-giant-scc.pat",
+        "export-dot n40-giant-scc.pat", "simulate n40-nilpotent.pat",
     ]
     assert doc["jobs"][0]["exit_code"] == 1  # example1 is not zero controllable
     assert all(job["exit_code"] in (0, 1) and len(job["sha256"]) == 64 for job in doc["jobs"])
