@@ -9,8 +9,6 @@ written next to this script's --out directory.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from zerocontrol import (
     DEFAULT_BASE_SEED,
     build_b_pattern,
@@ -23,6 +21,7 @@ from zerocontrol import (
     parse_pattern_file,
     sample_realization,
 )
+from zerocontrol.cli import random_x0
 from zerocontrol.reports import render_stats, render_zc_report
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -73,9 +72,7 @@ def main():
 
             n = pattern_a.n_rows
             realization = sample_realization(pattern_a, pattern_b, args.seed)
-            rng = np.random.default_rng(args.seed + 1)
-            x0 = rng.standard_normal(n)
-            x0 /= np.linalg.norm(x0)
+            x0 = random_x0(args.seed, n)  # simulate's default start state
             result = deadbeat_steer(realization, x0, horizon=n)
             print(
                 f"deadbeat steering from |x0|=1 over {n} steps: "

@@ -28,7 +28,15 @@ from .drivers import (
 )
 from .fileio import PatternFormatError, parse_pattern_file
 from .graph import _input_reach, _reach_states, _state_ids, build_graph, state_name
-from .numeric import DEFAULT_BASE_SEED, DEFAULT_TOL, check_dense_size, deadbeat_steer, monte_carlo_verify, sample_realization
+from .numeric import (
+    DEFAULT_BASE_SEED,
+    DEFAULT_TOL,
+    _normals,
+    check_dense_size,
+    deadbeat_steer,
+    monte_carlo_verify,
+    sample_realization,
+)
 from .patterns import PatternMatrix, _pair
 from .reports import (
     b_pattern_to_dict,
@@ -191,6 +199,14 @@ def _cmd_verify(args) -> int:
     return 0 if stats.agreement_fraction >= args.min_agreement else 1
 
 
+def random_x0(seed: int, n: int) -> np.ndarray:
+    """``simulate``'s default start state under ``--seed`` seed: numpy's ``default_rng(seed + 1).standard_normal(n)``,
+    computed here, scaled to norm 1 unless all n draws are zero."""
+    x0 = _normals(seed + 1, n)
+    norm = float(np.linalg.norm(x0))
+    return x0 / norm if norm > 0 else x0
+
+
 def _cmd_simulate(args) -> int:
     pattern_a, pattern_b = _load_patterns(args.file)
     pattern_b = _pair(pattern_a, _resolve_input_pattern(args, pattern_a, pattern_b))
@@ -199,11 +215,7 @@ def _cmd_simulate(args) -> int:
     check_dense_size(n, m, horizon)
     realization = sample_realization(pattern_a, pattern_b, args.seed)
     if args.x0 == "random":
-        rng = np.random.default_rng(args.seed + 1)
-        x0 = rng.standard_normal(n)
-        norm = float(np.linalg.norm(x0))
-        if norm > 0:
-            x0 = x0 / norm
+        x0 = random_x0(args.seed, n)
     else:
         chunks = args.x0.split(",")
         try:  # float() also reads '1_0' and non-ASCII digits, which no other input takes

@@ -16,14 +16,15 @@ and the survivor block S is nilpotent.
 
 ``monte_carlo_verify`` (so ``verify``) decides every trial exactly over GF(p),
 p = 2^31 - 1, with values drawn mod p from the trial's own stream: numpy's
-SeedSequence/PCG64 words, computed here bit for bit, so on numpy >= 2 ``verify``
-imports no numpy.random (``simulate`` still does).  S is not nilpotent when S^k
-v' != 0 for a random v'.  (A11, B1) is decided with sparse Krylov sequences
-(Wiedemann 1986): Berlekamp-Massey (Massey 1969), Euclid's algorithm on the
-sequence (Dornstetter 1987), gives the dimension of the controllable space and
-a cofactor, so one product mod its generator tests A11^d v against it with no
-second Euclid (no Bernstein-Yang division steps), and Horner's rule proves
-both; see ``_gf_krylov``.  Products fold mod the Mersenne prime p with no
+SeedSequence/PCG64 words, computed here bit for bit.  ``sample_realization`` and
+``simulate``'s random x0 compute numpy's uniform and standard normal draws from
+such words too, so on numpy >= 2 no subcommand imports numpy.random.  S is
+not nilpotent when S^k v' != 0 for a random v'.  (A11, B1) is decided with sparse
+Krylov sequences (Wiedemann 1986): Berlekamp-Massey (Massey 1969), Euclid's
+algorithm on the sequence (Dornstetter 1987), gives the dimension of the
+controllable space and a cofactor, so one product mod its generator tests A11^d v
+against it with no second Euclid (no Bernstein-Yang division steps), and Horner's
+rule proves both; see ``_gf_krylov``.  Products fold mod the Mersenne prime p with no
 division, stacked trials share each mat-vec, and a trial decides alike in any
 chunk.  A verdict is wrong only with the small probabilities stated at ``_P``;
 a trial that the engine cannot prove is counted inconsistent and takes "no".
@@ -49,6 +50,8 @@ one complex SVD per eigenvalue.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,17 +131,15 @@ def sample_realization(
 ) -> Realization:
     """Deterministic realization for the given seed.  Entries are filled in sorted position order, so the draw
     sequence is part of the contract.  ``_pair`` refuses a non-square state pattern and an input pattern without
-    one row per state; a missing input pattern means n-by-0, no inputs."""
-    rng = np.random.default_rng(_seeds(seed, 1)[0])
-    pattern_b = _pair(pattern_a, pattern_b)
-    a, b = np.zeros(pattern_a.shape), np.zeros(pattern_b.shape)
-    for matrix, pattern in ((a, pattern_a), (b, pattern_b)):
-        rows, cols = _entries(pattern)
-        if not len(rows):
-            continue
-        draws = rng.random(2 * len(rows))  # two per entry in entry order: uniform magnitude, then sign
-        magnitude = value_spec.low + (value_spec.high - value_spec.low) * draws[0::2]
-        matrix[rows - 1, cols - 1] = np.where(draws[1::2] < 0.5, magnitude, -magnitude)
+    one row per state; a missing input pattern means n-by-0, no inputs.  The draws are numpy's
+    ``default_rng(seed).random`` stream, computed here: each word w gives next_double, (w >> 11) 2^-53."""
+    seeds, pattern_b = _seeds(seed, 1), _pair(pattern_a, pattern_b)
+    a, b, entries = np.zeros(pattern_a.shape), np.zeros(pattern_b.shape), [_entries(pattern_a), _entries(pattern_b)]
+    draws = (_gf_words(seeds, 0, 2 * sum(len(rows) for rows, _ in entries), ())[0] >> np.uint64(11)) * 2.0**-53
+    for matrix, (rows, cols) in zip((a, b), entries):
+        pairs, draws = draws[:2 * len(rows)], draws[2 * len(rows):]  # two per entry in entry order, A's then B's
+        magnitude = value_spec.low + (value_spec.high - value_spec.low) * pairs[0::2]  # uniform magnitude, then sign
+        matrix[rows - 1, cols - 1] = np.where(pairs[1::2] < 0.5, magnitude, -magnitude)
     return Realization(a, b, seed, value_spec)
 
 
@@ -433,13 +434,16 @@ def steering_residual(realization: Realization, result: SteeringResult) -> float
 _P = 2**31 - 1
 
 #: The spawn key of each trial's exact stream, numpy's PCG64(SeedSequence(base_seed + i, spawn_key=_GF_KEY)), so a
-#: trial replays in numpy.random.  ``_gf_words`` computes it bit for bit: on numpy >= 2 ``verify`` imports no
-#: numpy.random, ``simulate`` does.  A trial draws once for its values mod _P and vectors, once per redraw of u.
+#: trial replays in numpy.random and ``simulate``'s draws, from the empty key, do not move.  ``_gf_words`` computes
+#: both bit for bit, so on numpy >= 2 no subcommand imports numpy.random.  A trial draws once for its values mod _P
+#: and vectors, once per redraw of u.
 _GF_KEY = (1,)
 
 #: SeedSequence's hash constants (INIT_A, MULT_A), (INIT_B, MULT_B) and (MIX_MULT_L, MIX_MULT_R); PCG64's multiplier.
 _HASH, _MIX = ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)), (np.uint32(0xCA01F9DD), np.uint32(0x4973F715))
 _PCG_MULT, _LOW32, _32 = 0x2360ED051FC65DA44385DF649FCCF645, np.uint64(2**32 - 1), np.uint64(32)
+#: numpy's ziggurat tail edge r and 1 / r, as its C source spells them; words ``_normals`` draws beyond n + n / 16.
+_ZIG_R, _ZIG_INV_R, _SPARE = 3.6541528853610087963519472518, 0.27366123732975827203338247596, 16
 
 #: Draws of the left vector u a trial may take; a trial that none of them proves counts as inconsistent and
 #: takes the conservative "no".  One draw fails with probability at most (n1 + 1) / _P.
@@ -450,12 +454,13 @@ _GF_DRAWS = 3
 _STACK_ENTRIES, _WORD_TEMPS = 2**18, 8
 
 
-def _gf_words(seeds: range | list[int], start: int, count: int) -> np.ndarray:
-    """Words start .. start + count - 1 of each seed's exact stream, (T, count) uint64, for all trials at once.  (i)
-    SeedSequence hashes the seed's 32-bit words, padded to its pool of 4, and the key into PCG64's seed s and stream
-    i.  (ii) PCG64 steps S -> M S + inc, inc = 2 i + 1, from 0, adds s and steps again.  (iii) So word j is the XSL-RR
-    output of S_(j+2) = M^(j+2) x + (1 + ... + M^(j+1)) inc mod 2^128, x = s + inc, in blocks of about sqrt(count)."""
-    key = np.array(_GF_KEY, dtype="<u4").tobytes()
+def _gf_words(seeds: range | list[int], start: int, count: int, key: tuple = _GF_KEY) -> np.ndarray:
+    """Words start .. start + count - 1 of each seed's stream under ``key``, (T, count) uint64, all trials at once.
+    (i) SeedSequence hashes the seed's 32-bit words, padded to its pool of 4 (a zero word hashes as the pool's filler),
+    and the key into PCG64's seed s and stream i.  (ii) PCG64 steps S -> M S + inc, inc = 2 i + 1, from 0, adds s and
+    steps again.  (iii) So word j is the XSL-RR output of S_(j+2) = M^(j+2) x + (1 + ... + M^(j+1)) inc mod 2^128, x =
+    s + inc, in blocks of about sqrt(count)."""
+    key = np.array(key, dtype="<u4").tobytes()
     entropy = [seed.to_bytes(4 * max(4, -(-seed.bit_length() // 32)), "little") + key for seed in seeds]
     size, lengths = max(map(len, entropy), default=20), np.array(list(map(len, entropy)))[:, None]
     packed = np.frombuffer(b"".join(w.ljust(size, b"\0") for w in entropy), "<u4").reshape(len(seeds), size // 4)
@@ -507,6 +512,46 @@ def _mul_add(a, x, y=np.zeros(2, dtype=np.uint64)) -> tuple[np.ndarray, np.ndarr
     mid, low = a1 * x0 + (a0 * x0 >> _32), a_lo * x_lo + y_lo
     carry = (mid >> _32) + (a0 * x1 + (mid & _LOW32) >> _32) + (low < y_lo)
     return a_hi * x_lo + a_lo * x_hi + a1 * x1 + y_hi + carry, low
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """numpy's ziggurat tables ki (uint64), wi (float64) and fi (floats), decoded once, at the first normal draw."""
+    from ._ziggurat import TABLES
+    ki, wi, fi = np.frombuffer(bytes.fromhex(TABLES), "<u8").reshape(3, 256)
+    return ki, wi.view("<f8"), fi.view("<f8").tolist()
+
+
+def _normals(seed: int, n: int) -> np.ndarray:
+    """numpy's ``default_rng(seed).standard_normal(n)``, bit for bit: Marsaglia and Tsang's (2000) ziggurat on the
+    seed's computed words.  Word w takes layer i = w & 0xff, sign bit 8 and 52-bit rabs = w >> 9, and gives x = rabs
+    wi[i] when rabs < ki[i]; 1.5 % of words go on to layer i's wedge or, for i = 0, the tail beyond r, which read the
+    next words as uniforms.  A rejected x starts over after them.  Words that run out are drawn again, twice as many."""
+    (ki, wi, fi), count = _ziggurat(), n + n // 16 + _SPARE
+    while True:
+        words = _gf_words(_seeds(seed, 1), 0, count, ())[0]
+        layer, rabs = (words & np.uint64(255)).astype(np.intp), words >> np.uint64(9) & np.uint64(2**52 - 1)
+        x = np.where(words & np.uint64(256), -1.0, 1.0) * (rabs * wi[layer])
+        fast, uniforms = rabs < ki[layer], (words >> np.uint64(11)) * 2.0**-53  # next_double
+        draws, free = np.where(fast, x, np.nan), 0  # the draw each word starts; the first word no test has read
+        for j in np.flatnonzero(~fast).tolist():
+            if j < free:
+                continue
+            i, k, value, accept = int(layer[j]), j + 1, float(x[j]), False
+            try:
+                if i:  # the wedge, on one uniform
+                    accept, k = (fi[i - 1] - fi[i]) * uniforms[k] + fi[i] < math.exp(-0.5 * value * value), k + 1
+                while not (i or accept):  # the tail, two uniforms a round until one is accepted
+                    xx, yy, k = -_ZIG_INV_R * math.log1p(-uniforms[k]), -math.log1p(-uniforms[k + 1]), k + 2
+                    accept, value = yy + yy > xx * xx, -(_ZIG_R + xx) if int(words[j]) >> 17 & 1 else _ZIG_R + xx
+            except IndexError:  # the words ran out inside the test
+                draws[j:] = np.nan
+                break
+            draws[j], draws[j + 1:k], free = value if accept else np.nan, np.nan, k
+        draws = draws[~np.isnan(draws)]
+        if len(draws) >= n:
+            return draws[:n]
+        count *= 2
 
 
 def _residues(words: np.ndarray, low: int = 0) -> np.ndarray:

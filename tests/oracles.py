@@ -8,6 +8,7 @@ sides of every check stay independent.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from functools import lru_cache
 
@@ -526,6 +527,65 @@ def oracle_monte_carlo_verify(pattern_a, pattern_b, trials, base_seed, check_con
         ctrl_agree += ctrl == ctrl_structural
     return MonteCarloStats(trials, base_seed, zc_structural, zc_agree, 0, tuple(disagreeing),
                            ctrl_structural, ctrl_agree if check_controllability else None)
+
+
+@lru_cache(maxsize=None)
+def oracle_ziggurat_tables() -> tuple[list[int], list[float], list[float]]:
+    """numpy's ziggurat tables ki, wi and fi, read back from ``Generator.standard_normal`` itself by crafting
+    PCG64 states.  The state S_0 = M^-1 (S_1 - inc) mod 2^128 makes the next word
+    S_1's, and an odd inc = S_2 - M S_1 makes the word after it S_2's; an S below 2^122 outputs S mod 2^64.  A word of
+    layer i, sign 0 and rabs = 1 draws wi[i] exactly (through the wedge at U = 0 where ki[i] <= 1); ki[i] is the least
+    rabs whose draw reads a second word; and fi[i] is the one float near (e - fi[i-1] U) / (1 - U), e = exp(-x^2 / 2),
+    whose wedge test fi[i] + (fi[i-1] - fi[i]) U < e first fails at the same U as numpy's, at 3 points x of layer i;
+    fi[0] is found with fi[1], near 1."""
+    mult = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+    inverse = pow(mult, -1, 2**128)
+    bits = np.random.PCG64()
+    gen = np.random.Generator(bits)
+
+    def craft(first, second):  # the states after the next two words, which are first and second
+        low = (second ^ first ^ 1) & 1  # makes inc odd
+        s1, s2 = first, low << 64 | (second ^ low)
+        inc = (s2 - mult * s1) % 2**128
+        s0 = inverse * (s1 - inc) % 2**128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": s0, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        return s1, s2
+
+    def draw(first, second=0):  # the draw from words first, second, ...; and how many it read, 3 meaning more than 2
+        s1, s2 = craft(first, second)
+        x = gen.standard_normal()
+        return x, {s1: 1, s2: 2}.get(bits.state["state"]["state"], 3)
+
+    craft(0x0123456789ABCDEF, 2**64 - 2)
+    assert bits.random_raw(2).tolist() == [0x0123456789ABCDEF, 2**64 - 2]  # the stepping the crafting assumes
+
+    def least(lo, hi, rejects):  # the least value in [lo, hi) that ``rejects``, or hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if rejects(mid) else (mid + 1, hi)
+        return lo
+
+    wi = [draw(1 << 9 | i)[0] for i in range(256)]
+    ki = [least(0, 2**52, lambda rabs: draw(rabs << 9 | i)[1] > 1) for i in range(256)]
+    assert max(ki) < 2**52 and all(draw(1 << 9 | i)[1] == (1 if ki[i] > 1 else 2) for i in range(256))
+
+    def near(value, ulps):  # the positive floats within ulps units in the last place of value
+        return (np.float64(value).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64).tolist()
+
+    def consistent(top, f, points):  # f, below top, rejects exactly from U on at each (x, U), U a multiple of 2^-53
+        return all((u == 0 or (top - f) * ((u - 1) * 2.0**-53) + f < math.exp(-0.5 * x * x))
+                   and (u == 2**53 or (top - f) * (u * 2.0**-53) + f >= math.exp(-0.5 * x * x)) for x, u in points)
+
+    fi, tops = [1.0] * 256, near(1.0, 4)
+    for i in range(1, 256):
+        rabs = [max(ki[i], 1) + (2**52 - max(ki[i], 1)) * k // 4 for k in (1, 2, 3)]
+        points = [(r * wi[i], least(0, 2**53, lambda u, r=r: draw(r << 9 | i, u << 11)[1] > 2)) for r in rabs]
+        x, u = points[1][0], points[1][1] * 2.0**-53
+        guesses = [near((math.exp(-0.5 * x * x) - top * u) / (1 - u), 32) for top in tops]
+        found = [(top, f) for top, near_f in zip(tops, guesses) for f in near_f if consistent(top, f, points)]
+        assert len(set(found)) == 1, (i, found)
+        (fi[i - 1], fi[i]), tops = found[0], [found[0][1]]
+    return ki, [float(w) for w in wi], [float(f) for f in fi]
 
 
 def oracle_steering_to_dict(result) -> dict:

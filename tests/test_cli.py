@@ -733,22 +733,29 @@ def test_subcommands_do_not_import_scipy(argv, fixture_dir):
     [["analyze", "example1.pat"], ["select", "example2.pat", "--enumerate"],
      ["export-dot", "example2.pat", "--drivers", "x4,x8"],
      ["verify", "example1.pat", "--trials", "3", "--check-controllability"],
-     ["verify", "example2.pat", "--drivers", "x4,x8"]],
-    ids=lambda argv: argv[0] if argv[0] != "verify" else f"verify-{argv[1][:-4]}",
+     ["verify", "example2.pat", "--drivers", "x4,x8"],
+     ["simulate", "example1.pat"], ["simulate", "example1.pat", "--x0", "1,0,-2.5,0,1e-3"],
+     ["simulate", "example2.pat", "--drivers", "x4,x8", "--horizon", "11"]],
+    ids=["analyze", "select", "export-dot", "verify-example1", "verify-example2", "simulate-example1",
+         "simulate-example1-x0", "simulate-example2"],
 )
-def test_structural_commands_and_verify_load_no_numpy_submodule(argv, fixture_dir):
-    """The structural path and ``verify`` need nothing that importing the CLI
-    did not load (np.unique without its index outputs, for one, would load
-    numpy.ma).  ``verify`` computes its PCG64 words itself, so it loads
-    neither numpy.random nor the secrets and hashlib modules that numpy.random
-    imports.  On numpy < 2, importing numpy loads all three already."""
+def test_no_subcommand_loads_a_numpy_submodule(argv, fixture_dir):
+    """No subcommand needs anything that importing the CLI did not load
+    (np.unique without its index outputs, for one, would load numpy.ma).
+    ``verify`` and ``simulate`` compute numpy's SeedSequence/PCG64 words, and
+    ``simulate`` its uniform and normal draws from them, so they load neither
+    numpy.random nor the secrets and hashlib modules that numpy.random
+    imports.  On numpy < 2, importing numpy loads all three already.
+    Importing the CLI does not load the ziggurat tables of the normal draws."""
     argv = [argv[0], str(fixture_dir / argv[1]), *argv[2:]]
     script = (
         "import contextlib, io, sys\n"
         "from zerocontrol.cli import run_cli\n"
         "before = set(sys.modules)\n"
+        "assert 'zerocontrol._ziggurat' not in before\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    run_cli({argv!r})\n"
+        f"    code = run_cli({argv!r})\n"
+        "assert code in (0, 1), code\n"
         "loaded = [m for m in set(sys.modules) - before if m.startswith(('numpy', 'scipy', 'hashlib', 'secrets'))]\n"
         "assert not loaded, loaded\n"
     )

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import tracemalloc
 from collections import Counter
 
@@ -45,6 +47,7 @@ from oracles import (
     oracle_sample_realization,
     oracle_split,
     oracle_split_checks,
+    oracle_ziggurat_tables,
 )
 
 
@@ -101,7 +104,8 @@ def test_value_spec_refuses_bounds_that_break_the_realization_contract(low, high
 def test_sampling_matches_the_scalar_draw_loop():
     rng = np.random.default_rng(8)
     specs = (ValueSpec(), ValueSpec(low=1.0, high=1.5), ValueSpec(low=0.5, high=0.5))
-    cases = [(PatternMatrix.zeros(4, 4), PatternMatrix.zeros(4, 2)), (PatternMatrix.zeros(3, 3), None)]
+    cases = [(PatternMatrix.zeros(4, 4), PatternMatrix.zeros(4, 2)), (PatternMatrix.zeros(3, 3), None),
+             (PatternMatrix.zeros(3, 3), PatternMatrix(3, 2, frozenset({(1, 2), (3, 1), (3, 2)})))]  # B's draws first
     for k in range(60):
         n = int(rng.integers(1, 13))
         m = int(rng.integers(0, 3))
@@ -272,9 +276,10 @@ def _float_inconsistent_pair():
     return random_pattern(rng, 16, 16, 3.0 / 16), random_pattern(rng, 16, 1, 0.3)
 
 
-def _pcg64(seed):
-    """A trial's exact stream as numpy itself draws it, the reference for ``numeric._gf_words``."""
-    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=numeric._GF_KEY))
+def _pcg64(seed, key=numeric._GF_KEY):
+    """A trial's exact stream (or the seed's stream under ``key``) as numpy itself draws it, the reference for
+    ``numeric._gf_words``."""
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
 
 
 class _Stream:
@@ -916,23 +921,64 @@ def test_negative_seeds_are_refused_before_any_work(example1_a, example1_b, monk
                          ids=["edges", "straddling 2^32"])
 def test_gf_words_equal_numpys_pcg64_words_bit_for_bit(seeds, monkeypatch):
     """``_gf_words`` gives numpy's PCG64(SeedSequence(seed, spawn_key=_GF_KEY)).random_raw word for word, for all
-    trials of a batch at once: at seeds on both sides of 2^32, above 2^64 and above 2^128 (an entropy longer than
+    trials of a batch at once, and with the empty key ``simulate``'s PCG64(SeedSequence(seed)), whose short entropy
+    numpy does not pad: at seeds on both sides of 2^32, above 2^64 and above 2^128 (an entropy longer than
     SeedSequence's pool, in a batch with shorter ones), and in a batch that straddles 2^32; for a first draw, a
     redraw after it and a second redraw, for no word and one word, and over many blocks of jumps; in one row block
     and with one trial per row block."""
     drawn, n1 = 37, 5
-    for cap in (numeric._STACK_ENTRIES, 1):
+    for key, cap in itertools.product((numeric._GF_KEY, ()), (numeric._STACK_ENTRIES, 1)):
         monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
         for start, count in ((0, drawn), (drawn, n1), (drawn + n1, n1), (0, 0), (drawn, 0), (0, 1), (drawn, 1),
                              (3, 1000)):
             expected = []
             for seed in seeds:
-                stream = _pcg64(seed)
+                stream = _pcg64(seed, key)
                 stream.random_raw(start)
                 expected.append(stream.random_raw(count))
-            got, expected = numeric._gf_words(seeds, start, count), np.array(expected, dtype=np.uint64)
-            assert got.dtype == np.uint64 and got.shape == (len(seeds), count), (cap, start, count)
-            assert np.array_equal(got, expected.reshape(len(seeds), count)), (cap, start, count)
+            got, expected = numeric._gf_words(seeds, start, count, key), np.array(expected, dtype=np.uint64)
+            assert got.dtype == np.uint64 and got.shape == (len(seeds), count), (key, cap, start, count)
+            assert np.array_equal(got, expected.reshape(len(seeds), count)), (key, cap, start, count)
+
+
+def test_normals_equal_numpys_standard_normal_bit_for_bit(monkeypatch):
+    """``_normals(s, n)`` is ``default_rng(s).standard_normal(n)`` bit for bit: for no, one and a few draws, and for
+    2.4 * 10^5 draws over which both slow paths run, the wedge test (``math.exp``) and the tail beyond r
+    (``math.log1p``).  With no spare words, a draw that the first words cannot finish is drawn again from more:
+    the streams of seeds 755 and 1950 start in the tail, whose uniforms the first word leaves out."""
+    calls, words = Counter(), numeric._gf_words
+
+    class Math:  # counts the slow paths' calls
+        def __getattr__(self, name):
+            return lambda x: calls.update([name]) or getattr(math, name)(x)
+
+    def counted(*args):
+        calls["words"] += 1
+        return words(*args)
+
+    monkeypatch.setattr(numeric, "math", Math())
+    monkeypatch.setattr(numeric, "_gf_words", counted)
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 20240002):
+        for n in (0, 1, 11, 300):
+            assert np.array_equal(numeric._normals(seed, n), np.random.default_rng(seed).standard_normal(n)), (seed, n)
+    assert calls["words"] == 24
+    got = numeric._normals(7, 240_000)
+    assert np.array_equal(got, np.random.default_rng(7).standard_normal(240_000))
+    assert calls["exp"] > 1000 and calls["log1p"] > 20, calls
+    monkeypatch.setattr(numeric, "_SPARE", 0)
+    calls.clear()
+    for seed in [*range(60), 755, 1950]:
+        for n in (1, 11, 50):
+            assert np.array_equal(numeric._normals(seed, n), np.random.default_rng(seed).standard_normal(n)), (seed, n)
+    assert calls["words"] > 62 * 3 and calls["log1p"] > 0, calls
+
+
+def test_ziggurat_tables_are_numpys():
+    """All 768 entries of the shipped ki, wi and fi equal the ones read back from numpy.random."""
+    ki, wi, fi = numeric._ziggurat()
+    expected = oracle_ziggurat_tables()
+    assert ki.dtype == np.uint64 and wi.dtype == np.float64
+    assert (ki.tolist(), wi.tolist(), fi) == expected
 
 
 def test_gf_words_hold_their_temporaries_within_the_stack_cap(monkeypatch):
