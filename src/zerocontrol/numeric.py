@@ -32,20 +32,11 @@ a trial that the engine cannot prove is counted inconsistent and takes "no".
 The float family runs behind the single-realization checks alone
 (``is_zero_controllable_numeric``, ``is_controllable_numeric``), on the split
 of the realization's own nonzeros.  (A11, B1) is decided over n steps by the
-image test (rank [C, A^n] against rank C) and the Hautus test at every
-eigenvalue of modulus above the nonzero threshold; C is zero on the unreached
-rows, so S^n != 0 or a nonzero eigenvalue of S settles a "no".  A check is
-consistent when the two tests agree, and its verdict is "both pass".  The
-Hautus pencils [A - lam I, B] are decided in rounds, one per eigenvalue
-position, smallest modulus first, where deficient pencils tend to sit; each
-walk stops at its first rank-deficient pencil.  An exact repeat reuses its
-first decision, and the second of a conjugate pair its partner's: the complex
-SVD gives conjugate pencils bit-identical singular values.  Any other pencil P
-tries a certificate, in the real dtype for a real lam: a Cholesky factorization
-of P P^H shifted by theta^2 plus its rounding-error bound proves sigma_min(P) >
-theta, over 10^3 rank cutoffs (Demmel 1989; Rump 2006).  Only a P it cannot
-prove takes one complex SVD, numeric_rank's test.  So the verdicts are those of
-one complex SVD per eigenvalue.
+image test (rank [C, A^n] against rank C) and the Hautus test: one complex SVD
+of [A - lam I, B] at every eigenvalue of modulus above the nonzero threshold.
+C is zero on the unreached rows, so S^n != 0 or a nonzero eigenvalue of S
+settles a "no".  A check is consistent when the two tests agree, and its
+verdict is "both pass".
 """
 
 from __future__ import annotations
@@ -160,28 +151,23 @@ def _entries(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
 def numeric_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     """Rank with singular values below max(shape) * sigma_max * rel_tol
     treated as zero."""
-    return int(_ranks(matrix[None], rel_tol)[0])
-
-
-def _ranks(stack: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """``numeric_rank`` of each matrix of a (T, rows, cols) stack."""
-    if stack.size == 0:
-        return np.zeros(len(stack), dtype=int)
-    s = np.linalg.svd(stack, compute_uv=False)
-    return np.sum(s > max(stack.shape[1:]) * s[:, :1] * rel_tol, axis=1)
+    if not matrix.size:
+        return 0
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(s > max(matrix.shape) * s[0] * rel_tol))
 
 
 def controllability_matrix(realization: Realization) -> np.ndarray:
     """[B, AB, ..., A^(n-1)B], an n-by-(n*m) matrix (n-by-0 when m = 0)."""
-    return _ctrb(realization.a[None], realization.b[None], realization.n)[0]
+    return _ctrb(realization.a, realization.b, realization.n)
 
 
 def _ctrb(a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
-    """The controllability matrix over ``steps`` steps of each pair of a (T, n, n), (T, n, m) stack."""
+    """The controllability matrix of (A, B) over ``steps`` steps."""
     blocks = [b]
     for _ in range(steps - 1):
         blocks.append(a @ blocks[-1])
-    return np.concatenate(blocks, axis=2) if a.shape[1] else np.zeros((len(a), 0, 0))
+    return np.hstack(blocks) if len(a) else np.zeros((0, 0))
 
 
 @dataclass(frozen=True)
@@ -200,15 +186,13 @@ class NumericCheck:
 
 
 def _eigenvalues(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of each matrix of a (T, n, n) stack, and the mask of
-    those counted as nonzero: modulus above tol * (1 + spectral radius).  A tol
-    of 1 or more would count none, since no modulus exceeds the radius."""
+    """The eigenvalues of A, and the mask of those counted as nonzero: modulus
+    above tol * (1 + spectral radius).  A tol of 1 or more would count none,
+    since no modulus exceeds the radius."""
     _check_tol(tol)
-    if not a.shape[1]:
-        return np.zeros((len(a), 0), dtype=complex), np.zeros((len(a), 0), dtype=bool)
-    eigenvalues = np.linalg.eigvals(a).astype(complex, copy=False)
+    eigenvalues = np.linalg.eigvals(a).astype(complex, copy=False) if len(a) else np.zeros(0, dtype=complex)
     modulus = np.abs(eigenvalues)
-    return eigenvalues, modulus > tol * (1.0 + modulus.max(axis=1, keepdims=True))
+    return eigenvalues, modulus > tol * (1.0 + modulus.max(initial=0.0))
 
 
 def _check_tol(tol: float) -> None:
@@ -220,102 +204,23 @@ def _check(image_ok: bool, hautus_ok: bool) -> NumericCheck:
     return NumericCheck(image_ok and hautus_ok, image_ok, hautus_ok, image_ok == hautus_ok)
 
 
-def _decide(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, ctrl: bool, power: int) -> list[tuple]:
-    """Both numeric checks on a stack of realizations: one (image, hautus) pair of boolean arrays
-    per asked check, zero controllability first, its image test over ``power`` steps."""
+def _tests(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, steps: int) -> tuple[bool, bool]:
+    """The image test over ``steps`` steps, rank [C, A^steps] against rank C for zero controllability or rank C
+    against n for controllability, and the Hautus test: one complex SVD of [A - lam I, B] at each nonzero
+    eigenvalue for zero controllability, at each eigenvalue for controllability, up to the first deficient one."""
+    n = len(a)
     lam, nonzero = _eigenvalues(a, tol)
-    # smallest modulus first; stable, so a conjugate pair (bit-equal moduli) stays in order
-    order = np.argsort(np.abs(lam), axis=1, kind="stable")
-    lam, nonzero = np.take_along_axis(lam, order, 1), np.take_along_axis(nonzero, order, 1)
-    t, n, _ = b.shape
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, with one message
-        ctrb = _ctrb(a, b, power)
-        a_pow_n = np.linalg.matrix_power(a, power) if zc and n else a
-    if not (np.isfinite(ctrb).all() and np.isfinite(a_pow_n).all()):
-        raise ValueError(f"n={power}: the controllability matrix or A^n overflows float64, so no numeric verdict")
-    ctrb_rank = _ranks(ctrb)
-    images, walks = [], []
-    if zc:
-        images.append(_ranks(np.concatenate([ctrb, a_pow_n], axis=2)) == ctrb_rank)
-        walks.append(nonzero)
-    if ctrl:
-        images.append(ctrb_rank == n)
-        walks.append(np.ones_like(nonzero))
-    alive = np.ones((len(images), t), dtype=bool)  # no rank-deficient pencil yet
-    if not n:
-        return list(zip(images, alive))
-    walks = np.array(walks)  # (checks, T, n): the positions each Hautus walk covers
-    full = np.zeros((t, n), dtype=bool)  # pencil at each position has rank n
-    # an exact repeat or the second of a conjugate pair reuses the decision at its
-    # value's first position: its pencil is bit-equal there, or exactly conjugate
-    position, real = np.arange(n), lam.imag == 0
-    source = ((lam[:, :, None] == lam[:, None, :]) | (lam[:, :, None] == lam[:, None, :].conj())).argmax(axis=1)
-    ab = np.concatenate([a, b], axis=2)
-
-    def pencils(rows, values):  # [A - lam I, B], bit for bit as a - lam * eye
-        pencil = ab[rows].astype(values.dtype, copy=False)
-        pencil[:, position, position] -= values[:, None]
-        return pencil
-
-    for j in range(n):
-        need = (alive & walks[:, :, j]).any(axis=0)
-        if not need.any():
-            continue
-        reuse = need & (source[:, j] < j)
-        full[reuse, j] = full[reuse, source[reuse, j]]
-        todo = need & ~reuse
-        for rows, values in ((todo & real[:, j], lam[:, j].real), (todo & ~real[:, j], lam[:, j])):
-            if rows.any():
-                full[rows, j] = _certified(pencils(rows, values[rows]))
-        todo &= ~full[:, j]
-        if todo.any():
-            full[todo, j] = _ranks(pencils(todo, lam[todo, j])) == n
-        alive &= ~(walks[:, :, j] & ~full[:, j])
-    return list(zip(images, alive))
-
-
-def _certified(stack: np.ndarray) -> np.ndarray:
-    """Which pencils of a (T, n, k) stack, k >= n, a shifted Gram-Cholesky test proves to have
-    sigma_min > theta = 2e3 * k * RANK_REL_TOL * ||P||_F, 2 * 10^3 times numeric_rank's cutoff."""
-    _, n, k = stack.shape
-    # exact scaling to a largest entry in [1/2, 1): G = P P^H cannot overflow, nor underflow much
-    _, e = np.frexp(np.abs(stack).max(axis=(1, 2)))
-    p = np.ldexp(stack.view(float), -e[:, None, None]).view(stack.dtype)
-    gram = p @ p.conj().swapaxes(1, 2)
-    # With u = eps / 2, forming G errs by gamma_(k+2) ||P||_F^2 in the 2-norm, the shift by u tr(G),
-    # and a Cholesky factorization that completes is exact for G - tau I + dH, ||dH|| <= gamma_(n+1)
-    # tr(G) (Higham, Accuracy and Stability, Thm 10.5).  At 4u per term for complex arithmetic,
-    # success proves lambda_min(P P^H) >= tau - 4 (n + k + 4) u tr(G) = theta^2; never when P = 0.
-    shift = (2e3 * k * RANK_REL_TOL) ** 2 + 2 * (n + k + 4) * np.finfo(float).eps  # tau / tr(G)
-    gram[:, range(n), range(n)] -= np.trace(gram, axis1=1, axis2=2).real[:, None] * shift
-
-    def factors(g):  # np.linalg.cholesky refuses a stack as a whole: halve a refused one down to single pencils
-        try:
-            np.linalg.cholesky(g)
-            return np.ones(len(g), dtype=bool)
-        except np.linalg.LinAlgError:
-            if len(g) == 1:
-                return np.zeros(1, dtype=bool)
-        return np.concatenate([factors(g[:len(g) // 2]), factors(g[len(g) // 2:])])
-
-    return factors(gram)
-
-
-def _split_decide(a11, b1, s, n: int, tol: float, zc: bool, ctrl: bool) -> list[tuple]:
-    """``_decide``'s checks on split realizations of n states: (A11, B1) on the reached ones, S on the
-    peel's survivors, each (image, hautus) pair as the whole pair gives it in exact arithmetic."""
-    if a11.shape[1] == n:  # every state reached: the split is the identity
-        return _decide(a11, b1, tol, zc, ctrl, n)
-    no = np.zeros(len(a11), dtype=bool)
-    # C's unreached rows are zero: S^n != 0 fails the image test, a nonzero eigenvalue of S the Hautus test
-    hautus = ~_eigenvalues(s, tol)[1].any(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed S^n is nonzero too
-        image = ~np.linalg.matrix_power(s, n).any(axis=(1, 2))
-    todo = (image | hautus) & zc
-    if a11.shape[1] and todo.any():
-        for verdict, block_verdict in zip((image, hautus), _decide(a11[todo], b1[todo], tol, True, False, n)[0]):
-            verdict[todo] &= block_verdict
-    return [(image, hautus)] * zc + [(no, no)] * ctrl
+        ctrb = _ctrb(a, b, steps)
+        a_pow = np.linalg.matrix_power(a, steps) if zc else a
+    if not (np.isfinite(ctrb).all() and np.isfinite(a_pow).all()):
+        raise ValueError(f"n={steps}: the controllability matrix or A^n overflows float64, so no numeric verdict")
+    rank = numeric_rank(ctrb)
+    image = numeric_rank(np.hstack([ctrb, a_pow])) == rank if zc else rank == n
+    eye = np.eye(n)
+    hautus = all(numeric_rank(np.hstack([a - value * eye, b]).astype(complex)) == n
+                 for value in (lam[nonzero] if zc else lam))
+    return image, hautus
 
 
 def is_controllable_numeric(realization: Realization, tol: float = DEFAULT_TOL) -> NumericCheck:
@@ -332,22 +237,35 @@ def is_zero_controllable_numeric(realization: Realization, tol: float = DEFAULT_
 
 
 def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
-    """One realization decided by the float image and Hautus tests, on the split that its own nonzeros give;
-    only the public single checks run it, as ``verify`` decides its trials exactly."""
+    """One realization decided by ``_tests`` on the split that its own nonzeros give.  With a state unreached,
+    controllability fails both tests; zero controllability needs the tests on (A11, B1), over n steps, and a
+    nilpotent S: C is zero on the unreached rows, so S^n != 0 fails the image test and a nonzero eigenvalue of
+    S the Hautus test."""
+    _check_tol(tol)
     a, b = realization.a, realization.b  # np.nonzero(v.T) runs by column, then row, as PatternMatrix._coords
     patterns = [PatternMatrix._trusted(*v.shape, *np.array(np.nonzero(v.T))[::-1] + 1) for v in (a, b)]
     order, _, n1, k = _reachable_split(build_graph(*patterns))
-    reached, survivors = order[:n1] - 1, order[len(order) - k:] - 1
-    [(image, hautus)] = _split_decide(a[np.ix_(reached, reached)][None], b[reached][None],
-                                      a[np.ix_(survivors, survivors)][None], len(order), tol, zc, not zc)
-    return _check(bool(image[0]), bool(hautus[0]))
+    n = len(order)
+    if n1 == n:  # every state reached: the split is the identity
+        return _check(*_tests(a, b, tol, zc, n))
+    if not zc:
+        return _check(False, False)
+    reached, survivors = order[:n1] - 1, order[n - k:] - 1
+    s = a[np.ix_(survivors, survivors)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed S^n is nonzero too
+        image = not np.linalg.matrix_power(s, n).any()
+    hautus = not _eigenvalues(s, tol)[1].any()
+    if n1 and (image or hautus):
+        block_image, block_hautus = _tests(a[np.ix_(reached, reached)], b[reached], tol, True, n)
+        image, hautus = image and block_image, hautus and block_hautus
+    return _check(image, hautus)
 
 
 def count_nonzero_eigenvalues(realization: Realization, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues with modulus above tol * (1 + spectral radius).  Generically that is nu(A), but
     not in float as n grows, where rounding smears nilpotent chains: on four draws of 15 patterns with 2n entries
     and 4 seeds each, it matched nu(A) on 58-60 of 60 at n = 12, 22-55 at n = 40 and 4-9 at n = 100."""
-    return int(_eigenvalues(realization.a[None], tol)[1].sum())
+    return int(_eigenvalues(realization.a, tol)[1].sum())
 
 
 @dataclass(frozen=True, eq=False)

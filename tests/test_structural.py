@@ -82,6 +82,73 @@ def _public_functions_with(parameter):
             and parameter in inspect.signature(getattr(zerocontrol, name)).parameters}
 
 
+#: The public API: ``zerocontrol.__all__`` and the signature of each public function.  A change here breaks
+#: callers, and ``perfbench/trace_pass.py`` passes the single checks' ``tol`` by position.
+PUBLIC_NAMES = [
+    "BPattern", "ControllabilityReport", "DEFAULT_BASE_SEED", "Decomposition", "DriverSet", "EdgeSymbol",
+    "MonteCarloStats", "NumericCheck", "PathMonomial", "PatternFormatError", "PatternMatrix", "Realization",
+    "SccDecomposition", "SteeringResult", "SystemGraph", "ValueSpec", "WalkCountError", "ZcReport",
+    "build_b_pattern", "build_graph", "compute_nu", "controllability_matrix", "count_nonzero_eigenvalues",
+    "deadbeat_steer", "entry_paths", "enumerate_minimal_driver_sets", "export_dot", "find_cycle", "generic_rank",
+    "greedy_driver_set", "has_cycle", "is_controllable_numeric", "is_generically_controllable",
+    "is_generically_zero_controllable", "is_irreducible", "is_structurally_nilpotent",
+    "is_zero_controllable_numeric", "minimal_driver_set", "monte_carlo_verify", "numeric_rank", "parse_pattern_file",
+    "reachable_from", "reducible_decomposition", "sample_realization", "scc_decompose", "serialize_pattern_file",
+    "steering_residual", "validate_driver_set",
+]
+PUBLIC_SIGNATURES = {
+    "build_b_pattern": "(n: 'int', drivers: 'Iterable[str]', mode: \"Literal['shared', 'per_driver']\") -> 'BPattern'",
+    "build_graph": "(pattern_a: 'PatternMatrix', pattern_b: 'PatternMatrix | None' = None) -> 'SystemGraph'",
+    "compute_nu": "(pattern_a: 'PatternMatrix') -> 'int'",
+    "controllability_matrix": "(realization: 'Realization') -> 'np.ndarray'",
+    "count_nonzero_eigenvalues": "(realization: 'Realization', tol: 'float' = 1e-08) -> 'int'",
+    "deadbeat_steer": "(realization: 'Realization', x0: 'np.ndarray', horizon: 'int') -> 'SteeringResult'",
+    "entry_paths": "(pattern_a: 'PatternMatrix', i: 'int', j: 'int', k: 'int', *, "
+                   "max_monomials: 'int' = 1000000) -> 'frozenset[PathMonomial]'",
+    "enumerate_minimal_driver_sets": "(pattern_a: 'PatternMatrix', limit: 'int' = 100, *, "
+                                     "exact_cap: 'int' = 25) -> 'list[DriverSet]'",
+    "export_dot": "(graph: 'SystemGraph', scc: 'SccDecomposition', "
+                  "report: 'ZcReport | DriverSet | None' = None) -> 'str'",
+    "find_cycle": "(graph: 'SystemGraph', within: 'Iterable[str] | None' = None) "
+                  "-> 'tuple[tuple[str, str], ...] | None'",
+    "generic_rank": "(pattern: 'PatternMatrix') -> 'int'",
+    "greedy_driver_set": "(pattern_a: 'PatternMatrix') -> 'DriverSet'",
+    "has_cycle": "(graph: 'SystemGraph') -> 'bool'",
+    "is_controllable_numeric": "(realization: 'Realization', tol: 'float' = 1e-08) -> 'NumericCheck'",
+    "is_generically_controllable": "(pattern_a: 'PatternMatrix', "
+                                   "pattern_b: 'PatternMatrix | None') -> 'ControllabilityReport'",
+    "is_generically_zero_controllable": "(pattern_a: 'PatternMatrix', "
+                                        "pattern_b: 'PatternMatrix | None' = None) -> 'ZcReport'",
+    "is_irreducible": "(pattern_a: 'PatternMatrix', pattern_b: 'PatternMatrix') -> 'bool'",
+    "is_structurally_nilpotent": "(pattern_a: 'PatternMatrix') -> 'bool'",
+    "is_zero_controllable_numeric": "(realization: 'Realization', tol: 'float' = 1e-08) -> 'NumericCheck'",
+    "minimal_driver_set": "(pattern_a: 'PatternMatrix', *, exact_cap: 'int' = 25) -> 'DriverSet'",
+    "monte_carlo_verify": "(pattern_a: 'PatternMatrix', pattern_b: 'PatternMatrix | None' = None, "
+                          "trials: 'int' = 100, base_seed: 'int' = 20240001, tol: 'float' = 1e-08, "
+                          "check_controllability: 'bool' = False) -> 'MonteCarloStats'",
+    "numeric_rank": "(matrix: 'np.ndarray', rel_tol: 'float' = 1e-10) -> 'int'",
+    "parse_pattern_file": "(text: 'str') -> 'tuple[PatternMatrix, PatternMatrix | None]'",
+    "reachable_from": "(graph: 'SystemGraph', sources: 'Iterable[str]') -> 'frozenset[str]'",
+    "reducible_decomposition": "(pattern_a: 'PatternMatrix', "
+                               "pattern_b: 'PatternMatrix | None' = None) -> 'Decomposition'",
+    "sample_realization": "(pattern_a: 'PatternMatrix', pattern_b: 'PatternMatrix | None' = None, "
+                          "seed: 'int' = 20240001, value_spec: 'ValueSpec' = ValueSpec(low=0.1, high=2.0)) "
+                          "-> 'Realization'",
+    "scc_decompose": "(graph: 'SystemGraph') -> 'SccDecomposition'",
+    "serialize_pattern_file": "(pattern_a: 'PatternMatrix', pattern_b: 'PatternMatrix | None' = None, *, "
+                              "header_comment: 'str | None' = None) -> 'str'",
+    "steering_residual": "(realization: 'Realization', result: 'SteeringResult') -> 'float'",
+    "validate_driver_set": "(pattern_a: 'PatternMatrix', drivers: 'Iterable[str]') -> 'DriverSet'",
+}
+
+
+def test_the_public_api_is_unchanged():
+    assert zerocontrol.__all__ == PUBLIC_NAMES
+    functions = {name: getattr(zerocontrol, name) for name in PUBLIC_NAMES}
+    signatures = {name: str(inspect.signature(f)) for name, f in functions.items() if inspect.isfunction(f)}
+    assert signatures == PUBLIC_SIGNATURES
+
+
 def test_the_pair_table_holds_every_entry_point_that_takes_a_state_pattern():
     assert set(NON_SQUARE) == _public_functions_with("pattern_a")
     assert _public_functions_with("pattern_b") < set(NON_SQUARE)
