@@ -31,6 +31,7 @@ from .graph import _input_reach, _reach_states, _state_ids, build_graph, state_n
 from .numeric import (
     DEFAULT_BASE_SEED,
     DEFAULT_TOL,
+    _check_tol,
     _normals,
     check_dense_size,
     deadbeat_steer,
@@ -185,6 +186,7 @@ def _cmd_select(args) -> int:
 def _cmd_verify(args) -> int:
     if not 0 <= args.min_agreement <= 1:  # NaN fails both comparisons
         raise ValueError(f"min_agreement must be in [0, 1], got {args.min_agreement}")
+    _check_tol(args.tol)
     pattern_a, pattern_b = _load_patterns(args.file)
     pattern_b = _resolve_input_pattern(args, pattern_a, pattern_b)
     stats = monte_carlo_verify(
@@ -192,7 +194,6 @@ def _cmd_verify(args) -> int:
         pattern_b,
         trials=args.trials,
         base_seed=args.seed,
-        tol=args.tol,
         check_controllability=args.check_controllability,
     )
     _emit(args, lambda: render_stats(stats), lambda: {"command": "verify", "stats": stats_to_dict(stats)})
@@ -308,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_BASE_SEED)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="must lie in (0, 1); exact verdicts use no threshold, so it changes nothing")
+                   help="must lie in (0, 1); kept for scripts, it changes nothing: every trial is decided exactly")
     p.add_argument(
         "--drivers", help="comma-separated driver states (e.g. x4,x8) to synthesize inputs"
     )

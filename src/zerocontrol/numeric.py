@@ -54,29 +54,25 @@ from .structural import generic_rank
 #: Default base seed for every seeded entry point, so quick-start runs agree.
 DEFAULT_BASE_SEED = 20240001
 
-#: Default eigenvalue nonzero threshold scale of the float checks.  ``verify --tol`` takes it too, but only
-#: validates it: exact verdicts use no threshold.
+#: Default eigenvalue nonzero threshold scale of the float single checks.
 DEFAULT_TOL = 1e-8
 
 #: Relative singular-value cutoff for numeric rank decisions.
 RANK_REL_TOL = 1e-10
 
-#: Most matrix entries the dense numeric work of one pair may need: over
-#: ``steps`` steps (the horizon for steering; n for the Monte Carlo tests, on
-#: the reached rows alone, plus the survivor block) it builds n-by-steps blocks,
-#: one per input column and one for the state: 256 MiB each at 2^25 entries.
+#: Most matrix entries the dense numeric work of one pair may need: over ``steps`` steps it builds n-by-steps
+#: blocks, one per input column and one for the state, 256 MiB each at 2^25 entries: the whole pair over a
+#: steering horizon, and the n1 reached states of an m > 1 pair over n1 steps for the exact trials' elimination.
 MAX_DENSE_ENTRIES = 2**25
 
 
-def check_dense_size(n: int, m: int, steps: int, dense: int | None = None) -> None:
-    """Refuse, before anything is allocated, dense work above MAX_DENSE_ENTRIES: the full pair's,
-    or the ``dense`` entries of it that are made dense, when given."""
-    full = n * max(n, steps) * (m + 1)
-    entries = full if dense is None else dense
+def check_dense_size(n: int, m: int, steps: int) -> None:
+    """Refuse, before anything is allocated, n * max(n, steps) * (m + 1) dense entries above MAX_DENSE_ENTRIES."""
+    entries = n * max(n, steps) * (m + 1)
     if entries > MAX_DENSE_ENTRIES:
         raise ValueError(
-            f"n={n}, m={m} over {max(n, steps)} steps needs {entries} dense matrix entries"
-            f"{'' if dense is None else f' ({full} on the full pair)'}, above the limit of {MAX_DENSE_ENTRIES}"
+            f"n={n}, m={m} over {max(n, steps)} steps needs {entries} dense matrix entries, "
+            f"above the limit of {MAX_DENSE_ENTRIES}"
         )
 
 
@@ -473,7 +469,7 @@ def _normals(seed: int, n: int) -> np.ndarray:
 
 
 def _residues(words: np.ndarray, low: int = 0) -> np.ndarray:
-    """64-bit words as residues in [low, _P), each within 2^-32 of uniform: values are nonzero, vectors need not be."""
+    """64-bit words as residues in [low, _P), each within 2^-32 of uniform: nonzero for values and alpha."""
     return (words % np.uint64(_P - low)).astype(np.int64) + low
 
 
@@ -640,13 +636,13 @@ def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, words: np.ndarray, 
     one per entry, then alpha, v', v and u; each redraw of u takes the next n1 words of the trial's stream, whose
     seed is in ``seeds``.  Returns per trial whether it is ZC, whether it is controllable and whether it was proven.
 
-    (vi) S^k v' != 0 proves that S is not nilpotent.  With m > 1 inputs the Krylov steps run on b = B1 alpha:
-    K(A11, b) lies inside K(A11, B1), so a "yes" there is a "yes" for B1.  A "no" proves nothing about B1, so it
-    falls back to ``_gf_dense``."""
+    (vi) S^k v' != 0 proves that S is not nilpotent.  The Krylov steps run on b = B1 alpha, alpha nonzero, so b != 0
+    with one input; with m > 1, K(A11, b) lies inside K(A11, B1), so a "yes" there is a "yes" for B1.  A "no"
+    proves nothing about B1, so it falls back to ``_gf_dense``."""
     (a11, both, s), (b_index, b_rows, b_cols) = plan
     t, drawn = words.shape[0], words.shape[1] - m - k - 2 * n1
-    values = _residues(words[:, :drawn].T, 1)
-    alpha, v_s, v, u = np.split(_residues(words[:, drawn:].T), np.cumsum([m, k, n1]))
+    values, alpha = np.split(_residues(words[:, :drawn + m].T, 1), [drawn])
+    v_s, v, u = np.split(_residues(words[:, drawn + m:].T), np.cumsum([k, n1]))
     zc, controllable, proven = np.ones(t, dtype=bool), np.full(t, n1 == n), np.ones(t, dtype=bool)
     if k:
         x, vals = v_s[:, None], values[s[0]]
@@ -703,19 +699,18 @@ def monte_carlo_verify(
     pattern_b: PatternMatrix | None = None,
     trials: int = 100,
     base_seed: int = DEFAULT_BASE_SEED,
-    tol: float = DEFAULT_TOL,
     check_controllability: bool = False,
 ) -> MonteCarloStats:
     """Sample `trials` realizations over GF(p) and compare their exact zero-controllability verdicts (optionally
-    also plain controllability) with the structural ones.  ``tol`` is only validated: exact verdicts use no
-    threshold."""
+    also plain controllability) with the structural ones."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     seeds, pattern_b = _seeds(base_seed, trials), _pair(pattern_a, pattern_b)
-    _check_tol(tol)
     n, m = pattern_b.shape
     _, at, n1, k = _reachable_split(build_graph(pattern_a, pattern_b))  # which checks the block facts
-    check_dense_size(n, m, n, n1 * n * (m + 1) + k * k)  # the float blocks' refusal; it bounds the m > 1 fallback's K
+    if m > 1:  # only an m > 1 "no" on B1 alpha makes anything dense: the elimination on the reached block
+        check_dense_size(n1, m, n1)
+    # a trial costs about (n1 + k) * nnz + n1^2 operations; the trial count sets the total work
     zc_structural = not k  # the survivors lie on or after an unreached cycle
     # a pair whose inputs reach every state is controllable exactly when [A B] has term rank n
     ctrl_structural = (n1 == n and generic_rank(pattern_a.hstack(pattern_b)) == n) if check_controllability else None

@@ -276,6 +276,16 @@ def test_streamed_simulate_prints_the_reference_documents(shape, fmt, tmp_path, 
     assert capsys.readouterr() == (expected + "\n", "")
 
 
+def _traced_run(argv):
+    """``run_cli(argv)``'s exit code and its traced peak memory."""
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_simulate_json_holds_no_copy_of_the_document(tmp_path):
     """simulate --format json on 300 states with three inputs, as verify-mc's
     larger simulate job: its Gram is 300 x 900 floats (2.06 MB) and its
@@ -287,12 +297,7 @@ def test_simulate_json_holds_no_copy_of_the_document(tmp_path):
     path, out = tmp_path / "sim.pat", tmp_path / "out.json"
     path.write_text(_simulate_pattern(300, 300))
     with open(out, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
-        tracemalloc.start()
-        try:
-            code = run_cli(["simulate", str(path), "--format", "json"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = _traced_run(["simulate", str(path), "--format", "json"])
     assert code == 0
     assert out.stat().st_size > 2 * 10**6
     assert len(json.loads(out.read_text(encoding="utf-8"))["steering"]["trajectory"]) == 301
@@ -372,51 +377,57 @@ def test_simulate_refuses_a_final_norm_that_overflows(tmp_path, capsys):
     ]
 
 
-_FED_1E5 = ("n=100000, m=1 over 100000 steps needs 40000000 dense matrix entries (20000000000 on the full pair), "
-            "above the limit of 33554432")
 TOO_DENSE = [
     (["simulate", "example1.pat", "--horizon", "1000000000000"],
      "n=5, m=1 over 1000000000000 steps needs 10000000000000 dense matrix entries, above the limit of 33554432"),
     (["simulate", "empty"],
      "n=100000, m=0 over 100000 steps needs 10000000000 dense matrix entries, above the limit of 33554432"),
-    (["verify", "fed"], _FED_1E5),
-    (["verify", "fed", "--check-controllability", "--format", "json"], _FED_1E5),
+    (["verify", "wide"],
+     "n=4000, m=2 over 4000 steps needs 48000000 dense matrix entries, above the limit of 33554432"),
 ]
 
 
 @pytest.mark.parametrize("argv, error", TOO_DENSE, ids=[" ".join(argv) for argv, _ in TOO_DENSE])
 def test_dense_work_past_the_limit_exits_2_before_allocating(argv, error, fixture_dir, tmp_path, capsys):
-    """An empty 10^5-state file for simulate, and one whose input feeds 200
-    states for verify, which makes only the input-reached rows dense."""
-    empty, fed = tmp_path / "empty", tmp_path / "fed"
+    """An empty 10^5-state file for simulate, and for verify a 4000-state
+    pair whose two inputs feed every state between them: a trial whose
+    B1 alpha says "no" would eliminate on all 4000 reached rows."""
+    empty, wide = tmp_path / "empty", tmp_path / "wide"
     empty.write_text("n 100000\n")
-    fed.write_text("n 100000\nm 1\n" + "".join(f"b {i} 1\n" for i in range(1, 201)))
-    path = tmp_path / argv[1] if argv[1] in ("empty", "fed") else fixture_dir / argv[1]
-    tracemalloc.start()
-    try:
-        code = run_cli([argv[0], str(path), *argv[2:]])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    wide.write_text("n 4000\nm 2\n" + "".join(f"b {i} {1 + (i > 2000)}\n" for i in range(1, 4001)))
+    path = tmp_path / argv[1] if argv[1] in ("empty", "wide") else fixture_dir / argv[1]
+    code, peak = _traced_run([argv[0], str(path), *argv[2:]])
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert peak < 16 * 2**20  # the pattern, its parse and its graph's reach; no realization or matrix power
 
 
+@pytest.mark.parametrize("flags", [[], ["--check-controllability", "--format", "json"]], ids=["text", "json"])
+def test_verify_refuses_nothing_for_one_input(flags, tmp_path, capsys):
+    """A 10^5-state file whose one input feeds 200 states: the exact trials
+    make nothing dense for one input, so all 100 trials run and agree."""
+    fed = tmp_path / "fed"
+    fed.write_text("n 100000\nm 1\n" + "".join(f"b {i} 1\n" for i in range(1, 201)))
+    code, peak = _traced_run(["verify", str(fed), *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    if flags:
+        stats = json.loads(captured.out)["stats"]
+        assert (stats["zc_structural"], stats["zc_agreements"], stats["ctrl_structural"], stats["ctrl_agreements"],
+                stats["inconsistent_trials"]) == (True, 100, False, 100, 0)
+    else:
+        assert "numeric agreement: 100/100 (100.0%)" in captured.out
+    assert peak < 16 * 2**20
+
+
 def test_verify_makes_only_the_reached_block_dense(tmp_path, capsys):
     """A 6000-state pair whose input reaches a chain of 8 states, followed by
-    an unreached acyclic tail of 5992: the full pair's 72 million entries
-    were refused, but verify makes only the 8 reached rows dense (96 000
-    entries), and the tail settles both verdicts exactly."""
+    an unreached acyclic tail of 5992: verify makes no 6000 x 6000 matrix,
+    and the tail settles both verdicts exactly."""
     n = 6000
     path = tmp_path / "tail.pat"
     path.write_text(f"n {n}\nm 1\nb 1 1\n" + "".join(f"a {i + 1} {i}\n" for i in range(1, n) if i != 8))
-    tracemalloc.start()
-    try:
-        code = run_cli(["verify", str(path), "--trials", "5", "--check-controllability", "--format", "json"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = _traced_run(["verify", str(path), "--trials", "5", "--check-controllability", "--format", "json"])
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert code == 0
     assert (stats["zc_structural"], stats["zc_agreements"], stats["ctrl_structural"], stats["ctrl_agreements"]) == (
@@ -432,12 +443,7 @@ def test_verify_memory_stays_flat_when_the_draws_outweigh_the_dense_blocks(tmp_p
     (100 MiB, several times over in the sampler's temporaries)."""
     path = tmp_path / "chain.pat"
     path.write_text("n 100000\n" + "".join(f"a {i + 1} {i}\n" for i in range(1, 2**15 + 1)))
-    tracemalloc.start()
-    try:
-        code = run_cli(["verify", str(path), "--trials", "200", "--format", "json"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = _traced_run(["verify", str(path), "--trials", "200", "--format", "json"])
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert code == 0
     assert (stats["zc_structural"], stats["zc_agreements"], stats["inconsistent_trials"]) == (True, 200, 0)

@@ -629,8 +629,7 @@ def _chunk_entries(a, b):
 def test_chunking_does_not_change_results(ctrl, monkeypatch):
     """Every MonteCarloStats field is the same with one trial per chunk, with
     chunks of three (so a boundary falls after an odd trial) and with the
-    default cap, and equals the one-trial-at-a-time exact oracle; a bad tol
-    is still refused."""
+    default cap, and equals the one-trial-at-a-time exact oracle."""
     default = numeric._STACK_ENTRIES
     for k, (a, b) in enumerate(_stacking_cases()):
         trials = 1 if k % 4 == 0 else 10
@@ -639,9 +638,6 @@ def test_chunking_does_not_change_results(ctrl, monkeypatch):
             monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
             got = monte_carlo_verify(a, b, trials=trials, base_seed=500 + k, check_controllability=ctrl)
             assert got == expected, (k, cap)
-        for bad in (0.0, float("nan")):
-            with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
-                monte_carlo_verify(a, b, trials=trials, tol=bad, check_controllability=ctrl)
 
 
 def test_negative_seeds_are_refused_before_any_work(example1_a, example1_b, monkeypatch):
@@ -898,33 +894,40 @@ def test_the_cofactor_of_berlekamp_massey_inverts_the_numerator():
     assert sum(seen.values()) >= 300 and len(seen) == 6, seen
 
 
-def _two_cycle_draws(**words):
-    """The 2-cycle x1 <-> x2 driven at x1 by one input, and a change of each trial's first draw that sets the
-    words named: its draw is a12, a21, b11, alpha, v1, v2, u1, u2."""
-    names = ("a12", "a21", "b11", "alpha", "v1", "v2", "u1", "u2")
+def _two_cycle_draws(m=1, **words):
+    """The 2-cycle x1 <-> x2 driven at x1 by m inputs, and a change of each trial's first draw that sets the
+    words named: its draw is a12, a21, b11 ... b1m, alpha1 ... alpham, v1, v2, u1, u2."""
+    names = ("a12", "a21", *(f"{x}{j}" for x in ("b1", "alpha") for j in range(1, m + 1)), "v1", "v2", "u1", "u2")
     index = [names.index(name) for name in words]
     change = {1: lambda drawn: np.array([words[names[i]] if i in index else word
                                          for i, word in enumerate(drawn.tolist())], dtype=np.uint64)}
-    return PatternMatrix(2, 2, frozenset({(1, 2), (2, 1)})), PatternMatrix(2, 1, frozenset({(1, 1)})), change
+    b = PatternMatrix(2, m, frozenset((1, j) for j in range(1, m + 1)))
+    return PatternMatrix(2, 2, frozenset({(1, 2), (2, 1)})), b, change
 
 
-def test_a_zero_b_on_a_nilpotent_free_block_decides_no(monkeypatch):
-    """alpha = 0 makes b = B1 alpha = 0, so r = 0, K = 0 and h = 0: the trial
-    takes sigma = 1 and proves A^2 v != 0 on the 2-cycle, whose block is not
-    nilpotent, a "no" on both checks from one draw."""
-    a, b, change = _two_cycle_draws(alpha=0)
-    for ctrl in (False, True):
-        stats, trials, (dense, krylov) = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
-        assert [(verdicts, calls) for verdicts, calls, _ in trials] == [((False, False, True), 1)] * 5
-        assert (stats.zc_structural, stats.zc_agreements, stats.inconsistent_trials) == (True, 0, 0)
-        assert (len(dense), len(krylov)) == (0, 5)
+def test_a_zero_alpha_word_decides_as_the_oracle(monkeypatch):
+    """alpha is drawn in [1, p), as the values are, so its word 0 gives
+    alpha = 1, and with one input b = B1 alpha is never 0: every trial on the
+    2-cycle equals the oracle, ZC and controllable.  With two inputs of equal
+    value at x1, alpha = (1, p - 1) lies in ker B1 and makes b = 0, so the
+    Krylov steps prove A^2 v != 0, a "no" for b alone: each trial falls back
+    to the elimination on B1, which decides as the oracle does."""
+    for m, words in ((1, {"alpha1": 0}), (2, {"b11": 0, "b12": 0, "alpha1": 0, "alpha2": numeric._P - 2})):
+        a, b, change = _two_cycle_draws(m, **words)
+        for ctrl in (False, True):
+            stats, trials, (dense, krylov) = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
+            expected = [_exact(a, b, seed, lambda seed: _Stream(_pcg64(seed), change)) for seed in range(40, 45)]
+            assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), 1) for e in expected], m
+            assert expected == [(True, True)] * 5
+            assert (stats.zc_structural, stats.zc_agreements, stats.inconsistent_trials) == (True, 5, 0)
+            assert (len(dense), len(krylov)) == (5 * (m - 1), 5)
 
 
 def test_a_u_orthogonal_to_b_redraws_instead_of_deciding(monkeypatch):
     """b11 = alpha = 1 and u = (0, 1) give b = e1 and a_0 = u b = 0, though
     f(A) b = 0 holds: the trial cannot scale h, so it is not proven by that u
     and draws again, and the new u decides as the oracle does."""
-    a, b, change = _two_cycle_draws(b11=0, alpha=1, u1=0, u2=1)
+    a, b, change = _two_cycle_draws(b11=0, alpha1=0, u1=0, u2=1)
     for ctrl in (False, True):
         stats, trials, (_, krylov) = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
         expected = [_exact(a, b, seed, lambda seed: _Stream(_pcg64(seed), change))

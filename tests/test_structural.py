@@ -124,7 +124,7 @@ PUBLIC_SIGNATURES = {
     "is_zero_controllable_numeric": "(realization: 'Realization', tol: 'float' = 1e-08) -> 'NumericCheck'",
     "minimal_driver_set": "(pattern_a: 'PatternMatrix', *, exact_cap: 'int' = 25) -> 'DriverSet'",
     "monte_carlo_verify": "(pattern_a: 'PatternMatrix', pattern_b: 'PatternMatrix | None' = None, "
-                          "trials: 'int' = 100, base_seed: 'int' = 20240001, tol: 'float' = 1e-08, "
+                          "trials: 'int' = 100, base_seed: 'int' = 20240001, "
                           "check_controllability: 'bool' = False) -> 'MonteCarloStats'",
     "numeric_rank": "(matrix: 'np.ndarray', rel_tol: 'float' = 1e-10) -> 'int'",
     "parse_pattern_file": "(text: 'str') -> 'tuple[PatternMatrix, PatternMatrix | None]'",
