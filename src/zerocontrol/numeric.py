@@ -19,15 +19,18 @@ p = 2^31 - 1, with values drawn mod p from the trial's own stream: numpy's
 SeedSequence/PCG64 words, computed here bit for bit.  ``sample_realization`` and
 ``simulate``'s random x0 compute numpy's uniform and standard normal draws from
 such words too, so on numpy >= 2 no subcommand imports numpy.random.  S is
-not nilpotent when S^k v' != 0 for a random v'.  (A11, B1) is decided with sparse
-Krylov sequences (Wiedemann 1986): Berlekamp-Massey (Massey 1969), Euclid's
-algorithm on the sequence (Dornstetter 1987), gives the dimension of the
-controllable space and a cofactor, so one product mod its generator tests A11^d v
-against it with no second Euclid (no Bernstein-Yang division steps), and Horner's
-rule proves both; see ``_gf_krylov``.  Products fold mod the Mersenne prime p with no
-division, stacked trials share each mat-vec, and a trial decides alike in any
-chunk.  A verdict is wrong only with the small probabilities stated at ``_P``;
-a trial that the engine cannot prove is counted inconsistent and takes "no".
+not nilpotent when S^k v' != 0 for a random v'.  (A11, B1) is decided as one
+input's pair (M, b) = (A11 + B1 K, B1 alpha), for a random feedback K (0 when
+m = 1) that keeps both verdicts by Heymann's lemma; M x = A11 x + B1 (K x).
+Sparse Krylov sequences (Wiedemann 1986) decide (M, b): Berlekamp-Massey (Massey
+1969), Euclid's algorithm on the sequence (Dornstetter 1987), gives the
+dimension of the controllable space and a cofactor, so one product mod its
+generator tests M^d v against it with no second Euclid (no Bernstein-Yang
+division steps), and Horner's rule proves both; see ``_gf_krylov``.  Products
+fold mod the Mersenne prime p with no division, stacked trials share each
+mat-vec, and a trial decides alike in any chunk.  A verdict is wrong only with
+the small probabilities stated at ``_P``; a trial that the engine cannot prove
+is counted inconsistent and takes "no".
 
 The float family runs behind the single-realization checks alone
 (``is_zero_controllable_numeric``, ``is_controllable_numeric``), on the split
@@ -60,14 +63,14 @@ DEFAULT_TOL = 1e-8
 #: Relative singular-value cutoff for numeric rank decisions.
 RANK_REL_TOL = 1e-10
 
-#: Most matrix entries the dense numeric work of one pair may need: over ``steps`` steps it builds n-by-steps
-#: blocks, one per input column and one for the state, 256 MiB each at 2^25 entries: the whole pair over a
-#: steering horizon, and the n1 reached states of an m > 1 pair over n1 steps for the exact trials' elimination.
+#: Most matrix entries deadbeat steering may need: over ``steps`` steps it builds n-by-steps blocks, one per input
+#: column and one for the state, 256 MiB each at 2^25 entries.  The exact trials make nothing n by n.
 MAX_DENSE_ENTRIES = 2**25
 
 
 def check_dense_size(n: int, m: int, steps: int) -> None:
-    """Refuse, before anything is allocated, n * max(n, steps) * (m + 1) dense entries above MAX_DENSE_ENTRIES."""
+    """Refuse a steering of n states and m inputs over ``steps`` steps, before anything is allocated, when its
+    n * max(n, steps) * (m + 1) dense entries pass MAX_DENSE_ENTRIES."""
     entries = n * max(n, steps) * (m + 1)
     if entries > MAX_DENSE_ENTRIES:
         raise ValueError(
@@ -345,12 +348,15 @@ def steering_residual(realization: Realization, result: SteeringResult) -> float
 #: folded terms sum in int64, so each sum takes one reduction mod _P, at any n.
 #: A trial's values mod _P are uniform and nonzero: by Schwartz (1980) and Zippel (1979) its pair falls on the
 #: non-generic set with probability at most n^2 / (2 _P), 2.3e-4 at n = 1000, and then its verdict may differ.
+#: With m > 1 it decides (M, b) = (A11 + B1 K, B1 alpha), K uniform and alpha != 0, whose Krylov space misses
+#: part of C(A11, B1), of dimension r <= n1, only where an r-by-r minor of [b, Mb, ..., M^(r-1) b], of degree
+#: r (r + 1) / 2 in K and alpha, vanishes: a wrong "no", at most about n1 (n1 + 1) / (2 _P) more, 2.3e-4 at n1 = 1000.
 _P = 2**31 - 1
 
 #: The spawn key of each trial's exact stream, numpy's PCG64(SeedSequence(base_seed + i, spawn_key=_GF_KEY)), so a
 #: trial replays in numpy.random and ``simulate``'s draws, from the empty key, do not move.  ``_gf_words`` computes
-#: both bit for bit, so on numpy >= 2 no subcommand imports numpy.random.  A trial draws once for its values mod _P
-#: and vectors, once per redraw of u.
+#: both bit for bit, so on numpy >= 2 no subcommand imports numpy.random.  A trial draws once for its values mod _P,
+#: vectors and feedback, and once per redraw: of alpha, when m > 1, and u.
 _GF_KEY = (1,)
 
 #: SeedSequence's hash constants (INIT_A, MULT_A), (INIT_B, MULT_B) and (MIX_MULT_L, MIX_MULT_R); PCG64's multiplier.
@@ -359,8 +365,8 @@ _PCG_MULT, _LOW32, _32 = 0x2360ED051FC65DA44385DF649FCCF645, np.uint64(2**32 - 1
 #: numpy's ziggurat tail edge r and 1 / r, as its C source spells them; words ``_normals`` draws beyond n + n / 16.
 _ZIG_R, _ZIG_INV_R, _SPARE = 3.6541528853610087963519472518, 0.27366123732975827203338247596, 16
 
-#: Draws of the left vector u a trial may take; a trial that none of them proves counts as inconsistent and
-#: takes the conservative "no".  One draw fails with probability at most (n1 + 1) / _P.
+#: Draws of the left vector u, and with m > 1 of alpha, a trial may take; a trial that none of them proves counts
+#: as inconsistent and takes the conservative "no".  One draw fails with probability at most (n1 + 2) / _P.
 _GF_DRAWS = 3
 
 #: Most array entries of one chunk of stacked trials, so memory stays flat at any n or trial count.  ``_gf_words``
@@ -550,27 +556,43 @@ def _shifted(poly: np.ndarray, by: np.ndarray, reverse: bool = False) -> np.ndar
     return np.where((power >= 0) & (power < len(poly)), np.take_along_axis(poly, index, axis=0), 0)
 
 
-def _gf_krylov(a11: tuple, both: tuple, values: np.ndarray, b: np.ndarray, v: np.ndarray, u: np.ndarray) -> tuple:
-    """ZC and controllability over GF(_P) of stacked pairs (A11, b) of one input, after Wiedemann (1986), with
-    random vectors v and u; vectors are (n1, T), ``values`` (drawn, T), ``a11`` and ``both`` the plans of A11 and
-    of A11 beside its transpose.  Returns which trials are proven, which are ZC and which are controllable.
+def _gf_step(x: np.ndarray, vals: np.ndarray, block: tuple, into: np.ndarray, out_of: np.ndarray) -> np.ndarray:
+    """``_gf_matvec`` of the block plus, on each of S equal row parts of x, into^T (out_of x) for its m-by-n1 factors
+    in ``into`` and ``out_of`` (S, m, n1, T): (B1^T, K) adds B1 (K x), for M = A11 + B1 K, and (K, B1^T) adds
+    K^T (B1^T y), for M^T; S = 0 is K = 0.  Nothing is n1 by n1, and each sum runs along a first or last axis."""
+    y = _gf_matvec(x, vals, block)
+    if not len(into):
+        return y
+    parts = x.reshape(len(into), -1, *x.shape[1:]).transpose(0, 2, 3, 1)  # (S, V, T, n1)
+    through = _fold(out_of.transpose(0, 1, 3, 2)[:, :, None] * parts[:, None]).sum(axis=-1) % _P  # (S, m, V, T)
+    y += _gf_dot(into.swapaxes(0, 1)[..., None, :], through.swapaxes(0, 1)[:, :, None]).reshape(y.shape)
+    return y % _P
+
+
+def _gf_krylov(a11: tuple, both: tuple, values: np.ndarray, b: np.ndarray, v: np.ndarray, u: np.ndarray,
+               feedback: tuple) -> tuple:
+    """ZC and controllability over GF(_P) of stacked pairs (A, b) of one input, A = A11 + B1 K, after Wiedemann
+    (1986), with random vectors v and u; vectors are (n1, T), ``values`` (drawn, T), ``a11`` and ``both`` the plans
+    of A11 and of A11 beside its transpose, and ``feedback`` the factors B1^T and K of ``_gf_step``, or none for
+    K = 0.  Returns which trials are proven, which are ZC and which are controllable.
 
     (i) a_j = u A^j b for j < 2 n1 has minimal generator f, of degree r, by Berlekamp-Massey.  (ii) f(A) b = 0
-    proves that r is the dimension of K, the Krylov space of b; else u was unlucky.  (iii) The quotient by K has
-    dimension d = n1 - r, so it is nilpotent exactly when A^d maps every vector into K, and w = A^d v for a
-    random v lands in K otherwise with probability at most 1 / _P.  (iv) w = h(A) b, deg h < r, has h N_a = N_c
+    proves that r is the dimension of C, the Krylov space of b; else u was unlucky.  (iii) The quotient by C has
+    dimension d = n1 - r, so it is nilpotent exactly when A^d maps every vector into C, and w = A^d v for a
+    random v lands in C otherwise with probability at most 1 / _P.  (iv) w = h(A) b, deg h < r, has h N_a = N_c
     (mod f), N_a and N_c the polynomial parts of f(z) sum a_j z^-(j+1) and f(z) sum c_j z^-(j+1), c_j = u A^j w.
     Berlekamp-Massey's q' has N_a q' = kappa != 0 (mod f), so kappa h = N_c q' mod f, in O(r^2) work; and sigma
     = sum_i (N_a q')_i a_i is kappa a_0, as f generates a.  If a_0 = u b = 0, u was unlucky (r = 0, where b = 0
     and h = 0, takes sigma = 1).  (v) a_0 kappa h(A) b = sigma w, by Horner from degree max(r, d), proves w in
-    K, and its failure proves w outside it, h being unique.  Controllability is r = n1."""
+    C, and its failure proves w outside it, h being unique.  Controllability is r = n1."""
     n1, t = b.shape
+    into, out_of = np.stack([feedback, feedback[::-1]], axis=1) if feedback else (np.zeros(0),) * 2  # M, M^T
     a, e = np.empty((2 * n1 + 1, t), dtype=np.int64), np.empty((n1 + 1, t), dtype=np.int64)
     xy, vals = np.concatenate([b, u])[:, None], values[both[0]]  # A^k b above (A^T)^k u
     dots = np.stack([b, b, v], axis=1)  # A^(k-1) b, A^k b and v, each dotted with (A^T)^k u
     a[0], e[0] = _gf_dot(dots[:, 1:], u[:, None])
     for k in range(n1):  # a_2k+1 = (A^T)^(k+1) u . A^k b, a_2k+2 and e_k+1 = u A^(k+1) v in one dot
-        xy = _gf_matvec(xy, vals, both)
+        xy = _gf_step(xy, vals, both, into, out_of)
         dots[:, 0], dots[:, 1] = dots[:, 1], xy[:n1, 0]
         a[2 * k + 1], a[2 * k + 2], e[k + 1] = _gf_dot(dots, xy[n1:])
     (f, r, q), vals = _berlekamp_massey(a[:2 * n1], n1), values[a11[0]]
@@ -595,54 +617,31 @@ def _gf_krylov(a11: tuple, both: tuple, values: np.ndarray, b: np.ndarray, v: np
     coefficients[d, 2, np.arange(t)] = (_P - sigma) % _P
     y = np.zeros((n1, 2, t), dtype=np.int64)  # f(A) b, and a_0 kappa h(A) b - sigma A^d v
     for i in range(start, -1, -1):
-        y = _gf_matvec(y, vals, a11) if i < start else y
+        y = _gf_step(y, vals, a11, into[:1], out_of[:1]) if i < start else y
         y += _fold(coefficients[i, :2] * b[:, None])
         y[:, 1] += _fold(coefficients[i, 2] * v)
         y %= _P
     return ~y[:, 0].any(axis=0) & (sigma != 0), ~y[:, 1].any(axis=0), r == n1
 
 
-def _gf_dense(block: tuple, vals: np.ndarray, b: np.ndarray, v: np.ndarray) -> tuple[bool, bool]:
-    """ZC and controllability of one pair (A11, B1) over GF(_P) by Gaussian elimination: rank K against n1, and
-    whether w = A11^d v, d = n1 - rank K, lies in K.  K's columns are eliminated a block A11^j B1 at a time, and a
-    block that adds no rank ends K, since every later block lies in the span too.  ``vals`` is (entries, 1), b
-    (n1, m) and v (n1,)."""
-    n1 = len(b)
-    basis, pivots = np.zeros((0, n1), dtype=np.int64), []  # each row 1 at its pivot and 0 at the others'
-
-    def grows(vector):  # add the vector's residual against the span, if it is not zero
-        nonlocal basis
-        residual = (vector - _gf_dot(basis, vector[pivots][:, None])) % _P
-        if not residual.any():
-            return False
-        pivot = int(np.argmax(residual != 0))
-        residual = residual * pow(int(residual[pivot]), -1, _P) % _P
-        basis = np.vstack([(basis - basis[:, pivot, None] * residual % _P) % _P, residual])
-        pivots.append(pivot)
-        return True
-
-    x = b[:, :, None]
-    while sum([grows(column) for column in x[:, :, 0].T]) and len(pivots) < n1:  # every column, then the count
-        x = _gf_matvec(x, vals, block)
-    rank, w = len(pivots), v[:, None, None]
-    for _ in range(n1 - rank):
-        w = _gf_matvec(w, vals, block)
-    return not grows(w[:, 0, 0]), rank == n1
-
-
 def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, words: np.ndarray, seeds: range, ctrl: bool) -> tuple:
     """Exact verdicts of a chunk of trials over GF(_P) on the reachable split, where ZC(A, B) holds exactly when
     ZC(A11, B1) does and S is nilpotent.  ``words`` holds each trial's first draw, one row per trial: its values,
-    one per entry, then alpha, v', v and u; each redraw of u takes the next n1 words of the trial's stream, whose
-    seed is in ``seeds``.  Returns per trial whether it is ZC, whether it is controllable and whether it was proven.
+    one per entry, then alpha, v', v and u, and with m > 1 the feedback K, m by n1, row by row.  A redraw takes
+    the next words of the trial's stream, whose seed is in ``seeds``: alpha when m > 1, then u.  Returns per trial
+    whether it is ZC, whether it is controllable and whether it was proven.
 
-    (vi) S^k v' != 0 proves that S is not nilpotent.  The Krylov steps run on b = B1 alpha, alpha nonzero, so b != 0
-    with one input; with m > 1, K(A11, b) lies inside K(A11, B1), so a "yes" there is a "yes" for B1.  A "no"
-    proves nothing about B1, so it falls back to ``_gf_dense``."""
+    (vi) S^k v' != 0 proves that S is not nilpotent.  (A11, B1) is decided by the Krylov steps on one input, the
+    pair (M, b) = (A11 + B1 K, B1 alpha), with K = 0 when m = 1.  Feedback changes neither verdict: C(M, B1) =
+    C(A11, B1) for the controllable spaces, and M acts as A11 on the quotient by it (Wonham 1985).  C(M, b) lies
+    inside it, so a "yes" holds for any K and alpha, and by Heymann's lemma (Heymann 1968; Hautus 1977) it is all
+    of it for generic ones, as bounded at ``_P``.  A reached block has B1 != 0, so b = 0 would give a wrong "no":
+    the trial redraws alpha instead, as it redraws u when u b = 0."""
     (a11, both, s), (b_index, b_rows, b_cols) = plan
-    t, drawn = words.shape[0], words.shape[1] - m - k - 2 * n1
+    t, fed = words.shape[0], m if m > 1 else 0  # the rows of K
+    drawn = words.shape[1] - m - k - (2 + fed) * n1
     values, alpha = np.split(_residues(words[:, :drawn + m].T, 1), [drawn])
-    v_s, v, u = np.split(_residues(words[:, drawn + m:].T), np.cumsum([k, n1]))
+    v_s, v, u, gain = np.split(_residues(words[:, drawn + m:].T), np.cumsum([k, n1, n1]))
     zc, controllable, proven = np.ones(t, dtype=bool), np.full(t, n1 == n), np.ones(t, dtype=bool)
     if k:
         x, vals = v_s[:, None], values[s[0]]
@@ -652,19 +651,20 @@ def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, words: np.ndarray, 
     todo = np.flatnonzero((zc | ctrl & controllable) & (n1 > 0))
     if not len(todo):
         return zc, controllable, proven
-    b1 = np.zeros((n1, m, t), dtype=np.int64)
-    b1[b_rows, b_cols] = values[b_index]
-    b = _gf_dot(b1.swapaxes(0, 1), alpha[:, None])
-    u = u[:, todo]
+    b1 = np.zeros((m, n1, t), dtype=np.int64)  # B1^T
+    b1[b_cols, b_rows] = values[b_index]
     for draw in range(_GF_DRAWS):
         if draw:
-            u = _residues(_gf_words([seeds[i] for i in todo], words.shape[1] + (draw - 1) * n1, n1).T)
-        ok, zc_b, ctrl_b = _gf_krylov(a11, both, values[:, todo], b[:, todo], v[:, todo], u)
+            fresh = _gf_words([seeds[i] for i in todo], words.shape[1] + (draw - 1) * (fed + n1), fed + n1).T
+            if fed:
+                alpha[:, todo] = _residues(fresh[:fed], 1)
+            u[:, todo] = _residues(fresh[-n1:])
+        b = _gf_dot(b1[..., todo], alpha[:, None, todo])
+        ok, zc_b, ctrl_b = _gf_krylov(a11, both, values[:, todo], b, v[:, todo], u[:, todo],
+                                      (b1[..., todo], gain.reshape(fed, n1, t)[..., todo]) if fed else ())
+        ok &= b.any(axis=0)
         done = todo[ok]
         zc[done], controllable[done] = zc_b[ok], controllable[done] & ctrl_b[ok]
-        for i in done[~zc[done] | ctrl & (n1 == n) & ~controllable[done]] if m > 1 else ():
-            zc[i], controllable[i] = _gf_dense(a11, values[a11[0], i, None], b1[..., i], v[:, i])
-            controllable[i] &= n1 == n
         todo = todo[~ok]
         if not len(todo):
             break
@@ -708,18 +708,17 @@ def monte_carlo_verify(
     seeds, pattern_b = _seeds(base_seed, trials), _pair(pattern_a, pattern_b)
     n, m = pattern_b.shape
     _, at, n1, k = _reachable_split(build_graph(pattern_a, pattern_b))  # which checks the block facts
-    if m > 1:  # only an m > 1 "no" on B1 alpha makes anything dense: the elimination on the reached block
-        check_dense_size(n1, m, n1)
-    # a trial costs about (n1 + k) * nnz + n1^2 operations; the trial count sets the total work
+    # a trial costs about (n1 + k) * (nnz + m n1) + n1^2 operations; the trial count sets the total work
     zc_structural = not k  # the survivors lie on or after an unreached cycle
     # a pair whose inputs reach every state is controllable exactly when [A B] has term rank n
     ctrl_structural = (n1 == n and generic_rank(pattern_a.hstack(pattern_b)) == n) if check_controllability else None
     zc_agree = ctrl_agree = inconsistent = 0
     disagreeing = []
     plan = _gf_plan(pattern_a, pattern_b, at, n1, k)
-    drawn = len(pattern_a._coords[0]) + len(pattern_b._coords[0]) + m + k + 2 * n1  # values, alpha, v', v, u
-    # per trial: A's entries gathered for two vectors, the Krylov sequences and polynomials, and S's vector
-    chunk = max(1, _STACK_ENTRIES // max(2 * len(pattern_a._coords[0]) + 16 * n1 + k, drawn, 1))
+    nnz, gains = len(pattern_a._coords[0]), m * n1 if m > 1 else 0
+    drawn = nnz + len(pattern_b._coords[0]) + m + k + 2 * n1 + gains  # values, alpha, v', v, u, K
+    # per trial: A's entries gathered for two vectors, the Krylov sequences and polynomials, S's vector, and feedback
+    chunk = max(1, _STACK_ENTRIES // max(2 * nnz + 16 * n1 + k + 12 * gains, drawn, 1))
     for batch in (seeds[start:start + chunk] for start in range(0, trials, chunk)):
         words = _gf_words(batch, 0, drawn)
         zc, controllable, proven = _gf_decide(plan, n, m, n1, k, words, batch, check_controllability)

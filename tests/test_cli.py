@@ -382,20 +382,15 @@ TOO_DENSE = [
      "n=5, m=1 over 1000000000000 steps needs 10000000000000 dense matrix entries, above the limit of 33554432"),
     (["simulate", "empty"],
      "n=100000, m=0 over 100000 steps needs 10000000000 dense matrix entries, above the limit of 33554432"),
-    (["verify", "wide"],
-     "n=4000, m=2 over 4000 steps needs 48000000 dense matrix entries, above the limit of 33554432"),
 ]
 
 
 @pytest.mark.parametrize("argv, error", TOO_DENSE, ids=[" ".join(argv) for argv, _ in TOO_DENSE])
 def test_dense_work_past_the_limit_exits_2_before_allocating(argv, error, fixture_dir, tmp_path, capsys):
-    """An empty 10^5-state file for simulate, and for verify a 4000-state
-    pair whose two inputs feed every state between them: a trial whose
-    B1 alpha says "no" would eliminate on all 4000 reached rows."""
-    empty, wide = tmp_path / "empty", tmp_path / "wide"
+    """simulate over a horizon of 10^12 steps, and on an empty 10^5-state file."""
+    empty = tmp_path / "empty"
     empty.write_text("n 100000\n")
-    wide.write_text("n 4000\nm 2\n" + "".join(f"b {i} {1 + (i > 2000)}\n" for i in range(1, 4001)))
-    path = tmp_path / argv[1] if argv[1] in ("empty", "wide") else fixture_dir / argv[1]
+    path = tmp_path / argv[1] if argv[1] == "empty" else fixture_dir / argv[1]
     code, peak = _traced_run([argv[0], str(path), *argv[2:]])
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -417,6 +412,22 @@ def test_verify_refuses_nothing_for_one_input(flags, tmp_path, capsys):
                 stats["inconsistent_trials"]) == (True, 100, False, 100, 0)
     else:
         assert "numeric agreement: 100/100 (100.0%)" in captured.out
+    assert peak < 16 * 2**20
+
+
+def test_verify_refuses_nothing_for_two_inputs(tmp_path, capsys):
+    """A 4000-state pair whose two inputs feed every state between them, which
+    verify once refused for the elimination of its 4000 reached rows: a trial
+    now decides it through feedback, K x and K^T y of two rows, and agrees,
+    though no n1 x n1 matrix is made (one is 122 MiB)."""
+    wide = tmp_path / "wide"
+    wide.write_text("n 4000\nm 2\n" + "".join(f"b {i} {1 + (i > 2000)}\n" for i in range(1, 4001)))
+    code, peak = _traced_run(["verify", str(wide), "--trials", "1", "--check-controllability", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    stats = json.loads(captured.out)["stats"]
+    assert (stats["zc_structural"], stats["zc_agreements"], stats["ctrl_structural"], stats["ctrl_agreements"],
+            stats["inconsistent_trials"]) == (True, 1, False, 1, 0)
     assert peak < 16 * 2**20
 
 

@@ -284,8 +284,9 @@ def _pcg64(seed, key=numeric._GF_KEY):
 class _Stream:
     """A trial's exact stream from numpy whose draws numbered in ``change``
     (from 1) are passed through ``change[draw]``, for the oracles: a trial's
-    first draw holds its values mod p, then alpha, v', v and u; each later
-    one is a redraw of u."""
+    first draw holds its values mod p, then alpha, v', v and u, and with
+    m > 1 the feedback K; each later one is a redraw of alpha, when m > 1,
+    and u."""
 
     def __init__(self, stream, change):
         self.stream, self.change, self.calls = stream, change, 0
@@ -337,7 +338,9 @@ def test_a_trial_is_flagged_once_when_both_checks_are_inconsistent(monkeypatch):
     took = []
     for a, b in cases:
         n1 = len(oracle_split(oracle_sample_realization(a, b, 0))[0])
-        zero_u = {1: lambda words, n1=n1: np.r_[words[:len(words) - n1], np.zeros(n1, dtype=np.uint64)]}
+        gains = b.n_cols * n1 if b.n_cols > 1 else 0  # K's words follow u
+        zero_u = {1: lambda words, n1=n1, gains=gains: np.r_[words[:len(words) - gains - n1],
+                                                             np.zeros(n1, dtype=np.uint64), words[len(words) - gains:]]}
         every_u = zero_u | {draw: np.zeros_like for draw in range(2, numeric._GF_DRAWS + 1)}
         checks = [_exact(a, b, seed) for seed in range(10)]
         for change, draws in ((every_u, numeric._GF_DRAWS), (zero_u, 2)):
@@ -567,25 +570,19 @@ def _stacking_cases():
 def _per_trial(monkeypatch, a, b, trials, base_seed, ctrl, cap=None, change=None):
     """Run ``monte_carlo_verify``, its streams changed as ``_Words`` says, and return its statistics, then per
     trial its verdicts and proof from the exact engine, the number of draws it made from its stream and the
-    next words there, then the trials (by their v) that took the dense fallback and those that took the Krylov
-    steps, once per attempt."""
-    decided, dense, krylov, words = [], [], [], _streams(monkeypatch, change or {})
-    decide, fallback, steps = numeric._gf_decide, numeric._gf_dense, numeric._gf_krylov
+    next words there, then each attempt of the Krylov steps: the trial's v, and whether its b was nonzero."""
+    decided, krylov, words = [], [], _streams(monkeypatch, change or {})
+    decide, steps = numeric._gf_decide, numeric._gf_krylov
 
     def spy_decide(*args):
         decided.append(decide(*args))
         return decided[-1]
 
-    def spy_dense(block, vals, b1, v):
-        dense.append(v.tobytes())
-        return fallback(block, vals, b1, v)
-
-    def spy_krylov(a11, both, values, b, v, u):
-        krylov.extend(column.tobytes() for column in v.T)
-        return steps(a11, both, values, b, v, u)
+    def spy_krylov(a11, both, values, b, v, *rest):
+        krylov.extend((column.tobytes(), bool(column_b.any())) for column, column_b in zip(v.T, b.T))
+        return steps(a11, both, values, b, v, *rest)
 
     monkeypatch.setattr(numeric, "_gf_decide", spy_decide)
-    monkeypatch.setattr(numeric, "_gf_dense", spy_dense)
     monkeypatch.setattr(numeric, "_gf_krylov", spy_krylov)
     if cap is not None:
         monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
@@ -596,33 +593,33 @@ def _per_trial(monkeypatch, a, b, trials, base_seed, ctrl, cap=None, change=None
     assert len(verdicts) == len(seeds) and set(words.calls) == set(seeds)
     probes = [numeric._gf_words([seed], words.stops[seed], 4) for seed in seeds]  # where each stream stopped
     trials = [(verdict, words.calls[seed], p.tobytes()) for verdict, seed, p in zip(verdicts, seeds, probes)]
-    return stats, trials, (sorted(dense), sorted(krylov))
+    return stats, trials, sorted(krylov)
 
 
 @pytest.mark.parametrize("ctrl", [False, True])
 def test_a_trial_takes_the_same_path_in_any_chunk(ctrl, monkeypatch):
     """Per trial, the exact engine gives the same verdicts and proof, draws the
     same number of times from its stream, which then stands at the same
-    place, and takes the Krylov steps and the dense fallback alike, whether the trials are decided
+    place, and takes the Krylov steps alike, whether the trials are decided
     in chunks at the default cap or one at a time: on the stacking cases, and
     on structurally zero controllable pairs shaped like the benchmark's Monte
-    Carlo patterns at n = 24 and 40, with 30 trials.  A = 0 with B = I takes
-    the fallback under the controllability check."""
+    Carlo patterns at n = 24 and 40, with 30 trials."""
     cases = [(a, b, 1 if k % 4 == 0 else 10) for k, (a, b) in enumerate(_stacking_cases())]
     cases += [(a, b, 30) for n in (24, 40) for a, b in _mc_pairs(49, 2, n, zc=True)]
-    took = Counter()
+    took = 0
     for k, (a, b, trials) in enumerate(cases):
-        stats, chunked, (dense, krylov) = _per_trial(monkeypatch, a, b, trials, 500 + k, ctrl)
-        assert (stats, chunked, (dense, krylov)) == _per_trial(monkeypatch, a, b, trials, 500 + k, ctrl, cap=1), k
-        took.update(krylov=len(krylov), dense=len(dense))
-    assert took["krylov"] > 0 and (took["dense"] > 0) == ctrl  # a generic "no" on B alpha is one of control
+        stats, chunked, krylov = _per_trial(monkeypatch, a, b, trials, 500 + k, ctrl)
+        assert (stats, chunked, krylov) == _per_trial(monkeypatch, a, b, trials, 500 + k, ctrl, cap=1), k
+        took += len(krylov)
+    assert took > 0
 
 
 def _chunk_entries(a, b):
     """The entries ``monte_carlo_verify`` counts per trial when it sizes its chunks."""
     b = numeric._pair(a, b)
     _, _, n1, k = numeric._reachable_split(numeric.build_graph(a, b))
-    return max(2 * len(a._coords[0]) + 16 * n1 + k, len(a._coords[0]) + len(b._coords[0]) + b.n_cols + k + 2 * n1, 1)
+    nnz, gains = len(a._coords[0]), b.n_cols * n1 if b.n_cols > 1 else 0
+    return max(2 * nnz + 16 * n1 + k + 12 * gains, nnz + len(b._coords[0]) + b.n_cols + k + 2 * n1 + gains, 1)
 
 
 @pytest.mark.parametrize("ctrl", [False, True])
@@ -809,7 +806,7 @@ def test_hand_built_shared_eigenvalues(monkeypatch):
 
 def test_a_trial_decides_alike_alone_and_among_a_hundred(monkeypatch):
     """``trials=1`` at seed s gives trial s of a ``trials=100`` run, verdicts,
-    proof, draws and fallback alike, on pairs where both verdicts occur."""
+    proof, draws and Krylov attempts alike, on pairs where both verdicts occur."""
     rng = np.random.default_rng(62)
     pairs = [(random_pattern(rng, 8, 8, 0.3), random_pattern(rng, 8, 2, 0.3)) for _ in range(2)]
     verdicts = set()
@@ -817,16 +814,17 @@ def test_a_trial_decides_alike_alone_and_among_a_hundred(monkeypatch):
         stats, together, paths = _per_trial(monkeypatch, a, b, 100, 3000, True, change=_small(a, b))
         alone = [_per_trial(monkeypatch, a, b, 1, 3000 + i, True, change=_small(a, b)) for i in range(100)]
         assert together == [trial for _, (trial,), _ in alone]
-        assert paths == tuple(sorted(v for _, _, path in alone for v in path[side]) for side in (0, 1))
+        assert paths == sorted(attempt for _, _, path in alone for attempt in path)
         verdicts.update(zc for (zc, _, _), _, _ in together)
     assert verdicts == {False, True}
 
 
-def test_one_input_per_state_takes_the_fallback_and_decides(monkeypatch):
-    """With B = I every trial's B alpha spans too little for controllability, so
-    each takes the dense fallback, which stops at the first Krylov block (it
-    already has rank n): at n = 150 both checks agree on every trial, where
-    the float checks found the controllable pairs uncontrollable."""
+def test_one_input_per_state_decides_through_feedback(monkeypatch):
+    """With B = I, B alpha alone spans too little for controllability, but
+    (A + K, alpha) with a random 150-by-150 feedback K decides: at n = 150
+    both checks agree on every trial, where the float checks found the
+    controllable pairs uncontrollable, and every mat-vec runs on one or two
+    vectors per trial, with no block of B's 150 columns."""
     rng = np.random.default_rng(65)
     a, b = sparse_pattern(rng, 150, 150, 300), PatternMatrix.identity(150)
     calls = []
@@ -835,7 +833,7 @@ def test_one_input_per_state_takes_the_fallback_and_decides(monkeypatch):
     stats = monte_carlo_verify(a, b, trials=2, check_controllability=True)
     assert (stats.zc_agreements, stats.ctrl_structural, stats.ctrl_agreements) == (2, True, 2)
     assert stats.inconsistent_trials == 0
-    assert sum(shape[1] == 150 for shape in calls) == 0  # no Krylov block of B beyond the first is built
+    assert {shape[1] for shape in calls} == {1, 2}
 
 
 def _identity_matrix(rng, kind, n, reached):
@@ -896,7 +894,8 @@ def test_the_cofactor_of_berlekamp_massey_inverts_the_numerator():
 
 def _two_cycle_draws(m=1, **words):
     """The 2-cycle x1 <-> x2 driven at x1 by m inputs, and a change of each trial's first draw that sets the
-    words named: its draw is a12, a21, b11 ... b1m, alpha1 ... alpham, v1, v2, u1, u2."""
+    words named: its draw is a12, a21, b11 ... b1m, alpha1 ... alpham, v1, v2, u1, u2, then K's 2 m words when
+    m > 1."""
     names = ("a12", "a21", *(f"{x}{j}" for x in ("b1", "alpha") for j in range(1, m + 1)), "v1", "v2", "u1", "u2")
     index = [names.index(name) for name in words]
     change = {1: lambda drawn: np.array([words[names[i]] if i in index else word
@@ -908,19 +907,85 @@ def _two_cycle_draws(m=1, **words):
 def test_a_zero_alpha_word_decides_as_the_oracle(monkeypatch):
     """alpha is drawn in [1, p), as the values are, so its word 0 gives
     alpha = 1, and with one input b = B1 alpha is never 0: every trial on the
-    2-cycle equals the oracle, ZC and controllable.  With two inputs of equal
-    value at x1, alpha = (1, p - 1) lies in ker B1 and makes b = 0, so the
-    Krylov steps prove A^2 v != 0, a "no" for b alone: each trial falls back
-    to the elimination on B1, which decides as the oracle does."""
+    2-cycle equals the oracle, ZC and controllable, in one draw.  With two
+    inputs of equal value at x1, alpha = (1, p - 1) lies in ker B1 and makes
+    b = 0, which would read as a "no": each trial redraws alpha, so it makes
+    one more draw from its stream, and its second Krylov attempt, on a
+    nonzero b, decides as the oracle does."""
     for m, words in ((1, {"alpha1": 0}), (2, {"b11": 0, "b12": 0, "alpha1": 0, "alpha2": numeric._P - 2})):
         a, b, change = _two_cycle_draws(m, **words)
         for ctrl in (False, True):
-            stats, trials, (dense, krylov) = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
+            stats, trials, krylov = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
             expected = [_exact(a, b, seed, lambda seed: _Stream(_pcg64(seed), change)) for seed in range(40, 45)]
-            assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), 1) for e in expected], m
+            assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), m) for e in expected], m
             assert expected == [(True, True)] * 5
             assert (stats.zc_structural, stats.zc_agreements, stats.inconsistent_trials) == (True, 5, 0)
-            assert (len(dense), len(krylov)) == (5 * (m - 1), 5)
+            assert sorted(nonzero for _, nonzero in krylov) == [False] * 5 * (m - 1) + [True] * 5
+
+
+def test_several_inputs_decide_through_feedback_as_the_oracle(monkeypatch):
+    """On 1200 seeded trials of 120 pairs with n <= 7 and m = 2 or 3, all
+    checked for controllability, every trial's verdicts through the feedback
+    pair (A11 + B1 K, B1 alpha) equal those of the oracle's elimination mod p
+    on the whole pair, and every trial is proven: on the trials' own draws,
+    and with every value drawn from {1, 2}, where both verdicts of both checks
+    occur.  Fully reached pairs are among them."""
+    rng = np.random.default_rng(83)
+    seen, reached = Counter(), 0
+    for k in range(120):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(2, 4))
+        a = random_pattern(rng, n, n, float(rng.uniform(0.1, 0.5)))
+        b = random_pattern(rng, n, m, float(rng.uniform(0.2, 0.6)))
+        reached += numeric._reachable_split(numeric.build_graph(a, b))[2] == n
+        _assert_trials_match_the_oracle(monkeypatch, a, b, 10, 100 * k, True, _small(a, b) if k % 2 else None, seen)
+    assert set(seen) == {("zc", True), ("zc", False), ("ctrl", True), ("ctrl", False)}
+    assert reached >= 80, reached
+
+
+def test_feedback_never_turns_a_no_into_a_yes_mod_small_primes():
+    """(A + B K, B alpha) is never zero controllable, nor controllable, where
+    (A, B) is not, for any K and alpha: its controllable space lies inside
+    that of (A, B), on whose quotient A + B K acts as A.  Checked with
+    ``oracle_gf_checks`` on 1200 random pairs with n <= 7 and m = 2 or 3,
+    mod 2, 3, 5 and 7, where a "yes" lost to an unlucky K or alpha is common."""
+    rng, lost = np.random.default_rng(84), Counter()
+    for k in range(1200):
+        p, n, m = (2, 3, 5, 7)[k % 4], int(rng.integers(1, 8)), int(rng.integers(2, 4))
+        density = float(rng.uniform(0.25, 0.6))
+        a, b = ((rng.integers(1, p, (n, cols)) * (rng.random((n, cols)) < density)).tolist() for cols in (n, m))
+        gain, alpha = rng.integers(0, p, (m, n)).tolist(), rng.integers(1, p, m).tolist()
+        fed = [[(x + sum(bi * ki[j] for bi, ki in zip(row_b, gain))) % p for j, x in enumerate(row_a)]
+               for row_a, row_b in zip(a, b)]
+        one = [[sum(bi * ai for bi, ai in zip(row_b, alpha)) % p] for row_b in b]
+        before, after = oracle_gf_checks(a, b, p), oracle_gf_checks(fed, one, p)
+        assert all(was or not now for was, now in zip(before, after)), (p, a, b, gain, alpha)
+        lost.update(check for check, (was, now) in enumerate(zip(before, after)) if was != now)
+    assert lost[0] > 0 and lost[1] > 0, lost
+
+
+def test_the_feedback_step_equals_python_ints():
+    """``_gf_step`` with feedback against Python ints, M x = A11 x + B1 (K x) and
+    M^T y = A11^T y + K^T (B1^T y): every entry p - 1, then random ones, with
+    three inputs, two vectors and two trials."""
+    p, rng = numeric._P, np.random.default_rng(85)
+    n1, m, rows, cols = 6, 3, np.array([0, 0, 2, 5]), np.array([1, 4, 2, 0])
+    index = np.arange(len(rows))
+    both = numeric._mv_plan(np.r_[index, index], np.r_[rows, cols + n1], np.r_[cols, rows + n1])
+    for draw in (lambda *shape: np.full(shape, p - 1), lambda *shape: rng.integers(p, size=shape)):
+        vals, b1t, gain, x = draw(len(rows), 2), draw(m, n1, 2), draw(m, n1, 2), draw(2 * n1, 2, 2)
+        into, out_of = np.stack([b1t, gain]), np.stack([gain, b1t])
+        got = numeric._gf_step(x, vals[both[0]], both, into, out_of).tolist()
+        for t in range(2):
+            a11 = [[0] * n1 for _ in range(n1)]
+            for r, c, value in zip(rows, cols, vals[:, t].tolist()):
+                a11[r][c] = value
+            mat = [[a11[i][j] + sum(int(b1t[k, i, t]) * int(gain[k, j, t]) for k in range(m)) for j in range(n1)]
+                   for i in range(n1)]
+            for v in range(2):
+                xs, ys = x[:n1, v, t].tolist(), x[n1:, v, t].tolist()
+                expected = [sum(mat[i][j] * xs[j] for j in range(n1)) % p for i in range(n1)]
+                expected += [sum(mat[j][i] * ys[j] for j in range(n1)) % p for i in range(n1)]
+                assert [row[v][t] for row in got] == expected, (t, v)
 
 
 def test_a_u_orthogonal_to_b_redraws_instead_of_deciding(monkeypatch):
@@ -929,7 +994,7 @@ def test_a_u_orthogonal_to_b_redraws_instead_of_deciding(monkeypatch):
     and draws again, and the new u decides as the oracle does."""
     a, b, change = _two_cycle_draws(b11=0, alpha1=0, u1=0, u2=1)
     for ctrl in (False, True):
-        stats, trials, (_, krylov) = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
+        stats, trials, krylov = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
         expected = [_exact(a, b, seed, lambda seed: _Stream(_pcg64(seed), change))
                     for seed in range(40, 45)]
         assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), 2) for e in expected]
