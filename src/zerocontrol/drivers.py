@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import sys
 import warnings
 from bisect import bisect_right
@@ -306,7 +307,7 @@ def _exact_search(
     """The cover problem, its forced classes and its blocks, each as (classes,
     targets, optimum size); or the greedy set, with a warning ending in
     ``fallback``, when a block has more classes than the exact-search cap."""
-    if exact_cap < 0:
+    if operator.index(exact_cap) < 0:  # refuses a non-integer as range() does
         raise ValueError(f"exact_cap must be >= 0, got {exact_cap}")
     problem = _cover_problem(pattern_a)
     forced, blocks = _kernel(problem)
@@ -356,7 +357,7 @@ def enumerate_minimal_driver_sets(
     expansions are produced lazily in lex order and merged, so the cost
     follows ``limit`` and the number of class covers, not the number of sets.
     """
-    if limit < 1:
+    if operator.index(limit) < 1:  # refuses a non-integer as range() does
         raise ValueError(f"limit must be >= 1, got {limit}")
     search = _exact_search(
         pattern_a, exact_cap,

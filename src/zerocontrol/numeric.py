@@ -1,5 +1,5 @@
 """Numerical cross-validation of structural verdicts: random admissible
-realizations, exact and float rank tests, deadbeat steering, Monte Carlo runs.
+realizations, exact rank tests over GF(p), deadbeat steering, Monte Carlo runs.
 
 Structural claims are generic: they hold for all parameter values outside a
 measure-zero set.  No finite computation certifies that, so this module
@@ -14,32 +14,29 @@ term rank decides.  Every realization has A21 = 0, B2 = 0 and a strictly
 triangular peeled block there, so ZC(A, B) holds exactly when ZC(A11, B1) does
 and the survivor block S is nilpotent.
 
-``monte_carlo_verify`` (so ``verify``) decides every trial exactly over GF(p),
-p = 2^31 - 1, with values drawn mod p from the trial's own stream: numpy's
-SeedSequence/PCG64 words, computed here bit for bit.  ``sample_realization`` and
-``simulate``'s random x0 compute numpy's uniform and standard normal draws from
-such words too, so on numpy >= 2 no subcommand imports numpy.random.  S is
-not nilpotent when S^k v' != 0 for a random v'.  (A11, B1) is decided as one
-input's pair (M, b) = (A11 + B1 K, B1 alpha), for a random feedback K (0 when
-m = 1) that keeps both verdicts by Heymann's lemma; M x = A11 x + B1 (K x).
-Sparse Krylov sequences (Wiedemann 1986) decide (M, b): Berlekamp-Massey (Massey
-1969), Euclid's algorithm on the sequence (Dornstetter 1987), gives the
-dimension of the controllable space and a cofactor, so one product mod its
-generator tests M^d v against it with no second Euclid (no Bernstein-Yang
-division steps), and Horner's rule proves both; see ``_gf_krylov``.  Products
-fold mod the Mersenne prime p with no division, stacked trials share each
-mat-vec, and a trial decides alike in any chunk.  A verdict is wrong only with
-the small probabilities stated at ``_P``; a trial that the engine cannot prove
-is counted inconsistent and takes "no".
-
-The float family runs behind the single-realization checks alone
-(``is_zero_controllable_numeric``, ``is_controllable_numeric``), on the split
-of the realization's own nonzeros.  (A11, B1) is decided over n steps by the
-image test (rank [C, A^n] against rank C) and the Hautus test: one complex SVD
-of [A - lam I, B] at every eigenvalue of modulus above the nonzero threshold.
-C is zero on the unreached rows, so S^n != 0 or a nonzero eigenvalue of S
-settles a "no".  A check is consistent when the two tests agree, and its
-verdict is "both pass".
+One exact engine decides every pair over GF(p), p = 2^31 - 1.
+``monte_carlo_verify`` (so ``verify``) draws each trial's values mod p from the
+trial's own stream: numpy's SeedSequence/PCG64 words, computed here bit for bit.
+``sample_realization`` and ``simulate``'s random x0 compute numpy's uniform and
+standard normal draws from such words too, so on numpy >= 2 no subcommand
+imports numpy.random.  The single checks (``is_zero_controllable_numeric``,
+``is_controllable_numeric``) read a float realization's entries exactly mod p,
+as a finite float is M 2^e for an integer M (Goldberg 1991) and 2^31 = 1 mod p,
+and decide one trial on the split of the entries that stay nonzero.  For a fixed
+rational realization the reduction mod p can change a rank only when p divides
+one of finitely many integers that the realization fixes (an entry of 2^31 - 1
+reads as 0, say); no draw makes that rarer.  S is not nilpotent when S^k v' != 0
+for a random v'.  (A11, B1) is decided as one input's pair (M, b) = (A11 + B1 K,
+B1 alpha), for a random feedback K (0 when m = 1) that keeps both verdicts by
+Heymann's lemma; M x = A11 x + B1 (K x).  Sparse Krylov sequences (Wiedemann
+1986) decide (M, b): Berlekamp-Massey (Massey 1969), Euclid's algorithm on the
+sequence (Dornstetter 1987), gives the dimension of the controllable space and a
+cofactor, so one product mod its generator tests M^d v against it with no second
+Euclid (no Bernstein-Yang division steps), and Horner's rule proves both; see
+``_gf_krylov``.  Products fold mod the Mersenne prime p with no division,
+stacked trials share each mat-vec, and a trial decides alike in any chunk.  A
+verdict is wrong only with the small probabilities stated at ``_P``; a trial
+that the engine cannot prove is counted inconsistent and takes "no".
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from .structural import generic_rank
 #: Default base seed for every seeded entry point, so quick-start runs agree.
 DEFAULT_BASE_SEED = 20240001
 
-#: Default eigenvalue nonzero threshold scale of the float single checks.
+#: Default eigenvalue nonzero threshold scale of ``count_nonzero_eigenvalues``; the single checks validate it only.
 DEFAULT_TOL = 1e-8
 
 #: Relative singular-value cutoff for numeric rank decisions.
@@ -158,22 +155,17 @@ def numeric_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
 
 def controllability_matrix(realization: Realization) -> np.ndarray:
     """[B, AB, ..., A^(n-1)B], an n-by-(n*m) matrix (n-by-0 when m = 0)."""
-    return _ctrb(realization.a, realization.b, realization.n)
-
-
-def _ctrb(a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
-    """The controllability matrix of (A, B) over ``steps`` steps."""
-    blocks = [b]
-    for _ in range(steps - 1):
+    a, blocks = realization.a, [realization.b]
+    for _ in range(realization.n - 1):
         blocks.append(a @ blocks[-1])
     return np.hstack(blocks) if len(a) else np.zeros((0, 0))
 
 
 @dataclass(frozen=True)
 class NumericCheck:
-    """Joint outcome of the image-based and eigenvalue-based (Hautus) rank
-    tests.  The two must agree on well-conditioned instances; when they do
-    not, ``consistent`` is False and the verdict is the conservative False."""
+    """Outcome of a single exact check.  The engine decides the realization in one pass, so ``image_test`` and
+    ``hautus_test`` both equal the verdict; ``consistent`` is whether the engine proved it within its redraw
+    budget.  An unproven check takes the conservative False."""
 
     verdict: bool
     image_test: bool
@@ -184,87 +176,60 @@ class NumericCheck:
         return self.verdict
 
 
-def _eigenvalues(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of A, and the mask of those counted as nonzero: modulus
-    above tol * (1 + spectral radius).  A tol of 1 or more would count none,
-    since no modulus exceeds the radius."""
-    _check_tol(tol)
-    eigenvalues = np.linalg.eigvals(a).astype(complex, copy=False) if len(a) else np.zeros(0, dtype=complex)
-    modulus = np.abs(eigenvalues)
-    return eigenvalues, modulus > tol * (1.0 + modulus.max(initial=0.0))
-
-
 def _check_tol(tol: float) -> None:
     if not 0 < tol < 1:  # NaN fails both comparisons
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
-def _check(image_ok: bool, hautus_ok: bool) -> NumericCheck:
-    return NumericCheck(image_ok and hautus_ok, image_ok, hautus_ok, image_ok == hautus_ok)
-
-
-def _tests(a: np.ndarray, b: np.ndarray, tol: float, zc: bool, steps: int) -> tuple[bool, bool]:
-    """The image test over ``steps`` steps, rank [C, A^steps] against rank C for zero controllability or rank C
-    against n for controllability, and the Hautus test: one complex SVD of [A - lam I, B] at each nonzero
-    eigenvalue for zero controllability, at each eigenvalue for controllability, up to the first deficient one."""
-    n = len(a)
-    lam, nonzero = _eigenvalues(a, tol)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with one message
-        ctrb = _ctrb(a, b, steps)
-        a_pow = np.linalg.matrix_power(a, steps) if zc else a
-    if not (np.isfinite(ctrb).all() and np.isfinite(a_pow).all()):
-        raise ValueError(f"n={steps}: the controllability matrix or A^n overflows float64, so no numeric verdict")
-    rank = numeric_rank(ctrb)
-    image = numeric_rank(np.hstack([ctrb, a_pow])) == rank if zc else rank == n
-    eye = np.eye(n)
-    hautus = all(numeric_rank(np.hstack([a - value * eye, b]).astype(complex)) == n
-                 for value in (lam[nonzero] if zc else lam))
-    return image, hautus
-
-
 def is_controllable_numeric(realization: Realization, tol: float = DEFAULT_TOL) -> NumericCheck:
-    """Controllability of a concrete pair: full-rank controllability matrix,
-    cross-checked by the Hautus rank test at every eigenvalue."""
+    """Controllability of a concrete pair, decided exactly mod p: rank C = n.  ``tol`` is validated only."""
     return _single(realization, tol, zc=False)
 
 
 def is_zero_controllable_numeric(realization: Realization, tol: float = DEFAULT_TOL) -> NumericCheck:
-    """Zero controllability of a concrete pair: the image of A^n must lie in
-    the image of the controllability matrix, cross-checked by the Hautus test
-    at every eigenvalue of modulus above tol * (1 + spectral radius)."""
+    """Zero controllability of a concrete pair, decided exactly mod p: rank [C, A^n] = rank C.  ``tol`` is
+    validated only."""
     return _single(realization, tol, zc=True)
 
 
 def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
-    """One realization decided by ``_tests`` on the split that its own nonzeros give.  With a state unreached,
-    controllability fails both tests; zero controllability needs the tests on (A11, B1), over n steps, and a
-    nilpotent S: C is zero on the unreached rows, so S^n != 0 fails the image test and a nonzero eigenvalue of
-    S the Hautus test."""
+    """One exact trial of ``_gf_decide`` on the realization's entries read exactly mod _P, on the split that their
+    nonzeros give, with its vectors drawn from its seed's stream under _SINGLE_KEY."""
     _check_tol(tol)
-    a, b = realization.a, realization.b  # np.nonzero(v.T) runs by column, then row, as PatternMatrix._coords
-    patterns = [PatternMatrix._trusted(*v.shape, *np.array(np.nonzero(v.T))[::-1] + 1) for v in (a, b)]
-    order, _, n1, k = _reachable_split(build_graph(*patterns))
-    n = len(order)
-    if n1 == n:  # every state reached: the split is the identity
-        return _check(*_tests(a, b, tol, zc, n))
-    if not zc:
-        return _check(False, False)
-    reached, survivors = order[:n1] - 1, order[n - k:] - 1
-    s = a[np.ix_(survivors, survivors)]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed S^n is nonzero too
-        image = not np.linalg.matrix_power(s, n).any()
-    hautus = not _eigenvalues(s, tol)[1].any()
-    if n1 and (image or hautus):
-        block_image, block_hautus = _tests(a[np.ix_(reached, reached)], b[reached], tol, True, n)
-        image, hautus = image and block_image, hautus and block_hautus
-    return _check(image, hautus)
+    a, b = realization.a, realization.b
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("the realization has a non-finite entry, so no exact verdict")
+    patterns = []
+    for v in (a, b):
+        cols, rows = np.nonzero(v.T)  # by column, then row, as PatternMatrix._coords
+        read = _exact_residues(v[rows, cols]) != 0  # an entry that reads as 0 is none of the pair's
+        patterns.append(PatternMatrix._trusted(*v.shape, rows[read] + 1, cols[read] + 1))
+    _, at, n1, k = _reachable_split(build_graph(*patterns))
+    if not zc and n1 < len(a):  # a state that no input reaches
+        return NumericCheck(False, False, False, True)
+    values = np.concatenate([_exact_residues(v[rows - 1, cols - 1]) for v, (rows, cols) in
+                             zip((a, b), map(_entries, patterns))])
+    plan = _gf_plan(*patterns, at, n1, k)
+    zc_ok, ctrl_ok, proven = _gf_decide(plan, *b.shape, n1, k, values[:, None], _seeds(realization.seed, 1),
+                                        not zc, _SINGLE_KEY)
+    verdict = bool((zc_ok if zc else ctrl_ok)[0])
+    return NumericCheck(verdict, verdict, verdict, bool(proven[0]))
+
+
+def _exact_residues(x: np.ndarray) -> np.ndarray:
+    """Finite floats exactly mod _P: x = M 2^e with M = frexp's mantissa times 2^53, an integer, and 2^31 = 1."""
+    mantissa, exponent = np.frexp(x)
+    return (mantissa * 2.0**53).astype(np.int64) % _P * 2 ** ((exponent.astype(np.int64) - 53) % 31) % _P
 
 
 def count_nonzero_eigenvalues(realization: Realization, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues with modulus above tol * (1 + spectral radius).  Generically that is nu(A), but
     not in float as n grows, where rounding smears nilpotent chains: on four draws of 15 patterns with 2n entries
     and 4 seeds each, it matched nu(A) on 58-60 of 60 at n = 12, 22-55 at n = 40 and 4-9 at n = 100."""
-    return int(_eigenvalues(realization.a, tol)[1].sum())
+    _check_tol(tol)
+    a = realization.a
+    modulus = np.abs(np.linalg.eigvals(a)) if len(a) else np.zeros(0)
+    return int(np.sum(modulus > tol * (1.0 + modulus.max(initial=0.0))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,13 +316,18 @@ def steering_residual(realization: Realization, result: SteeringResult) -> float
 #: With m > 1 it decides (M, b) = (A11 + B1 K, B1 alpha), K uniform and alpha != 0, whose Krylov space misses
 #: part of C(A11, B1), of dimension r <= n1, only where an r-by-r minor of [b, Mb, ..., M^(r-1) b], of degree
 #: r (r + 1) / 2 in K and alpha, vanishes: a wrong "no", at most about n1 (n1 + 1) / (2 _P) more, 2.3e-4 at n1 = 1000.
+#: A single check reads its realization's values mod _P, so of these two bounds only the second applies to it.
 _P = 2**31 - 1
 
 #: The spawn key of each trial's exact stream, numpy's PCG64(SeedSequence(base_seed + i, spawn_key=_GF_KEY)), so a
 #: trial replays in numpy.random and ``simulate``'s draws, from the empty key, do not move.  ``_gf_words`` computes
-#: both bit for bit, so on numpy >= 2 no subcommand imports numpy.random.  A trial draws once for its values mod _P,
-#: vectors and feedback, and once per redraw: of alpha, when m > 1, and u.
+#: both bit for bit, so on numpy >= 2 no subcommand imports numpy.random.  A trial draws its values mod _P, then
+#: its vectors and feedback, then once per redraw: of alpha, when m > 1, and u.
 _GF_KEY = (1,)
+
+#: The spawn key of a single check's vectors, drawn from its realization's seed as a trial's are, after as many
+#: words as the realization has nonzeros; neither ``verify``'s nor ``simulate``'s words move.
+_SINGLE_KEY = (2,)
 
 #: SeedSequence's hash constants (INIT_A, MULT_A), (INIT_B, MULT_B) and (MIX_MULT_L, MIX_MULT_R); PCG64's multiplier.
 _HASH, _MIX = ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)), (np.uint32(0xCA01F9DD), np.uint32(0x4973F715))
@@ -522,8 +492,11 @@ def _gf_matvec(x: np.ndarray, vals: np.ndarray, block: tuple) -> np.ndarray:
 
 
 def _gf_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sums mod _P over the first axis of x y, each product folded first."""
-    return _fold(x * y).sum(axis=0) % _P
+    """Sums mod _P over the first axis of x y, each product folded first.  ``sum`` is slow over a long first axis
+    of short rows, as a Krylov step of one trial at n1 = 5875 has (119 us for rows of 2, 4 us for rows of 1): there
+    einsum is 4 times faster, and it wins from about 100 rows of two entries or more."""
+    z = _fold(x * y)
+    return (np.einsum("i...->...", z) if z.size > len(z) > 100 else z.sum(axis=0)) % _P
 
 
 def _berlekamp_massey(a: np.ndarray, most: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -624,12 +597,14 @@ def _gf_krylov(a11: tuple, both: tuple, values: np.ndarray, b: np.ndarray, v: np
     return ~y[:, 0].any(axis=0) & (sigma != 0), ~y[:, 1].any(axis=0), r == n1
 
 
-def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, words: np.ndarray, seeds: range, ctrl: bool) -> tuple:
+def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, values: np.ndarray, seeds: range | list[int],
+               ctrl: bool, key: tuple) -> tuple:
     """Exact verdicts of a chunk of trials over GF(_P) on the reachable split, where ZC(A, B) holds exactly when
-    ZC(A11, B1) does and S is nilpotent.  ``words`` holds each trial's first draw, one row per trial: its values,
-    one per entry, then alpha, v', v and u, and with m > 1 the feedback K, m by n1, row by row.  A redraw takes
-    the next words of the trial's stream, whose seed is in ``seeds``: alpha when m > 1, then u.  Returns per trial
-    whether it is ZC, whether it is controllable and whether it was proven.
+    ZC(A11, B1) does and S is nilpotent.  ``values`` holds each trial's values mod _P, one row per entry in
+    ``_entries`` order, A's then B's, and one column per trial.  A trial's vectors are the words of its seed's
+    stream under ``key`` from the values' count on: alpha, v', v and u, and with m > 1 the feedback K, m by n1, row
+    by row.  A redraw takes the next words: alpha when m > 1, then u.  Returns per trial whether it is ZC, whether
+    it is controllable and whether it was proven.
 
     (vi) S^k v' != 0 proves that S is not nilpotent.  (A11, B1) is decided by the Krylov steps on one input, the
     pair (M, b) = (A11 + B1 K, B1 alpha), with K = 0 when m = 1.  Feedback changes neither verdict: C(M, B1) =
@@ -638,10 +613,11 @@ def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, words: np.ndarray, 
     of it for generic ones, as bounded at ``_P``.  A reached block has B1 != 0, so b = 0 would give a wrong "no":
     the trial redraws alpha instead, as it redraws u when u b = 0."""
     (a11, both, s), (b_index, b_rows, b_cols) = plan
-    t, fed = words.shape[0], m if m > 1 else 0  # the rows of K
-    drawn = words.shape[1] - m - k - (2 + fed) * n1
-    values, alpha = np.split(_residues(words[:, :drawn + m].T, 1), [drawn])
-    v_s, v, u, gain = np.split(_residues(words[:, drawn + m:].T), np.cumsum([k, n1, n1]))
+    t, fed = values.shape[1], m if m > 1 else 0  # the rows of K
+    start, count = len(values), m + k + (2 + fed) * n1
+    words = _gf_words(seeds, start, count, key).T
+    alpha = _residues(words[:m], 1)
+    v_s, v, u, gain = np.split(_residues(words[m:]), np.cumsum([k, n1, n1]))
     zc, controllable, proven = np.ones(t, dtype=bool), np.full(t, n1 == n), np.ones(t, dtype=bool)
     if k:
         x, vals = v_s[:, None], values[s[0]]
@@ -655,7 +631,7 @@ def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, words: np.ndarray, 
     b1[b_cols, b_rows] = values[b_index]
     for draw in range(_GF_DRAWS):
         if draw:
-            fresh = _gf_words([seeds[i] for i in todo], words.shape[1] + (draw - 1) * (fed + n1), fed + n1).T
+            fresh = _gf_words([seeds[i] for i in todo], start + count + (draw - 1) * (fed + n1), fed + n1, key).T
             if fed:
                 alpha[:, todo] = _residues(fresh[:fed], 1)
             u[:, todo] = _residues(fresh[-n1:])
@@ -716,12 +692,13 @@ def monte_carlo_verify(
     disagreeing = []
     plan = _gf_plan(pattern_a, pattern_b, at, n1, k)
     nnz, gains = len(pattern_a._coords[0]), m * n1 if m > 1 else 0
-    drawn = nnz + len(pattern_b._coords[0]) + m + k + 2 * n1 + gains  # values, alpha, v', v, u, K
+    entries = nnz + len(pattern_b._coords[0])
+    drawn = entries + m + k + 2 * n1 + gains  # values, then alpha, v', v, u and K
     # per trial: A's entries gathered for two vectors, the Krylov sequences and polynomials, S's vector, and feedback
     chunk = max(1, _STACK_ENTRIES // max(2 * nnz + 16 * n1 + k + 12 * gains, drawn, 1))
     for batch in (seeds[start:start + chunk] for start in range(0, trials, chunk)):
-        words = _gf_words(batch, 0, drawn)
-        zc, controllable, proven = _gf_decide(plan, n, m, n1, k, words, batch, check_controllability)
+        values = _residues(_gf_words(batch, 0, entries).T, 1)
+        zc, controllable, proven = _gf_decide(plan, n, m, n1, k, values, batch, check_controllability, _GF_KEY)
         zc_agree += int(np.sum(zc == zc_structural))
         disagreeing += [seed for seed, verdict in zip(batch, zc) if verdict != zc_structural]
         ctrl_agree += int(np.sum(controllable == ctrl_structural))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -18,14 +19,11 @@ from zerocontrol import numeric
 from zerocontrol import (
     Decomposition,
     MonteCarloStats,
-    NumericCheck,
     PatternMatrix,
     Realization,
     ValueSpec,
-    controllability_matrix,
     is_generically_controllable,
     is_generically_zero_controllable,
-    numeric_rank,
 )
 from zerocontrol.fileio import PatternFormatError
 from zerocontrol.graph import _input_reach, build_graph, state_name
@@ -308,7 +306,7 @@ def oracle_reducible_decomposition(pattern_a, pattern_b=None) -> Decomposition:
     )
 
 
-# --- numeric reference: one draw at a time, one complex SVD per eigenvalue ----
+# --- numeric reference: one draw at a time, and rank over the rationals ----------
 
 def oracle_sample_realization(pattern_a, pattern_b=None, seed=20240001, value_spec=None):
     """The scalar draw loop: per entry in sorted position order, A then B, a
@@ -326,45 +324,44 @@ def oracle_sample_realization(pattern_a, pattern_b=None, seed=20240001, value_sp
     return Realization(a, b, seed, value_spec)
 
 
-def _oracle_hautus_ok(a, b, eigenvalues) -> bool:
-    n = a.shape[0]
-    eye = np.eye(n)
-    for lam in eigenvalues:
-        pencil = np.hstack([a - lam * eye, b]).astype(complex)
-        if numeric_rank(pencil) < n:
-            return False
-    return True
+def oracle_rational_checks(realization):
+    """Zero controllability and controllability of a float realization over the rationals: rank [C, A^n] against
+    rank C, and rank C against n, for C = [B, AB, ..., A^(n-1) B].  Each entry is read exactly as a
+    ``fractions.Fraction`` of ``float.as_integer_ratio``, and each of A and B is scaled to integers by the least
+    common multiple of its denominators, which changes neither rank: C's columns scale, and so does A^n.  The
+    columns are then eliminated fraction-free, each reduced column divided by the gcd of its entries."""
 
+    def integers(matrix):
+        entries = [[Fraction(*x.as_integer_ratio()) for x in row] for row in matrix.tolist()]
+        scale = math.lcm(*(x.denominator for row in entries for x in row))
+        return [[int(x * scale) for x in row] for row in entries]
 
-def _oracle_eigenvalues(a, tol):
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    eigenvalues = np.linalg.eigvals(a) if a.size else np.zeros(0)
-    radius = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    return eigenvalues, eigenvalues[np.abs(eigenvalues) > tol * (1.0 + radius)]
+    a, b, n, m = integers(realization.a), integers(realization.b), realization.n, realization.m
 
+    def powers(column, count):  # column, A column, ..., A^count column
+        yield column
+        for _ in range(count):
+            column = [sum(x * y for x, y in zip(row, column) if x) for row in a]
+            yield column
 
-def _oracle_check(image_ok, hautus_ok):
-    return NumericCheck(image_ok and hautus_ok, image_ok, hautus_ok, image_ok == hautus_ok)
+    basis = []  # (pivot, column): each column is 0 at the pivots before its own
 
+    def grows(column):  # whether the column lies outside the span of the basis, which then takes it
+        for pivot, vector in basis:
+            if column[pivot]:
+                scale, by = vector[pivot], column[pivot]
+                column = [scale * x - by * y for x, y in zip(column, vector)]
+        divisor = math.gcd(*column)
+        if divisor:
+            basis.append((next(i for i, x in enumerate(column) if x), [x // divisor for x in column]))
+        return bool(divisor)
 
-def oracle_is_controllable_numeric(realization, tol=1e-8):
-    """Full-rank controllability matrix, and a complex SVD of the Hautus
-    pencil at every eigenvalue."""
-    a, b = realization.a, realization.b
-    image_ok = numeric_rank(controllability_matrix(realization)) == realization.n
-    return _oracle_check(image_ok, _oracle_hautus_ok(a, b, _oracle_eigenvalues(a, tol)[0]))
-
-
-def oracle_is_zero_controllable_numeric(realization, tol=1e-8):
-    """rank [C, A^n] == rank C, and a complex SVD of the Hautus pencil at
-    every nonzero eigenvalue."""
-    a, b = realization.a, realization.b
-    n = realization.n
-    ctrb = controllability_matrix(realization)
-    a_pow_n = np.linalg.matrix_power(a, n) if n else np.zeros((0, 0))
-    image_ok = numeric_rank(np.hstack([ctrb, a_pow_n])) == numeric_rank(ctrb)
-    return _oracle_check(image_ok, _oracle_hautus_ok(a, b, _oracle_eigenvalues(a, tol)[1]))
+    for j in range(m):
+        for column in powers([row[j] for row in b], n - 1):
+            grows(column)
+    rank = len(basis)
+    zc = not any(grows(list(powers([int(i == j) for i in range(n)], n))[-1]) for j in range(n))
+    return zc, rank == n
 
 
 # --- numeric reference on the reachable split ----------------------------------
@@ -393,31 +390,6 @@ def oracle_split(realization):
     on_cycle = {v for v in unreached if v in closure([v], unreached)}
     survivors = on_cycle | closure(on_cycle, unreached)
     return np.array(sorted(reached), dtype=int), np.array(sorted(survivors), dtype=int)
-
-
-def oracle_split_checks(realization, tol=1e-8):
-    """Both checks on the split: with every state reached, the full-pair
-    references above.  Otherwise zero controllability needs the complex-SVD
-    checks on (A11, B1), with n Krylov blocks and A11^n in the image test, and
-    a nilpotent S: S^n exactly zero for the image test and no eigenvalue of S
-    (np.linalg.eigvals) above the nonzero threshold for the Hautus test; and
-    controllability fails both tests."""
-    n = realization.n
-    reached, survivors = oracle_split(realization)
-    if len(reached) == n:
-        return oracle_is_zero_controllable_numeric(realization, tol), oracle_is_controllable_numeric(realization, tol)
-    a, b = realization.a, realization.b
-    a11, b1, s = a[np.ix_(reached, reached)], b[reached], a[np.ix_(survivors, survivors)]
-    image_ok = not np.linalg.matrix_power(s, n).any() if len(s) else True
-    hautus_ok = not len(_oracle_eigenvalues(s, tol)[1])
-    if len(reached):
-        krylov = [b1]
-        for _ in range(n - 1):
-            krylov.append(a11 @ krylov[-1])
-        ctrb = np.hstack(krylov)
-        image_ok &= numeric_rank(np.hstack([ctrb, np.linalg.matrix_power(a11, n)])) == numeric_rank(ctrb)
-        hautus_ok &= _oracle_hautus_ok(a11, b1, _oracle_eigenvalues(a11, tol)[1])
-    return _oracle_check(image_ok, hautus_ok), _oracle_check(False, False)
 
 
 def oracle_gf_pair(pattern_a, pattern_b, seed, stream=None):

@@ -609,6 +609,21 @@ def test_negative_exact_cap_is_rejected(example2_a):
     assert minimal_driver_set(PatternMatrix.zeros(3, 3), exact_cap=0).drivers == frozenset()
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, "2"])
+def test_non_integer_limits_are_refused(example2_a, bad):
+    """A limit or cap that is not an integer is refused as ``monte_carlo_verify``'s trials are, by
+    ``operator.index``; an integer of another type, as numpy's, is taken."""
+    message = r"object cannot be interpreted as an integer"
+    with pytest.raises(TypeError, match=message):
+        enumerate_minimal_driver_sets(example2_a, limit=bad)
+    with pytest.raises(TypeError, match=message):
+        enumerate_minimal_driver_sets(example2_a, exact_cap=bad)
+    with pytest.raises(TypeError, match=message):
+        minimal_driver_set(example2_a, exact_cap=bad)
+    assert enumerate_minimal_driver_sets(example2_a, limit=np.int64(2), exact_cap=np.int32(20)) == \
+        enumerate_minimal_driver_sets(example2_a, limit=2)
+
+
 # --- witnesses against the induced-subgraph reference ---------------------------------
 
 def test_witnesses_match_find_cycle_on_the_unreached_states():

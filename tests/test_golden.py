@@ -14,7 +14,13 @@ import warnings
 import numpy as np
 
 from oracles import oracle_driver_set_valid
-from zerocontrol import enumerate_minimal_driver_sets, parse_pattern_file
+from zerocontrol import (
+    build_b_pattern,
+    enumerate_minimal_driver_sets,
+    minimal_driver_set,
+    monte_carlo_verify,
+    parse_pattern_file,
+)
 from zerocontrol.cli import run_cli
 from zerocontrol.fileio import serialize_pattern_file
 from zerocontrol.patterns import PatternMatrix
@@ -93,6 +99,26 @@ def test_golden_driver_sets_are_exact_and_irreducible():
             drivers = {int(v[1:]) for v in ds.drivers}
             assert ds.minimal and oracle_driver_set_valid(a, drivers)
             assert not any(oracle_driver_set_valid(a, drivers - {d}) for d in drivers)
+
+
+def test_selected_drivers_decide_every_trial_and_each_is_needed():
+    """The paper's selection claim, decided by the exact engine on the golden
+    and tie corpora.  With D a pattern's minimal driver set, D wired as one
+    shared input or as one input per driver gives a structurally zero
+    controllable pair whose 5 trials all decide "yes"; D without any one of
+    its drivers gives a pair that is not, whose 5 trials all decide "no"."""
+    patterns = [parse_pattern_file(text)[0] for text in [text for text, _ in _corpus()] + _tie_corpus()]
+    removed = 0
+    for a in patterns:
+        selected = minimal_driver_set(a)
+        assert selected.minimal
+        for mode in ("shared", "per_driver"):
+            for drivers in [selected.drivers] + [selected.drivers - {d} for d in sorted(selected.drivers)]:
+                stats = monte_carlo_verify(a, build_b_pattern(a.n_rows, drivers, mode).pattern, trials=5)
+                expected = drivers == selected.drivers
+                assert (stats.zc_structural, stats.zc_agreements) == (expected, 5), (a, sorted(drivers), mode)
+                removed += not expected
+    assert removed > 2 * len(patterns)
 
 
 TIE_DIGEST = "933625f13a9bee4d736e5f07e1d785376fab0a1a537632f9418b2af69e18072d"

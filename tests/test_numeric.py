@@ -37,15 +37,13 @@ from oracles import (
     oracle_gf_checks,
     oracle_gf_pair,
     oracle_gf_sequence,
-    oracle_is_controllable_numeric,
-    oracle_is_zero_controllable_numeric,
     oracle_monte_carlo_verify,
     oracle_numerator,
     oracle_poly_mod,
     oracle_poly_times,
+    oracle_rational_checks,
     oracle_sample_realization,
     oracle_split,
-    oracle_split_checks,
     oracle_ziggurat_tables,
 )
 
@@ -227,27 +225,106 @@ def test_zero_controllability_matches_structure_on_example1(example1_a, example1
     assert true_hits >= 95
 
 
-# --- one decision per Hautus pencil ---------------------------------------------------
+# --- the single checks, exact ---------------------------------------------------------
 
-def test_checks_match_one_complex_svd_per_eigenvalue():
-    """Every field of both checks equals the split reference, which runs the
-    complex SVD of every pencil of (A11, B1), on 600 seeded realizations."""
-    rng = np.random.default_rng(31)
-    seen = set()
-    count = 0
-    for n in (12, 24, 40):
-        for k in range(200):
-            m = k % 3
-            a = random_pattern(rng, n, n, float(rng.uniform(1.0, 3.0)) / n)
-            b = random_pattern(rng, n, m, 1.5 / n) if m else None
-            r = sample_realization(a, b, seed=5000 + k)
-            for check, expected in zip((is_zero_controllable_numeric, is_controllable_numeric), oracle_split_checks(r)):
-                got = check(r)
-                assert got == expected, (n, k, check.__name__)
-                seen.add((check.__name__, got.verdict))
-            count += 1
-    assert count >= 600
-    assert len(seen) == 4  # both verdicts of both checks occur
+def test_single_checks_agree_with_the_structure_at_realistic_n():
+    """Pairs with about 1.5 n entries and one input entry, 10 structurally zero
+    controllable and 10 not at each of n = 40, 100 and 150, one realization
+    each: both single checks equal the structural verdicts on all 60, each
+    proven.  The float checks they replace agreed on a "yes" on 2 of 10 at
+    n = 40 and at n = 100."""
+    rng = np.random.default_rng(11)
+    for n in (40, 100, 150):
+        kinds = {True: [], False: []}
+        while min(map(len, kinds.values())) < 10:
+            a, b = sparse_pattern(rng, n, n, int(1.5 * n)), sparse_pattern(rng, n, 1, 1)
+            kinds[is_generically_zero_controllable(a, b).verdict].append((a, b))
+        for a, b in kinds[True][:10] + kinds[False][:10]:
+            r = sample_realization(a, b)
+            zc, ctrl = is_zero_controllable_numeric(r), is_controllable_numeric(r)
+            expected = is_generically_zero_controllable(a, b).verdict, is_generically_controllable(a, b).verdict
+            assert (zc.verdict, ctrl.verdict) == expected, (n, a, b)
+            assert zc == NumericCheck(*[zc.verdict] * 3, True) and ctrl == NumericCheck(*[ctrl.verdict] * 3, True)
+
+
+def test_a_non_finite_entry_is_refused_in_one_line():
+    """An infinite or NaN entry of A or B has no exact value: both checks
+    refuse it with one line, before any work."""
+    for bad in (np.inf, -np.inf, np.nan):
+        for r in (make_realization([[0.0, bad], [1.0, 0.0]], [[1.0], [0.0]]),
+                  make_realization([[0.0, 0.0], [1.0, 0.0]], [[bad], [0.0]])):
+            for check in (is_zero_controllable_numeric, is_controllable_numeric):
+                with pytest.raises(ValueError, match=r"^the realization has a non-finite entry, so no exact verdict$"):
+                    check(r)
+
+
+#: Float entries whose exact values stress a reading mod p: beyond float range when multiplied (C and A^n overflow
+#: float64 at n = 3), subnormal, 2^31 - 1 itself (0 mod p), and small integers that put pairs off the generic set.
+_EXACT_EDGES = (1e200, -1e200, 5e-324, -2.5e-310, 2147483647.0, 1.0, -1.0, 2.0, 0.5)
+
+
+def _hand_built_realizations():
+    """Pairs whose float verdicts were pinned against a complex-SVD reference: all-zero pencils, nilpotent and
+    diagonal A, a repeated eigenvalue and a conjugate pair; a pencil whose B entry is 10^-k, down to the least
+    subnormal, real or at +-i; and a fully reached chain of 1e200 entries, whose C and A^n overflow float64, beside
+    an unreached block of them.  Then rank-one A whose exact nilpotency rests on entries far apart in exponent."""
+    rng = np.random.default_rng(3)
+    nilpotent = np.triu(rng.uniform(0.5, 1.5, (5, 5)), k=1)
+    rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    big = 1e200
+    pairs = [
+        (np.zeros((3, 3)), np.zeros((3, 2))), (np.zeros((3, 3)), np.zeros((3, 0))),
+        (nilpotent, np.zeros((5, 1))), (nilpotent, np.eye(5)[:, [4]]), (nilpotent, np.zeros((5, 0))),
+        (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 0))), (np.array([[0.0, -2.0], [2.0, 0.0]]), np.zeros((2, 0))),
+        (np.diag([1.0, 1.0, 3.0]), np.array([[1.0], [1.0], [0.0]])), (rotation, np.array([[1.0], [0.0], [1.0]])),
+        (np.array([[0.0, 0.0, 0.0], [big, 0.0, 0.0], [0.0, big, 0.0]]), np.array([[big], [0.0], [0.0]])),
+        (np.array([[0.0, 0.0, 0.0], [0.0, big, big], [0.0, big, big]]), np.array([[1.0], [0.0], [0.0]])),
+    ]
+    for p, q, r in ((0, 40, 0), (300, -300, -200), (-200, 330, -300)):  # u w^T with w u = 0, entries 2^-1030 to 2^700
+        for sign in (1.0, -1.0):  # nilpotent, then not
+            pairs.append((np.array([[2.0**(p + r), -sign * 2.0**(2 * p + r - q)], [2.0**(q + r), -2.0**(p + r)]]),
+                          np.zeros((2, 0))))
+    for eps in [10.0**-k for k in range(3, 16)] + [5e-324]:
+        pairs += [(np.diag([1.0, 2.0]), np.array([[eps], [1.0]])), (np.diag([0.5, 1.0]), np.array([[1.0], [eps]])),
+                  (rotation[:2, :2], np.array([[eps], [0.0]])), (rotation, np.array([[eps], [0.0], [1.0]]))]
+    return [Realization(a, b, seed, ValueSpec()) for seed, (a, b) in enumerate(pairs)]
+
+
+def test_single_checks_equal_the_rational_oracle():
+    """Both single checks equal the rational oracle (elimination over the
+    floats' exact values) on the hand-built pairs and on 1000 seeded
+    realizations with n <= 12, most of them small, with about a third of their
+    entries swapped for the edge values above up to n = 6 (at n = 12, 1e200 and
+    subnormals together make the oracle's integers some 20 000 bits long and
+    cost it seconds); both verdicts of both checks occur, and every check is
+    proven.  An entry of 2^31 - 1 reads as 0 mod p, the limit stated in
+    ``numeric``: where one is present, the checks equal the oracle on the
+    realization with those entries 0, which differs from the oracle on the
+    realization itself on some of them."""
+    rng = np.random.default_rng(12)
+    realizations = _hand_built_realizations()
+    for seed in range(1000):
+        n, m = int(rng.choice([1, 2, 3, 4, 5, 6, 8, 12], p=[.1, .15, .2, .2, .15, .1, .06, .04])), int(rng.integers(3))
+        a = random_pattern(rng, n, n, float(rng.uniform(0.15, 0.6)))
+        r = sample_realization(a, random_pattern(rng, n, m, 0.5) if m else None, seed=seed)
+        for v in (r.a, r.b):
+            swap = (v != 0) & (rng.random(v.shape) < 0.3) & (n <= 6)
+            v[swap] = rng.choice(_EXACT_EDGES, size=int(swap.sum()))
+        realizations.append(r)
+    seen, edges, lost = Counter(), Counter(), 0
+    for r in realizations:
+        read = Realization(*(np.where(v == numeric._P, 0.0, v) for v in (r.a, r.b)), r.seed, r.value_spec)
+        expected = oracle_rational_checks(read)
+        if (r.a == numeric._P).any() or (r.b == numeric._P).any():
+            lost += expected != oracle_rational_checks(r)
+        got = is_zero_controllable_numeric(r), is_controllable_numeric(r)
+        assert tuple(check.verdict for check in got) == expected, (r.a, r.b, r.seed)
+        assert all(check.consistent for check in got)
+        seen.update(enumerate(expected))
+        edges.update(x for x in _EXACT_EDGES if (r.a == x).any() or (r.b == x).any())
+    assert set(seen) == {(0, False), (0, True), (1, False), (1, True)}, seen
+    assert min(edges[x] for x in _EXACT_EDGES) >= 50, edges
+    assert 0 < lost < edges[2147483647.0] / 2, (lost, edges)
 
 
 def _exact(a, b, seed, stream=None):
@@ -284,7 +361,7 @@ def _pcg64(seed, key=numeric._GF_KEY):
 class _Stream:
     """A trial's exact stream from numpy whose draws numbered in ``change``
     (from 1) are passed through ``change[draw]``, for the oracles: a trial's
-    first draw holds its values mod p, then alpha, v', v and u, and with
+    first draw holds its values mod p, its second alpha, v', v and u, and with
     m > 1 the feedback K; each later one is a redraw of alpha, when m > 1,
     and u."""
 
@@ -306,7 +383,8 @@ class _Words:
     def __init__(self, change, words):
         self.change, self.words, self.calls, self.stops = change, words, Counter(), Counter()
 
-    def __call__(self, seeds, start, count):
+    def __call__(self, seeds, start, count, key=numeric._GF_KEY):
+        assert key == numeric._GF_KEY
         words = self.words(seeds, start, count)
         for row, seed in zip(words, seeds):
             assert start == self.stops[seed], (seed, start, self.stops[seed])
@@ -329,9 +407,9 @@ def test_a_trial_is_flagged_once_when_both_checks_are_inconsistent(monkeypatch):
     = 0 refutes, so the trial is not proven by that draw.  With every u zero,
     each trial that takes the Krylov steps draws u the budgeted number of
     times, is flagged once though both of its checks are unproven, and takes
-    the conservative "no" on both; a trial that S settles draws once and is
-    not flagged.  With only the first u zero, each such trial draws twice and
-    every verdict is the oracle's."""
+    the conservative "no" on both; a trial that S settles draws its values
+    and its vectors once each and is not flagged.  With only the first u
+    zero, each such trial redraws once and every verdict is the oracle's."""
     strict_lower = PatternMatrix(5, 5, frozenset({(2, 1), (3, 1), (4, 3), (5, 4)}))
     cases = [_float_inconsistent_pair(), (strict_lower, PatternMatrix(5, 1, frozenset({(1, 1)}))),
              (EXAMPLE1_A, EXAMPLE1_B), (EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER)]
@@ -339,17 +417,17 @@ def test_a_trial_is_flagged_once_when_both_checks_are_inconsistent(monkeypatch):
     for a, b in cases:
         n1 = len(oracle_split(oracle_sample_realization(a, b, 0))[0])
         gains = b.n_cols * n1 if b.n_cols > 1 else 0  # K's words follow u
-        zero_u = {1: lambda words, n1=n1, gains=gains: np.r_[words[:len(words) - gains - n1],
+        zero_u = {2: lambda words, n1=n1, gains=gains: np.r_[words[:len(words) - gains - n1],
                                                              np.zeros(n1, dtype=np.uint64), words[len(words) - gains:]]}
-        every_u = zero_u | {draw: np.zeros_like for draw in range(2, numeric._GF_DRAWS + 1)}
+        every_u = zero_u | {draw: np.zeros_like for draw in range(3, numeric._GF_DRAWS + 2)}
         checks = [_exact(a, b, seed) for seed in range(10)]
         for change, draws in ((every_u, numeric._GF_DRAWS), (zero_u, 2)):
             words = _streams(monkeypatch, change)
             stats = monte_carlo_verify(a, b, trials=10, base_seed=0, check_controllability=True)
             monkeypatch.undo()
             calls = [words.calls[seed] for seed in range(10)]
-            krylov = [c > 1 for c in calls]
-            assert calls == [1 + (draws - 1) * k for k in krylov]
+            krylov = [c > 2 for c in calls]
+            assert calls == [2 + (draws - 1) * k for k in krylov]
             flagged = change is every_u
             assert stats.inconsistent_trials == sum(krylov) * flagged
             verdicts = [(False, False) if k and flagged else check for k, check in zip(krylov, checks)]
@@ -359,82 +437,6 @@ def test_a_trial_is_flagged_once_when_both_checks_are_inconsistent(monkeypatch):
                                                     if zc != stats.zc_structural)
         took.append(sum(krylov))
     assert took[1:] == [10, 0, 10]  # S settles Example 1, whose x5 loop is unreached
-
-
-def _last_over_cut(a, b, lam):
-    s = np.linalg.svd(np.hstack([a - lam * np.eye(len(a)), b]).astype(complex), compute_uv=False)
-    return s[-1] / (max(len(a), len(a) + b.shape[1]) * s[0] * 1e-10)
-
-
-def _near_the_cutoff(a, make_b, lam, over=1 + 2e-4):
-    """Scale the one small entry of B, twice, so that the pencil at lam has its
-    last singular value ``over`` times the rank cutoff, as closely as its SVD
-    resolves: by default just above the cutoff."""
-    eps = 1e-9
-    for _ in range(2):
-        eps /= _last_over_cut(a, make_b(eps), lam) / over
-    b = make_b(eps)
-    assert abs(_last_over_cut(a, b, lam) / over - 1) < 5e-4
-    return make_realization(a, b)
-
-
-def test_pencils_at_the_rank_cutoff_match_the_reference():
-    """A real or a conjugate pencil placed at (1 +- 10^-k) times the rank
-    cutoff, k = 3..15, at 1 + 2e-4 and at 10 times, first in its walk or
-    after a pencil that passes: both checks equal the complex-SVD reference,
-    and the reference finds the pencil full on some and deficient on others."""
-    rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
-    cases = [  # (A, B with its small entry eps, lam), lam first and then after 0.5
-        (np.diag([1.0, 2.0]), lambda eps: np.array([[eps], [1.0]]), 1.0),
-        (np.diag([0.5, 1.0]), lambda eps: np.array([[1.0], [eps]]), 1.0),
-        (rotation[:2, :2], lambda eps: np.array([[eps], [0.0]]), 1j),
-        (rotation, lambda eps: np.array([[eps], [0.0], [1.0]]), 1j),
-    ]
-    seen = set()
-    for a, make_b, lam in cases:
-        for overs in [(1 + 2e-4, 10.0)] + [(1 - 10.0**-k, 1 + 10.0**-k) for k in range(3, 16)]:
-            for over in overs:
-                r = _near_the_cutoff(a, make_b, lam, over)
-                expected = oracle_is_zero_controllable_numeric(r)
-                assert is_zero_controllable_numeric(r) == expected, (a.shape, lam, over)
-                assert is_controllable_numeric(r) == oracle_is_controllable_numeric(r), (a.shape, lam, over)
-                seen.add(expected.hautus_test)
-    assert seen == {False, True}
-
-
-def test_hand_built_pencils_match_the_reference():
-    rng = np.random.default_rng(3)
-    nilpotent = np.triu(rng.uniform(0.5, 1.5, (5, 5)), k=1)
-    cases = [
-        (np.zeros((3, 3)), np.zeros((3, 2))),  # every pencil is all zero: s1 == 0
-        (np.zeros((3, 3)), np.zeros((3, 0))),
-        (nilpotent, np.zeros((5, 1))),  # no nonzero eigenvalue
-        (nilpotent, np.eye(5)[:, [4]]),
-        (nilpotent, np.zeros((5, 0))),  # m = 0
-        (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 0))),
-        (np.array([[0.0, -2.0], [2.0, 0.0]]), np.zeros((2, 0))),
-        (np.diag([1.0, 1.0, 3.0]), np.array([[1.0], [1.0], [0.0]])),  # repeated eigenvalue
-        (np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]]), np.array([[1.0], [0.0], [1.0]])),  # +-i, 0.5
-    ]
-    for a, b in cases:
-        r = make_realization(a, b)
-        assert is_zero_controllable_numeric(r) == oracle_is_zero_controllable_numeric(r)
-        assert is_controllable_numeric(r) == oracle_is_controllable_numeric(r)
-
-
-def test_float_overflow_is_refused_in_one_line():
-    """A fully reached chain of n = 3 with entries of 1e200 overflows C and
-    A^n: both single checks refuse it in one line, with no float warning.  An
-    unreached survivor block whose power overflows decides "no", with no error."""
-    big = 1e200
-    chain = make_realization([[0.0, 0.0, 0.0], [big, 0.0, 0.0], [0.0, big, 0.0]], [[big], [0.0], [0.0]])
-    for check in (is_zero_controllable_numeric, is_controllable_numeric):
-        with pytest.raises(ValueError, match=r"^n=3: the controllability matrix or A\^n overflows float64, "
-                                             r"so no numeric verdict$"):
-            check(chain)
-    unreached = make_realization([[0.0, 0.0, 0.0], [0.0, big, big], [0.0, big, big]], [[1.0], [0.0], [0.0]])
-    for check in (is_zero_controllable_numeric, is_controllable_numeric):
-        assert check(unreached) == NumericCheck(False, False, False, True)
 
 
 # --- stacked trials --------------------------------------------------------------------
@@ -893,13 +895,14 @@ def test_the_cofactor_of_berlekamp_massey_inverts_the_numerator():
 
 
 def _two_cycle_draws(m=1, **words):
-    """The 2-cycle x1 <-> x2 driven at x1 by m inputs, and a change of each trial's first draw that sets the
-    words named: its draw is a12, a21, b11 ... b1m, alpha1 ... alpham, v1, v2, u1, u2, then K's 2 m words when
-    m > 1."""
+    """The 2-cycle x1 <-> x2 driven at x1 by m inputs, and a change of each trial's first two draws that sets the
+    words named: its values a12, a21, b11 ... b1m, then its vectors alpha1 ... alpham, v1, v2, u1, u2 and K's 2 m
+    words when m > 1."""
     names = ("a12", "a21", *(f"{x}{j}" for x in ("b1", "alpha") for j in range(1, m + 1)), "v1", "v2", "u1", "u2")
-    index = [names.index(name) for name in words]
-    change = {1: lambda drawn: np.array([words[names[i]] if i in index else word
-                                         for i, word in enumerate(drawn.tolist())], dtype=np.uint64)}
+    name = dict(enumerate(names))
+    change = {draw: lambda drawn, skip=skip: np.array([words.get(name.get(skip + i), word)
+                                                       for i, word in enumerate(drawn.tolist())], dtype=np.uint64)
+              for draw, skip in ((1, 0), (2, 2 + m))}
     b = PatternMatrix(2, m, frozenset((1, j) for j in range(1, m + 1)))
     return PatternMatrix(2, 2, frozenset({(1, 2), (2, 1)})), b, change
 
@@ -917,7 +920,7 @@ def test_a_zero_alpha_word_decides_as_the_oracle(monkeypatch):
         for ctrl in (False, True):
             stats, trials, krylov = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
             expected = [_exact(a, b, seed, lambda seed: _Stream(_pcg64(seed), change)) for seed in range(40, 45)]
-            assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), m) for e in expected], m
+            assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), 1 + m) for e in expected], m
             assert expected == [(True, True)] * 5
             assert (stats.zc_structural, stats.zc_agreements, stats.inconsistent_trials) == (True, 5, 0)
             assert sorted(nonzero for _, nonzero in krylov) == [False] * 5 * (m - 1) + [True] * 5
@@ -997,7 +1000,7 @@ def test_a_u_orthogonal_to_b_redraws_instead_of_deciding(monkeypatch):
         stats, trials, krylov = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
         expected = [_exact(a, b, seed, lambda seed: _Stream(_pcg64(seed), change))
                     for seed in range(40, 45)]
-        assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), 2) for e in expected]
+        assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), 3) for e in expected]
         assert expected == [(True, True)] * 5 and stats.inconsistent_trials == 0 and len(krylov) == 10
 
 
