@@ -14,15 +14,17 @@ term rank decides.  Every realization has A21 = 0, B2 = 0 and a strictly
 triangular peeled block there, so ZC(A, B) holds exactly when ZC(A11, B1) does
 and the survivor block S is nilpotent.
 
-One exact engine decides every pair over GF(p), p = 2^31 - 1.
-``monte_carlo_verify`` (so ``verify``) draws each trial's values mod p from the
-trial's own stream: numpy's SeedSequence/PCG64 words, computed here bit for bit.
-``sample_realization`` and ``simulate``'s random x0 compute numpy's uniform and
-standard normal draws from such words too, so on numpy >= 2 no subcommand
-imports numpy.random.  The single checks (``is_zero_controllable_numeric``,
-``is_controllable_numeric``) read a float realization's entries exactly mod p,
-as a finite float is M 2^e for an integer M (Goldberg 1991) and 2^31 = 1 mod p,
-and decide one trial on the split of the entries that stay nonzero.  For a fixed
+One exact engine decides every pair over GF(p), p = 2^31 - 1.  Each trial of
+``monte_carlo_verify`` (so ``verify``) reads its values mod p and then its
+vectors in one read of its own stream, under one key: numpy's SeedSequence/PCG64
+words, computed here bit for bit.  ``sample_realization`` and ``simulate``'s
+random x0 compute numpy's uniform and standard normal draws from such words too,
+so on numpy >= 2 no subcommand imports numpy.random.  The single checks
+(``is_zero_controllable_numeric``, ``is_controllable_numeric``) read a float
+realization's entries exactly mod p, as a finite float is M 2^e for an integer M
+(Goldberg 1991) and 2^31 = 1 mod p, on the split of the entries that stay
+nonzero: each is the ``verify`` trial of the realization's seed, with those
+values in place of the drawn ones.  For a fixed
 rational realization the reduction mod p can change a rank only when p divides
 one of finitely many integers that the realization fixes (an entry of 2^31 - 1
 reads as 0, say); no draw makes that rarer.  S is not nilpotent when S^k v' != 0
@@ -193,8 +195,8 @@ def is_zero_controllable_numeric(realization: Realization, tol: float = DEFAULT_
 
 
 def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
-    """One exact trial of ``_gf_decide`` on the realization's entries read exactly mod _P, on the split that their
-    nonzeros give, with its vectors drawn from its seed's stream under _SINGLE_KEY."""
+    """The ``verify`` trial of the realization's seed, on the split that its nonzeros give, with its entries read
+    exactly mod _P in place of the drawn values."""
     _check_tol(tol)
     a, b = realization.a, realization.b
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -209,9 +211,8 @@ def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
         return NumericCheck(False, False, False, True)
     values = np.concatenate([_exact_residues(v[rows - 1, cols - 1]) for v, (rows, cols) in
                              zip((a, b), map(_entries, patterns))])
-    plan = _gf_plan(*patterns, at, n1, k)
-    zc_ok, ctrl_ok, proven = _gf_decide(plan, *b.shape, n1, k, values[:, None], _seeds(realization.seed, 1),
-                                        not zc, _SINGLE_KEY)
+    zc_ok, ctrl_ok, proven = _gf_decide(_gf_plan(*patterns, at, n1, k), *b.shape, n1, k,
+                                        _seeds(realization.seed, 1), not zc, values[:, None])
     verdict = bool((zc_ok if zc else ctrl_ok)[0])
     return NumericCheck(verdict, verdict, verdict, bool(proven[0]))
 
@@ -321,13 +322,10 @@ _P = 2**31 - 1
 
 #: The spawn key of each trial's exact stream, numpy's PCG64(SeedSequence(base_seed + i, spawn_key=_GF_KEY)), so a
 #: trial replays in numpy.random and ``simulate``'s draws, from the empty key, do not move.  ``_gf_words`` computes
-#: both bit for bit, so on numpy >= 2 no subcommand imports numpy.random.  A trial draws its values mod _P, then
-#: its vectors and feedback, then once per redraw: of alpha, when m > 1, and u.
+#: both bit for bit, so on numpy >= 2 no subcommand imports numpy.random.  A trial reads its stream once, its values
+#: mod _P and then its vectors and feedback, and reads on once per redraw: alpha, when m > 1, and u.  A single check
+#: reads its realization's seed's stream alike, and puts its exact values in place of the words read for them.
 _GF_KEY = (1,)
-
-#: The spawn key of a single check's vectors, drawn from its realization's seed as a trial's are, after as many
-#: words as the realization has nonzeros; neither ``verify``'s nor ``simulate``'s words move.
-_SINGLE_KEY = (2,)
 
 #: SeedSequence's hash constants (INIT_A, MULT_A), (INIT_B, MULT_B) and (MIX_MULT_L, MIX_MULT_R); PCG64's multiplier.
 _HASH, _MIX = ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)), (np.uint32(0xCA01F9DD), np.uint32(0x4973F715))
@@ -450,9 +448,9 @@ def _residues(words: np.ndarray, low: int = 0) -> np.ndarray:
 
 
 def _gf_plan(pattern_a: PatternMatrix, pattern_b: PatternMatrix, at: np.ndarray, n1: int, k: int) -> tuple:
-    """Where a trial's drawn values go on the split.  The values are drawn per entry in ``_entries`` order, A's
-    then B's.  Returns the mat-vec plans of A11, of A11 and its transpose side by side (block diagonal), and of
-    S; then, for B1, the indices of its values, their rows and their columns."""
+    """Where a trial's values go on the split.  The values come one per entry in ``_entries`` order, A's then B's.
+    Returns the mat-vec plans of A11, of A11 and its transpose side by side (block diagonal), and of S; then, for
+    B1, the indices of its values, their rows and their columns; then the number of values."""
     rows, cols = (at[v] for v in _entries(pattern_a))
     lo = len(at) - 1 - k  # the first survivor's position
     a11, s = (rows < n1) & (cols < n1), (rows >= lo) & (cols >= lo)
@@ -460,7 +458,7 @@ def _gf_plan(pattern_a: PatternMatrix, pattern_b: PatternMatrix, at: np.ndarray,
     blocks = (_mv_plan(index, r, c), _mv_plan(np.r_[index, index], np.r_[r, c + n1], np.r_[c, r + n1]),
               _mv_plan(np.flatnonzero(s), rows[s] - lo, cols[s] - lo))
     b_rows, b_cols = _entries(pattern_b)
-    return blocks, (len(rows) + np.arange(len(b_rows)), at[b_rows], b_cols - 1)
+    return blocks, (len(rows) + np.arange(len(b_rows)), at[b_rows], b_cols - 1), len(rows) + len(b_rows)
 
 
 def _mv_plan(index: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
@@ -492,11 +490,9 @@ def _gf_matvec(x: np.ndarray, vals: np.ndarray, block: tuple) -> np.ndarray:
 
 
 def _gf_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sums mod _P over the first axis of x y, each product folded first.  ``sum`` is slow over a long first axis
-    of short rows, as a Krylov step of one trial at n1 = 5875 has (119 us for rows of 2, 4 us for rows of 1): there
-    einsum is 4 times faster, and it wins from about 100 rows of two entries or more."""
-    z = _fold(x * y)
-    return (np.einsum("i...->...", z) if z.size > len(z) > 100 else z.sum(axis=0)) % _P
+    """Sums mod _P over the first axis of x y, each product folded first, by einsum: ``sum`` is slow over a long
+    first axis of short rows, as a Krylov step of one trial has."""
+    return np.einsum("i...->...", _fold(x * y)) % _P
 
 
 def _berlekamp_massey(a: np.ndarray, most: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -597,14 +593,14 @@ def _gf_krylov(a11: tuple, both: tuple, values: np.ndarray, b: np.ndarray, v: np
     return ~y[:, 0].any(axis=0) & (sigma != 0), ~y[:, 1].any(axis=0), r == n1
 
 
-def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, values: np.ndarray, seeds: range | list[int],
-               ctrl: bool, key: tuple) -> tuple:
+def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, seeds: range | list[int], ctrl: bool,
+               values: np.ndarray | None = None) -> tuple:
     """Exact verdicts of a chunk of trials over GF(_P) on the reachable split, where ZC(A, B) holds exactly when
-    ZC(A11, B1) does and S is nilpotent.  ``values`` holds each trial's values mod _P, one row per entry in
-    ``_entries`` order, A's then B's, and one column per trial.  A trial's vectors are the words of its seed's
-    stream under ``key`` from the values' count on: alpha, v', v and u, and with m > 1 the feedback K, m by n1, row
-    by row.  A redraw takes the next words: alpha when m > 1, then u.  Returns per trial whether it is ZC, whether
-    it is controllable and whether it was proven.
+    ZC(A11, B1) does and S is nilpotent.  Each trial reads its seed's stream once, all trials in one call: its
+    values mod _P, one per entry in ``_entries`` order, A's then B's; then alpha, v', v and u, and with m > 1 the
+    feedback K, m by n1, row by row.  ``values``, one row per entry and one column per trial, takes the place of
+    the values read.  A redraw reads on: alpha when m > 1, then u.  Returns per trial whether it is ZC, whether it
+    is controllable and whether it was proven.
 
     (vi) S^k v' != 0 proves that S is not nilpotent.  (A11, B1) is decided by the Krylov steps on one input, the
     pair (M, b) = (A11 + B1 K, B1 alpha), with K = 0 when m = 1.  Feedback changes neither verdict: C(M, B1) =
@@ -612,12 +608,13 @@ def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, values: np.ndarray,
     inside it, so a "yes" holds for any K and alpha, and by Heymann's lemma (Heymann 1968; Hautus 1977) it is all
     of it for generic ones, as bounded at ``_P``.  A reached block has B1 != 0, so b = 0 would give a wrong "no":
     the trial redraws alpha instead, as it redraws u when u b = 0."""
-    (a11, both, s), (b_index, b_rows, b_cols) = plan
-    t, fed = values.shape[1], m if m > 1 else 0  # the rows of K
-    start, count = len(values), m + k + (2 + fed) * n1
-    words = _gf_words(seeds, start, count, key).T
-    alpha = _residues(words[:m], 1)
-    v_s, v, u, gain = np.split(_residues(words[m:]), np.cumsum([k, n1, n1]))
+    (a11, both, s), (b_index, b_rows, b_cols), entries = plan
+    t, fed = len(seeds), m if m > 1 else 0  # the rows of K
+    count = entries + m + k + (2 + fed) * n1
+    words = _gf_words(seeds, 0, count).T
+    values = _residues(words[:entries], 1) if values is None else values
+    alpha = _residues(words[entries:entries + m], 1)
+    v_s, v, u, gain = np.split(_residues(words[entries + m:]), np.cumsum([k, n1, n1]))
     zc, controllable, proven = np.ones(t, dtype=bool), np.full(t, n1 == n), np.ones(t, dtype=bool)
     if k:
         x, vals = v_s[:, None], values[s[0]]
@@ -631,7 +628,7 @@ def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, values: np.ndarray,
     b1[b_cols, b_rows] = values[b_index]
     for draw in range(_GF_DRAWS):
         if draw:
-            fresh = _gf_words([seeds[i] for i in todo], start + count + (draw - 1) * (fed + n1), fed + n1, key).T
+            fresh = _gf_words([seeds[i] for i in todo], count + (draw - 1) * (fed + n1), fed + n1).T
             if fed:
                 alpha[:, todo] = _residues(fresh[:fed], 1)
             u[:, todo] = _residues(fresh[-n1:])
@@ -688,28 +685,21 @@ def monte_carlo_verify(
     zc_structural = not k  # the survivors lie on or after an unreached cycle
     # a pair whose inputs reach every state is controllable exactly when [A B] has term rank n
     ctrl_structural = (n1 == n and generic_rank(pattern_a.hstack(pattern_b)) == n) if check_controllability else None
-    zc_agree = ctrl_agree = inconsistent = 0
-    disagreeing = []
     plan = _gf_plan(pattern_a, pattern_b, at, n1, k)
     nnz, gains = len(pattern_a._coords[0]), m * n1 if m > 1 else 0
-    entries = nnz + len(pattern_b._coords[0])
-    drawn = entries + m + k + 2 * n1 + gains  # values, then alpha, v', v, u and K
+    drawn = plan[-1] + m + k + 2 * n1 + gains  # values, then alpha, v', v, u and K
     # per trial: A's entries gathered for two vectors, the Krylov sequences and polynomials, S's vector, and feedback
     chunk = max(1, _STACK_ENTRIES // max(2 * nnz + 16 * n1 + k + 12 * gains, drawn, 1))
-    for batch in (seeds[start:start + chunk] for start in range(0, trials, chunk)):
-        values = _residues(_gf_words(batch, 0, entries).T, 1)
-        zc, controllable, proven = _gf_decide(plan, n, m, n1, k, values, batch, check_controllability, _GF_KEY)
-        zc_agree += int(np.sum(zc == zc_structural))
-        disagreeing += [seed for seed, verdict in zip(batch, zc) if verdict != zc_structural]
-        ctrl_agree += int(np.sum(controllable == ctrl_structural))
-        inconsistent += int(np.sum(~proven))
+    zc, controllable, proven = map(np.concatenate, zip(*(
+        _gf_decide(plan, n, m, n1, k, seeds[start:start + chunk], check_controllability)
+        for start in range(0, trials, chunk))))
     return MonteCarloStats(
         trials=trials,
         base_seed=base_seed,
         zc_structural=zc_structural,
-        zc_agreements=zc_agree,
-        inconsistent_trials=inconsistent,
-        disagreeing_seeds=tuple(disagreeing),
+        zc_agreements=int(np.sum(zc == zc_structural)),
+        inconsistent_trials=int(np.sum(~proven)),
+        disagreeing_seeds=tuple(seeds[i] for i in np.flatnonzero(zc != zc_structural).tolist()),
         ctrl_structural=ctrl_structural,
-        ctrl_agreements=ctrl_agree if check_controllability else None,
+        ctrl_agreements=int(np.sum(controllable == ctrl_structural)) if check_controllability else None,
     )

@@ -9,7 +9,10 @@ Numeric commands are left out because their floats depend on the BLAS build;
 """
 
 import hashlib
+import random
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -17,13 +20,18 @@ from oracles import oracle_driver_set_valid
 from zerocontrol import (
     build_b_pattern,
     enumerate_minimal_driver_sets,
+    greedy_driver_set,
     minimal_driver_set,
     monte_carlo_verify,
     parse_pattern_file,
+    validate_driver_set,
 )
 from zerocontrol.cli import run_cli
 from zerocontrol.fileio import serialize_pattern_file
 from zerocontrol.patterns import PatternMatrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import scale_ladder  # noqa: E402
 
 # moved once on purpose, when the exact-search cap came to count the classes
 # of one independent block: corpus patterns 73 and 107 (27 and 33 candidate
@@ -101,24 +109,72 @@ def test_golden_driver_sets_are_exact_and_irreducible():
             assert not any(oracle_driver_set_valid(a, drivers - {d}) for d in drivers)
 
 
+def _assert_the_selection_claim(a, selected, trials):
+    """D = ``selected`` wired as one shared input or as one input per driver
+    gives a structurally zero controllable pair whose ``trials`` exact trials
+    all decide "yes".  When D is minimal, D without any one of its drivers is
+    invalid and gives a pair that is not, whose trials all decide "no".
+    Returns the number of pairs without a driver."""
+    removals = [selected.drivers - {d} for d in sorted(selected.drivers)] if selected.minimal else []
+    assert selected.valid and not any(validate_driver_set(a, drivers).valid for drivers in removals)
+    for mode in ("shared", "per_driver"):
+        for drivers in [selected.drivers] + removals:
+            stats = monte_carlo_verify(a, build_b_pattern(a.n_rows, drivers, mode).pattern, trials=trials)
+            expected = drivers == selected.drivers
+            assert (stats.zc_structural, stats.zc_agreements) == (expected, trials), (a, sorted(drivers), mode)
+            assert stats.inconsistent_trials == 0
+    return 2 * len(removals)
+
+
 def test_selected_drivers_decide_every_trial_and_each_is_needed():
     """The paper's selection claim, decided by the exact engine on the golden
-    and tie corpora.  With D a pattern's minimal driver set, D wired as one
-    shared input or as one input per driver gives a structurally zero
-    controllable pair whose 5 trials all decide "yes"; D without any one of
-    its drivers gives a pair that is not, whose 5 trials all decide "no"."""
+    and tie corpora, 5 trials a pair, with D a pattern's minimal driver set."""
     patterns = [parse_pattern_file(text)[0] for text in [text for text, _ in _corpus()] + _tie_corpus()]
     removed = 0
     for a in patterns:
         selected = minimal_driver_set(a)
         assert selected.minimal
-        for mode in ("shared", "per_driver"):
-            for drivers in [selected.drivers] + [selected.drivers - {d} for d in sorted(selected.drivers)]:
-                stats = monte_carlo_verify(a, build_b_pattern(a.n_rows, drivers, mode).pattern, trials=5)
-                expected = drivers == selected.drivers
-                assert (stats.zc_structural, stats.zc_agreements) == (expected, 5), (a, sorted(drivers), mode)
-                removed += not expected
+        removed += _assert_the_selection_claim(a, selected, 5)
     assert removed > 2 * len(patterns)
+
+
+def _cover_pattern(rng, targets, feeders, k):
+    """``targets`` disjoint cycles of length 1, 1, 2, 2 or 3, fed by
+    ``feeders`` states each wired into ``k`` distinct random cycles: the
+    recipe of the benchmark's cover-search patterns."""
+    entries, cycles, n = set(), [], 0
+    for _ in range(targets):
+        nodes = list(range(n + 1, n + rng.choice((1, 1, 2, 2, 3)) + 1))
+        n += len(nodes)
+        entries |= {(dst, src) for src, dst in zip(nodes, nodes[1:] + nodes[:1])}
+        cycles.append(nodes)
+    for _ in range(feeders):
+        n += 1
+        entries |= {(rng.choice(cycles[t]), n) for t in rng.sample(range(targets), k)}
+    return PatternMatrix(n, n, frozenset(entries))
+
+
+def test_the_selection_claim_holds_at_ladder_and_cover_sizes():
+    """The selection claim at n <= 10^3, 2 trials a pair: on the scale
+    ladder's n = 1000 patterns of seeds 1 and 2 without their input, with D
+    from ``greedy_driver_set`` and from ``minimal_driver_set``; and on the
+    five cover-search shapes, 14-40 target cycles, with D from
+    ``minimal_driver_set(a, exact_cap=80)``, where every set is minimal."""
+    removed = 0
+    for seed in (1, 2):
+        text = scale_ladder.pattern_text(1000, seed)
+        a, _ = parse_pattern_file("".join(line for line in text.splitlines(True) if not line.startswith(("m ", "b "))))
+        selected, greedy = minimal_driver_set(a), greedy_driver_set(a)
+        assert selected.minimal and greedy.size >= selected.size
+        _assert_the_selection_claim(a, greedy, 2)
+        removed += _assert_the_selection_claim(a, selected, 2)
+    rng = random.Random(44)
+    for targets, feeders, k in ((14, 30, 3), (20, 20, 3), (26, 16, 4), (32, 12, 4), (40, 10, 5)):
+        a = _cover_pattern(rng, targets, feeders, k)
+        selected = minimal_driver_set(a, exact_cap=80)
+        assert selected.minimal
+        removed += _assert_the_selection_claim(a, selected, 2)
+    assert removed >= 2 * (2 + 5 * 5)
 
 
 TIE_DIGEST = "933625f13a9bee4d736e5f07e1d785376fab0a1a537632f9418b2af69e18072d"

@@ -359,11 +359,13 @@ def _pcg64(seed, key=numeric._GF_KEY):
 
 
 class _Stream:
-    """A trial's exact stream from numpy whose draws numbered in ``change``
-    (from 1) are passed through ``change[draw]``, for the oracles: a trial's
-    first draw holds its values mod p, its second alpha, v', v and u, and with
-    m > 1 the feedback K; each later one is a redraw of alpha, when m > 1,
-    and u."""
+    """A trial's exact stream from numpy whose reads numbered in ``change``
+    (from 1) are passed through ``change[read]``, for the oracles, numbered as
+    the engine reads: read 1 holds the trial's values mod p, then alpha, v', v
+    and u, and with m > 1 the feedback K; read j >= 2 is redraw j - 1, of
+    alpha, when m > 1, and u.  The oracles read the values alone, the start of
+    read 1, so a change of read 1 must act on words by their place from the
+    start."""
 
     def __init__(self, stream, change):
         self.stream, self.change, self.calls = stream, change, 0
@@ -375,10 +377,11 @@ class _Stream:
 
 
 class _Words:
-    """``numeric._gf_words`` that passes each trial's draws numbered in
-    ``change`` (from 1) through ``change[draw]``, as ``_Stream`` does, and
-    counts each trial's draws.  A draw must start where the trial's last one
-    stopped, so ``stops`` is where each trial's stream stands."""
+    """``numeric._gf_words`` that passes each trial's reads numbered in
+    ``change`` (from 1) through ``change[read]``, as ``_Stream`` does, and
+    counts each trial's reads.  A read must be under the trials' key and start
+    where the trial's last one stopped, so ``stops`` is where each trial's
+    stream stands."""
 
     def __init__(self, change, words):
         self.change, self.words, self.calls, self.stops = change, words, Counter(), Counter()
@@ -407,9 +410,10 @@ def test_a_trial_is_flagged_once_when_both_checks_are_inconsistent(monkeypatch):
     = 0 refutes, so the trial is not proven by that draw.  With every u zero,
     each trial that takes the Krylov steps draws u the budgeted number of
     times, is flagged once though both of its checks are unproven, and takes
-    the conservative "no" on both; a trial that S settles draws its values
-    and its vectors once each and is not flagged.  With only the first u
-    zero, each such trial redraws once and every verdict is the oracle's."""
+    the conservative "no" on both; a trial that S settles reads its values
+    and its vectors once, in one read, and is not flagged.  With only the
+    first u zero, each such trial redraws once and every verdict is the
+    oracle's."""
     strict_lower = PatternMatrix(5, 5, frozenset({(2, 1), (3, 1), (4, 3), (5, 4)}))
     cases = [_float_inconsistent_pair(), (strict_lower, PatternMatrix(5, 1, frozenset({(1, 1)}))),
              (EXAMPLE1_A, EXAMPLE1_B), (EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER)]
@@ -417,17 +421,17 @@ def test_a_trial_is_flagged_once_when_both_checks_are_inconsistent(monkeypatch):
     for a, b in cases:
         n1 = len(oracle_split(oracle_sample_realization(a, b, 0))[0])
         gains = b.n_cols * n1 if b.n_cols > 1 else 0  # K's words follow u
-        zero_u = {2: lambda words, n1=n1, gains=gains: np.r_[words[:len(words) - gains - n1],
+        zero_u = {1: lambda words, n1=n1, gains=gains: np.r_[words[:len(words) - gains - n1],
                                                              np.zeros(n1, dtype=np.uint64), words[len(words) - gains:]]}
-        every_u = zero_u | {draw: np.zeros_like for draw in range(3, numeric._GF_DRAWS + 2)}
+        every_u = zero_u | {read: np.zeros_like for read in range(2, numeric._GF_DRAWS + 1)}
         checks = [_exact(a, b, seed) for seed in range(10)]
         for change, draws in ((every_u, numeric._GF_DRAWS), (zero_u, 2)):
             words = _streams(monkeypatch, change)
             stats = monte_carlo_verify(a, b, trials=10, base_seed=0, check_controllability=True)
             monkeypatch.undo()
             calls = [words.calls[seed] for seed in range(10)]
-            krylov = [c > 2 for c in calls]
-            assert calls == [2 + (draws - 1) * k for k in krylov]
+            krylov = [c > 1 for c in calls]
+            assert calls == [1 + (draws - 1) * k for k in krylov]
             flagged = change is every_u
             assert stats.inconsistent_trials == sum(krylov) * flagged
             verdicts = [(False, False) if k and flagged else check for k, check in zip(krylov, checks)]
@@ -520,6 +524,71 @@ def test_one_trial_decides_as_the_single_check(monkeypatch):
     assert seen == {(True, True), (False, False)}
 
 
+def _reads(monkeypatch):
+    """Record every ``numeric._gf_words`` call as (seeds, start, count, key) while the test runs."""
+    calls, words = [], numeric._gf_words
+
+    def spy(seeds, start, count, key=numeric._GF_KEY):
+        calls.append((list(seeds), start, count, key))
+        return words(seeds, start, count, key)
+
+    monkeypatch.setattr(numeric, "_gf_words", spy)
+    return calls
+
+
+def test_a_trial_reads_its_stream_once(monkeypatch):
+    """With no redraw, ``monte_carlo_verify`` calls ``_gf_words`` once per
+    chunk, for all of the chunk's trials, from word 0 under ``_GF_KEY``; in
+    one chunk and in one chunk per trial, with one input and with two.  A
+    single check calls it once for its seed alike, or not at all when the
+    controllability check finds a state that no input reaches."""
+    for a, b in ((EXAMPLE1_A, EXAMPLE1_B), (EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER)):
+        for cap, chunks in ((numeric._STACK_ENTRIES, [list(range(10))]), (1, [[seed] for seed in range(10)])):
+            calls = _reads(monkeypatch)
+            monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
+            monte_carlo_verify(a, b, trials=10, base_seed=0, check_controllability=True)
+            monkeypatch.undo()
+            assert [(seeds, start, key) for seeds, start, _, key in calls] == [(c, 0, numeric._GF_KEY) for c in chunks]
+            assert len({count for _, _, count, _ in calls}) == 1
+        reached = numeric._reachable_split(numeric.build_graph(a, b))[2] == a.n_rows
+        realization = sample_realization(a, b, seed=7)
+        for check, reads in ((is_zero_controllable_numeric, 1), (is_controllable_numeric, int(reached))):
+            calls = _reads(monkeypatch)
+            check(realization)
+            monkeypatch.undo()
+            assert [(seeds, start, key) for seeds, start, _, key in calls] == [([7], 0, numeric._GF_KEY)] * reads
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_single_check_is_the_verify_trial_of_its_seed(m, monkeypatch):
+    """Trial s of ``monte_carlo_verify`` draws residues below 2^31, exact as
+    floats.  The single checks of the realization with those values and seed
+    s read the words that trial s reads first, and decide as
+    ``oracle_gf_checks`` on those values: on 40 seeded pairs with n <= 8,
+    where both verdicts of both checks occur."""
+    rng, seen = np.random.default_rng(86 + m), set()
+    for k in range(40):
+        n, seed = int(rng.integers(1, 9)), 7000 + k
+        a = random_pattern(rng, n, n, float(rng.uniform(0.15, 0.5)))
+        b = random_pattern(rng, n, m, float(rng.uniform(0.2, 0.6)))
+        a_values, b_values = oracle_gf_pair(a, b, seed)
+        realization = Realization(np.array(a_values, dtype=float), np.array(b_values, dtype=float).reshape(n, m),
+                                  seed, ValueSpec())
+        calls = _reads(monkeypatch)
+        monte_carlo_verify(a, b, trials=1, base_seed=seed)
+        first, reads = calls[0], []
+        for check in (is_zero_controllable_numeric, is_controllable_numeric):
+            calls.clear()
+            reads.append((check(realization), calls[:1]))
+        monkeypatch.undo()
+        expected = oracle_gf_checks(a_values, b_values, numeric._P)
+        assert tuple(result.verdict for result, _ in reads) == expected, (k, a, b)
+        assert all(result.consistent for result, _ in reads)
+        assert reads[0][1] == [first] and reads[1][1] in ([first], []), k
+        seen.update(enumerate(expected))
+    assert set(seen) == {(0, False), (0, True), (1, False), (1, True)}, seen
+
+
 def test_stacked_calls_stay_under_the_entry_cap(monkeypatch):
     """Every stacked mat-vec gathers at most the cap's entries (entries times
     vectors times trials), at the default cap with n = 40, m = 2 and 100
@@ -571,7 +640,7 @@ def _stacking_cases():
 
 def _per_trial(monkeypatch, a, b, trials, base_seed, ctrl, cap=None, change=None):
     """Run ``monte_carlo_verify``, its streams changed as ``_Words`` says, and return its statistics, then per
-    trial its verdicts and proof from the exact engine, the number of draws it made from its stream and the
+    trial its verdicts and proof from the exact engine, the number of reads it made from its stream and the
     next words there, then each attempt of the Krylov steps: the trial's v, and whether its b was nonzero."""
     decided, krylov, words = [], [], _streams(monkeypatch, change or {})
     decide, steps = numeric._gf_decide, numeric._gf_krylov
@@ -731,7 +800,7 @@ def test_gf_words_hold_their_temporaries_within_the_stack_cap(monkeypatch):
 
 
 def _small(a, b):
-    """A change of each trial's first draw that takes every value from {1, 2}: pairs off the generic set, and
+    """A change of each trial's first read that takes every value from {1, 2}: pairs off the generic set, and
     both verdicts, become common."""
     values = len(a.nonzeros) + (len(b.nonzeros) if b is not None else 0)
     return {1: lambda words: np.r_[words[:values] % 2, words[values:]]}
@@ -895,14 +964,13 @@ def test_the_cofactor_of_berlekamp_massey_inverts_the_numerator():
 
 
 def _two_cycle_draws(m=1, **words):
-    """The 2-cycle x1 <-> x2 driven at x1 by m inputs, and a change of each trial's first two draws that sets the
-    words named: its values a12, a21, b11 ... b1m, then its vectors alpha1 ... alpham, v1, v2, u1, u2 and K's 2 m
-    words when m > 1."""
+    """The 2-cycle x1 <-> x2 driven at x1 by m inputs, and a change of each trial's first read that sets the words
+    named: its values a12, a21, b11 ... b1m, then its vectors alpha1 ... alpham, v1, v2, u1, u2 and K's 2 m words
+    when m > 1."""
     names = ("a12", "a21", *(f"{x}{j}" for x in ("b1", "alpha") for j in range(1, m + 1)), "v1", "v2", "u1", "u2")
     name = dict(enumerate(names))
-    change = {draw: lambda drawn, skip=skip: np.array([words.get(name.get(skip + i), word)
-                                                       for i, word in enumerate(drawn.tolist())], dtype=np.uint64)
-              for draw, skip in ((1, 0), (2, 2 + m))}
+    change = {1: lambda drawn: np.array([words.get(name.get(i), word) for i, word in enumerate(drawn.tolist())],
+                                        dtype=np.uint64)}
     b = PatternMatrix(2, m, frozenset((1, j) for j in range(1, m + 1)))
     return PatternMatrix(2, 2, frozenset({(1, 2), (2, 1)})), b, change
 
@@ -913,14 +981,14 @@ def test_a_zero_alpha_word_decides_as_the_oracle(monkeypatch):
     2-cycle equals the oracle, ZC and controllable, in one draw.  With two
     inputs of equal value at x1, alpha = (1, p - 1) lies in ker B1 and makes
     b = 0, which would read as a "no": each trial redraws alpha, so it makes
-    one more draw from its stream, and its second Krylov attempt, on a
+    one more read from its stream, and its second Krylov attempt, on a
     nonzero b, decides as the oracle does."""
     for m, words in ((1, {"alpha1": 0}), (2, {"b11": 0, "b12": 0, "alpha1": 0, "alpha2": numeric._P - 2})):
         a, b, change = _two_cycle_draws(m, **words)
         for ctrl in (False, True):
             stats, trials, krylov = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
             expected = [_exact(a, b, seed, lambda seed: _Stream(_pcg64(seed), change)) for seed in range(40, 45)]
-            assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), 1 + m) for e in expected], m
+            assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), m) for e in expected], m
             assert expected == [(True, True)] * 5
             assert (stats.zc_structural, stats.zc_agreements, stats.inconsistent_trials) == (True, 5, 0)
             assert sorted(nonzero for _, nonzero in krylov) == [False] * 5 * (m - 1) + [True] * 5
@@ -1000,7 +1068,7 @@ def test_a_u_orthogonal_to_b_redraws_instead_of_deciding(monkeypatch):
         stats, trials, krylov = _per_trial(monkeypatch, a, b, 5, 40, ctrl, change=change)
         expected = [_exact(a, b, seed, lambda seed: _Stream(_pcg64(seed), change))
                     for seed in range(40, 45)]
-        assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), 3) for e in expected]
+        assert [(verdicts, calls) for verdicts, calls, _ in trials] == [(e + (True,), 2) for e in expected]
         assert expected == [(True, True)] * 5 and stats.inconsistent_trials == 0 and len(krylov) == 10
 
 
