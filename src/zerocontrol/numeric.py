@@ -1,5 +1,7 @@
 """Numerical cross-validation of structural verdicts: random admissible
 realizations, exact rank tests over GF(p), deadbeat steering, Monte Carlo runs.
+Steering solves on the states that the inputs reach, the only rows of its Gram
+that are not exactly zero (``deadbeat_steer``).
 
 Structural claims are generic: they hold for all parameter values outside a
 measure-zero set.  No finite computation certifies that, so this module
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _reachable_split, build_graph
+from .graph import _input_reach, _reachable_split, build_graph
 from .patterns import PatternMatrix, _pair
 from .structural import generic_rank
 
@@ -62,8 +64,9 @@ DEFAULT_TOL = 1e-8
 #: Relative singular-value cutoff for numeric rank decisions.
 RANK_REL_TOL = 1e-10
 
-#: Most matrix entries deadbeat steering may need: over ``steps`` steps it builds n-by-steps blocks, one per input
-#: column and one for the state, 256 MiB each at 2^25 entries.  The exact trials make nothing n by n.
+#: Most matrix entries deadbeat steering may need: over ``steps`` steps it builds n1-by-steps Gram blocks, one per
+#: input column, for the n1 <= n states the inputs reach, and the n-by-steps trajectory; at most n-by-steps each,
+#: 256 MiB at 2^25 entries.  The exact trials make nothing n by n.
 MAX_DENSE_ENTRIES = 2**25
 
 
@@ -254,34 +257,44 @@ def deadbeat_steer(
     Solves sum_k A^(horizon-1-k) B u(k) = -A^horizon x0 and simulates the
     result forward; an unsteerable state simply shows up as a large final
     norm.  With no inputs the trajectory is the free motion.
+
+    The solve runs on the states R that the inputs reach through the realization's nonzeros.  In Kalman's split
+    (1963) no reached state and no input feeds a state off R, so the rows of every A^j B off R are exactly zero:
+    the Gram's rows on R, blocks A11^j B1, have the same minimizers, minimum-norm solution and nonzero singular
+    values as the whole Gram, and rcond = eps max(n, horizon m) keeps the whole system's cutoff.  The trajectory
+    starts as the free motion A^k x0, by mat-vecs; the rows off R keep it, as no input moves them, and the rows
+    on R are simulated forward, x_R(k+1) = A[R, :] x(k) + B_R u(k).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     a, b = realization.a, realization.b
     n, m = realization.n, realization.m
     check_dense_size(n, m, horizon)
-    x0 = np.asarray(x0, dtype=float).reshape(n)
-
-    if m > 0:
-        # column block k is A^(horizon-1-k) B, to match the stacked unknown [u(0); ...; u(horizon-1)],
-        # written in place from the last block down, so the Gram is the only copy
-        gram = np.empty((n, horizon * m))
-        blocks = gram.reshape(n, horizon, m).transpose(1, 0, 2)
-        blocks[-1] = b
-        for k in range(horizon - 2, -1, -1):
-            np.matmul(a, blocks[k + 1], out=blocks[k])
-        rhs = -np.linalg.matrix_power(a, horizon) @ x0
-        if np.isfinite(gram).all() and np.isfinite(rhs).all():
-            controls = np.linalg.lstsq(gram, rhs, rcond=None)[0].reshape(horizon, m)
-        else:  # LAPACK refuses an overflowed system, and some builds print to stderr first
-            controls = np.full((horizon, m), np.nan)
-    else:  # nothing to solve for, so no power of A is taken
-        controls = np.zeros((horizon, 0))
-
     trajectory = np.empty((horizon + 1, n))
-    trajectory[0] = x0
+    trajectory[0] = np.asarray(x0, dtype=float).reshape(n)
     for k in range(horizon):
-        trajectory[k + 1] = a @ trajectory[k] + b @ controls[k]
+        np.matmul(a, trajectory[k], out=trajectory[k + 1])
+    controls = np.zeros((horizon, m))
+    if m:  # with no inputs nothing is reached and nothing solved for
+        # the patterns of the realization's nonzeros, sorted by column and then row as PatternMatrix._coords is
+        patterns = [PatternMatrix._trusted(*v.shape, *(i + 1 for i in np.nonzero(v.T)[::-1])) for v in (a, b)]
+        reached = np.flatnonzero(np.frombuffer(_input_reach(build_graph(*patterns)), dtype=np.uint8)[1:])
+        a_r, b_r, a11 = a[reached], b[reached], a[np.ix_(reached, reached)]
+        # column block k is A11^(horizon-1-k) B1, to match the stacked unknown [u(0); ...; u(horizon-1)],
+        # written in place from the last block down, so the Gram is the only copy
+        gram = np.empty((len(reached), horizon * m))
+        blocks = gram.reshape(len(reached), horizon, m).transpose(1, 0, 2)
+        blocks[-1] = b_r
+        for k in range(horizon - 2, -1, -1):
+            np.matmul(a11, blocks[k + 1], out=blocks[k])
+        rhs = -trajectory[-1, reached]
+        if np.isfinite(gram).all() and np.isfinite(rhs).all():
+            rcond = np.finfo(float).eps * max(n, horizon * m)
+            controls = np.linalg.lstsq(gram, rhs, rcond=rcond)[0].reshape(horizon, m)
+        else:  # LAPACK refuses an overflowed system, and some builds print to stderr first
+            controls[:] = np.nan
+        for k in range(horizon):
+            trajectory[k + 1, reached] = a_r @ trajectory[k] + b_r @ controls[k]
     return SteeringResult(
         controls=controls,
         trajectory=trajectory,

@@ -560,6 +560,25 @@ def oracle_ziggurat_tables() -> tuple[list[int], list[float], list[float]]:
     return ki, [float(w) for w in wi], [float(f) for f in fi]
 
 
+def oracle_deadbeat_steer(realization, x0, horizon):
+    """Deadbeat steering on the whole state: the n-row Gram [A^(horizon-1) B ... AB B], the right side
+    -A^horizon x0 by a matrix power, least squares with numpy's default cutoff, then the forward simulation
+    x(k+1) = A x(k) + B u(k) on every row."""
+    a, b = realization.a, realization.b
+    m = b.shape[1]
+    blocks = [b]
+    for _ in range(horizon - 1):
+        blocks.insert(0, a @ blocks[0])
+    gram = np.hstack(blocks)
+    rhs = -np.linalg.matrix_power(a, horizon) @ np.asarray(x0, dtype=float)
+    controls = np.linalg.lstsq(gram, rhs, rcond=None)[0].reshape(horizon, m) if m else np.zeros((horizon, 0))
+    trajectory = [np.asarray(x0, dtype=float)]
+    for k in range(horizon):
+        trajectory.append(a @ trajectory[k] + b @ controls[k])
+    trajectory = np.array(trajectory)
+    return numeric.SteeringResult(controls, trajectory, float(np.linalg.norm(trajectory[-1])), horizon)
+
+
 def oracle_steering_to_dict(result) -> dict:
     """The steering document built one float at a time."""
     return {

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -302,6 +303,38 @@ def test_simulate_json_holds_no_copy_of_the_document(tmp_path):
     assert out.stat().st_size > 2 * 10**6
     assert len(json.loads(out.read_text(encoding="utf-8"))["steering"]["trajectory"]) == 301
     assert peak < 6 * 2**20
+
+
+def test_simulate_solves_on_the_reached_rows_with_no_matrix_power(example1_path, monkeypatch, capsys):
+    # example1's input reaches x1..x4 and not x5, so least squares sees 4 rows; no n-by-n power is taken
+    solved = []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda g, *args, solve=np.linalg.lstsq, **kw:
+                        solved.append(g.shape) or solve(g, *args, **kw))
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: pytest.fail("a matrix power was taken"))
+    assert run_cli(["simulate", example1_path, "--horizon", "7"]) == 0
+    assert "k=7" in capsys.readouterr().out
+    assert solved == [(4, 7)]
+
+
+SIMULATE_DIGEST = "72bf9c1330653d75bad51115ce3bef7a834c2cb779fd0e266ae48153ed1c60da"
+
+
+def test_simulate_keeps_its_digest(fixture_dir, tmp_path, capsys):
+    """The bytes of seeded simulate runs: the fixtures, and verify-mc-style shapes of 150 and 300 states with
+    three inputs, whose inputs reach 89, 167 and 47 of their states.  They are the same under one and two BLAS
+    threads (the CI runs this test under both); solving on the whole state printed other bytes under two
+    threads for the first two."""
+    shapes = {"sim150.pat": (150, 151), "sim300.pat": (300, 300), "sim300-few.pat": (300, 303)}
+    for name, (n, seed) in shapes.items():
+        (tmp_path / name).write_text(_simulate_pattern(n, seed))
+    runs = [["example1.pat"], ["example1.pat", "--format", "json"], ["example1.pat", "--x0", "1,0,-2.5,0,1e-3"],
+            ["example2.pat", "--drivers", "x4,x8", "--horizon", "11", "--format", "json"],
+            *([str(tmp_path / name), "--format", "json"] for name in shapes)]
+    digest = hashlib.sha256()
+    for file, *rest in runs:
+        assert run_cli(["simulate", str(fixture_dir / file), *rest]) == 0
+        digest.update(hashlib.sha256(capsys.readouterr().out.encode()).digest())
+    assert digest.hexdigest() == SIMULATE_DIGEST
 
 
 def test_steering_text_sums_python_floats_as_numpy_scalars():
@@ -998,7 +1031,8 @@ def test_cycle_witness_needs_no_second_condensation(tmp_path, monkeypatch, capsy
 # Graph work per command, as (build_graph, _reach_states, _peel, scc_decompose, state_name) calls.
 # verify reads both structural verdicts off its one reachable split: one build, one reach, one peel,
 # no Tarjan and no state name; the term rank of a pair whose inputs reach every state (full.pat) is a
-# matching on [A B], with no graph.  The other rows pin what those commands do, so added graph work shows here.
+# matching on [A B], with no graph.  simulate builds its realization's graph once and reaches from its inputs
+# once, for the rows it solves on.  The other rows pin what those commands do, so added graph work shows here.
 PASS_COUNTS = {
     "analyze example1.pat": (1, 1, 1, 1, 6),
     "analyze example2.pat": (1, 1, 1, 1, 18),
@@ -1006,7 +1040,7 @@ PASS_COUNTS = {
     "select example2.pat --enumerate --limit 7": (1, 1, 1, 1, 8),
     "export-dot example1.pat": (1, 1, 0, 1, 5),
     "export-dot example2.pat --drivers x4,x8": (1, 1, 0, 1, 11),
-    "simulate example1.pat": (0, 0, 0, 0, 0),
+    "simulate example1.pat": (1, 1, 0, 0, 0),
     "verify example1.pat --trials 3": (1, 1, 1, 0, 0),
     "verify example1.pat --trials 3 --check-controllability": (1, 1, 1, 0, 0),
     "verify example2.pat --trials 3 --drivers x4,x8": (1, 1, 1, 0, 0),

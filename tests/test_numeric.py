@@ -34,6 +34,7 @@ from conftest import (
     sparse_pattern,
 )
 from oracles import (
+    oracle_deadbeat_steer,
     oracle_gf_checks,
     oracle_gf_pair,
     oracle_gf_sequence,
@@ -42,6 +43,7 @@ from oracles import (
     oracle_poly_mod,
     oracle_poly_times,
     oracle_rational_checks,
+    oracle_reachable,
     oracle_sample_realization,
     oracle_split,
     oracle_ziggurat_tables,
@@ -1206,6 +1208,31 @@ def test_steering_identity_holds_for_random_horizons():
         x0 = rng.standard_normal(n)
         result = deadbeat_steer(r, x0, horizon)
         assert steering_residual(r, result) <= 1e-9
+
+
+def test_steering_on_the_reached_rows_equals_the_full_gram_oracle():
+    """On 600 seeded pairs with n <= 8, m <= 2 and horizons 1..2n, with both structural verdicts and over 200
+    pairs whose inputs reach some states and not others: the controls equal the full-Gram oracle's within 1e-9
+    of their scale, the rows of the unreached states equal its rows exactly, and the trajectory matches the
+    controls."""
+    rng = np.random.default_rng(4501)
+    verdicts, partly_reached = Counter(), 0
+    for _ in range(600):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(0, 3))
+        a = random_pattern(rng, n, n, float(rng.uniform(0.1, 0.5)))
+        b = sparse_pattern(rng, n, m, int(rng.integers(1, 3))) if m else None
+        r = sample_realization(a, b, seed=int(rng.integers(0, 2**31)))
+        horizon, x0 = int(rng.integers(1, 2 * n + 1)), rng.standard_normal(n)
+        result, expected = deadbeat_steer(r, x0, horizon), oracle_deadbeat_steer(r, x0, horizon)
+        scale = max(1.0, float(np.abs(expected.controls).max(initial=0.0)))
+        assert np.abs(result.controls - expected.controls).max(initial=0.0) <= 1e-9 * scale
+        fed = {i for i, _ in b.nonzeros} if b is not None else set()
+        unreached = sorted(set(range(n)) - {i - 1 for i in oracle_reachable(a, fed)})
+        assert (result.trajectory[:, unreached] == expected.trajectory[:, unreached]).all()
+        assert steering_residual(r, result) <= 1e-9
+        verdicts[is_generically_zero_controllable(a, b).verdict] += 1
+        partly_reached += bool(m) and 0 < len(unreached) < n
+    assert min(verdicts.values()) >= 200 and partly_reached >= 200
 
 
 # --- Monte Carlo verification -------------------------------------------------------

@@ -85,7 +85,7 @@ def test_job_digests_runs_the_tree_that_src_names(tmp_path):
         assert digest == expected.hexdigest()
 
 
-JOB_DIGEST = "5d592313b7ec4d71a9d44d022c026997b30501f341214a5dd943668245b96e27"
+JOB_DIGEST = "5144b49ad5562b4e4ec18808fa9f5760dcdddaa14e8e6d4973fce09e44fbde1f"
 
 
 def test_job_digests_at_full_size():
@@ -99,7 +99,10 @@ def test_job_digests_at_full_size():
     whose agreement rose to 100 of 100) or to
     which selects run exact (counting the exact-search cap per independent
     block moved struct-ladder's selects at n = 300 and 700 and on the chain
-    from greedy to the same drivers, flagged minimal)."""
+    from greedy to the same drivers, flagged minimal) or to how ``simulate``
+    steers (solving on the input-reached rows moved the rounding of its
+    eight jobs, struct-ladder's 16 and 21 and verify-mc's 7 and 8 of each
+    seed)."""
     # a fresh interpreter: numpy is imported here already, so the script's
     # one-BLAS-thread setting would not take effect in this process
     script = [sys.executable, str(SCRIPTS / "job_digests.py")]
