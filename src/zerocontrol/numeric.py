@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,13 +210,12 @@ def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
         cols, rows = np.nonzero(v.T)  # by column, then row, as PatternMatrix._coords
         read = _exact_residues(v[rows, cols]) != 0  # an entry that reads as 0 is none of the pair's
         patterns.append(PatternMatrix._trusted(*v.shape, rows[read] + 1, cols[read] + 1))
-    _, at, n1, k = _reachable_split(build_graph(*patterns))
-    if not zc and n1 < len(a):  # a state that no input reaches
+    plan = _gf_plan(*patterns)
+    if not zc and plan.n1 < plan.n:  # a state that no input reaches
         return NumericCheck(False, False, False, True)
     values = np.concatenate([_exact_residues(v[rows - 1, cols - 1]) for v, (rows, cols) in
                              zip((a, b), map(_entries, patterns))])
-    zc_ok, ctrl_ok, proven = _gf_decide(_gf_plan(*patterns, at, n1, k), *b.shape, n1, k,
-                                        _seeds(realization.seed, 1), not zc, values[:, None])
+    zc_ok, ctrl_ok, proven = _gf_decide(plan, _seeds(realization.seed, 1), values[:, None])
     verdict = bool((zc_ok if zc else ctrl_ok)[0])
     return NumericCheck(verdict, verdict, verdict, bool(proven[0]))
 
@@ -354,6 +354,8 @@ _GF_DRAWS = 3
 #: draws in row blocks within it: it holds about _WORD_TEMPS entries per word at its peak, and O(sqrt(words)) ints.
 _STACK_ENTRIES, _WORD_TEMPS = 2**18, 8
 
+_Plan = namedtuple("_Plan", "blocks b1 n m n1 k fed entries words peak")  # a pair's exact plan, from ``_gf_plan``
+
 
 def _gf_words(seeds: range | list[int], start: int, count: int, key: tuple = _GF_KEY) -> np.ndarray:
     """Words start .. start + count - 1 of each seed's stream under ``key``, (T, count) uint64, all trials at once.
@@ -460,18 +462,25 @@ def _residues(words: np.ndarray, low: int = 0) -> np.ndarray:
     return (words % np.uint64(_P - low)).astype(np.int64) + low
 
 
-def _gf_plan(pattern_a: PatternMatrix, pattern_b: PatternMatrix, at: np.ndarray, n1: int, k: int) -> tuple:
-    """Where a trial's values go on the split.  The values come one per entry in ``_entries`` order, A's then B's.
-    Returns the mat-vec plans of A11, of A11 and its transpose side by side (block diagonal), and of S; then, for
-    B1, the indices of its values, their rows and their columns; then the number of values."""
+def _gf_plan(pattern_a: PatternMatrix, pattern_b: PatternMatrix) -> _Plan:
+    """The exact engine's only input: the pair's reachable split, whose block facts ``_reachable_split`` checks, and
+    where a trial's values go on it, one per entry in ``_entries`` order, A's then B's.  Returns the mat-vec plans of
+    A11, of A11 and its transpose side by side (block diagonal), and of S; for B1, the indices of its values, their rows
+    and their columns; the sizes n, m, n1 and k, and fed, the rows of the feedback K (m when m > 1, else 0); the number
+    of values, the words of a trial's first read, and the entries one trial holds at its peak, which size chunks."""
+    (n, m), (_, at, n1, k) = pattern_b.shape, _reachable_split(build_graph(pattern_a, pattern_b))
     rows, cols = (at[v] for v in _entries(pattern_a))
-    lo = len(at) - 1 - k  # the first survivor's position
+    lo, fed = n - k, m if m > 1 else 0  # the first survivor's position; the rows of K
     a11, s = (rows < n1) & (cols < n1), (rows >= lo) & (cols >= lo)
     index, r, c = np.flatnonzero(a11), rows[a11], cols[a11]
     blocks = (_mv_plan(index, r, c), _mv_plan(np.r_[index, index], np.r_[r, c + n1], np.r_[c, r + n1]),
               _mv_plan(np.flatnonzero(s), rows[s] - lo, cols[s] - lo))
     b_rows, b_cols = _entries(pattern_b)
-    return blocks, (len(rows) + np.arange(len(b_rows)), at[b_rows], b_cols - 1), len(rows) + len(b_rows)
+    b1, entries = (len(rows) + np.arange(len(b_rows)), at[b_rows], b_cols - 1), len(rows) + len(b_rows)
+    words = entries + m + k + (2 + fed) * n1  # values, then alpha, v', v, u and K
+    # per trial: A's entries gathered for two vectors, the Krylov sequences and polynomials, S's vector, and feedback
+    peak = max(2 * len(rows) + 16 * n1 + k + 12 * fed * n1, words, 1)
+    return _Plan(blocks, b1, n, m, n1, k, fed, entries, words, peak)
 
 
 def _mv_plan(index: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
@@ -606,25 +615,23 @@ def _gf_krylov(a11: tuple, both: tuple, values: np.ndarray, b: np.ndarray, v: np
     return ~y[:, 0].any(axis=0) & (sigma != 0), ~y[:, 1].any(axis=0), r == n1
 
 
-def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, seeds: range | list[int], ctrl: bool,
-               values: np.ndarray | None = None) -> tuple:
-    """Exact verdicts of a chunk of trials over GF(_P) on the reachable split, where ZC(A, B) holds exactly when
-    ZC(A11, B1) does and S is nilpotent.  Each trial reads its seed's stream once, all trials in one call: its
+def _gf_decide(plan: _Plan, seeds: range | list[int], values: np.ndarray | None = None) -> tuple:
+    """Exact verdicts of a chunk of trials over GF(_P) on the plan's reachable split, where ZC(A, B) holds exactly
+    when ZC(A11, B1) does and S is nilpotent.  Each trial reads its seed's stream once, all trials in one call: its
     values mod _P, one per entry in ``_entries`` order, A's then B's; then alpha, v', v and u, and with m > 1 the
     feedback K, m by n1, row by row.  ``values``, one row per entry and one column per trial, takes the place of
     the values read.  A redraw reads on: alpha when m > 1, then u.  Returns per trial whether it is ZC, whether it
     is controllable and whether it was proven.
 
-    (vi) S^k v' != 0 proves that S is not nilpotent.  (A11, B1) is decided by the Krylov steps on one input, the
-    pair (M, b) = (A11 + B1 K, B1 alpha), with K = 0 when m = 1.  Feedback changes neither verdict: C(M, B1) =
-    C(A11, B1) for the controllable spaces, and M acts as A11 on the quotient by it (Wonham 1985).  C(M, b) lies
-    inside it, so a "yes" holds for any K and alpha, and by Heymann's lemma (Heymann 1968; Hautus 1977) it is all
-    of it for generic ones, as bounded at ``_P``.  A reached block has B1 != 0, so b = 0 would give a wrong "no":
-    the trial redraws alpha instead, as it redraws u when u b = 0."""
-    (a11, both, s), (b_index, b_rows, b_cols), entries = plan
-    t, fed = len(seeds), m if m > 1 else 0  # the rows of K
-    count = entries + m + k + (2 + fed) * n1
-    words = _gf_words(seeds, 0, count).T
+    (vi) S^k v' != 0 proves that S is not nilpotent, and survivors are unreached, so the trial is not controllable
+    either and takes no Krylov steps.  (A11, B1) is decided by them on one input, the pair (M, b) = (A11 + B1 K, B1
+    alpha), with K = 0 when m = 1.  Feedback changes neither verdict: C(M, B1) = C(A11, B1) for the controllable
+    spaces, and M acts as A11 on the quotient by it (Wonham 1985).  C(M, b) lies inside it, so a "yes" holds for any
+    K and alpha, and by Heymann's lemma (Heymann 1968; Hautus 1977) it is all of it for generic ones, as bounded at
+    ``_P``.  A reached block has B1 != 0, so b = 0 would give a wrong "no": the trial redraws alpha instead, as it
+    redraws u when u b = 0."""
+    (a11, both, s), (b_index, b_rows, b_cols), n, m, n1, k, fed, entries, count, _ = plan
+    t, words = len(seeds), _gf_words(seeds, 0, count).T
     values = _residues(words[:entries], 1) if values is None else values
     alpha = _residues(words[entries:entries + m], 1)
     v_s, v, u, gain = np.split(_residues(words[entries + m:]), np.cumsum([k, n1, n1]))
@@ -634,12 +641,12 @@ def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, seeds: range | list
         for _ in range(k):
             x = _gf_matvec(x, vals, s)
         zc = ~x.any(axis=(0, 1))
-    todo = np.flatnonzero((zc | ctrl & controllable) & (n1 > 0))
-    if not len(todo):
-        return zc, controllable, proven
+    todo = np.flatnonzero(zc & (n1 > 0))
     b1 = np.zeros((m, n1, t), dtype=np.int64)  # B1^T
     b1[b_cols, b_rows] = values[b_index]
     for draw in range(_GF_DRAWS):
+        if not len(todo):
+            break
         if draw:
             fresh = _gf_words([seeds[i] for i in todo], count + (draw - 1) * (fed + n1), fed + n1).T
             if fed:
@@ -652,8 +659,6 @@ def _gf_decide(plan: tuple, n: int, m: int, n1: int, k: int, seeds: range | list
         done = todo[ok]
         zc[done], controllable[done] = zc_b[ok], controllable[done] & ctrl_b[ok]
         todo = todo[~ok]
-        if not len(todo):
-            break
     proven[todo] = zc[todo] = controllable[todo] = False
     return zc, controllable, proven
 
@@ -692,20 +697,14 @@ def monte_carlo_verify(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     seeds, pattern_b = _seeds(base_seed, trials), _pair(pattern_a, pattern_b)
-    n, m = pattern_b.shape
-    _, at, n1, k = _reachable_split(build_graph(pattern_a, pattern_b))  # which checks the block facts
+    plan = _gf_plan(pattern_a, pattern_b)
     # a trial costs about (n1 + k) * (nnz + m n1) + n1^2 operations; the trial count sets the total work
-    zc_structural = not k  # the survivors lie on or after an unreached cycle
+    zc_structural = not plan.k  # the survivors lie on or after an unreached cycle
     # a pair whose inputs reach every state is controllable exactly when [A B] has term rank n
-    ctrl_structural = (n1 == n and generic_rank(pattern_a.hstack(pattern_b)) == n) if check_controllability else None
-    plan = _gf_plan(pattern_a, pattern_b, at, n1, k)
-    nnz, gains = len(pattern_a._coords[0]), m * n1 if m > 1 else 0
-    drawn = plan[-1] + m + k + 2 * n1 + gains  # values, then alpha, v', v, u and K
-    # per trial: A's entries gathered for two vectors, the Krylov sequences and polynomials, S's vector, and feedback
-    chunk = max(1, _STACK_ENTRIES // max(2 * nnz + 16 * n1 + k + 12 * gains, drawn, 1))
+    ctrl_structural = plan.n1 == plan.n == generic_rank(pattern_a.hstack(pattern_b)) if check_controllability else None
+    chunk = max(1, _STACK_ENTRIES // plan.peak)
     zc, controllable, proven = map(np.concatenate, zip(*(
-        _gf_decide(plan, n, m, n1, k, seeds[start:start + chunk], check_controllability)
-        for start in range(0, trials, chunk))))
+        _gf_decide(plan, seeds[start:start + chunk]) for start in range(0, trials, chunk))))
     return MonteCarloStats(
         trials=trials,
         base_seed=base_seed,

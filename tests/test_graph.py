@@ -386,9 +386,9 @@ def test_the_reachable_split_is_kalmans_form():
     """In the split's order every pattern of a seeded corpus has A21 = 0, B2 =
     0 and a strictly lower triangular peeled block, the reached states and the
     survivors each ascending; the survivors are empty exactly on a ZC verdict,
-    and a state is unreached exactly when the controllability test fails on
-    irreducibility.  A dilation (x1 feeds x2 and x3, the input x1) is fully
-    reached and fails on term rank."""
+    and always when every state is reached; and a state is unreached exactly
+    when the controllability test fails on irreducibility.  A dilation (x1
+    feeds x2 and x3, the input x1) is fully reached and fails on term rank."""
     dilation = PatternMatrix(3, 3, frozenset({(2, 1), (3, 1)})), PatternMatrix(3, 1, frozenset({(1, 1)}))
     seen, failed_conditions = set(), set()
     for a, b in [*_split_corpus(), dilation]:
@@ -406,6 +406,7 @@ def test_the_reachable_split_is_kalmans_form():
         assert all(at[i] < n1 for i, _ in (b.nonzeros if b is not None else ()))  # B2 = 0
         verdict = is_generically_zero_controllable(a, b).verdict
         assert verdict == (k == 0)
+        assert n1 < n or k == 0  # survivors are unreached, so a fully reached pair has none
         seen.add((verdict, 0 < n1 < n))
         failed = is_generically_controllable(a, b).failed_condition
         assert (n1 < n) == (failed == "irreducibility")

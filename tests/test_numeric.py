@@ -541,18 +541,23 @@ def _reads(monkeypatch):
 def test_a_trial_reads_its_stream_once(monkeypatch):
     """With no redraw, ``monte_carlo_verify`` calls ``_gf_words`` once per
     chunk, for all of the chunk's trials, from word 0 under ``_GF_KEY``; in
-    one chunk and in one chunk per trial, with one input and with two.  A
-    single check calls it once for its seed alike, or not at all when the
-    controllability check finds a state that no input reaches."""
+    one chunk and in one chunk per trial, with one input and with two.  Each
+    call reads the values, alpha (m words), v' (k), v and u (n1 each) and,
+    with m > 1, K (m n1).  A single check calls it once for its seed alike,
+    or not at all when the controllability check finds a state that no input
+    reaches."""
     for a, b in ((EXAMPLE1_A, EXAMPLE1_B), (EXAMPLE2_A, EXAMPLE2_B_PER_DRIVER)):
+        _, _, n1, k = numeric._reachable_split(numeric.build_graph(a, b))
+        m = b.n_cols
+        first_read = len(a.nonzeros) + len(b.nonzeros) + m + k + (2 + (m if m > 1 else 0)) * n1
         for cap, chunks in ((numeric._STACK_ENTRIES, [list(range(10))]), (1, [[seed] for seed in range(10)])):
             calls = _reads(monkeypatch)
             monkeypatch.setattr(numeric, "_STACK_ENTRIES", cap)
             monte_carlo_verify(a, b, trials=10, base_seed=0, check_controllability=True)
             monkeypatch.undo()
             assert [(seeds, start, key) for seeds, start, _, key in calls] == [(c, 0, numeric._GF_KEY) for c in chunks]
-            assert len({count for _, _, count, _ in calls}) == 1
-        reached = numeric._reachable_split(numeric.build_graph(a, b))[2] == a.n_rows
+            assert {count for _, _, count, _ in calls} == {first_read}
+        reached = n1 == a.n_rows
         realization = sample_realization(a, b, seed=7)
         for check, reads in ((is_zero_controllable_numeric, 1), (is_controllable_numeric, int(reached))):
             calls = _reads(monkeypatch)
@@ -698,10 +703,12 @@ def _chunk_entries(a, b):
 @pytest.mark.parametrize("ctrl", [False, True])
 def test_chunking_does_not_change_results(ctrl, monkeypatch):
     """Every MonteCarloStats field is the same with one trial per chunk, with
-    chunks of three (so a boundary falls after an odd trial) and with the
-    default cap, and equals the one-trial-at-a-time exact oracle."""
+    chunks of three (so a boundary falls after an odd trial, as the plan's
+    peak is the test's count of entries per trial) and with the default cap,
+    and equals the one-trial-at-a-time exact oracle."""
     default = numeric._STACK_ENTRIES
     for k, (a, b) in enumerate(_stacking_cases()):
+        assert numeric._gf_plan(a, numeric._pair(a, b)).peak == _chunk_entries(a, b), k  # the rule the cap relies on
         trials = 1 if k % 4 == 0 else 10
         expected = oracle_monte_carlo_verify(a, b, trials, 500 + k, check_controllability=ctrl)
         for cap in (default, 1, 3 * _chunk_entries(a, b)):
