@@ -38,13 +38,11 @@ from .numeric import (
     Realization,
     SteeringResult,
     ValueSpec,
-    controllability_matrix,
     count_nonzero_eigenvalues,
     deadbeat_steer,
     is_controllable_numeric,
     is_zero_controllable_numeric,
     monte_carlo_verify,
-    numeric_rank,
     sample_realization,
     steering_residual,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "build_b_pattern",
     "build_graph",
     "compute_nu",
-    "controllability_matrix",
     "count_nonzero_eigenvalues",
     "deadbeat_steer",
     "entry_paths",
@@ -104,7 +101,6 @@ __all__ = [
     "is_zero_controllable_numeric",
     "minimal_driver_set",
     "monte_carlo_verify",
-    "numeric_rank",
     "parse_pattern_file",
     "reachable_from",
     "reducible_decomposition",

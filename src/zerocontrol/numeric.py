@@ -62,9 +62,6 @@ DEFAULT_BASE_SEED = 20240001
 #: Default eigenvalue nonzero threshold scale of ``count_nonzero_eigenvalues``; the single checks validate it only.
 DEFAULT_TOL = 1e-8
 
-#: Relative singular-value cutoff for numeric rank decisions.
-RANK_REL_TOL = 1e-10
-
 #: Most matrix entries deadbeat steering may need: over ``steps`` steps it builds n1-by-steps Gram blocks, one per
 #: input column, for the n1 <= n states the inputs reach, and the n-by-steps trajectory; at most n-by-steps each,
 #: 256 MiB at 2^25 entries.  The exact trials make nothing n by n.
@@ -150,32 +147,12 @@ def _entries(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
     return rows[ordered], cols[ordered]
 
 
-def numeric_rank(matrix: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Rank with singular values below max(shape) * sigma_max * rel_tol
-    treated as zero."""
-    if not matrix.size:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(s > max(matrix.shape) * s[0] * rel_tol))
-
-
-def controllability_matrix(realization: Realization) -> np.ndarray:
-    """[B, AB, ..., A^(n-1)B], an n-by-(n*m) matrix (n-by-0 when m = 0)."""
-    a, blocks = realization.a, [realization.b]
-    for _ in range(realization.n - 1):
-        blocks.append(a @ blocks[-1])
-    return np.hstack(blocks) if len(a) else np.zeros((0, 0))
-
-
 @dataclass(frozen=True)
 class NumericCheck:
-    """Outcome of a single exact check.  The engine decides the realization in one pass, so ``image_test`` and
-    ``hautus_test`` both equal the verdict; ``consistent`` is whether the engine proved it within its redraw
-    budget.  An unproven check takes the conservative False."""
+    """Outcome of a single exact check: the verdict, and whether the engine proved it within its redraw budget.
+    An unproven check takes the conservative False."""
 
     verdict: bool
-    image_test: bool
-    hautus_test: bool
     consistent: bool
 
     def __bool__(self) -> bool:
@@ -212,12 +189,11 @@ def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
         patterns.append(PatternMatrix._trusted(*v.shape, rows[read] + 1, cols[read] + 1))
     plan = _gf_plan(*patterns)
     if not zc and plan.n1 < plan.n:  # a state that no input reaches
-        return NumericCheck(False, False, False, True)
+        return NumericCheck(False, True)
     values = np.concatenate([_exact_residues(v[rows - 1, cols - 1]) for v, (rows, cols) in
                              zip((a, b), map(_entries, patterns))])
     zc_ok, ctrl_ok, proven = _gf_decide(plan, _seeds(realization.seed, 1), values[:, None])
-    verdict = bool((zc_ok if zc else ctrl_ok)[0])
-    return NumericCheck(verdict, verdict, verdict, bool(proven[0]))
+    return NumericCheck(bool((zc_ok if zc else ctrl_ok)[0]), bool(proven[0]))
 
 
 def _exact_residues(x: np.ndarray) -> np.ndarray:
