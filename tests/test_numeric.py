@@ -634,20 +634,21 @@ def _per_trial(monkeypatch, a, b, trials, base_seed, ctrl, cap=None, change=None
     return stats, trials, sorted(krylov)
 
 
-def test_a_trial_takes_the_same_path_in_any_chunk(monkeypatch):
+@pytest.mark.parametrize("ctrl", [False, True])
+def test_a_trial_takes_the_same_path_in_any_chunk(ctrl, monkeypatch):
     """Per trial, the exact engine gives the same verdicts and proof, draws the
     same number of times from its stream, which then stands at the same
     place, and takes the Krylov steps alike, whether the trials are decided
     in chunks at the default cap or one at a time: on the stacking cases, and
     on structurally zero controllable pairs shaped like the benchmark's Monte
-    Carlo patterns at n = 24 and 40, with 30 trials.  The engine never reads
-    ``check_controllability``, so one run with it set covers both values."""
+    Carlo patterns at n = 24 and 40, with 30 trials; with and without
+    ``check_controllability``."""
     cases = [(a, b, 1 if k % 4 == 0 else 10) for k, (a, b) in enumerate(_stacking_cases())]
     cases += [(a, b, 30) for n in (24, 40) for a, b in _mc_pairs(49, 2, n, zc=True)]
     took = 0
     for k, (a, b, trials) in enumerate(cases):
-        stats, chunked, krylov = _per_trial(monkeypatch, a, b, trials, 500 + k, True)
-        assert (stats, chunked, krylov) == _per_trial(monkeypatch, a, b, trials, 500 + k, True, cap=1), k
+        stats, chunked, krylov = _per_trial(monkeypatch, a, b, trials, 500 + k, ctrl)
+        assert (stats, chunked, krylov) == _per_trial(monkeypatch, a, b, trials, 500 + k, ctrl, cap=1), k
         took += len(krylov)
     assert took > 0
 
