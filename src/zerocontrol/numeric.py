@@ -69,12 +69,14 @@ MAX_DENSE_ENTRIES = 2**25
 
 
 def check_dense_size(n: int, m: int, steps: int) -> None:
-    """Refuse a steering of n states and m inputs over ``steps`` steps, before anything is allocated, when its
-    n * max(n, steps) * (m + 1) dense entries pass MAX_DENSE_ENTRIES."""
+    """Refuse a steering of n states and m inputs over ``steps`` steps, before anything is allocated, when
+    ``steps`` is below 1 or its n * max(n, steps) * (m + 1) dense entries pass MAX_DENSE_ENTRIES."""
+    if steps < 1:
+        raise ValueError(f"horizon must be >= 1, got {steps}")
     entries = n * max(n, steps) * (m + 1)
     if entries > MAX_DENSE_ENTRIES:
         raise ValueError(
-            f"n={n}, m={m} over {max(n, steps)} steps needs {entries} dense matrix entries, "
+            f"n={n}, m={m} over {steps} steps needs {entries} dense matrix entries, "
             f"above the limit of {MAX_DENSE_ENTRIES}"
         )
 
@@ -182,18 +184,22 @@ def _single(realization: Realization, tol: float, zc: bool) -> NumericCheck:
     a, b = realization.a, realization.b
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("the realization has a non-finite entry, so no exact verdict")
-    patterns = []
-    for v in (a, b):
-        cols, rows = np.nonzero(v.T)  # by column, then row, as PatternMatrix._coords
-        read = _exact_residues(v[rows, cols]) != 0  # an entry that reads as 0 is none of the pair's
-        patterns.append(PatternMatrix._trusted(*v.shape, rows[read] + 1, cols[read] + 1))
-    plan = _gf_plan(*patterns)
+    masks = [v != 0 for v in (a, b)]  # the nonzeros only: reading all n^2 entries took 30x the memory at n = 3000
+    residues = [_exact_residues(v[mask]) for v, mask in zip((a, b), masks)]  # row-major, the order of _entries
+    for mask, r in zip(masks, residues):
+        mask[mask] = r != 0  # an entry that reads as 0 is none of the pair's
+    plan = _gf_plan(*map(_pattern_of, masks))
     if not zc and plan.n1 < plan.n:  # a state that no input reaches
         return NumericCheck(False, True)
-    values = np.concatenate([_exact_residues(v[rows - 1, cols - 1]) for v, (rows, cols) in
-                             zip((a, b), map(_entries, patterns))])
+    values = np.concatenate([r[r != 0] for r in residues])
     zc_ok, ctrl_ok, proven = _gf_decide(plan, _seeds(realization.seed, 1), values[:, None])
     return NumericCheck(bool((zc_ok if zc else ctrl_ok)[0]), bool(proven[0]))
+
+
+def _pattern_of(mask: np.ndarray) -> PatternMatrix:
+    """The entries that ``mask`` keeps, as a pattern sorted by column and then row as PatternMatrix._coords is."""
+    cols, rows = np.nonzero(mask.T)
+    return PatternMatrix._trusted(*mask.shape, rows + 1, cols + 1)
 
 
 def _exact_residues(x: np.ndarray) -> np.ndarray:
@@ -241,8 +247,6 @@ def deadbeat_steer(
     starts as the free motion A^k x0, by mat-vecs; the rows off R keep it, as no input moves them, and the rows
     on R are simulated forward, x_R(k+1) = A[R, :] x(k) + B_R u(k).
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     a, b = realization.a, realization.b
     n, m = realization.n, realization.m
     check_dense_size(n, m, horizon)
@@ -252,9 +256,8 @@ def deadbeat_steer(
         np.matmul(a, trajectory[k], out=trajectory[k + 1])
     controls = np.zeros((horizon, m))
     if m:  # with no inputs nothing is reached and nothing solved for
-        # the patterns of the realization's nonzeros, sorted by column and then row as PatternMatrix._coords is
-        patterns = [PatternMatrix._trusted(*v.shape, *(i + 1 for i in np.nonzero(v.T)[::-1])) for v in (a, b)]
-        reached = np.flatnonzero(np.frombuffer(_input_reach(build_graph(*patterns)), dtype=np.uint8)[1:])
+        graph = build_graph(_pattern_of(a != 0), _pattern_of(b != 0))  # keeps an entry that reads as 0 mod _P
+        reached = np.flatnonzero(np.frombuffer(_input_reach(graph), dtype=np.uint8)[1:])
         a_r, b_r, a11 = a[reached], b[reached], a[np.ix_(reached, reached)]
         # column block k is A11^(horizon-1-k) B1, to match the stacked unknown [u(0); ...; u(horizon-1)],
         # written in place from the last block down, so the Gram is the only copy

@@ -1,8 +1,8 @@
-"""Report documents: lossless dict forms (for JSON) and human-readable text
-for the analysis, driver-selection and Monte Carlo result types.  Each
-result type's JSON form is stated once, as its row of ``_FORMS``, which
-``_to_dict`` writes and ``_from_dict`` reads back to an equal object; only
-the ``BPattern`` form, which flattens the nested pattern, is spelled out."""
+"""Report documents: dict forms (for JSON) and human-readable text for the
+analysis, driver-selection and Monte Carlo result types.  Each result type's
+JSON form is stated once, as its row of ``_FORMS``, which ``_to_dict``
+writes; only the ``BPattern`` form, which flattens the nested pattern, is
+spelled out."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from operator import methodcaller
 from .drivers import BPattern, DriverSet
 from .graph import sort_vertices
 from .numeric import MonteCarloStats, SteeringResult
-from .patterns import PatternMatrix
 from .structural import ZcReport
 
 
@@ -23,38 +22,29 @@ def _component_lists(components) -> list[list[str]]:
     return [sort_vertices(c) for c in components]
 
 
-# codecs: (write, read) of one value; a read of None marks a key that is only
-# written, being derived from the others or of a form with no reader
-_SAME, _BOOL, _INT, _WRITTEN = (_same, _same), (_same, bool), (_same, int), (_same, None)
-_NAMES = (sort_vertices, frozenset)  # a set of state names
-_COMPONENTS = (_component_lists, lambda components: tuple(frozenset(c) for c in components))
-_WALK = (  # a cycle as its edges, or None when there is none
-    lambda walk: None if walk is None else [[src, dst] for src, dst in walk],
-    lambda walk: None if walk is None else tuple((src, dst) for src, dst in walk),
-)
-_ARRAY = (methodcaller("tolist"), None)
+def _walk(walk) -> list[list[str]] | None:
+    """A cycle as its edges, or None when there is none."""
+    return None if walk is None else [[src, dst] for src, dst in walk]
 
-# result type -> JSON key -> codec of the attribute of that name, keys in output order
+
+_ARRAY = methodcaller("tolist")
+
+# result type -> JSON key -> writer of the attribute of that name, keys in output order
 _FORMS = {
-    ZcReport: {"verdict": _BOOL, "reachable_states": _NAMES, "unreachable_states": _NAMES,
-               "cycle_witness": _WALK, "nontrivial_unreachable_components": _COMPONENTS},
-    DriverSet: {"drivers": _NAMES, "valid": _BOOL, "minimal": _BOOL, "size": _WRITTEN,
-                "uncovered_witness": _WALK, "nontrivial_unreachable_components": _COMPONENTS},
-    MonteCarloStats: {"trials": _INT, "base_seed": _INT, "zc_structural": _BOOL,
-                      "zc_agreements": _INT, "agreement_fraction": _WRITTEN,
-                      "inconsistent_trials": _INT, "disagreeing_seeds": (list, tuple),
-                      "ctrl_structural": _SAME, "ctrl_agreements": _SAME},
-    SteeringResult: {"horizon": _WRITTEN, "final_norm": _WRITTEN, "controls": _ARRAY,
-                     "trajectory": _ARRAY},
+    ZcReport: {"verdict": _same, "reachable_states": sort_vertices, "unreachable_states": sort_vertices,
+               "cycle_witness": _walk, "nontrivial_unreachable_components": _component_lists},
+    DriverSet: {"drivers": sort_vertices, "valid": _same, "minimal": _same, "size": _same,
+                "uncovered_witness": _walk, "nontrivial_unreachable_components": _component_lists},
+    MonteCarloStats: {"trials": _same, "base_seed": _same, "zc_structural": _same,
+                      "zc_agreements": _same, "agreement_fraction": _same,
+                      "inconsistent_trials": _same, "disagreeing_seeds": list,
+                      "ctrl_structural": _same, "ctrl_agreements": _same},
+    SteeringResult: {"horizon": _same, "final_norm": _same, "controls": _ARRAY, "trajectory": _ARRAY},
 }
 
 
 def _to_dict(result) -> dict:
-    return {key: write(getattr(result, key)) for key, (write, _) in _FORMS[type(result)].items()}
-
-
-def _from_dict(cls, data: dict):
-    return cls(**{key: read(data[key]) for key, (_, read) in _FORMS[cls].items() if read is not None})
+    return {key: write(getattr(result, key)) for key, write in _FORMS[type(result)].items()}
 
 
 def _obstruction_lines(components, witness) -> list[str]:
@@ -67,10 +57,6 @@ def _obstruction_lines(components, witness) -> list[str]:
 
 def zc_report_to_dict(report: ZcReport) -> dict:
     return _to_dict(report)
-
-
-def zc_report_from_dict(data: dict) -> ZcReport:
-    return _from_dict(ZcReport, data)
 
 
 def render_zc_report(report: ZcReport) -> str:
@@ -90,10 +76,6 @@ def render_zc_report(report: ZcReport) -> str:
 
 def driver_set_to_dict(ds: DriverSet) -> dict:
     return _to_dict(ds)
-
-
-def driver_set_from_dict(data: dict) -> DriverSet:
-    return _from_dict(DriverSet, data)
 
 
 def render_driver_set(ds: DriverSet) -> str:
@@ -116,11 +98,6 @@ def b_pattern_to_dict(bp: BPattern) -> dict:
     }
 
 
-def b_pattern_from_dict(data: dict) -> BPattern:
-    entries = frozenset((i, j) for i, j in data["entries"])
-    return BPattern(data["mode"], PatternMatrix(data["n_rows"], data["n_cols"], entries))
-
-
 def render_b_pattern(bp: BPattern) -> str:
     lines = [f"induced input pattern ({bp.mode}, {bp.pattern.n_rows}x{bp.pattern.n_cols}):"]
     for i, j in bp.pattern.sorted_entries():
@@ -132,10 +109,6 @@ def render_b_pattern(bp: BPattern) -> str:
 
 def stats_to_dict(stats: MonteCarloStats) -> dict:
     return _to_dict(stats)
-
-
-def stats_from_dict(data: dict) -> MonteCarloStats:
-    return _from_dict(MonteCarloStats, data)
 
 
 def render_stats(stats: MonteCarloStats) -> str:
@@ -171,8 +144,8 @@ def steering_to_dict(result: SteeringResult) -> dict:
 
 def steering_to_arrays(result: SteeringResult) -> dict:
     """``steering_to_dict`` with the two arrays left whole, for a writer that prints them one row at a time."""
-    return {key: getattr(result, key) if codec is _ARRAY else codec[0](getattr(result, key))
-            for key, codec in _FORMS[SteeringResult].items()}
+    return {key: getattr(result, key) if write is _ARRAY else write(getattr(result, key))
+            for key, write in _FORMS[SteeringResult].items()}
 
 
 def render_steering(result: SteeringResult) -> str:

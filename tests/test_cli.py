@@ -66,16 +66,15 @@ def test_analyze_acyclic_without_inputs(tmp_path, capsys):
     assert "generically zero controllable: yes" in capsys.readouterr().out
 
 
-def test_analyze_json_round_trips(example1_path, capsys):
+def test_analyze_json_prints_the_library_report(example1_path, capsys):
     from zerocontrol import is_generically_zero_controllable
-    from zerocontrol.reports import zc_report_from_dict
+    from zerocontrol.reports import zc_report_to_dict
 
     code = run_cli(["analyze", example1_path, "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert doc["command"] == "analyze"
-    report = zc_report_from_dict(doc["report"])
-    assert report == is_generically_zero_controllable(EXAMPLE1_A, EXAMPLE1_B)
+    assert doc["report"] == zc_report_to_dict(is_generically_zero_controllable(EXAMPLE1_A, EXAMPLE1_B))
 
 
 # --- select --------------------------------------------------------------------
@@ -121,18 +120,18 @@ def test_select_json(example2_path, capsys):
     assert doc["b_pattern"]["entries"] == [[4, 1], [8, 2]]
 
 
-def test_select_json_round_trips(example2_path, capsys):
+def test_select_json_prints_the_library_driver_sets(example2_path, capsys):
     from zerocontrol import build_b_pattern, enumerate_minimal_driver_sets
-    from zerocontrol.reports import b_pattern_from_dict, driver_set_from_dict
+    from zerocontrol.reports import b_pattern_to_dict, driver_set_to_dict
 
     code = run_cli(["select", example2_path, "--format", "json", "--enumerate"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["command"] == "select"
     enumeration = enumerate_minimal_driver_sets(EXAMPLE2_A)
-    assert [driver_set_from_dict(d) for d in doc["enumeration"]] == enumeration
-    assert driver_set_from_dict(doc["driver_set"]) == enumeration[0]
+    assert doc["enumeration"] == [driver_set_to_dict(ds) for ds in enumeration]
+    assert doc["driver_set"] == driver_set_to_dict(enumeration[0])
     bp = build_b_pattern(EXAMPLE2_A.n_rows, enumeration[0].drivers, "per_driver")
-    assert b_pattern_from_dict(doc["b_pattern"]) == bp
+    assert doc["b_pattern"] == b_pattern_to_dict(bp)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -173,19 +172,18 @@ def test_verify_rejects_conflicting_inputs(example1_path, capsys):
     assert "already declares an input pattern" in captured.err
 
 
-def test_verify_json_round_trips_with_controllability(example1_path, capsys):
+def test_verify_json_prints_the_library_stats_with_controllability(example1_path, capsys):
     from zerocontrol import monte_carlo_verify
-    from zerocontrol.reports import stats_from_dict
+    from zerocontrol.reports import stats_to_dict
 
     argv = ["verify", example1_path, "--format", "json", "--check-controllability",
             "--trials", "12", "--seed", "31"]
     code = run_cli(argv)
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["command"] == "verify"
-    stats = stats_from_dict(doc["stats"])
-    assert stats == monte_carlo_verify(EXAMPLE1_A, EXAMPLE1_B, trials=12, base_seed=31,
-                                       check_controllability=True)
-    assert stats.ctrl_structural is not None and stats.ctrl_agreements is not None
+    stats = monte_carlo_verify(EXAMPLE1_A, EXAMPLE1_B, trials=12, base_seed=31, check_controllability=True)
+    assert doc["stats"] == stats_to_dict(stats)
+    assert doc["stats"]["ctrl_structural"] is not None and doc["stats"]["ctrl_agreements"] is not None
 
 
 def test_verify_deterministic_output(example1_path, capsys):
@@ -502,6 +500,13 @@ def test_simulate_default_horizon_is_at_least_one(tmp_path, capsys):
     assert captured.out.startswith("horizon: 1\n") and captured.err == ""
     assert run_cli(["simulate", str(path), "--horizon", "0"]) == 2
     assert capsys.readouterr().err == "error: horizon must be >= 1, got 0\n"
+    # the horizon is refused before the size check, which prints the horizon it was given
+    path.write_text("n 100000\n")
+    assert run_cli(["simulate", str(path), "--horizon", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: horizon must be >= 1, got 0\n")
+    assert run_cli(["simulate", str(path), "--horizon", "7"]) == 2
+    assert capsys.readouterr() == ("", "error: n=100000, m=0 over 7 steps needs 10000000000 dense matrix entries, "
+                                       "above the limit of 33554432\n")
 
 
 # --- export-dot ----------------------------------------------------------------

@@ -218,36 +218,7 @@ def test_serialize_refuses_a_pair_no_file_can_hold():
     assert text == "n 2\na 1 2\n" and parse_pattern_file(text) == (PatternMatrix(2, 2, {(1, 2)}), None)
 
 
-# --- report documents round-trip ------------------------------------------------
-
-def test_zc_report_document_round_trip(example1_a, example1_b):
-    from zerocontrol import is_generically_zero_controllable
-    from zerocontrol.reports import zc_report_from_dict, zc_report_to_dict
-
-    report = is_generically_zero_controllable(example1_a, example1_b)
-    assert zc_report_from_dict(zc_report_to_dict(report)) == report
-    positive = is_generically_zero_controllable(example1_a.without_entry(5, 5), example1_b)
-    assert zc_report_from_dict(zc_report_to_dict(positive)) == positive
-
-
-def test_driver_set_document_round_trip(example2_a):
-    from zerocontrol import minimal_driver_set, validate_driver_set
-    from zerocontrol.reports import driver_set_from_dict, driver_set_to_dict
-
-    for ds in (
-        minimal_driver_set(example2_a),
-        validate_driver_set(example2_a, {"x1", "x5"}),
-    ):
-        assert driver_set_from_dict(driver_set_to_dict(ds)) == ds
-
-
-def test_stats_document_round_trip(example1_a, example1_b):
-    from zerocontrol import monte_carlo_verify
-    from zerocontrol.reports import stats_from_dict, stats_to_dict
-
-    stats = monte_carlo_verify(example1_a, example1_b, trials=5, base_seed=10)
-    assert stats_from_dict(stats_to_dict(stats)) == stats
-
+# --- report documents ------------------------------------------------------------
 
 def test_render_stats_prints_every_optional_line():
     from zerocontrol.numeric import MonteCarloStats
@@ -297,26 +268,10 @@ def test_render_driver_set_prints_the_obstruction_of_an_invalid_set(example2_a):
     )
 
 
-def test_b_pattern_document_round_trip():
-    from zerocontrol import build_b_pattern
-    from zerocontrol.reports import b_pattern_from_dict, b_pattern_to_dict
-
-    bp = build_b_pattern(11, {"x4", "x8"}, "per_driver")
-    assert b_pattern_from_dict(b_pattern_to_dict(bp)) == bp
-
-
-def test_b_pattern_document_with_an_unknown_mode_is_refused():
-    from zerocontrol.reports import b_pattern_from_dict
-
-    doc = {"mode": "bogus", "n_rows": 3, "n_cols": 1, "entries": [[2, 1]]}
-    with pytest.raises(ValueError, match="^mode must be 'shared' or 'per_driver', got 'bogus'$"):
-        b_pattern_from_dict(doc)
-
-
-def test_each_form_writes_every_field_and_reads_back_all_but_its_derived_keys():
+def test_each_form_writes_every_field_and_its_derived_keys():
     """A field added to a result type cannot be left out of its JSON form:
-    the form's keys are the fields plus the derived keys, which are only
-    written, and a form with a reader reads every field back."""
+    the form's keys are the fields plus the derived keys, each with one
+    writer."""
     from dataclasses import fields
 
     from zerocontrol import DriverSet, MonteCarloStats, SteeringResult, ZcReport
@@ -328,8 +283,7 @@ def test_each_form_writes_every_field_and_reads_back_all_but_its_derived_keys():
     for cls, form in _FORMS.items():
         names = {f.name for f in fields(cls)}
         assert set(form) == names | derived[cls], cls.__name__
-        read_back = {key for key, (_, read) in form.items() if read is not None}
-        assert read_back == (set() if cls is SteeringResult else names), cls.__name__
+        assert all(callable(write) for write in form.values()), cls.__name__
 
 
 # --- the bulk parser against the per-line reference ----------------------------

@@ -1139,6 +1139,14 @@ def test_deadbeat_steers_driven_example2(example2_a):
             assert np.allclose(step, result.trajectory[k + 1], rtol=1e-10, atol=1e-12)
 
 
+def test_steering_keeps_an_entry_that_the_exact_checks_read_as_zero():
+    """2^31 - 1 is 0 mod p, so the single checks see no input at all and decide "no"; steering reads the pattern
+    of the float nonzeros, reaches both states through the entry and steers x0 to 0 exactly."""
+    r = make_realization([[0, 1], [1, 0]], [[2147483647.0], [0]])
+    assert is_zero_controllable_numeric(r) == is_controllable_numeric(r) == NumericCheck(False, True)
+    assert deadbeat_steer(r, np.array([1.0, -2.0]), horizon=2).final_norm == 0.0
+
+
 def test_deadbeat_validates_horizon(example2_a):
     r = sample_realization(example2_a, EXAMPLE2_B_PER_DRIVER, seed=73)
     with pytest.raises(ValueError, match="horizon"):

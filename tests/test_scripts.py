@@ -1,7 +1,9 @@
 """The fixture walkthrough, the agreement experiment and the job-digest
-tool, each run once."""
+tool, each run once, and the names the benchmark imports."""
 
+import ast
 import hashlib
+import importlib
 import re
 import subprocess
 import sys
@@ -108,3 +110,22 @@ def test_job_digests_at_full_size():
     script = [sys.executable, str(SCRIPTS / "job_digests.py")]
     out = subprocess.run(script, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == f"{JOB_DIGEST}  total of 112 jobs"
+
+
+def test_every_name_the_benchmark_imports_exists():
+    """The suite never runs ``perfbench/``, so a name that a change deletes from a module the benchmark imports
+    would fail only there: every ``from zerocontrol... import`` in ``perfbench/*.py`` names an attribute that its
+    module has, and every ``import zerocontrol...`` a module that imports."""
+    names = 0
+    for path in sorted((SCRIPTS.parent / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "zerocontrol":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+                    names += 1
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "zerocontrol":
+                        importlib.import_module(alias.name)
+    assert names >= 20, names  # trace_pass.py alone imports more
