@@ -88,14 +88,14 @@ def _resolve_input_pattern(args, pattern_a, pattern_b):
 
 def _dumps(obj, pad="\n  ") -> list:
     """``json.dumps(obj, indent=2, sort_keys=True)`` as pieces to write in order, one C-encoder call per scalar
-    container; a 2-D float array is the list of its rows, and its piece makes each row's text as it is written."""
+    container, of documents' forms only: str-keyed dicts, lists, leaves, and 2-D float arrays, rows made as written."""
     if type(obj) in _LEAF:
         return [json.dumps(obj)]
     if type(obj) is dict and all(type(key) is str for key in obj):
         ends, values = "{}", obj.values()
-    elif type(obj) in (list, tuple) or type(obj) is np.ndarray and obj.ndim == 2:
+    elif type(obj) is list or type(obj) is np.ndarray and obj.ndim == 2:
         ends, values = "[]", obj
-    else:  # _emit hands the whole document to the reference call, before its first byte
+    else:  # a document that reports and cli do not build: a bug, raised before the first byte
         raise TypeError(f"no indented emitter for {type(obj).__name__}")
     if not len(obj):
         return [ends]
@@ -111,14 +111,9 @@ def _dumps(obj, pad="\n  ") -> list:
 
 
 def _emit(args, text_doc, json_doc) -> None:
-    """Print the document --format asks for; each is a callable, built only if printed, and JSON is written in pieces."""
+    """Print the document --format asks for; each is a callable, built only if printed; JSON by ``_dumps`` alone."""
     if args.format == "json":
-        doc = json_doc()
-        try:
-            pieces = _dumps(doc)
-        except TypeError:  # a type or a key that only the reference encoder knows
-            pieces = [json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)]
-        for piece in [*pieces, "\n"]:  # a str, or the generator of an array's rows
+        for piece in [*_dumps(json_doc()), "\n"]:  # a str, or the generator of an array's rows
             sys.stdout.writelines([piece] if type(piece) is str else piece)
     else:
         print(text_doc())
@@ -161,10 +156,9 @@ def _cmd_select(args) -> int:
     def text_doc() -> str:
         sections = [render_driver_set(chosen)]
         if enumeration is not None:
-            listing = ["all minimum driver sets" + (f" (limit {args.limit})" if len(enumeration) >= args.limit else "") + ":"]
-            for ds in enumeration:
-                listing.append("  {" + " ".join(ds.sorted_drivers()) + "}")
-            sections.append("\n".join(listing))
+            limit = f" (limit {args.limit})" if len(enumeration) >= args.limit else ""
+            head = f"all minimum driver sets{limit}:" if chosen.minimal else "greedy driver set only, not an enumeration:"
+            sections.append("\n".join([head, *("  {" + " ".join(ds.sorted_drivers()) + "}" for ds in enumeration)]))
         if chosen.drivers:
             sections.append(render_b_pattern(bp))
         return "\n\n".join(sections)

@@ -21,13 +21,13 @@ One exact engine decides every pair over GF(p), p = 2^31 - 1.  Each trial of
 vectors in one read of its own stream, under one key: numpy's SeedSequence/PCG64
 words, computed here bit for bit.  ``sample_realization`` and ``simulate``'s
 random x0 compute numpy's uniform and standard normal draws from such words too,
-so on numpy >= 2 no subcommand imports numpy.random.  The single checks
-(``is_zero_controllable_numeric``, ``is_controllable_numeric``) read a float
-realization's entries exactly mod p, as a finite float is M 2^e for an integer M
-(Goldberg 1991) and 2^31 = 1 mod p, on the split of the entries that stay
-nonzero: each is the ``verify`` trial of the realization's seed, with those
-values in place of the drawn ones.  For a fixed
-rational realization the reduction mod p can change a rank only when p divides
+the normals word by word, reading on, so on numpy >= 2 no subcommand imports
+numpy.random.  The single checks (``is_zero_controllable_numeric``,
+``is_controllable_numeric``) read a float realization's entries exactly mod p,
+as a finite float is M 2^e for an integer M (Goldberg 1991) and 2^31 = 1 mod p,
+on the split of the entries that stay nonzero: each is the ``verify`` trial of
+the realization's seed, with those values in place of the drawn ones.  For a
+fixed rational realization the reduction mod p can change a rank only when p divides
 one of finitely many integers that the realization fixes (an entry of 2^31 - 1
 reads as 0, say); no draw makes that rarer.  S is not nilpotent when S^k v' != 0
 for a random v'.  (A11, B1) is decided as one input's pair (M, b) = (A11 + B1 K,
@@ -322,7 +322,7 @@ _GF_KEY = (1,)
 #: SeedSequence's hash constants (INIT_A, MULT_A), (INIT_B, MULT_B) and (MIX_MULT_L, MIX_MULT_R); PCG64's multiplier.
 _HASH, _MIX = ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)), (np.uint32(0xCA01F9DD), np.uint32(0x4973F715))
 _PCG_MULT, _LOW32, _32 = 0x2360ED051FC65DA44385DF649FCCF645, np.uint64(2**32 - 1), np.uint64(32)
-#: numpy's ziggurat tail edge r and 1 / r, as its C source spells them; words ``_normals`` draws beyond n + n / 16.
+#: numpy's ziggurat tail edge r and 1 / r, as its C source spells them; spare words in each block ``_normals`` reads.
 _ZIG_R, _ZIG_INV_R, _SPARE = 3.6541528853610087963519472518, 0.27366123732975827203338247596, 16
 
 #: Draws of the left vector u, and with m > 1 of alpha, a trial may take; a trial that none of them proves counts
@@ -397,43 +397,39 @@ def _mul_add(a, x, y=np.zeros(2, dtype=np.uint64)) -> tuple[np.ndarray, np.ndarr
 
 
 @functools.cache
-def _ziggurat() -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """numpy's ziggurat tables ki (uint64), wi (float64) and fi (floats), decoded once, at the first normal draw."""
+def _ziggurat() -> tuple[list[int], list[float], list[float]]:
+    """numpy's ziggurat tables ki, wi and fi as Python ints and floats, decoded once, at the first normal draw."""
     from ._ziggurat import TABLES
     ki, wi, fi = np.frombuffer(bytes.fromhex(TABLES), "<u8").reshape(3, 256)
-    return ki, wi.view("<f8"), fi.view("<f8").tolist()
+    return ki.tolist(), wi.view("<f8").tolist(), fi.view("<f8").tolist()
 
 
 def _normals(seed: int, n: int) -> np.ndarray:
-    """numpy's ``default_rng(seed).standard_normal(n)``, bit for bit: Marsaglia and Tsang's (2000) ziggurat on the
-    seed's computed words.  Word w takes layer i = w & 0xff, sign bit 8 and 52-bit rabs = w >> 9, and gives x = rabs
-    wi[i] when rabs < ki[i]; 1.5 % of words go on to layer i's wedge or, for i = 0, the tail beyond r, which read the
-    next words as uniforms.  A rejected x starts over after them.  Words that run out are drawn again, twice as many."""
-    (ki, wi, fi), count = _ziggurat(), n + n // 16 + _SPARE
-    while True:
-        words = _gf_words(_seeds(seed, 1), 0, count, ())[0]
-        layer, rabs = (words & np.uint64(255)).astype(np.intp), words >> np.uint64(9) & np.uint64(2**52 - 1)
-        x = np.where(words & np.uint64(256), -1.0, 1.0) * (rabs * wi[layer])
-        fast, uniforms = rabs < ki[layer], (words >> np.uint64(11)) * 2.0**-53  # next_double
-        draws, free = np.where(fast, x, np.nan), 0  # the draw each word starts; the first word no test has read
-        for j in np.flatnonzero(~fast).tolist():
-            if j < free:
-                continue
-            i, k, value, accept = int(layer[j]), j + 1, float(x[j]), False
-            try:
-                if i:  # the wedge, on one uniform
-                    accept, k = (fi[i - 1] - fi[i]) * uniforms[k] + fi[i] < math.exp(-0.5 * value * value), k + 1
-                while not (i or accept):  # the tail, two uniforms a round until one is accepted
-                    xx, yy, k = -_ZIG_INV_R * math.log1p(-uniforms[k]), -math.log1p(-uniforms[k + 1]), k + 2
-                    accept, value = yy + yy > xx * xx, -(_ZIG_R + xx) if int(words[j]) >> 17 & 1 else _ZIG_R + xx
-            except IndexError:  # the words ran out inside the test
-                draws[j:] = np.nan
-                break
-            draws[j], draws[j + 1:k], free = value if accept else np.nan, np.nan, k
-        draws = draws[~np.isnan(draws)]
-        if len(draws) >= n:
-            return draws[:n]
-        count *= 2
+    """numpy's ``default_rng(seed).standard_normal(n)``, bit for bit: Marsaglia and Tsang's (2000) ziggurat, word by
+    word as numpy's own loop, on the seed's computed words.  Word w takes layer i = w & 0xff, sign bit 8 and 52-bit
+    rabs = w >> 9, and gives x = rabs wi[i] when rabs < ki[i]; 1.5 % of words go on to layer i's wedge on one uniform
+    or, for i = 0, to the tail beyond r, two uniforms a round.  A rejected x is drawn again from the next word."""
+    (ki, wi, fi), seeds, out = _ziggurat(), _seeds(seed, 1), []
+
+    def stream(start=0):  # the seed's words, each read once, in blocks that read on from where the last stopped
+        while True:
+            count = (left := n - len(out)) + left // 16 + _SPARE
+            yield from _gf_words(seeds, start, count, ())[0].tolist()
+            start += count
+
+    words = stream()
+    uniforms = ((w >> 11) * 2.0**-53 for w in words)  # numpy's next_double, on the same words
+    while len(out) < n:
+        i, rabs = (w := next(words)) & 255, w >> 9 & 2**52 - 1
+        x = -(rabs * wi[i]) if w >> 8 & 1 else rabs * wi[i]
+        if rabs < ki[i] or i and (fi[i - 1] - fi[i]) * next(uniforms) + fi[i] < math.exp(-0.5 * x * x):  # the wedge
+            out.append(x)
+        elif not i:  # the tail beyond r, two uniforms a round until one is accepted
+            xx = yy = 0.0
+            while yy + yy <= xx * xx:
+                xx, yy = -_ZIG_INV_R * math.log1p(-next(uniforms)), -math.log1p(-next(uniforms))
+            out.append(-(_ZIG_R + xx) if rabs >> 8 & 1 else _ZIG_R + xx)
+    return np.array(out)
 
 
 def _residues(words: np.ndarray, low: int = 0) -> np.ndarray:

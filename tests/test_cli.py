@@ -676,9 +676,8 @@ _PIECES = ["", ", ", ",\n  ", ": ", "[", "]", "{", "}", '"', "\\", "\x00\x1f\t\n
 
 
 def _random_document(rng: random.Random, depth: int):
-    """Scalars at the edges of what JSON prints, inside lists, tuples and dicts;
-    now and then a 2-D float array, a non-str key or a type only the reference
-    encoder knows."""
+    """The document forms: scalars at the edges of what JSON prints, inside
+    lists and str-keyed dicts, and now and then a 2-D float array."""
     if depth == 0 or rng.random() < 0.45:
         kind = rng.randrange(7)
         if kind == 5 and rng.random() < 0.1:  # each dimension may be 0
@@ -692,35 +691,22 @@ def _random_document(rng: random.Random, depth: int):
             return rng.random() < 0.5
         if kind == 3:
             return None
-        if kind == 4 and rng.random() < 0.05:
-            return np.float64(rng.choice(_FLOATS))
         return "".join(rng.choice(_PIECES) for _ in range(rng.randrange(4)))
     values = [_random_document(rng, depth - 1) for _ in range(rng.randrange(5))]
-    kind = rng.randrange(4)
-    if kind == 0:
+    if rng.random() < 0.5:
         return values
-    if kind == 1:
-        return tuple(values)
-    if rng.random() < 0.04:
-        return {rng.randint(-3, 3): value for value in values}
     return {"".join(rng.choice(_PIECES) for _ in range(3)) + str(i): value for i, value in enumerate(values)}
 
 
 def test_indented_emitter_prints_what_the_reference_encoder_prints(monkeypatch):
     from zerocontrol import cli
 
-    fallbacks, arrays = [], Counter()
-    dumps = cli._dumps
+    arrays, dumps = Counter(), cli._dumps
 
     def counted(doc, *pad):
         if type(doc) is np.ndarray:
             arrays[min(doc.shape)] += 1
-        try:
-            return dumps(doc, *pad)
-        except TypeError:
-            if not pad:
-                fallbacks.append(doc)
-            raise
+        return dumps(doc, *pad)
 
     monkeypatch.setattr(cli, "_dumps", counted)
     args = argparse.Namespace(format="json")
@@ -731,22 +717,32 @@ def test_indented_emitter_prints_what_the_reference_encoder_prints(monkeypatch):
         with contextlib.redirect_stdout(out):
             cli._emit(args, None, lambda: doc)
         assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
-    assert 100 < len(fallbacks) < 2000
     assert arrays[0] > 100 and sum(arrays.values()) > 300, arrays  # arrays with no rows or empty rows, and filled ones
+    # any other form is a bug in the caller, not a document: there is no second encoder to hand it to
+    for doc in (np.float64(0.5), {"a": [1, np.float64(0.5)]}, (1, 2), {1: "a"}, np.zeros(3)):
+        with pytest.raises(TypeError, match="^no indented emitter for "):
+            cli._emit(args, None, lambda: doc)
 
 
 JSON_COMMANDS = [
     ["analyze"], ["select"], ["select", "--enumerate"], ["select", "--greedy", "--b-mode", "shared"],
     ["verify", "--trials", "5", "--check-controllability"], ["simulate"], ["simulate", "--horizon", "3"],
+    ["select", "--enumerate", "--exact-cap", "0"],
 ]
 
+#: edge cases of the document forms: no states at all, and no inputs, where simulate prints H-by-0 controls
+_EDGE_FILES = {"n0.pat": "n 0\n", "input-free.pat": "n 3\na 1 1\na 2 1\na 3 2\n"}
 
-@pytest.mark.parametrize("fixture", ["example1.pat", "example2.pat"])
+
+@pytest.mark.parametrize("fixture", ["example1.pat", "example2.pat", *_EDGE_FILES])
 @pytest.mark.parametrize("command", JSON_COMMANDS, ids=" ".join)
-def test_json_output_matches_the_reference_encoder(command, fixture, fixture_dir, monkeypatch, capsys):
+def test_json_output_matches_the_reference_encoder(command, fixture, fixture_dir, tmp_path, monkeypatch, capsys):
     from zerocontrol import cli
 
-    argv = [command[0], str(fixture_dir / fixture), *command[1:], "--format", "json"]
+    path = fixture_dir / fixture
+    if fixture in _EDGE_FILES:
+        (path := tmp_path / fixture).write_text(_EDGE_FILES[fixture])
+    argv = [command[0], str(path), *command[1:], "--format", "json"]
     printed = (run_cli(argv), *capsys.readouterr())
     monkeypatch.setattr(cli, "_dumps", lambda doc: [json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)])
     assert (run_cli(argv), *capsys.readouterr()) == printed
@@ -850,6 +846,22 @@ def test_duplicate_entry_warning_is_one_line(tmp_path, capsys):
         "warning: line 3: duplicate entry 'a 1 1' collapsed",
         "error: line 4: row 3 exceeds n=2 in entry 'a 3 3'",
     ]
+
+
+@pytest.mark.parametrize("limit", [[], ["--limit", "1"]], ids=["no limit", "limit 1"])
+def test_enumerate_past_the_exact_cap_lists_the_greedy_set_only(limit, example2_path, capsys):
+    """Past the cap, ``--enumerate`` lists the greedy set, which is neither all sets nor proven minimum: its text
+    header says so, under any limit, and its JSON is unchanged, ``minimal: false`` already saying so."""
+    argv = ["select", example2_path, "--enumerate", "--exact-cap", "0", *limit]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert "\n\ngreedy driver set only, not an enumeration:\n  {x4 x8}\n\n" in out
+    assert "all minimum" not in out and "minimum (exact search)" not in out
+    assert run_cli([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["enumeration"] == [doc["driver_set"]] and doc["driver_set"]["minimal"] is False
+    assert run_cli(["select", example2_path, "--enumerate", *limit]) == 0
+    assert "\n\nall minimum driver sets" + (" (limit 1)" if limit else "") + ":\n  {x4 x8}\n" in capsys.readouterr().out
 
 
 def test_negative_exact_cap_exits_2(example2_path, capsys):

@@ -719,7 +719,7 @@ def test_gf_words_equal_numpys_pcg64_words_bit_for_bit(seeds, monkeypatch):
 def test_normals_equal_numpys_standard_normal_bit_for_bit(monkeypatch):
     """``_normals(s, n)`` is ``default_rng(s).standard_normal(n)`` bit for bit: for no, one and a few draws, and for
     2.4 * 10^5 draws over which both slow paths run, the wedge test (``math.exp``) and the tail beyond r
-    (``math.log1p``).  With no spare words, a draw that the first words cannot finish is drawn again from more:
+    (``math.log1p``).  With no spare words, a draw that the first block cannot finish reads on into the next:
     the streams of seeds 755 and 1950 start in the tail, whose uniforms the first word leaves out."""
     calls, words = Counter(), numeric._gf_words
 
@@ -736,7 +736,7 @@ def test_normals_equal_numpys_standard_normal_bit_for_bit(monkeypatch):
     for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 20240002):
         for n in (0, 1, 11, 300):
             assert np.array_equal(numeric._normals(seed, n), np.random.default_rng(seed).standard_normal(n)), (seed, n)
-    assert calls["words"] == 24
+    assert calls["words"] == 18  # one read for each n > 0, none for n = 0
     got = numeric._normals(7, 240_000)
     assert np.array_equal(got, np.random.default_rng(7).standard_normal(240_000))
     assert calls["exp"] > 1000 and calls["log1p"] > 20, calls
@@ -748,12 +748,31 @@ def test_normals_equal_numpys_standard_normal_bit_for_bit(monkeypatch):
     assert calls["words"] > 62 * 3 and calls["log1p"] > 0, calls
 
 
+def test_normals_read_each_word_once(monkeypatch):
+    """``_normals`` reads its seed's stream under the empty key in blocks, each from where the last one stopped, so
+    no word is read twice: first n + n // 16 + _SPARE words, then as many for the draws left.  With no spare words
+    some draws read on into a second block; n = 0 reads nothing."""
+    calls, read_on = _reads(monkeypatch), 0
+    for spare in (16, 0):
+        monkeypatch.setattr(numeric, "_SPARE", spare)
+        for seed in [*range(60), 755, 1950]:
+            for n in (0, 1, 11, 50):
+                calls.clear()
+                numeric._normals(seed, n)
+                assert [(seeds, key) for seeds, _, _, key in calls] == [([seed], ())] * len(calls)
+                ends = list(itertools.accumulate(count for _, _, count, _ in calls))  # where each block stopped
+                assert [start for _, start, _, _ in calls] == [0, *ends][:len(calls)], (seed, n, calls)
+                assert [c[2] for c in calls[:1]] == ([n + n // 16 + spare] if n else []), (seed, n, calls)
+                read_on += len(calls) > 1
+                assert spare == 0 or len(calls) == (n > 0), (seed, n, calls)
+    assert read_on > 10, read_on
+
+
 def test_ziggurat_tables_are_numpys():
     """All 768 entries of the shipped ki, wi and fi equal the ones read back from numpy.random."""
     ki, wi, fi = numeric._ziggurat()
-    expected = oracle_ziggurat_tables()
-    assert ki.dtype == np.uint64 and wi.dtype == np.float64
-    assert (ki.tolist(), wi.tolist(), fi) == expected
+    assert {type(v) for v in ki} == {int} and {type(v) for v in wi + fi} == {float}  # the loop's scalar arithmetic
+    assert (ki, wi, fi) == oracle_ziggurat_tables()
 
 
 def test_gf_words_hold_their_temporaries_within_the_stack_cap(monkeypatch):
